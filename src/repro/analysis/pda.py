@@ -35,7 +35,6 @@ from repro.analysis.regions import clusters_to_rectangles
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
 from repro.grid.rect import Rect
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.sanitize.hooks import get_sanitizer
 from repro.mpisim.comm import SimComm
 from repro.obs import get_flight_recorder, get_recorder
@@ -44,6 +43,7 @@ __all__ = [
     "PDAConfig",
     "PDAResult",
     "aggregate_summaries",
+    "aggregate_summaries_reference",
     "parallel_data_analysis",
 ]
 
@@ -99,38 +99,22 @@ def _assign_files(
     return buckets
 
 
-def _is_corrupt(f: SplitFile) -> bool:
-    """A truncated/garbled payload shows up as non-finite field values."""
-    return not (
-        bool(np.isfinite(f.qcloud).all()) and bool(np.isfinite(f.olr).all())
-    )
-
-
 def aggregate_summaries(
     files: list[SplitFile],
     olr_threshold: float,
-    kernels: str = DEFAULT_KERNELS,
 ) -> list[tuple[bool, SubdomainSummary | None]]:
     """Corruption flag + summary for many split files at once.
 
     Returns one ``(corrupt, summary)`` per input file, aligned with
-    ``files``; corrupt files (non-finite QCLOUD/OLR) carry ``None``.  The
-    vector path stacks same-shape tiles and reduces the whole batch with
-    masked array ops; the reference path summarises file by file.  The
-    integer-derived fields (``olr_fraction``, corruption flags) are
-    bit-identical across modes; the ``qcloud`` float aggregate may differ
-    in the last ulp because batched reductions sum in a different order
-    (see ``docs/performance.md``).
+    ``files``; corrupt files (non-finite QCLOUD/OLR — a truncated or
+    garbled payload) carry ``None``.  Same-shape tiles are stacked and the
+    whole batch reduces with masked array ops.  Against the file-by-file
+    oracle :func:`aggregate_summaries_reference`, the integer-derived
+    fields (``olr_fraction``, corruption flags) are bit-identical; the
+    ``qcloud`` float aggregate may differ in the last ulp because batched
+    reductions sum in a different order (see ``docs/performance.md``).
     """
-    check_kernels(kernels)
     with get_recorder().span("analysis.aggregate", n_files=len(files)):
-        if kernels == "reference":
-            return [
-                (True, None)
-                if _is_corrupt(f)
-                else (False, f.summarise(olr_threshold))
-                for f in files
-            ]
         results: list[tuple[bool, SubdomainSummary | None]] = [
             (True, None)
         ] * len(files)
@@ -165,13 +149,25 @@ def aggregate_summaries(
         return results
 
 
+def aggregate_summaries_reference(
+    files: list[SplitFile],
+    olr_threshold: float,
+) -> list[tuple[bool, SubdomainSummary | None]]:
+    """File-by-file scalar oracle of :func:`aggregate_summaries` (tests only)."""
+    return [
+        (False, f.summarise(olr_threshold))
+        if np.isfinite(f.qcloud).all() and np.isfinite(f.olr).all()
+        else (True, None)
+        for f in files
+    ]
+
+
 def parallel_data_analysis(
     files: list[SplitFile | None],
     sim_grid: ProcessorGrid,
     n_analysis: int,
     config: PDAConfig | None = None,
     comm: SimComm | None = None,
-    kernels: str = DEFAULT_KERNELS,
 ) -> PDAResult:
     """Run Algorithm 1 over one step's split files.
 
@@ -192,11 +188,10 @@ def parallel_data_analysis(
         An existing :class:`SimComm` of size ``N`` (one is created when
         omitted); its statistics account the root gather, and its failed
         ranks' buckets go unread (degraded mode).
-    kernels:
-        ``"vector"`` (default) summarises every present file in one batched
-        pass (:func:`aggregate_summaries`) shared by the per-rank analysis
-        and the degraded-mode renormalisation; ``"reference"`` summarises
-        file by file, twice, as the original scalar oracle did.
+
+    Every present file is summarised once, in one batched pass
+    (:func:`aggregate_summaries`), shared by the per-rank analysis and the
+    degraded-mode renormalisation.
     """
     if len(files) != sim_grid.nprocs:
         raise ValueError(
@@ -209,7 +204,6 @@ def parallel_data_analysis(
         )
     config = config or PDAConfig()
     comm = comm or SimComm(n_analysis)
-    check_kernels(kernels)
     if comm.Get_size() != n_analysis:
         raise ValueError(
             f"communicator size {comm.Get_size()} != n_analysis {n_analysis}"
@@ -221,29 +215,13 @@ def parallel_data_analysis(
         n_missing = sum(1 for f in files if f is None)
         buckets = _assign_files(files, sim_grid, n_analysis)
         corrupt_count = [0]  # mutated by the per-rank closure
-
-        if kernels == "vector":
-            # One batched pass over every present file, shared by the
-            # per-rank analysis and the renormalisation below (the
-            # reference path summarises per file — and twice).
-            present = [f for f in files if f is not None]
-            info = {
-                id(f): cs
-                for f, cs in zip(
-                    present,
-                    aggregate_summaries(present, config.olr_threshold, kernels),
-                )
-            }
-
-            def summarise(f: SplitFile) -> tuple[bool, SubdomainSummary | None]:
-                return info[id(f)]
-
-        else:
-
-            def summarise(f: SplitFile) -> tuple[bool, SubdomainSummary | None]:
-                if _is_corrupt(f):
-                    return True, None
-                return False, f.summarise(config.olr_threshold)
+        present = [f for f in files if f is not None]
+        info = {
+            id(f): cs
+            for f, cs in zip(
+                present, aggregate_summaries(present, config.olr_threshold)
+            )
+        }
 
         # Per-rank analysis (Algorithm 1, lines 3–9).  An analysis rank only
         # reports subdomains containing any low-OLR area — "some of the split
@@ -253,7 +231,7 @@ def parallel_data_analysis(
         def analyse(rank: int) -> list[SubdomainSummary]:
             out = []
             for f in buckets[rank]:
-                corrupt, summary = summarise(f)
+                corrupt, summary = info[id(f)]
                 if corrupt:
                     corrupt_count[0] += 1
                     continue
@@ -274,7 +252,7 @@ def parallel_data_analysis(
             if not comm.alive(rank):
                 continue
             for f in bucket:
-                corrupt, summary = summarise(f)
+                corrupt, summary = info[id(f)]
                 if corrupt:
                     continue
                 assert summary is not None

@@ -45,7 +45,6 @@ from repro.chaos.plan import (
     JournalTruncate,
     SlowConsumer,
 )
-from repro.kernels import DEFAULT_KERNELS
 from repro.obs.flight import FlightRecorder
 from repro.obs.stream import TapSubscription
 from repro.sanitize import Sanitizer, use_sanitizer
@@ -82,7 +81,6 @@ class CampaignConfig:
     machine: str = "bgl-256"
     workload: str = "synthetic"
     strategy: str = "diffusion"
-    kernels: str = DEFAULT_KERNELS
     step_timeout: float = 0.25
     max_step_retries: int = 10
     backoff_scale: float = 0.005
@@ -152,7 +150,6 @@ class CampaignConfig:
                 machine=self.machine,
                 strategy=self.strategy,
                 priority=i % 2,
-                kernels=self.kernels,
             )
             for i in range(self.sessions)
         ]

@@ -244,13 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "suite's network simulators (default: sized from the machine)",
     )
     p.add_argument(
-        "--kernels",
-        choices=["vector", "reference"],
-        default=None,
-        help="hot-kernel implementation to time (default: vector); "
-        "'reference' times the scalar oracle the baselines pin",
-    )
-    p.add_argument(
         "--trace",
         default=None,
         help="also write a Chrome trace-event JSON of one instrumented "
@@ -470,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", choices=["scratch", "diffusion", "dynamic"], default="diffusion"
     )
-    p.add_argument("--kernels", choices=["vector", "reference"], default=None)
     p.add_argument(
         "--via-http",
         action="store_true",
@@ -489,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.kernels import DEFAULT_KERNELS
     from repro.obs.bench import (
         DEFAULT_BASELINE_PATH,
         SCALE_BASELINE_PATH,
@@ -518,7 +509,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             phases=args.phases,
             progress=lambda name: print(f"  timing {name} ...", file=sys.stderr),
-            kernels=args.kernels if args.kernels is not None else DEFAULT_KERNELS,
             suite=args.suite,
             route_cache_size=args.route_cache_size,
         )
@@ -1139,7 +1129,6 @@ def _cmd_obs_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    from repro.kernels import DEFAULT_KERNELS
     from repro.serve.loadgen import LoadgenConfig, run_loadgen
 
     config = LoadgenConfig(
@@ -1150,7 +1139,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         workload=args.workload,
         machine=args.machine,
         strategy=args.strategy,
-        kernels=args.kernels or DEFAULT_KERNELS,
         via_http=args.via_http or args.quick,
         url=args.url or "",
     )

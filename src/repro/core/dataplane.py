@@ -32,7 +32,6 @@ from repro.core.allocation import Allocation
 from repro.grid.block import BlockDecomposition
 from repro.grid.overlap import TransferMatrix, transfer_matrix
 from repro.grid.rect import Rect
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.mpisim.alltoallv import messages_from_transfer
 from repro.mpisim.ledger import CommLedger
 from repro.obs import get_flight_recorder, get_recorder
@@ -141,7 +140,6 @@ def scatter_nest(
     nest_id: int,
     field_data: np.ndarray,
     allocation: Allocation,
-    kernels: str = DEFAULT_KERNELS,
 ) -> BlockDecomposition:
     """Distribute a full nest field over its allocated rectangle.
 
@@ -151,41 +149,51 @@ def scatter_nest(
     """
     if field_data.ndim != 2:
         raise ValueError(f"field_data must be 2-D (ny, nx), got shape {field_data.shape}")
-    check_kernels(kernels)
     ny, nx = field_data.shape
     with get_recorder().span("dataplane.scatter", nest=nest_id):
         decomp = allocation.decomposition(nest_id, nx, ny)
         rect = allocation.rect_of(nest_id)
-        if kernels == "reference":
-            for j in range(rect.h):
-                for i in range(rect.w):
-                    blk = decomp.block_of(i, j)
-                    rank = allocation.grid.rank(rect.x0 + i, rect.y0 + j)
-                    store.put(
-                        rank,
-                        nest_id,
-                        field_data[blk.y0 : blk.y1, blk.x0 : blk.x1].copy(),
-                        blk,
-                    )
-        else:
-            # Vector path: split boundaries and the rank grid are computed
-            # once (block_of recomputes both bounds arrays per cell) and
-            # each rank's slab is copied by a precomputed slice.
-            xb, yb = decomp.x_bounds, decomp.y_bounds
-            ranks = allocation.grid.rank_grid(rect)
-            for j in range(rect.h):
-                y0, y1 = int(yb[j]), int(yb[j + 1])
-                for i in range(rect.w):
-                    x0, x1 = int(xb[i]), int(xb[i + 1])
-                    store.put(
-                        int(ranks[j, i]),
-                        nest_id,
-                        field_data[y0:y1, x0:x1].copy(),
-                        Rect(x0, y0, x1 - x0, y1 - y0),
-                    )
+        # Split boundaries and the rank grid are computed once (block_of
+        # recomputes both bounds arrays per cell) and each rank's slab is
+        # copied by a precomputed slice.
+        xb, yb = decomp.x_bounds, decomp.y_bounds
+        ranks = allocation.grid.rank_grid(rect)
+        for j in range(rect.h):
+            y0, y1 = int(yb[j]), int(yb[j + 1])
+            for i in range(rect.w):
+                x0, x1 = int(xb[i]), int(xb[i + 1])
+                store.put(
+                    int(ranks[j, i]),
+                    nest_id,
+                    field_data[y0:y1, x0:x1].copy(),
+                    Rect(x0, y0, x1 - x0, y1 - y0),
+                )
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_scatter(store, nest_id, nx, ny)
+    return decomp
+
+
+def _scatter_nest_reference(
+    store: RankStore,
+    nest_id: int,
+    field_data: np.ndarray,
+    allocation: Allocation,
+) -> BlockDecomposition:
+    """Per-cell scalar oracle of :func:`scatter_nest` (tests only)."""
+    ny, nx = field_data.shape
+    decomp = allocation.decomposition(nest_id, nx, ny)
+    rect = allocation.rect_of(nest_id)
+    for j in range(rect.h):
+        for i in range(rect.w):
+            blk = decomp.block_of(i, j)
+            rank = allocation.grid.rank(rect.x0 + i, rect.y0 + j)
+            store.put(
+                rank,
+                nest_id,
+                field_data[blk.y0 : blk.y1, blk.x0 : blk.x1].copy(),
+                blk,
+            )
     return decomp
 
 
@@ -196,7 +204,6 @@ def execute_redistribution(
     new: Allocation,
     nx: int,
     ny: int,
-    kernels: str = DEFAULT_KERNELS,
 ) -> TransferMatrix:
     """Move one nest's blocks from ``old`` owners to ``new`` owners.
 
@@ -207,9 +214,8 @@ def execute_redistribution(
     """
     check_positive("nx", nx)
     check_positive("ny", ny)
-    check_kernels(kernels)
     with get_recorder().span("dataplane.redistribute", nest=nest_id):
-        transfer = _execute(store, nest_id, old, new, nx, ny, kernels=kernels)
+        transfer = _execute(store, nest_id, old, new, nx, ny)
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_execute(store, nest_id, nx, ny)
@@ -237,7 +243,6 @@ def _execute(
     new: Allocation,
     nx: int,
     ny: int,
-    kernels: str = DEFAULT_KERNELS,
     transfer: TransferMatrix | None = None,
 ) -> TransferMatrix:
     """The data movement of :func:`execute_redistribution` (pre-validated).
@@ -249,10 +254,7 @@ def _execute(
     new_decomp = new.decomposition(nest_id, nx, ny)
     if transfer is None:
         transfer = transfer_matrix(old_decomp, new_decomp, old.grid.px)
-    if kernels == "reference":
-        _move_blocks_reference(store, nest_id, old, new, old_decomp, new_decomp)
-    else:
-        _move_blocks_vector(store, nest_id, old, new, old_decomp, new_decomp)
+    _move_blocks_vector(store, nest_id, old, new, old_decomp, new_decomp)
     return transfer
 
 
@@ -264,7 +266,7 @@ def _move_blocks_reference(
     old_decomp: BlockDecomposition,
     new_decomp: BlockDecomposition,
 ) -> None:
-    """Per-block-pair data movement (the scalar oracle)."""
+    """Per-block-pair data movement (the scalar oracle; tests only)."""
     # Stage 1: receivers allocate their new blocks.
     new_rect = new.rect_of(nest_id)
     incoming: dict[int, tuple[np.ndarray, Rect]] = {}
@@ -315,7 +317,7 @@ def _move_blocks_vector(
     old_decomp: BlockDecomposition,
     new_decomp: BlockDecomposition,
 ) -> None:
-    """Merged-segment data movement (the fast path).
+    """Merged-segment data movement (the shipped path).
 
     Both decompositions split the *same* ``nx x ny`` nest, so merging the
     old and new split boundaries per axis yields elementary segments each
@@ -324,7 +326,7 @@ def _move_blocks_vector(
     y-segment) product *is* one overlapping pair's full intersection.
     That enumerates exactly the overlapping pairs in O(active blocks +
     overlaps), with no ``n_old × n_new`` work.  Bit-for-bit the same
-    store state as the reference path — the same bytes land in the same
+    store state as the scalar oracle — the same bytes land in the same
     destination blocks.
     """
     new_rect = new.rect_of(nest_id)
@@ -378,10 +380,10 @@ def _move_blocks_vector(
         store.put(rank, nest_id, block, rect)
 
 
-def _gather_nest_reference(
+def _gather_nest_checked(
     store: RankStore, nest_id: int, nx: int, ny: int
 ) -> np.ndarray:
-    """The scalar gather walk: write-then-verify every block region."""
+    """The verifying gather walk: write-then-check every block region."""
     out = np.full((ny, nx), np.nan)
     covered = 0
     for rank in store.holders(nest_id):
@@ -400,24 +402,19 @@ def _gather_nest_reference(
     return out
 
 
-def gather_nest(
-    store: RankStore, nest_id: int, nx: int, ny: int, kernels: str = DEFAULT_KERNELS
-) -> np.ndarray:
+def gather_nest(store: RankStore, nest_id: int, nx: int, ny: int) -> np.ndarray:
     """Reassemble the full nest field from its current owners.
 
     Raises :class:`ValueError` if the held blocks do not tile the nest
     exactly (a broken redistribution would be caught here).
     """
-    check_kernels(kernels)
     with get_recorder().span("dataplane.gather", nest=nest_id):
-        if kernels == "reference":
-            return _gather_nest_reference(store, nest_id, nx, ny)
-        # Vector path: optimistically assemble in one pass — O(active
-        # blocks), no pairwise overlap test — and accept when the
-        # coverage count and the absence of NaN holes prove the tiling
-        # exact.  Any discrepancy (overlap implies a hole, so the checks
-        # catch it) re-runs the reference walk on the untouched store,
-        # reproducing the exact same diagnostics blaming the same rank.
+        # Optimistically assemble in one pass — O(active blocks), no
+        # pairwise overlap test — and accept when the coverage count and
+        # the absence of NaN holes prove the tiling exact.  Any
+        # discrepancy (overlap implies a hole, so the checks catch it)
+        # re-runs the verifying walk on the untouched store, which blames
+        # the offending rank in its diagnostics.
         pairs = [
             store.get(rank, nest_id) for rank in store.holders(nest_id)
         ]
@@ -428,10 +425,10 @@ def gather_nest(
                 out[rect.y0 : rect.y1, rect.x0 : rect.x1] = block
                 covered += rect.area
         except ValueError:
-            return _gather_nest_reference(store, nest_id, nx, ny)
+            return _gather_nest_checked(store, nest_id, nx, ny)
         if covered == nx * ny and not np.isnan(out).any():
             return out
-        return _gather_nest_reference(store, nest_id, nx, ny)
+        return _gather_nest_checked(store, nest_id, nx, ny)
 
 
 # -- self-healing execution (repro.faults) ------------------------------
@@ -548,7 +545,6 @@ def execute_redistribution_with_retry(
     seed: int = 0,
     ledger: CommLedger | None = None,
     bytes_per_point: int = 8,
-    kernels: str = DEFAULT_KERNELS,
 ) -> RetryOutcome:
     """Run one nest's redistribution with per-round timeout and backoff.
 
@@ -570,7 +566,6 @@ def execute_redistribution_with_retry(
     """
     check_positive("nx", nx)
     check_positive("ny", ny)
-    check_kernels(kernels)
     if timeout <= 0:
         raise ValueError(f"timeout must be > 0, got {timeout}")
     policy = policy or BackoffPolicy()
@@ -621,8 +616,7 @@ def execute_redistribution_with_retry(
                 )
                 continue
             transfer = _execute(
-                store, nest_id, old, new, nx, ny,
-                kernels=kernels, transfer=plan_transfer,
+                store, nest_id, old, new, nx, ny, transfer=plan_transfer
             )
             sanitizer = get_sanitizer()
             if sanitizer.enabled:

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 from repro.core.allocation import Allocation
 from repro.core.redistribution import RedistributionPlan, plan_redistribution
 from repro.core.strategy import ReallocationStrategy
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.netsim import LinkLoadState, NetworkSimulator
 from repro.obs import AuditTrail, get_flight_recorder, get_recorder
@@ -58,7 +57,6 @@ class ProcessorReallocator:
         predictor: ExecTimePredictor,
         cost: CostModel | None = None,
         flow_level: bool = False,
-        kernels: str = DEFAULT_KERNELS,
         route_cache_size: int | None = None,
     ) -> None:
         from repro.grid.procgrid import ProcessorGrid
@@ -68,14 +66,10 @@ class ProcessorReallocator:
         self.predictor = predictor
         self.cost = cost or CostModel.for_machine(machine)
         self.grid = ProcessorGrid(*machine.grid)
-        self.kernels = check_kernels(kernels)
         # route_cache_size=None sizes the cache from the machine preset
         # (see repro.mpisim.netsim.default_route_cache_size)
         self.simulator = NetworkSimulator(
-            machine.mapping,
-            self.cost,
-            kernels=kernels,
-            route_cache_size=route_cache_size,
+            machine.mapping, self.cost, route_cache_size=route_cache_size
         )
         #: live per-link wire load, maintained by message-set deltas at
         #: every adaptation point (O(churned nests), not O(machine))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.core.allocation import Allocation
 from repro.grid.overlap import TransferMatrix, transfer_matrix
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.mpisim.alltoallv import (
     MessageSet,
     hop_bytes,
@@ -88,7 +87,6 @@ def plan_redistribution(
     cost: CostModel,
     simulator: NetworkSimulator | None = None,
     flow_level: bool = False,
-    kernels: str = DEFAULT_KERNELS,
     link_state: LinkLoadState | None = None,
 ) -> RedistributionPlan:
     """Plan and cost the redistribution from ``old`` to ``new``.
@@ -98,10 +96,6 @@ def plan_redistribution(
     initial data is interpolated from the parent, not redistributed) move no
     data, exactly as in the paper.
 
-    ``kernels`` selects the network-accounting implementation when no
-    ``simulator`` is supplied (a passed-in simulator keeps its own mode);
-    both modes yield bit-identical plans (:mod:`repro.kernels`).
-
     ``link_state`` (optional) is a live
     :class:`~repro.mpisim.netsim.LinkLoadState` to maintain by deltas:
     deleted nests' contributions are retired and each retained nest's is
@@ -110,8 +104,7 @@ def plan_redistribution(
     recomputation.  The sanitizer (when armed) cross-checks the
     incremental state against a from-scratch rebuild.
     """
-    check_kernels(kernels)
-    simulator = simulator or NetworkSimulator(machine.mapping, cost, kernels=kernels)
+    simulator = simulator or NetworkSimulator(machine.mapping, cost)
     recorder = get_recorder()
     retained = sorted(set(old.rects) & set(new.rects))
     moves: list[NestMove] = []

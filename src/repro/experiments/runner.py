@@ -21,7 +21,6 @@ from repro.core.scratch import ScratchStrategy
 from repro.core.diffusion import DiffusionStrategy
 from repro.experiments.workloads import Workload
 from repro.grid.procgrid import ProcessorGrid
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.mpisim.alltoallv import MessageSet
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.ledger import CommLedger
@@ -64,13 +63,10 @@ class ExperimentContext:
     non-dynamic strategies the candidates are computed on the side — extra
     prediction work, so it is off by default).  ``ledger`` opts into
     per-rank traffic accounting of every executed redistribution.
-    ``kernels`` selects the hot-kernel implementation — ``"vector"``
-    (default) or the scalar ``"reference"`` oracle (:mod:`repro.kernels`) —
-    for every simulator the context's runs construct.  ``tap`` opts into
-    live flight-event streaming: when set, every stepper driven through
-    this context attaches it to the ambient flight ring, so subscribers
-    (:meth:`~repro.obs.stream.FlightTap.subscribe`) watch the run's
-    events as they happen (no subscribers → no overhead).
+    ``tap`` opts into live flight-event streaming: when set, every stepper
+    driven through this context attaches it to the ambient flight ring,
+    so subscribers (:meth:`~repro.obs.stream.FlightTap.subscribe`) watch
+    the run's events as they happen (no subscribers → no overhead).
     """
 
     machine: MachineSpec
@@ -81,19 +77,14 @@ class ExperimentContext:
     recorder: Recorder | None = None
     audit: AuditTrail | None = None
     ledger: CommLedger | None = None
-    kernels: str = DEFAULT_KERNELS
     tap: FlightTap | None = None
 
     def __post_init__(self) -> None:
-        check_kernels(self.kernels)
         if self.cost is None:
             self.cost = CostModel.for_machine(self.machine)
         if self.predictor is None:
-            # The prediction memo cache is part of the fast path; the
-            # reference mode runs the uncached scalar behaviour.
             self.predictor = ExecTimePredictor(
-                ProfileTable(self.oracle, seed=self.profile_seed),
-                memoize=self.kernels == "vector",
+                ProfileTable(self.oracle, seed=self.profile_seed)
             )
 
     def make_dynamic_strategy(self) -> DynamicStrategy:
@@ -173,7 +164,6 @@ class WorkloadStepper:
             context.predictor,
             context.cost,
             flow_level=flow_level,
-            kernels=context.kernels,
         )
         self.metrics: list[StepMetrics] = []
         self.allocations: list[Allocation] = []

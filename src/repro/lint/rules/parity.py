@@ -1,22 +1,21 @@
 """R014: kernel parity between ``*reference*`` oracles and vector twins.
 
-Every performance-critical kernel ships twice: a scalar *reference*
-oracle (the readable ground truth) and a vectorized twin verified
-bit-for-bit against it.  The pair only stays honest while both sides
-evolve together — a parameter, a kwarg-driven branch, or a call site
-added to one side silently un-verifies the other.  This pass pairs the
-twins by name (``_move_blocks_reference`` ↔ ``_move_blocks_vector``)
-through the project symbol table and compares:
+Every performance-critical kernel keeps a scalar *reference* oracle (the
+readable ground truth) beside the shipped implementation, and the
+equivalence suite checks the two bit-for-bit.  The oracles are test-only
+specifications: shipped code never runs them.  Two properties keep that
+honest:
 
-* parameter lists (a new knob must reach both kernels);
-* the set of parameters branched on inside each body (a kwarg branch on
-  one side means the twins no longer compute the same function family);
-* caller sets from the call graph (a new call site must either call
-  both or go through a ``kernels == "reference"`` dispatch).
-
-Unpaired oracles are allowed only when every caller is itself a
-``*reference*`` helper or dispatches on a ``kernels`` flag — the shape
-the netsim uses, where one oracle backs several vector entry points.
+* **Twins evolve together.**  Where an oracle has a name-paired twin
+  (``_move_blocks_reference`` ↔ ``_move_blocks_vector``, resolved through
+  the project symbol table), the pair must share one parameter list (a
+  new knob must reach both) and branch on the same parameters (a kwarg
+  branch on one side means the twins no longer compute the same function
+  family).  A ``*vector*`` kernel without its oracle is flagged too.
+* **Oracles stay off shipped paths.**  Only another ``*reference*``
+  function may call a ``*reference*`` function; tests call them
+  directly.  A shipped caller would both pay the scalar cost in
+  production and stop the oracle from being an independent check.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from collections.abc import Iterator
 
 from repro.lint.callgraph import get_callgraph
 from repro.lint.project import FunctionInfo, Project
-from repro.lint.astutil import dotted_name
 from repro.lint.rules.base import Finding, ProjectRule
 
 __all__ = ["KernelParityRule"]
@@ -49,40 +47,17 @@ def _branch_params(fn: FunctionInfo) -> set[str]:
     return out
 
 
-def _has_kernels_dispatch(fn: FunctionInfo) -> bool:
-    """Does the body contain an ``<...>.kernels == "reference"`` branch?"""
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.If):
-            continue
-        for cmp_node in ast.walk(node.test):
-            if not isinstance(cmp_node, ast.Compare):
-                continue
-            sides = [cmp_node.left, *cmp_node.comparators]
-            names = {
-                (dotted_name(s) or "").rpartition(".")[2] for s in sides
-            }
-            consts = {
-                s.value
-                for s in sides
-                if isinstance(s, ast.Constant) and isinstance(s.value, str)
-            }
-            if "kernels" in names and "reference" in consts:
-                return True
-    return False
-
-
 class KernelParityRule(ProjectRule):
     """R014: oracle/vector kernel pairs must not drift apart."""
 
     rule_id = "R014"
     summary = (
-        "a *reference* oracle and its vector twin differ in parameters, "
-        "kwarg branches, or call sites"
+        "a *reference* oracle and its vector twin differ in parameters or "
+        "kwarg branches, or shipped code calls an oracle"
     )
     fix_hint = (
         "mirror the change on both kernels (and extend the bit-for-bit "
-        "parity test), or route the new call site through the kernels "
-        "dispatch flag"
+        "parity test); call oracles only from tests or other oracles"
     )
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -91,10 +66,9 @@ class KernelParityRule(ProjectRule):
             if "reference" not in fn.name:
                 continue
             twin = self._twin(project, fn, "reference", "vector")
-            if twin is None:
-                yield from self._check_unpaired(project, graph, fn)
-            else:
-                yield from self._check_pair(graph, fn, twin)
+            if twin is not None:
+                yield from self._check_pair(fn, twin)
+            yield from self._check_callers(project, graph, fn)
         # symmetric orphan check: a *vector* kernel without its oracle
         for qualname, fn in sorted(project.functions.items()):
             if "vector" not in fn.name:
@@ -122,9 +96,7 @@ class KernelParityRule(ProjectRule):
             return mod.functions.get(twin_name)
         return None
 
-    def _check_pair(
-        self, graph, fn: FunctionInfo, twin: FunctionInfo
-    ) -> Iterator[Finding]:
+    def _check_pair(self, fn: FunctionInfo, twin: FunctionInfo) -> Iterator[Finding]:
         ref_params = _param_names(fn)
         vec_params = _param_names(twin)
         if ref_params != vec_params:
@@ -145,41 +117,18 @@ class KernelParityRule(ProjectRule):
                 f"kwarg branches differ between {fn.name} "
                 f"(extra: {only_ref}) and {twin.name} (extra: {only_vec})",
             )
-        ref_callers = self._external_callers(graph, fn, twin)
-        vec_callers = self._external_callers(graph, twin, fn)
-        if ref_callers != vec_callers:
-            only_ref = sorted(ref_callers - vec_callers)
-            only_vec = sorted(vec_callers - ref_callers)
-            yield self.finding_at(
-                fn,
-                fn.node,
-                f"call sites differ: {only_ref or only_vec} calls only one "
-                f"of {fn.name}/{twin.name}; every site must dispatch to both",
-            )
 
-    @staticmethod
-    def _external_callers(graph, fn: FunctionInfo, twin: FunctionInfo) -> set[str]:
-        """Callers of ``fn``, ignoring the twin calling its own oracle."""
-        return {
-            c
-            for c in graph.callers(fn.qualname)
-            if c not in (fn.qualname, twin.qualname)
-        }
-
-    def _check_unpaired(
+    def _check_callers(
         self, project: Project, graph, fn: FunctionInfo
     ) -> Iterator[Finding]:
         for caller_q in sorted(graph.callers(fn.qualname)):
             caller = project.functions.get(caller_q)
-            if caller is None:
-                continue
-            if "reference" in caller.name:
+            if caller is None or "reference" in caller.name:
                 continue  # oracle helpers composing is fine
-            if _has_kernels_dispatch(caller):
-                continue
             yield self.finding_at(
                 caller,
                 caller.node,
-                f"{caller.name} calls unpaired oracle {fn.name} without a "
-                'kernels == "reference" dispatch branch',
+                f"shipped function {caller.name} calls oracle {fn.name}; "
+                "*reference* functions are test-only specifications, "
+                "callable only from tests and other *reference* functions",
             )

@@ -10,9 +10,9 @@ array ops (``np.unique`` + ``np.bincount``, ``np.add.at``, broadcast
 comparisons) instead.
 
 The scalar oracles are the one sanctioned home for such loops: any code
-inside a function whose name contains ``reference`` is exempt, which is
-the same naming convention the kernel-mode dispatch uses
-(:mod:`repro.kernels`, ``docs/performance.md``).
+inside a function whose name contains ``reference`` is exempt.  That is
+the naming convention of the test-only oracles, which R014 keeps out of
+shipped call paths (``docs/performance.md``).
 """
 
 from __future__ import annotations

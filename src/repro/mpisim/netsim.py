@@ -17,13 +17,12 @@ routing every message over the physical links and accounting for sharing:
 Both account for exactly the effects the paper's diffusion strategy targets:
 fewer bytes on the wire (overlap) and fewer links per byte (hop locality).
 
-Kernel modes (:mod:`repro.kernels`): with ``kernels="vector"`` (default)
-routes for a whole :class:`~repro.mpisim.alltoallv.MessageSet` are
+Routes for a whole :class:`~repro.mpisim.alltoallv.MessageSet` are
 materialised as one flat link-id array plus CSR offsets
 (:meth:`NetworkSimulator.routes_csr`) and link loads / busiest-link
-contributions reduce via ``np.bincount``; ``kernels="reference"`` keeps the
-original per-message loops as the oracle the equivalence suite checks
-against.  All outputs are bit-for-bit identical across modes — message
+contributions reduce via ``np.bincount``.  The original per-message loops
+stay beside them as ``*_reference`` methods — test-only oracles the
+equivalence suite checks the shipped path against, bit for bit: message
 byte counts are integer-valued floats, so the sums are exact in any order
 (see ``docs/performance.md``).
 
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.mpisim.alltoallv import MessageSet
 from repro.mpisim.costmodel import CostModel
 from repro.obs import get_recorder
@@ -82,12 +80,10 @@ class NetworkSimulator:
         cost: CostModel,
         route_cache_size: int | None = None,
         adaptive_routing: bool = False,
-        kernels: str = DEFAULT_KERNELS,
     ) -> None:
         self.mapping = mapping
         self.topology = mapping.topology
         self.cost = cost
-        self.kernels = check_kernels(kernels)
         if route_cache_size is None:
             route_cache_size = default_route_cache_size(mapping.nranks)
         # Static adaptive routing: vary the torus dimension order per
@@ -97,13 +93,12 @@ class NetworkSimulator:
             mapping.topology, "route_ordered"
         )
         # Deterministic routes recur constantly across an experiment (the
-        # same rank pairs exchange at every adaptation point), so memoise.
-        # The reference path stores routes as lists, the vector path as
-        # int64 arrays; both caches evict FIFO one entry at a time when
-        # full (dicts preserve insertion order, so the first key is the
-        # oldest), keeping the hit rate high instead of flushing wholesale.
-        self._route_cache: dict[tuple[int, int], list[int]] = {}
-        self._route_cache_vec: dict[tuple[int, int], np.ndarray] = {}
+        # same rank pairs exchange at every adaptation point), so memoise
+        # them as int64 arrays.  The cache evicts FIFO one entry at a time
+        # when full (dicts preserve insertion order, so the first key is
+        # the oldest), keeping the hit rate high instead of flushing
+        # wholesale.
+        self._route_cache: dict[tuple[int, int], np.ndarray] = {}
         self._route_cache_size = route_cache_size
         self.route_cache_hits = 0
         self.route_cache_misses = 0
@@ -139,35 +134,21 @@ class NetworkSimulator:
         self.link_faults.clear()
         self.rank_slowdown.clear()
 
-    # -- route caches ----------------------------------------------------
+    # -- routing ---------------------------------------------------------
 
     def _route(self, src_rank: int, dst_rank: int) -> list[int]:
-        key = (src_rank, dst_rank)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            self.route_cache_misses += 1
-            get_recorder().count("netsim.route_cache_miss")
-            table = self.mapping.table
-            src, dst = int(table[src_rank]), int(table[dst_rank])
-            if self.adaptive_routing:
-                order = self._DIM_ORDERS[(src * 2654435761 + dst) % 6]
-                cached = self.topology.route_ordered(src, dst, order)
-            else:
-                cached = self.topology.route(src, dst)
-            if len(self._route_cache) >= self._route_cache_size:
-                # FIFO: drop only the oldest entry, not the whole cache.
-                self._route_cache.pop(next(iter(self._route_cache)))
-            self._route_cache[key] = cached
-        else:
-            self.route_cache_hits += 1
-            get_recorder().count("netsim.route_cache_hit")
-        return cached
+        """One rank pair's physical route, uncached (the oracles' router)."""
+        table = self.mapping.table
+        src, dst = int(table[src_rank]), int(table[dst_rank])
+        if self.adaptive_routing:
+            order = self._DIM_ORDERS[(src * 2654435761 + dst) % 6]
+            return self.topology.route_ordered(src, dst, order)
+        return self.topology.route(src, dst)
 
     def clear_route_cache(self) -> None:
         """Drop every memoised route and reset the hit/miss counters
         (cold-cache benchmarking)."""
         self._route_cache.clear()
-        self._route_cache_vec.clear()
         self.route_cache_hits = 0
         self.route_cache_misses = 0
 
@@ -177,8 +158,8 @@ class NetworkSimulator:
         """Compute, cache and return routes for uncached rank pairs.
 
         Returns the ``(links, offsets)`` CSR over the input pairs, in
-        input order; each pair's slice also lands in the vector route
-        cache (views into the flat array — no copies).
+        input order; each pair's slice also lands in the route cache
+        (views into the flat array — no copies).
         """
         table = self.mapping.table
         src = table[src_ranks].astype(np.int64)
@@ -205,7 +186,7 @@ class NetworkSimulator:
             )
         else:
             links, offsets = self.topology.batch_routes(src, dst)
-        cache = self._route_cache_vec
+        cache = self._route_cache
         cache.update(
             ((int(s), int(d)), links[offsets[i] : offsets[i + 1]])
             for i, (s, d) in enumerate(zip(src_ranks, dst_ranks))
@@ -220,8 +201,8 @@ class NetworkSimulator:
         Returns ``(links, offsets)``: message ``i`` traverses directed
         links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  Uncached
         endpoint pairs are routed in one vectorised batch; cache hit/miss
-        counters advance exactly as the per-message reference path would
-        (first sighting of a pair is a miss, repeats are hits).
+        counters advance as a per-message cache walk would (first sighting
+        of a pair is a miss, repeats are hits).
         """
         n = len(messages)
         offsets = np.zeros(n + 1, dtype=np.int64)
@@ -232,7 +213,7 @@ class NetworkSimulator:
         uniq, inv = np.unique(keys, return_inverse=True)
         uniq_src = uniq // nranks
         uniq_dst = uniq % nranks
-        cache = self._route_cache_vec
+        cache = self._route_cache
         if not cache:  # cold cache: everything is missing, skip the probe
             missing = np.ones(len(uniq), dtype=bool)
         else:
@@ -289,7 +270,7 @@ class NetworkSimulator:
         return flat_pairs[src_pos + k], offsets
 
     def _routes_reference(self, messages: MessageSet) -> list[list[int]]:
-        """Physical route (link ids) of every message (reference path)."""
+        """Physical route (link ids) of every message, one at a time."""
         return [
             self._route(int(s), int(d))
             for s, d in zip(messages.src, messages.dst)
@@ -319,8 +300,6 @@ class NetworkSimulator:
 
     def link_loads(self, messages: MessageSet) -> dict[int, float]:
         """Total bytes crossing each directed link (only loaded links)."""
-        if self.kernels == "reference":
-            return self._link_loads_reference(messages)
         links, loads = self._link_load_arrays(messages)
         return dict(zip(links.tolist(), loads.tolist()))
 
@@ -336,8 +315,6 @@ class NetworkSimulator:
         is responsible for the wire-phase bottleneck.  Returns
         ``(-1, 0.0, {})`` for an empty message set or all-local routes.
         """
-        if self.kernels == "reference":
-            return self._busiest_link_contributions_reference(messages)
         links, offsets = self.routes_csr(messages)
         if links.size == 0:
             return -1, 0.0, {}
@@ -388,22 +365,11 @@ class NetworkSimulator:
                 contributions[pair] = contributions.get(pair, 0.0) + float(nbytes)
         return busiest, loads[busiest], contributions
 
-    def _endpoint_overhead(self, messages: MessageSet, include_floor: bool = True) -> float:
-        """Software phase: busiest endpoint's packing + per-message latency,
-        plus the full-communicator collective floor.
-
-        Send-side packing and receive-side unpacking overlap (independent
-        DMA directions), so an endpoint pays for the *larger* of its
-        outgoing and incoming volumes, not their sum.
-        """
-        if self.kernels == "reference":
-            return self._endpoint_overhead_reference(messages, include_floor)
-        return self._endpoint_overhead_vector(messages, include_floor)
-
     def _endpoint_overhead_reference(
         self, messages: MessageSet, include_floor: bool = True
     ) -> float:
-        """Dense oracle: one slot per rank of the whole machine."""
+        """Dense oracle of the software phase: one slot per rank of the
+        whole machine."""
         out_msgs = np.zeros(self.mapping.nranks, dtype=np.int64)
         in_msgs = np.zeros(self.mapping.nranks, dtype=np.int64)
         np.add.at(out_msgs, messages.src, 1)
@@ -433,13 +399,19 @@ class NetworkSimulator:
     def _endpoint_overhead_vector(
         self, messages: MessageSet, include_floor: bool = True
     ) -> float:
-        """Sparse fast path: accounts only the ranks the messages touch.
+        """Software phase: busiest endpoint's packing + per-message latency,
+        plus the full-communicator collective floor.
 
-        Untouched ranks contribute exactly zero to every maximum (counts
-        and byte sums are non-negative, the slowdown factors only scale
-        values that are already zero there), so compacting to the touched
-        ranks is bit-identical to the dense oracle — the per-rank sums
-        accumulate the same integer-valued float64 terms.
+        Send-side packing and receive-side unpacking overlap (independent
+        DMA directions), so an endpoint pays for the *larger* of its
+        outgoing and incoming volumes, not their sum.
+
+        Only the ranks the messages touch are accounted.  Untouched ranks
+        contribute exactly zero to every maximum (counts and byte sums are
+        non-negative, the slowdown factors only scale values that are
+        already zero there), so compacting to the touched ranks is
+        bit-identical to the dense oracle — the per-rank sums accumulate
+        the same integer-valued float64 terms.
         """
         n = len(messages)
         if n == 0:  # matches the dense oracle's all-zero maxima
@@ -485,20 +457,6 @@ class NetworkSimulator:
         if len(messages) == 0:
             return 0.0
         with get_recorder().span("netsim.bottleneck", n_messages=len(messages)):
-            if self.kernels == "reference":
-                loads = self._link_loads_reference(messages)
-                wire = 0.0
-                if loads:
-                    if self.link_faults:
-                        # a degraded link drains its bytes at factor x bandwidth
-                        drain = max(
-                            load / self.link_faults.get(link, 1.0)
-                            for link, load in loads.items()
-                        )
-                    else:
-                        drain = max(loads.values())
-                    wire = drain * self.cost.beta
-                return wire + self._endpoint_overhead(messages, include_floor)
             links_arr, loads_arr = self._link_load_arrays(messages)
             wire = 0.0
             if loads_arr.size:
@@ -513,7 +471,27 @@ class NetworkSimulator:
                     wire = float(drain_arr.max()) * self.cost.beta
                 else:
                     wire = float(loads_arr.max()) * self.cost.beta
-            return wire + self._endpoint_overhead(messages, include_floor)
+            return wire + self._endpoint_overhead_vector(messages, include_floor)
+
+    def _bottleneck_time_reference(
+        self, messages: MessageSet, include_floor: bool = True
+    ) -> float:
+        """Scalar oracle of :meth:`bottleneck_time` (per-message loops)."""
+        if len(messages) == 0:
+            return 0.0
+        loads = self._link_loads_reference(messages)
+        wire = 0.0
+        if loads:
+            if self.link_faults:
+                # a degraded link drains its bytes at factor x bandwidth
+                drain = max(
+                    load / self.link_faults.get(link, 1.0)
+                    for link, load in loads.items()
+                )
+            else:
+                drain = max(loads.values())
+            wire = drain * self.cost.beta
+        return wire + self._endpoint_overhead_reference(messages, include_floor)
 
     # ------------------------------------------------------------------
 
@@ -529,46 +507,68 @@ class NetworkSimulator:
         if nflows == 0:
             return 0.0
         with get_recorder().span("netsim.flow", n_messages=nflows):
-            return self._flow_time(messages, max_epochs)
+            incidence = self._flow_incidence_vector(messages)
+            wire = self._drain_time(messages, incidence, max_epochs)
+            return wire + self._endpoint_overhead_vector(messages)
 
-    def _flow_incidence(
+    def _flow_time_reference(
+        self, messages: MessageSet, max_epochs: int | None = None
+    ) -> float:
+        """Scalar oracle of :meth:`flow_time` (per-message route walks)."""
+        if len(messages) == 0:
+            return 0.0
+        incidence = self._flow_incidence_reference(messages)
+        wire = self._drain_time(messages, incidence, max_epochs)
+        return wire + self._endpoint_overhead_reference(messages)
+
+    def _flow_incidence_vector(
         self, messages: MessageSet
     ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Compacted (flow, link) incidence shared by both kernel modes.
+        """Compacted (flow, link) incidence of the message set.
 
         Returns ``(nlinks, link_ids, finc, linc, active)`` with link ids
-        sorted ascending and incidences in message-major hop order — both
-        kernel paths produce bitwise-identical arrays, so the waterfill
+        sorted ascending and incidences in message-major hop order — the
+        oracle twin produces bitwise-identical arrays, so the waterfill
         results agree exactly.
         """
-        if self.kernels == "reference":
-            routes = self._routes_reference(messages)
-            link_ids_list = sorted({l for r in routes for l in r})
-            link_index = {l: i for i, l in enumerate(link_ids_list)}
-            finc = np.fromiter(
-                (fi for fi, r in enumerate(routes) for _ in r), dtype=np.int64
-            )
-            linc = np.fromiter(
-                (link_index[l] for r in routes for l in r), dtype=np.int64
-            )
-            # Zero-hop messages (same physical node) complete immediately.
-            active = np.array([len(r) > 0 for r in routes])
-            return (
-                len(link_ids_list),
-                np.asarray(link_ids_list, dtype=np.int64),
-                finc,
-                linc,
-                active,
-            )
         links, offsets = self.routes_csr(messages)
         hop_counts = np.diff(offsets)
         finc = np.repeat(np.arange(len(messages), dtype=np.int64), hop_counts)
         link_ids, linc = np.unique(links, return_inverse=True)
         return len(link_ids), link_ids, finc, linc.astype(np.int64), hop_counts > 0
 
-    def _flow_time(self, messages: MessageSet, max_epochs: int | None) -> float:
+    def _flow_incidence_reference(
+        self, messages: MessageSet
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Scalar oracle of :meth:`_flow_incidence_vector`."""
+        routes = self._routes_reference(messages)
+        link_ids_list = sorted({l for r in routes for l in r})
+        link_index = {l: i for i, l in enumerate(link_ids_list)}
+        finc = np.fromiter(
+            (fi for fi, r in enumerate(routes) for _ in r), dtype=np.int64
+        )
+        linc = np.fromiter(
+            (link_index[l] for r in routes for l in r), dtype=np.int64
+        )
+        # Zero-hop messages (same physical node) complete immediately.
+        active = np.array([len(r) > 0 for r in routes])
+        return (
+            len(link_ids_list),
+            np.asarray(link_ids_list, dtype=np.int64),
+            finc,
+            linc,
+            active,
+        )
+
+    def _drain_time(
+        self,
+        messages: MessageSet,
+        incidence: tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        max_epochs: int | None,
+    ) -> float:
+        """Progressive-filling wire phase over a precomputed incidence."""
         nflows = len(messages)
-        nlinks, link_ids, finc, linc, active = self._flow_incidence(messages)
+        nlinks, link_ids, finc, linc, active = incidence
         remaining = messages.nbytes.astype(np.float64).copy()
         active = active.copy()
         remaining[~active] = 0.0
@@ -595,7 +595,7 @@ class NetworkSimulator:
             t += dt
             remaining = np.maximum(remaining - rates * dt, 0.0)
             active &= remaining > 1e-9
-        return t + self._endpoint_overhead(messages)
+        return t
 
     @staticmethod
     def _waterfill(
@@ -660,8 +660,8 @@ class LinkLoadState:
     Exactness: message byte counts are integer-valued float64, so every
     per-link total is an exact integer and add/subtract round-trips to
     exactly zero — the incremental ``loads`` is *bit-identical* to a
-    from-scratch rebuild, which :meth:`rebuild` provides as the oracle
-    (the sanitizer compares the two after every plan).
+    from-scratch rebuild, which :meth:`rebuild` provides as the shipped
+    check (the sanitizer compares the two after every plan).
 
     Keys are nest ids; the state after an adaptation step holds exactly
     the retained nests' redistribution message sets, so
@@ -697,21 +697,10 @@ class LinkLoadState:
         self._vals.clear()
         self._messages.clear()
 
-    def _contribution(self, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted link ids, byte totals)`` of one message set."""
-        if self.simulator.kernels == "reference":
-            ref = self.simulator._link_loads_reference(messages)
-            links = np.fromiter(sorted(ref), dtype=np.int64, count=len(ref))
-            vals = np.fromiter(
-                (ref[int(link)] for link in links), dtype=np.float64, count=len(ref)
-            )
-            return links, vals
-        return self.simulator._link_load_arrays(messages)
-
     def update(self, key: int, messages: MessageSet) -> None:
         """Charge ``key`` with ``messages``, replacing any prior charge."""
         self.retire(key)
-        links, vals = self._contribution(messages)
+        links, vals = self.simulator._link_load_arrays(messages)
         self._links[key] = links
         self._vals[key] = vals
         self._messages[key] = messages
@@ -728,28 +717,24 @@ class LinkLoadState:
     # -- queries ---------------------------------------------------------
 
     def rebuild(self) -> np.ndarray:
-        """From-scratch recomputation of :attr:`loads` (the oracle twin).
+        """From-scratch recomputation of :attr:`loads` (the rebuild twin).
 
         Routes every active message set again and sums.  The incremental
         array must equal this bit-for-bit; the sanitizer checks it does.
         """
-        if self.simulator.kernels == "reference":
-            return self._rebuild_reference()
-        return self._rebuild_vector()
+        loads = np.zeros_like(self.loads)
+        for key in sorted(self._messages):
+            links, vals = self.simulator._link_load_arrays(self._messages[key])
+            loads[links] += vals
+        return loads
 
     def _rebuild_reference(self) -> np.ndarray:
+        """Scalar oracle of :meth:`rebuild` (per-message route walks)."""
         loads = np.zeros_like(self.loads)
         for key in sorted(self._messages):
             ref = self.simulator._link_loads_reference(self._messages[key])
             for link, nbytes in ref.items():
                 loads[link] += nbytes
-        return loads
-
-    def _rebuild_vector(self) -> np.ndarray:
-        loads = np.zeros_like(self.loads)
-        for key in sorted(self._messages):
-            links, vals = self.simulator._link_load_arrays(self._messages[key])
-            loads[links] += vals
         return loads
 
     def busiest_link_contributions(
@@ -770,11 +755,7 @@ class LinkLoadState:
         load = float(self.loads[busiest])
         if load <= 0.0:
             return -1, 0.0, {}
-        if self.simulator.kernels == "reference":
-            contributions = self._busiest_contributions_reference(busiest)
-        else:
-            contributions = self._busiest_contributions_vector(busiest)
-        return busiest, load, contributions
+        return busiest, load, self._busiest_contributions_vector(busiest)
 
     def _busiest_contributions_reference(
         self, busiest: int

@@ -29,10 +29,9 @@ phase                       what it times
 ``obs.tap_fanout``          flagship trace fanning out to 2 subscribers
 ==========================  ==================================================
 
-Every phase runs under a kernel mode (:mod:`repro.kernels`): ``"vector"``
-(the default fast path) or ``"reference"`` (the scalar oracle).  The mode
-is recorded in the result header; the committed baseline is generated with
-the *reference* kernels so a default run shows the vectorisation delta.
+Every phase times the shipped code path, and so does the committed
+baseline: the scalar ``*_reference`` oracles are test-only specifications
+(``docs/performance.md``), never benchmarked.
 
 A second suite, ``scale`` (``repro bench --suite scale``), times the
 large-machine scaling story instead: steady-state adaptation steps —
@@ -62,7 +61,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.obs.stats import PhaseStats, summarise
 
 if TYPE_CHECKING:
@@ -119,16 +117,14 @@ _SCALE_NEST_COUNTS = (8, 32)
 class BenchPhase:
     """One benchmarkable hot path.
 
-    ``setup(quick, kernels)`` builds the pinned inputs once and returns
-    the zero-argument callable the harness times; setup cost is excluded
-    from the measurement.  Phases without a kernel-selectable hot path
-    (the tree edits, the transfer matrices) accept and ignore ``kernels``
-    so every phase is timed under a single declared mode.
+    ``setup(quick)`` builds the pinned inputs once and returns the
+    zero-argument callable the harness times; setup cost is excluded from
+    the measurement.
     """
 
     name: str
     description: str
-    setup: Callable[[bool, str], Callable[[], object]]
+    setup: Callable[[bool], Callable[[], object]]
 
 
 def git_describe() -> str:
@@ -157,7 +153,6 @@ class BenchResult:
     unix_time: float
     machine: str = ""
     git_describe: str = "unknown"
-    kernels: str = DEFAULT_KERNELS
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -168,7 +163,6 @@ class BenchResult:
             "unix_time": self.unix_time,
             "machine": self.machine,
             "git_describe": self.git_describe,
-            "kernels": self.kernels,
             "python": sys.version.split()[0],
             "platform": platform.platform(),
             "phases": {name: st.to_dict() for name, st in sorted(self.phases.items())},
@@ -192,16 +186,14 @@ class _AllocationPair:
     sizes: dict[int, tuple[int, int]]
 
 
-def _allocation_pair(quick: bool, kernels: str) -> _AllocationPair:
+def _allocation_pair(quick: bool) -> _AllocationPair:
     from repro.core import DiffusionStrategy, ProcessorReallocator
     from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
     from repro.topology import MACHINES
 
     machine = MACHINES[_QUICK_MACHINE if quick else _FULL_MACHINE]
     predictor = ExecTimePredictor(ProfileTable(ExecutionOracle()))
-    realloc = ProcessorReallocator(
-        machine, DiffusionStrategy(), predictor, kernels=kernels
-    )
+    realloc = ProcessorReallocator(machine, DiffusionStrategy(), predictor)
     # pinned churn: nest 3 dies, 5 and 6 appear, and every retained nest
     # changes size enough that its rectangle moves — the transfer matrices
     # and message sets below are non-trivial on both machines
@@ -236,21 +228,19 @@ def _pda_fixture(quick: bool):
     return files, sim_grid, n_analysis
 
 
-def _setup_pda(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_pda(quick: bool) -> Callable[[], object]:
     from repro.analysis import PDAConfig, parallel_data_analysis
 
     files, sim_grid, n_analysis = _pda_fixture(quick)
     config = PDAConfig()
 
     def run() -> object:
-        return parallel_data_analysis(
-            files, sim_grid, n_analysis, config, kernels=kernels
-        )
+        return parallel_data_analysis(files, sim_grid, n_analysis, config)
 
     return run
 
 
-def _setup_pda_aggregate(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_pda_aggregate(quick: bool) -> Callable[[], object]:
     from repro.analysis import PDAConfig
     from repro.analysis.pda import aggregate_summaries
 
@@ -259,7 +249,7 @@ def _setup_pda_aggregate(quick: bool, kernels: str) -> Callable[[], object]:
     threshold = PDAConfig().olr_threshold
 
     def run() -> object:
-        return aggregate_summaries(present, threshold, kernels=kernels)
+        return aggregate_summaries(present, threshold)
 
     return run
 
@@ -269,7 +259,7 @@ def _bench_weights(n: int) -> dict[int, float]:
     return {i: 1.0 + float((i * 37) % 13) for i in range(n)}
 
 
-def _setup_tree_scratch(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_tree_scratch(quick: bool) -> Callable[[], object]:
     from repro.grid.rect import Rect
     from repro.tree import build_huffman, layout_tree
 
@@ -282,7 +272,7 @@ def _setup_tree_scratch(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_tree_diffusion(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_tree_diffusion(quick: bool) -> Callable[[], object]:
     from repro.grid.rect import Rect
     from repro.tree import build_huffman, diffusion_edit, layout_tree
 
@@ -302,10 +292,10 @@ def _setup_tree_diffusion(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_transfer_matrix(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_transfer_matrix(quick: bool) -> Callable[[], object]:
     from repro.grid.overlap import transfer_matrix
 
-    pair = _allocation_pair(quick, kernels)
+    pair = _allocation_pair(quick)
     old, new, sizes = pair.old, pair.new, pair.sizes
     retained = sorted(set(old.rects) & set(new.rects))
 
@@ -322,11 +312,11 @@ def _setup_transfer_matrix(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _message_fixture(quick: bool, kernels: str) -> tuple[NetworkSimulator, MessageSet]:
+def _message_fixture(quick: bool) -> tuple[NetworkSimulator, MessageSet]:
     from repro.grid.overlap import transfer_matrix
     from repro.mpisim.alltoallv import MessageSet, messages_from_transfer
 
-    pair = _allocation_pair(quick, kernels)
+    pair = _allocation_pair(quick)
     old, new, sizes = pair.old, pair.new, pair.sizes
     per_nest = []
     for nid in sorted(set(old.rects) & set(new.rects)):
@@ -339,8 +329,8 @@ def _message_fixture(quick: bool, kernels: str) -> tuple[NetworkSimulator, Messa
     return pair.simulator, MessageSet.concat(per_nest)
 
 
-def _setup_netsim_link_loads(quick: bool, kernels: str) -> Callable[[], object]:
-    sim, msgs = _message_fixture(quick, kernels)
+def _setup_netsim_link_loads(quick: bool) -> Callable[[], object]:
+    sim, msgs = _message_fixture(quick)
 
     def run() -> object:
         sim.clear_route_cache()  # time routing + accumulation, not cache hits
@@ -349,8 +339,8 @@ def _setup_netsim_link_loads(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_netsim_bottleneck(quick: bool, kernels: str) -> Callable[[], object]:
-    sim, msgs = _message_fixture(quick, kernels)
+def _setup_netsim_bottleneck(quick: bool) -> Callable[[], object]:
+    sim, msgs = _message_fixture(quick)
 
     def run() -> object:
         sim.clear_route_cache()  # time routing + contention, not cache hits
@@ -359,9 +349,9 @@ def _setup_netsim_bottleneck(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_netsim_flow(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_netsim_flow(quick: bool) -> Callable[[], object]:
     # flow sim is epoch-quadratic; keep small
-    sim, msgs = _message_fixture(True, kernels)
+    sim, msgs = _message_fixture(True)
 
     def run() -> object:
         return sim.flow_time(msgs)
@@ -369,10 +359,10 @@ def _setup_netsim_flow(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_redist_plan(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_redist_plan(quick: bool) -> Callable[[], object]:
     from repro.core.redistribution import plan_redistribution
 
-    pair = _allocation_pair(quick, kernels)
+    pair = _allocation_pair(quick)
 
     def run() -> object:
         pair.simulator.clear_route_cache()  # plan cold, like a fresh step
@@ -388,7 +378,7 @@ def _setup_redist_plan(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_dataplane(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_dataplane(quick: bool) -> Callable[[], object]:
     import numpy as np
 
     from repro.core.dataplane import (
@@ -398,7 +388,7 @@ def _setup_dataplane(quick: bool, kernels: str) -> Callable[[], object]:
         scatter_nest,
     )
 
-    pair = _allocation_pair(quick, kernels)
+    pair = _allocation_pair(quick)
     old, new = pair.old, pair.new
     nest_id = sorted(set(old.rects) & set(new.rects))[0]
     nx, ny = pair.sizes[nest_id]
@@ -407,20 +397,20 @@ def _setup_dataplane(quick: bool, kernels: str) -> Callable[[], object]:
 
     def run() -> object:
         store = RankStore(ncores)
-        scatter_nest(store, nest_id, payload, old, kernels=kernels)
-        execute_redistribution(store, nest_id, old, new, nx, ny, kernels=kernels)
-        return gather_nest(store, nest_id, nx, ny, kernels=kernels)
+        scatter_nest(store, nest_id, payload, old)
+        execute_redistribution(store, nest_id, old, new, nx, ny)
+        return gather_nest(store, nest_id, nx, ny)
 
     return run
 
 
-def _setup_compare(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_compare(quick: bool) -> Callable[[], object]:
     from repro.core import DiffusionStrategy, ScratchStrategy
     from repro.experiments import synthetic_workload
     from repro.experiments.runner import ExperimentContext, run_workload
     from repro.topology import MACHINES
 
-    context = ExperimentContext(MACHINES[_QUICK_MACHINE], kernels=kernels)
+    context = ExperimentContext(MACHINES[_QUICK_MACHINE])
     workload = synthetic_workload(seed=0, n_steps=6 if quick else 20)
 
     def run() -> object:
@@ -431,7 +421,7 @@ def _setup_compare(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_serve_throughput(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_serve_throughput(quick: bool) -> Callable[[], object]:
     import asyncio
 
     from repro.serve.scheduler import SchedulerConfig, SessionScheduler
@@ -445,7 +435,6 @@ def _setup_serve_throughput(quick: bool, kernels: str) -> Callable[[], object]:
             seed=_BENCH_SEED + i,
             steps=n_steps,
             machine=machine,
-            kernels=kernels,
             priority=1 if i % 4 == 0 else 0,
         )
         for i in range(n_sessions)
@@ -463,7 +452,7 @@ def _setup_serve_throughput(quick: bool, kernels: str) -> Callable[[], object]:
     return run
 
 
-def _setup_serve_decision_latency(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_serve_decision_latency(quick: bool) -> Callable[[], object]:
     from repro.serve.session import ScenarioSpec, Session
 
     # one timed call = one adaptation point through a live session; the
@@ -473,7 +462,6 @@ def _setup_serve_decision_latency(quick: bool, kernels: str) -> Callable[[], obj
         seed=_BENCH_SEED,
         steps=64 if quick else 128,
         machine=_QUICK_MACHINE if quick else _FULL_MACHINE,
-        kernels=kernels,
     )
     state = {"session": Session("bench-latency", spec)}
 
@@ -486,7 +474,7 @@ def _setup_serve_decision_latency(quick: bool, kernels: str) -> Callable[[], obj
     return run
 
 
-def _setup_serve_recovery_latency(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_serve_recovery_latency(quick: bool) -> Callable[[], object]:
     import json
     import tempfile
     from pathlib import Path
@@ -503,7 +491,6 @@ def _setup_serve_recovery_latency(quick: bool, kernels: str) -> Callable[[], obj
         seed=_BENCH_SEED,
         steps=4,
         machine=_QUICK_MACHINE if quick else _FULL_MACHINE,
-        kernels=kernels,
     )
     path = Path(tempfile.mkdtemp(prefix="repro-bench-recover-")) / "journal.jsonl"
     lines = [json.dumps({"op": "counter", "next": n_sessions}, sort_keys=True)]
@@ -537,16 +524,14 @@ def _setup_serve_recovery_latency(quick: bool, kernels: str) -> Callable[[], obj
     return run
 
 
-def _obs_tap_setup(
-    quick: bool, kernels: str, n_subscribers: int
-) -> Callable[[], object]:
+def _obs_tap_setup(quick: bool, n_subscribers: int) -> Callable[[], object]:
     from repro.core import DiffusionStrategy
     from repro.experiments import mumbai_trace_workload
     from repro.experiments.runner import ExperimentContext, run_workload
     from repro.obs import FlightRecorder, FlightTap, use_flight_recorder
     from repro.topology import MACHINES
 
-    context = ExperimentContext(MACHINES[_QUICK_MACHINE], kernels=kernels)
+    context = ExperimentContext(MACHINES[_QUICK_MACHINE])
     workload = mumbai_trace_workload(seed=_BENCH_SEED, n_steps=4 if quick else 10)
 
     def run() -> object:
@@ -564,14 +549,14 @@ def _obs_tap_setup(
     return run
 
 
-def _setup_obs_tap_overhead(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_obs_tap_overhead(quick: bool) -> Callable[[], object]:
     # the zero-subscriber path must stay free: publish() bails on an
     # empty subscription tuple before taking any lock
-    return _obs_tap_setup(quick, kernels, n_subscribers=0)
+    return _obs_tap_setup(quick, n_subscribers=0)
 
 
-def _setup_obs_tap_fanout(quick: bool, kernels: str) -> Callable[[], object]:
-    return _obs_tap_setup(quick, kernels, n_subscribers=2)
+def _setup_obs_tap_fanout(quick: bool) -> Callable[[], object]:
+    return _obs_tap_setup(quick, n_subscribers=2)
 
 
 def bench_phases() -> tuple[BenchPhase, ...]:
@@ -684,7 +669,7 @@ def _scale_nests(n: int, phase: int) -> dict[int, tuple[int, int]]:
 
 def _scale_step_setup(
     machine_name: str, n_nests: int, route_cache_size: int | None
-) -> Callable[[bool, str], Callable[[], object]]:
+) -> Callable[[bool], Callable[[], object]]:
     """One steady-state adaptation step on ``machine_name``.
 
     The reallocator is warmed through an initial step in setup; each
@@ -693,7 +678,7 @@ def _scale_step_setup(
     the pinned churn of :func:`_scale_nests`.
     """
 
-    def setup(quick: bool, kernels: str) -> Callable[[], object]:
+    def setup(quick: bool) -> Callable[[], object]:
         from repro.core import DiffusionStrategy, ProcessorReallocator
         from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
         from repro.topology import MACHINES
@@ -704,7 +689,6 @@ def _scale_step_setup(
             machine,
             DiffusionStrategy(),
             predictor,
-            kernels=kernels,
             route_cache_size=route_cache_size,
         )
         realloc.step(_scale_nests(n_nests, 0))
@@ -720,7 +704,7 @@ def _scale_step_setup(
     return setup
 
 
-def _setup_scale_ledger(quick: bool, kernels: str) -> Callable[[], object]:
+def _setup_scale_ledger(quick: bool) -> Callable[[], object]:
     import numpy as np
 
     from repro.mpisim.ledger import PairByteAccumulator
@@ -791,7 +775,6 @@ def run_bench(
     repeats: int | None = None,
     phases: Iterable[str] | None = None,
     progress: Callable[[str], None] | None = None,
-    kernels: str = DEFAULT_KERNELS,
     suite: str = "default",
     route_cache_size: int | None = None,
 ) -> BenchResult:
@@ -799,15 +782,12 @@ def run_bench(
 
     Each phase is set up once, warmed up once (excluded), then timed
     ``repeats`` times.  ``phases`` selects a subset by name; unknown
-    names raise ``ValueError``.  ``kernels`` selects the hot-kernel
-    implementation (:mod:`repro.kernels`) for every phase and is recorded
-    in the result header.  ``suite`` picks ``"default"`` (the pinned
+    names raise ``ValueError``.  ``suite`` picks ``"default"`` (the pinned
     hot-path baseline) or ``"scale"`` (the large-machine scaling
     curves); ``route_cache_size`` overrides the preset-derived route
     cache of the scale suite's simulators and is rejected elsewhere so
     it can never silently do nothing.
     """
-    check_kernels(kernels)
     if repeats is None:
         repeats = 3 if quick else 5
     if repeats < 1:
@@ -846,7 +826,7 @@ def run_bench(
     for phase in selected:
         if progress is not None:
             progress(f"[{phase.name}] {phase.description}")
-        fn = phase.setup(quick, kernels)
+        fn = phase.setup(quick)
         fn()  # warm-up (caches, lazy imports, first-touch allocation)
         durations: list[float] = []
         for _ in range(repeats):
@@ -861,7 +841,6 @@ def run_bench(
         unix_time=time.time(),
         machine=machine,
         git_describe=git_describe(),
-        kernels=kernels,
     )
 
 
@@ -896,7 +875,6 @@ def format_bench(result: BenchResult) -> str:
         ["phase", "repeats", "median ms", "p95 ms", "min ms", "max ms"],
         rows,
         title=(
-            f"repro bench ({mode} suite{tag}, {result.kernels} kernels, "
-            f"{result.git_describe})"
+            f"repro bench ({mode} suite{tag}, {result.git_describe})"
         ),
     )

@@ -25,18 +25,10 @@ __all__ = ["ExecTimePredictor"]
 
 
 class ExecTimePredictor:
-    """Interpolating execution-time predictor built from a profile table.
+    """Interpolating execution-time predictor built from a profile table."""
 
-    ``memoize`` keeps a per-``(nx, ny)`` cache of the profiled-count
-    predictions (the scipy interpolation dominates a prediction and nest
-    sizes recur at every adaptation point).  Disable it to get the
-    uncached behaviour of the scalar reference path — results are
-    identical either way, the cache only returns copies.
-    """
-
-    def __init__(self, profiles: ProfileTable, memoize: bool = True) -> None:
+    def __init__(self, profiles: ProfileTable) -> None:
         self.profiles = profiles
-        self.memoize = memoize
         feats = profiles.features
         # Normalise features so the triangulation is well-conditioned
         # (areas are O(1e5), aspects O(1)).
@@ -53,7 +45,8 @@ class ExecTimePredictor:
         self._proc_counts = np.asarray(profiles.proc_counts, dtype=np.float64)
         # Nest sizes recur at every adaptation point (a tracked storm keeps
         # its fine-grid size for many steps), so the scipy interpolation —
-        # the dominant cost of a prediction — is memoised per (nx, ny).
+        # the dominant cost of a prediction — is memoised per (nx, ny);
+        # callers only ever see copies, so results match an uncached run.
         self._profile_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -66,10 +59,9 @@ class ExecTimePredictor:
     def predict_at_profiled_counts(self, nx: int, ny: int) -> np.ndarray:
         """Predicted times of the nest at every profiled processor count."""
         key = (int(nx), int(ny))
-        if self.memoize:
-            cached = self._profile_cache.get(key)
-            if cached is not None:
-                return cached.copy()
+        cached = self._profile_cache.get(key)
+        if cached is not None:
+            return cached.copy()
         q = self._domain_features(nx, ny)[None, :]
         out = np.empty(len(self._proc_counts))
         for pi, (lin, near) in enumerate(zip(self._linear, self._nearest)):
@@ -77,10 +69,8 @@ class ExecTimePredictor:
             if np.isnan(v):  # outside the convex hull of profiled domains
                 v = near(q)[0]
             out[pi] = v
-        if self.memoize:
-            self._profile_cache[key] = out
-            return out.copy()
-        return out
+        self._profile_cache[key] = out
+        return out.copy()
 
     def predict(self, nx: int, ny: int, nprocs: int) -> float:
         """Predicted execution time of an ``nx x ny`` nest on ``nprocs``."""

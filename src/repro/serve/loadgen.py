@@ -29,7 +29,6 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.kernels import DEFAULT_KERNELS
 from repro.obs.recorder import InMemoryRecorder
 from repro.obs.stats import PhaseStats, summarise
 from repro.serve.api import ServeServer, http_json
@@ -60,7 +59,6 @@ class LoadgenConfig:
     workload: str = "synthetic"
     machine: str = "bgl-256"
     strategy: str = "diffusion"
-    kernels: str = DEFAULT_KERNELS
     priority_every: int = 4  # every Nth session rides the priority lane (0=never)
     via_http: bool = False
     url: str = ""  # "host:port" of an external server ("" = in-process)
@@ -91,7 +89,6 @@ class LoadgenConfig:
                     machine=self.machine,
                     strategy=self.strategy,
                     priority=priority,
-                    kernels=self.kernels,
                 )
             )
         return out

@@ -50,7 +50,6 @@ from repro.experiments.workloads import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RankCrash
-from repro.kernels import DEFAULT_KERNELS, check_kernels
 from repro.mpisim.ledger import CommLedger
 from repro.obs import (
     AuditTrail,
@@ -81,6 +80,8 @@ log = get_logger("serve.session")
 
 _WORKLOADS = ("synthetic", "mumbai")
 _STRATEGIES = ("scratch", "diffusion", "dynamic")
+#: values of the retired ``kernels`` spec key that older journals carry
+_LEGACY_KERNELS = ("vector", "reference")
 
 
 class SessionState(str, Enum):
@@ -131,7 +132,6 @@ class ScenarioSpec:
     machine: str = "bgl-256"
     strategy: str = "diffusion"
     priority: int = 0
-    kernels: str = DEFAULT_KERNELS
 
     def __post_init__(self) -> None:
         if self.workload not in _WORKLOADS:
@@ -150,7 +150,6 @@ class ScenarioSpec:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.priority < 0:
             raise ValueError(f"priority must be >= 0, got {self.priority}")
-        check_kernels(self.kernels)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -160,14 +159,27 @@ class ScenarioSpec:
             "machine": self.machine,
             "strategy": self.strategy,
             "priority": self.priority,
-            "kernels": self.kernels,
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> ScenarioSpec:
-        """Build a spec from an untrusted mapping (API request bodies)."""
+        """Build a spec from an untrusted mapping (API request bodies).
+
+        Journals and clients from before the kernel-mode switch was
+        retired send a ``"kernels"`` key; either of its old values is
+        dropped (inside a session the mode never changed a result), any
+        other value is still rejected.
+        """
         if not isinstance(payload, dict):
             raise ValueError("scenario spec must be a JSON object")
+        if "kernels" in payload:
+            legacy = payload["kernels"]
+            if legacy not in _LEGACY_KERNELS:
+                raise ValueError(
+                    f"spec field 'kernels' must be one of {_LEGACY_KERNELS}, "
+                    f"got {legacy!r}"
+                )
+            payload = {k: v for k, v in payload.items() if k != "kernels"}
         defaults = cls()
         kwargs: dict[str, object] = {}
         for name, kind in (
@@ -177,7 +189,6 @@ class ScenarioSpec:
             ("machine", str),
             ("strategy", str),
             ("priority", int),
-            ("kernels", str),
         ):
             if name not in payload:
                 continue
@@ -256,7 +267,6 @@ class Session:
             recorder=self.recorder,
             audit=self.audit,
             ledger=self.ledger,
-            kernels=self.spec.kernels,
         )
 
     # -- introspection --------------------------------------------------

@@ -7,6 +7,7 @@ an unmodified re-run must exit zero.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.obs.compare import (
     load_bench_json,
 )
 from repro.obs.stats import PhaseStats
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _stats(median: float) -> PhaseStats:
@@ -149,6 +152,16 @@ class TestLoadBenchJson:
         doc = _doc({"p": 0.1})
         path.write_text(json.dumps(doc))
         assert load_bench_json(path) == doc
+        assert "kernels" not in doc
+
+    def test_committed_baselines_load(self):
+        # the scale baseline predates the kernel-mode switch's removal and
+        # still carries its "kernels" header; the loader ignores it
+        scale = load_bench_json(ROOT / "BENCH_scale_baseline.json")
+        assert scale["kernels"] == "vector"
+        default = load_bench_json(ROOT / "BENCH_baseline.json")
+        assert "kernels" not in default
+        assert compare_bench(scale, scale).ok
 
     @pytest.mark.parametrize(
         "doc, match",
@@ -220,7 +233,6 @@ class TestCliBenchCompare:
             repeats=None,
             phases=None,
             progress=None,
-            kernels="vector",
             suite="default",
             route_cache_size=None,
         ):

@@ -1,26 +1,34 @@
-"""Property-based equivalence: vector kernels against the scalar oracles.
+"""Property-based equivalence: the shipped kernels against the scalar oracles.
 
-Every hot path grown a vectorised fast path (``kernels="vector"``) keeps
-its original scalar implementation as a reference oracle
-(``kernels="reference"``).  These tests drive both modes over randomized
-inputs — grids, nest sets, message sets, fault masks, degraded split-file
-sets — and demand the outputs match: bit-for-bit wherever the arithmetic
-is order-independent (integer-valued byte counts), and to 1e-12 relative
-tolerance for the float aggregates whose summation order legitimately
-differs (batched QCLOUD sums).  See ``docs/performance.md``.
+Every hot path with a vectorised implementation keeps its original
+scalar implementation beside it as a ``*_reference`` oracle — a test-only
+specification that shipped code never calls.  These tests drive both over
+randomized inputs — grids, nest sets, message sets, fault masks, degraded
+split-file sets — and demand the outputs match: bit-for-bit wherever the
+arithmetic is order-independent (integer-valued byte counts), and to
+1e-12 relative tolerance for the float aggregates whose summation order
+legitimately differs (batched QCLOUD sums).  Whole pipelines (plans, the
+stateful churn run, full PDA) get the oracles swapped in through existing
+seams: :class:`ReferenceSimulator` passed as a simulator, and
+``aggregate_summaries`` patched to its oracle.  See
+``docs/performance.md``.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import PDAConfig, SplitFile, parallel_data_analysis
-from repro.analysis.pda import aggregate_summaries
+from repro.analysis.pda import aggregate_summaries, aggregate_summaries_reference
 from repro.core import Allocation, plan_redistribution
 from repro.core.dataplane import (
     RankStore,
+    _gather_nest_checked,
+    _move_blocks_reference,
+    _scatter_nest_reference,
     execute_redistribution,
     gather_nest,
     scatter_nest,
@@ -28,6 +36,7 @@ from repro.core.dataplane import (
 from repro.grid import ProcessorGrid, Rect
 from repro.grid.block import split_evenly
 from repro.mpisim import CostModel, MessageSet, NetworkSimulator, SimComm
+from repro.mpisim.netsim import LinkLoadState
 from repro.topology import MACHINES
 from repro.tree import build_huffman
 from repro.util.rng import make_rng
@@ -36,15 +45,40 @@ MACHINE_NAMES = ("bgl-256", "fist-256")  # one torus, one switched network
 GRID = ProcessorGrid(16, 16)  # matches the 256-rank machines
 
 
+class ReferenceSimulator(NetworkSimulator):
+    """A simulator whose every accounting entry point runs the oracles."""
+
+    link_loads = NetworkSimulator._link_loads_reference
+    busiest_link_contributions = NetworkSimulator._busiest_link_contributions_reference
+    bottleneck_time = NetworkSimulator._bottleneck_time_reference
+    flow_time = NetworkSimulator._flow_time_reference
+
+    def _link_load_arrays(self, messages):
+        """Per-link contributions (what ``LinkLoadState`` charges) from the
+        oracle's dict, as sorted parallel arrays."""
+        ref = self._link_loads_reference(messages)
+        links = np.fromiter(sorted(ref), dtype=np.int64, count=len(ref))
+        vals = np.fromiter(
+            (ref[int(link)] for link in links), dtype=np.float64, count=len(ref)
+        )
+        return links, vals
+
+
+class ReferenceLinkState(LinkLoadState):
+    """Live link state whose rebuild and busiest-link walk run the oracles."""
+
+    rebuild = LinkLoadState._rebuild_reference
+
+    def busiest_link_contributions(self):
+        link, load, _ = super().busiest_link_contributions()
+        return link, load, self._busiest_contributions_reference(link)
+
+
 def make_sim_pair(name, adaptive):
     machine = MACHINES[name]
     cost = CostModel.for_machine(machine)
-    vec = NetworkSimulator(
-        machine.mapping, cost, adaptive_routing=adaptive, kernels="vector"
-    )
-    ref = NetworkSimulator(
-        machine.mapping, cost, adaptive_routing=adaptive, kernels="reference"
-    )
+    vec = NetworkSimulator(machine.mapping, cost, adaptive_routing=adaptive)
+    ref = ReferenceSimulator(machine.mapping, cost, adaptive_routing=adaptive)
     return machine, vec, ref
 
 
@@ -92,7 +126,6 @@ class TestNetsimEquivalence:
         # Random fault masks: degraded links (drawn from links actually
         # used) and straggler ranks, mirrored into both simulators.
         links = sorted(ref.link_loads(msgs))
-        ref.clear_route_cache()
         if links:
             faulty = data.draw(
                 st.lists(st.sampled_from(links), max_size=3, unique=True),
@@ -133,7 +166,7 @@ class TestNetsimEquivalence:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_warm_cache_matches_cold_reference(self, data):
-        """A second pass over overlapping pairs (warm vector cache, mixed
+        """A second pass over overlapping pairs (warm route cache, mixed
         hits and misses) still reproduces the oracle exactly."""
         name = data.draw(st.sampled_from(MACHINE_NAMES), label="machine")
         machine, vec, ref = make_sim_pair(name, adaptive=False)
@@ -175,11 +208,15 @@ class TestRedistributionPlanEquivalence:
         machine = MACHINES["bgl-256"]
         cost = CostModel.for_machine(machine)
 
-        plan_v = plan_redistribution(
-            old, new, sizes, machine, cost, flow_level=flow, kernels="vector"
-        )
+        plan_v = plan_redistribution(old, new, sizes, machine, cost, flow_level=flow)
         plan_r = plan_redistribution(
-            old, new, sizes, machine, cost, flow_level=flow, kernels="reference"
+            old,
+            new,
+            sizes,
+            machine,
+            cost,
+            simulator=ReferenceSimulator(machine.mapping, cost),
+            flow_level=flow,
         )
 
         assert plan_v.hop_bytes_total == plan_r.hop_bytes_total
@@ -201,8 +238,10 @@ class TestDataplaneEquivalence:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_store_contents_match_reference(self, data):
-        """scatter → execute in both modes leaves identical per-rank blocks,
-        and both gathers return the original field bit-for-bit."""
+        """scatter → execute through the shipped path and through the
+        oracles leaves identical per-rank blocks, and both the shipped
+        gather and its verifying walk return the original field
+        bit-for-bit."""
         old, w_old = draw_allocation(data, "old")
         nid = next(iter(w_old))
         w_new = dict(w_old)
@@ -213,12 +252,18 @@ class TestDataplaneEquivalence:
         seed = data.draw(st.integers(0, 2**20), label="seed")
         field = make_rng(seed).uniform(0.0, 1.0, (ny, nx))
 
-        stores = {}
-        for mode in ("vector", "reference"):
-            store = RankStore(GRID.nprocs)
-            scatter_nest(store, nid, field, old, kernels=mode)
-            execute_redistribution(store, nid, old, new, nx, ny, kernels=mode)
-            stores[mode] = store
+        stores = {"vector": RankStore(GRID.nprocs), "reference": RankStore(GRID.nprocs)}
+        scatter_nest(stores["vector"], nid, field, old)
+        execute_redistribution(stores["vector"], nid, old, new, nx, ny)
+        _scatter_nest_reference(stores["reference"], nid, field, old)
+        _move_blocks_reference(
+            stores["reference"],
+            nid,
+            old,
+            new,
+            old.decomposition(nid, nx, ny),
+            new.decomposition(nid, nx, ny),
+        )
 
         holders = stores["vector"].holders(nid)
         assert holders == stores["reference"].holders(nid)
@@ -227,10 +272,10 @@ class TestDataplaneEquivalence:
             block_r, rect_r = stores["reference"].get(rank, nid)
             assert rect_v == rect_r
             assert np.array_equal(block_v, block_r)
-        for mode in ("vector", "reference"):
-            assert np.array_equal(
-                gather_nest(stores[mode], nid, nx, ny, kernels=mode), field
-            )
+        assert np.array_equal(gather_nest(stores["vector"], nid, nx, ny), field)
+        assert np.array_equal(
+            _gather_nest_checked(stores["reference"], nid, nx, ny), field
+        )
 
 
 def draw_split_files(data):
@@ -301,13 +346,15 @@ class TestPDAEquivalence:
         )
         config = PDAConfig()
 
-        results = {}
-        for mode in ("vector", "reference"):
+        def run():
             comm = SimComm(n_analysis, failed_ranks=tuple(dead))
-            results[mode] = parallel_data_analysis(
-                files, sim_grid, n_analysis, config, comm=comm, kernels=mode
-            )
-        rv, rr = results["vector"], results["reference"]
+            return parallel_data_analysis(files, sim_grid, n_analysis, config, comm=comm)
+
+        rv = run()
+        with mock.patch(
+            "repro.analysis.pda.aggregate_summaries", aggregate_summaries_reference
+        ):
+            rr = run()
 
         assert rv.rectangles == rr.rectangles
         assert rv.gathered_items == rr.gathered_items
@@ -338,7 +385,7 @@ class TestPDAEquivalence:
         threshold = data.draw(
             st.sampled_from((0.0, 150.0, 200.0, 400.0)), label="threshold"
         )
-        batched = aggregate_summaries(present, threshold, kernels="vector")
+        batched = aggregate_summaries(present, threshold)
         for (corrupt, summary), f in zip(batched, present):
             olr_bad = not bool(np.isfinite(f.olr).all())
             assert corrupt == olr_bad
@@ -357,20 +404,21 @@ class TestPDAEquivalence:
             )
 
     def test_aggregate_empty(self):
-        assert aggregate_summaries([], 200.0, kernels="vector") == []
-        assert aggregate_summaries([], 200.0, kernels="reference") == []
+        assert aggregate_summaries([], 200.0) == []
+        assert aggregate_summaries_reference([], 200.0) == []
 
 
 class TestStatefulChurnEquivalence:
     """Drive full reallocators through randomized nest churn.
 
-    One ``ProcessorReallocator`` per kernel mode walks an identical drawn
-    sequence of adaptation points — nest births, deaths, growth/decay
-    (the observable effect of merges and splits) and an optional rank
-    failure — and after every step the incremental ``LinkLoadState`` must
-    equal its from-scratch ``rebuild()`` oracle bit-for-bit, both modes
-    must agree bit-for-bit, and the live state's busiest-link answer must
-    match brute-force routing of the concatenated plan messages.
+    Two reallocators, one shipped and one whose simulator and link state
+    run the oracles, walk an identical drawn sequence of adaptation points
+    — nest births, deaths, growth/decay (the observable effect of merges
+    and splits) and an optional rank failure — and after every step the
+    incremental ``LinkLoadState`` must equal its from-scratch
+    ``rebuild()`` bit-for-bit, both reallocators must agree bit-for-bit,
+    and the live state's busiest-link answer must match brute-force
+    routing of the concatenated plan messages.
     """
 
     @staticmethod
@@ -378,15 +426,18 @@ class TestStatefulChurnEquivalence:
         from repro.core import DiffusionStrategy, ProcessorReallocator
         from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 
-        return {
+        reallocs = {
             mode: ProcessorReallocator(
                 MACHINES["bgl-256"],
                 DiffusionStrategy(),
                 ExecTimePredictor(ProfileTable(ExecutionOracle())),
-                kernels=mode,
             )
             for mode in ("vector", "reference")
         }
+        ref = reallocs["reference"]
+        ref.simulator = ReferenceSimulator(ref.machine.mapping, ref.cost)
+        ref.link_state = ReferenceLinkState(ref.simulator)
+        return reallocs
 
     def _churn(self, data, nests, next_id, step):
         nests = dict(nests)

@@ -231,28 +231,22 @@ class TestRouteCacheFifoEviction:
     """Satellite: a full route cache evicts one oldest entry (FIFO), not
     the whole table — recently-used routes keep hitting after overflow."""
 
-    def _bounded_sim(self, kernels):
+    def _bounded_sim(self):
         machine = blue_gene_l(64)
         return NetworkSimulator(
-            machine.mapping,
-            CostModel.for_machine(machine),
-            route_cache_size=8,
-            kernels=kernels,
+            machine.mapping, CostModel.for_machine(machine), route_cache_size=8
         )
 
-    @pytest.mark.parametrize("kernels", ["vector", "reference"])
-    def test_cache_stays_bounded(self, kernels):
-        sim = self._bounded_sim(kernels)
+    def test_cache_stays_bounded(self):
+        sim = self._bounded_sim()
         for dst in range(1, 20):  # 19 distinct pairs through an 8-slot cache
             sim.link_loads(msgset([(0, dst, 8.0)]))
-        cache = sim._route_cache_vec if kernels == "vector" else sim._route_cache
-        assert len(cache) == 8
+        assert len(sim._route_cache) == 8
         # the cache holds exactly the 8 most recent pairs, oldest gone
-        assert set(cache) == {(0, dst) for dst in range(12, 20)}
+        assert set(sim._route_cache) == {(0, dst) for dst in range(12, 20)}
 
-    @pytest.mark.parametrize("kernels", ["vector", "reference"])
-    def test_recent_routes_hit_after_overflow(self, kernels):
-        sim = self._bounded_sim(kernels)
+    def test_recent_routes_hit_after_overflow(self):
+        sim = self._bounded_sim()
         for dst in range(1, 12):  # overflows the 8-slot cache three times
             sim.link_loads(msgset([(0, dst, 8.0)]))
         assert sim.route_cache_misses == 11 and sim.route_cache_hits == 0
@@ -270,7 +264,7 @@ class TestRouteCacheFifoEviction:
         cache used to evict the probed-hit entries between the membership
         probe and reassembly (KeyError). Results must also still match
         the scalar oracle."""
-        sim = self._bounded_sim("vector")
+        sim = self._bounded_sim()
         warm = msgset([(0, dst, 8.0) for dst in range(1, 7)])  # 6 of 8 slots
         sim.link_loads(warm)
         # 6 warm pairs + 10 cold pairs: caching the cold routes evicts
@@ -281,19 +275,18 @@ class TestRouteCacheFifoEviction:
         )
         loads = sim.link_loads(mixed)
         assert sim.route_cache_hits == 6
-        assert len(sim._route_cache_vec) == 8
-        ref = self._bounded_sim("reference")
-        assert loads == ref.link_loads(mixed)
+        assert len(sim._route_cache) == 8
+        assert loads == sim._link_loads_reference(mixed)
 
     def test_batched_insert_evicts_only_overflow(self):
-        sim = self._bounded_sim("vector")
+        sim = self._bounded_sim()
         # one 12-pair batch through an 8-slot cache: all 12 are misses,
         # then only the 4 oldest of the batch are dropped
         msgs = msgset([(0, dst, 8.0) for dst in range(1, 13)])
         sim.link_loads(msgs)
         assert sim.route_cache_misses == 12
-        assert len(sim._route_cache_vec) == 8
-        assert set(sim._route_cache_vec) == {(0, dst) for dst in range(5, 13)}
+        assert len(sim._route_cache) == 8
+        assert set(sim._route_cache) == {(0, dst) for dst in range(5, 13)}
 
 
 class TestCommSkewReport:

@@ -50,7 +50,14 @@ class TestScenarioSpec:
     )
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            ScenarioSpec(**kwargs)
+            ScenarioSpec.from_dict(kwargs)
+
+    @pytest.mark.parametrize("legacy", ["vector", "reference"])
+    def test_from_dict_drops_legacy_kernels_key(self, legacy):
+        # specs journaled while the kernel-mode switch existed carry it
+        spec = ScenarioSpec(seed=7, steps=9)
+        assert ScenarioSpec.from_dict({**spec.to_dict(), "kernels": legacy}) == spec
+        assert "kernels" not in spec.to_dict()
 
     def test_dict_roundtrip(self):
         spec = ScenarioSpec(seed=7, steps=9, strategy="scratch", priority=2)
@@ -231,6 +238,32 @@ class TestSessionStore:
         # the id counter resumes past everything journaled
         fresh = recovered.create(ScenarioSpec(steps=1))
         assert fresh.session_id not in (s.session_id for s in (done, failed, running))
+
+    def test_recovers_journal_with_legacy_kernels_key(self, tmp_path):
+        # create lines exactly as journals written before the kernel-mode
+        # switch was retired carry them
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(
+            '{"id": "s00000", "op": "create", "spec": {"kernels": "vector", '
+            '"machine": "bgl-256", "priority": 0, "seed": 4, "steps": 2, '
+            '"strategy": "diffusion", "workload": "synthetic"}}\n'
+            '{"id": "s00000", "op": "state", "reason": "", "state": "done", '
+            '"step": 2}\n'
+            '{"id": "s00001", "op": "create", "spec": {"kernels": "reference", '
+            '"machine": "bgl-256", "priority": 0, "seed": 5, "steps": 2, '
+            '"strategy": "diffusion", "workload": "synthetic"}}\n',
+            encoding="utf-8",
+        )
+        recovered = SessionStore.recover(journal)
+        assert len(recovered) == 2
+        assert recovered.get("s00000").state is SessionState.DONE
+        pending = recovered.get("s00001")
+        assert pending.state is SessionState.PENDING and pending.recovered
+        assert pending.spec == ScenarioSpec(seed=5, steps=2)
+        pending.run_to_completion()
+        assert pending.state is SessionState.DONE
+        # compaction rewrote the journal in the current format
+        assert "kernels" not in journal.read_text(encoding="utf-8")
 
     def test_recovered_session_replays_identically(self, tmp_path):
         journal = tmp_path / "journal.jsonl"

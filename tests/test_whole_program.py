@@ -495,9 +495,7 @@ class TestR014KernelParity:
             def _move_vector(data, n):
                 return data
 
-            def move(data, n, kernels="vector"):
-                if kernels == "reference":
-                    return _move_reference(data, n)
+            def move(data, n):
                 return _move_vector(data, n)
             """
         }
@@ -514,7 +512,6 @@ class TestR014KernelParity:
                 return data
 
             def move(data, n):
-                _move_reference(data, n)
                 _move_vector(data, n, True)
             """
         }
@@ -533,14 +530,13 @@ class TestR014KernelParity:
                 return data
 
             def scan(data, clip):
-                _scan_reference(data, clip)
                 _scan_vector(data, clip)
             """
         }
         found = findings(sources, ["R014"])
         assert any("kwarg branches differ" in f.message for f in found)
 
-    def test_one_sided_call_site_flagged(self):
+    def test_oracle_called_from_shipped_function_flagged(self):
         sources = {
             "app.kernels": """
             def _sum_reference(data):
@@ -549,30 +545,32 @@ class TestR014KernelParity:
             def _sum_vector(data):
                 return data
 
-            def both(data):
-                _sum_reference(data)
-                _sum_vector(data)
-
-            def sneaky(data):
-                return _sum_vector(data)
+            def total(data):
+                return _sum_reference(data)
             """
         }
         found = findings(sources, ["R014"])
-        assert any("call sites differ" in f.message for f in found)
+        assert [f.message for f in found] == [
+            "shipped function total calls oracle _sum_reference; *reference* "
+            "functions are test-only specifications, callable only from "
+            "tests and other *reference* functions"
+        ]
 
-    def test_unpaired_oracle_with_dispatch_clean(self):
+    def test_oracle_called_only_by_oracle_clean(self):
         sources = {
             "app.kernels": """
             def _routes_reference(msgs):
                 return msgs
 
-            class Sim:
-                kernels = "vector"
+            def _loads_reference(msgs):
+                return _routes_reference(msgs)
 
-                def loads(self, msgs):
-                    if self.kernels == "reference":
-                        return _routes_reference(msgs)
-                    return msgs
+            def _loads_vector(msgs):
+                return msgs
+
+            class Sim:
+                def _rebuild_reference(self, msgs):
+                    return _loads_reference(msgs)
             """
         }
         assert rule_ids(sources, ["R014"]) == []
@@ -588,7 +586,9 @@ class TestR014KernelParity:
             """
         }
         found = findings(sources, ["R014"])
-        assert any("without a" in f.message for f in found)
+        assert any(
+            "loads calls oracle _routes_reference" in f.message for f in found
+        )
 
     def test_vector_orphan_flagged(self):
         sources = {
