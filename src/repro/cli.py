@@ -19,6 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.obs import FlightRecorder
 
 __all__ = ["main", "build_parser"]
 
@@ -149,50 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--no-hints", action="store_true", help="omit fix hints (text format)")
     p.add_argument("--list-rules", action="store_true", help="print the rule catalogue and exit")
-
-    p = sub.add_parser(
-        "sanitize",
-        help="runtime conservation sanitizer: drive a workload with every "
-        "checkpoint armed",
-        description=(
-            "The dynamic counterpart of `repro lint`: runs a workload trace "
-            "on a real data plane with the conservation sanitizer scoped "
-            "over the whole run — plan/transfer conservation, store tiling "
-            "after every move, tree invariants, PDA coverage accounting, "
-            "ledger-vs-netsim cross-checks, plus per-step tiling and "
-            "bit-for-bit data audits.  Exits non-zero on any violation.  "
-            "Setting REPRO_SANITIZE=1 arms the same checkpoints in any "
-            "other repro command."
-        ),
-    )
-    san_sub = p.add_subparsers(dest="sanitize_command", required=True)
-    p = san_sub.add_parser(
-        "run", help="run a sanitized workload trace and report the verdict"
-    )
-    p.add_argument(
-        "--workload",
-        choices=["mumbai", "synthetic"],
-        default="mumbai",
-        help="trace to drive (default: the Mumbai-2005 flagship trace)",
-    )
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=2005)
-    p.add_argument("--ncores", type=int, default=16)
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="raise on the first violation instead of collecting them",
-    )
-    p.add_argument("--json", action="store_true", help="print the report as JSON")
-    p.add_argument(
-        "--export-flight",
-        default=None,
-        help="write the run's flight ring (incl. sanitizer.violation events) "
-        "as JSONL here",
-    )
-    p.add_argument(
-        "--tail", type=int, default=0, help="also show the last N flight events"
-    )
 
     p = sub.add_parser(
         "bench",
@@ -342,71 +302,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "faults",
-        help="fault injection and self-healing: break the pipeline on purpose",
+        help="fault injection under an armed sanitizer: break the pipeline "
+        "or the serving tier on purpose",
         description=(
-            "Deterministic fault-injection soak: a seeded plan crashes ranks, "
-            "degrades links, slows stragglers and damages split files while "
-            "the reallocator tracks a churning nest workload.  Recovery "
-            "shrinks the processor grid, excises dead tree slots with the "
-            "standard diffusion edit, restores lost nest data from the "
-            "checkpoint and re-verifies every invariant."
+            "Seeded, deterministic fault suites, every one under its own "
+            "armed conservation sanitizer.  The machine-layer suites crash "
+            "ranks, degrade links, slow stragglers and damage split files "
+            "while the reallocator tracks a workload on a real data plane; "
+            "recovery shrinks the processor grid, restores lost nest data "
+            "from the checkpoint, and every step is audited for tiling and "
+            "bit-for-bit data.  The fleet suites crash workers, stall and "
+            "kill sessions, storm taps, misbehave as NDJSON consumers and "
+            "damage the journal of a live serve fleet, whose survivors must "
+            "match unperturbed twins bit for bit.  Exits non-zero when the "
+            "verdict is not ok.  Setting REPRO_SANITIZE=1 arms the same "
+            "checkpoints in any other repro command.  See docs/robustness.md."
         ),
     )
     faults_sub = p.add_subparsers(dest="faults_command", required=True)
     p = faults_sub.add_parser(
-        "run", help="run a seeded soak scenario and report the verdict"
+        "run", help="run a seeded fault suite and report its verdict"
     )
     p.add_argument(
         "--suite",
-        choices=["quick", "full"],
+        choices=["quick", "full", "mumbai", "fleet-quick", "fleet-full"],
         default="quick",
-        help="scenario: quick = crashes only (CI gate), full = all fault kinds",
+        help="quick = two rank crashes (CI gate); full = every machine "
+        "fault kind; mumbai = the flagship trace, no faults; fleet-quick = "
+        "worker-crash + journal-truncate campaigns (CI gate); fleet-full "
+        "adds HTTP consumer churn and journal corruption",
     )
-    p.add_argument("--seed", type=int, default=None, help="override the suite seed")
     p.add_argument(
-        "--export-flight",
+        "--seed",
+        type=int,
         default=None,
-        help="write the soak's flight ring as JSONL here",
+        help="override the suite seed (default 42 for quick and full, 2005 for "
+        "mumbai, 0 for the fleet suites)",
     )
-    p.add_argument(
-        "--tail", type=int, default=0, help="also show the last N flight events"
-    )
-
-    p = sub.add_parser(
-        "chaos",
-        help="seeded chaos campaigns against the serving tier",
-        description=(
-            "Runs deterministic fault campaigns against a live serve fleet: "
-            "worker-task crashes under the supervisor, step stalls, mid-run "
-            "session kills, tap-overflow storms, misbehaving NDJSON "
-            "consumers and journal truncation/corruption across a crash "
-            "restart.  Every campaign is fully determined by (plan, seed) "
-            "and ends with a verdict: zero stuck sessions, recovered flight "
-            "logs bit-identical to unperturbed twins, sanitizer armed and "
-            "clean.  See docs/robustness.md."
-        ),
-    )
-    chaos_sub = p.add_subparsers(dest="chaos_command", required=True)
-    p = chaos_sub.add_parser(
-        "run", help="run a chaos suite and report every campaign's verdict"
-    )
-    p.add_argument(
-        "--suite",
-        choices=["quick", "full"],
-        default="quick",
-        help="quick = worker-crash + journal-truncate (CI gate); "
-        "full adds the HTTP consumer churn and journal corruption",
-    )
-    p.add_argument("--seed", type=int, default=0, help="suite seed")
     p.add_argument(
         "--json",
         action="store_true",
-        help="print the deterministic verdicts as a JSON array (CI diffs this)",
+        help="print the deterministic verdict as JSON (CI diffs two runs)",
     )
     p.add_argument(
         "--export-flight",
         default=None,
-        help="write the harness's chaos.* flight events as JSONL here",
+        help="write the run's flight events as JSONL here",
+    )
+    p.add_argument(
+        "--tail",
+        type=int,
+        default=0,
+        help="also show the last N flight events (on stderr with --json)",
     )
 
     p = sub.add_parser(
@@ -670,95 +617,88 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
+    from repro.obs import format_flight
+
+    if args.suite.startswith("fleet-"):
+        ok, flight = _run_fleet_suite(args)
+    else:
+        ok, flight = _run_soak_suite(args)
+    if args.tail:
+        # with --json, stdout carries the verdict document alone
+        out = sys.stderr if args.json else sys.stdout
+        print(file=out)
+        print(format_flight(flight, tail=args.tail), file=out)
+    if args.export_flight:
+        flight.write_jsonl(args.export_flight)
+        print(f"flight log -> {args.export_flight}", file=sys.stderr)
+    return 0 if ok else 1
+
+
+def _run_soak_suite(args: argparse.Namespace) -> tuple[bool, FlightRecorder]:
     import dataclasses
+    import json
 
     from repro.faults import SUITES, format_soak_report, run_soak
-    from repro.mpisim.ledger import format_ledger
-    from repro.obs import AuditTrail, FlightRecorder, format_flight, use_flight_recorder
+    from repro.mpisim.ledger import CommLedger, format_ledger
+    from repro.obs import AuditTrail, FlightRecorder, use_flight_recorder
 
     config = SUITES[args.suite]
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    from repro.sanitize.hooks import get_sanitizer
-
     audit = AuditTrail()
     flight = FlightRecorder()
-    sanitizer = get_sanitizer()  # armed when REPRO_SANITIZE=1 (CI smoke job)
+    ledger = CommLedger(config.machine().ncores)
     with use_flight_recorder(flight):
-        from repro.mpisim.ledger import CommLedger
-
-        ledger = CommLedger(config.ncores)
         report = run_soak(config, audit=audit, ledger=ledger)
-        if sanitizer.enabled:
-            sanitizer.check_ledger(ledger)
-    print(format_soak_report(report))
-    print()
-    if audit.recoveries:
-        print(audit.recovery_report(title=f"recovery decisions — {config.name} suite"))
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        print(format_soak_report(report))
         print()
-    print(format_ledger(ledger, title=f"soak traffic — {config.name} suite"))
-    if args.tail:
-        print()
-        print(format_flight(flight, tail=args.tail))
-    if args.export_flight:
-        flight.write_jsonl(args.export_flight)
-        print(f"flight log -> {args.export_flight}", file=sys.stderr)
-    exit_code = 0
-    if sanitizer.enabled:
-        violations = list(getattr(sanitizer, "violations", []))
-        n_checks = sum(getattr(sanitizer, "checks_run", {}).values())
-        print(
-            f"\nsanitizer: {n_checks} conservation checks, "
-            f"{len(violations)} violation(s)"
-        )
-        for violation in violations[:20]:
-            print(f"  {violation}")
-        if violations:
-            print("repro faults run: SANITIZER FAILED", file=sys.stderr)
-            exit_code = 1
+        if audit.recoveries:
+            print(audit.recovery_report(title=f"recovery decisions — {config.name} suite"))
+            print()
+        print(format_ledger(ledger, title=f"soak traffic — {config.name} suite"))
     if not report.ok:
         print(
             f"repro faults run: FAILED — {report.invariant_violations} invariant "
-            f"violation(s), {report.data_failures} data failure(s)",
+            f"violation(s), {report.data_failures} data failure(s), "
+            f"{len(report.violations)} sanitizer violation(s)",
             file=sys.stderr,
         )
-        return 1
-    return exit_code
+    return report.ok, flight
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json as _json
+def _run_fleet_suite(args: argparse.Namespace) -> tuple[bool, FlightRecorder]:
+    import json
 
-    from repro.chaos import build_suite, format_campaign_report, run_campaign
-    from repro.obs.flight import FlightRecorder
+    from repro.faults.fleet import build_suite, format_campaign_report, run_campaign
+    from repro.obs import FlightRecorder
 
+    seed = args.seed if args.seed is not None else 0
     reports = []
-    for config in build_suite(args.suite, seed=args.seed):
+    for config in build_suite(args.suite, seed=seed):
         report = run_campaign(config)
         reports.append(report)
         if not args.json:
             print(format_campaign_report(report))
             print()
     if args.json:
-        print(_json.dumps([r.verdict() for r in reports], indent=2, sort_keys=True))
-    if args.export_flight:
-        merged = FlightRecorder(capacity=512 * len(reports))
-        for report in reports:
-            for event in report.flight.events():
-                merged.emit(event.kind, **event.data)
-        merged.write_jsonl(args.export_flight)
-        print(f"chaos flight log -> {args.export_flight}", file=sys.stderr)
+        print(json.dumps([r.verdict() for r in reports], indent=2, sort_keys=True))
+    flight = FlightRecorder(capacity=512 * len(reports))
+    for report in reports:
+        for event in report.flight.events():
+            flight.emit(event.kind, **event.data)
     failed = [r.name for r in reports if not r.ok]
     if failed:
         print(
-            f"repro chaos run: FAILED — campaign(s) {', '.join(failed)} "
+            f"repro faults run: FAILED — campaign(s) {', '.join(failed)} "
             f"did not meet their verdict",
             file=sys.stderr,
         )
-        return 1
-    if not args.json:
-        print(f"repro chaos run: all {len(reports)} campaign(s) PASS")
-    return 0
+    elif not args.json:
+        print(f"repro faults run: all {len(reports)} campaign(s) PASS")
+    return not failed, flight
 
 
 def _changed_python_files(base: str) -> list[str]:
@@ -833,39 +773,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(format_sarif(report))
     else:
         print(format_text(report, show_hints=not args.no_hints))
-    return 0 if report.ok else 1
-
-
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import FlightRecorder, format_flight
-    from repro.sanitize import SanitizeError
-    from repro.sanitize.runner import format_sanitize_report, run_sanitized
-
-    flight = FlightRecorder()
-    try:
-        report = run_sanitized(
-            args.workload,
-            seed=args.seed,
-            n_steps=args.steps,
-            ncores=args.ncores,
-            strict=args.strict,
-            flight=flight,
-        )
-    except SanitizeError as exc:
-        print(f"repro sanitize run: strict violation — {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(format_sanitize_report(report))
-    if args.tail:
-        print()
-        print(format_flight(flight, tail=args.tail))
-    if args.export_flight:
-        flight.write_jsonl(args.export_flight)
-        print(f"flight log -> {args.export_flight}", file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -1220,8 +1127,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _cmd_sweep(args)
     elif cmd == "lint":
         return _cmd_lint(args)
-    elif cmd == "sanitize":
-        return _cmd_sanitize(args)
     elif cmd == "bench":
         return _cmd_bench(args)
     elif cmd == "obs":
@@ -1230,8 +1135,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_obs_report(args)
     elif cmd == "faults":
         return _cmd_faults(args)
-    elif cmd == "chaos":
-        return _cmd_chaos(args)
     elif cmd == "serve":
         return _cmd_serve(args)
     elif cmd == "loadgen":

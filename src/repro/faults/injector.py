@@ -1,4 +1,4 @@
-"""Applies a :class:`~repro.faults.plan.FaultPlan` to the live system.
+"""Applies the machine layer of a :class:`~repro.faults.plan.FaultPlan`.
 
 The injector is the single choke point between a declarative plan and the
 hooks scattered through the pipeline: crashed ranks feed the
@@ -20,8 +20,8 @@ import numpy as np
 from repro.analysis.records import SplitFile
 from repro.faults.plan import (
     FaultPlan,
-    FaultSpec,
     LinkFault,
+    MachineFault,
     RankCrash,
     RankStraggler,
     SplitFileFault,
@@ -46,7 +46,7 @@ class FaultInjector:
         self.simulator = simulator
         self.comm = comm
         self._crashed: set[int] = set()
-        self._applied: list[FaultSpec] = []
+        self._applied: list[MachineFault] = []
 
     @property
     def crashed_ranks(self) -> frozenset[int]:
@@ -54,11 +54,11 @@ class FaultInjector:
         return frozenset(self._crashed)
 
     @property
-    def applied(self) -> list[FaultSpec]:
+    def applied(self) -> list[MachineFault]:
         """Faults applied so far, in application order."""
         return list(self._applied)
 
-    def apply_step(self, step: int) -> list[FaultSpec]:
+    def apply_step(self, step: int) -> list[MachineFault]:
         """Fire every fault scheduled at ``step``; returns what was applied.
 
         Split-file faults are *not* applied here — they damage data, not
@@ -66,7 +66,7 @@ class FaultInjector:
         :meth:`damage_files`.
         """
         flight = get_flight_recorder()
-        fired: list[FaultSpec] = []
+        fired: list[MachineFault] = []
         for fault in self.plan.at_step(step):
             if isinstance(fault, RankCrash):
                 self._crashed.add(fault.rank)

@@ -1,4 +1,4 @@
-"""R009 — no silently swallowed exceptions outside ``repro.faults``.
+"""R009 — no silently swallowed exceptions.
 
 A ``pass``-only handler (``except ValueError: pass``) or a broad
 ``contextlib.suppress(Exception)`` erases an error without leaving a
@@ -6,12 +6,11 @@ trace: no log line, no flight event, no counter.  In a reproducibility
 codebase that is worse than a crash — the run completes with quietly
 wrong state and the divergence surfaces far from its cause.
 
-The one place deliberate swallowing is legitimate is the fault-injection
-and recovery subsystem (:mod:`repro.faults`), whose entire job is to
-absorb induced failures and keep the pipeline limping — so that package
-is exempt.  Everywhere else, either handle the error visibly (log it,
-emit a flight event, count it, fall back to a computed value) or let it
-propagate.
+No package is exempt, the fault-injection and recovery subsystem
+(:mod:`repro.faults`) included: absorbing an induced failure means
+counting it or recording it in the flight log, never dropping it.
+Either handle the error visibly (log it, emit a flight event, count it,
+fall back to a computed value) or let it propagate.
 
 Relationship to R005: R005 polices *what* may be caught (bare ``except:``
 and swallowed broad/invariant catches); R009 polices *doing nothing* with
@@ -27,9 +26,6 @@ from collections.abc import Iterator
 from repro.lint.rules.base import Finding, LintContext, Rule, Severity, dotted_name
 
 __all__ = ["SwallowedExceptionRule"]
-
-#: the recovery subsystem absorbs induced failures by design
-_EXEMPT_PREFIX = "repro.faults"
 
 #: suppress() arguments considered overly broad
 _BROAD_SUPPRESS = frozenset(
@@ -61,14 +57,12 @@ class SwallowedExceptionRule(Rule):
 
     rule_id = "R009"
     severity = Severity.ERROR
-    summary = "no silently swallowed exceptions outside repro.faults"
+    summary = "no silently swallowed exceptions"
     fix_hint = (
         "log / emit / count the error inside the handler, or let it propagate"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.module == _EXEMPT_PREFIX or ctx.module.startswith(_EXEMPT_PREFIX + "."):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler):
                 if all(_is_noop(stmt) for stmt in node.body):

@@ -6,10 +6,10 @@ task can be garbage-collected mid-flight, and any exception it raises is
 reported to nobody (at best a "Task exception was never retrieved" line
 at interpreter exit).  Every spawned task must be retained — assigned,
 appended to a registry, awaited, or handed to a supervisor that watches
-it.  The serving tier's scheduler and the chaos harness are the two
-sanctioned supervision roots: they keep every task they spawn and reap
-it on shutdown, and chaos campaigns exist precisely to kill tasks and
-prove the supervision works.
+it.  The serving tier's scheduler is the one sanctioned supervision
+root: it keeps every task it spawns and reaps it on shutdown, and the
+fleet fault campaigns exist precisely to kill its tasks and prove the
+supervision works.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from repro.lint.rules.base import Finding, LintContext, Rule, Severity
 __all__ = ["FireAndForgetTaskRule"]
 
 #: modules whose spawned tasks are supervised by construction (the
-#: scheduler's worker pool + supervisor, the chaos harness's campaign
-#: teardown); everywhere else a dropped task handle is a leak
-_SUPERVISED_PREFIXES = ("repro.chaos", "repro.serve.scheduler")
+#: scheduler's worker pool + supervisor); everywhere else a dropped task
+#: handle is a leak
+_SUPERVISED_PREFIXES = ("repro.serve.scheduler",)
 
 _SPAWNERS = frozenset({"create_task", "ensure_future"})
 
@@ -48,7 +48,7 @@ class FireAndForgetTaskRule(Rule):
     summary = "fire-and-forget asyncio.create_task() outside a supervised root"
     fix_hint = (
         "retain the task (assign it, append it to a registry the shutdown "
-        "path awaits) or spawn it under the scheduler/chaos supervision roots"
+        "path awaits) or spawn it under the scheduler's supervision root"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:

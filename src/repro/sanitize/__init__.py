@@ -2,12 +2,10 @@
 
 :mod:`repro.sanitize.hooks` is the import-cycle-free activation surface
 the core calls into; :mod:`repro.sanitize.checks` holds the actual
-conservation checks; :mod:`repro.sanitize.runner` drives a full workload
-with every checkpoint armed (``repro sanitize run``).
-
-The runner pulls in the whole library, so it is intentionally **not**
-imported here — ``from repro.sanitize.runner import run_sanitized`` when
-you need it.
+conservation checks.  Every fault suite runs under its own scoped
+sanitizer (:func:`repro.faults.soak.run_soak` and
+:func:`repro.faults.fleet.run_campaign`, ``repro faults run``), and
+``REPRO_SANITIZE=1`` arms the same checkpoints in any other run.
 """
 
 from repro.sanitize.checks import SanitizeError, Sanitizer, SanitizeViolation

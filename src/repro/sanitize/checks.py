@@ -320,8 +320,8 @@ class Sanitizer(SanitizerHook):
     def record_violation(self, check: str, message: str) -> None:
         """Report a violation detected outside the hook surface.
 
-        The sanitized runner uses this for its bit-for-bit data
-        comparisons, which need the ground-truth fields only it holds.
+        The fault soak uses this for its bit-for-bit data comparisons,
+        which need the ground-truth fields only it holds.
         """
         self._violate(check, message)
 

@@ -9,9 +9,9 @@ sanitizer is actually activated.
 Activation, in precedence order:
 
 1. explicitly scoped: ``with use_sanitizer(Sanitizer()): ...``
-   (what ``repro sanitize run`` and the tests do);
+   (what every ``repro faults run`` suite and the tests do);
 2. the environment: ``REPRO_SANITIZE=1`` turns every instrumented run
-   in the process into a sanitized run (the CI smoke job).  The
+   in the process into a sanitized run.  The
    environment is read **once** and cached — a sanctioned config read
    (reprolint R012 exempts this module), not a per-call dependency.
 

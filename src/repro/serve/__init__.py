@@ -18,10 +18,11 @@ in-flight session is re-queued exactly once), the API sheds load with
 ``POST /drain`` shuts the service down gracefully, and the store's
 journal is crash-consistent (truncated tails skipped and counted,
 mid-file corruption refused, compaction on recovery).
-:mod:`repro.chaos` drives all of it through seeded fault campaigns.
+:mod:`repro.faults.fleet` drives all of it through seeded fault
+campaigns (``repro faults run --suite fleet-quick``).
 
 See ``docs/serving.md`` for the architecture tour and
-``docs/robustness.md`` for the chaos campaigns.
+``docs/robustness.md`` for the fleet campaigns.
 """
 
 from repro.serve.session import (

@@ -280,8 +280,8 @@ class Session:
         """Whether a step currently holds the session lock.
 
         Cancelling a worker task does not stop its ``to_thread`` step;
-        the chaos harness polls this to wait for true quiescence before
-        it damages the journal under a stopped scheduler.
+        the fleet fault campaigns poll this to wait for true quiescence
+        before they damage the journal under a stopped scheduler.
         """
         return self._lock.locked()
 

@@ -1,4 +1,4 @@
-"""Tests of the chaos harness: plans, campaign configs, and live campaigns.
+"""Tests of the service-layer faults: plans, campaign configs, live campaigns.
 
 The campaign tests here are the miniature versions of the acceptance
 criteria: a worker-crash campaign must end with every surviving session
@@ -10,22 +10,23 @@ tier-1 budget.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
-from repro.chaos import (
-    CampaignConfig,
-    ChaosPlan,
+from repro.faults import (
     ConsumerDisconnect,
+    FaultPlan,
     JournalCorrupt,
     JournalTruncate,
+    RankCrash,
     SessionKill,
     SlowConsumer,
     StepStall,
     TapStorm,
     WorkerCrash,
-    build_suite,
-    run_campaign,
 )
+from repro.faults.fleet import CampaignConfig, build_suite, run_campaign
 
 
 class TestChaosFaults:
@@ -54,13 +55,13 @@ class TestChaosFaults:
 class TestChaosPlan:
     def test_at_most_one_journal_fault(self):
         with pytest.raises(ValueError, match="at most one journal fault"):
-            ChaosPlan(
+            FaultPlan(
                 faults=(JournalTruncate(at_step=2), JournalCorrupt(at_step=3))
             )
 
     def test_duplicate_kill_rejected(self):
         with pytest.raises(ValueError, match="killed more than once"):
-            ChaosPlan(
+            FaultPlan(
                 faults=(
                     SessionKill(at_step=1, session_index=2),
                     SessionKill(at_step=3, session_index=2),
@@ -68,7 +69,7 @@ class TestChaosPlan:
             )
 
     def test_queries_partition_the_plan(self):
-        plan = ChaosPlan(
+        plan = FaultPlan(
             faults=(
                 TapStorm(session_index=1),
                 WorkerCrash(at_step=9, worker=1),
@@ -77,6 +78,7 @@ class TestChaosPlan:
                 SessionKill(at_step=2, session_index=3),
                 SlowConsumer(session_index=0),
                 JournalTruncate(at_step=4),
+                RankCrash(step=3, rank=2),
             )
         )
         assert [w.at_step for w in plan.worker_crashes()] == [2, 9]
@@ -85,18 +87,22 @@ class TestChaosPlan:
         assert len(plan.tap_storms()) == 1
         assert len(plan.consumers()) == 1
         assert isinstance(plan.journal_fault(), JournalTruncate)
-        assert plan.n_faults == 7
-        assert len(plan.describe().splitlines()) == 7
+        # the machine-layer queries see only the machine layer
+        assert plan.at_step(2) == []
+        assert plan.at_step(3) == [RankCrash(step=3, rank=2)]
+        assert plan.last_step == 3
+        assert plan.n_faults == 8
+        assert len(plan.describe().splitlines()) == 8
 
     def test_seeded_is_deterministic(self):
-        a = ChaosPlan.seeded(seed=7, n_sessions=6, n_steps=5, workers=3)
-        b = ChaosPlan.seeded(seed=7, n_sessions=6, n_steps=5, workers=3)
+        a = FaultPlan.seeded_fleet(seed=7, n_sessions=6, n_steps=5, workers=3)
+        b = FaultPlan.seeded_fleet(seed=7, n_sessions=6, n_steps=5, workers=3)
         assert a == b
-        c = ChaosPlan.seeded(seed=8, n_sessions=6, n_steps=5, workers=3)
+        c = FaultPlan.seeded_fleet(seed=8, n_sessions=6, n_steps=5, workers=3)
         assert a != c
 
     def test_seeded_kills_target_the_tail(self):
-        plan = ChaosPlan.seeded(
+        plan = FaultPlan.seeded_fleet(
             seed=3, n_sessions=6, n_steps=5, workers=3, n_kills=2
         )
         killed = {k.session_index for k in plan.kills()}
@@ -108,7 +114,7 @@ class TestChaosPlan:
 
     def test_seeded_steps_always_land(self):
         for seed in range(5):
-            plan = ChaosPlan.seeded(
+            plan = FaultPlan.seeded_fleet(
                 seed=seed, n_sessions=5, n_steps=4, workers=2, n_kills=1
             )
             for fault in plan.stalls() + plan.kills():
@@ -126,40 +132,45 @@ class TestChaosPlan:
         base = dict(seed=0, n_sessions=4, n_steps=4, workers=2)
         base.update(kwargs)
         with pytest.raises(ValueError):
-            ChaosPlan.seeded(**base)
+            FaultPlan.seeded_fleet(**base)
 
 
 class TestCampaignConfig:
     def test_fault_must_fit_fleet(self):
-        plan = ChaosPlan(faults=(StepStall(at_step=1, session_index=9),))
+        plan = FaultPlan(faults=(StepStall(at_step=1, session_index=9),))
         with pytest.raises(ValueError, match="targets session"):
             CampaignConfig(name="x", plan=plan, sessions=3, steps=3)
 
     def test_fault_step_must_land(self):
-        plan = ChaosPlan(faults=(SessionKill(at_step=3, session_index=0),))
+        plan = FaultPlan(faults=(SessionKill(at_step=3, session_index=0),))
         with pytest.raises(ValueError, match="can never land"):
             CampaignConfig(name="x", plan=plan, sessions=3, steps=3)
 
     def test_consumers_need_http(self):
-        plan = ChaosPlan(faults=(SlowConsumer(session_index=0),))
+        plan = FaultPlan(faults=(SlowConsumer(session_index=0),))
         with pytest.raises(ValueError, match="use_http"):
             CampaignConfig(name="x", plan=plan, sessions=3, steps=3)
 
     def test_journal_excludes_http(self):
-        plan = ChaosPlan(faults=(JournalTruncate(at_step=2),))
+        plan = FaultPlan(faults=(JournalTruncate(at_step=2),))
         with pytest.raises(ValueError, match="HTTP front"):
             CampaignConfig(
                 name="x", plan=plan, sessions=3, steps=3, use_http=True
             )
 
     def test_journal_excludes_kills(self):
-        plan = ChaosPlan(
+        plan = FaultPlan(
             faults=(
                 JournalTruncate(at_step=2),
                 SessionKill(at_step=1, session_index=0),
             )
         )
         with pytest.raises(ValueError, match="cannot also"):
+            CampaignConfig(name="x", plan=plan, sessions=3, steps=3)
+
+    def test_machine_faults_rejected(self):
+        plan = FaultPlan(faults=(RankCrash(step=1, rank=1),))
+        with pytest.raises(ValueError, match="service-layer faults only"):
             CampaignConfig(name="x", plan=plan, sessions=3, steps=3)
 
     def test_specs_are_per_session_deterministic(self):
@@ -173,7 +184,7 @@ class TestCampaignConfig:
 
 def _crash_config(name: str = "mini-crash") -> CampaignConfig:
     """A small campaign exercising crash + stall + kill + storm at once."""
-    plan = ChaosPlan(
+    plan = FaultPlan(
         faults=(
             WorkerCrash(at_step=2, worker=0),
             StepStall(at_step=1, session_index=0, seconds=0.5),
@@ -209,7 +220,7 @@ class TestRunCampaign:
         assert report.journal_skipped_lines == -1
 
     def test_verdict_is_deterministic_across_reruns(self):
-        plan = ChaosPlan(
+        plan = FaultPlan(
             faults=(
                 WorkerCrash(at_step=2, worker=1),
                 SessionKill(at_step=1, session_index=2),
@@ -223,17 +234,15 @@ class TestRunCampaign:
         assert first == second
         assert first["ok"] is True
 
-    def test_journal_truncate_campaign(self, tmp_path):
-        plan = ChaosPlan(faults=(JournalTruncate(at_step=4, nbytes=5),))
+    def test_journal_truncate_campaign(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = FaultPlan(faults=(JournalTruncate(at_step=4, nbytes=5),))
         config = CampaignConfig(
-            name="mini-truncate",
-            plan=plan,
-            sessions=3,
-            steps=3,
-            workers=2,
-            journal_dir=str(tmp_path),
+            name="mini-truncate", plan=plan, sessions=3, steps=3, workers=2
         )
         report = run_campaign(config)
+        # the journal lived exactly as long as the campaign
+        assert list(tmp_path.iterdir()) == []
         assert report.ok, report.verdict()
         assert report.truncation_expected == 1
         assert report.journal_skipped_lines == 1
@@ -242,15 +251,10 @@ class TestRunCampaign:
         assert report.signature_ok
         assert report.journal_records > 0
 
-    def test_journal_corrupt_campaign(self, tmp_path):
-        plan = ChaosPlan(faults=(JournalCorrupt(at_step=4, line=2),))
+    def test_journal_corrupt_campaign(self):
+        plan = FaultPlan(faults=(JournalCorrupt(at_step=4, line=2),))
         config = CampaignConfig(
-            name="mini-corrupt",
-            plan=plan,
-            sessions=3,
-            steps=3,
-            workers=2,
-            journal_dir=str(tmp_path),
+            name="mini-corrupt", plan=plan, sessions=3, steps=3, workers=2
         )
         report = run_campaign(config)
         assert report.ok, report.verdict()
@@ -275,18 +279,20 @@ class TestSuites:
     def test_suite_names_validated(self):
         with pytest.raises(ValueError, match="unknown suite"):
             build_suite("violent")
+        with pytest.raises(ValueError, match="unknown suite"):
+            build_suite("quick")  # the soak's suite, not a fleet suite
 
     def test_quick_suite_shape(self):
-        campaigns = build_suite("quick", seed=0)
+        campaigns = build_suite("fleet-quick", seed=0)
         assert [c.name for c in campaigns] == ["worker-crash", "journal-truncate"]
         assert all(isinstance(c, CampaignConfig) for c in campaigns)
         # seeded construction is reproducible
-        again = build_suite("quick", seed=0)
+        again = build_suite("fleet-quick", seed=0)
         assert [c.plan for c in campaigns] == [c.plan for c in again]
 
     def test_full_suite_extends_quick(self):
-        quick = build_suite("quick", seed=1)
-        full = build_suite("full", seed=1)
+        quick = build_suite("fleet-quick", seed=1)
+        full = build_suite("fleet-full", seed=1)
         assert [c.name for c in full[: len(quick)]] == [c.name for c in quick]
         assert len(full) > len(quick)
         assert any(c.use_http for c in full)

@@ -180,6 +180,25 @@ class TestFaultsCommand:
         assert "recovery decisions" in out
         assert flight_path.exists()
 
+    def test_mumbai_suite_json_reports_every_checkpoint(self, capsys):
+        import json
+
+        assert main(["faults", "run", "--suite", "mumbai", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True and report["violations"] == []
+        assert report["checks_run"] == {
+            "audit.tiling": 114,
+            "execute.conservation": 76,
+            "ledger.busiest_link": 8,
+            "ledger.totals": 1,
+            "linkstate.conservation": 19,
+            "pda.coverage": 20,
+            "plan.conservation": 19,
+            "scatter.tiling": 38,
+            "tree.invariants": 19,
+        }
+        assert (report["data_checks"], report["data_failures"]) == (114, 0)
+
     def test_seed_override_accepted(self, capsys):
         assert main(["faults", "run", "--suite", "quick", "--seed", "7"]) in (0, 1)
         assert "seed" in capsys.readouterr().out

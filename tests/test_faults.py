@@ -126,10 +126,16 @@ class TestFaultPlan:
 
     def test_describe_mentions_every_fault(self):
         plan = FaultPlan(
-            (RankCrash(1, 5), SplitFileFault(2, 3, mode="corrupt"))
+            (
+                RankCrash(1, 5),
+                SplitFileFault(2, 3, mode="corrupt"),
+                SplitFileFault(4, 6, mode="truncate"),
+            )
         )
         text = plan.describe()
-        assert "rank 5 crashes" in text and "split file 3 corruptd" in text
+        assert "rank 5 crashes" in text
+        assert "split file 3 corrupted" in text
+        assert "split file 6 truncated" in text
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +667,14 @@ class TestSoak:
         assert report.recovery_steps  # at least one recovery happened
         assert report.data_checks > 0
         assert audit.recoveries
+        # the whole run was sanitized, crashes and recoveries included
+        assert report.total_checks >= 80 and report.violations == []
+        assert report.checks_run["recovery.rebuild"] > 0
         assert run_soak(SUITES["quick"]).to_dict() == report.to_dict()
 
     def test_quick_soak_flight_log_shows_the_healing_chain(self):
         flight = FlightRecorder()
-        ledger = CommLedger(SUITES["quick"].ncores)
+        ledger = CommLedger(SUITES["quick"].machine().ncores)
         with use_flight_recorder(flight):
             report = run_soak(SUITES["quick"], ledger=ledger)
         assert report.ok
@@ -693,7 +702,33 @@ class TestSoak:
         report = run_soak(SUITES["full"])
         assert report.ok
         assert report.pda_runs > 0 and report.pda_partial > 0
+        # split-file faults fire in damage_files, and count as applied too
+        assert report.n_faults_planned == report.n_faults_applied == 8
         assert "verdict" in format_soak_report(report)
+
+    def test_dropped_nests_stay_dropped(self):
+        # Corrupting one block every step leaves no verified checkpoint,
+        # so the nests the crash hits cannot be restored: recovery drops
+        # them, and later steps of the workload must not bring them back.
+        live_after = []
+
+        def tamper(store, step):
+            live_after.append({nid for blocks in store.blocks.values() for nid in blocks})
+            rank = min(store.blocks)
+            block, _rect = store.blocks[rank][min(store.blocks[rank])]
+            block += 1e-12
+
+        flight = FlightRecorder()
+        with use_flight_recorder(flight):
+            report = run_soak(SUITES["quick"], tamper=tamper)
+        dropped = {
+            ev.data["nest"] for ev in flight.events() if ev.kind == "recovery.drop_nest"
+        }
+        assert not report.ok
+        assert report.dropped_nests == len(dropped) > 0
+        (recovery_step,) = report.recovery_steps
+        for live in live_after[recovery_step:]:
+            assert not live & dropped
 
     def test_custom_config_seed_changes_the_plan(self):
         import dataclasses

@@ -730,7 +730,7 @@ class TestR009Swallow:
         """
         assert rule_ids(src, select=["R009"]) == []
 
-    def test_faults_package_exempt(self):
+    def test_faults_package_not_exempt(self):
         src = """
         def absorb():
             try:
@@ -738,11 +738,8 @@ class TestR009Swallow:
             except ValueError:
                 pass
         """
-        assert rule_ids(src, module="repro.faults.injector", select=["R009"]) == []
-        assert rule_ids(src, module="repro.faults", select=["R009"]) == []
-        # a module merely *named* like it is not exempt
         assert "R009" in rule_ids(
-            src, module="repro.faultsy.thing", select=["R009"]
+            src, module="repro.faults.injector", select=["R009"]
         )
 
 
@@ -873,7 +870,6 @@ class TestR015FireAndForget:
             asyncio.create_task(work())
         """
         assert rule_ids(src, module="repro.serve.scheduler", select=["R015"]) == []
-        assert rule_ids(src, module="repro.chaos.harness", select=["R015"]) == []
 
     def test_other_serve_modules_not_exempt(self):
         src = """

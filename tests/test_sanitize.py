@@ -5,9 +5,10 @@ Three layers:
 * activation — scoped > environment > disabled, with the env read
   cached once;
 * unit checks — each checkpoint catches a hand-tampered object;
-* end-to-end — the flagship Mumbai trace passes clean under
-  ``repro sanitize run``, and an injected conservation bug (a block
-  silently deleted from the data plane) is detected.
+* end-to-end — the flagship Mumbai trace passes clean under the fault
+  soak's always-armed sanitizer (``repro faults run --suite mumbai``),
+  and an injected conservation bug (a block silently deleted from the
+  data plane) is detected.
 """
 
 from types import SimpleNamespace
@@ -15,6 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.experiments.workloads import synthetic_workload
+from repro.faults import SoakConfig, format_soak_report, run_soak
 from repro.mpisim.ledger import CommLedger
 from repro.obs.flight import FlightRecorder, use_flight_recorder
 from repro.sanitize import (
@@ -25,11 +28,15 @@ from repro.sanitize import (
     use_sanitizer,
 )
 from repro.sanitize import hooks as sanitize_hooks
-from repro.sanitize.runner import (
-    build_workload,
-    format_sanitize_report,
-    run_sanitized,
-)
+
+
+def run_fault_free(seed, n_steps, tamper=None):
+    """A fault-free soak over the paper's synthetic churn (nests resize)."""
+    config = SoakConfig(
+        name="synthetic", seed=seed, n_steps=n_steps, n_crashes=0, n_flaky_steps=0
+    )
+    return run_soak(config, synthetic_workload(seed=seed, n_steps=n_steps), tamper=tamper)
+
 
 # ---------------------------------------------------------------------------
 # activation
@@ -146,7 +153,11 @@ class TestCheckpoints:
 
 class TestRunSanitized:
     def test_flagship_trace_passes_clean(self):
-        report = run_sanitized("mumbai", seed=2005, n_steps=10)
+        config = SoakConfig(
+            name="mumbai", seed=2005, n_steps=10, workload="mumbai",
+            n_crashes=0, n_flaky_steps=0,
+        )
+        report = run_soak(config)
         assert report.ok, [str(v) for v in report.violations[:5]]
         # every checkpoint family fired, including PDA (the trace runs
         # the full analysis pipeline while being built)
@@ -170,7 +181,7 @@ class TestRunSanitized:
                         del store.blocks[rank][nid]
                         return
 
-        report = run_sanitized("synthetic", seed=7, n_steps=7, tamper=tamper)
+        report = run_fault_free(7, 7, tamper=tamper)
         assert not report.ok
         checks = {v.check for v in report.violations}
         assert "audit.tiling" in checks  # points lost from the tiling
@@ -185,44 +196,25 @@ class TestRunSanitized:
                         block += 1e-12  # tiling intact, bits wrong
                         return
 
-        report = run_sanitized("synthetic", seed=7, n_steps=6, tamper=tamper)
+        report = run_fault_free(7, 6, tamper=tamper)
         assert not report.ok
         checks = {v.check for v in report.violations}
         assert checks == {"audit.data"}
 
-    def test_strict_run_raises_on_injected_bug(self):
-        def tamper(store, step):
-            for rank in sorted(store.blocks):
-                for nid in sorted(store.blocks[rank]):
-                    del store.blocks[rank][nid]
-                    return
-
-        with pytest.raises(SanitizeError):
-            run_sanitized("synthetic", seed=7, n_steps=3, strict=True, tamper=tamper)
-
     def test_report_formats_and_serializes(self):
-        report = run_sanitized("synthetic", seed=3, n_steps=5)
-        text = format_sanitize_report(report)
-        assert "verdict:       OK" in text
+        report = run_fault_free(3, 5)
+        text = format_soak_report(report)
+        assert "verdict" in text and "OK" in text and "audit.tiling" in text
         d = report.to_dict()
         assert d["ok"] is True and d["total_checks"] == report.total_checks
 
     def test_build_workload_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            build_workload("nope", seed=0, n_steps=3)
-
-    def test_cli_sanitize_run_exits_zero(self, capsys):
-        from repro.cli import main
-
-        rc = main(
-            ["sanitize", "run", "--workload", "synthetic", "--steps", "4", "--seed", "3"]
-        )
-        assert rc == 0
-        assert "verdict:       OK" in capsys.readouterr().out
+        with pytest.raises(ValueError, match="unknown soak workload"):
+            SoakConfig(name="nope", workload="nope")
 
     def test_ground_truth_survives_resize_and_churn(self):
         # a longer synthetic soak of the runner itself: nests come, go
         # and resize; every step must stay conserved and bit-identical
-        report = run_sanitized("synthetic", seed=11, n_steps=15)
+        report = run_fault_free(11, 15)
         assert report.ok
         assert report.checks_run["audit.tiling"] == report.data_checks
