@@ -37,7 +37,7 @@ from repro.grid.procgrid import ProcessorGrid
 from repro.grid.rect import Rect
 from repro.sanitize.hooks import get_sanitizer
 from repro.mpisim.comm import SimComm
-from repro.obs import get_flight_recorder, get_recorder
+from repro.obs import get_recorder
 
 __all__ = [
     "PDAConfig",
@@ -273,7 +273,7 @@ def parallel_data_analysis(
         clusters = nearest_neighbour_clustering(qcloudinfo, config.nnc)
         rectangles = clusters_to_rectangles(clusters, config.min_roi_area)
         if partial:
-            get_flight_recorder().emit(
+            get_recorder().emit(
                 "pda.partial",
                 missing=n_missing,
                 corrupt=n_corrupt,

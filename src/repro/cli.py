@@ -495,9 +495,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_baseline(result, path)
         print(f"\nbaseline -> {path}")
     if args.trace:
-        from repro.obs import InMemoryRecorder, use_recorder, write_chrome_trace
+        from repro.obs import FlightRecorder, use_recorder, write_chrome_trace
 
-        recorder = InMemoryRecorder()
+        recorder = FlightRecorder()
         with use_recorder(recorder):
             from repro.core import DiffusionStrategy
             from repro.experiments import synthetic_workload
@@ -564,24 +564,22 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
     from repro.obs import (
         AuditTrail,
         FlightRecorder,
-        InMemoryRecorder,
         format_flight,
         format_report,
-        use_flight_recorder,
+        use_recorder,
     )
     from repro.topology import MACHINES
 
     machine = MACHINES[args.machine]
-    recorder = InMemoryRecorder()
+    recorder = FlightRecorder()
     trail = AuditTrail()
-    flight = FlightRecorder()
     if getattr(args, "workload", "synthetic") == "mumbai":
         workload = mumbai_trace_workload(seed=args.seed, n_steps=args.steps)
     else:
         workload = synthetic_workload(seed=args.seed, n_steps=args.steps)
-    context = ExperimentContext(machine, recorder=recorder, audit=trail)
+    context = ExperimentContext(machine, audit=trail)
     ledgers: dict[str, CommLedger] = {}
-    with use_flight_recorder(flight):
+    with use_recorder(recorder):
         for strategy in (
             ScratchStrategy(),
             DiffusionStrategy(),
@@ -592,7 +590,7 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
             run = run_workload(workload, strategy, context)
             ledgers[run.strategy] = ledger
     if args.export_flight:
-        flight.write_jsonl(args.export_flight)
+        recorder.write_jsonl(args.export_flight)
         print(f"flight log -> {args.export_flight}", file=sys.stderr)
     sections = [
         (
@@ -603,7 +601,7 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
                 f"{args.steps} steps x 3 strategies",
             ),
         ),
-        ("flight recorder", format_flight(flight, tail=args.tail)),
+        ("flight recorder", format_flight(recorder, tail=args.tail)),
         ("adaptation audit trail", trail.accuracy_report()),
     ]
     for name, ledger in ledgers.items():
@@ -640,7 +638,7 @@ def _run_soak_suite(args: argparse.Namespace) -> tuple[bool, FlightRecorder]:
 
     from repro.faults import SUITES, format_soak_report, run_soak
     from repro.mpisim.ledger import CommLedger, format_ledger
-    from repro.obs import AuditTrail, FlightRecorder, use_flight_recorder
+    from repro.obs import AuditTrail, FlightRecorder, use_recorder
 
     config = SUITES[args.suite]
     if args.seed is not None:
@@ -648,7 +646,7 @@ def _run_soak_suite(args: argparse.Namespace) -> tuple[bool, FlightRecorder]:
     audit = AuditTrail()
     flight = FlightRecorder()
     ledger = CommLedger(config.machine().ncores)
-    with use_flight_recorder(flight):
+    with use_recorder(flight):
         report = run_soak(config, audit=audit, ledger=ledger)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -34,7 +34,7 @@ from repro.grid.overlap import TransferMatrix, transfer_matrix
 from repro.grid.rect import Rect
 from repro.mpisim.alltoallv import messages_from_transfer
 from repro.mpisim.ledger import CommLedger
-from repro.obs import get_flight_recorder, get_recorder
+from repro.obs import get_recorder
 from repro.sanitize.hooks import get_sanitizer
 from repro.util.rng import make_rng
 from repro.util.validation import check_positive
@@ -570,7 +570,7 @@ def execute_redistribution_with_retry(
         raise ValueError(f"timeout must be > 0, got {timeout}")
     policy = policy or BackoffPolicy()
     rng = make_rng((seed * 1_000_003 + nest_id) % 2**63)
-    flight = get_flight_recorder()
+    flight = get_recorder()
 
     # The wire traffic of one try, for retry attribution and execution.
     plan_transfer = transfer_matrix(

@@ -25,7 +25,7 @@ from repro.core.scratch import ScratchStrategy
 from repro.core.strategy import ReallocationStrategy
 from repro.grid.procgrid import ProcessorGrid
 from repro.mpisim.costmodel import CostModel
-from repro.obs import get_flight_recorder
+from repro.obs import get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
 from repro.topology.machines import MachineSpec
 
@@ -176,7 +176,7 @@ class DynamicStrategy(ReallocationStrategy):
         )
         choice = candidates.choice
         self.history.append(choice)
-        get_flight_recorder().emit(
+        get_recorder().emit(
             "dynamic.choice",
             chosen=choice.chosen,
             scratch_exec=choice.scratch_exec,

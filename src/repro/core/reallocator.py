@@ -20,7 +20,7 @@ from repro.core.redistribution import RedistributionPlan, plan_redistribution
 from repro.core.strategy import ReallocationStrategy
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.netsim import LinkLoadState, NetworkSimulator
-from repro.obs import AuditTrail, get_flight_recorder, get_recorder
+from repro.obs import AuditTrail, get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
 from repro.topology.machines import MachineSpec
 from repro.util.logging import get_logger
@@ -90,22 +90,15 @@ class ProcessorReallocator:
             if nx < 1 or ny < 1:
                 raise ValueError(f"nest {nid} has invalid size {nx}x{ny}")
         recorder = get_recorder()
-        flight = get_flight_recorder()
         recorder.gauge("realloc.n_nests", len(nests))
-        flight.emit(
-            "adapt.start",
+        with recorder.span(
+            "adapt",
             step=self.step_count,
             strategy=self.strategy.name,
             n_nests=len(nests),
             px=self.grid.px,
             py=self.grid.py,
-        )
-        with recorder.span(
-            "realloc.step",
-            step=self.step_count,
-            strategy=self.strategy.name,
-            n_nests=len(nests),
-        ):
+        ) as span:
             old = self.allocation
             old_ids = set(old.rects) if old is not None else set()
             with recorder.span("realloc.weights"):
@@ -132,33 +125,33 @@ class ProcessorReallocator:
                         self.flow_level,
                         link_state=self.link_state,
                     )
-        for nid in sorted(new_alloc.rects):
-            rect = new_alloc.rects[nid]
-            flight.emit(
-                "alloc.rect",
-                step=self.step_count,
-                nest=nid,
-                x=rect.x0,
-                y=rect.y0,
-                w=rect.w,
-                h=rect.h,
+            for nid in sorted(new_alloc.rects):
+                rect = new_alloc.rects[nid]
+                recorder.emit(
+                    "alloc.rect",
+                    step=self.step_count,
+                    nest=nid,
+                    x=rect.x0,
+                    y=rect.y0,
+                    w=rect.w,
+                    h=rect.h,
+                )
+            for nid in sorted(set(nests) - old_ids):
+                nx, ny = nests[nid]
+                recorder.emit(
+                    "nest.insert", step=self.step_count, nest=nid, nx=nx, ny=ny
+                )
+            for nid in sorted(old_ids & set(nests)):
+                nx, ny = nests[nid]
+                recorder.emit(
+                    "nest.retain", step=self.step_count, nest=nid, nx=nx, ny=ny
+                )
+            for nid in sorted(old_ids - set(nests)):
+                recorder.emit("nest.delete", step=self.step_count, nest=nid)
+            span.tag(
+                redist_predicted=plan.predicted_time if plan else 0.0,
+                redist_measured=plan.measured_time if plan else 0.0,
             )
-        for nid in sorted(set(nests) - old_ids):
-            nx, ny = nests[nid]
-            flight.emit("nest.insert", step=self.step_count, nest=nid, nx=nx, ny=ny)
-        for nid in sorted(old_ids & set(nests)):
-            nx, ny = nests[nid]
-            flight.emit("nest.retain", step=self.step_count, nest=nid, nx=nx, ny=ny)
-        for nid in sorted(old_ids - set(nests)):
-            flight.emit("nest.delete", step=self.step_count, nest=nid)
-        flight.emit(
-            "adapt.end",
-            step=self.step_count,
-            strategy=self.strategy.name,
-            n_nests=len(nests),
-            redist_predicted=plan.predicted_time if plan else 0.0,
-            redist_measured=plan.measured_time if plan else 0.0,
-        )
         self.allocation = new_alloc
         self.nest_sizes = dict(nests)
         self.step_count += 1

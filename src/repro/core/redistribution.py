@@ -25,7 +25,7 @@ from repro.mpisim.alltoallv import (
 )
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.netsim import LinkLoadState, NetworkSimulator
-from repro.obs import get_flight_recorder, get_recorder
+from repro.obs import get_recorder
 from repro.perfmodel.redisttime import measure_redistribution_time
 from repro.sanitize.hooks import get_sanitizer
 from repro.topology.machines import MachineSpec
@@ -126,7 +126,7 @@ def plan_redistribution(
         per_nest_msgs.append(msgs)
         total_points += t.total_points
         local_points += t.local_points
-        get_flight_recorder().emit(
+        get_recorder().emit(
             "redist.round",
             nest=nid,
             n_messages=len(msgs),

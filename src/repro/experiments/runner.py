@@ -24,16 +24,7 @@ from repro.grid.procgrid import ProcessorGrid
 from repro.mpisim.alltoallv import MessageSet
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.ledger import CommLedger
-from repro.obs import (
-    AdaptationAudit,
-    AuditTrail,
-    FlightTap,
-    Recorder,
-    Timeline,
-    get_flight_recorder,
-    get_recorder,
-    use_recorder,
-)
+from repro.obs import ADAPTATION_SPAN, AdaptationAudit, AuditTrail, get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
 from repro.sanitize.hooks import get_sanitizer
 from repro.perfmodel.groundtruth import ExecutionOracle
@@ -54,19 +45,14 @@ __all__ = [
 class ExperimentContext:
     """Shared fixtures of one experiment: machine, oracle, predictor, cost.
 
-    ``recorder`` opts the run into telemetry: when set, every workload
-    driven through this context records its spans there (the ambient
-    recorder is used otherwise, which defaults to the no-op one).
+    Telemetry goes to the ambient recorder (:func:`~repro.obs.get_recorder`);
+    scope one with :func:`~repro.obs.use_recorder` around the run.
     ``audit`` opts the run into the adaptation audit trail: every
     adaptation point appends one :class:`~repro.obs.audit.AdaptationAudit`
     with both candidates' predicted costs and the observed outcome (for
     non-dynamic strategies the candidates are computed on the side — extra
     prediction work, so it is off by default).  ``ledger`` opts into
     per-rank traffic accounting of every executed redistribution.
-    ``tap`` opts into live flight-event streaming: when set, every stepper
-    driven through this context attaches it to the ambient flight ring,
-    so subscribers (:meth:`~repro.obs.stream.FlightTap.subscribe`) watch
-    the run's events as they happen (no subscribers → no overhead).
     """
 
     machine: MachineSpec
@@ -74,10 +60,8 @@ class ExperimentContext:
     cost: CostModel | None = None
     predictor: ExecTimePredictor | None = None
     profile_seed: int = 1234
-    recorder: Recorder | None = None
     audit: AuditTrail | None = None
     ledger: CommLedger | None = None
-    tap: FlightTap | None = None
 
     def __post_init__(self) -> None:
         if self.cost is None:
@@ -135,10 +119,9 @@ class WorkloadStepper:
     :func:`run_workload` is a thin loop over this class; the multi-tenant
     scheduler (:mod:`repro.serve`) interleaves many steppers in one
     process, advancing each a single adaptation point at a time.  Each
-    :meth:`advance` call scopes the context's recorder for exactly its
-    own duration, so concurrent steppers driven from worker threads
-    (``asyncio.to_thread`` copies the ambient context) never record into
-    each other's telemetry.
+    :meth:`advance` records into the ambient recorder, so a caller that
+    scopes its own (a serve session scopes its ring around every step)
+    keeps concurrent steppers out of each other's telemetry.
 
     The stepper owns everything mutable about the run — the reallocator,
     the execution-noise RNG, the collected metrics — so a (workload,
@@ -168,10 +151,6 @@ class WorkloadStepper:
         self.metrics: list[StepMetrics] = []
         self.allocations: list[Allocation] = []
         self._rng = make_rng(exec_noise_seed)
-        self._recorder = (
-            context.recorder if context.recorder is not None else get_recorder()
-        )
-        self._timeline = Timeline(self._recorder)
         self.next_step = 0
 
     @property
@@ -190,15 +169,10 @@ class WorkloadStepper:
         assert context.predictor is not None
         i = self.next_step
         nests = self.workload.steps[i]
-        with use_recorder(self._recorder):
-            if context.tap is not None:
-                # idempotent: re-attaching on every advance keeps the tap
-                # following the ring even when callers re-scope it
-                get_flight_recorder().attach_tap(context.tap)
-            old_alloc = self.realloc.allocation
-            with self._timeline.adaptation_point(
-                step=i, strategy=strategy.name, n_nests=len(nests)
-            ):
+        recorder = get_recorder()
+        old_alloc = self.realloc.allocation
+        with recorder.bind(step=i, strategy=strategy.name):
+            with recorder.span(ADAPTATION_SPAN, n_nests=len(nests)):
                 result = self.realloc.step(nests)
                 alloc = result.allocation
                 plan = result.plan
@@ -213,37 +187,37 @@ class WorkloadStepper:
                 exec_actual = _actual_exec_time(
                     alloc, nests, context.oracle, self._rng
                 )
-            choice = ""
-            if isinstance(strategy, DynamicStrategy) and strategy.history:
-                choice = strategy.history[-1].chosen
-            if context.audit is not None:
-                _record_audit(
-                    context,
-                    strategy,
-                    old_alloc,
-                    result,
-                    step=i,
-                    nests=nests,
-                    exec_pred=exec_pred,
-                    exec_actual=exec_actual,
-                    chosen=choice,
-                    grid=self.realloc.grid,
-                )
-            if context.ledger is not None and result.plan is not None:
-                _feed_ledger(context.ledger, result, self.realloc, step=i)
-            metric = StepMetrics(
+        choice = ""
+        if isinstance(strategy, DynamicStrategy) and strategy.history:
+            choice = strategy.history[-1].chosen
+        if context.audit is not None:
+            _record_audit(
+                context,
+                strategy,
+                old_alloc,
+                result,
                 step=i,
-                n_nests=len(nests),
-                n_retained=len(result.retained),
-                predicted_redist=plan.predicted_time if plan else 0.0,
-                measured_redist=plan.measured_time if plan else 0.0,
-                hop_bytes_avg=plan.hop_bytes_avg if plan else 0.0,
-                hop_bytes_total=plan.hop_bytes_total if plan else 0.0,
-                overlap_fraction=plan.overlap_fraction if plan else 1.0,
-                exec_predicted=exec_pred,
+                nests=nests,
+                exec_pred=exec_pred,
                 exec_actual=exec_actual,
-                strategy_choice=choice,
+                chosen=choice,
+                grid=self.realloc.grid,
             )
+        if context.ledger is not None and result.plan is not None:
+            _feed_ledger(context.ledger, result, self.realloc, step=i)
+        metric = StepMetrics(
+            step=i,
+            n_nests=len(nests),
+            n_retained=len(result.retained),
+            predicted_redist=plan.predicted_time if plan else 0.0,
+            measured_redist=plan.measured_time if plan else 0.0,
+            hop_bytes_avg=plan.hop_bytes_avg if plan else 0.0,
+            hop_bytes_total=plan.hop_bytes_total if plan else 0.0,
+            overlap_fraction=plan.overlap_fraction if plan else 1.0,
+            exec_predicted=exec_pred,
+            exec_actual=exec_actual,
+            strategy_choice=choice,
+        )
         self.metrics.append(metric)
         self.allocations.append(alloc)
         self.next_step += 1
@@ -382,7 +356,7 @@ def _feed_ledger(
         sanitizer = get_sanitizer()
         if sanitizer.enabled:
             sanitizer.after_busiest_link(load, contributions)
-        flight = get_flight_recorder()
+        flight = get_recorder()
         top = sorted(contributions.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
         flight.emit(
             "link.heat",

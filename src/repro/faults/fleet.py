@@ -60,7 +60,7 @@ from repro.faults.plan import (
     TapStorm,
 )
 from repro.faults.soak import verdict_ok
-from repro.obs.flight import FlightRecorder
+from repro.obs.recorder import FlightRecorder
 from repro.obs.stream import TapSubscription
 from repro.sanitize import Sanitizer, use_sanitizer
 from repro.serve.api import ServeServer

@@ -28,7 +28,7 @@ from repro.faults.plan import (
 )
 from repro.mpisim.comm import SimComm
 from repro.mpisim.netsim import NetworkSimulator
-from repro.obs import get_flight_recorder
+from repro.obs import get_recorder
 
 __all__ = ["FaultInjector"]
 
@@ -65,7 +65,7 @@ class FaultInjector:
         infrastructure, so they fire when the files pass through
         :meth:`damage_files`.
         """
-        flight = get_flight_recorder()
+        flight = get_recorder()
         fired: list[MachineFault] = []
         for fault in self.plan.at_step(step):
             if isinstance(fault, RankCrash):
@@ -117,7 +117,7 @@ class FaultInjector:
         PDA's finiteness check must catch.  Out-of-range file indices are
         ignored — a plan written for a larger grid degrades gracefully.
         """
-        flight = get_flight_recorder()
+        flight = get_recorder()
         damaged = list(files)
         for fault in self.plan.at_step(step):
             if not isinstance(fault, SplitFileFault):

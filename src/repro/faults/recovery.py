@@ -39,7 +39,7 @@ from repro.core.dataplane import RankStore, scatter_nest
 from repro.core.invariants import check_tiling, check_tree_consistency
 from repro.faults.checkpoint import Checkpoint
 from repro.grid.procgrid import ProcessorGrid
-from repro.obs import AuditTrail, RecoveryDecision, get_flight_recorder
+from repro.obs import AuditTrail, RecoveryDecision, get_recorder
 from repro.sanitize.hooks import get_sanitizer
 from repro.tree.edit import diffusion_edit
 
@@ -113,7 +113,7 @@ class HealthView:
     def detect(self, step: int) -> list[int]:
         """Declare and return every newly-dead rank as of ``step``."""
         found = self.suspects(step)
-        flight = get_flight_recorder()
+        flight = get_recorder()
         for rank in found:
             self.declare_dead(rank)
             flight.emit("fault.detected", step=step, rank=rank)
@@ -277,7 +277,7 @@ def recover_from_rank_failure(
     if old_alloc is None:
         raise RecoveryError("no allocation exists yet; nothing to recover")
     old_grid = reallocator.grid
-    flight = get_flight_recorder()
+    flight = get_recorder()
     flight.emit(
         "recovery.start",
         step=reallocator.step_count,

@@ -66,7 +66,7 @@ from repro.faults.recovery import HealthView
 from repro.grid.block import BlockDecomposition
 from repro.grid.procgrid import ProcessorGrid
 from repro.mpisim.ledger import CommLedger
-from repro.obs import AuditTrail, get_flight_recorder
+from repro.obs import AuditTrail, get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
 from repro.perfmodel.groundtruth import ExecutionOracle
 from repro.perfmodel.profiles import ProfileTable
@@ -346,7 +346,7 @@ def _audit_data(
         detail = ""
     if not intact:
         report.data_failures += 1
-        get_flight_recorder().emit("soak.data_mismatch", step=step, nest=nest_id)
+        get_recorder().emit("soak.data_mismatch", step=step, nest=nest_id)
         sanitizer.record_violation(
             "audit.data",
             f"step {step}: nest {nest_id} data differs from the seeded "
@@ -376,7 +376,7 @@ def run_soak(
     machine = config.machine()
     plan = config.fault_plan(machine)
     sanitizer = Sanitizer()
-    flight = get_flight_recorder()
+    flight = get_recorder()
     with use_sanitizer(sanitizer):
         if workload is None:
             workload = config.build_workload()

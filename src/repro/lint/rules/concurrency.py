@@ -80,7 +80,6 @@ SHARED_CLASSES = (
     "RankStore",
     "AuditTrail",
     "FlightRecorder",
-    "InMemoryRecorder",
 )
 
 

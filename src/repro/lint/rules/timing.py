@@ -1,8 +1,8 @@
 """R007 — wall-clock reads must flow through ``repro.obs``.
 
 Telemetry is centralised: :mod:`repro.obs` owns the clock so spans share
-one origin, the no-op recorder can make instrumentation free, and bench
-baselines stay comparable.  Ad-hoc ``time.perf_counter()`` /
+one origin and land on the flight timeline beside the decisions, and
+bench baselines stay comparable.  Ad-hoc ``time.perf_counter()`` /
 ``time.time()`` calls scattered through the library fragment the timing
 story (mixed clock sources, no tags, invisible to the exporters) — record
 a span or counter instead.

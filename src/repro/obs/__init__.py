@@ -1,20 +1,21 @@
-"""repro.obs — the telemetry subsystem (spans, counters, trace export).
+"""repro.obs — the telemetry subsystem (one event ring, trace export).
 
-The library's only performance surface: nestable timed spans and
-counters/gauges behind a :class:`~repro.obs.recorder.Recorder` protocol
-(default: a true no-op), a per-adaptation-point
-:class:`~repro.obs.timeline.Timeline`, an always-on bounded
-:class:`~repro.obs.flight.FlightRecorder` event ring, the
+The library's only performance surface is one always-on, bounded
+:class:`~repro.obs.recorder.FlightRecorder`: decision events, nestable
+timed spans (each a ``.start``/``.end`` event pair on the same ring,
+with a running per-name duration digest) and counters/gauges.  Around
+it: per-adaptation-point queries (:mod:`repro.obs.timeline`), the
 :class:`~repro.obs.audit.AuditTrail` of per-adaptation-point strategy
 decisions, exporters (Chrome trace-event JSON, flat metrics snapshot,
-text/HTML reports), and the ``repro bench`` pinned perf-baseline suite
-with its :func:`~repro.obs.compare.compare_bench` regression gate.
+text/HTML reports, flight JSONL), and the ``repro bench`` pinned
+perf-baseline suite with its :func:`~repro.obs.compare.compare_bench`
+regression gate.
 
 Quick start::
 
-    from repro.obs import InMemoryRecorder, format_report, use_recorder
+    from repro.obs import FlightRecorder, format_report, use_recorder
 
-    rec = InMemoryRecorder()
+    rec = FlightRecorder()
     with use_recorder(rec):
         run_workload(workload, strategy, context)
     print(format_report(rec))
@@ -62,30 +63,28 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.flight import (
-    DEFAULT_FLIGHT_CAPACITY,
-    FlightEvent,
     FlightLog,
-    FlightRecorder,
-    NullFlightRecorder,
     format_flight,
-    get_flight_recorder,
     load_flight_jsonl,
     replay_flight,
-    set_flight_recorder,
-    use_flight_recorder,
 )
 from repro.obs.recorder import (
-    NULL_RECORDER,
-    InMemoryRecorder,
-    NullRecorder,
-    Recorder,
+    DEFAULT_FLIGHT_CAPACITY,
+    FlightEvent,
+    FlightRecorder,
     SpanRecord,
     TagValue,
     get_recorder,
     set_recorder,
     use_recorder,
 )
-from repro.obs.stats import PhaseStats, percentile, summarise
+from repro.obs.stats import (
+    DIGEST_WINDOW,
+    PhaseStats,
+    SpanDigest,
+    percentile,
+    summarise,
+)
 from repro.obs.stream import (
     DEFAULT_SUBSCRIBER_CAPACITY,
     FlightTap,
@@ -93,7 +92,6 @@ from repro.obs.stream import (
 )
 from repro.obs.timeline import (
     ADAPTATION_SPAN,
-    Timeline,
     per_step_phase_times,
     phase_totals,
     spans_with_tag,
@@ -103,7 +101,7 @@ __all__ = [
     "ADAPTATION_SPAN",
     "DEFAULT_FLIGHT_CAPACITY",
     "DEFAULT_SUBSCRIBER_CAPACITY",
-    "NULL_RECORDER",
+    "DIGEST_WINDOW",
     "AdaptationAudit",
     "AuditTrail",
     "BenchComparison",
@@ -114,20 +112,16 @@ __all__ = [
     "FlightLog",
     "FlightRecorder",
     "FlightTap",
-    "InMemoryRecorder",
-    "NullFlightRecorder",
-    "NullRecorder",
     "PhaseDelta",
     "PhaseStats",
     "PromMetric",
     "PromSample",
     "QuantileDigest",
-    "Recorder",
     "RecoveryDecision",
+    "SpanDigest",
     "SpanRecord",
     "TagValue",
     "TapSubscription",
-    "Timeline",
     "aggregate_fleet",
     "bench_phases",
     "chrome_trace",
@@ -137,7 +131,6 @@ __all__ = [
     "format_comparison",
     "format_flight",
     "format_report",
-    "get_flight_recorder",
     "get_recorder",
     "gini_of",
     "html_report",
@@ -152,11 +145,9 @@ __all__ = [
     "render_prometheus",
     "replay_flight",
     "run_bench",
-    "set_flight_recorder",
     "set_recorder",
     "spans_with_tag",
     "summarise",
-    "use_flight_recorder",
     "use_recorder",
     "write_baseline",
     "write_chrome_trace",

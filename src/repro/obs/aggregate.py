@@ -3,7 +3,8 @@
 One session's recorder, ledger and audit trail describe one tracked
 simulation; a *service* needs the fleet view.  :func:`aggregate_fleet`
 merges any number of per-session snapshots into a :class:`FleetRollup`:
-counter sums, per-span p50/p95 latency digests, fleet-wide Gini skew
+counter sums, per-span latency digests merged from each recorder's
+running span digests (never from its events), fleet-wide Gini skew
 over the concatenated per-rank traffic series, per-strategy decision
 counts from the audit trails, and flight-ring / tap drop totals.
 
@@ -29,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.obs.audit import AuditTrail
-from repro.obs.flight import FlightRecorder
-from repro.obs.recorder import InMemoryRecorder
-from repro.obs.stats import percentile
+from repro.obs.recorder import FlightRecorder
+from repro.obs.stats import SpanDigest, percentile, summarise_digests
 from repro.obs.stream import FlightTap
 
 if TYPE_CHECKING:
@@ -92,6 +92,19 @@ class QuantileDigest:
             max=max(vals),
         )
 
+    @classmethod
+    def of_digests(cls, digests: Sequence[SpanDigest]) -> QuantileDigest:
+        """Merge running span digests: count, total and max exact, p50/p95
+        over their pooled recent windows."""
+        stats = summarise_digests(digests)
+        return cls(
+            count=stats.count,
+            total=stats.total,
+            p50=stats.median,
+            p95=stats.p95,
+            max=stats.max,
+        )
+
     def to_dict(self) -> dict[str, float]:
         return {
             "count": self.count,
@@ -132,30 +145,35 @@ class FleetRollup:
 
 
 def aggregate_fleet(
-    recorders: Iterable[InMemoryRecorder] = (),
+    recorders: Iterable[FlightRecorder] = (),
     ledgers: Iterable[CommLedger] = (),
     audits: Iterable[AuditTrail] = (),
-    flights: Iterable[FlightRecorder] = (),
     taps: Iterable[FlightTap] = (),
 ) -> FleetRollup:
     """Merge per-session snapshots into one :class:`FleetRollup`.
 
     ``sources`` counts the recorders (the natural per-session handle);
     the other iterables may be shorter or longer — a fleet where only
-    some sessions carry a ledger still rolls up.  The Gini digests are
-    computed over the *concatenation* of every ledger's per-rank series,
-    so a fleet whose load concentrates on a few sessions' few ranks
-    reads as skewed even when each session looks balanced.
+    some sessions carry a ledger still rolls up.  Span counts and sums
+    are exact; p50/p95 pool the digests' recent windows, so a scrape
+    costs the same however long the sessions have run.  The Gini digests
+    are computed over the *concatenation* of every ledger's per-rank
+    series, so a fleet whose load concentrates on a few sessions' few
+    ranks reads as skewed even when each session looks balanced.
     """
     counters: dict[str, float] = {}
-    durations: dict[str, list[float]] = {}
+    digests: dict[str, list[SpanDigest]] = {}
     sources = 0
+    flight_events = 0
+    flight_dropped = 0
     for recorder in recorders:
         sources += 1
         for name, value in recorder.counters.items():
             counters[name] = counters.get(name, 0.0) + value
-        for span in recorder.spans:
-            durations.setdefault(span.name, []).append(span.duration)
+        for name, digest in recorder.digests().items():
+            digests.setdefault(name, []).append(digest)
+        flight_events += recorder.total_emitted
+        flight_dropped += recorder.dropped
     series: dict[str, list[float]] = {name: [] for name in _LEDGER_SERIES}
     for ledger in ledgers:
         for name in _LEDGER_SERIES:
@@ -164,19 +182,13 @@ def aggregate_fleet(
     for trail in audits:
         for record in trail.records:
             decisions[record.chosen] = decisions.get(record.chosen, 0) + 1
-    flight_events = 0
-    flight_dropped = 0
-    for ring in flights:
-        flight_events += ring.total_emitted
-        flight_dropped += ring.dropped
     tap_dropped = sum(tap.dropped_total for tap in taps)
     return FleetRollup(
         sources=sources,
         counters=counters,
         span_digests={
-            name: QuantileDigest.of(vals)
-            for name, vals in durations.items()
-            if vals
+            name: QuantileDigest.of_digests(parts)
+            for name, parts in digests.items()
         },
         # an all-zero series (nothing retried, say) is "no signal", not
         # "perfectly even" — omit it rather than report gini 0.0

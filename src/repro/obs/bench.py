@@ -528,7 +528,7 @@ def _obs_tap_setup(quick: bool, n_subscribers: int) -> Callable[[], object]:
     from repro.core import DiffusionStrategy
     from repro.experiments import mumbai_trace_workload
     from repro.experiments.runner import ExperimentContext, run_workload
-    from repro.obs import FlightRecorder, FlightTap, use_flight_recorder
+    from repro.obs import FlightRecorder, FlightTap, use_recorder
     from repro.topology import MACHINES
 
     context = ExperimentContext(MACHINES[_QUICK_MACHINE])
@@ -539,7 +539,7 @@ def _obs_tap_setup(quick: bool, n_subscribers: int) -> Callable[[], object]:
         tap = FlightTap()
         flight.attach_tap(tap)
         subs = [tap.subscribe() for _ in range(n_subscribers)]
-        with use_flight_recorder(flight):
+        with use_recorder(flight):
             result = run_workload(workload, DiffusionStrategy(), context)
         drained = sum(len(sub.drain()) for sub in subs)
         for sub in subs:

@@ -1,15 +1,17 @@
 """Exporters: Chrome trace-event JSON, flat metrics snapshot, text report.
 
-Three views of one :class:`~repro.obs.recorder.InMemoryRecorder`:
+Three views of one :class:`~repro.obs.recorder.FlightRecorder`:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event format (balanced ``B``/``E`` duration events, microsecond
-  timestamps), loadable in Perfetto / ``chrome://tracing`` to see every
-  adaptation point's phase breakdown on a timeline;
+  timestamps) over the spans still in the ring, loadable in Perfetto /
+  ``chrome://tracing`` to see every adaptation point's phase breakdown
+  on a timeline;
 * :func:`metrics_snapshot` — a flat JSON-ready dict (per-phase duration
-  stats + counters + gauges) for machine-readable perf trajectories;
+  stats from the span digests + counters + gauges) for machine-readable
+  perf trajectories;
 * :func:`format_report` — the aggregated text table humans read after a
-  run.
+  run, from the same digests.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.recorder import InMemoryRecorder
-from repro.obs.stats import summarise
+from repro.obs.recorder import FlightRecorder
 
 __all__ = [
     "chrome_trace",
@@ -29,8 +30,8 @@ __all__ = [
 ]
 
 
-def chrome_trace(recorder: InMemoryRecorder, process_name: str = "repro") -> dict[str, object]:
-    """The recording as a Chrome trace-event JSON document (dict form).
+def chrome_trace(recorder: FlightRecorder, process_name: str = "repro") -> dict[str, object]:
+    """The ring's spans as a Chrome trace-event JSON document (dict form).
 
     Every span becomes one ``B``/``E`` event pair on thread 0 with
     microsecond timestamps relative to the recorder origin.  Events are
@@ -80,7 +81,7 @@ def chrome_trace(recorder: InMemoryRecorder, process_name: str = "repro") -> dic
 
 
 def write_chrome_trace(
-    recorder: InMemoryRecorder, path: str | Path, process_name: str = "repro"
+    recorder: FlightRecorder, path: str | Path, process_name: str = "repro"
 ) -> Path:
     """Serialise :func:`chrome_trace` to ``path``; returns the path."""
     out = Path(path)
@@ -88,11 +89,11 @@ def write_chrome_trace(
     return out
 
 
-def metrics_snapshot(recorder: InMemoryRecorder) -> dict[str, object]:
+def metrics_snapshot(recorder: FlightRecorder) -> dict[str, object]:
     """A flat, JSON-ready snapshot of everything the recorder holds."""
-    names = sorted({s.name for s in recorder.spans})
     spans = {
-        name: summarise(recorder.durations(name)).to_dict() for name in names
+        name: digest.stats().to_dict()
+        for name, digest in sorted(recorder.digests().items())
     }
     return {
         "schema": 1,
@@ -102,14 +103,13 @@ def metrics_snapshot(recorder: InMemoryRecorder) -> dict[str, object]:
     }
 
 
-def format_report(recorder: InMemoryRecorder, title: str = "observed phases") -> str:
+def format_report(recorder: FlightRecorder, title: str = "observed phases") -> str:
     """Aggregated per-phase text report (milliseconds, like the paper)."""
     from repro.util.tables import format_table
 
-    names = sorted({s.name for s in recorder.spans})
     rows = []
-    for name in names:
-        st = summarise(recorder.durations(name))
+    for name, digest in sorted(recorder.digests().items()):
+        st = digest.stats()
         rows.append(
             (
                 name,

@@ -1,228 +1,29 @@
-"""The flight recorder: an always-on, bounded ring buffer of typed events.
+"""Flight logs: JSONL load, replay and a text summary of a recorder's ring.
 
-Spans answer *how long* a phase took; the flight recorder answers *what
-happened*, in order, right before something looked wrong.  Hot paths emit
-small structured events — adaptation start/end, nest insert/delete/retain,
-tree edit operations, redistribution rounds, cache clears — into a
-fixed-capacity :class:`FlightRecorder` ring (oldest events fall off the
-back, so memory stays bounded no matter how long a run is).  Unlike the
-span recorder there is no disabled default: the ring is cheap enough
-(one clock read plus a ``deque`` append per event, at adaptation-point
-granularity) to leave on permanently, which is the whole point of a
-flight recorder — the record already exists when a run goes sideways.
-
-The ring exports to JSONL (one event per line) and loads back with
-:func:`load_flight_jsonl`; :func:`replay_flight` converts a sequence of
-events into an :class:`~repro.obs.recorder.InMemoryRecorder` so the
-existing text/Chrome exporters can render a flight log with no extra
-code paths: paired ``*.start`` / ``*.end`` events become spans, point
-events become zero-duration spans, and every kind is counted.
-
-This module lives in ``repro.obs`` and therefore may read raw clocks
-(reprolint R007); emitting code outside never touches a clock.
+A :class:`~repro.obs.recorder.FlightRecorder` exports its ring to JSONL
+(one event per line); :func:`load_flight_jsonl` loads a log back,
+tolerating the truncated tail a crashed writer leaves, and
+:func:`replay_flight` turns it into a recorder of the same type, so the
+text/Chrome exporters and the fleet rollup read a log exactly like a
+live session.  :func:`format_flight` is the human-readable summary of a
+ring: per-kind counts plus the last events.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time
-from collections import deque
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from repro.obs.recorder import InMemoryRecorder, SpanRecord, TagValue
-
-if TYPE_CHECKING:
-    from repro.obs.stream import FlightTap
+from repro.obs.recorder import FlightEvent, FlightRecorder, TagValue, pair_spans
+from repro.obs.stats import SpanDigest
 
 __all__ = [
-    "DEFAULT_FLIGHT_CAPACITY",
-    "FlightEvent",
     "FlightLog",
-    "FlightRecorder",
-    "NullFlightRecorder",
-    "get_flight_recorder",
-    "set_flight_recorder",
-    "use_flight_recorder",
     "load_flight_jsonl",
     "replay_flight",
     "format_flight",
 ]
-
-#: default ring size — generous for hundreds of adaptation points, yet
-#: bounded (~a few hundred KiB) however long the process runs
-DEFAULT_FLIGHT_CAPACITY = 4096
-
-
-@dataclass(frozen=True)
-class FlightEvent:
-    """One recorded event: a sequence number, a timestamp, a kind, data.
-
-    ``seq`` is assigned monotonically by the owning recorder and never
-    reset by ring eviction, so gaps in an exported log reveal exactly how
-    many events were dropped.  ``t`` is seconds relative to the
-    recorder's origin, the same convention as
-    :class:`~repro.obs.recorder.SpanRecord`.
-    """
-
-    seq: int
-    t: float
-    kind: str
-    data: dict[str, TagValue] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"seq": self.seq, "t": self.t, "kind": self.kind, "data": self.data},
-            sort_keys=True,
-        )
-
-
-class FlightRecorder:
-    """Bounded ring buffer of :class:`FlightEvent` (oldest evicted first).
-
-    Appends are thread-safe: a lock makes the seq-assign + append pair
-    atomic, so workers advancing sessions on ``asyncio.to_thread``
-    threads can share one ring (the process-default ambient ring, say)
-    without tearing the sequence numbering.  Multi-tenant code should
-    still prefer one ring per session — scoped with
-    :func:`use_flight_recorder` — so each session's log stays a clean,
-    per-tenant causal record; the lock is the safety net, not the design.
-    """
-
-    enabled = True
-
-    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.origin = time.perf_counter()
-        self._events: deque[FlightEvent] = deque(maxlen=capacity)
-        self._seq = 0
-        self._lock = threading.Lock()
-        self._taps: tuple[FlightTap, ...] = ()
-
-    def emit(self, kind: str, **data: TagValue) -> None:
-        """Append one event; evicts the oldest when the ring is full.
-
-        Attached taps (:meth:`attach_tap`) are published from inside the
-        lock, so subscribers observe events in exact ``seq`` order; with
-        no taps the extra cost is one empty-tuple truthiness check.
-        """
-        t = time.perf_counter() - self.origin
-        with self._lock:
-            event = FlightEvent(seq=self._seq, t=t, kind=kind, data=dict(data))
-            self._seq += 1
-            self._events.append(event)
-            if self._taps:
-                for tap in self._taps:
-                    tap.publish(event)
-
-    # -- live streaming ---------------------------------------------------
-
-    def attach_tap(self, tap: FlightTap) -> None:
-        """Publish every future event into ``tap`` too (idempotent)."""
-        with self._lock:
-            if tap not in self._taps:
-                self._taps = (*self._taps, tap)
-
-    def detach_tap(self, tap: FlightTap) -> None:
-        """Stop publishing into ``tap``; idempotent."""
-        with self._lock:
-            self._taps = tuple(t for t in self._taps if t is not tap)
-
-    @property
-    def taps(self) -> tuple[FlightTap, ...]:
-        """The currently attached taps (an immutable snapshot)."""
-        return self._taps
-
-    # -- inspection -----------------------------------------------------
-
-    def events(self) -> list[FlightEvent]:
-        """The retained events, oldest first."""
-        with self._lock:
-            return list(self._events)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    @property
-    def total_emitted(self) -> int:
-        """How many events were ever emitted (including evicted ones)."""
-        return self._seq
-
-    @property
-    def dropped(self) -> int:
-        """How many events the ring has evicted."""
-        with self._lock:
-            return self._seq - len(self._events)
-
-    def reset(self) -> None:
-        """Drop every event, restart the clock origin and the sequence."""
-        with self._lock:
-            self._events.clear()
-            self._seq = 0
-            self.origin = time.perf_counter()
-
-    # -- JSONL export ---------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """The retained events as JSON Lines (one event per line)."""
-        return "".join(ev.to_json() + "\n" for ev in self.events())
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Serialise the ring to ``path``; returns the path."""
-        out = Path(path)
-        out.write_text(self.to_jsonl(), encoding="utf-8")
-        return out
-
-
-class NullFlightRecorder(FlightRecorder):
-    """A disabled flight recorder: ``emit`` is a no-op (for perf tests)."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def emit(self, kind: str, **data: TagValue) -> None:
-        return None
-
-
-#: the ambient flight recorder — always on, bounded by construction.  A
-#: ContextVar rather than a module global so concurrent workers each keep
-#: their own ring instead of interleaving events (reprolint R013); the
-#: default ring is still shared process-wide until somebody scopes one.
-_ACTIVE_FLIGHT: ContextVar[FlightRecorder] = ContextVar(
-    "repro.obs.flight", default=FlightRecorder()
-)
-
-
-def get_flight_recorder() -> FlightRecorder:
-    """The ambient flight recorder (an always-on bounded ring)."""
-    return _ACTIVE_FLIGHT.get()
-
-
-def set_flight_recorder(recorder: FlightRecorder) -> FlightRecorder:
-    """Install ``recorder`` as the active ring; returns the previous one."""
-    previous = _ACTIVE_FLIGHT.get()
-    _ACTIVE_FLIGHT.set(recorder)
-    return previous
-
-
-@contextmanager
-def use_flight_recorder(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
-    """Scope ``recorder`` as the active ring, restoring the previous on exit."""
-    previous = set_flight_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_flight_recorder(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -313,70 +114,26 @@ def load_flight_jsonl(path: str | Path, strict: bool = False) -> FlightLog:
     return FlightLog(events, skipped_lines=skipped)
 
 
-def replay_flight(events: Iterable[FlightEvent]) -> InMemoryRecorder:
-    """Replay events into an :class:`InMemoryRecorder` for the exporters.
+def replay_flight(events: Iterable[FlightEvent]) -> FlightRecorder:
+    """A flight log as a recorder of its own, for the exporters.
 
-    Pairing rule: an event whose kind ends in ``.start`` opens a pseudo
-    span named after the prefix; the next event with the matching
-    ``.end`` kind closes it (tags merged, start's winning on clashes).
-    Every other event becomes a zero-duration span at its timestamp, and
-    every kind is tallied into the ``flight.<kind>`` counters — so
-    :func:`~repro.obs.export.format_report` and
-    :func:`~repro.obs.export.chrome_trace` render a flight log directly.
-    Unmatched ``.start`` events (their ``.end`` fell off the ring or the
-    run stopped mid-flight) are emitted as zero-duration spans tagged
-    ``unclosed=1``.
+    The recorder's ring holds exactly ``events``, each keeping its
+    ``seq`` and ``t``, so its ``spans`` view pairs them by
+    :func:`~repro.obs.recorder.pair_spans`' rules.  Every span's duration
+    is folded into the digests and every kind is tallied into a
+    ``flight.<kind>`` counter, so
+    :func:`~repro.obs.export.format_report`,
+    :func:`~repro.obs.export.chrome_trace` and
+    :func:`~repro.obs.aggregate.aggregate_fleet` read a log directly.
     """
-    recorder = InMemoryRecorder()
-    open_starts: list[FlightEvent] = []
-    for event in events:
+    log = list(events)
+    recorder = FlightRecorder(capacity=max(len(log), 1))
+    recorder._events.extend(log)
+    recorder._seq = log[-1].seq + 1 if log else 0
+    for event in log:
         recorder.count(f"flight.{event.kind}")
-        if event.kind.endswith(".start"):
-            open_starts.append(event)
-            continue
-        if event.kind.endswith(".end"):
-            prefix = event.kind[: -len(".end")]
-            match: FlightEvent | None = None
-            for candidate in reversed(open_starts):
-                if candidate.kind == prefix + ".start":
-                    match = candidate
-                    break
-            if match is not None:
-                open_starts.remove(match)
-                tags: dict[str, TagValue] = dict(event.data)
-                tags.update(match.data)
-                recorder.spans.append(
-                    SpanRecord(
-                        name=prefix,
-                        start=match.t,
-                        end=event.t,
-                        depth=len(open_starts),
-                        tags=tags,
-                    )
-                )
-                continue
-            # an end without its start: record it as a point event below
-        recorder.spans.append(
-            SpanRecord(
-                name=event.kind,
-                start=event.t,
-                end=event.t,
-                depth=len(open_starts),
-                tags=dict(event.data),
-            )
-        )
-    for leftover in open_starts:
-        tags = dict(leftover.data)
-        tags["unclosed"] = 1
-        recorder.spans.append(
-            SpanRecord(
-                name=leftover.kind[: -len(".start")],
-                start=leftover.t,
-                end=leftover.t,
-                depth=0,
-                tags=tags,
-            )
-        )
+    for span in pair_spans(log):
+        recorder._digests.setdefault(span.name, SpanDigest()).add(span.duration)
     return recorder
 
 

@@ -1,25 +1,30 @@
-"""Telemetry recorders: nestable timed spans, counters and gauges.
+"""The recorder: one bounded ring of typed events carrying spans and decisions.
 
-The whole library reports *where wall-clock time goes* through one tiny
-protocol: a :class:`Recorder` hands out context-managed **spans** (nested
-timed regions tagged with step/strategy/nest ids), accumulates
-**counters** (monotonic event counts such as route-cache misses) and
-stores **gauges** (last-value measurements such as live nest counts).
+Everything the library reports about a run flows through one
+:class:`FlightRecorder`:
 
-Two implementations ship:
+* **events** — small structured records of *what happened* (adaptation
+  points, nest insert/delete/retain, tree edit operations,
+  redistribution rounds, the dynamic strategy's choice), appended by
+  :meth:`FlightRecorder.emit`;
+* **spans** — nestable timed regions.  Opening one emits
+  ``<name>.start`` and closing it emits ``<name>.end`` into the same
+  ring, so each layer's cost sits on the decisions' timeline.  The
+  events' ``data`` holds only the span's tags (the timing lives in
+  ``t``), which keeps a log's content a pure function of the seed.  A
+  closing span also folds its duration into a per-name
+  :class:`~repro.obs.stats.SpanDigest`;
+* **counters** (monotonic counts such as route-cache misses) and
+  **gauges** (last values such as live nest counts).
 
-* :class:`NullRecorder` — the default.  Every method is a true no-op that
-  returns shared singletons; no allocation, no clock call, no state.  Hot
-  paths can therefore stay instrumented permanently (the overhead bound
-  is enforced by a benchmark test in ``tests/test_obs.py``).
-* :class:`InMemoryRecorder` — records every completed span as a
-  :class:`SpanRecord` (relative start/end seconds, nesting depth, merged
-  tags) for export via :mod:`repro.obs.export`.
+The ring has a fixed capacity (the oldest events fall off the back) and
+the digests a fixed window, so memory stays bounded however long a run
+is.  Recording is always on: the ambient recorder defaults to one
+process-wide ring.  Instrumented code never holds a recorder; it calls
+:func:`get_recorder` at use sites, and applications scope their own
+with :func:`use_recorder`::
 
-Instrumented code never holds a recorder: it calls :func:`get_recorder`
-at use sites, and applications opt in with :func:`use_recorder`::
-
-    rec = InMemoryRecorder()
+    rec = FlightRecorder()
     with use_recorder(rec):
         run_workload(...)
     print(format_report(rec))
@@ -31,39 +36,73 @@ that everywhere else timing flows through spans.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
-from collections.abc import Iterator
-from contextlib import AbstractContextManager, contextmanager
-from contextvars import ContextVar
+from collections import deque
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import TracebackType
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, NamedTuple
+
+from repro.obs.stats import SpanDigest
+
+if TYPE_CHECKING:
+    from repro.obs.stream import FlightTap
 
 __all__ = [
+    "DEFAULT_FLIGHT_CAPACITY",
     "TagValue",
+    "FlightEvent",
     "SpanRecord",
-    "SpanHandle",
-    "Recorder",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "InMemorySpan",
-    "InMemoryRecorder",
+    "Span",
+    "FlightRecorder",
+    "pair_spans",
     "get_recorder",
     "set_recorder",
     "use_recorder",
 ]
 
-#: values a span tag may carry (kept JSON-serialisable for the exporters)
+#: values a span tag or event field may carry (JSON-serialisable)
 TagValue = str | int | float
+
+#: default ring size — generous for dozens of adaptation points, yet
+#: bounded (~a few MiB) however long the process runs
+DEFAULT_FLIGHT_CAPACITY = 4096
+
+
+@dataclass(slots=True)
+class FlightEvent:
+    """One recorded event: a sequence number, a timestamp, a kind, data.
+
+    ``seq`` is assigned monotonically by the owning recorder and never
+    reset by ring eviction, so gaps in an exported log reveal exactly how
+    many events were dropped.  ``t`` is seconds relative to the
+    recorder's origin (its construction or last reset).  Events are
+    records: nothing mutates one once emitted (a plain slotted class
+    rather than a frozen one, because it is built on every span edge).
+    """
+
+    seq: int
+    t: float
+    kind: str
+    data: dict[str, TagValue] = field(default_factory=dict)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"seq": self.seq, "t": self.t, "kind": self.kind, "data": self.data},
+            sort_keys=True,
+        )
 
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One completed span: a named, tagged ``[start, end)`` time interval.
+    """One span read back from the ring: a named, tagged ``[start, end)``.
 
-    Times are seconds relative to the owning recorder's origin (its
-    construction or last :meth:`InMemoryRecorder.reset`), so traces start
+    Times are seconds relative to the recorder's origin, so traces start
     near zero and export losslessly to microsecond timestamps.
     """
 
@@ -78,125 +117,51 @@ class SpanRecord:
         return self.end - self.start
 
 
-class SpanHandle(Protocol):
-    """What instrumented code may do with an open span."""
+class _Scope(NamedTuple):
+    """Per-context span state of one recorder: open depth, bound tags,
+    and the innermost open span."""
 
-    def tag(self, **tags: TagValue) -> SpanHandle: ...
-
-    def __enter__(self) -> SpanHandle: ...
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None: ...
+    depth: int
+    tags: dict[str, TagValue]
+    top: Span | None
 
 
-@runtime_checkable
-class Recorder(Protocol):
-    """The telemetry surface every instrumented call site sees."""
-
-    enabled: bool
-
-    def span(self, name: str, **tags: TagValue) -> SpanHandle: ...
-
-    def count(self, name: str, value: float = 1.0) -> None: ...
-
-    def gauge(self, name: str, value: float) -> None: ...
-
-    def bind(self, **tags: TagValue) -> AbstractContextManager[None]: ...
+_ROOT_SCOPE = _Scope(0, {}, None)
 
 
-class _NullSpan:
-    """Shared do-nothing span (one instance for the whole process)."""
+class Span:
+    """One open span of a :class:`FlightRecorder` (context manager)."""
 
-    __slots__ = ()
-
-    def tag(self, **tags: TagValue) -> _NullSpan:
-        return self
-
-    def __enter__(self) -> _NullSpan:
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        return None
-
-
-class _NullContext(AbstractContextManager[None]):
-    """Shared do-nothing context manager for :meth:`NullRecorder.bind`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-_NULL_CONTEXT = _NullContext()
-
-
-class NullRecorder:
-    """The disabled recorder: stateless, allocation-free no-ops only."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def span(self, name: str, **tags: TagValue) -> _NullSpan:
-        return _NULL_SPAN
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        return None
-
-    def gauge(self, name: str, value: float) -> None:
-        return None
-
-    def bind(self, **tags: TagValue) -> _NullContext:
-        return _NULL_CONTEXT
-
-
-#: the process-wide disabled recorder (what :func:`get_recorder` returns
-#: until an application opts in)
-NULL_RECORDER = NullRecorder()
-
-
-class InMemorySpan:
-    """One open span of an :class:`InMemoryRecorder` (context manager)."""
-
-    __slots__ = ("_recorder", "name", "tags", "start", "depth")
+    __slots__ = ("_recorder", "name", "tags", "seq", "start", "depth", "_token")
 
     def __init__(
-        self, recorder: InMemoryRecorder, name: str, tags: dict[str, TagValue]
+        self, recorder: FlightRecorder, name: str, tags: dict[str, TagValue]
     ) -> None:
         self._recorder = recorder
         self.name = name
         self.tags = tags
+        self.seq = -1
         self.start = 0.0
         self.depth = 0
+        self._token: Token[_Scope] | None = None
 
-    def tag(self, **tags: TagValue) -> InMemorySpan:
-        """Attach/override tags while the span is open."""
-        self.tags.update(tags)
+    def tag(self, **tags: TagValue) -> Span:
+        """Attach/override tags while the span is open (they ride on
+        the ``.end`` event)."""
+        self.tags = {**self.tags, **tags}
         return self
 
-    def __enter__(self) -> InMemorySpan:
-        self.depth = self._recorder._open_count()
-        self._recorder._opened(self)
-        self.start = time.perf_counter() - self._recorder.origin
+    def __enter__(self) -> Span:
+        recorder = self._recorder
+        scope = recorder._scope.get()
+        if scope.tags:
+            self.tags = {**scope.tags, **self.tags}
+        self.depth = scope.depth
+        self._token = recorder._scope.set(_Scope(scope.depth + 1, scope.tags, self))
+        self.start = time.perf_counter() - recorder.origin
+        with recorder._lock:
+            self.seq = recorder._push(self.name + ".start", self.start, self.tags)
+            recorder._open[self.seq] = self.name
         return self
 
     def __exit__(
@@ -205,48 +170,67 @@ class InMemorySpan:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
-        end = time.perf_counter() - self._recorder.origin
-        self._recorder._closed(self, end)
+        recorder = self._recorder
+        end = time.perf_counter() - recorder.origin
+        if recorder._scope.get().top is not self or self._token is None:
+            raise RuntimeError(
+                f"span {self.name!r} closed out of order (spans must nest)"
+            )
+        recorder._scope.reset(self._token)
+        with recorder._lock:
+            del recorder._open[self.seq]
+            recorder._push(self.name + ".end", end, self.tags)
+            digest = recorder._digests.get(self.name)
+            if digest is None:
+                digest = recorder._digests[self.name] = SpanDigest()
+            digest.add(end - self.start)
         return None
 
 
-class InMemoryRecorder:
-    """Collects spans, counters and gauges in process memory.
+class FlightRecorder:
+    """Bounded ring of :class:`FlightEvent` plus spans, counters, gauges.
 
-    Spans nest: the recorder keeps the open-span stack, stamps each span
-    with its nesting depth, and merges the ambient tags pushed by
-    :meth:`bind` (step/strategy/nest ids) into every span opened inside
-    the binding — the "timeline" the exporters consume.
-
-    Counter and gauge updates and the completed-span append are
-    thread-safe (a lock makes each read-modify-write atomic), so workers
-    on ``asyncio.to_thread`` threads can share one recorder for counts
-    without losing increments.  The *span stack* is still strictly
-    nested: concurrent open spans on a single shared recorder interleave
-    their close order and raise — multi-tenant code gives each session
-    its own recorder, scoped with :func:`use_recorder` (a
-    ``ContextVar``, so worker threads inherit the right one).
+    Appends, counter and gauge updates and digest folds are thread-safe:
+    one lock makes each read-modify-write atomic, so workers on
+    ``asyncio.to_thread`` threads can share one ring (the process-default
+    ambient one, say) without tearing the sequence numbering or losing
+    increments.  The open-span stack and the :meth:`bind` tags are kept
+    per context (a ``ContextVar`` whose every ``set`` is undone by a
+    ``reset``), so threads and tasks sharing a ring never see each
+    other's spans.  Multi-tenant code still gives each session its own
+    recorder, scoped with :func:`use_recorder`, so each session's log
+    stays a clean causal record.
     """
 
-    enabled = True
-
-    def __init__(self) -> None:
+    def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
         self.origin = time.perf_counter()
-        self.spans: list[SpanRecord] = []  # completion order
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self._stack: list[InMemorySpan] = []
-        self._ambient: list[dict[str, TagValue]] = []
+        self._events: deque[FlightEvent] = deque(maxlen=capacity)
+        self._seq = 0
+        self._digests: dict[str, SpanDigest] = {}
+        self._open: dict[int, str] = {}  # start seq -> name of open spans
         self._lock = threading.Lock()
+        self._taps: tuple[FlightTap, ...] = ()
+        self._scope: ContextVar[_Scope] = ContextVar(
+            "repro.obs.scope", default=_ROOT_SCOPE
+        )
 
-    # -- Recorder protocol ----------------------------------------------
+    # -- the recording surface --------------------------------------------
 
-    def span(self, name: str, **tags: TagValue) -> InMemorySpan:
-        merged: dict[str, TagValue] = {}
-        for frame in self._ambient:
-            merged.update(frame)
-        merged.update(tags)
-        return InMemorySpan(self, name, merged)
+    def emit(self, kind: str, **data: TagValue) -> None:
+        """Append one event; evicts the oldest when the ring is full."""
+        t = time.perf_counter() - self.origin
+        with self._lock:
+            self._push(kind, t, data)
+
+    def span(self, name: str, **tags: TagValue) -> Span:
+        """A timed region: ``<name>.start``/``<name>.end`` events plus a
+        duration folded into the ``name`` digest."""
+        return Span(self, name, tags)
 
     def count(self, name: str, value: float = 1.0) -> None:
         with self._lock:
@@ -258,77 +242,198 @@ class InMemoryRecorder:
 
     @contextmanager
     def bind(self, **tags: TagValue) -> Iterator[None]:
-        """Tag every span opened inside the ``with`` block."""
-        self._ambient.append(dict(tags))
+        """Tag every span opened inside the ``with`` block (in this context)."""
+        scope = self._scope.get()
+        token = self._scope.set(scope._replace(tags={**scope.tags, **tags}))
         try:
             yield
         finally:
-            self._ambient.pop()
+            self._scope.reset(token)
 
-    # -- span bookkeeping -------------------------------------------------
+    def _push(self, kind: str, t: float, data: dict[str, TagValue]) -> int:
+        """Append one event (caller holds the lock); returns its seq.
 
-    def _open_count(self) -> int:
-        return len(self._stack)
+        Attached taps are published from inside the lock, so subscribers
+        observe events in exact ``seq`` order.
+        """
+        seq = self._seq
+        event = FlightEvent(seq=seq, t=t, kind=kind, data=data)
+        self._seq = seq + 1
+        self._events.append(event)
+        for tap in self._taps:
+            tap.publish(event)
+        return seq
 
-    def _opened(self, span: InMemorySpan) -> None:
-        self._stack.append(span)
+    # -- live streaming ---------------------------------------------------
 
-    def _closed(self, span: InMemorySpan, end: float) -> None:
-        if not self._stack or self._stack[-1] is not span:
-            raise RuntimeError(
-                f"span {span.name!r} closed out of order (spans must nest)"
-            )
-        self._stack.pop()
+    def attach_tap(self, tap: FlightTap) -> None:
+        """Publish every future event into ``tap`` too (idempotent)."""
         with self._lock:
-            self.spans.append(
-                SpanRecord(
-                    name=span.name,
-                    start=span.start,
-                    end=end,
-                    depth=span.depth,
-                    tags=span.tags,
-                )
-            )
+            if tap not in self._taps:
+                self._taps = (*self._taps, tap)
 
-    # -- maintenance -------------------------------------------------------
+    def detach_tap(self, tap: FlightTap) -> None:
+        """Stop publishing into ``tap``; idempotent."""
+        with self._lock:
+            self._taps = tuple(t for t in self._taps if t is not tap)
+
+    @property
+    def taps(self) -> tuple[FlightTap, ...]:
+        """The currently attached taps (an immutable snapshot)."""
+        return self._taps
+
+    # -- inspection -----------------------------------------------------
+
+    def events(self) -> list[FlightEvent]:
+        """The retained events, oldest first."""
+        with self._lock:
+            return list(self._events)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._events)
+
+    @property
+    def total_emitted(self) -> int:
+        """How many events were ever emitted (including evicted ones)."""
+        return self._seq
+
+    @property
+    def dropped(self) -> int:
+        """How many events the ring has evicted."""
+        with self._lock:
+            return self._seq - len(self._events)
+
+    def digests(self) -> dict[str, SpanDigest]:
+        """A consistent copy of every span name's running digest."""
+        with self._lock:
+            return {name: d.copy() for name, d in self._digests.items()}
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """The spans still in the ring, read back by :func:`pair_spans`
+        (spans open right now are left out)."""
+        with self._lock:
+            events = list(self._events)
+            still_open = set(self._open)
+        return pair_spans(events, still_open)
 
     def reset(self) -> None:
-        """Drop everything recorded and restart the clock origin."""
-        if self._stack:
-            open_names = [s.name for s in self._stack]
-            raise RuntimeError(f"cannot reset with open spans: {open_names}")
-        self.origin = time.perf_counter()
-        self.spans.clear()
-        self.counters.clear()
-        self.gauges.clear()
-        self._ambient.clear()
+        """Drop everything recorded and restart the clock and the sequence."""
+        with self._lock:
+            if self._open:
+                open_names = list(self._open.values())
+                raise RuntimeError(f"cannot reset with open spans: {open_names}")
+            self._events.clear()
+            self._seq = 0
+            self._digests.clear()
+            self.counters.clear()
+            self.gauges.clear()
+            self.origin = time.perf_counter()
 
-    def durations(self, name: str) -> list[float]:
-        """Every recorded duration of spans called ``name`` (seconds)."""
-        return [s.duration for s in self.spans if s.name == name]
+    # -- JSONL export ---------------------------------------------------
+
+    def to_jsonl(self) -> str:
+        """The retained events as JSON Lines (one event per line)."""
+        return "".join(ev.to_json() + "\n" for ev in self.events())
+
+    def write_jsonl(self, path: str | Path) -> Path:
+        """Serialise the ring to ``path``; returns the path."""
+        out = Path(path)
+        out.write_text(self.to_jsonl(), encoding="utf-8")
+        return out
 
 
-#: the active recorder — a ContextVar, not a module global, so concurrent
-#: workers (asyncio tasks, threads with copied contexts) each see their own
-#: recorder instead of racing on one slot (reprolint R013)
-_ACTIVE: ContextVar[Recorder] = ContextVar("repro.obs.recorder", default=NULL_RECORDER)
+def pair_spans(
+    events: Iterable[FlightEvent], still_open: Iterable[int] = ()
+) -> list[SpanRecord]:
+    """Read spans back from a run of events.
+
+    Pairing rule: an event whose kind ends in ``.start`` opens a span
+    named after the prefix; the next event with the matching ``.end``
+    kind closes the innermost such span (tags merged, the start's
+    winning on clashes).  An ``.end`` whose start is gone (evicted from
+    the ring) becomes a zero-duration span named after its kind; a
+    ``.start`` that never closed (the run stopped mid-flight) becomes a
+    zero-duration span tagged ``unclosed=1`` — unless its seq is in
+    ``still_open``.  Other events are not spans.  Spans come out in
+    completion order.
+    """
+    skip = set(still_open)
+    spans: list[SpanRecord] = []
+    open_starts: list[FlightEvent] = []
+    for event in events:
+        kind = event.kind
+        if kind.endswith(".start"):
+            open_starts.append(event)
+            continue
+        if not kind.endswith(".end"):
+            continue
+        prefix = kind[: -len(".end")]
+        target = prefix + ".start"
+        for i in range(len(open_starts) - 1, -1, -1):
+            if open_starts[i].kind == target:
+                match = open_starts.pop(i)
+                spans.append(
+                    SpanRecord(
+                        name=prefix,
+                        start=match.t,
+                        end=event.t,
+                        depth=len(open_starts),
+                        tags={**event.data, **match.data},
+                    )
+                )
+                break
+        else:
+            spans.append(
+                SpanRecord(
+                    name=kind,
+                    start=event.t,
+                    end=event.t,
+                    depth=len(open_starts),
+                    tags=dict(event.data),
+                )
+            )
+    for leftover in open_starts:
+        if leftover.seq in skip:
+            continue
+        spans.append(
+            SpanRecord(
+                name=leftover.kind[: -len(".start")],
+                start=leftover.t,
+                end=leftover.t,
+                depth=0,
+                tags={**leftover.data, "unclosed": 1},
+            )
+        )
+    return spans
 
 
-def get_recorder() -> Recorder:
-    """The ambient active recorder (the no-op one by default)."""
+#: the ambient recorder — always on, bounded by construction.  A
+#: ContextVar rather than a module global so concurrent workers (asyncio
+#: tasks, threads with copied contexts) each see their own recorder
+#: (reprolint R013); the default ring is shared process-wide until
+#: somebody scopes one.
+_ACTIVE: ContextVar[FlightRecorder] = ContextVar(
+    "repro.obs.recorder", default=FlightRecorder()
+)
+
+
+def get_recorder() -> FlightRecorder:
+    """The ambient recorder (an always-on bounded ring by default)."""
     return _ACTIVE.get()
 
 
-def set_recorder(recorder: Recorder) -> Recorder:
-    """Install ``recorder`` as the active one; returns the previous."""
+def set_recorder(recorder: FlightRecorder) -> FlightRecorder:
+    """Install ``recorder`` as the ambient one; returns the previous."""
     previous = _ACTIVE.get()
     _ACTIVE.set(recorder)
     return previous
 
 
 @contextmanager
-def use_recorder(recorder: Recorder) -> Iterator[Recorder]:
-    """Scope ``recorder`` as the active one, restoring the previous on exit."""
+def use_recorder(recorder: FlightRecorder) -> Iterator[FlightRecorder]:
+    """Scope ``recorder`` as the ambient one, restoring the previous on exit."""
     previous = set_recorder(recorder)
     try:
         yield recorder

@@ -1,9 +1,10 @@
 """Live flight-event streaming: a fan-out bus over the flight recorder.
 
-The flight recorder (:mod:`repro.obs.flight`) is a bounded ring — a
+The flight recorder (:mod:`repro.obs.recorder`) is a bounded ring — a
 post-hoc record.  This module makes the same events *observable while
 they happen*: a :class:`FlightTap` attached to a
-:class:`~repro.obs.flight.FlightRecorder` receives every emitted event
+:class:`~repro.obs.recorder.FlightRecorder` receives every emitted event
+(decisions and span ``.start``/``.end`` events alike)
 and fans it out to any number of :class:`TapSubscription` queues, each
 bounded with drop-oldest backpressure and a per-subscriber drop count
 (a slow consumer loses *its own* oldest events, never anyone else's and
@@ -18,10 +19,9 @@ regression gate.
 
 Wiring: :meth:`FlightRecorder.attach_tap` publishes from inside the
 recorder's emit lock, so every subscriber sees events in exact ``seq``
-order even when multiple worker threads share a ring.  Taps are
-threaded through :class:`~repro.experiments.runner.ExperimentContext`
-(the ``tap`` field) and :class:`~repro.serve.session.Session` (every
-session owns one), so any live run — library or service — is tappable::
+order even when multiple worker threads share a ring.  Attach a tap to
+the ring a run records into — every :class:`~repro.serve.session.Session`
+owns one tap on its own ring — and any live run is tappable::
 
     session = Session("s00001", spec)
     with session.tap.subscribe() as sub:
@@ -39,7 +39,7 @@ import threading
 from collections import deque
 from types import TracebackType
 
-from repro.obs.flight import FlightEvent
+from repro.obs.recorder import FlightEvent
 
 __all__ = ["DEFAULT_SUBSCRIBER_CAPACITY", "FlightTap", "TapSubscription"]
 
@@ -127,8 +127,8 @@ class TapSubscription:
 class FlightTap:
     """Fans one recorder's events out to bounded subscriber queues.
 
-    Attach to any :class:`~repro.obs.flight.FlightRecorder` with
-    :meth:`~repro.obs.flight.FlightRecorder.attach_tap`; every event the
+    Attach to any :class:`~repro.obs.recorder.FlightRecorder` with
+    :meth:`~repro.obs.recorder.FlightRecorder.attach_tap`; every event the
     ring records is then offered to every live subscription.  One tap
     may be attached to several recorders (a fleet-wide firehose) and one
     recorder may carry several taps; both directions are idempotent.

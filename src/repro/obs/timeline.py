@@ -1,27 +1,22 @@
-"""The per-adaptation-point timeline over a recorder.
+"""Per-adaptation-point queries over a recorder's spans.
 
-The experiment runner wraps every adaptation point in
-:meth:`Timeline.adaptation_point`, which opens one umbrella span and
-*binds* the step index and strategy name as ambient tags — every nested
-span (strategy edit, layout, transfer matrices, network simulation, data
-plane) then carries ``step``/``strategy`` tags without the hot paths
-knowing about steps at all.  The aggregations below slice the recorded
-spans back into the per-step phase breakdowns the paper's Fig. 10–12
-arguments are made of, and let tests cross-check
-:class:`~repro.core.metrics.StepMetrics` against observed phase times.
+The experiment runner wraps every adaptation point in one umbrella
+:data:`ADAPTATION_SPAN` span and *binds* the step index and strategy
+name as ambient tags — every nested span (strategy edit, layout,
+transfer matrices, network simulation, data plane) then carries
+``step``/``strategy`` tags without the hot paths knowing about steps at
+all.  The queries below slice the spans still in the ring back into the
+per-step phase breakdowns the paper's Fig. 10–12 arguments are made of,
+and let tests cross-check :class:`~repro.core.metrics.StepMetrics`
+against observed phase times.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass
-
-from repro.obs.recorder import InMemoryRecorder, Recorder, SpanRecord, TagValue
+from repro.obs.recorder import FlightRecorder, SpanRecord
 
 __all__ = [
     "ADAPTATION_SPAN",
-    "Timeline",
     "per_step_phase_times",
     "phase_totals",
     "spans_with_tag",
@@ -31,29 +26,13 @@ __all__ = [
 ADAPTATION_SPAN = "adaptation_point"
 
 
-@dataclass(frozen=True)
-class Timeline:
-    """Tags a recorder's spans with adaptation-point context."""
-
-    recorder: Recorder
-
-    @contextmanager
-    def adaptation_point(
-        self, step: int, strategy: str = "", **tags: TagValue
-    ) -> Iterator[None]:
-        """One adaptation point: umbrella span + ambient step/strategy tags."""
-        with self.recorder.bind(step=step, strategy=strategy):
-            with self.recorder.span(ADAPTATION_SPAN, **tags):
-                yield
-
-
-def spans_with_tag(recorder: InMemoryRecorder, key: str) -> list[SpanRecord]:
+def spans_with_tag(recorder: FlightRecorder, key: str) -> list[SpanRecord]:
     """Every recorded span carrying tag ``key``."""
     return [s for s in recorder.spans if key in s.tags]
 
 
 def per_step_phase_times(
-    recorder: InMemoryRecorder,
+    recorder: FlightRecorder,
 ) -> dict[int, dict[str, float]]:
     """``{step: {span name: summed seconds}}`` over all step-tagged spans."""
     out: dict[int, dict[str, float]] = {}
@@ -66,7 +45,7 @@ def per_step_phase_times(
     return out
 
 
-def phase_totals(recorder: InMemoryRecorder) -> dict[str, float]:
+def phase_totals(recorder: FlightRecorder) -> dict[str, float]:
     """``{span name: summed seconds}`` across the whole recording."""
     out: dict[str, float] = {}
     for span in recorder.spans:

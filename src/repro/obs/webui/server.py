@@ -24,7 +24,7 @@ Method   Path                              Meaning
 =======  ================================  ==================================
 GET      ``/``                             the single-page UI (index.html)
 GET      ``/static/{name}``                whitelisted static assets
-GET      ``/healthz``                      mode + session count, always 200
+GET      ``/healthz``                      mode, session count, event kinds
 GET      ``/api/sessions``                 session snapshots (replay or proxy)
 GET      ``/api/sessions/{id}/events``     NDJSON flight events
 GET      ``/api/sessions/{id}/frames``     replay frames (replay mode only)
@@ -40,8 +40,8 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.obs.aggregate import aggregate_fleet, fleet_metrics, render_prometheus
-from repro.obs.flight import FlightEvent, FlightLog, load_flight_jsonl, replay_flight
-from repro.obs.recorder import TagValue
+from repro.obs.flight import FlightLog, load_flight_jsonl, replay_flight
+from repro.obs.recorder import FlightEvent, TagValue
 from repro.serve.wire import (
     HTTPError,
     http_json,
@@ -66,8 +66,10 @@ _CONTENT_TYPES = {
     ".json": "application/json",
 }
 
-#: every flight-event kind the library emits today; the replay renderer
-#: must handle each one without an unknown-event fallback (tested)
+#: every decision-event kind the library emits today; the replay renderer
+#: must handle each one without an unknown-event fallback (tested).  Span
+#: events (``<name>.start``/``<name>.end``) are known by their suffix.
+#: ``/healthz`` serves this list to the page, so it has no copy of its own.
 KNOWN_EVENT_KINDS = frozenset(
     {
         "adapt.start",
@@ -166,9 +168,10 @@ def replay_frames(events: Sequence[FlightEvent]) -> list[dict[str, object]]:
     A frame opens on ``adapt.start`` and closes on ``adapt.end``; the
     nest rectangles (``alloc.rect``), churn lists, dynamic choice, link
     heat and ledger skew recorded in between land on the open frame.
-    Every other *known* kind is tallied into the frame's ``other``
-    counts; kinds outside :data:`KNOWN_EVENT_KINDS` go to ``unknown``
-    (which stays empty for any log the library emits today — tested).
+    Every other *known* kind — :data:`KNOWN_EVENT_KINDS` plus every span
+    event (``.start``/``.end`` suffix) — is tallied into the frame's
+    ``other`` counts; the rest go to ``unknown`` (which stays empty for
+    any log the library emits today — tested).
     Events arriving between frames attach to the next frame, trailing
     ones to the last.  Pure and deterministic: the same events always
     produce the same frames, which is what lets a replayed log be
@@ -233,7 +236,7 @@ def replay_frames(events: Sequence[FlightEvent]) -> list[dict[str, object]]:
         elif kind == "ledger.skew":
             frame["skew_gini"] = _as_float(data, "gini")
             frame["skew_max_over_mean"] = _as_float(data, "max_over_mean")
-        elif kind in KNOWN_EVENT_KINDS:
+        elif kind in KNOWN_EVENT_KINDS or kind.endswith((".start", ".end")):
             _bump(frame, "other", kind)
         else:
             _bump(frame, "unknown", kind)
@@ -352,6 +355,7 @@ class ObsServer:
                     "status": "ok",
                     "mode": self.mode,
                     "sessions": len(self._logs) if self.mode == "replay" else -1,
+                    "event_kinds": sorted(KNOWN_EVENT_KINDS),
                 },
             )
             return
@@ -450,8 +454,9 @@ class ObsServer:
 
     async def _send_metrics(self, writer: asyncio.StreamWriter) -> None:
         if self.mode == "replay":
-            recorders = [replay_flight(flight_log) for flight_log in self._logs.values()]
-            rollup = aggregate_fleet(recorders=recorders)
+            rollup = aggregate_fleet(
+                recorders=[replay_flight(flight_log) for flight_log in self._logs.values()]
+            )
             text = render_prometheus(fleet_metrics(rollup, prefix="repro_replay"))
             await send_text(
                 writer, 200, text, "text/plain; version=0.0.4; charset=utf-8"

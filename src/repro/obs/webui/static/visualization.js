@@ -25,20 +25,13 @@ const $ = (id) => document.getElementById(id);
 
 /* ---------------- frame building (mirror of server.replay_frames) ------- */
 
-const KNOWN_KINDS = new Set([
-  "adapt.start", "adapt.end", "alloc.rect",
-  "nest.insert", "nest.retain", "nest.delete",
-  "tree.free", "tree.fill_slot", "tree.huffman_fill", "tree.pair_insert",
-  "tree.prune_slot",
-  "redist.round", "redist.retry", "redist.round_failed",
-  "redist.round_timeout", "redist.recovered", "redist.aborted",
-  "dynamic.choice", "link.heat", "ledger.skew",
-  "fault.inject", "fault.detected",
-  "recovery.start", "recovery.shrink", "recovery.drop_nest",
-  "recovery.verified", "recovery.nest_rebuilt", "recovery.done",
-  "sanitizer.violation", "session.state", "pda.partial",
-  "soak.data_mismatch", "soak.invariant_violation",
-]);
+// the server's KNOWN_EVENT_KINDS, delivered in the /healthz body
+let KNOWN_KINDS = new Set();
+
+function isKnownKind(kind) {
+  // span events are known by their suffix, whatever the span's name
+  return KNOWN_KINDS.has(kind) || kind.endsWith(".start") || kind.endsWith(".end");
+}
 
 function newFrame(data) {
   data = data || {};
@@ -99,7 +92,7 @@ function foldEvent(acc, ev) {
       f.skew_gini = d.gini || 0; f.skew_max_over_mean = d.max_over_mean || 0;
       return false;
     default: {
-      const slot = KNOWN_KINDS.has(ev.kind) ? f.other : f.unknown;
+      const slot = isKnownKind(ev.kind) ? f.other : f.unknown;
       slot[ev.kind] = (slot[ev.kind] || 0) + 1;
       return false;
     }
@@ -356,6 +349,7 @@ async function refreshHeader() {
   try {
     const health = await fetchJSON("/healthz");
     state.mode = health.mode;
+    KNOWN_KINDS = new Set(health.event_kinds || []);
     $("mode").textContent = `${health.mode} mode`;
   } catch (e) {
     $("status").textContent = `cannot reach server: ${e}`;

@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.flight import get_flight_recorder
+from repro.obs.recorder import get_recorder
 from repro.sanitize.hooks import SanitizerHook
 
 __all__ = ["SanitizeError", "SanitizeViolation", "Sanitizer"]
@@ -84,7 +84,7 @@ class Sanitizer(SanitizerHook):
     def _violate(self, check: str, message: str) -> None:
         violation = SanitizeViolation(check=check, message=message)
         self.violations.append(violation)
-        get_flight_recorder().emit(
+        get_recorder().emit(
             "sanitizer.violation", check=check, detail=message[:200]
         )
         if self.strict:

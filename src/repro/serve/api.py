@@ -46,8 +46,8 @@ never silent, exactly like :class:`~repro.obs.stream.FlightTap`.
 
 ``/metrics`` renders through :mod:`repro.obs.aggregate`: service-level
 gauges (sessions by state, queue depth, lane submissions) plus the
-fleet rollup of every stored session's recorder, ledger, audit trail
-and flight ring — scrapeable by a stock Prometheus, validated by
+fleet rollup of every stored session's recorder (span digests, counters,
+ring totals), ledger and audit trail — scrapeable by a stock Prometheus, validated by
 :func:`repro.obs.aggregate.parse_prometheus` in the tests.
 """
 
@@ -191,7 +191,6 @@ def serve_metrics(
         recorders=[s.recorder for s in sessions],
         ledgers=[s.ledger for s in sessions],
         audits=[s.audit for s in sessions],
-        flights=[s.flight for s in sessions],
         taps=[s.tap for s in sessions],
     )
     metrics.extend(fleet_metrics(rollup))

@@ -4,8 +4,8 @@ The generator submits a seeded fleet of scenarios (each session gets a
 distinct derived seed, so runs are varied but exactly reproducible),
 drives them all to a terminal state, and reports throughput
 (sessions/sec, steps/sec) plus the decision-latency distribution —
-the wall-clock cost of one adaptation point, straight from each
-session's recorder.
+the wall-clock cost of one adaptation point, merged from each
+session's ``adaptation_point`` span digest.
 
 Three drive modes share one entry point, :func:`run_loadgen`:
 
@@ -29,8 +29,9 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.obs.recorder import InMemoryRecorder
-from repro.obs.stats import PhaseStats, summarise
+from repro.obs.recorder import FlightRecorder
+from repro.obs.stats import PhaseStats, SpanDigest, summarise_digests
+from repro.obs.timeline import ADAPTATION_SPAN
 from repro.serve.api import ServeServer, http_json
 from repro.serve.scheduler import SchedulerConfig, SessionScheduler
 from repro.serve.session import ScenarioSpec, SessionState
@@ -133,13 +134,13 @@ def run_loadgen(
 ) -> LoadgenResult:
     """Run one campaign to completion and aggregate the numbers."""
     sched_cfg = scheduler_config or SchedulerConfig(workers=config.workers)
-    timer = InMemoryRecorder()
+    timer = FlightRecorder(capacity=2)
     if config.url:
         host, port = _parse_hostport(config.url)
         with timer.span(LOADGEN_SPAN):
             outcome = asyncio.run(_drive_remote(config, host, port))
         completed, failed, steps_total = outcome
-        latencies: list[float] = []
+        digests: list[SpanDigest] = []
     else:
         store = SessionStore(capacity=max(config.sessions, 1))
         with timer.span(LOADGEN_SPAN):
@@ -154,17 +155,19 @@ def run_loadgen(
             1 for s in store.sessions() if s.state is SessionState.FAILED
         )
         steps_total = sum(s.steps_completed for s in store.sessions())
-        latencies = [
-            lat for s in store.sessions() for lat in s.decision_latencies
+        digests = [
+            digest
+            for s in store.sessions()
+            if (digest := s.recorder.digests().get(ADAPTATION_SPAN)) is not None
         ]
-    duration = timer.durations(LOADGEN_SPAN)[0]
+    duration = timer.digests()[LOADGEN_SPAN].total
     result = LoadgenResult(
         sessions=config.sessions,
         completed=completed,
         failed=failed,
         steps_total=steps_total,
         duration=duration,
-        latency=summarise(latencies) if latencies else None,
+        latency=summarise_digests(digests) if digests else None,
     )
     log.info(
         "loadgen: %d sessions (%d done, %d failed) in %.2fs — %.1f sessions/s",

@@ -14,8 +14,8 @@ session's next adaptation point.  Scheduling is a single
 Each step runs in a thread (``asyncio.to_thread``) because the
 reallocation pipeline is CPU-bound numpy; the event loop stays free to
 accept requests and stream events.  ``to_thread`` copies the calling
-context, so the session's ContextVar-scoped recorder and flight ring
-travel with the step.  Steps that exceed the per-step timeout are
+context, so the session's ContextVar-scoped recorder travels with the
+step.  Steps that exceed the per-step timeout are
 retried under the same :class:`~repro.core.dataplane.BackoffPolicy` the
 redistribution dataplane uses — its delays are simulated seconds, which
 the scheduler maps to real sleeps via ``backoff_scale`` — and a step

@@ -5,8 +5,9 @@ mutable state one tracked simulation needs — a fresh
 :class:`~repro.experiments.runner.ExperimentContext` (machine, predictor
 with its own memo cache, cost model), its own
 :class:`~repro.mpisim.netsim.NetworkSimulator` route cache (via the
-reallocator the stepper builds), a per-session
-:class:`~repro.obs.recorder.InMemoryRecorder`, flight-recorder ring,
+reallocator the stepper builds), one per-session
+:class:`~repro.obs.recorder.FlightRecorder` (the bounded ring carrying
+its spans and decisions, named both ``recorder`` and ``flight``),
 :class:`~repro.mpisim.ledger.CommLedger` and
 :class:`~repro.obs.audit.AuditTrail`, and a per-session seeded RNG
 stream.  Nothing is shared between sessions, which is what makes an
@@ -21,8 +22,8 @@ The lifecycle is a small validated state machine::
               PAUSED ──────> FAILED
 
 ``advance()`` runs exactly one adaptation point under the session's own
-recorder and flight ring (scoped via the ``ContextVar`` helpers, so
-worker threads spawned with ``asyncio.to_thread`` inherit them), applies
+recorder (scoped with :func:`~repro.obs.use_recorder`, a ``ContextVar``,
+so worker threads spawned with ``asyncio.to_thread`` inherit it), applies
 any scheduled faults through the standard
 :class:`~repro.faults.injector.FaultInjector` first, and transitions the
 state machine at the edges.  A ``threading.Lock`` serialises concurrent
@@ -56,8 +57,7 @@ from repro.obs import (
     FlightEvent,
     FlightRecorder,
     FlightTap,
-    InMemoryRecorder,
-    use_flight_recorder,
+    use_recorder,
 )
 from repro.obs.timeline import ADAPTATION_SPAN
 from repro.topology import MACHINES
@@ -72,8 +72,8 @@ __all__ = [
     "flight_signature",
 ]
 
-#: events kept per session ring — enough for every adaptation event of a
-#: long scenario while keeping 64+ concurrent sessions bounded in memory
+#: events kept per session ring — the last dozen or so adaptation points
+#: with every span, while keeping 64+ concurrent sessions bounded in memory
 DEFAULT_SESSION_FLIGHT_CAPACITY = 2048
 
 log = get_logger("serve.session")
@@ -256,17 +256,13 @@ class Session:
         re-materialising replay rebuilds them identically.
         """
         # -- per-session fixtures: nothing here is shared across sessions
-        self.recorder = InMemoryRecorder()
-        self.flight = FlightRecorder(capacity=self._flight_capacity)
-        self.flight.attach_tap(self.tap)
+        self.recorder = FlightRecorder(capacity=self._flight_capacity)
+        self.recorder.attach_tap(self.tap)
         self.audit = AuditTrail()
         machine = MACHINES[self.spec.machine]
         self.ledger = CommLedger(machine.ncores)
         self.context = ExperimentContext(
-            machine,
-            recorder=self.recorder,
-            audit=self.audit,
-            ledger=self.ledger,
+            machine, audit=self.audit, ledger=self.ledger
         )
 
     # -- introspection --------------------------------------------------
@@ -298,9 +294,9 @@ class Session:
         return self._hibernated
 
     @property
-    def decision_latencies(self) -> list[float]:
-        """Wall-clock seconds of every completed adaptation point."""
-        return self.recorder.durations(ADAPTATION_SPAN)
+    def flight(self) -> FlightRecorder:
+        """The session's recorder under its flight-ring name."""
+        return self.recorder
 
     def events(self, since_seq: int = 0) -> list[FlightEvent]:
         """Retained flight events with ``seq >= since_seq``, oldest first."""
@@ -308,6 +304,7 @@ class Session:
 
     def snapshot(self) -> dict[str, object]:
         """A JSON-ready view of the session for the API and the journal."""
+        decisions = self.recorder.digests().get(ADAPTATION_SPAN)
         snap: dict[str, object] = {
             "id": self.session_id,
             "state": self.state.value,
@@ -317,7 +314,7 @@ class Session:
             "events_emitted": self.flight.total_emitted,
             "events_dropped": self.flight.dropped,
             "tap_dropped": self.tap.dropped_total,
-            "decisions": len(self.decision_latencies),
+            "decisions": decisions.count if decisions is not None else 0,
             "recovered": self.recovered,
         }
         if self.error:
@@ -426,7 +423,7 @@ class Session:
             exec_noise_seed=_exec_noise_seed(self.spec.seed),
         )
         self._stepper = stepper
-        with use_flight_recorder(self.flight):
+        with use_recorder(self.recorder):
             for _ in range(target):
                 stepper.advance()
         self._hibernated = False
@@ -541,7 +538,7 @@ class Session:
                 # a fresh Event is never set: wait() is a plain interruptible
                 # sleep that holds the session lock, like a slow step would
                 threading.Event().wait(stall)
-            with use_flight_recorder(self.flight):
+            with use_recorder(self.recorder):
                 if self._injector is not None:
                     fired = self._injector.apply_step(stepper.next_step)
                     crashed = [f for f in fired if isinstance(f, RankCrash)]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from repro.obs import get_flight_recorder, get_recorder
+from repro.obs import get_recorder
 from repro.sanitize.hooks import get_sanitizer
 from repro.tree.huffman import build_huffman
 from repro.tree.node import TreeNode
@@ -182,7 +182,7 @@ def _diffusion_edit(
     insertion: str,
 ) -> TreeNode | None:
     """The edit steps of :func:`diffusion_edit` (pre-validated arguments)."""
-    flight = get_flight_recorder()
+    flight = get_recorder()
     root = oldtree.clone()
 
     # 1. mark deleted leaves free, collapse sibling free slots

@@ -17,7 +17,6 @@ from repro.obs import (
     FleetRollup,
     FlightRecorder,
     FlightTap,
-    InMemoryRecorder,
     PromMetric,
     PromSample,
     QuantileDigest,
@@ -93,7 +92,7 @@ class TestQuantileDigest:
 
 class TestAggregateFleet:
     def test_counters_sum_and_spans_digest(self):
-        a, b = InMemoryRecorder(), InMemoryRecorder()
+        a, b = FlightRecorder(), FlightRecorder()
         a.count("steps", 2.0)
         b.count("steps", 3.0)
         b.count("faults", 1.0)
@@ -134,7 +133,7 @@ class TestAggregateFleet:
         sub = tap.subscribe(capacity=2)
         for i in range(10):
             ring.emit("tick", i=i)
-        rollup = aggregate_fleet(flights=[ring], taps=[tap])
+        rollup = aggregate_fleet(recorders=[ring], taps=[tap])
         assert rollup.flight_events == 10
         assert rollup.flight_dropped == 6
         assert rollup.tap_dropped == 8
@@ -258,22 +257,20 @@ class TestParsePrometheus:
 
 class TestFleetMetrics:
     def _rollup(self) -> FleetRollup:
-        recorder = InMemoryRecorder()
+        recorder = FlightRecorder(capacity=2)
         recorder.count("steps", 4.0)
-        with recorder.span("adapt"):
+        with recorder.span("adapt"):  # two of the five events
             pass
+        for _ in range(3):
+            recorder.emit("tick")
         ledger = CommLedger(4)
         ledger.sent[:] = [0.0, 0.0, 0.0, 8.0]
         trail = AuditTrail()
         trail.record(_audit(0, "diffusion"))
-        ring = FlightRecorder(capacity=2)
-        for _ in range(5):
-            ring.emit("tick")
         return aggregate_fleet(
             recorders=[recorder],
             ledgers=[ledger],
             audits=[trail],
-            flights=[ring],
         )
 
     def test_families_render_and_validate(self):

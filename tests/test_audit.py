@@ -15,7 +15,7 @@ from repro.core import DiffusionStrategy, ScratchStrategy
 from repro.experiments import synthetic_workload
 from repro.experiments.report import prediction_accuracy_report
 from repro.experiments.runner import ExperimentContext, run_workload
-from repro.obs import AdaptationAudit, AuditTrail, InMemoryRecorder, pearson
+from repro.obs import AdaptationAudit, AuditTrail, FlightRecorder, pearson, use_recorder
 from repro.topology import MACHINES
 
 
@@ -200,9 +200,10 @@ class TestAuditedRuns:
 
     def test_error_gauges_on_ambient_recorder(self):
         trail = AuditTrail()
-        rec = InMemoryRecorder()
-        ctx = ExperimentContext(MACHINES["bgl-256"], recorder=rec, audit=trail)
-        run_workload(synthetic_workload(seed=0, n_steps=4), ScratchStrategy(), ctx)
+        rec = FlightRecorder()
+        ctx = ExperimentContext(MACHINES["bgl-256"], audit=trail)
+        with use_recorder(rec):
+            run_workload(synthetic_workload(seed=0, n_steps=4), ScratchStrategy(), ctx)
         assert "audit.exec_error" in rec.gauges
         assert "audit.redist_error" in rec.gauges
         last = trail.records[-1]

@@ -48,7 +48,7 @@ from repro.faults import (
 )
 from repro.grid import ProcessorGrid
 from repro.mpisim.ledger import CommLedger
-from repro.obs import AuditTrail, FlightRecorder, use_flight_recorder
+from repro.obs import AuditTrail, FlightRecorder, use_recorder
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import fist_cluster
 from repro.util.rng import make_rng
@@ -353,7 +353,7 @@ class TestRecovery:
     def test_audit_and_flight_trail(self):
         flight = FlightRecorder()
         audit = AuditTrail()
-        with use_flight_recorder(flight):
+        with use_recorder(flight):
             realloc, store = stepped_reallocator(self.NESTS)
             ckpt = Checkpoint.take(0, realloc.allocation, self.NESTS, store)
             realloc.handle_rank_failure(
@@ -675,7 +675,7 @@ class TestSoak:
     def test_quick_soak_flight_log_shows_the_healing_chain(self):
         flight = FlightRecorder()
         ledger = CommLedger(SUITES["quick"].machine().ncores)
-        with use_flight_recorder(flight):
+        with use_recorder(flight):
             report = run_soak(SUITES["quick"], ledger=ledger)
         assert report.ok
         kinds = [ev.kind for ev in flight.events()]
@@ -719,7 +719,7 @@ class TestSoak:
             block += 1e-12
 
         flight = FlightRecorder()
-        with use_flight_recorder(flight):
+        with use_recorder(flight):
             report = run_soak(SUITES["quick"], tamper=tamper)
         dropped = {
             ev.data["nest"] for ev in flight.events() if ev.kind == "recovery.drop_nest"

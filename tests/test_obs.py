@@ -1,23 +1,24 @@
 """Tests for the ``repro.obs`` telemetry subsystem.
 
-Covers the recorder protocol (no-op and in-memory), the adaptation-point
-timeline, the exporters (Chrome trace round-trip in particular), the
-instrumented library paths, the no-op overhead bound the design promises,
-and the bench harness.
+Covers the recorder's span surface (spans as ring events, digests,
+counters, gauges, per-context span state), the adaptation-point
+timeline queries, the exporters (Chrome trace round-trip in
+particular), the instrumented library paths, the per-span overhead
+bound the design promises, and the bench harness.
 """
 
 import json
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.obs import (
     ADAPTATION_SPAN,
-    NULL_RECORDER,
-    InMemoryRecorder,
-    NullRecorder,
-    Recorder,
-    Timeline,
+    DEFAULT_FLIGHT_CAPACITY,
+    DIGEST_WINDOW,
+    FlightRecorder,
     chrome_trace,
     format_report,
     get_recorder,
@@ -33,31 +34,11 @@ from repro.obs import (
 )
 
 
-class TestNullRecorder:
-    def test_disabled_and_shared_span(self):
-        rec = NullRecorder()
-        assert rec.enabled is False
-        assert rec.span("a") is rec.span("b", nest=1)
-
-    def test_span_and_bind_are_contexts(self):
-        rec = NullRecorder()
-        with rec.bind(step=1):
-            with rec.span("x") as span:
-                assert span.tag(extra=2) is span
-        rec.count("events")
-        rec.gauge("level", 3.0)
-
-    def test_satisfies_protocol(self):
-        assert isinstance(NULL_RECORDER, Recorder)
-        assert isinstance(InMemoryRecorder(), Recorder)
-
-    def test_default_active_recorder_is_null(self):
-        assert get_recorder() is NULL_RECORDER
-
-
 class TestInMemoryRecorder:
+    """The span, counter and gauge surface of the one recorder."""
+
     def test_records_span_with_duration(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.span("phase"):
             pass
         (span,) = rec.spans
@@ -66,7 +47,7 @@ class TestInMemoryRecorder:
         assert span.duration == span.end - span.start
 
     def test_nesting_depth(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.span("outer"):
             with rec.span("inner"):
                 pass
@@ -77,13 +58,69 @@ class TestInMemoryRecorder:
         assert [s.name for s in rec.spans] == ["inner", "outer"]
 
     def test_tags_and_live_tagging(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.span("p", nest=3) as span:
-            span.tag(moved=12)
+            assert span.tag(moved=12) is span
         assert rec.spans[0].tags == {"nest": 3, "moved": 12}
 
+    def test_span_is_a_start_end_event_pair(self):
+        rec = FlightRecorder()
+        with rec.bind(step=2):
+            with rec.span("p", nest=3) as span:
+                rec.emit("decision", pick=1)
+                span.tag(moved=12)
+        start, decision, end = rec.events()
+        assert [start.kind, decision.kind, end.kind] == ["p.start", "decision", "p.end"]
+        # the data holds only tags; the timing lives in t
+        assert start.data == {"step": 2, "nest": 3}
+        assert end.data == {"step": 2, "nest": 3, "moved": 12}
+        assert start.t <= decision.t <= end.t
+        digest = rec.digests()["p"]
+        assert digest.count == 1
+        assert digest.total == pytest.approx(end.t - start.t)
+
+    def test_digest_window_is_bounded(self):
+        rec = FlightRecorder(capacity=8)
+        for _ in range(DIGEST_WINDOW + 10):
+            with rec.span("p"):
+                pass
+        digest = rec.digests()["p"]
+        assert digest.count == DIGEST_WINDOW + 10
+        assert len(digest.recent) == DIGEST_WINDOW
+        assert len(rec.spans) == 4  # the ring keeps its last 4 pairs
+        stats = digest.stats()
+        assert stats.min <= stats.median <= stats.p95 <= stats.max
+
+    def test_threads_sharing_a_ring_keep_their_own_spans(self):
+        rec = FlightRecorder()
+        inside = threading.Barrier(2)
+        depths: dict[str, int] = {}
+
+        def work(name: str) -> None:
+            with rec.bind(worker=name):
+                with rec.span(name) as span:
+                    inside.wait()  # both spans open at once
+                    depths[name] = span.depth
+                    with rec.span(name + ".inner") as inner:
+                        depths[name + ".inner"] = inner.depth
+                        inside.wait()
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert depths == {"a": 0, "b": 0, "a.inner": 1, "b.inner": 1}
+        digests = rec.digests()
+        assert {name: d.count for name, d in digests.items()} == {
+            "a": 1, "b": 1, "a.inner": 1, "b.inner": 1
+        }
+        starts = {e.kind: e.data for e in rec.events() if e.kind.endswith(".start")}
+        assert starts["a.inner.start"] == {"worker": "a"}
+        assert starts["b.inner.start"] == {"worker": "b"}
+
     def test_bind_merges_ambient_tags(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.bind(step=4, strategy="diffusion"):
             with rec.span("p", nest=1):
                 pass
@@ -93,14 +130,14 @@ class TestInMemoryRecorder:
         assert rec.spans[1].tags == {}
 
     def test_explicit_tag_beats_ambient(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.bind(step=1):
             with rec.span("p", step=9):
                 pass
         assert rec.spans[0].tags["step"] == 9
 
     def test_counters_accumulate_gauges_overwrite(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         rec.count("miss")
         rec.count("miss", 2.0)
         rec.gauge("nests", 3)
@@ -109,7 +146,7 @@ class TestInMemoryRecorder:
         assert rec.gauges == {"nests": 5}
 
     def test_out_of_order_close_raises(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         outer = rec.span("outer")
         inner = rec.span("inner")
         outer.__enter__()
@@ -118,42 +155,58 @@ class TestInMemoryRecorder:
             outer.__exit__(None, None, None)
 
     def test_reset_with_open_span_raises(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.span("open"):
             with pytest.raises(RuntimeError, match="open spans"):
                 rec.reset()
 
     def test_reset_clears_everything(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.span("p"):
             pass
         rec.count("c")
         rec.gauge("g", 1)
         rec.reset()
         assert rec.spans == [] and rec.counters == {} and rec.gauges == {}
+        assert rec.digests() == {} and rec.events() == []
 
     def test_durations_by_name(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         for _ in range(3):
             with rec.span("p"):
                 pass
         with rec.span("q"):
             pass
-        assert len(rec.durations("p")) == 3
-        assert rec.durations("absent") == []
+        digests = rec.digests()
+        assert digests["p"].count == 3 and len(digests["p"].recent) == 3
+        assert digests["q"].count == 1
+        assert "absent" not in digests
 
 
 class TestActiveRecorder:
+    def test_default_is_the_always_on_process_ring(self):
+        default = get_recorder()
+        assert isinstance(default, FlightRecorder)
+        assert default.capacity == DEFAULT_FLIGHT_CAPACITY
+        # a fresh worker thread (no copied context) sees the same ring
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(get_recorder()))
+        worker.start()
+        worker.join()
+        assert seen == [default]
+
     def test_use_recorder_restores_previous(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder(capacity=16)
         before = get_recorder()
         with use_recorder(rec) as active:
             assert active is rec
             assert get_recorder() is rec
+            get_recorder().emit("scoped")
         assert get_recorder() is before
+        assert [ev.kind for ev in rec.events()] == ["scoped"]
 
     def test_use_recorder_restores_on_error(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         before = get_recorder()
         with pytest.raises(RuntimeError):
             with use_recorder(rec):
@@ -161,9 +214,11 @@ class TestActiveRecorder:
         assert get_recorder() is before
 
     def test_set_recorder_returns_previous(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
+        before = get_recorder()
         previous = set_recorder(rec)
         try:
+            assert previous is before
             assert get_recorder() is rec
         finally:
             set_recorder(previous)
@@ -192,12 +247,19 @@ class TestStats:
         }
 
 
+@contextmanager
+def _adaptation_point(rec, step, strategy, **tags):
+    """What the workload stepper opens around every adaptation point."""
+    with rec.bind(step=step, strategy=strategy):
+        with rec.span(ADAPTATION_SPAN, **tags):
+            yield
+
+
 class TestTimeline:
     def _record_two_steps(self):
-        rec = InMemoryRecorder()
-        timeline = Timeline(rec)
+        rec = FlightRecorder()
         for step in range(2):
-            with timeline.adaptation_point(step=step, strategy="diffusion"):
+            with _adaptation_point(rec, step=step, strategy="diffusion"):
                 with rec.span("tree.edit"):
                     pass
                 with rec.span("netsim"):
@@ -249,9 +311,8 @@ def _balanced(events):
 
 class TestChromeTrace:
     def _recorded(self):
-        rec = InMemoryRecorder()
-        timeline = Timeline(rec)
-        with timeline.adaptation_point(step=0, strategy="scratch", n_nests=2):
+        rec = FlightRecorder()
+        with _adaptation_point(rec, step=0, strategy="scratch", n_nests=2):
             with rec.span("tree.huffman", n_nests=2):
                 pass
             with rec.span("tree.layout"):
@@ -274,7 +335,7 @@ class TestChromeTrace:
         assert _balanced([e for e in events if e["ph"] in ("B", "E")])
 
     def test_balanced_with_zero_duration_spans(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.span("outer"):
             for _ in range(5):
                 with rec.span("inner"):
@@ -300,7 +361,7 @@ class TestChromeTrace:
 
 class TestMetricsSnapshotAndReport:
     def _recorded(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         with rec.span("p"):
             pass
         rec.count("miss", 2)
@@ -330,10 +391,11 @@ class TestInstrumentedRun:
         from repro.experiments.runner import ExperimentContext, run_workload
         from repro.topology import MACHINES
 
-        rec = InMemoryRecorder()
-        ctx = ExperimentContext(MACHINES["bgl-256"], recorder=rec)
+        rec = FlightRecorder()
+        ctx = ExperimentContext(MACHINES["bgl-256"])
         wl = synthetic_workload(seed=0, n_steps=6)
-        run = run_workload(wl, DiffusionStrategy(), ctx)
+        with use_recorder(rec):
+            run = run_workload(wl, DiffusionStrategy(), ctx)
         return rec, wl, run
 
     def test_every_step_has_an_adaptation_span(self):
@@ -348,14 +410,14 @@ class TestInstrumentedRun:
         table = per_step_phase_times(rec)
         assert set(table) == set(range(wl.n_steps))
         observed = set(phase_totals(rec))
-        assert "realloc.step" in observed
+        assert "adapt" in observed
         assert "tree.layout" in observed
         assert "netsim.bottleneck" in observed
 
     def test_phase_times_fit_inside_umbrella(self):
         rec, _, _ = self._run()
         for step, phases in per_step_phase_times(rec).items():
-            assert phases["realloc.step"] <= phases[ADAPTATION_SPAN] + 1e-9
+            assert phases["adapt"] <= phases[ADAPTATION_SPAN] + 1e-9
 
     def test_trace_of_real_run_is_balanced(self):
         rec, _, _ = self._run()
@@ -364,8 +426,8 @@ class TestInstrumentedRun:
 
 
 class TestNoOpOverhead:
-    """The design promise: permanently-instrumented paths cost ~nothing
-    when telemetry is off."""
+    """The design promise: permanently-instrumented paths stay cheap with
+    recording always on."""
 
     N = 20_000
 
@@ -378,7 +440,8 @@ class TestNoOpOverhead:
         return best
 
     def test_disabled_span_per_call_bound(self):
-        assert get_recorder() is NULL_RECORDER  # telemetry off
+        # nothing scoped: the spans land in the default process ring
+        assert isinstance(get_recorder(), FlightRecorder)
 
         def instrumented():
             total = 0
@@ -388,15 +451,9 @@ class TestNoOpOverhead:
             return total
 
         per_call = self._timed(instrumented) / self.N
-        # a real span costs ~µs; the no-op must stay far under that even
-        # on a loaded CI machine
-        assert per_call < 20e-6, f"no-op span cost {per_call * 1e6:.2f}µs/call"
-
-    def test_null_recorder_allocates_nothing_per_span(self):
-        rec = NullRecorder()
-        spans = {id(rec.span("a", x=1)) for _ in range(100)}
-        contexts = {id(rec.bind(step=1)) for _ in range(100)}
-        assert len(spans) == 1 and len(contexts) == 1
+        # a recorded span costs a few µs; it must stay under the bound
+        # even on a loaded CI machine
+        assert per_call < 20e-6, f"span cost {per_call * 1e6:.2f}µs/call"
 
 
 class TestBench:
@@ -500,7 +557,7 @@ class TestExporterEdgeCases:
     """Exporters must not choke on empty, unclosed or span-free recorders."""
 
     def test_empty_recorder_everywhere(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         doc = chrome_trace(rec)
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]  # metadata only
         snap = metrics_snapshot(rec)
@@ -509,11 +566,13 @@ class TestExporterEdgeCases:
         assert "empty" in text and "phase" in text
 
     def test_open_span_is_invisible_until_closed(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         handle = rec.span("never.closed")
         handle.__enter__()
-        # the recorder only exports *completed* spans; an open one must
-        # neither appear nor crash the exporters
+        # the ring holds the start event, but the recorder only exports
+        # *completed* spans; an open one must neither appear nor crash
+        # the exporters
+        assert [e.kind for e in rec.events()] == ["never.closed.start"]
         assert rec.spans == []
         events = chrome_trace(rec)["traceEvents"]
         assert all(e["name"] != "never.closed" for e in events)
@@ -523,7 +582,7 @@ class TestExporterEdgeCases:
         assert "never.closed" in metrics_snapshot(rec)["spans"]
 
     def test_counters_and_gauges_only(self):
-        rec = InMemoryRecorder()
+        rec = FlightRecorder()
         rec.count("netsim.route_cache_miss", 3)
         rec.gauge("nests.live", 7)
         doc = json.loads(json.dumps(chrome_trace(rec)))
@@ -536,7 +595,7 @@ class TestExporterEdgeCases:
         assert "netsim.route_cache_miss" in text and "nests.live" in text
 
     def test_write_chrome_trace_empty(self, tmp_path):
-        path = write_chrome_trace(InMemoryRecorder(), tmp_path / "empty.json")
+        path = write_chrome_trace(FlightRecorder(), tmp_path / "empty.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["traceEvents"][0]["ph"] == "M"
 

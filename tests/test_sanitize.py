@@ -19,7 +19,7 @@ import pytest
 from repro.experiments.workloads import synthetic_workload
 from repro.faults import SoakConfig, format_soak_report, run_soak
 from repro.mpisim.ledger import CommLedger
-from repro.obs.flight import FlightRecorder, use_flight_recorder
+from repro.obs import FlightRecorder, use_recorder
 from repro.sanitize import (
     NULL_SANITIZER,
     SanitizeError,
@@ -140,7 +140,7 @@ class TestCheckpoints:
     def test_violations_reach_the_flight_recorder(self):
         flight = FlightRecorder()
         san = Sanitizer()
-        with use_flight_recorder(flight):
+        with use_recorder(flight):
             san.after_busiest_link(-1.0, {})
         kinds = [e.kind for e in flight.events()]
         assert "sanitizer.violation" in kinds

@@ -14,7 +14,14 @@ import threading
 
 import pytest
 
-from repro.obs import FlightRecorder, InMemoryRecorder
+from repro.obs import (
+    DIGEST_WINDOW,
+    FlightRecorder,
+    aggregate_fleet,
+    fleet_metrics,
+    parse_prometheus,
+    render_prometheus,
+)
 from repro.serve import (
     ScenarioSpec,
     SchedulerConfig,
@@ -81,7 +88,7 @@ class TestSessionLifecycle:
             session.advance()
         assert session.state is SessionState.DONE
         assert session.steps_completed == 4
-        assert len(session.decision_latencies) == 4
+        assert session.snapshot()["decisions"] == 4
         states = [t.state for t in session.transitions]
         assert states == ["running", "done"]
 
@@ -372,7 +379,7 @@ class TestObsConcurrency:
         assert len(set(seqs)) == len(seqs)  # no torn/duplicated sequence numbers
 
     def test_recorder_concurrent_counts(self):
-        recorder = InMemoryRecorder()
+        recorder = FlightRecorder()
         n_threads, per_thread = 8, 2000
 
         def bump() -> None:
@@ -386,6 +393,41 @@ class TestObsConcurrency:
             t.join()
         # without the lock this read-modify-write loses increments
         assert recorder.counters["stress.hits"] == n_threads * per_thread
+
+
+class TestLongSessionBounded:
+    """A long session's telemetry does not grow with the points it ran."""
+
+    N_POINTS = 160
+
+    def _telemetry(self, session: Session, points: int) -> tuple[set, set]:
+        recorder = session.recorder
+        # the ring wrapped long ago: every bound below is binding
+        assert recorder.dropped > 0
+        assert len(recorder) <= recorder.capacity
+        assert len(recorder.spans) <= recorder.capacity // 2
+        digests = recorder.digests()
+        assert all(len(d.recent) <= DIGEST_WINDOW for d in digests.values())
+        assert session.snapshot()["decisions"] == points
+        samples = parse_prometheus(
+            render_prometheus(fleet_metrics(aggregate_fleet(recorders=[recorder])))
+        )
+        assert ({"name": "adaptation_point"}, float(points)) in samples[
+            "repro_fleet_span_seconds_count"
+        ]
+        return set(digests), set(recorder.counters)
+
+    def test_telemetry_at_point_40_matches_point_160(self):
+        session = Session(
+            "long", ScenarioSpec(steps=self.N_POINTS, machine="bgl-256")
+        )
+        names = {}
+        for point in range(1, self.N_POINTS + 1):
+            session.advance()
+            if point in (40, self.N_POINTS):
+                names[point] = self._telemetry(session, point)
+        assert session.state is SessionState.DONE
+        assert names[40] == names[self.N_POINTS]
 
 
 class TestJournalCrashConsistency:

@@ -284,7 +284,7 @@ class TestServeValidation:
                 for labels, _ in samples["repro_fleet_span_seconds"]
             }
             assert "adaptation_point" in span_names
-            assert "realloc.step" in span_names
+            assert "adapt" in span_names
             assert ({"chosen": "diffusion"}, 2.0) in samples[
                 "repro_fleet_decisions_total"
             ]

@@ -23,10 +23,9 @@ from repro.obs import (
     AuditTrail,
     FlightEvent,
     FlightRecorder,
-    InMemoryRecorder,
     load_flight_jsonl,
     parse_prometheus,
-    use_flight_recorder,
+    use_recorder,
 )
 from repro.obs.webui import ObsServer, replay_frames
 from repro.obs.webui.server import KNOWN_EVENT_KINDS
@@ -96,12 +95,11 @@ def _instrumented_flight(n_steps: int = 5) -> FlightRecorder:
     machine = MACHINES["bgl-256"]
     context = ExperimentContext(
         machine,
-        recorder=InMemoryRecorder(),
         audit=AuditTrail(),
         ledger=CommLedger(machine.ncores),
     )
     flight = FlightRecorder()
-    with use_flight_recorder(flight):
+    with use_recorder(flight):
         run_workload(
             synthetic_workload(seed=3, n_steps=n_steps),
             context.make_dynamic_strategy(),
@@ -144,7 +142,10 @@ class TestKnownKinds:
     def test_real_run_emits_only_known_kinds(self):
         flight = _instrumented_flight()
         kinds = {ev.kind for ev in flight.events()}
-        assert kinds <= KNOWN_EVENT_KINDS
+        # span events are known by their suffix, whatever the span's name
+        spans = {k for k in kinds if k.endswith((".start", ".end"))}
+        assert {"adaptation_point.start", "adaptation_point.end"} <= spans
+        assert kinds - spans <= KNOWN_EVENT_KINDS
         # the enriched stream carries everything the canvas renders
         assert {
             "adapt.start",
@@ -222,6 +223,24 @@ class TestReplayFrames:
         frames = replay_frames(events)
         assert [f["closed"] for f in frames] == [True, False]
 
+    def test_span_events_tallied_as_known(self):
+        events = [
+            FlightEvent(0, 0.0, "adaptation_point.start", {"step": 0}),
+            FlightEvent(1, 0.1, "adapt.start", {"step": 0}),
+            FlightEvent(2, 0.2, "tree.layout.start", {"step": 0}),
+            FlightEvent(3, 0.3, "tree.layout.end", {"step": 0}),
+            FlightEvent(4, 0.4, "adapt.end", {"step": 0}),
+            FlightEvent(5, 0.5, "adaptation_point.end", {"step": 0}),
+        ]
+        (frame,) = replay_frames(events)
+        assert frame["unknown"] == {}
+        assert frame["other"] == {
+            "adaptation_point.start": 1,
+            "tree.layout.start": 1,
+            "tree.layout.end": 1,
+            "adaptation_point.end": 1,
+        }
+
     def test_unknown_kind_tallied(self):
         events = [
             FlightEvent(0, 0.0, "adapt.start", {"step": 0}),
@@ -270,7 +289,12 @@ class TestObsServerReplay:
                 server.host, server.port, "GET", "/healthz"
             )
             assert status == 200
-            assert health == {"status": "ok", "mode": "replay", "sessions": 1}
+            assert health == {
+                "status": "ok",
+                "mode": "replay",
+                "sessions": 1,
+                "event_kinds": sorted(KNOWN_EVENT_KINDS),
+            }
             status, index = await http_text(server.host, server.port, "/")
             assert status == 200 and "mission control" in index
             status, js = await http_text(
@@ -286,6 +310,32 @@ class TestObsServerReplay:
                 server.host, server.port, "/static/..%2Fserver.py"
             )
             assert status == 404
+
+        self._serve(check, log_path)
+
+    def test_page_takes_event_kinds_from_the_server(self, log_path):
+        # the kinds the fold only tallies live in the served list alone;
+        # the page names just the kinds it renders
+        rendered = {
+            "adapt.start",
+            "adapt.end",
+            "alloc.rect",
+            "nest.insert",
+            "nest.retain",
+            "nest.delete",
+            "dynamic.choice",
+            "link.heat",
+            "ledger.skew",
+        }
+
+        async def check(server):
+            _, health = await http_json(server.host, server.port, "GET", "/healthz")
+            assert set(health["event_kinds"]) == KNOWN_EVENT_KINDS
+            _, js = await http_text(
+                server.host, server.port, "/static/visualization.js"
+            )
+            for kind in sorted(KNOWN_EVENT_KINDS - rendered):
+                assert f'"{kind}"' not in js, kind
 
         self._serve(check, log_path)
 
