@@ -196,14 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to 64k ranks (quick stops at 4096)",
     )
     p.add_argument(
-        "--route-cache-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the preset-derived route-cache size of the scale "
-        "suite's network simulators (default: sized from the machine)",
-    )
-    p.add_argument(
         "--trace",
         default=None,
         help="also write a Chrome trace-event JSON of one instrumented "
@@ -457,7 +449,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             phases=args.phases,
             progress=lambda name: print(f"  timing {name} ...", file=sys.stderr),
             suite=args.suite,
-            route_cache_size=args.route_cache_size,
         )
     except ValueError as exc:
         print(f"repro bench: {exc}", file=sys.stderr)

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 from repro.core.allocation import Allocation
 from repro.core.diffusion import DiffusionStrategy
-from repro.core.redistribution import plan_redistribution
+from repro.core.redistribution import nest_moves
 from repro.core.scratch import ScratchStrategy
 from repro.core.strategy import ReallocationStrategy
 from repro.grid.procgrid import ProcessorGrid
 from repro.mpisim.costmodel import CostModel
 from repro.obs import get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
+from repro.perfmodel.redisttime import predict_redistribution_time
+from repro.sanitize.hooks import get_sanitizer
 from repro.topology.machines import MachineSpec
 
 __all__ = [
@@ -112,10 +114,16 @@ def predict_candidate_costs(
     diffusion_alloc = DiffusionStrategy().reallocate(old, weights, grid)
 
     def redist_prediction(candidate: Allocation) -> float:
+        # the §IV-C1 model alone, summed as a plan sums its predicted_time
         if old is None:
             return 0.0
-        plan = plan_redistribution(old, candidate, nest_sizes, machine, cost)
-        return plan.predicted_time
+        moves = nest_moves(old, candidate, nest_sizes, cost)
+        sanitizer = get_sanitizer()
+        if sanitizer.enabled:
+            sanitizer.after_moves(moves, nest_sizes)
+        return predict_redistribution_time(
+            [move.messages for move in moves], machine, cost
+        )
 
     s_exec = predicted_exec_time(predictor, scratch_alloc, nest_sizes)
     d_exec = predicted_exec_time(predictor, diffusion_alloc, nest_sizes)

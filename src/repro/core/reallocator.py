@@ -57,7 +57,6 @@ class ProcessorReallocator:
         predictor: ExecTimePredictor,
         cost: CostModel | None = None,
         flow_level: bool = False,
-        route_cache_size: int | None = None,
     ) -> None:
         from repro.grid.procgrid import ProcessorGrid
 
@@ -66,13 +65,10 @@ class ProcessorReallocator:
         self.predictor = predictor
         self.cost = cost or CostModel.for_machine(machine)
         self.grid = ProcessorGrid(*machine.grid)
-        # route_cache_size=None sizes the cache from the machine preset
-        # (see repro.mpisim.netsim.default_route_cache_size)
-        self.simulator = NetworkSimulator(
-            machine.mapping, self.cost, route_cache_size=route_cache_size
-        )
+        self.simulator = NetworkSimulator(machine.mapping, self.cost)
         #: live per-link wire load, maintained by message-set deltas at
-        #: every adaptation point (O(churned nests), not O(machine))
+        #: every adaptation point (O(churned nests), not O(machine)); it
+        #: routes through ``simulator``, so each plan routes a nest once
         self.link_state = LinkLoadState(self.simulator)
         self.flow_level = flow_level
         self.allocation: Allocation | None = None

@@ -30,7 +30,7 @@ from repro.perfmodel.redisttime import measure_redistribution_time
 from repro.sanitize.hooks import get_sanitizer
 from repro.topology.machines import MachineSpec
 
-__all__ = ["NestMove", "RedistributionPlan", "plan_redistribution"]
+__all__ = ["NestMove", "RedistributionPlan", "nest_moves", "plan_redistribution"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,32 @@ class RedistributionPlan:
         return factor * base
 
 
+def nest_moves(
+    old: Allocation,
+    new: Allocation,
+    nest_sizes: dict[int, tuple[int, int]],
+    cost: CostModel,
+) -> list[NestMove]:
+    """Every retained nest's transfer matrix and messages, by nest id: the
+    per-nest loop of a full plan and of the dynamic strategy's candidate
+    costing (:func:`repro.core.dynamic.predict_candidate_costs`)."""
+    recorder = get_recorder()
+    moves: list[NestMove] = []
+    for nid in sorted(set(old.rects) & set(new.rects)):
+        if nid not in nest_sizes:
+            raise KeyError(f"no size recorded for retained nest {nid}")
+        nx, ny = nest_sizes[nid]
+        with recorder.span("redist.transfer_matrix", nest=nid):
+            t = transfer_matrix(
+                old.decomposition(nid, nx, ny),
+                new.decomposition(nid, nx, ny),
+                old.grid.px,
+            )
+            msgs = messages_from_transfer(t, cost.bytes_per_point)
+        moves.append(NestMove(nest_id=nid, transfer=t, messages=msgs))
+    return moves
+
+
 def plan_redistribution(
     old: Allocation,
     new: Allocation,
@@ -101,48 +127,46 @@ def plan_redistribution(
     deleted nests' contributions are retired and each retained nest's is
     replaced by this plan's messages, so after the call the state holds
     exactly this adaptation point's wire traffic without any full
-    recomputation.  The sanitizer (when armed) cross-checks the
-    incremental state against a from-scratch rebuild.
+    recomputation.  When the state routes through ``simulator`` and the
+    bottleneck bound measures the plan, each nest's charge also times its
+    wire phase, so every nest is routed once.  The sanitizer (when armed)
+    cross-checks the incremental state against a from-scratch rebuild.
+
+    Validation: :func:`nest_moves` raises ``KeyError`` for a retained nest without a size.
     """
     simulator = simulator or NetworkSimulator(machine.mapping, cost)
     recorder = get_recorder()
-    retained = sorted(set(old.rects) & set(new.rects))
-    moves: list[NestMove] = []
-    per_nest_msgs: list[MessageSet] = []
-    total_points = 0
-    local_points = 0
-    for nid in retained:
-        if nid not in nest_sizes:
-            raise KeyError(f"no size recorded for retained nest {nid}")
-        nx, ny = nest_sizes[nid]
-        with recorder.span("redist.transfer_matrix", nest=nid):
-            t = transfer_matrix(
-                old.decomposition(nid, nx, ny),
-                new.decomposition(nid, nx, ny),
-                old.grid.px,
-            )
-            msgs = messages_from_transfer(t, cost.bytes_per_point)
-        moves.append(NestMove(nest_id=nid, transfer=t, messages=msgs))
-        per_nest_msgs.append(msgs)
-        total_points += t.total_points
-        local_points += t.local_points
-        get_recorder().emit(
+    moves = nest_moves(old, new, nest_sizes, cost)
+    for move in moves:
+        recorder.emit(
             "redist.round",
-            nest=nid,
-            n_messages=len(msgs),
-            network_bytes=msgs.total_bytes,
-            overlap=t.overlap_fraction,
+            nest=move.nest_id,
+            n_messages=len(move.messages),
+            network_bytes=move.messages.total_bytes,
+            overlap=move.overlap_fraction,
         )
-
+    per_nest_msgs = [move.messages for move in moves]
+    charges = None  # each nest's link-state charge doubles as its wire load
+    if link_state is not None:
+        with recorder.span("redist.link_state", n_moves=len(moves)):
+            for nid in sorted(set(old.rects) - set(new.rects)):
+                link_state.retire(nid)
+            charges = [link_state.update(m.nest_id, m.messages) for m in moves]
+        if link_state.simulator is not simulator:  # loads of another network
+            charges = None
     with recorder.span("redist.cost", n_moves=len(moves)):
         all_msgs = MessageSet.concat(per_nest_msgs)
         hb_total, hb_avg = hop_bytes(all_msgs, machine.mapping)
         per_nest_predicted = {
-            nid: predict_alltoallv_time(m, machine, cost)
-            for nid, m in zip(retained, per_nest_msgs)
+            move.nest_id: predict_alltoallv_time(move.messages, machine, cost)
+            for move in moves
         }
         predicted = sum(per_nest_predicted.values())
-        measured = measure_redistribution_time(per_nest_msgs, simulator, flow_level)
+        measured = measure_redistribution_time(
+            per_nest_msgs, simulator, flow_level, link_arrays=charges
+        )
+    total_points = sum(move.transfer.total_points for move in moves)
+    local_points = sum(move.transfer.local_points for move in moves)
     overlap = local_points / total_points if total_points else 1.0
     plan = RedistributionPlan(
         moves=moves,
@@ -154,12 +178,6 @@ def plan_redistribution(
         network_bytes=all_msgs.total_bytes,
         per_nest_predicted=per_nest_predicted,
     )
-    if link_state is not None:
-        with recorder.span("redist.link_state", n_moves=len(moves)):
-            for nid in sorted(set(old.rects) - set(new.rects)):
-                link_state.retire(nid)
-            for nid, msgs in zip(retained, per_nest_msgs):
-                link_state.update(nid, msgs)
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_plan(plan, nest_sizes)

@@ -45,25 +45,19 @@ from repro.mpisim.costmodel import CostModel
 from repro.obs import get_recorder
 from repro.topology.mapping import ProcessMapping
 
-__all__ = ["NetworkSimulator", "LinkLoadState", "default_route_cache_size"]
-
-#: placeholder slice while assembling mixed warm/cold route batches
-_EMPTY_ROUTE = np.empty(0, dtype=np.int64)
+__all__ = ["NetworkSimulator", "LinkLoadState"]
 
 
-def default_route_cache_size(nranks: int) -> int:
-    """Route-cache capacity derived from the machine size.
-
-    The historical fixed ``1 << 16`` was tuned for <= 1024-rank presets;
-    at 16k-64k ranks a single adaptation touches more distinct pairs than
-    that, so the FIFO thrashes and every step re-routes from scratch.
-    Scale with the rank count (a rank's redistribution partners are a
-    bounded neighbourhood, ~4 pairs/rank covers the observed working
-    sets) but cap the growth so the cache itself stays bounded in memory.
-    """
-    if nranks <= 0:
-        raise ValueError(f"nranks must be positive, got {nranks}")
-    return min(max(1 << 16, 4 * nranks), 1 << 20)
+def _take_rows(
+    links: np.ndarray, offsets: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of the CSR ``(links, offsets)``, in that order, as a
+    new CSR."""
+    lengths = np.diff(offsets)[rows]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    k = np.arange(out[-1], dtype=np.int64) - np.repeat(out[:-1], lengths)
+    return links[np.repeat(offsets[:-1][rows], lengths) + k], out
 
 
 class NetworkSimulator:
@@ -78,28 +72,22 @@ class NetworkSimulator:
         self,
         mapping: ProcessMapping,
         cost: CostModel,
-        route_cache_size: int | None = None,
         adaptive_routing: bool = False,
     ) -> None:
         self.mapping = mapping
         self.topology = mapping.topology
         self.cost = cost
-        if route_cache_size is None:
-            route_cache_size = default_route_cache_size(mapping.nranks)
         # Static adaptive routing: vary the torus dimension order per
         # endpoint pair (deterministic hash) to spread link load.  Only
         # meaningful on topologies exposing route_ordered (tori/meshes).
         self.adaptive_routing = adaptive_routing and hasattr(
             mapping.topology, "route_ordered"
         )
-        # Deterministic routes recur constantly across an experiment (the
-        # same rank pairs exchange at every adaptation point), so memoise
-        # them as int64 arrays.  The cache evicts FIFO one entry at a time
-        # when full (dicts preserve insertion order, so the first key is
-        # the oldest), keeping the hit rate high instead of flushing
-        # wholesale.
-        self._route_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._route_cache_size = route_cache_size
+        # Routing is stateless: each call routes its unique rank pairs in
+        # one vectorised batch, cheaper per pair than a memo of routes.
+        # The counters keep their cache-era names for external readers: a
+        # miss is a unique pair a call routed, a hit a further message of
+        # such a pair -- the counts a cold cache made.
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         #: link id -> bandwidth multiplier in (0, 1] (1 = healthy)
@@ -145,129 +133,59 @@ class NetworkSimulator:
             return self.topology.route_ordered(src, dst, order)
         return self.topology.route(src, dst)
 
-    def clear_route_cache(self) -> None:
-        """Drop every memoised route and reset the hit/miss counters
-        (cold-cache benchmarking)."""
-        self._route_cache.clear()
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-
-    def _batch_missing_routes(
+    def _batch_routes(
         self, src_ranks: np.ndarray, dst_ranks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Compute, cache and return routes for uncached rank pairs.
-
-        Returns the ``(links, offsets)`` CSR over the input pairs, in
-        input order; each pair's slice also lands in the route cache
-        (views into the flat array — no copies).
-        """
+        """Routes of the given rank pairs as one ``(links, offsets)`` CSR,
+        in input order."""
         table = self.mapping.table
         src = table[src_ranks].astype(np.int64)
         dst = table[dst_ranks].astype(np.int64)
-        if self.adaptive_routing:
-            # Group pairs by their hashed dimension order (six groups) so
-            # each group is one vectorised batch_routes_ordered call.
-            order_idx = (src * 2654435761 + dst) % 6
-            chunks: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(src)
-            for o in np.unique(order_idx):
-                sel = np.flatnonzero(order_idx == o)
-                l, off = self.topology.batch_routes_ordered(
-                    src[sel], dst[sel], self._DIM_ORDERS[int(o)]
-                )
-                for j, pos in enumerate(sel):
-                    chunks[int(pos)] = l[off[j] : off[j + 1]]
-            lengths = np.fromiter(
-                (c.shape[0] for c in chunks), dtype=np.int64, count=len(chunks)
+        if not self.adaptive_routing:
+            return self.topology.batch_routes(src, dst)
+        # Group pairs by their hashed dimension order (six groups) so each
+        # group is one vectorised batch_routes_ordered call, then put the
+        # grouped routes back in input order.
+        order_idx = (src * 2654435761 + dst) % 6
+        sels, links, lengths = [], [], []
+        for o in np.unique(order_idx):
+            sel = np.flatnonzero(order_idx == o)
+            glinks, goffs = self.topology.batch_routes_ordered(
+                src[sel], dst[sel], self._DIM_ORDERS[int(o)]
             )
-            offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            links = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            )
-        else:
-            links, offsets = self.topology.batch_routes(src, dst)
-        cache = self._route_cache
-        cache.update(
-            ((int(s), int(d)), links[offsets[i] : offsets[i + 1]])
-            for i, (s, d) in enumerate(zip(src_ranks, dst_ranks))
+            sels.append(sel)
+            links.append(glinks)
+            lengths.append(np.diff(goffs))
+        offsets = np.zeros(len(src) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(lengths), out=offsets[1:])
+        return _take_rows(
+            np.concatenate(links), offsets, np.argsort(np.concatenate(sels))
         )
-        while len(cache) > self._route_cache_size:  # FIFO overflow eviction
-            cache.pop(next(iter(cache)))
-        return links, offsets
 
     def routes_csr(self, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
         """Every message's physical route as one flat CSR structure.
 
         Returns ``(links, offsets)``: message ``i`` traverses directed
-        links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  Uncached
-        endpoint pairs are routed in one vectorised batch; cache hit/miss
-        counters advance as a per-message cache walk would (first sighting
-        of a pair is a miss, repeats are hits).
+        links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  The
+        unique endpoint pairs are routed in one vectorised batch and each
+        message gathers its pair's route; the ``route_cache_*`` counters
+        advance by the unique pairs (misses) and the repeats (hits).
         """
         n = len(messages)
-        offsets = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
-            return np.empty(0, dtype=np.int64), offsets
+            return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
         nranks = self.mapping.nranks
         keys = messages.src.astype(np.int64) * nranks + messages.dst.astype(np.int64)
         uniq, inv = np.unique(keys, return_inverse=True)
-        uniq_src = uniq // nranks
-        uniq_dst = uniq % nranks
-        cache = self._route_cache
-        if not cache:  # cold cache: everything is missing, skip the probe
-            missing = np.ones(len(uniq), dtype=bool)
-        else:
-            missing = np.fromiter(
-                (
-                    (int(s), int(d)) not in cache
-                    for s, d in zip(uniq_src, uniq_dst)
-                ),
-                dtype=bool,
-                count=len(uniq),
-            )
-        n_missing = int(missing.sum())
-        self.route_cache_misses += n_missing
-        self.route_cache_hits += n - n_missing
+        n_pairs = len(uniq)
+        self.route_cache_misses += n_pairs
+        self.route_cache_hits += n - n_pairs
         rec = get_recorder()
-        if n_missing:
-            rec.count("netsim.route_cache_miss", float(n_missing))
-        if n > n_missing:
-            rec.count("netsim.route_cache_hit", float(n - n_missing))
-        if n_missing == len(uniq):
-            # Every pair just came out of one batch call whose output is
-            # already the per-pair CSR — no per-pair reassembly needed.
-            flat_pairs, pair_offs = self._batch_missing_routes(uniq_src, uniq_dst)
-            pair_len = np.diff(pair_offs)
-            pair_off = pair_offs[:-1]
-        else:
-            # Hit routes are snapshotted *before* the batch call: its FIFO
-            # overflow eviction may drop them (or even just-inserted missing
-            # pairs, when the batch itself exceeds the cache) from the cache
-            # before reassembly, so nothing below re-reads the cache.
-            per_pair: list[np.ndarray] = [
-                _EMPTY_ROUTE if m else cache[(int(s), int(d))]
-                for m, s, d in zip(missing.tolist(), uniq_src, uniq_dst)
-            ]
-            if n_missing:
-                mlinks, moffs = self._batch_missing_routes(
-                    uniq_src[missing], uniq_dst[missing]
-                )
-                for j, i in enumerate(np.flatnonzero(missing).tolist()):
-                    per_pair[i] = mlinks[moffs[j] : moffs[j + 1]]
-            pair_len = np.fromiter(
-                (r.shape[0] for r in per_pair), dtype=np.int64, count=len(per_pair)
-            )
-            pair_off = np.concatenate(([0], np.cumsum(pair_len)[:-1]))
-            flat_pairs = np.concatenate(per_pair)
-        np.cumsum(pair_len[inv], out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        # Gather each message's route out of the unique-pair concatenation.
-        msg_len = pair_len[inv]
-        src_pos = np.repeat(pair_off[inv], msg_len)
-        k = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], msg_len)
-        return flat_pairs[src_pos + k], offsets
+        rec.count("netsim.route_cache_miss", float(n_pairs))
+        if n > n_pairs:
+            rec.count("netsim.route_cache_hit", float(n - n_pairs))
+        links, offsets = self._batch_routes(uniq // nranks, uniq % nranks)
+        return _take_rows(links, offsets, inv)
 
     def _routes_reference(self, messages: MessageSet) -> list[list[int]]:
         """Physical route (link ids) of every message, one at a time."""
@@ -282,9 +200,9 @@ class NetworkSimulator:
         self, messages: MessageSet
     ) -> tuple[np.ndarray, np.ndarray]:
         """Loaded links and their byte totals as sorted parallel arrays."""
-        links, offsets = self.routes_csr(messages)
-        if links.size == 0:
+        if len(messages) == 0:  # nothing to route
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        links, offsets = self.routes_csr(messages)
         weights = np.repeat(
             messages.nbytes.astype(np.float64), np.diff(offsets)
         )
@@ -445,7 +363,12 @@ class NetworkSimulator:
         worst_bytes = float(np.maximum(out_bytes, in_bytes).max())
         return self.cost.alpha * worst_msgs + self.cost.soft_beta * worst_bytes + floor
 
-    def bottleneck_time(self, messages: MessageSet, include_floor: bool = True) -> float:
+    def bottleneck_time(
+        self,
+        messages: MessageSet,
+        include_floor: bool = True,
+        link_arrays: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> float:
         """Contention-aware lower-bound completion time (the default
         "measured" value).
 
@@ -453,11 +376,14 @@ class NetworkSimulator:
         bytes.  Software phase: the busiest endpoint packs/unpacks its
         bytes (``soft_β``), pays ``α`` per message, and every rank walks the
         full communicator's count arrays (``soft_α · P``).
+
+        ``link_arrays``, ``messages``' loads on this simulator's links as
+        :meth:`LinkLoadState.update` returns them, spares routing them again.
         """
         if len(messages) == 0:
             return 0.0
         with get_recorder().span("netsim.bottleneck", n_messages=len(messages)):
-            links_arr, loads_arr = self._link_load_arrays(messages)
+            links_arr, loads_arr = link_arrays or self._link_load_arrays(messages)
             wire = 0.0
             if loads_arr.size:
                 if self.link_faults:
@@ -697,14 +623,16 @@ class LinkLoadState:
         self._vals.clear()
         self._messages.clear()
 
-    def update(self, key: int, messages: MessageSet) -> None:
-        """Charge ``key`` with ``messages``, replacing any prior charge."""
+    def update(self, key: int, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
+        """Charge ``key`` with ``messages``, replacing any prior charge;
+        returns the charge (sorted loaded links, their byte totals)."""
         self.retire(key)
         links, vals = self.simulator._link_load_arrays(messages)
         self._links[key] = links
         self._vals[key] = vals
         self._messages[key] = messages
         self.loads[links] += vals
+        return links, vals
 
     def retire(self, key: int) -> None:
         """Remove ``key``'s contribution; a no-op for unknown keys."""
@@ -747,7 +675,7 @@ class LinkLoadState:
         concatenation of all active message sets — ``(-1, 0.0, {})``
         when nothing is on the wire, ties toward the smallest link id —
         but the scan is O(links) on the live array and only the keys
-        whose routes cross the busiest link are revisited (cache-hot).
+        whose routes cross the busiest link are routed again.
         """
         if not self._messages:
             return -1, 0.0, {}

@@ -16,10 +16,10 @@ phase                       what it times
 ``tree.scratch``            Huffman build + rectangle layout (§IV-A)
 ``tree.diffusion``          Algorithm-3 tree edit + layout (§IV-B)
 ``grid.transfer_matrix``    per-nest transfer-matrix construction
-``netsim.link_loads``       per-link byte accounting (cold route cache)
+``netsim.link_loads``       routing + per-link byte accounting
 ``netsim.bottleneck``       contention-aware alltoallv timing
 ``netsim.flow``             max-min-fair flow simulation
-``redist.plan``             full redistribution planning (cold route cache)
+``redist.plan``             full redistribution planning
 ``dataplane.roundtrip``     scatter → executed redistribution → gather
 ``e2e.compare``             the ``repro compare`` path, scratch + diffusion
 ``serve.throughput``        a session fleet through the async scheduler
@@ -38,10 +38,11 @@ large-machine scaling story instead: steady-state adaptation steps —
 incremental link-load deltas included — at a fixed nest count across
 machine presets from 1k to 64k ranks (``scale.ranks_*``, time vs ranks),
 at a fixed 4096-rank preset across nest counts (``scale.nests_*``, time
-vs nests), and sparse pair-byte ledger accounting (``scale.ledger_pairs``,
-quick: 4k ranks, full: 64k).  Quick mode stops at 4096 ranks (the CI
-``scale-smoke`` gate); ``--route-cache-size`` overrides the
-preset-derived route-cache sizing for its simulators.
+vs nests), dynamic-strategy points under one-nest-per-point churn on
+4096 ranks (``scale.dynamic_churn``, one churn period per timed call),
+and sparse pair-byte ledger accounting (``scale.ledger_pairs``, quick:
+4k ranks, full: 64k).  Quick mode stops at 4096 ranks (the CI
+``scale-smoke`` gate).
 
 This module lives in ``repro.obs`` and is therefore allowed to read raw
 clocks (reprolint R007); every other module must report time through
@@ -51,12 +52,14 @@ importing :mod:`repro.obs` stays cheap for instrumented hot paths.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import platform
 import subprocess
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -65,6 +68,8 @@ from repro.obs.stats import PhaseStats, summarise
 
 if TYPE_CHECKING:
     from repro.core.allocation import Allocation
+    from repro.core.strategy import ReallocationStrategy
+    from repro.experiments.runner import ExperimentContext
     from repro.mpisim.alltoallv import MessageSet
     from repro.mpisim.costmodel import CostModel
     from repro.mpisim.netsim import NetworkSimulator
@@ -108,9 +113,15 @@ _SCALE_RANK_MACHINES = (
 )
 _SCALE_QUICK_RANK_MACHINES = _SCALE_RANK_MACHINES[:2]
 _SCALE_FIXED_NESTS = 6
-#: time vs nests at a fixed machine
+#: time vs nests (and the dynamic-strategy churn) at a fixed machine
 _SCALE_NEST_MACHINE = "bgl-4096"
 _SCALE_NEST_COUNTS = (8, 32)
+#: dynamic-strategy churn: live nest count and nest side range (fine-grid
+#: points); one period of the count's 3..8..3 sweep is one timed call, as
+#: a single point's cost depends on where in the sweep it falls
+_CHURN_NESTS = (3, 8)
+_CHURN_SIDES = (48, 120)
+_CHURN_PERIOD = 2 * (_CHURN_NESTS[1] - _CHURN_NESTS[0])
 
 
 @dataclass(frozen=True)
@@ -333,7 +344,6 @@ def _setup_netsim_link_loads(quick: bool) -> Callable[[], object]:
     sim, msgs = _message_fixture(quick)
 
     def run() -> object:
-        sim.clear_route_cache()  # time routing + accumulation, not cache hits
         return sim.link_loads(msgs)
 
     return run
@@ -343,7 +353,6 @@ def _setup_netsim_bottleneck(quick: bool) -> Callable[[], object]:
     sim, msgs = _message_fixture(quick)
 
     def run() -> object:
-        sim.clear_route_cache()  # time routing + contention, not cache hits
         return sim.bottleneck_time(msgs)
 
     return run
@@ -365,7 +374,6 @@ def _setup_redist_plan(quick: bool) -> Callable[[], object]:
     pair = _allocation_pair(quick)
 
     def run() -> object:
-        pair.simulator.clear_route_cache()  # plan cold, like a fresh step
         return plan_redistribution(
             pair.old,
             pair.new,
@@ -589,12 +597,12 @@ def bench_phases() -> tuple[BenchPhase, ...]:
         ),
         BenchPhase(
             "netsim.link_loads",
-            "per-link byte accounting (cold route cache)",
+            "routing + per-link byte accounting",
             _setup_netsim_link_loads,
         ),
         BenchPhase(
             "netsim.bottleneck",
-            "contention-aware alltoallv timing (cold route cache)",
+            "contention-aware alltoallv timing",
             _setup_netsim_bottleneck,
         ),
         BenchPhase(
@@ -604,7 +612,7 @@ def bench_phases() -> tuple[BenchPhase, ...]:
         ),
         BenchPhase(
             "redist.plan",
-            "full redistribution planning (cold route cache)",
+            "full redistribution planning",
             _setup_redist_plan,
         ),
         BenchPhase(
@@ -650,54 +658,83 @@ def bench_phases() -> tuple[BenchPhase, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _scale_nests(n: int, phase: int) -> dict[int, tuple[int, int]]:
-    """Pinned churn for one adaptation step (``phase`` alternates 0/1).
+def _scale_nests(n: int) -> Iterator[list[dict[int, tuple[int, int]]]]:
+    """Pinned churn between two nest sets, alternating per point, one
+    point per batch.
 
     Every 4th nest id is replaced across phases (a delete + a create per
     toggle) and the survivors change size, so each timed step retires and
     re-lands nests through the full plan + link-state delta path.
     """
+    for phase in itertools.cycle((0, 1)):
+        nests: dict[int, tuple[int, int]] = {}
+        for i in range(n):
+            nid = i + 1000 * phase if i % 4 == 0 else i
+            nests[nid] = (
+                48 + 6 * ((i + phase) % 5),
+                48 + 6 * ((i + 2 * phase) % 5),
+            )
+        yield [nests]
+
+
+def _churn_schedule() -> Iterator[dict[int, tuple[int, int]]]:
+    """Pinned churn shaped like the repository benchmark's: one insert or
+    delete per point as the nest count sweeps 3..8..3, new ids, sides of
+    48..120 points, rotating victims."""
+    lo, period = _CHURN_NESTS[0], _CHURN_PERIOD
+    side_lo, side_span = _CHURN_SIDES[0], _CHURN_SIDES[1] - _CHURN_SIDES[0] + 1
     nests: dict[int, tuple[int, int]] = {}
-    for i in range(n):
-        nid = i + 1000 * phase if i % 4 == 0 else i
-        nests[nid] = (
-            48 + 6 * ((i + phase) % 5),
-            48 + 6 * ((i + 2 * phase) % 5),
-        )
-    return nests
+    born = 0
+    for t in itertools.count():
+        want = lo + min(t % period, period - t % period)
+        while len(nests) > want:
+            del nests[sorted(nests)[(7 * t) % len(nests)]]
+        while len(nests) < want:
+            born += 1
+            nests[born] = (
+                side_lo + (37 * born) % side_span,
+                side_lo + (53 * born) % side_span,
+            )
+        yield dict(nests)
+
+
+def _churn_batches() -> Iterator[list[dict[int, tuple[int, int]]]]:
+    """:func:`_churn_schedule` one period per batch, after a two-period
+    set-up batch that brings every per-simulator structure to its steady
+    state before timing."""
+    points = _churn_schedule()
+    yield list(itertools.islice(points, 2 * _CHURN_PERIOD))
+    while True:
+        yield list(itertools.islice(points, _CHURN_PERIOD))
 
 
 def _scale_step_setup(
-    machine_name: str, n_nests: int, route_cache_size: int | None
+    machine_name: str,
+    schedule: Callable[[], Iterator[list[dict[int, tuple[int, int]]]]],
+    make_strategy: Callable[[ExperimentContext], ReallocationStrategy],
 ) -> Callable[[bool], Callable[[], object]]:
-    """One steady-state adaptation step on ``machine_name``.
+    """Adaptation steps on ``machine_name`` under a pinned schedule.
 
-    The reallocator is warmed through an initial step in setup; each
-    timed call is one full adaptation point (weights, diffusion
-    strategy, redistribution plan, incremental link-load deltas) under
-    the pinned churn of :func:`_scale_nests`.
+    The schedule yields batches of points: set-up runs the first batch,
+    and each timed call runs the next as full adaptation points (weights,
+    the strategy, redistribution plan, incremental link-load deltas).
     """
 
     def setup(quick: bool) -> Callable[[], object]:
-        from repro.core import DiffusionStrategy, ProcessorReallocator
-        from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
+        from repro.core import ProcessorReallocator
+        from repro.experiments.runner import ExperimentContext
         from repro.topology import MACHINES
 
-        machine = MACHINES[machine_name]
-        predictor = ExecTimePredictor(ProfileTable(ExecutionOracle()))
-        realloc = ProcessorReallocator(
-            machine,
-            DiffusionStrategy(),
-            predictor,
-            route_cache_size=route_cache_size,
-        )
-        realloc.step(_scale_nests(n_nests, 0))
-        state = {"phase": 0}
+        ctx = ExperimentContext(MACHINES[machine_name])
+        assert ctx.predictor is not None
+        realloc = ProcessorReallocator(ctx.machine, make_strategy(ctx), ctx.predictor, ctx.cost)
+        batches = schedule()
+        for nests in next(batches):
+            realloc.step(nests)
 
         def run() -> object:
-            state["phase"] ^= 1
-            result = realloc.step(_scale_nests(n_nests, state["phase"]))
-            return result.plan.measured_time if result.plan else 0.0
+            steps = [realloc.step(nests) for nests in next(batches)]
+            return sum(step.plan.measured_time for step in steps if step.plan)
 
         return run
 
@@ -728,22 +765,28 @@ def _setup_scale_ledger(quick: bool) -> Callable[[], object]:
     return run
 
 
-def scale_phases(
-    quick: bool = False, route_cache_size: int | None = None
-) -> tuple[BenchPhase, ...]:
+def scale_phases(quick: bool = False) -> tuple[BenchPhase, ...]:
     """The large-machine scaling suite.
 
     ``scale.ranks_*`` holds the nest count fixed and walks the machine
     ladder (per-adaptation time vs ranks must grow sub-linearly);
     ``scale.nests_*`` holds the machine fixed and scales the nest count;
-    ``scale.ledger_pairs`` times sparse pair-byte accounting alone.
+    ``scale.dynamic_churn`` times the dynamic strategy's points, candidate
+    costing included, under churn; ``scale.ledger_pairs`` times sparse
+    pair-byte accounting alone.
     """
+    from repro.core import DiffusionStrategy
+    from repro.experiments.runner import ExperimentContext
+
+    def diffusion(ctx: ExperimentContext) -> ReallocationStrategy:
+        return DiffusionStrategy()
+
     rank_machines = _SCALE_QUICK_RANK_MACHINES if quick else _SCALE_RANK_MACHINES
     phases = [
         BenchPhase(
             f"scale.ranks_{tag}",
             f"steady-state adaptation step, {_SCALE_FIXED_NESTS} nests, {name}",
-            _scale_step_setup(name, _SCALE_FIXED_NESTS, route_cache_size),
+            _scale_step_setup(name, functools.partial(_scale_nests, _SCALE_FIXED_NESTS), diffusion),
         )
         for tag, name in rank_machines
     ]
@@ -751,9 +794,19 @@ def scale_phases(
         BenchPhase(
             f"scale.nests_{n}",
             f"steady-state adaptation step, {n} nests, {_SCALE_NEST_MACHINE}",
-            _scale_step_setup(_SCALE_NEST_MACHINE, n, route_cache_size),
+            _scale_step_setup(_SCALE_NEST_MACHINE, functools.partial(_scale_nests, n), diffusion),
         )
         for n in _SCALE_NEST_COUNTS
+    )
+    phases.append(
+        BenchPhase(
+            "scale.dynamic_churn",
+            f"{_CHURN_PERIOD} dynamic-strategy points, one nest in or out "
+            f"per point, {_SCALE_NEST_MACHINE}",
+            _scale_step_setup(
+                _SCALE_NEST_MACHINE, _churn_batches, ExperimentContext.make_dynamic_strategy
+            ),
+        )
     )
     phases.append(
         BenchPhase(
@@ -776,7 +829,6 @@ def run_bench(
     phases: Iterable[str] | None = None,
     progress: Callable[[str], None] | None = None,
     suite: str = "default",
-    route_cache_size: int | None = None,
 ) -> BenchResult:
     """Run the suite and aggregate per-phase wall-clock stats.
 
@@ -784,28 +836,17 @@ def run_bench(
     ``repeats`` times.  ``phases`` selects a subset by name; unknown
     names raise ``ValueError``.  ``suite`` picks ``"default"`` (the pinned
     hot-path baseline) or ``"scale"`` (the large-machine scaling
-    curves); ``route_cache_size`` overrides the preset-derived route
-    cache of the scale suite's simulators and is rejected elsewhere so
-    it can never silently do nothing.
+    curves).
     """
     if repeats is None:
         repeats = 3 if quick else 5
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if suite == "default":
-        if route_cache_size is not None:
-            raise ValueError(
-                "route_cache_size only applies to the scale suite "
-                "(the default suite sizes caches from the machine preset)"
-            )
         suite_phases = bench_phases()
         machine = _QUICK_MACHINE if quick else _FULL_MACHINE
     elif suite == "scale":
-        if route_cache_size is not None and route_cache_size < 1:
-            raise ValueError(
-                f"route_cache_size must be >= 1, got {route_cache_size}"
-            )
-        suite_phases = scale_phases(quick, route_cache_size)
+        suite_phases = scale_phases(quick)
         machine = "scale"
     else:
         raise ValueError(

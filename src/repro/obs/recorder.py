@@ -14,7 +14,7 @@ Everything the library reports about a run flows through one
   ``t``), which keeps a log's content a pure function of the seed.  A
   closing span also folds its duration into a per-name
   :class:`~repro.obs.stats.SpanDigest`;
-* **counters** (monotonic counts such as route-cache misses) and
+* **counters** (monotonic counts such as rank pairs routed) and
   **gauges** (last values such as live nest counts).
 
 The ring has a fixed capacity (the oldest events fall off the back) and

@@ -11,6 +11,10 @@ the same messages through the contention-aware network simulator.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+import numpy as np
+
 from repro.mpisim.alltoallv import MessageSet, predict_alltoallv_time
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.netsim import NetworkSimulator
@@ -32,12 +36,19 @@ def measure_redistribution_time(
     per_nest_messages: list[MessageSet],
     simulator: NetworkSimulator,
     flow_level: bool = False,
+    link_arrays: Sequence[tuple[np.ndarray, np.ndarray] | None] | None = None,
 ) -> float:
     """Simulated ("measured") redistribution time, summed over nests.
 
     ``flow_level=True`` uses the max-min-fair flow simulation instead of the
-    bottleneck bound (slower, slightly more faithful).
+    bottleneck bound (slower, slightly more faithful).  ``link_arrays``
+    (bottleneck bound only) gives, per nest, the link loads its messages
+    already put on ``simulator``'s links, or ``None`` to route them here.
     """
     if flow_level:
         return sum(simulator.flow_time(msgs) for msgs in per_nest_messages)
-    return sum(simulator.bottleneck_time(msgs) for msgs in per_nest_messages)
+    arrays = link_arrays or [None] * len(per_nest_messages)
+    return sum(
+        simulator.bottleneck_time(msgs, link_arrays=a)
+        for msgs, a in zip(per_nest_messages, arrays)
+    )

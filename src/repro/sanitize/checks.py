@@ -4,9 +4,10 @@ A :class:`Sanitizer` records every violated conservation property at the
 adaptation-point hooks defined by
 :class:`~repro.sanitize.hooks.SanitizerHook`:
 
-* **plan conservation** — every move's transfer matrix accounts for each
-  nest point exactly once, local+network points partition, and the
-  plan's ``network_bytes`` equals the sum of its per-move message bytes;
+* **plan conservation** — every move's transfer matrix (an executed
+  plan's, or a dynamic-strategy candidate's) accounts for each nest point
+  exactly once, local+network points partition, and a plan's
+  ``network_bytes`` equals the sum of its per-move message bytes;
 * **store tiling** — after execution/scatter/recovery, each nest's
   blocks tile its grid disjointly (every point stored exactly once,
   every block shaped like its rectangle);
@@ -92,10 +93,9 @@ class Sanitizer(SanitizerHook):
 
     # -- checkpoints -------------------------------------------------------
 
-    def after_plan(self, plan: Any, nest_sizes: dict[int, tuple[int, int]]) -> None:
+    def after_moves(self, moves: list[Any], nest_sizes: dict[int, tuple[int, int]]) -> None:
         self._ran("plan.conservation")
-        message_bytes = 0.0
-        for move in plan.moves:
+        for move in moves:
             nx, ny = nest_sizes[move.nest_id]
             got = int(move.transfer.points.sum())
             if got != nx * ny:
@@ -112,7 +112,10 @@ class Sanitizer(SanitizerHook):
                     f"nest {move.nest_id}: local {local} + network {network} "
                     f"!= {nx * ny}",
                 )
-            message_bytes += float(move.messages.total_bytes)
+
+    def after_plan(self, plan: Any, nest_sizes: dict[int, tuple[int, int]]) -> None:
+        self.after_moves(plan.moves, nest_sizes)
+        message_bytes = sum(float(move.messages.total_bytes) for move in plan.moves)
         if not math.isclose(
             plan.network_bytes, message_bytes, rel_tol=_REL_TOL, abs_tol=1e-6
         ):

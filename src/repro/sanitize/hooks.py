@@ -55,6 +55,9 @@ class SanitizerHook:
     def after_plan(self, plan: Any, nest_sizes: dict[int, tuple[int, int]]) -> None:
         """After ``plan_redistribution`` returns ``plan``."""
 
+    def after_moves(self, moves: list[Any], nest_sizes: dict[int, tuple[int, int]]) -> None:
+        """After a candidate's per-nest moves were costed without a plan."""
+
     def after_execute(self, store: Any, nest_id: int, nx: int, ny: int) -> None:
         """After the dataplane moved ``nest_id``'s blocks to new owners."""
 

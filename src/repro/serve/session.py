@@ -4,8 +4,8 @@ A :class:`Session` is the unit of multi-tenancy: it owns every piece of
 mutable state one tracked simulation needs — a fresh
 :class:`~repro.experiments.runner.ExperimentContext` (machine, predictor
 with its own memo cache, cost model), its own
-:class:`~repro.mpisim.netsim.NetworkSimulator` route cache (via the
-reallocator the stepper builds), one per-session
+:class:`~repro.mpisim.netsim.NetworkSimulator` and live link state (via
+the reallocator the stepper builds), one per-session
 :class:`~repro.obs.recorder.FlightRecorder` (the bounded ring carrying
 its spans and decisions, named both ``recorder`` and ``flight``),
 :class:`~repro.mpisim.ledger.CommLedger` and
@@ -375,8 +375,8 @@ class Session:
         """Drop a PAUSED session's simulation state to reclaim memory.
 
         Only the spec, lifecycle history and completed-step count
-        survive; the stepper (with its reallocator, route caches and
-        link state), telemetry rings and ledger are all released.  The
+        survive; the stepper (with its reallocator and link state),
+        telemetry rings and ledger are all released.  The
         next :meth:`advance` after :meth:`resume` re-materialises
         everything by deterministically replaying the completed steps
         from the spec — same decisions, same metrics, same flight

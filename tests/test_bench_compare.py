@@ -154,14 +154,19 @@ class TestLoadBenchJson:
         assert load_bench_json(path) == doc
         assert "kernels" not in doc
 
-    def test_committed_baselines_load(self):
-        # the scale baseline predates the kernel-mode switch's removal and
-        # still carries its "kernels" header; the loader ignores it
+    def test_committed_baselines_load(self, tmp_path):
+        # both committed baselines are recorded from the shipped path, with
+        # no kernel-mode header
         scale = load_bench_json(ROOT / "BENCH_scale_baseline.json")
-        assert scale["kernels"] == "vector"
+        assert "kernels" not in scale
         default = load_bench_json(ROOT / "BENCH_baseline.json")
         assert "kernels" not in default
         assert compare_bench(scale, scale).ok
+        # a baseline from before the switch's removal still loads: the
+        # loader ignores its stale "kernels" header
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({**scale, "kernels": "vector"}))
+        assert compare_bench(load_bench_json(legacy), scale).ok
 
     @pytest.mark.parametrize(
         "doc, match",
@@ -234,7 +239,6 @@ class TestCliBenchCompare:
             phases=None,
             progress=None,
             suite="default",
-            route_cache_size=None,
         ):
             return _result(medians, quick=quick)
 

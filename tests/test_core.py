@@ -239,6 +239,54 @@ class TestProcessorReallocator:
             assert total == r.grid.nprocs
 
 
+class TestRouteOnce:
+    """Candidate costing routes nothing; the executed plan routes each
+    retained nest with messages exactly once."""
+
+    def test_routes_csr_calls_per_point(self, predictor, monkeypatch):
+        from repro.experiments import synthetic_workload
+        from repro.mpisim import NetworkSimulator
+        from repro.sanitize import NULL_SANITIZER, use_sanitizer
+        from repro.topology import MACHINES
+
+        machine = MACHINES["bgl-256"]
+        cost = CostModel.for_machine(machine)
+        dyn = DynamicStrategy(machine, cost, predictor)
+        realloc = ProcessorReallocator(machine, dyn, predictor, cost)
+        built: list[NetworkSimulator] = []
+        routed: list[int] = []
+        init, routes_csr = NetworkSimulator.__init__, NetworkSimulator.routes_csr
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counting_routes(self, messages):
+            routed.append(len(messages))
+            return routes_csr(self, messages)
+
+        monkeypatch.setattr(NetworkSimulator, "__init__", counting_init)
+        monkeypatch.setattr(NetworkSimulator, "routes_csr", counting_routes)
+        moved = 0
+        with use_sanitizer(NULL_SANITIZER):  # its rebuild check routes
+            for nests in synthetic_workload(seed=3, n_steps=8).steps:
+                old = realloc.allocation
+                weights = predictor.weights(nests, realloc.grid.nprocs)
+                dyn.reallocate(old, weights, realloc.grid, nest_sizes=dict(nests))
+                assert built == [] and routed == []  # choosing routes nothing
+                result = realloc.step(nests)
+                nonempty = [
+                    m for m in (result.plan.moves if result.plan else [])
+                    if len(m.messages)
+                ]
+                assert built == []
+                assert len(routed) == len(nonempty)
+                assert all(n > 0 for n in routed)
+                moved += len(nonempty)
+                routed.clear()
+        assert moved > 0
+
+
 class TestMetrics:
     def _metric(self, step, measured, exec_actual=10.0):
         return StepMetrics(

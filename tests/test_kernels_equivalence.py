@@ -37,12 +37,14 @@ from repro.grid import ProcessorGrid, Rect
 from repro.grid.block import split_evenly
 from repro.mpisim import CostModel, MessageSet, NetworkSimulator, SimComm
 from repro.mpisim.netsim import LinkLoadState
+from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import MACHINES
 from repro.tree import build_huffman
 from repro.util.rng import make_rng
 
 MACHINE_NAMES = ("bgl-256", "fist-256")  # one torus, one switched network
 GRID = ProcessorGrid(16, 16)  # matches the 256-rank machines
+PREDICTOR = ExecTimePredictor(ProfileTable(ExecutionOracle()))
 
 
 class ReferenceSimulator(NetworkSimulator):
@@ -50,8 +52,12 @@ class ReferenceSimulator(NetworkSimulator):
 
     link_loads = NetworkSimulator._link_loads_reference
     busiest_link_contributions = NetworkSimulator._busiest_link_contributions_reference
-    bottleneck_time = NetworkSimulator._bottleneck_time_reference
     flow_time = NetworkSimulator._flow_time_reference
+
+    def bottleneck_time(self, messages, include_floor=True, link_arrays=None):
+        """The oracle, which routes ``messages`` itself: the per-link
+        arrays a plan shares with the shipped path are not its input."""
+        return self._bottleneck_time_reference(messages, include_floor)
 
     def _link_load_arrays(self, messages):
         """Per-link contributions (what ``LinkLoadState`` charges) from the
@@ -166,14 +172,14 @@ class TestNetsimEquivalence:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_warm_cache_matches_cold_reference(self, data):
-        """A second pass over overlapping pairs (warm route cache, mixed
-        hits and misses) still reproduces the oracle exactly."""
+        """A second pass over overlapping pairs still reproduces the
+        oracle exactly: nothing an earlier call routed leaks into it."""
         name = data.draw(st.sampled_from(MACHINE_NAMES), label="machine")
         machine, vec, ref = make_sim_pair(name, adaptive=False)
         first = draw_messages(data, machine.mapping.nranks, min_n=1, max_n=30)
         second = draw_messages(data, machine.mapping.nranks, min_n=1, max_n=30)
         both = MessageSet.concat([first, second])
-        vec.link_loads(first)  # warm a subset of the route cache
+        vec.link_loads(first)  # route a subset of the pairs first
         assert vec.link_loads(both) == ref.link_loads(both)
         assert vec.bottleneck_time(both) == ref.bottleneck_time(both)
 
@@ -232,6 +238,50 @@ class TestRedistributionPlanEquivalence:
             assert np.array_equal(mv.messages.src, mr.messages.src)
             assert np.array_equal(mv.messages.dst, mr.messages.dst)
             assert np.array_equal(mv.messages.nbytes, mr.messages.nbytes)
+
+
+class TestCandidateCostEquivalence:
+    """The dynamic strategy costs its candidates by the §IV-C1 prediction
+    alone; the specification is each candidate's full plan."""
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_prediction_matches_full_plans(self, data):
+        from repro.core import DiffusionStrategy, ScratchStrategy
+        from repro.core.dynamic import predict_candidate_costs, predicted_exec_time
+
+        name = data.draw(st.sampled_from(MACHINE_NAMES), label="machine")
+        machine = MACHINES[name]
+        cost = CostModel.for_machine(machine)
+        old, w_old = draw_allocation(data, "old")
+        # churn: ids drawn from the same pool survive, the rest die or are born
+        _, weights = draw_allocation(data, "new")
+        sizes = {
+            nid: (
+                data.draw(st.integers(6, 48), label=f"nx{nid}"),
+                data.draw(st.integers(6, 48), label=f"ny{nid}"),
+            )
+            for nid in set(w_old) | set(weights)
+        }
+
+        got = predict_candidate_costs(
+            old, weights, GRID, sizes, machine, cost, PREDICTOR
+        )
+
+        scratch = ScratchStrategy().reallocate(old, weights, GRID)
+        diffusion = DiffusionStrategy().reallocate(old, weights, GRID)
+        s_redist = plan_redistribution(old, scratch, sizes, machine, cost).predicted_time
+        d_redist = plan_redistribution(
+            old, diffusion, sizes, machine, cost
+        ).predicted_time
+        s_exec = predicted_exec_time(PREDICTOR, scratch, sizes)
+        d_exec = predicted_exec_time(PREDICTOR, diffusion, sizes)
+        chosen = "scratch" if s_exec + s_redist < d_exec + d_redist else "diffusion"
+        assert got.choice.scratch_redist == s_redist
+        assert got.choice.diffusion_redist == d_redist
+        assert got.choice.chosen == chosen
+        assert got.scratch.rects == scratch.rects
+        assert got.diffusion.rects == diffusion.rects
 
 
 class TestDataplaneEquivalence:

@@ -201,92 +201,55 @@ class TestBusiestLinkContributions:
 
 
 class TestRouteCacheCounters:
-    """Satellite: hit/miss counters, reset by clear_route_cache()."""
+    """The hit/miss counters keep their cache-era names but count per
+    call: a miss is a unique rank pair the call routed, a hit a further
+    message of a pair that call already routed."""
 
     def test_miss_then_hit(self):
         sim, _ = _sim()
         assert sim.route_cache_hits == 0 and sim.route_cache_misses == 0
-        msgs = msgset([(0, 9, 10.0)])
+        msgs = msgset([(0, 9, 10.0), (0, 9, 24.0)])  # one pair, twice
         sim.bottleneck_time(msgs)
-        assert sim.route_cache_misses == 1
-        assert sim.route_cache_hits == 0
-        sim.bottleneck_time(msgs)  # same pair again: served from cache
         assert sim.route_cache_misses == 1
         assert sim.route_cache_hits == 1
+        sim.bottleneck_time(msgs)  # nothing carries over between calls
+        assert sim.route_cache_misses == 2
+        assert sim.route_cache_hits == 2
 
-    def test_clear_resets_counters(self):
+    def test_second_call_counts_again(self):
+        from repro.obs import FlightRecorder, metrics_snapshot, use_recorder
+
         sim, _ = _sim()
-        msgs = msgset([(0, 9, 10.0), (3, 4, 10.0)])
-        sim.bottleneck_time(msgs)
-        sim.bottleneck_time(msgs)
-        assert sim.route_cache_misses == 2 and sim.route_cache_hits == 2
-        sim.clear_route_cache()
-        assert sim.route_cache_hits == 0
-        assert sim.route_cache_misses == 0
-        sim.bottleneck_time(msgs)  # cache is genuinely cold again
-        assert sim.route_cache_misses == 2 and sim.route_cache_hits == 0
+        msgs = msgset([(0, 9, 10.0), (3, 4, 10.0), (0, 9, 5.0)])
+        rec = FlightRecorder()
+        with use_recorder(rec):
+            sim.link_loads(msgs)
+            assert (sim.route_cache_misses, sim.route_cache_hits) == (2, 1)
+            sim.link_loads(msgs)
+        assert (sim.route_cache_misses, sim.route_cache_hits) == (4, 2)
+        # the recorder's counters mirror the attributes
+        assert metrics_snapshot(rec)["counters"] == {
+            "netsim.route_cache_miss": 4,
+            "netsim.route_cache_hit": 2,
+        }
 
 
 class TestRouteCacheFifoEviction:
-    """Satellite: a full route cache evicts one oldest entry (FIFO), not
-    the whole table — recently-used routes keep hitting after overflow."""
-
-    def _bounded_sim(self):
-        machine = blue_gene_l(64)
-        return NetworkSimulator(
-            machine.mapping, CostModel.for_machine(machine), route_cache_size=8
-        )
-
-    def test_cache_stays_bounded(self):
-        sim = self._bounded_sim()
-        for dst in range(1, 20):  # 19 distinct pairs through an 8-slot cache
-            sim.link_loads(msgset([(0, dst, 8.0)]))
-        assert len(sim._route_cache) == 8
-        # the cache holds exactly the 8 most recent pairs, oldest gone
-        assert set(sim._route_cache) == {(0, dst) for dst in range(12, 20)}
-
-    def test_recent_routes_hit_after_overflow(self):
-        sim = self._bounded_sim()
-        for dst in range(1, 12):  # overflows the 8-slot cache three times
-            sim.link_loads(msgset([(0, dst, 8.0)]))
-        assert sim.route_cache_misses == 11 and sim.route_cache_hits == 0
-        # a recent pair is still cached: pre-fix this flushed wholesale,
-        # so *every* pair — recent included — missed after an overflow
-        sim.link_loads(msgset([(0, 11, 8.0)]))
-        assert sim.route_cache_hits == 1
-        assert sim.route_cache_misses == 11
-        # the oldest pair was the one evicted and misses again
-        sim.link_loads(msgset([(0, 1, 8.0)]))
-        assert sim.route_cache_misses == 12
+    """Regression kept from the route-cache era: a call over pairs a
+    previous call routed, mixed with new pairs, still matches the oracle
+    (routing is stateless now, so no earlier call can leak into it)."""
 
     def test_mixed_batch_survives_eviction_of_probed_hits(self):
-        """Regression: a warm/cold batch whose cold routes overflow the
-        cache used to evict the probed-hit entries between the membership
-        probe and reassembly (KeyError). Results must also still match
-        the scalar oracle."""
-        sim = self._bounded_sim()
-        warm = msgset([(0, dst, 8.0) for dst in range(1, 7)])  # 6 of 8 slots
+        machine = blue_gene_l(64)
+        sim = NetworkSimulator(machine.mapping, CostModel.for_machine(machine))
+        warm = msgset([(0, dst, 8.0) for dst in range(1, 7)])
         sim.link_loads(warm)
-        # 6 warm pairs + 10 cold pairs: caching the cold routes evicts
-        # every warm entry while their routes are being reassembled
         mixed = msgset(
             [(0, dst, 8.0) for dst in range(1, 7)]
             + [(1, dst, 16.0) for dst in range(10, 20)]
         )
         loads = sim.link_loads(mixed)
-        assert sim.route_cache_hits == 6
-        assert len(sim._route_cache) == 8
         assert loads == sim._link_loads_reference(mixed)
-
-    def test_batched_insert_evicts_only_overflow(self):
-        sim = self._bounded_sim()
-        # one 12-pair batch through an 8-slot cache: all 12 are misses,
-        # then only the 4 oldest of the batch are dropped
-        msgs = msgset([(0, dst, 8.0) for dst in range(1, 13)])
-        sim.link_loads(msgs)
-        assert sim.route_cache_misses == 12
-        assert len(sim._route_cache) == 8
-        assert set(sim._route_cache) == {(0, dst) for dst in range(5, 13)}
 
 
 class TestCommSkewReport:

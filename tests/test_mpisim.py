@@ -310,33 +310,3 @@ class TestSimComm:
         with pytest.raises(ValueError):
             SimComm(0)
 
-
-class TestDefaultRouteCacheSize:
-    def test_floor_growth_and_cap(self):
-        from repro.mpisim import default_route_cache_size
-
-        # small presets keep the historical 64k-entry floor
-        assert default_route_cache_size(256) == 1 << 16
-        assert default_route_cache_size(1024) == 1 << 16
-        assert default_route_cache_size(16384) == 1 << 16
-        # past the floor the cache scales with the rank count...
-        assert default_route_cache_size(65536) == 4 * 65536
-        # ...up to a hard cap
-        assert default_route_cache_size(10**9) == 1 << 20
-
-    def test_rejects_nonpositive(self):
-        from repro.mpisim import default_route_cache_size
-
-        with pytest.raises(ValueError, match="nranks"):
-            default_route_cache_size(0)
-
-    def test_simulator_sizes_from_machine_by_default(self):
-        from repro.mpisim import default_route_cache_size
-        from repro.topology import MACHINES
-
-        machine = MACHINES["bgl-256"]
-        cost = CostModel.for_machine(machine)
-        sim = NetworkSimulator(machine.mapping, cost)
-        assert sim._route_cache_size == default_route_cache_size(256)
-        sized = NetworkSimulator(machine.mapping, cost, route_cache_size=17)
-        assert sized._route_cache_size == 17

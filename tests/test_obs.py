@@ -516,6 +516,8 @@ class TestBench:
         # the quick ladder stops at 4k ranks; the full one climbs to 64k
         assert {"scale.ranks_1k", "scale.ranks_4k"} <= quick
         assert "scale.ranks_64k" not in quick
+        # the dynamic strategy's churn point is gated in CI, quick included
+        assert "scale.dynamic_churn" in quick
         assert {
             "scale.ranks_1k",
             "scale.ranks_4k",
@@ -523,8 +525,32 @@ class TestBench:
             "scale.ranks_64k",
             "scale.nests_8",
             "scale.nests_32",
+            "scale.dynamic_churn",
             "scale.ledger_pairs",
         } <= full
+
+    def test_churn_schedule_moves_one_nest_per_point(self):
+        import itertools
+
+        from repro.obs.bench import _churn_batches, _churn_schedule
+
+        points = list(itertools.islice(_churn_schedule(), 40))
+        counts = [len(p) for p in points]
+        assert counts[:11] == [3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3]
+        assert points == list(itertools.islice(_churn_schedule(), 40))  # pinned
+        # set-up runs two sweeps of the nest count, each timed call one
+        batches = list(itertools.islice(_churn_batches(), 3))
+        assert [len(b) for b in batches] == [20, 10, 10]
+        assert [p for b in batches for p in b] == points
+        seen: set[int] = set(points[0])
+        for before, after in zip(points, points[1:]):
+            born, died = set(after) - set(before), set(before) - set(after)
+            assert len(born) + len(died) == 1
+            assert not born & seen  # ids are never reused
+            seen |= born
+            for nid in set(before) & set(after):
+                assert after[nid] == before[nid]
+        assert all(48 <= side <= 120 for p in points for s in p.values() for side in s)
 
     def test_scale_suite_runs_and_tags_machine(self, tmp_path):
         from repro.obs.bench import run_bench, write_baseline
@@ -547,10 +573,6 @@ class TestBench:
 
         with pytest.raises(ValueError, match="suite"):
             run_bench(quick=True, suite="nope")
-        with pytest.raises(ValueError, match="route"):
-            run_bench(quick=True, route_cache_size=4096)  # default suite
-        with pytest.raises(ValueError, match="route"):
-            run_bench(quick=True, suite="scale", route_cache_size=0)
 
 
 class TestExporterEdgeCases:

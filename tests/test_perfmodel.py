@@ -169,6 +169,16 @@ class TestRedistTimes:
         p_ab = predict_redistribution_time([a, b], m, cost)
         assert p_ab > predict_redistribution_time([a], m, cost)
 
+    def test_given_link_loads_time_like_routed_ones(self):
+        m = blue_gene_l(256)
+        cost = CostModel.for_machine(m)
+        sim = NetworkSimulator(m.mapping, cost)
+        a = MessageSet(np.array([0, 5]), np.array([1, 9]), np.array([1e6, 3e5]))
+        b = MessageSet(np.array([2]), np.array([3]), np.array([2e6]))
+        routed = measure_redistribution_time([a, b], sim)
+        given = [sim._link_load_arrays(a), None]
+        assert measure_redistribution_time([a, b], sim, link_arrays=given) == routed
+
     def test_flow_level_option(self):
         m = blue_gene_l(256)
         cost = CostModel.for_machine(m)

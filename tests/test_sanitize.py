@@ -152,6 +152,42 @@ class TestCheckpoints:
 
 
 class TestRunSanitized:
+    @pytest.mark.parametrize(
+        ("strategy", "expected"),
+        [
+            (
+                "diffusion",
+                {"linkstate.conservation": 11, "plan.conservation": 33,
+                 "tree.invariants": 22},
+            ),
+            (
+                "dynamic",
+                {"linkstate.conservation": 11, "plan.conservation": 33,
+                 "tree.invariants": 11},
+            ),
+        ],
+    )
+    def test_audited_run_checks_every_candidate(self, strategy, expected):
+        """Each point checks its executed plan and, costed by prediction
+        alone, both candidates' moves (the audit's or the dynamic
+        strategy's): 11 plans + 22 candidates over 12 points."""
+        from repro.core import DiffusionStrategy
+        from repro.experiments.runner import ExperimentContext, run_workload
+        from repro.obs import AuditTrail
+        from repro.topology import MACHINES
+
+        context = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
+        chosen = (
+            DiffusionStrategy()
+            if strategy == "diffusion"
+            else context.make_dynamic_strategy()
+        )
+        sanitizer = Sanitizer()
+        with use_sanitizer(sanitizer):
+            run_workload(synthetic_workload(seed=0, n_steps=12), chosen, context)
+        assert sanitizer.ok, [str(v) for v in sanitizer.violations[:5]]
+        assert sanitizer.checks_run == expected
+
     def test_flagship_trace_passes_clean(self):
         config = SoakConfig(
             name="mumbai", seed=2005, n_steps=10, workload="mumbai",

@@ -3,7 +3,7 @@
 The cross-session isolation regression in ``TestSessionIsolation`` is
 the load-bearing one: interleaving two same-spec sessions step by step
 must produce *bit-identical* flight logs to running each alone, which
-fails immediately if any fixture (route cache, ledger, recorder, RNG)
+fails immediately if any fixture (simulator, ledger, recorder, RNG)
 leaks between sessions.
 """
 

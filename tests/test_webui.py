@@ -159,6 +159,28 @@ class TestKnownKinds:
 
 
 class TestReplayFrames:
+    @pytest.mark.parametrize("strategy", ["dynamic", "diffusion"])
+    def test_one_round_per_retained_nest(self, strategy):
+        """Only the executed plan emits ``redist.round``: candidate costing
+        (the dynamic strategy's, or the audit's on a diffusion run) adds
+        none, in its own frame or the next."""
+        from repro.core import DiffusionStrategy
+
+        context = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
+        chosen = (
+            context.make_dynamic_strategy()
+            if strategy == "dynamic"
+            else DiffusionStrategy()
+        )
+        flight = FlightRecorder()
+        with use_recorder(flight):
+            run_workload(synthetic_workload(seed=3, n_steps=8), chosen, context)
+        frames = replay_frames(flight.events())
+        assert len(frames) == 8
+        assert any(frame["retained"] for frame in frames)
+        for frame in frames:
+            assert frame["other"].get("redist.round", 0) == len(frame["retained"])
+
     def test_folds_one_frame_per_adaptation_point(self):
         flight = _instrumented_flight(n_steps=4)
         frames = replay_frames(flight.events())
