@@ -16,13 +16,11 @@ Run:  python examples/cloud_tracking_mumbai.py  [n_steps]
 
 import sys
 
-from repro.analysis import PDAConfig, parallel_data_analysis
-from repro.core import DiffusionStrategy, ProcessorReallocator
-from repro.experiments.workloads import _clamp_roi
+from repro.core import AdaptationStepper, DiffusionStrategy, ProcessorReallocator
 from repro.mpisim import CostModel
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import blue_gene_l
-from repro.wrf import NestTracker, WrfLikeModel, mumbai_2005_scenario
+from repro.wrf import NestTracker, WrfLikeModel, detect_nests, mumbai_2005_scenario
 
 
 def main(n_steps: int = 30) -> None:
@@ -35,6 +33,7 @@ def main(n_steps: int = 30) -> None:
     realloc = ProcessorReallocator(
         machine, DiffusionStrategy(), predictor, CostModel.for_machine(machine)
     )
+    stepper = AdaptationStepper(realloc)
 
     print(f"domain {config.nx}x{config.ny} @ {config.resolution_km:.0f} km, "
           f"simulation grid {config.sim_grid}, machine {machine.name}")
@@ -42,28 +41,21 @@ def main(n_steps: int = 30) -> None:
 
     for step in range(n_steps):
         model.step()
-        files = model.write_split_files()
-        result = parallel_data_analysis(files, config.sim_grid, 64, PDAConfig())
-        rois = [
-            _clamp_roi(r, 58, 120, config.nx, config.ny)
-            for r in sorted(result.rectangles, key=lambda r: -r.area)[:7]
-        ]
-        retained, deleted, new = tracker.update(rois)
-        nests = {n.nest_id: (n.nx, n.ny) for n in tracker.live.values()}
-        if not nests:
+        found = detect_nests(model, tracker)
+        plan = stepper.step(found.nests).reallocation.plan
+        if not found.nests:
             print(f"[t={step:3d}] no organised cloud systems detected")
             continue
-        res = realloc.step(nests)
         line = (
-            f"[t={step:3d}] systems={len(model.systems)} rois={len(rois)} "
-            f"nests: +{len(new)} ~{len(retained)} -{len(deleted)}"
+            f"[t={step:3d}] systems={len(model.systems)} rois={len(found.rois)} "
+            f"nests: +{len(found.spawned)} ~{len(found.retained)} -{len(found.deleted)}"
         )
-        if res.plan is not None and res.plan.moves:
+        if plan is not None and plan.moves:
             line += (
-                f" | moved {res.plan.network_bytes / 1e6:7.1f} MB"
-                f" overlap {100 * res.plan.overlap_fraction:5.1f}%"
-                f" hop-bytes {res.plan.hop_bytes_avg:4.2f}"
-                f" redist {res.plan.measured_time * 1e3:6.1f} ms"
+                f" | moved {plan.network_bytes / 1e6:7.1f} MB"
+                f" overlap {100 * plan.overlap_fraction:5.1f}%"
+                f" hop-bytes {plan.hop_bytes_avg:4.2f}"
+                f" redist {plan.measured_time * 1e3:6.1f} ms"
             )
         print(line)
 

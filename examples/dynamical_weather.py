@@ -11,13 +11,11 @@ Run:  python examples/dynamical_weather.py  [n_steps]
 
 import sys
 
-from repro.analysis import PDAConfig, parallel_data_analysis
-from repro.core import DiffusionStrategy, ProcessorReallocator
-from repro.experiments.workloads import _clamp_roi
+from repro.core import AdaptationStepper, DiffusionStrategy, ProcessorReallocator
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import blue_gene_l
 from repro.viz import render_field, sparkline
-from repro.wrf import NestTracker
+from repro.wrf import NestTracker, detect_nests
 from repro.wrf.dynamics import DynamicalModel
 from repro.wrf.model import DomainConfig
 
@@ -28,7 +26,9 @@ def main(n_steps: int = 40) -> None:
     model = DynamicalModel(config, seed=0)
     tracker = NestTracker(refinement=config.nest_refinement)
     predictor = ExecTimePredictor(ProfileTable(ExecutionOracle()))
-    realloc = ProcessorReallocator(machine, DiffusionStrategy(), predictor)
+    stepper = AdaptationStepper(
+        ProcessorReallocator(machine, DiffusionStrategy(), predictor)
+    )
 
     print(
         f"dynamical moisture model on {config.nx}x{config.ny} @ "
@@ -38,25 +38,17 @@ def main(n_steps: int = 40) -> None:
     redist_series = []
     for t in range(n_steps):
         model.step()
-        result = parallel_data_analysis(
-            model.write_split_files(), config.sim_grid, 64, PDAConfig()
-        )
-        rois = [
-            _clamp_roi(r, 58, 120, config.nx, config.ny)
-            for r in sorted(result.rectangles, key=lambda r: -r.area)[:7]
-        ]
-        retained, deleted, new = tracker.update(rois)
-        nests = {n.nest_id: (n.nx, n.ny) for n in tracker.live.values()}
-        if not nests:
+        found = detect_nests(model, tracker)
+        plan = stepper.step(found.nests).reallocation.plan
+        if not found.nests:
             print(f"[t={t:3d}] spinning up (no organised systems yet)")
             redist_series.append(0.0)
             continue
-        res = realloc.step(nests)
-        ms = res.plan.measured_time * 1e3 if res.plan else 0.0
+        ms = plan.measured_time * 1e3 if plan else 0.0
         redist_series.append(ms)
         print(
-            f"[t={t:3d}] systems={len(rois)} "
-            f"+{len(new)} ~{len(retained)} -{len(deleted)} "
+            f"[t={t:3d}] systems={len(found.rois)} "
+            f"+{len(found.spawned)} ~{len(found.retained)} -{len(found.deleted)} "
             f"| redist {ms:6.1f} ms"
         )
 

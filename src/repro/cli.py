@@ -766,13 +766,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_track(args: argparse.Namespace) -> None:
-    from repro.analysis import PDAConfig, parallel_data_analysis
-    from repro.core import DiffusionStrategy, ProcessorReallocator
-    from repro.experiments.workloads import _clamp_roi
+    from repro.core import AdaptationStepper, DiffusionStrategy, ProcessorReallocator
     from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
     from repro.topology import blue_gene_l
     from repro.viz import render_field
-    from repro.wrf import NestTracker, WrfLikeModel, mumbai_2005_scenario
+    from repro.wrf import NestTracker, WrfLikeModel, detect_nests, mumbai_2005_scenario
 
     machine = blue_gene_l(1024)
     if getattr(args, "dynamics", False):
@@ -788,26 +786,19 @@ def _cmd_track(args: argparse.Namespace) -> None:
     tracker = NestTracker(refinement=config.nest_refinement)
     predictor = ExecTimePredictor(ProfileTable(ExecutionOracle()))
     realloc = ProcessorReallocator(machine, DiffusionStrategy(), predictor)
+    stepper = AdaptationStepper(realloc)
     for t in range(args.steps):
         model.step()
-        result = parallel_data_analysis(
-            model.write_split_files(), config.sim_grid, 64, PDAConfig()
-        )
-        rois = [
-            _clamp_roi(r, 58, 120, config.nx, config.ny)
-            for r in sorted(result.rectangles, key=lambda r: -r.area)[:7]
-        ]
-        retained, deleted, new = tracker.update(rois)
-        nests = {n.nest_id: (n.nx, n.ny) for n in tracker.live.values()}
-        if not nests:
+        found = detect_nests(model, tracker)
+        plan = stepper.step(found.nests).reallocation.plan
+        if not found.nests:
             print(f"[t={t:3d}] clear skies")
             continue
-        res = realloc.step(nests)
-        line = f"[t={t:3d}] nests +{len(new)} ~{len(retained)} -{len(deleted)}"
-        if res.plan and res.plan.moves:
+        line = f"[t={t:3d}] nests +{len(found.spawned)} ~{len(found.retained)} -{len(found.deleted)}"
+        if plan and plan.moves:
             line += (
-                f" | overlap {100 * res.plan.overlap_fraction:5.1f}%"
-                f" redist {res.plan.measured_time * 1e3:6.1f} ms"
+                f" | overlap {100 * plan.overlap_fraction:5.1f}%"
+                f" redist {plan.measured_time * 1e3:6.1f} ms"
             )
         print(line)
     if not args.no_map:

@@ -13,7 +13,9 @@
   matrices, messages, hop-bytes, overlap and predicted/measured times for
   one adaptation point;
 * :class:`~repro.core.reallocator.ProcessorReallocator` — the end-to-end
-  driver gluing predictor, strategy and redistribution planning together.
+  driver gluing predictor, strategy and redistribution planning together;
+* :class:`~repro.core.stepper.AdaptationStepper` — the one adaptation-point
+  driver: reallocator, data plane and ledger feed.
 """
 
 from repro.core.allocation import Allocation
@@ -24,6 +26,7 @@ from repro.core.adaptive import AdaptiveResetStrategy, layout_quality
 from repro.core.strategy import ReallocationStrategy
 from repro.core.redistribution import NestMove, RedistributionPlan, plan_redistribution
 from repro.core.reallocator import ProcessorReallocator, StepResult
+from repro.core.stepper import AdaptationStepper, PointResult
 from repro.core.metrics import StepMetrics, summarize_improvement
 from repro.core.invariants import (
     InvariantViolation,
@@ -46,6 +49,8 @@ __all__ = [
     "plan_redistribution",
     "ProcessorReallocator",
     "StepResult",
+    "AdaptationStepper",
+    "PointResult",
     "StepMetrics",
     "InvariantViolation",
     "check_all",

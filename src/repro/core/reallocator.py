@@ -56,7 +56,6 @@ class ProcessorReallocator:
         strategy: ReallocationStrategy,
         predictor: ExecTimePredictor,
         cost: CostModel | None = None,
-        flow_level: bool = False,
     ) -> None:
         from repro.grid.procgrid import ProcessorGrid
 
@@ -70,7 +69,6 @@ class ProcessorReallocator:
         #: every adaptation point (O(churned nests), not O(machine)); it
         #: routes through ``simulator``, so each plan routes a nest once
         self.link_state = LinkLoadState(self.simulator)
-        self.flow_level = flow_level
         self.allocation: Allocation | None = None
         self.nest_sizes: dict[int, tuple[int, int]] = {}
         self.step_count = 0
@@ -118,7 +116,6 @@ class ProcessorReallocator:
                         self.machine,
                         self.cost,
                         self.simulator,
-                        self.flow_level,
                         link_state=self.link_state,
                     )
             for nid in sorted(new_alloc.rects):

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.dynamic import DynamicChoice, DynamicStrategy, predict_candidate_costs
+from repro.core.dynamic import DynamicStrategy, predict_candidate_costs
 from repro.core.metrics import StepMetrics
 from repro.core.reallocator import ProcessorReallocator, StepResult
+from repro.core.stepper import AdaptationStepper
 from repro.core.strategy import ReallocationStrategy
 from repro.core.scratch import ScratchStrategy
 from repro.core.diffusion import DiffusionStrategy
 from repro.experiments.workloads import Workload
-from repro.grid.procgrid import ProcessorGrid
-from repro.mpisim.alltoallv import MessageSet
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.ledger import CommLedger
 from repro.obs import ADAPTATION_SPAN, AdaptationAudit, AuditTrail, get_recorder
@@ -135,19 +134,15 @@ class WorkloadStepper:
         strategy: ReallocationStrategy,
         context: ExperimentContext,
         exec_noise_seed: int = 99,
-        flow_level: bool = False,
     ) -> None:
         assert context.predictor is not None and context.cost is not None
         self.workload = workload
         self.strategy = strategy
         self.context = context
         self.realloc = ProcessorReallocator(
-            context.machine,
-            strategy,
-            context.predictor,
-            context.cost,
-            flow_level=flow_level,
+            context.machine, strategy, context.predictor, context.cost
         )
+        self._point = AdaptationStepper(self.realloc, ledger=context.ledger)
         self.metrics: list[StepMetrics] = []
         self.allocations: list[Allocation] = []
         self._rng = make_rng(exec_noise_seed)
@@ -159,7 +154,8 @@ class WorkloadStepper:
         return self.next_step >= self.workload.n_steps
 
     def advance(self) -> StepMetrics:
-        """Run the next adaptation point and return its metrics."""
+        """Run the next point (one :class:`AdaptationStepper` call, which
+        also feeds ``context.ledger``) and return its metrics."""
         if self.done:
             raise ValueError(
                 f"workload {self.workload.name!r} is exhausted after "
@@ -173,7 +169,7 @@ class WorkloadStepper:
         old_alloc = self.realloc.allocation
         with recorder.bind(step=i, strategy=strategy.name):
             with recorder.span(ADAPTATION_SPAN, n_nests=len(nests)):
-                result = self.realloc.step(nests)
+                result = self._point.step(nests).reallocation
                 alloc = result.allocation
                 plan = result.plan
                 exec_pred = (
@@ -191,20 +187,7 @@ class WorkloadStepper:
         if isinstance(strategy, DynamicStrategy) and strategy.history:
             choice = strategy.history[-1].chosen
         if context.audit is not None:
-            _record_audit(
-                context,
-                strategy,
-                old_alloc,
-                result,
-                step=i,
-                nests=nests,
-                exec_pred=exec_pred,
-                exec_actual=exec_actual,
-                chosen=choice,
-                grid=self.realloc.grid,
-            )
-        if context.ledger is not None and result.plan is not None:
-            _feed_ledger(context.ledger, result, self.realloc, step=i)
+            self._audit(old_alloc, result, nests, exec_pred, exec_actual, choice)
         metric = StepMetrics(
             step=i,
             n_nests=len(nests),
@@ -222,6 +205,56 @@ class WorkloadStepper:
         self.allocations.append(alloc)
         self.next_step += 1
         return metric
+
+    def _audit(
+        self,
+        old_alloc: Allocation | None,
+        result: StepResult,
+        nests: dict[int, tuple[int, int]],
+        exec_pred: float,
+        exec_actual: float,
+        chosen: str,
+    ) -> None:
+        """Append one AdaptationAudit and gauge the per-step prediction errors.
+
+        Scratch/diffusion runs recompute both candidates' predictions on the
+        side, so the audit still answers "what *would* the other have cost".
+        """
+        context, strategy = self.context, self.strategy
+        assert context.audit is not None
+        assert context.predictor is not None and context.cost is not None
+        if isinstance(strategy, DynamicStrategy) and strategy.history:
+            cand = strategy.history[-1]
+        else:
+            cand = predict_candidate_costs(
+                old_alloc,
+                result.weights,
+                self.realloc.grid,
+                dict(nests),
+                context.machine,
+                context.cost,
+                context.predictor,
+            ).choice
+        plan = result.plan
+        record = context.audit.record(
+            AdaptationAudit(
+                step=self.next_step,
+                strategy=strategy.name,
+                chosen=chosen or strategy.name,
+                n_nests=len(nests),
+                predicted_scratch_exec=cand.scratch_exec,
+                predicted_scratch_redist=cand.scratch_redist,
+                predicted_diffusion_exec=cand.diffusion_exec,
+                predicted_diffusion_redist=cand.diffusion_redist,
+                predicted_exec=exec_pred,
+                predicted_redist=plan.predicted_time if plan else 0.0,
+                observed_exec=exec_actual,
+                observed_redist=plan.measured_time if plan else 0.0,
+            )
+        )
+        recorder = get_recorder()
+        recorder.gauge("audit.exec_error", record.exec_error)
+        recorder.gauge("audit.redist_error", record.redist_error)
 
     def result(self) -> RunResult:
         """The run so far as a :class:`RunResult` (ledger sanity-checked)."""
@@ -241,146 +274,20 @@ def run_workload(
     strategy: ReallocationStrategy,
     context: ExperimentContext,
     exec_noise_seed: int = 99,
-    flow_level: bool = False,
 ) -> RunResult:
     """Drive ``strategy`` through every step of ``workload``."""
     stepper = WorkloadStepper(
-        workload,
-        strategy,
-        context,
-        exec_noise_seed=exec_noise_seed,
-        flow_level=flow_level,
+        workload, strategy, context, exec_noise_seed=exec_noise_seed
     )
     while not stepper.done:
         stepper.advance()
     return stepper.result()
 
 
-def _candidate_choice(
-    context: ExperimentContext,
-    strategy: ReallocationStrategy,
-    old_alloc: Allocation | None,
-    result: StepResult,
-    nests: dict[int, tuple[int, int]],
-    grid: ProcessorGrid,
-) -> DynamicChoice:
-    """Both candidates' predicted costs at this adaptation point.
-
-    The dynamic strategy already computed them (its last history entry);
-    for scratch/diffusion runs they are recomputed on the side so the
-    audit can still answer "what *would* the other method have cost".
-    """
-    if isinstance(strategy, DynamicStrategy) and strategy.history:
-        return strategy.history[-1]
-    assert context.predictor is not None and context.cost is not None
-    return predict_candidate_costs(
-        old_alloc,
-        result.weights,
-        grid,
-        dict(nests),
-        context.machine,
-        context.cost,
-        context.predictor,
-    ).choice
-
-
-def _record_audit(
-    context: ExperimentContext,
-    strategy: ReallocationStrategy,
-    old_alloc: Allocation | None,
-    result: StepResult,
-    step: int,
-    nests: dict[int, tuple[int, int]],
-    exec_pred: float,
-    exec_actual: float,
-    chosen: str,
-    grid: ProcessorGrid,
-) -> None:
-    """Append one AdaptationAudit and gauge the per-step prediction errors."""
-    assert context.audit is not None
-    cand = _candidate_choice(context, strategy, old_alloc, result, nests, grid)
-    plan = result.plan
-    record = context.audit.record(
-        AdaptationAudit(
-            step=step,
-            strategy=strategy.name,
-            chosen=chosen or strategy.name,
-            n_nests=len(nests),
-            predicted_scratch_exec=cand.scratch_exec,
-            predicted_scratch_redist=cand.scratch_redist,
-            predicted_diffusion_exec=cand.diffusion_exec,
-            predicted_diffusion_redist=cand.diffusion_redist,
-            predicted_exec=exec_pred,
-            predicted_redist=plan.predicted_time if plan else 0.0,
-            observed_exec=exec_actual,
-            observed_redist=plan.measured_time if plan else 0.0,
-        )
-    )
-    recorder = get_recorder()
-    recorder.gauge("audit.exec_error", record.exec_error)
-    recorder.gauge("audit.redist_error", record.redist_error)
-
-
-def _feed_ledger(
-    ledger: CommLedger,
-    result: StepResult,
-    realloc: ProcessorReallocator,
-    step: int = 0,
-) -> None:
-    """Account one adaptation point's executed transfers in the ledger.
-
-    Also flight-records the step's busiest-link heat (``link.heat``, the
-    top contributing rank pairs) and the cumulative sent-bytes skew
-    (``ledger.skew``) so live mission-control views render hot spots
-    without the ledger object itself.
-    """
-    plan = result.plan
-    assert plan is not None
-    mapping = realloc.machine.mapping
-    for move in plan.moves:
-        ledger.add_messages(move.messages, mapping)
-    n_messages = sum(len(m.messages) for m in plan.moves)
-    if n_messages:
-        link_state = getattr(realloc, "link_state", None)
-        if link_state is not None:
-            # The reallocator's step just delta-updated the state to hold
-            # exactly this plan's message sets, so the busiest-link query
-            # is O(links) + the crossing keys — no concat, no re-route.
-            link, load, contributions = link_state.busiest_link_contributions()
-        else:
-            all_msgs = MessageSet.concat([m.messages for m in plan.moves])
-            link, load, contributions = realloc.simulator.busiest_link_contributions(
-                all_msgs
-            )
-        ledger.add_busiest_link(load, contributions)
-        sanitizer = get_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.after_busiest_link(load, contributions)
-        flight = get_recorder()
-        top = sorted(contributions.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-        flight.emit(
-            "link.heat",
-            step=step,
-            link=int(link),
-            load=float(load),
-            pairs=";".join(f"{s}>{d}:{b:.0f}" for (s, d), b in top),
-        )
-        skew = ledger.skew("sent")
-        flight.emit(
-            "ledger.skew",
-            step=step,
-            gini=round(skew.gini, 6),
-            max_over_mean=round(skew.max_over_mean, 6),
-            total=float(skew.total),
-        )
-
-
 def run_both_strategies(
-    workload: Workload, context: ExperimentContext, flow_level: bool = False
+    workload: Workload, context: ExperimentContext
 ) -> tuple[RunResult, RunResult]:
     """Run scratch and diffusion on the same workload and fixtures."""
-    scratch = run_workload(workload, ScratchStrategy(), context, flow_level=flow_level)
-    diffusion = run_workload(
-        workload, DiffusionStrategy(), context, flow_level=flow_level
-    )
+    scratch = run_workload(workload, ScratchStrategy(), context)
+    diffusion = run_workload(workload, DiffusionStrategy(), context)
     return scratch, diffusion

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.pda import PDAConfig, parallel_data_analysis
-from repro.grid.rect import Rect
+from repro.analysis.pda import PDAConfig
 from repro.util.rng import make_rng
 from repro.wrf.model import DomainConfig, WrfLikeModel
-from repro.wrf.nests import NestTracker
+from repro.wrf.nests import NestTracker, detect_nests
 from repro.wrf.scenario import mumbai_2005_scenario
 
 __all__ = [
@@ -105,27 +104,6 @@ def synthetic_workload(
     )
 
 
-def _clamp_roi(roi: Rect, min_side: int, max_side: int, nx: int, ny: int) -> Rect:
-    """Clamp an ROI to WRF-practical nest sizes.
-
-    Nests below ``min_side`` parent points are expanded around their centre
-    (WRF enforces minimum nest extents); oversized ones are cropped around
-    their centre.  The result stays inside the ``nx x ny`` parent domain.
-    """
-    min_w = min(min_side, nx)
-    min_h = min(min_side, ny)
-
-    def clamp_axis(c0: int, length: int, lo: int, hi: int, domain: int) -> tuple[int, int]:
-        new_len = max(lo, min(length, hi))
-        start = c0 + (length - new_len) // 2
-        start = max(0, min(start, domain - new_len))
-        return start, new_len
-
-    x0, w = clamp_axis(roi.x0, roi.w, min_w, max_side, nx)
-    y0, h = clamp_axis(roi.y0, roi.h, min_h, max_side, ny)
-    return Rect(x0, y0, w, h)
-
-
 def mumbai_trace_workload(
     seed: int = 2005,
     n_steps: int = 100,
@@ -148,25 +126,17 @@ def mumbai_trace_workload(
     config = scenario.config
     model = WrfLikeModel(config, scenario.birth_fn, scenario.initial_systems)
     tracker = NestTracker(refinement=config.nest_refinement)
-    pda_config = pda_config or PDAConfig()
     steps: list[StepConfig] = []
     roi_counts: list[int] = []
     for _ in range(n_steps):
         model.step()
-        files = model.write_split_files()
-        result = parallel_data_analysis(
-            files, config.sim_grid, n_analysis, pda_config
+        found = detect_nests(
+            model, tracker, n_analysis, pda_config, max_nests, roi_side_range
         )
-        rois = sorted(result.rectangles, key=lambda r: -r.area)[:max_nests]
-        rois = [
-            _clamp_roi(r, roi_side_range[0], roi_side_range[1], config.nx, config.ny)
-            for r in rois
-        ]
-        roi_counts.append(len(rois))
-        tracker.update(rois)
-        steps.append({n.nest_id: (n.nx, n.ny) for n in tracker.live.values()})
-    # Strategies cannot allocate an empty nest set; keep only non-empty steps
-    # (the paper's runs always had at least one active region).
+        roi_counts.append(len(found.rois))
+        steps.append(found.nests)
+    # Keep only non-empty steps: the paper's runs always had an active region
+    # (an empty step would run too; every strategy returns the empty allocation).
     non_empty = [s for s in steps if s]
     return Workload(
         name=f"mumbai-2005(seed={seed})",
@@ -206,20 +176,13 @@ def dynamical_trace_workload(
     for _ in range(max(0, spinup)):
         model.step()
     tracker = NestTracker(refinement=config.nest_refinement)
-    pda_config = pda_config or PDAConfig()
     steps: list[StepConfig] = []
     for _ in range(n_steps):
         model.step()
-        result = parallel_data_analysis(
-            model.write_split_files(), config.sim_grid, n_analysis, pda_config
+        found = detect_nests(
+            model, tracker, n_analysis, pda_config, max_nests, roi_side_range
         )
-        rois = sorted(result.rectangles, key=lambda r: -r.area)[:max_nests]
-        rois = [
-            _clamp_roi(r, roi_side_range[0], roi_side_range[1], config.nx, config.ny)
-            for r in rois
-        ]
-        tracker.update(rois)
-        steps.append({n.nest_id: (n.nx, n.ny) for n in tracker.live.values()})
+        steps.append(found.nests)
     non_empty = [s for s in steps if s]
     if not non_empty:
         raise RuntimeError(

@@ -16,11 +16,10 @@ construction too.  Every step the run:
    recovery (grid shrink + tree excision + data-plane rebuild from the
    last checkpoint), and nests the recovery drops are filtered out of
    later steps;
-3. takes an adaptation step and moves the data: retained nests through
-   the self-healing executor (per-round timeout, seeded backoff), resized
-   nests restart at their new size, new nests are scattered; the ledger
-   and the busiest-link check are fed exactly as the experiment runner
-   feeds them;
+3. takes the point through :class:`~repro.core.stepper.AdaptationStepper`:
+   retained nests move through the self-healing executor (per-round
+   timeout, seeded backoff), a resized one then regrids to its new size,
+   new nests are scattered, and the ledger and busiest-link check are fed;
 4. checks every :mod:`repro.core.invariants` guarantee, re-verifies every
    live nest's tiling (``audit.tiling``) and compares its field bit for
    bit with the seeded ground truth (``audit.data``) — the data-survives-
@@ -50,14 +49,12 @@ from repro.core.dataplane import (
     BackoffPolicy,
     RankStore,
     TransientRedistributionError,
-    execute_redistribution_with_retry,
     gather_nest,
-    scatter_nest,
 )
 from repro.core.diffusion import DiffusionStrategy
 from repro.core.invariants import InvariantViolation, check_all
 from repro.core.reallocator import ProcessorReallocator
-from repro.experiments.runner import _feed_ledger
+from repro.core.stepper import AdaptationStepper
 from repro.experiments.workloads import Workload, mumbai_trace_workload
 from repro.faults.checkpoint import Checkpoint
 from repro.faults.injector import FaultInjector
@@ -394,11 +391,18 @@ def run_soak(
             workload=workload.name,
             n_faults_planned=plan.n_faults,
         )
-        store = RankStore(realloc.grid.nprocs)
         fields: dict[int, np.ndarray] = {}
+
+        def ground_truth(nid: int, nx: int, ny: int) -> np.ndarray:
+            fields[nid] = _ground_truth(config.seed, nid, nx, ny)
+            return fields[nid]
+
+        store = RankStore(realloc.grid.nprocs)
+        stepper = AdaptationStepper(
+            realloc, store=store, ledger=ledger, retry=BackoffPolicy(), seed=config.seed
+        )
         dropped: set[int] = set()
         checkpoint: Checkpoint | None = None
-        policy = BackoffPolicy()
 
         for step, planned in enumerate(workload.steps):
             # 1. injected faults fire first (the world breaks before we act)
@@ -417,7 +421,7 @@ def run_soak(
                 report.dropped_nests += len(recovery.dropped_nests)
                 report.restored_nests += len(recovery.restored_from_checkpoint)
                 assert recovery.store is not None
-                store = recovery.store
+                store = stepper.store = recovery.store
                 for nid in recovery.dropped_nests:
                     dropped.add(nid)
                     fields.pop(nid, None)
@@ -433,9 +437,6 @@ def run_soak(
             # the flight log always shows detection → degraded reallocation
             # → *recovered* redistribution for every crash.
             nests = {nid: size for nid, size in planned.items() if nid not in dropped}
-            old_alloc = realloc.allocation
-            result = realloc.step(nests)
-            alloc = result.allocation
             flaky_now = step in flaky_steps or bool(newly_dead)
 
             def round_time(attempt: int, _flaky: bool = flaky_now) -> float:
@@ -443,40 +444,15 @@ def run_soak(
                     raise TransientRedistributionError("injected flaky round")
                 return 0.0
 
-            if old_alloc is not None:
-                for nid in result.deleted:
-                    store.drop_nest(nid)
-                    fields.pop(nid, None)
-                for nid in result.retained:
-                    nx, ny = nests[nid]
-                    if fields[nid].shape == (ny, nx):
-                        outcome = execute_redistribution_with_retry(
-                            store,
-                            nid,
-                            old_alloc,
-                            alloc,
-                            nx,
-                            ny,
-                            policy=policy,
-                            round_time=round_time,
-                            seed=config.seed,
-                            ledger=ledger,
-                        )
-                        report.n_retries += outcome.attempts - 1
-                        report.retried_bytes += outcome.retried_bytes
-                        report.total_backoff += outcome.total_delay
-                    else:
-                        # The ROI was resized: the nest restarts at the new
-                        # size (regridded state is interpolated, not moved).
-                        store.drop_nest(nid)
-                        fields[nid] = _ground_truth(config.seed, nid, nx, ny)
-                        scatter_nest(store, nid, fields[nid].copy(), alloc)
-            for nid in result.created:
-                nx, ny = nests[nid]
-                fields[nid] = _ground_truth(config.seed, nid, nx, ny)
-                scatter_nest(store, nid, fields[nid].copy(), alloc)
-            if result.plan is not None:
-                _feed_ledger(ledger, result, realloc, step=step)
+            point = stepper.step(nests, ground_truth, round_time)
+            result = point.reallocation
+            alloc = result.allocation
+            for outcome in point.retries:
+                report.n_retries += outcome.attempts - 1
+                report.retried_bytes += outcome.retried_bytes
+                report.total_backoff += outcome.total_delay
+            for nid in result.deleted:
+                fields.pop(nid, None)
             if tamper is not None:
                 tamper(store, step)
 

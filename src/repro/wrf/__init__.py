@@ -13,7 +13,8 @@ lightweight cloud-field simulator with the same interface:
 * :mod:`repro.wrf.model` — the time-stepping model producing split files
   over a ``Px x Py`` simulation decomposition,
 * :mod:`repro.wrf.nests` — nest domains (3x refinement, parent→nest
-  interpolation) and ROI↔nest tracking across adaptation points,
+  interpolation), ROI↔nest tracking across adaptation points and the
+  detect half of a point (:func:`~repro.wrf.nests.detect_nests`),
 * :mod:`repro.wrf.scenario` — the Mumbai-2005-like scripted scenario and
   random synthetic scenarios matching the paper's workload statistics.
 """
@@ -21,7 +22,7 @@ lightweight cloud-field simulator with the same interface:
 from repro.wrf.clouds import CloudSystem, advance_systems
 from repro.wrf.fields import qcloud_field, olr_field
 from repro.wrf.model import DomainConfig, WrfLikeModel
-from repro.wrf.nests import Nest, NestTracker
+from repro.wrf.nests import Detection, Nest, NestTracker, detect_nests
 from repro.wrf.scenario import mumbai_2005_scenario, synthetic_scenario
 from repro.wrf.driver import CoupledSimulation, CoupledStepResult
 from repro.wrf.io import SplitFileReader, SplitFileWriter, split_file_name
@@ -45,6 +46,8 @@ __all__ = [
     "WrfLikeModel",
     "Nest",
     "NestTracker",
+    "Detection",
+    "detect_nests",
     "mumbai_2005_scenario",
     "synthetic_scenario",
 ]

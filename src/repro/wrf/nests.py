@@ -10,6 +10,9 @@ same nest (greedy best-IoU matching), everything else is a birth or death.
 
 Initial nest data is interpolated from the parent fields
 (:meth:`Nest.interpolate_from_parent`), as WRF does when a nest spawns.
+
+:func:`detect_nests` is the detect half of an adaptation point: split
+files → parallel data analysis → the largest ROIs, clamped → tracking.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.pda import PDAConfig, parallel_data_analysis
 from repro.grid.rect import Rect
+from repro.wrf.model import WrfLikeModel
 
-__all__ = ["Nest", "NestTracker"]
+__all__ = ["Nest", "NestTracker", "Detection", "detect_nests"]
 
 
 @dataclass(frozen=True)
@@ -171,3 +176,59 @@ class NestTracker:
             self._next_id += 1
         self.live = {n.nest_id: n for n in retained + new}
         return retained, deleted_ids, new
+
+
+def _clamp_roi(roi: Rect, min_side: int, max_side: int, nx: int, ny: int) -> Rect:
+    """Clamp an ROI to WRF-practical nest sizes.
+
+    Nests below ``min_side`` parent points are expanded around their centre
+    (WRF enforces minimum nest extents); oversized ones are cropped around
+    their centre.  The result stays inside the ``nx x ny`` parent domain.
+    """
+    min_w = min(min_side, nx)
+    min_h = min(min_side, ny)
+
+    def clamp_axis(c0: int, length: int, lo: int, hi: int, domain: int) -> tuple[int, int]:
+        new_len = max(lo, min(length, hi))
+        start = c0 + (length - new_len) // 2
+        start = max(0, min(start, domain - new_len))
+        return start, new_len
+
+    x0, w = clamp_axis(roi.x0, roi.w, min_w, max_side, nx)
+    y0, h = clamp_axis(roi.y0, roi.h, min_h, max_side, ny)
+    return Rect(x0, y0, w, h)
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One point's ROIs, the tracker's verdict and the live nests' sizes."""
+
+    rois: list[Rect]
+    retained: list[Nest]
+    deleted: list[int]
+    spawned: list[Nest]
+    nests: dict[int, tuple[int, int]]
+
+
+def detect_nests(
+    model: WrfLikeModel,
+    tracker: NestTracker,
+    n_analysis: int = 64,
+    pda_config: PDAConfig | None = None,
+    max_nests: int = 7,
+    roi_side_range: tuple[int, int] = (58, 120),
+) -> Detection:
+    """PDA over the model's split files; the ``max_nests`` largest ROIs,
+    clamped to ``roi_side_range`` parent points a side, update ``tracker``."""
+    config = model.config
+    result = parallel_data_analysis(
+        model.write_split_files(), config.sim_grid, n_analysis, pda_config
+    )
+    lo, hi = roi_side_range
+    rois = [
+        _clamp_roi(r, lo, hi, config.nx, config.ny)
+        for r in sorted(result.rectangles, key=lambda r: -r.area)[:max_nests]
+    ]
+    retained, deleted, spawned = tracker.update(rois)
+    nests = {n.nest_id: (n.nx, n.ny) for n in tracker.live.values()}
+    return Detection(rois, retained, deleted, spawned, nests)

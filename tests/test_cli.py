@@ -186,7 +186,7 @@ class TestFaultsCommand:
         assert report["ok"] is True and report["violations"] == []
         assert report["checks_run"] == {
             "audit.tiling": 114,
-            "execute.conservation": 76,
+            "execute.conservation": 108,
             "ledger.busiest_link": 8,
             "ledger.totals": 1,
             "linkstate.conservation": 19,

@@ -36,7 +36,7 @@ class TestCoupledSimulation:
     def test_payload_matches_store_after_run(self):
         sim = small_sim()
         sim.run(6)
-        for nid, (nx, ny) in sim._payload_size.items():
+        for nid, (nx, ny) in sim.reallocator.nest_sizes.items():
             # every live nest's blocks reassemble into a full field
             f = gather_nest(sim.store, nid, nx, ny)
             assert f.shape == (ny, nx)
