@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
             "recovery shrinks the processor grid, restores lost nest data "
             "from the checkpoint, and every step is audited for tiling and "
             "bit-for-bit data.  The fleet suites crash workers, stall and "
-            "kill sessions, storm taps, misbehave as NDJSON consumers and "
+            "kill sessions, misbehave as NDJSON consumers and "
             "damage the journal of a live serve fleet, whose survivors must "
             "match unperturbed twins bit for bit.  Exits non-zero when the "
             "verdict is not ok.  Setting REPRO_SANITIZE=1 arms the same "

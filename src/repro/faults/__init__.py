@@ -3,11 +3,11 @@
 The robustness subsystem: everything needed to break the pipeline or the
 serving tier around it on purpose, and prove both heal.
 
-* :mod:`~repro.faults.plan` — one typed, seeded fault plan with twelve
+* :mod:`~repro.faults.plan` — one typed, seeded fault plan with eleven
   kinds in two layers: the machine layer (rank crash, link degradation,
   stragglers, damaged split files) and the service layer (worker crash,
-  step stall, session kill, tap storm, slow or vanishing consumers,
-  journal truncation or corruption);
+  step stall, session kill, slow or vanishing consumers, journal
+  truncation or corruption);
 * :mod:`~repro.faults.injector` — applies a plan's machine layer to the
   live hooks in :mod:`repro.mpisim` and :mod:`repro.analysis`;
 * :mod:`~repro.faults.recovery` — heartbeat detection, ReSHAPE-style grid
@@ -51,7 +51,6 @@ from repro.faults.plan import (
     SlowConsumer,
     SplitFileFault,
     StepStall,
-    TapStorm,
     WorkerCrash,
 )
 from repro.faults.recovery import (
@@ -95,7 +94,6 @@ __all__ = [
     "SoakReport",
     "SplitFileFault",
     "StepStall",
-    "TapStorm",
     "WorkerCrash",
     "format_soak_report",
     "plan_shrink",

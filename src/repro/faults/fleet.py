@@ -11,8 +11,8 @@ A campaign is ``(plan, seed)`` plus fleet geometry — and nothing else.
 2. **Fleet** — the real serving stack (store, supervised scheduler,
    optionally the HTTP front end) runs the same specs while the plan's
    faults land: stalls and kills pre-scheduled on the target session's
-   own step counter, tap storms and NDJSON consumers attached before
-   the first step, worker crashes fired on fleet progress.
+   own step counter, NDJSON consumers attached before the first step,
+   worker crashes fired on fleet progress.
 3. **Restart** (journal campaigns only) — the fleet is hard-stopped
    mid-run, the journal damaged as planned, and the store rebuilt with
    :meth:`~repro.serve.store.SessionStore.recover`; a fresh scheduler
@@ -22,8 +22,7 @@ A campaign is ``(plan, seed)`` plus fleet geometry — and nothing else.
    terminal-state counts, signature agreement, sanitizer and invariant
    outcomes, judged by the rule :func:`~repro.faults.soak.verdict_ok`
    shares with the soak), while timing-dependent observations (how many
-   retries a stall cost, how many events a tap dropped) stay in the
-   diagnostics.  Running the same campaign twice must produce identical
+   retries a stall cost) stay in the diagnostics.  Running the same campaign twice must produce identical
    verdicts — ``tests/test_chaos.py`` and the CI ``faults`` job hold it
    to that.
 
@@ -57,11 +56,9 @@ from repro.faults.plan import (
     JournalCorrupt,
     JournalTruncate,
     SlowConsumer,
-    TapStorm,
 )
 from repro.faults.soak import verdict_ok
 from repro.obs.recorder import FlightRecorder
-from repro.obs.stream import TapSubscription
 from repro.sanitize import Sanitizer, use_sanitizer
 from repro.serve.api import ServeServer
 from repro.serve.scheduler import SchedulerConfig, SessionScheduler
@@ -139,12 +136,6 @@ class CampaignConfig:
                     f"{type(fault).__name__} at step {fault.at_step} can never "
                     f"land in a {self.steps}-step scenario"
                 )
-        for storm in self.plan.tap_storms():
-            if storm.session_index >= self.sessions:
-                raise ValueError(
-                    f"TapStorm targets session #{storm.session_index} "
-                    f"of a {self.sessions}-session fleet"
-                )
         for consumer in self.plan.consumers():
             if consumer.session_index >= self.sessions:
                 raise ValueError(
@@ -202,9 +193,6 @@ class CampaignReport:
     worker_restarts: int = 0
     stalls_scheduled: int = 0
     kills_scheduled: int = 0
-    tap_storms: int = 0
-    tap_subscriptions: int = 0
-    tap_overflowed: int = 0
     consumers_slow: int = 0
     consumers_disconnected: int = 0
     consumer_lines: int = 0
@@ -232,7 +220,6 @@ class CampaignReport:
     drain_expected: int = 0
     # -- diagnostics (timing-dependent; never in the verdict)
     step_timeouts: int = 0
-    tap_dropped_events: int = 0
     recovered_sessions: int = 0
     sanitizer_checks: int = 0
     flight: FlightRecorder = field(
@@ -257,7 +244,6 @@ class CampaignReport:
             self.sessions_failed == self.kills_scheduled,
             self.sessions_done == self.sessions - self.kills_scheduled,
             self.worker_restarts == self.worker_crashes,
-            self.tap_overflowed == self.tap_subscriptions,
             self.consumer_errors == 0,
         ]
         if self.truncation_expected:
@@ -280,9 +266,6 @@ class CampaignReport:
             "worker_restarts": self.worker_restarts,
             "stalls_scheduled": self.stalls_scheduled,
             "kills_scheduled": self.kills_scheduled,
-            "tap_storms": self.tap_storms,
-            "tap_subscriptions": self.tap_subscriptions,
-            "tap_overflowed": self.tap_overflowed,
             "consumers_slow": self.consumers_slow,
             "consumers_disconnected": self.consumers_disconnected,
             "consumer_lines": self.consumer_lines,
@@ -309,7 +292,6 @@ class CampaignReport:
         out = self.verdict()
         out["diagnostics"] = {
             "step_timeouts": self.step_timeouts,
-            "tap_dropped_events": self.tap_dropped_events,
             "recovered_sessions": self.recovered_sessions,
             "signatures_checked": self.signatures_checked,
             "signature_matches": self.signature_matches,
@@ -433,21 +415,6 @@ async def _run_fleet(
             step=kill.at_step,
             rank=kill.rank,
         )
-    storm_subs: list[TapSubscription] = []
-    for storm in plan.tap_storms():
-        for _ in range(storm.subscribers):
-            storm_subs.append(
-                fleet[storm.session_index].tap.subscribe(capacity=storm.capacity)
-            )
-        report.tap_storms += 1
-        report.tap_subscriptions += storm.subscribers
-        flight.emit(
-            "chaos.fault",
-            fault="tap.storm",
-            session=storm.session_index,
-            subscribers=storm.subscribers,
-            capacity=storm.capacity,
-        )
 
     server: ServeServer | None = None
     consumer_tasks: list[asyncio.Task[int]] = []
@@ -519,10 +486,6 @@ async def _run_fleet(
 
     report.worker_restarts = scheduler.worker_restarts
     report.step_timeouts += scheduler.step_timeouts
-    report.tap_dropped_events = sum(sub.dropped for sub in storm_subs)
-    report.tap_overflowed = sum(1 for sub in storm_subs if sub.dropped > 0)
-    for sub in storm_subs:
-        sub.close()
 
     if journal_path is not None:
         report.journal_records = final_store.compact()
@@ -797,7 +760,6 @@ def build_suite(name: str, seed: int = 0) -> list[CampaignConfig]:
                 n_worker_crashes=2,
                 n_stalls=1,
                 n_kills=1,
-                n_tap_storms=1,
                 stall_seconds=0.5,
             ),
         ),
@@ -815,7 +777,6 @@ def build_suite(name: str, seed: int = 0) -> list[CampaignConfig]:
                 n_worker_crashes=0,
                 n_stalls=0,
                 n_kills=0,
-                n_tap_storms=0,
                 journal="truncate",
             ),
         ),
@@ -832,7 +793,6 @@ def build_suite(name: str, seed: int = 0) -> list[CampaignConfig]:
             use_http=True,
             plan=FaultPlan(
                 faults=(
-                    TapStorm(session_index=0),
                     SlowConsumer(session_index=1),
                     SlowConsumer(session_index=2, read_limit=3),
                     ConsumerDisconnect(session_index=3),
@@ -854,7 +814,6 @@ def build_suite(name: str, seed: int = 0) -> list[CampaignConfig]:
                 n_worker_crashes=0,
                 n_stalls=0,
                 n_kills=0,
-                n_tap_storms=0,
                 journal="corrupt",
             ),
         ),
@@ -894,11 +853,6 @@ def format_campaign_report(report: CampaignReport) -> str:
             f"invariant violations={report.invariant_violations}"
         ),
     ]
-    if report.tap_subscriptions:
-        lines.append(
-            f"  tap storm : {report.tap_overflowed}/{report.tap_subscriptions} "
-            f"subscriber(s) overflowed (dropped {report.tap_dropped_events})"
-        )
     if report.consumers_slow or report.consumers_disconnected:
         lines.append(
             f"  consumers : {report.consumers_slow} slow + "

@@ -1,7 +1,7 @@
 """Typed, seeded fault plans for both layers of the system.
 
 A :class:`FaultPlan` is a declarative schedule: *what* goes wrong and
-when.  Twelve fault kinds cover two layers.
+when.  Eleven fault kinds cover two layers.
 
 The **machine layer** breaks one simulation; ``step`` is the adaptation
 point the fault fires at (:class:`~repro.faults.injector.FaultInjector`
@@ -26,9 +26,9 @@ anchors to the most deterministic clock available to it:
   :meth:`~repro.serve.session.Session.stall_step` /
   :meth:`~repro.serve.session.Session.inject_fault` seams, so they land
   at exactly the planned step however asyncio interleaves;
-* :class:`TapStorm`, :class:`SlowConsumer` and
-  :class:`ConsumerDisconnect` attach before the fleet starts — their
-  perturbation is *being there* while the fleet runs;
+* :class:`SlowConsumer` and :class:`ConsumerDisconnect` attach before
+  the fleet starts — their perturbation is *being there* while the
+  fleet runs;
 * :class:`WorkerCrash` triggers on *fleet progress* (adaptation points
   completed across all sessions): a worker-task cancellation is a
   scheduling-level event, so the verdict records only facts that survive
@@ -59,7 +59,6 @@ __all__ = [
     "WorkerCrash",
     "StepStall",
     "SessionKill",
-    "TapStorm",
     "SlowConsumer",
     "ConsumerDisconnect",
     "JournalTruncate",
@@ -223,27 +222,6 @@ class SessionKill:
 
 
 @dataclass(frozen=True)
-class TapStorm:
-    """``subscribers`` tiny-buffer taps pile onto one session's flight bus.
-
-    Each subscription is bounded at ``capacity`` events and is never
-    drained, so the storm must overflow (drop-oldest, counted) without
-    slowing the session or corrupting its flight ring.
-    """
-
-    session_index: int
-    subscribers: int = 4
-    capacity: int = 8
-
-    def __post_init__(self) -> None:
-        _check_index(self.session_index)
-        if self.subscribers < 1:
-            raise ValueError(f"subscribers must be >= 1, got {self.subscribers}")
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-
-
-@dataclass(frozen=True)
 class SlowConsumer:
     """An ``/events`` client that reads ``read_limit`` lines, then stalls.
 
@@ -320,7 +298,6 @@ ServiceFault = (
     WorkerCrash
     | StepStall
     | SessionKill
-    | TapStorm
     | SlowConsumer
     | ConsumerDisconnect
     | JournalTruncate
@@ -391,10 +368,6 @@ class FaultPlan:
         found = [f for f in self.faults if isinstance(f, SessionKill)]
         return sorted(found, key=lambda f: (f.session_index, f.at_step))
 
-    def tap_storms(self) -> list[TapStorm]:
-        found = [f for f in self.faults if isinstance(f, TapStorm)]
-        return sorted(found, key=lambda f: f.session_index)
-
     def consumers(self) -> list[SlowConsumer | ConsumerDisconnect]:
         """Consumer faults, deterministic attach order."""
         found = [
@@ -442,11 +415,6 @@ class FaultPlan:
         for k in self.kills():
             lines.append(
                 f"session #{k.session_index} step {k.at_step}: rank {k.rank} crashes"
-            )
-        for t in self.tap_storms():
-            lines.append(
-                f"session #{t.session_index}: tap storm "
-                f"({t.subscribers} x cap {t.capacity})"
             )
         for c in self.consumers():
             if isinstance(c, SlowConsumer):
@@ -548,7 +516,6 @@ class FaultPlan:
         n_worker_crashes: int = 1,
         n_stalls: int = 1,
         n_kills: int = 1,
-        n_tap_storms: int = 1,
         stall_seconds: float = 0.4,
         journal: str = "none",
     ) -> "FaultPlan":
@@ -557,9 +524,8 @@ class FaultPlan:
         Session-targeted faults draw their step in ``[1, n_steps - 1]``
         (the first allocation always exists before anything breaks, and a
         kill at ``n_steps - 1`` still lands).  Killed sessions are drawn
-        without replacement from the *tail* of the fleet so stalls and
-        storms aimed at the head always target a session that survives to
-        the end.  Worker crashes trigger below half the work the
+        without replacement from the *tail* of the fleet so stalls aimed
+        at the head always target a session that survives to the end.  Worker crashes trigger below half the work the
         surviving sessions are guaranteed to complete, so they always
         fire.
         """
@@ -605,8 +571,6 @@ class FaultPlan:
                     rank=1 + int(rng.integers(0, 3)),
                 )
             )
-        for _ in range(n_tap_storms):
-            faults.append(TapStorm(session_index=int(rng.choice(survivors))))
         if journal == "truncate":
             faults.append(JournalTruncate(at_step=max(1, guaranteed // 2), nbytes=5))
         elif journal == "corrupt":

@@ -85,11 +85,6 @@ from repro.obs.stats import (
     percentile,
     summarise,
 )
-from repro.obs.stream import (
-    DEFAULT_SUBSCRIBER_CAPACITY,
-    FlightTap,
-    TapSubscription,
-)
 from repro.obs.timeline import (
     ADAPTATION_SPAN,
     per_step_phase_times,
@@ -100,7 +95,6 @@ from repro.obs.timeline import (
 __all__ = [
     "ADAPTATION_SPAN",
     "DEFAULT_FLIGHT_CAPACITY",
-    "DEFAULT_SUBSCRIBER_CAPACITY",
     "DIGEST_WINDOW",
     "AdaptationAudit",
     "AuditTrail",
@@ -111,7 +105,6 @@ __all__ = [
     "FlightEvent",
     "FlightLog",
     "FlightRecorder",
-    "FlightTap",
     "PhaseDelta",
     "PhaseStats",
     "PromMetric",
@@ -121,7 +114,6 @@ __all__ = [
     "SpanDigest",
     "SpanRecord",
     "TagValue",
-    "TapSubscription",
     "aggregate_fleet",
     "bench_phases",
     "chrome_trace",

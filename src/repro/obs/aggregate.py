@@ -6,7 +6,7 @@ merges any number of per-session snapshots into a :class:`FleetRollup`:
 counter sums, per-span latency digests merged from each recorder's
 running span digests (never from its events), fleet-wide Gini skew
 over the concatenated per-rank traffic series, per-strategy decision
-counts from the audit trails, and flight-ring / tap drop totals.
+counts from the audit trails, and flight-ring drop totals.
 
 The rollup exports in the Prometheus text exposition format (typed
 ``# HELP`` / ``# TYPE`` blocks, labelled samples) via
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 from repro.obs.audit import AuditTrail
 from repro.obs.recorder import FlightRecorder
 from repro.obs.stats import SpanDigest, percentile, summarise_digests
-from repro.obs.stream import FlightTap
 
 if TYPE_CHECKING:
     from repro.mpisim.ledger import CommLedger
@@ -126,7 +125,6 @@ class FleetRollup:
     decisions: dict[str, int] = field(default_factory=dict)
     flight_events: int = 0
     flight_dropped: int = 0
-    tap_dropped: int = 0
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -140,7 +138,6 @@ class FleetRollup:
             "decisions": dict(sorted(self.decisions.items())),
             "flight_events": self.flight_events,
             "flight_dropped": self.flight_dropped,
-            "tap_dropped": self.tap_dropped,
         }
 
 
@@ -148,7 +145,6 @@ def aggregate_fleet(
     recorders: Iterable[FlightRecorder] = (),
     ledgers: Iterable[CommLedger] = (),
     audits: Iterable[AuditTrail] = (),
-    taps: Iterable[FlightTap] = (),
 ) -> FleetRollup:
     """Merge per-session snapshots into one :class:`FleetRollup`.
 
@@ -182,7 +178,6 @@ def aggregate_fleet(
     for trail in audits:
         for record in trail.records:
             decisions[record.chosen] = decisions.get(record.chosen, 0) + 1
-    tap_dropped = sum(tap.dropped_total for tap in taps)
     return FleetRollup(
         sources=sources,
         counters=counters,
@@ -198,7 +193,6 @@ def aggregate_fleet(
         decisions=decisions,
         flight_events=flight_events,
         flight_dropped=flight_dropped,
-        tap_dropped=tap_dropped,
     )
 
 
@@ -389,12 +383,6 @@ def fleet_metrics(
             kind="counter",
             help="Flight events evicted from bounded rings across the fleet.",
             samples=(PromSample(value=float(rollup.flight_dropped)),),
-        ),
-        PromMetric(
-            name=f"{prefix}_tap_dropped_total",
-            kind="counter",
-            help="Flight events lost by slow tap subscribers across the fleet.",
-            samples=(PromSample(value=float(rollup.tap_dropped)),),
         ),
     ]
     if rollup.counters:

@@ -25,8 +25,6 @@ phase                       what it times
 ``serve.throughput``        a session fleet through the async scheduler
 ``serve.decision_latency``  one adaptation point through a live session
 ``serve.recovery_latency``  cold journal recovery of a crashed fleet
-``obs.tap_overhead``        flagship trace with a tap attached, 0 subscribers
-``obs.tap_fanout``          flagship trace fanning out to 2 subscribers
 ==========================  ==================================================
 
 Every phase times the shipped code path, and so does the committed
@@ -532,41 +530,6 @@ def _setup_serve_recovery_latency(quick: bool) -> Callable[[], object]:
     return run
 
 
-def _obs_tap_setup(quick: bool, n_subscribers: int) -> Callable[[], object]:
-    from repro.core import DiffusionStrategy
-    from repro.experiments import mumbai_trace_workload
-    from repro.experiments.runner import ExperimentContext, run_workload
-    from repro.obs import FlightRecorder, FlightTap, use_recorder
-    from repro.topology import MACHINES
-
-    context = ExperimentContext(MACHINES[_QUICK_MACHINE])
-    workload = mumbai_trace_workload(seed=_BENCH_SEED, n_steps=4 if quick else 10)
-
-    def run() -> object:
-        flight = FlightRecorder()
-        tap = FlightTap()
-        flight.attach_tap(tap)
-        subs = [tap.subscribe() for _ in range(n_subscribers)]
-        with use_recorder(flight):
-            result = run_workload(workload, DiffusionStrategy(), context)
-        drained = sum(len(sub.drain()) for sub in subs)
-        for sub in subs:
-            sub.close()
-        return result.strategy, flight.total_emitted, drained
-
-    return run
-
-
-def _setup_obs_tap_overhead(quick: bool) -> Callable[[], object]:
-    # the zero-subscriber path must stay free: publish() bails on an
-    # empty subscription tuple before taking any lock
-    return _obs_tap_setup(quick, n_subscribers=0)
-
-
-def _setup_obs_tap_fanout(quick: bool) -> Callable[[], object]:
-    return _obs_tap_setup(quick, n_subscribers=2)
-
-
 def bench_phases() -> tuple[BenchPhase, ...]:
     """The pinned suite, in dependency-layer order."""
     return (
@@ -639,16 +602,6 @@ def bench_phases() -> tuple[BenchPhase, ...]:
             "serve.recovery_latency",
             "cold SessionStore.recover() of a crashed fleet's journal",
             _setup_serve_recovery_latency,
-        ),
-        BenchPhase(
-            "obs.tap_overhead",
-            "flagship trace with a flight tap attached, 0 subscribers",
-            _setup_obs_tap_overhead,
-        ),
-        BenchPhase(
-            "obs.tap_fanout",
-            "flagship trace fanning flight events out to 2 subscribers",
-            _setup_obs_tap_fanout,
         ),
     )
 

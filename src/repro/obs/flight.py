@@ -5,8 +5,10 @@ A :class:`~repro.obs.recorder.FlightRecorder` exports its ring to JSONL
 tolerating the truncated tail a crashed writer leaves, and
 :func:`replay_flight` turns it into a recorder of the same type, so the
 text/Chrome exporters and the fleet rollup read a log exactly like a
-live session.  :func:`format_flight` is the human-readable summary of a
-ring: per-kind counts plus the last events.
+live session.  A live follower parses a streamed log one line at a time
+with the loader's own :func:`parse_flight_line`.  :func:`format_flight`
+is the human-readable summary of a ring: per-kind counts plus the last
+events.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.obs.stats import SpanDigest
 __all__ = [
     "FlightLog",
     "load_flight_jsonl",
+    "parse_flight_line",
     "replay_flight",
     "format_flight",
 ]
@@ -68,7 +71,10 @@ class FlightLog(list[FlightEvent]):
         self.skipped_lines = skipped_lines
 
 
-def _parse_flight_line(line: str, lineno: int) -> FlightEvent:
+def parse_flight_line(line: str, lineno: int) -> FlightEvent:
+    """One JSONL line as a :class:`FlightEvent`; raises ``ValueError``
+    (``json.JSONDecodeError`` included) naming ``lineno`` when it is not
+    a flight event."""
     payload = json.loads(line)
     if not isinstance(payload, dict):
         raise ValueError(f"flight JSONL line {lineno}: not a JSON object")
@@ -94,7 +100,7 @@ def load_flight_jsonl(path: str | Path, strict: bool = False) -> FlightLog:
         if not line:
             continue
         try:
-            parsed.append((lineno, _parse_flight_line(line, lineno), ""))
+            parsed.append((lineno, parse_flight_line(line, lineno), ""))
         except json.JSONDecodeError as exc:
             parsed.append((lineno, None, f"flight JSONL line {lineno}: {exc}"))
         except ValueError as exc:  # _event_from_dict errors carry the lineno
@@ -150,11 +156,6 @@ def format_flight(recorder: FlightRecorder, tail: int = 20) -> str:
         f"flight recorder — {len(events)} events retained, "
         f"{recorder.dropped} dropped (capacity {recorder.capacity})"
     )
-    taps = recorder.taps
-    if taps:
-        n_subs = sum(t.subscriber_count for t in taps)
-        tap_dropped = sum(t.dropped_total for t in taps)
-        title += f"; {len(taps)} tap(s), {n_subs} subscriber(s), {tap_dropped} tap-dropped"
     parts = [
         format_table(
             ["event kind", "count"],

@@ -46,12 +46,9 @@ from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import TracebackType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from repro.obs.stats import SpanDigest
-
-if TYPE_CHECKING:
-    from repro.obs.stream import FlightTap
 
 __all__ = [
     "DEFAULT_FLIGHT_CAPACITY",
@@ -214,7 +211,6 @@ class FlightRecorder:
         self._digests: dict[str, SpanDigest] = {}
         self._open: dict[int, str] = {}  # start seq -> name of open spans
         self._lock = threading.Lock()
-        self._taps: tuple[FlightTap, ...] = ()
         self._scope: ContextVar[_Scope] = ContextVar(
             "repro.obs.scope", default=_ROOT_SCOPE
         )
@@ -251,36 +247,11 @@ class FlightRecorder:
             self._scope.reset(token)
 
     def _push(self, kind: str, t: float, data: dict[str, TagValue]) -> int:
-        """Append one event (caller holds the lock); returns its seq.
-
-        Attached taps are published from inside the lock, so subscribers
-        observe events in exact ``seq`` order.
-        """
+        """Append one event (caller holds the lock); returns its seq."""
         seq = self._seq
-        event = FlightEvent(seq=seq, t=t, kind=kind, data=data)
+        self._events.append(FlightEvent(seq=seq, t=t, kind=kind, data=data))
         self._seq = seq + 1
-        self._events.append(event)
-        for tap in self._taps:
-            tap.publish(event)
         return seq
-
-    # -- live streaming ---------------------------------------------------
-
-    def attach_tap(self, tap: FlightTap) -> None:
-        """Publish every future event into ``tap`` too (idempotent)."""
-        with self._lock:
-            if tap not in self._taps:
-                self._taps = (*self._taps, tap)
-
-    def detach_tap(self, tap: FlightTap) -> None:
-        """Stop publishing into ``tap``; idempotent."""
-        with self._lock:
-            self._taps = tuple(t for t in self._taps if t is not tap)
-
-    @property
-    def taps(self) -> tuple[FlightTap, ...]:
-        """The currently attached taps (an immutable snapshot)."""
-        return self._taps
 
     # -- inspection -----------------------------------------------------
 

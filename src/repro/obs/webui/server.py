@@ -6,15 +6,21 @@ and NDJSON responses, no framework.  Two exclusive modes:
 
 **replay** — one or more exported flight JSONL files become read-only
 pseudo-sessions (keyed by file stem).  The event stream dumps the whole
-log and closes; ``/api/sessions/{id}/frames`` serves the per-adaptation
--point frames (:func:`replay_frames`) the canvas front end scrubs
-through, and ``/api/metrics`` rolls the replayed logs up through
+log and closes, and ``/api/metrics`` rolls the replayed logs up through
 :func:`repro.obs.aggregate.aggregate_fleet`.
 
 **attach** — proxies a live :mod:`repro.serve` fleet: the session list,
 each session's NDJSON event stream (followed until terminal) and the
-upstream Prometheus ``/metrics`` text pass through unmodified, so the
-same front end renders a fleet while it runs.
+upstream Prometheus ``/metrics`` text pass through, so the same front
+end renders a fleet while it runs.
+
+In both modes ``/api/sessions/{id}/frames`` streams NDJSON, one frame
+per adaptation point, folded by :class:`FrameFold` from the session's
+events — the loaded log, or the upstream stream parsed line by line
+with :func:`~repro.obs.flight.parse_flight_line`.  The page reads that
+one endpoint and folds nothing itself.  A frame is finished only when
+the next point starts (or the stream ends), so in attach mode the
+newest point appears once the next one begins.
 
 Routes
 ------
@@ -24,10 +30,10 @@ Method   Path                              Meaning
 =======  ================================  ==================================
 GET      ``/``                             the single-page UI (index.html)
 GET      ``/static/{name}``                whitelisted static assets
-GET      ``/healthz``                      mode, session count, event kinds
+GET      ``/healthz``                      mode and session count
 GET      ``/api/sessions``                 session snapshots (replay or proxy)
 GET      ``/api/sessions/{id}/events``     NDJSON flight events
-GET      ``/api/sessions/{id}/frames``     replay frames (replay mode only)
+GET      ``/api/sessions/{id}/frames``     NDJSON frames, one per point
 GET      ``/api/metrics``                  Prometheus text exposition
 =======  ================================  ==================================
 """
@@ -35,12 +41,18 @@ GET      ``/api/metrics``                  Prometheus text exposition
 from __future__ import annotations
 
 import asyncio
+import json
 import re
-from collections.abc import Sequence
+from collections.abc import AsyncIterator, Iterable, Sequence
 from pathlib import Path
 
 from repro.obs.aggregate import aggregate_fleet, fleet_metrics, render_prometheus
-from repro.obs.flight import FlightLog, load_flight_jsonl, replay_flight
+from repro.obs.flight import (
+    FlightLog,
+    load_flight_jsonl,
+    parse_flight_line,
+    replay_flight,
+)
 from repro.obs.recorder import FlightEvent, TagValue
 from repro.serve.wire import (
     HTTPError,
@@ -53,7 +65,7 @@ from repro.serve.wire import (
 )
 from repro.util.logging import get_logger
 
-__all__ = ["KNOWN_EVENT_KINDS", "ObsServer", "replay_frames"]
+__all__ = ["KNOWN_EVENT_KINDS", "FrameFold", "ObsServer", "replay_frames"]
 
 log = get_logger("obs.webui")
 
@@ -66,10 +78,9 @@ _CONTENT_TYPES = {
     ".json": "application/json",
 }
 
-#: every decision-event kind the library emits today; the replay renderer
+#: every decision-event kind the library emits today; the frame fold
 #: must handle each one without an unknown-event fallback (tested).  Span
 #: events (``<name>.start``/``<name>.end``) are known by their suffix.
-#: ``/healthz`` serves this list to the page, so it has no copy of its own.
 KNOWN_EVENT_KINDS = frozenset(
     {
         "adapt.start",
@@ -102,6 +113,8 @@ KNOWN_EVENT_KINDS = frozenset(
         "recovery.done",
         "sanitizer.violation",
         "session.state",
+        "session.hibernate",
+        "session.rematerialize",
         "stream.gap",
         "pda.partial",
         "soak.data_mismatch",
@@ -156,56 +169,54 @@ def _new_frame(event: FlightEvent) -> dict[str, object]:
     }
 
 
-def _bump(frame: dict[str, object], slot: str, kind: str) -> None:
+def _bump(frame: dict[str, object], slot: str, kind: str, n: int = 1) -> None:
     counts = frame[slot]
     assert isinstance(counts, dict)
-    counts[kind] = counts.get(kind, 0) + 1
+    counts[kind] = counts.get(kind, 0) + n
 
 
-def replay_frames(events: Sequence[FlightEvent]) -> list[dict[str, object]]:
-    """One JSON-ready frame per adaptation point of a flight log.
+def _tally_slot(kind: str) -> str:
+    known = kind in KNOWN_EVENT_KINDS or kind.endswith((".start", ".end"))
+    return "other" if known else "unknown"
 
-    A frame opens on ``adapt.start`` and closes on ``adapt.end``; the
+
+class FrameFold:
+    """Folds a flight stream into one frame per adaptation point, as it comes.
+
+    A frame runs from its ``adapt.start`` to the next ``adapt.start``:
+    :meth:`push` hands back the finished frame when the next one opens,
+    and :meth:`flush` hands back the last one when the stream ends.  The
     nest rectangles (``alloc.rect``), churn lists, dynamic choice, link
-    heat and ledger skew recorded in between land on the open frame.
-    Every other *known* kind — :data:`KNOWN_EVENT_KINDS` plus every span
-    event (``.start``/``.end`` suffix) — is tallied into the frame's
-    ``other`` counts; the rest go to ``unknown`` (which stays empty for
-    any log the library emits today — tested).
-    Events arriving between frames attach to the next frame, trailing
-    ones to the last.  Pure and deterministic: the same events always
-    produce the same frames, which is what lets a replayed log be
-    compared frame-for-frame against a live stream of the same session.
+    heat and ledger skew land on the frame they arrive in — a point's
+    ledger events follow its ``adapt.end``, which only marks the frame
+    ``closed`` and records the redistribution times.  Every other
+    *known* kind — :data:`KNOWN_EVENT_KINDS` plus every span event
+    (``.start``/``.end`` suffix) — is tallied into the frame's ``other``
+    counts; the rest go to ``unknown``.  Events before the first
+    ``adapt.start`` (the tail of points a bounded ring already evicted,
+    say) are tallied into the first frame's counts only.
     """
-    frames: list[dict[str, object]] = []
-    current: dict[str, object] | None = None
-    pending: dict[str, object] = _new_frame(FlightEvent(seq=0, t=0.0, kind=""))
-    for event in events:
+
+    def __init__(self) -> None:
+        self._frame: dict[str, object] | None = None
+        self._leading: dict[str, int] = {}  # kind -> count before any frame
+
+    def push(self, event: FlightEvent) -> dict[str, object] | None:
+        """Fold one event; returns the frame it finished, if any."""
         kind, data = event.kind, event.data
         if kind == "adapt.start":
-            if current is not None:
-                frames.append(current)  # unclosed predecessor (truncated log)
-            current = _new_frame(event)
-            for slot in ("other", "unknown"):
-                counts = pending[slot]
-                assert isinstance(counts, dict)
-                for name, n in counts.items():
-                    assert isinstance(n, int)
-                    tallied = current[slot]
-                    assert isinstance(tallied, dict)
-                    tallied[name] = tallied.get(name, 0) + n
-            pending = _new_frame(FlightEvent(seq=0, t=0.0, kind=""))
-            continue
-        frame = current if current is not None else pending
-        if kind == "adapt.end":
-            if current is not None:
-                current["redist_predicted"] = _as_float(data, "redist_predicted")
-                current["redist_measured"] = _as_float(data, "redist_measured")
-                current["closed"] = True
-                frames.append(current)
-                current = None
-            else:
-                _bump(frame, "other", kind)
+            done, self._frame = self._frame, _new_frame(event)
+            for leading, n in self._leading.items():
+                _bump(self._frame, _tally_slot(leading), leading, n)
+            self._leading.clear()
+            return done
+        frame = self._frame
+        if frame is None:
+            self._leading[kind] = self._leading.get(kind, 0) + 1
+        elif kind == "adapt.end":
+            frame["redist_predicted"] = _as_float(data, "redist_predicted")
+            frame["redist_measured"] = _as_float(data, "redist_measured")
+            frame["closed"] = True
         elif kind == "alloc.rect":
             rects = frame["rects"]
             assert isinstance(rects, dict)
@@ -236,21 +247,30 @@ def replay_frames(events: Sequence[FlightEvent]) -> list[dict[str, object]]:
         elif kind == "ledger.skew":
             frame["skew_gini"] = _as_float(data, "gini")
             frame["skew_max_over_mean"] = _as_float(data, "max_over_mean")
-        elif kind in KNOWN_EVENT_KINDS or kind.endswith((".start", ".end")):
-            _bump(frame, "other", kind)
         else:
-            _bump(frame, "unknown", kind)
-    if current is not None:
-        frames.append(current)
-    if frames:
-        for slot in ("other", "unknown"):
-            counts = pending[slot]
-            assert isinstance(counts, dict)
-            last = frames[-1][slot]
-            assert isinstance(last, dict)
-            for name, n in counts.items():
-                assert isinstance(n, int)
-                last[name] = last.get(name, 0) + n
+            _bump(frame, _tally_slot(kind), kind)
+        return None
+
+    def flush(self) -> dict[str, object] | None:
+        """End of stream: the open frame, if any (closed or not)."""
+        done, self._frame = self._frame, None
+        self._leading.clear()
+        return done
+
+
+def replay_frames(events: Iterable[FlightEvent]) -> list[dict[str, object]]:
+    """One JSON-ready frame per adaptation point of a flight log.
+
+    :class:`FrameFold` over the whole log.  Pure and deterministic: the
+    same events always produce the same frames, which is what lets a
+    replayed log be compared frame-for-frame against a live stream of
+    the same session.
+    """
+    fold = FrameFold()
+    frames = [frame for frame in map(fold.push, events) if frame is not None]
+    last = fold.flush()
+    if last is not None:
+        frames.append(last)
     return frames
 
 
@@ -355,7 +375,6 @@ class ObsServer:
                     "status": "ok",
                     "mode": self.mode,
                     "sessions": len(self._logs) if self.mode == "replay" else -1,
-                    "event_kinds": sorted(KNOWN_EVENT_KINDS),
                 },
             )
             return
@@ -368,10 +387,22 @@ class ObsServer:
         match = re.fullmatch(r"/api/sessions/([^/]+)/(events|frames)", path)
         if match:
             sid, what = match.group(1), match.group(2)
+            if self.mode == "replay":
+                self._replay_log(sid)  # an unknown id is a 404 before any body
+            writer.write(
+                b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            events = self._session_events(sid)
             if what == "events":
-                await self._stream_session_events(sid, writer)
-            else:
-                await self._send_frames(sid, writer)
+                async for event in events:
+                    await _send_line(writer, event.to_json())
+                return
+            fold = FrameFold()
+            async for event in events:
+                await _send_frame(writer, fold.push(event))
+            await _send_frame(writer, fold.flush())
             return
         raise HTTPError(404, f"no such route: {method} {path}")
 
@@ -422,33 +453,19 @@ class ObsServer:
         )
         await send_json(writer, status, body)
 
-    async def _stream_session_events(
-        self, sid: str, writer: asyncio.StreamWriter
-    ) -> None:
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Connection: close\r\n\r\n"
-        )
+    async def _session_events(self, sid: str) -> AsyncIterator[FlightEvent]:
+        """A session's flight events: the loaded log in replay mode, the
+        upstream NDJSON stream (followed until terminal) in attach mode."""
         if self.mode == "replay":
             for event in self._replay_log(sid):
-                writer.write(event.to_json().encode() + b"\n")
-            await writer.drain()
+                yield event
             return
+        lineno = 0
         async for line in http_stream_lines(
             self.upstream_host, self.upstream_port, f"/sessions/{sid}/events"
         ):
-            writer.write(line.encode() + b"\n")
-            await writer.drain()
-
-    async def _send_frames(self, sid: str, writer: asyncio.StreamWriter) -> None:
-        if self.mode != "replay":
-            raise HTTPError(
-                409, "frames are precomputed in replay mode only; "
-                "attach mode builds frames client-side from the event stream"
-            )
-        frames = replay_frames(self._replay_log(sid))
-        await send_json(writer, 200, {"id": sid, "frames": frames})
+            lineno += 1
+            yield parse_flight_line(line, lineno)
 
     # -- metrics -----------------------------------------------------------
 
@@ -468,3 +485,16 @@ class ObsServer:
         await send_text(
             writer, status, text, "text/plain; version=0.0.4; charset=utf-8"
         )
+
+
+async def _send_line(writer: asyncio.StreamWriter, line: str) -> None:
+    writer.write(line.encode() + b"\n")
+    await writer.drain()
+
+
+async def _send_frame(
+    writer: asyncio.StreamWriter, frame: dict[str, object] | None
+) -> None:
+    """One finished frame as an NDJSON line (no-op while none finished)."""
+    if frame is not None:
+        await _send_line(writer, json.dumps(frame, sort_keys=True))

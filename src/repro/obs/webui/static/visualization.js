@@ -1,13 +1,13 @@
 /* Mission-control front end: render flight-event frames on two canvases.
  *
- * Data model: a "frame" is one adaptation point — the same structure the
- * server's replay_frames() builds (step, strategy, px/py grid shape, nest
- * rects, churn lists, dynamic choice, link heat, ledger skew).  In replay
- * mode frames come precomputed from /api/sessions/{id}/frames; in attach
- * mode the NDJSON event stream is folded into frames with the exact same
- * rules client-side (buildFrames mirrors replay_frames), so both modes
- * drive one renderer.  The scrub slider moves through frames; in attach
- * mode it follows the newest frame until the user scrubs backwards.
+ * Data model: a "frame" is one adaptation point (step, strategy, px/py
+ * grid shape, nest rects, churn lists, dynamic choice, link heat, ledger
+ * skew), folded from the session's flight events by the server.  Both
+ * modes read one endpoint, /api/sessions/{id}/frames, an NDJSON stream
+ * of finished frames: replay mode sends them all and closes; attach mode
+ * sends each frame once the next point starts and closes when the
+ * session ends.  The scrub slider moves through frames; in attach mode
+ * it follows the newest frame until the user scrubs backwards.
  */
 "use strict";
 
@@ -22,82 +22,6 @@ const state = {
 };
 
 const $ = (id) => document.getElementById(id);
-
-/* ---------------- frame building (mirror of server.replay_frames) ------- */
-
-// the server's KNOWN_EVENT_KINDS, delivered in the /healthz body
-let KNOWN_KINDS = new Set();
-
-function isKnownKind(kind) {
-  // span events are known by their suffix, whatever the span's name
-  return KNOWN_KINDS.has(kind) || kind.endsWith(".start") || kind.endsWith(".end");
-}
-
-function newFrame(data) {
-  data = data || {};
-  return {
-    step: data.step || 0, strategy: data.strategy || "",
-    px: data.px || 0, py: data.py || 0, n_nests: data.n_nests || 0,
-    rects: {}, inserted: [], retained: [], deleted: [],
-    choice: "", redist_predicted: 0, redist_measured: 0,
-    heat_load: 0, heat_pairs: "", skew_gini: 0, skew_max_over_mean: 0,
-    other: {}, unknown: {}, closed: false,
-  };
-}
-
-function mergeCounts(into, from) {
-  for (const [k, n] of Object.entries(from)) into[k] = (into[k] || 0) + n;
-}
-
-function foldEvent(acc, ev) {
-  // acc = {frames, current, pending}; returns true when a frame closed
-  const d = ev.data || {};
-  if (ev.kind === "adapt.start") {
-    if (acc.current) acc.frames.push(acc.current);
-    acc.current = newFrame(d);
-    mergeCounts(acc.current.other, acc.pending.other);
-    mergeCounts(acc.current.unknown, acc.pending.unknown);
-    acc.pending = newFrame();
-    return false;
-  }
-  const f = acc.current || acc.pending;
-  switch (ev.kind) {
-    case "adapt.end":
-      if (acc.current) {
-        acc.current.redist_predicted = d.redist_predicted || 0;
-        acc.current.redist_measured = d.redist_measured || 0;
-        acc.current.closed = true;
-        acc.frames.push(acc.current);
-        acc.current = null;
-        return true;
-      }
-      f.other[ev.kind] = (f.other[ev.kind] || 0) + 1;
-      return false;
-    case "alloc.rect":
-      f.rects[String(d.nest)] = [d.x || 0, d.y || 0, d.w || 0, d.h || 0];
-      return false;
-    case "nest.insert": f.inserted.push(d.nest); return false;
-    case "nest.retain": f.retained.push(d.nest); return false;
-    case "nest.delete": f.deleted.push(d.nest); return false;
-    case "dynamic.choice":
-      f.choice = d.chosen || "";
-      f.choice_scratch_cost = (d.scratch_exec || 0) + (d.scratch_redist || 0);
-      f.choice_diffusion_cost =
-        (d.diffusion_exec || 0) + (d.diffusion_redist || 0);
-      return false;
-    case "link.heat":
-      f.heat_load = d.load || 0; f.heat_pairs = d.pairs || "";
-      return false;
-    case "ledger.skew":
-      f.skew_gini = d.gini || 0; f.skew_max_over_mean = d.max_over_mean || 0;
-      return false;
-    default: {
-      const slot = isKnownKind(ev.kind) ? f.other : f.unknown;
-      slot[ev.kind] = (slot[ev.kind] || 0) + 1;
-      return false;
-    }
-  }
-}
 
 /* ---------------- rendering -------------------------------------------- */
 
@@ -275,7 +199,7 @@ async function selectSession(id) {
   state.active = id;
   state.frames = [];
   state.cursor = 0;
-  state.follow = true;
+  state.follow = state.mode === "attach";
   if (state.reader) {
     try { state.reader.cancel(); } catch (e) { /* already closed */ }
     state.reader = null;
@@ -283,64 +207,32 @@ async function selectSession(id) {
   for (const li of $("session-list").children) {
     li.classList.toggle("active", li.dataset.id === id);
   }
-  if (state.mode === "replay") {
-    const body = await fetchJSON(
-      `/api/sessions/${encodeURIComponent(id)}/frames`);
-    state.frames = body.frames || [];
-    state.cursor = 0;
-    render();
-    return;
-  }
-  streamEvents(id);
+  render();
+  streamFrames(id);
 }
 
-async function streamEvents(id) {
-  // attach mode: fold the NDJSON event stream into frames incrementally
-  const res = await fetch(`/api/sessions/${encodeURIComponent(id)}/events`);
+async function streamFrames(id) {
+  const res = await fetch(`/api/sessions/${encodeURIComponent(id)}/frames`);
   if (!res.ok || !res.body) {
-    $("status").textContent = `event stream failed: HTTP ${res.status}`;
+    $("status").textContent = `frame stream failed: HTTP ${res.status}`;
     return;
   }
   const reader = res.body.getReader();
   state.reader = reader;
   const decoder = new TextDecoder();
-  const acc = { frames: state.frames, current: null, pending: newFrame() };
   let buffer = "";
   for (;;) {
     const { done, value } = await reader.read();
-    if (done) break;
-    if (state.reader !== reader) return; // superseded by a session switch
+    if (done || state.reader !== reader) return; // ended, or switched away
     buffer += decoder.decode(value, { stream: true });
     const lines = buffer.split("\n");
     buffer = lines.pop();
-    let closedAny = false;
-    for (const line of lines) {
-      if (!line.trim()) continue;
-      closedAny = foldEvent(acc, JSON.parse(line)) || closedAny;
-    }
-    if (closedAny) {
-      if (state.follow) state.cursor = state.frames.length - 1;
-      render();
-    }
+    const fresh = lines.filter((line) => line.trim()).map((l) => JSON.parse(l));
+    if (!fresh.length) continue;
+    state.frames.push(...fresh);
+    if (state.follow) state.cursor = state.frames.length - 1;
+    render();
   }
-  finalizeFrames(acc);
-  if (state.follow) state.cursor = Math.max(0, state.frames.length - 1);
-  render();
-}
-
-function finalizeFrames(acc) {
-  // end of stream: flush an unclosed frame open and attach trailing
-  // between-frame events to the last frame, exactly like replay_frames
-  if (acc.current) {
-    acc.frames.push(acc.current);
-    acc.current = null;
-  }
-  if (acc.frames.length) {
-    const last = acc.frames[acc.frames.length - 1];
-    mergeCounts(last.other, acc.pending.other);
-    mergeCounts(last.unknown, acc.pending.unknown);
-  }
-  acc.pending = newFrame();
 }
 
 /* ---------------- wiring ----------------------------------------------- */
@@ -349,7 +241,6 @@ async function refreshHeader() {
   try {
     const health = await fetchJSON("/healthz");
     state.mode = health.mode;
-    KNOWN_KINDS = new Set(health.event_kinds || []);
     $("mode").textContent = `${health.mode} mode`;
   } catch (e) {
     $("status").textContent = `cannot reach server: ${e}`;

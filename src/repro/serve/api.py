@@ -35,14 +35,15 @@ scheduler queue sits above the configured high-water mark — a struggling
 service says "later" at the door instead of queueing work it cannot
 digest (counted in ``repro_serve_shed_total``).
 
-The events stream polls the session's flight ring and writes each new
-event as one JSON line, ending the response (and closing the
+The events stream is the one live channel of a session's flight ring:
+each client keeps its own seq cursor, polls the ring and writes each
+new event as one JSON line, ending the response (and closing the
 connection) once the session is terminal and every retained event has
-been delivered.  The ring is the bounded per-client buffer: a stalled
-consumer blocks only its own coroutine (TCP backpressure on one
+been delivered.  The ring is the bounded buffer every client shares: a
+stalled consumer blocks only its own coroutine (TCP backpressure on one
 connection), and when it falls behind the ring's capacity the stream
-inserts a ``{"kind": "stream.gap", "lost": n}`` line — loss is counted,
-never silent, exactly like :class:`~repro.obs.stream.FlightTap`.
+inserts a ``stream.gap`` flight event whose ``data.lost`` counts the
+events it missed — loss is counted, never silent.
 
 ``/metrics`` renders through :mod:`repro.obs.aggregate`: service-level
 gauges (sessions by state, queue depth, lane submissions) plus the
@@ -54,10 +55,10 @@ ring totals), ledger and audit trail — scrapeable by a stock Prometheus, valid
 from __future__ import annotations
 
 import asyncio
-import json
 from collections.abc import Sequence
 
 from repro.obs import (
+    FlightEvent,
     PromMetric,
     PromSample,
     aggregate_fleet,
@@ -191,7 +192,6 @@ def serve_metrics(
         recorders=[s.recorder for s in sessions],
         ledgers=[s.ledger for s in sessions],
         audits=[s.audit for s in sessions],
-        taps=[s.tap for s in sessions],
     )
     metrics.extend(fleet_metrics(rollup))
     return metrics
@@ -452,9 +452,15 @@ class ServeServer:
             fresh = session.events(since_seq=next_seq)
             if fresh and fresh[0].seq > next_seq:
                 # the ring wrapped past this client (it stalled, or it
-                # subscribed late): report the hole instead of hiding it
-                gap = {"kind": "stream.gap", "lost": fresh[0].seq - next_seq}
-                writer.write(json.dumps(gap, sort_keys=True).encode() + b"\n")
+                # subscribed late): report the hole instead of hiding it,
+                # as a flight event so a saved stream still loads
+                gap = FlightEvent(
+                    seq=next_seq,
+                    t=fresh[0].t,
+                    kind="stream.gap",
+                    data={"lost": fresh[0].seq - next_seq},
+                )
+                writer.write(gap.to_json().encode() + b"\n")
             for event in fresh:
                 writer.write(event.to_json().encode() + b"\n")
                 next_seq = event.seq + 1
@@ -470,7 +476,6 @@ class ServeServer:
         return {
             "events": sum(s.flight.total_emitted for s in sessions),
             "dropped": sum(s.flight.dropped for s in sessions),
-            "tap_dropped": sum(s.tap.dropped_total for s in sessions),
         }
 
     def _metrics(self) -> dict[str, object]:

@@ -52,13 +52,7 @@ from repro.experiments.workloads import (
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RankCrash
 from repro.mpisim.ledger import CommLedger
-from repro.obs import (
-    AuditTrail,
-    FlightEvent,
-    FlightRecorder,
-    FlightTap,
-    use_recorder,
-)
+from repro.obs import AuditTrail, FlightEvent, FlightRecorder, use_recorder
 from repro.obs.timeline import ADAPTATION_SPAN
 from repro.topology import MACHINES
 from repro.util.logging import get_logger
@@ -235,11 +229,10 @@ class Session:
         self.transitions: list[_Transition] = []
         #: called after every transition (the store journals through this)
         self.observer: Callable[[Session, _Transition], None] | None = None
-        #: the live-streaming surface: subscribe to follow this session's
-        #: flight events as they happen (zero overhead while nobody does).
-        #: Created once so subscribers survive hibernation.
-        self.tap = FlightTap()
-        self._flight_capacity = flight_capacity
+        #: the session's one flight ring, kept for the session's whole
+        #: life: followers read it by seq cursor, so hibernation must not
+        #: restart its numbering
+        self.recorder = FlightRecorder(capacity=flight_capacity)
         self._build_fixtures()
         self._stepper: WorkloadStepper | None = None
         self._injector: FaultInjector | None = None
@@ -249,15 +242,13 @@ class Session:
         self._lock = threading.Lock()
 
     def _build_fixtures(self) -> None:
-        """(Re)create every per-session fixture from the spec.
+        """(Re)create the simulation fixtures from the spec.
 
         Called at construction and again by :meth:`hibernate`: fixture
         contents are derived deterministically from the spec, so the
         re-materialising replay rebuilds them identically.
         """
         # -- per-session fixtures: nothing here is shared across sessions
-        self.recorder = FlightRecorder(capacity=self._flight_capacity)
-        self.recorder.attach_tap(self.tap)
         self.audit = AuditTrail()
         machine = MACHINES[self.spec.machine]
         self.ledger = CommLedger(machine.ncores)
@@ -313,7 +304,6 @@ class Session:
             "steps_total": self.spec.steps,
             "events_emitted": self.flight.total_emitted,
             "events_dropped": self.flight.dropped,
-            "tap_dropped": self.tap.dropped_total,
             "decisions": decisions.count if decisions is not None else 0,
             "recovered": self.recovered,
         }
@@ -374,13 +364,15 @@ class Session:
     def hibernate(self) -> bool:
         """Drop a PAUSED session's simulation state to reclaim memory.
 
-        Only the spec, lifecycle history and completed-step count
-        survive; the stepper (with its reallocator and link state),
-        telemetry rings and ledger are all released.  The
-        next :meth:`advance` after :meth:`resume` re-materialises
-        everything by deterministically replaying the completed steps
-        from the spec — same decisions, same metrics, same flight
-        payloads, because the spec is the whole input of a session.
+        Only the spec, lifecycle history, completed-step count and the
+        flight ring survive; the stepper (with its reallocator and link
+        state), ledger and audit trail are released.  The next
+        :meth:`advance` after :meth:`resume` re-materialises them by
+        deterministically replaying the completed steps from the spec —
+        same decisions, same metrics, because the spec is the whole
+        input of a session.  The ring keeps its events and its seq
+        numbering, so a follower reading it by seq cursor sees every
+        event exactly once across the drop.
         Returns ``True`` when state was actually dropped (``False`` for
         a session that never built a stepper or is already hibernated).
         Raises :class:`SessionError` outside PAUSED.
@@ -411,9 +403,10 @@ class Session:
         Called under the session lock from :meth:`advance`.  Replays
         ``_hibernated_steps`` adaptation points through fresh fixtures;
         the replay is bit-identical to the original run (seeded
-        workload, seeded execution noise), so the stepper, recorder,
-        ledger and flight payloads land exactly where hibernation found
-        them.
+        workload, seeded execution noise), so the stepper, ledger and
+        audit trail land exactly where hibernation found them.  The
+        replay records into a throwaway ring: the session's own ring
+        already holds those points' events.
         """
         target = self._hibernated_steps
         stepper = WorkloadStepper(
@@ -423,7 +416,7 @@ class Session:
             exec_noise_seed=_exec_noise_seed(self.spec.seed),
         )
         self._stepper = stepper
-        with use_recorder(self.recorder):
+        with use_recorder(FlightRecorder(capacity=self.recorder.capacity)):
             for _ in range(target):
                 stepper.advance()
         self._hibernated = False

@@ -16,7 +16,6 @@ from repro.obs import (
     AuditTrail,
     FleetRollup,
     FlightRecorder,
-    FlightTap,
     PromMetric,
     PromSample,
     QuantileDigest,
@@ -126,18 +125,13 @@ class TestAggregateFleet:
         rollup = aggregate_fleet(audits=[t1, t2])
         assert rollup.decisions == {"scratch": 1, "diffusion": 2}
 
-    def test_flight_and_tap_drop_totals(self):
+    def test_flight_drop_totals(self):
         ring = FlightRecorder(capacity=4)
-        tap = FlightTap()
-        ring.attach_tap(tap)
-        sub = tap.subscribe(capacity=2)
         for i in range(10):
             ring.emit("tick", i=i)
-        rollup = aggregate_fleet(recorders=[ring], taps=[tap])
+        rollup = aggregate_fleet(recorders=[ring])
         assert rollup.flight_events == 10
         assert rollup.flight_dropped == 6
-        assert rollup.tap_dropped == 8
-        sub.close()
 
     def test_empty_fleet(self):
         rollup = aggregate_fleet()
@@ -296,6 +290,5 @@ class TestFleetMetrics:
             "repro_fleet_sources",
             "repro_fleet_flight_events_total",
             "repro_fleet_flight_dropped_total",
-            "repro_fleet_tap_dropped_total",
         }
         parse_prometheus(render_prometheus(metrics))

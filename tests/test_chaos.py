@@ -23,7 +23,6 @@ from repro.faults import (
     SessionKill,
     SlowConsumer,
     StepStall,
-    TapStorm,
     WorkerCrash,
 )
 from repro.faults.fleet import CampaignConfig, build_suite, run_campaign
@@ -39,8 +38,8 @@ class TestChaosFaults:
             lambda: StepStall(at_step=1, session_index=0, seconds=0.0),
             lambda: SessionKill(at_step=0, session_index=0),
             lambda: SessionKill(at_step=1, session_index=0, rank=-1),
-            lambda: TapStorm(session_index=0, subscribers=0),
-            lambda: TapStorm(session_index=0, capacity=0),
+            lambda: SlowConsumer(session_index=-1),
+            lambda: ConsumerDisconnect(session_index=-1),
             lambda: SlowConsumer(session_index=0, read_limit=-1),
             lambda: ConsumerDisconnect(session_index=0, after_lines=-1),
             lambda: JournalTruncate(at_step=1, nbytes=0),
@@ -71,7 +70,6 @@ class TestChaosPlan:
     def test_queries_partition_the_plan(self):
         plan = FaultPlan(
             faults=(
-                TapStorm(session_index=1),
                 WorkerCrash(at_step=9, worker=1),
                 WorkerCrash(at_step=2, worker=0),
                 StepStall(at_step=1, session_index=0),
@@ -84,15 +82,14 @@ class TestChaosPlan:
         assert [w.at_step for w in plan.worker_crashes()] == [2, 9]
         assert len(plan.stalls()) == 1
         assert len(plan.kills()) == 1
-        assert len(plan.tap_storms()) == 1
         assert len(plan.consumers()) == 1
         assert isinstance(plan.journal_fault(), JournalTruncate)
         # the machine-layer queries see only the machine layer
         assert plan.at_step(2) == []
         assert plan.at_step(3) == [RankCrash(step=3, rank=2)]
         assert plan.last_step == 3
-        assert plan.n_faults == 8
-        assert len(plan.describe().splitlines()) == 8
+        assert plan.n_faults == 7
+        assert len(plan.describe().splitlines()) == 7
 
     def test_seeded_is_deterministic(self):
         a = FaultPlan.seeded_fleet(seed=7, n_sessions=6, n_steps=5, workers=3)
@@ -109,8 +106,6 @@ class TestChaosPlan:
         assert killed == {4, 5}
         for stall in plan.stalls():
             assert stall.session_index not in killed
-        for storm in plan.tap_storms():
-            assert storm.session_index not in killed
 
     def test_seeded_steps_always_land(self):
         for seed in range(5):
@@ -183,13 +178,12 @@ class TestCampaignConfig:
 
 
 def _crash_config(name: str = "mini-crash") -> CampaignConfig:
-    """A small campaign exercising crash + stall + kill + storm at once."""
+    """A small campaign exercising crash + stall + kill at once."""
     plan = FaultPlan(
         faults=(
             WorkerCrash(at_step=2, worker=0),
             StepStall(at_step=1, session_index=0, seconds=0.5),
             SessionKill(at_step=2, session_index=3),
-            TapStorm(session_index=1, subscribers=2, capacity=4),
         )
     )
     return CampaignConfig(name=name, plan=plan, sessions=4, steps=4, workers=2)
@@ -207,10 +201,6 @@ class TestRunCampaign:
         # the acceptance criterion: survivors match unperturbed twins
         assert report.signatures_checked >= 1
         assert report.signature_ok
-        # the storm overflowed every bounded tap without hurting the fleet
-        assert report.tap_subscriptions == 2
-        assert report.tap_overflowed == 2
-        assert report.tap_dropped_events > 0
         # conservation held under fire
         assert report.sanitizer_armed == 1
         assert report.sanitizer_checks > 0

@@ -16,6 +16,7 @@ import pytest
 
 from repro.obs import (
     DIGEST_WINDOW,
+    FlightEvent,
     FlightRecorder,
     aggregate_fleet,
     fleet_metrics,
@@ -35,6 +36,7 @@ from repro.serve import (
     StoreFull,
     flight_signature,
 )
+from repro.obs.webui import replay_frames
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 
 
@@ -566,13 +568,12 @@ class TestSupervisedScheduler:
         assert len(parked) <= 1
 
 
-def _sim_signature(session: Session):
+def _sim_signature(session: Session | list[FlightEvent]):
     """Flight signature restricted to simulation events: lifecycle
     (``session.*``) events legitimately differ between a straight run and
     a hibernated one."""
-    return flight_signature(
-        [e for e in session.events() if not e.kind.startswith("session.")]
-    )
+    events = session if isinstance(session, list) else session.events()
+    return flight_signature([e for e in events if not e.kind.startswith("session.")])
 
 
 class TestHibernation:
@@ -625,6 +626,37 @@ class TestHibernation:
         )
         kinds = [e.kind for e in session.events()]
         assert "session.rematerialize" in kinds
+
+    def test_seq_cursor_follower_reads_each_event_once(self):
+        # the ring outlives hibernation, so a follower reading it by seq
+        # cursor sees every event once, in one unbroken numbering
+        spec = ScenarioSpec(steps=6, seed=17)
+        twin = Session("straight", spec)
+        twin.run_to_completion()
+
+        session = Session("hib", spec)
+        followed: list[FlightEvent] = []
+
+        def advance_and_poll() -> None:
+            session.advance()
+            followed.extend(session.events(since_seq=len(followed)))
+
+        for _ in range(3):
+            advance_and_poll()
+        session.pause()
+        session.hibernate()
+        session.resume()
+        while not session.terminal:
+            advance_and_poll()
+
+        assert [e.seq for e in followed] == list(range(len(followed)))
+        assert _sim_signature(followed) == _sim_signature(twin)
+        assert session.snapshot()["decisions"] == 6
+        kinds = {e.kind for e in followed}
+        assert {"session.hibernate", "session.rematerialize"} <= kinds
+        frames = replay_frames(followed)
+        assert len(frames) == 6
+        assert all(frame["unknown"] == {} for frame in frames)
 
     def test_hibernate_twice_along_the_way(self):
         spec = ScenarioSpec(steps=5, seed=23)

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.obs import parse_prometheus
+from repro.obs import load_flight_jsonl, parse_prometheus
 from repro.serve import SchedulerConfig, SessionScheduler, SessionStore
 from repro.serve.api import ServeServer, http_json, http_stream_lines
 from repro.serve.wire import http_text, read_response_headers
@@ -308,7 +308,6 @@ class TestServeValidation:
             assert status == 200
             assert health["flight"]["events"] > 0
             assert health["flight"]["dropped"] == 0
-            assert health["flight"]["tap_dropped"] == 0
 
         server_main(check)
 
@@ -519,9 +518,10 @@ class TestEventStreamRobustness:
 
         asyncio.run(main())
 
-    def test_late_subscriber_sees_a_counted_gap(self):
+    def test_late_subscriber_sees_a_counted_gap(self, tmp_path):
         # a client that attaches after the bounded ring wrapped gets a
-        # stream.gap record up front — loss is counted, never hidden
+        # stream.gap flight event up front — loss is counted, never
+        # hidden, and the saved stream still loads as a flight log
         async def main() -> None:
             server = await _configured_server(
                 SchedulerConfig(workers=1), flight_capacity=8
@@ -540,10 +540,16 @@ class TestEventStreamRobustness:
                 async for line in http_stream_lines(
                     server.host, server.port, f"/sessions/{snap['id']}/events"
                 ):
-                    lines.append(json.loads(line))
-                assert lines[0]["kind"] == "stream.gap"
-                assert lines[0]["lost"] == snap["events_emitted"] - 8
-                assert len(lines) == 9  # the gap record plus the ring
+                    lines.append(line)
+                path = tmp_path / "late.jsonl"
+                path.write_text("".join(f"{line}\n" for line in lines), "utf-8")
+                gap, *ring = load_flight_jsonl(path, strict=True)
+                assert gap.kind == "stream.gap"
+                assert gap.data["lost"] == snap["events_emitted"] - 8
+                # it sits at the first lost seq, at the first kept event's time
+                assert gap.seq == 0 and ring[0].seq == gap.data["lost"]
+                assert gap.t == ring[0].t
+                assert len(ring) == 8  # the gap record plus the ring
             finally:
                 await server.stop()
 

@@ -1,12 +1,13 @@
 """Tests for mission control (``repro.obs.webui``).
 
-Covers the UI tentpole layer end to end: the pure frame folder
-(:func:`replay_frames`), the replay HTTP server over exported flight
-JSONL, and the acceptance E2E — a live ``repro serve`` fleet attached
-through the obs server delivers every flight event for a completed
-session bit-identically (same ``flight_signature``) to the session's
-own ring export, and replay mode over the same JSONL serves frames
-identical to folding the streamed events.
+Covers the UI layer end to end: the pure frame fold
+(:class:`FrameFold` / :func:`replay_frames`), the replay HTTP server
+over exported flight JSONL, and the acceptance E2E — a live ``repro
+serve`` fleet attached through the obs server delivers every flight
+event for a completed session bit-identically (same
+``flight_signature``) to the session's own ring export, and the frames
+attach mode streams equal both the fold of the streamed events and the
+frames replay mode serves for the same JSONL.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.obs import (
     use_recorder,
 )
 from repro.obs.webui import ObsServer, replay_frames
-from repro.obs.webui.server import KNOWN_EVENT_KINDS
+from repro.obs.webui.server import KNOWN_EVENT_KINDS, FrameFold
 from repro.serve import (
     SchedulerConfig,
     SessionScheduler,
@@ -79,6 +80,8 @@ _SAMPLE_DATA: dict[str, dict[str, object]] = {
     "recovery.done": {"step": 4},
     "sanitizer.violation": {"check": "bytes_conserved"},
     "session.state": {"state": "done", "step": 3},
+    "session.hibernate": {"step": 3},
+    "session.rematerialize": {"step": 3},
     "stream.gap": {"lost": 12},
     "pda.partial": {"missing": 1},
     "soak.data_mismatch": {"nest": 1},
@@ -116,6 +119,14 @@ def _events_from_ndjson(lines: list[str]) -> list[FlightEvent]:
             FlightEvent(seq=d["seq"], t=d["t"], kind=d["kind"], data=d["data"])
         )
     return out
+
+
+async def _get_frames(host: str, port: int, sid: str) -> list[dict[str, object]]:
+    """The NDJSON frames of ``/api/sessions/{sid}/frames``, one per line."""
+    return [
+        json.loads(line)
+        async for line in http_stream_lines(host, port, f"/api/sessions/{sid}/frames")
+    ]
 
 
 class TestKnownKinds:
@@ -191,7 +202,25 @@ class TestReplayFrames:
             assert frame["px"] == 16 and frame["py"] == 16
             assert frame["rects"]  # every point lays out rectangles
             assert frame["choice"] in ("scratch", "diffusion")
-            assert frame["skew_gini"] >= 0.0
+
+    def test_each_frame_carries_its_own_points_heat_and_skew(self):
+        # a point's ledger events follow its adapt.end, and still land on
+        # that point's frame
+        flight = _instrumented_flight()
+        events = flight.events()
+        frames = replay_frames(events)
+        heat = {e.data["step"]: e.data for e in events if e.kind == "link.heat"}
+        skew = {e.data["step"]: e.data for e in events if e.kind == "ledger.skew"}
+        assert heat and set(heat) == set(skew)
+        for step, data in heat.items():
+            (frame,) = [f for f in frames if f["step"] == step]
+            assert frame["heat_load"] == data["load"] > 0.0
+            assert frame["heat_pairs"] == data["pairs"]
+            assert frame["skew_gini"] == skew[step]["gini"] > 0.0
+            assert frame["skew_max_over_mean"] == skew[step]["max_over_mean"]
+        for frame in frames:
+            if frame["step"] not in heat:
+                assert frame["heat_load"] == 0.0 and frame["skew_gini"] == 0.0
 
     def test_frame_fields_from_synthetic_events(self):
         events = [
@@ -226,6 +255,33 @@ class TestReplayFrames:
         ]
         (frame,) = replay_frames(events)
         assert frame["other"] == {"session.state": 1}
+
+    def test_leading_events_only_count_on_the_first_frame(self):
+        # the tail of a point a ring evicted: its ledger events must not
+        # pass for the first retained point's
+        events = [
+            FlightEvent(7, 0.0, "adapt.end", {"step": 3, "redist_measured": 2.0}),
+            FlightEvent(8, 0.1, "link.heat", {"load": 9.0, "pairs": "0>1:9"}),
+            FlightEvent(9, 0.2, "adapt.start", {"step": 4}),
+        ]
+        (frame,) = replay_frames(events)
+        assert frame["step"] == 4 and frame["closed"] is False
+        assert frame["heat_load"] == 0.0 and frame["redist_measured"] == 0.0
+        assert frame["other"] == {"adapt.end": 1, "link.heat": 1}
+
+    def test_fold_emits_a_frame_when_the_next_point_opens(self):
+        events = _instrumented_flight(n_steps=3).events()
+        fold = FrameFold()
+        emitted = []
+        for event in events:
+            frame = fold.push(event)
+            if frame is not None:
+                assert event.kind == "adapt.start"
+                emitted.append(frame)
+        assert len(emitted) == 2  # the last point waits for the stream's end
+        emitted.append(fold.flush())
+        assert fold.flush() is None
+        assert emitted == replay_frames(events)
 
     def test_trailing_events_attach_to_last_frame(self):
         events = [
@@ -311,18 +367,13 @@ class TestObsServerReplay:
                 server.host, server.port, "GET", "/healthz"
             )
             assert status == 200
-            assert health == {
-                "status": "ok",
-                "mode": "replay",
-                "sessions": 1,
-                "event_kinds": sorted(KNOWN_EVENT_KINDS),
-            }
+            assert health == {"status": "ok", "mode": "replay", "sessions": 1}
             status, index = await http_text(server.host, server.port, "/")
             assert status == 200 and "mission control" in index
             status, js = await http_text(
                 server.host, server.port, "/static/visualization.js"
             )
-            assert status == 200 and "foldEvent" in js
+            assert status == 200 and "/frames" in js
             status, _ = await http_text(
                 server.host, server.port, "/static/nope.js"
             )
@@ -335,29 +386,14 @@ class TestObsServerReplay:
 
         self._serve(check, log_path)
 
-    def test_page_takes_event_kinds_from_the_server(self, log_path):
-        # the kinds the fold only tallies live in the served list alone;
-        # the page names just the kinds it renders
-        rendered = {
-            "adapt.start",
-            "adapt.end",
-            "alloc.rect",
-            "nest.insert",
-            "nest.retain",
-            "nest.delete",
-            "dynamic.choice",
-            "link.heat",
-            "ledger.skew",
-        }
-
+    def test_page_names_no_event_kind(self, log_path):
+        # the server folds events into frames; the page only draws frames
         async def check(server):
-            _, health = await http_json(server.host, server.port, "GET", "/healthz")
-            assert set(health["event_kinds"]) == KNOWN_EVENT_KINDS
             _, js = await http_text(
                 server.host, server.port, "/static/visualization.js"
             )
-            for kind in sorted(KNOWN_EVENT_KINDS - rendered):
-                assert f'"{kind}"' not in js, kind
+            for kind in sorted(KNOWN_EVENT_KINDS):
+                assert kind not in js, kind
 
         self._serve(check, log_path)
 
@@ -384,11 +420,9 @@ class TestObsServerReplay:
                 list(log)
             )
 
-            status, body = await http_json(
-                server.host, server.port, "GET", "/api/sessions/run/frames"
-            )
-            assert status == 200
-            assert body["frames"] == replay_frames(list(log))
+            frames = await _get_frames(server.host, server.port, "run")
+            assert frames == replay_frames(list(log))
+            assert len(frames) == 4
 
             status, _ = await http_json(
                 server.host, server.port, "GET", "/api/sessions/nope/frames"
@@ -447,13 +481,22 @@ class TestEndToEndAttach:
                 assert status == 201
                 sid = snap["id"]
 
-                # follow the session through the attach proxy until terminal
-                lines = []
-                async for line in http_stream_lines(
-                    obs.host, obs.port, f"/api/sessions/{sid}/events"
-                ):
-                    lines.append(line)
+                # follow the live session through the attach proxy until
+                # terminal: its events, and the frames folded from them
+                async def follow(route: str) -> list[str]:
+                    return [
+                        line
+                        async for line in http_stream_lines(
+                            obs.host, obs.port, f"/api/sessions/{sid}/{route}"
+                        )
+                    ]
+
+                lines, frame_lines = await asyncio.gather(
+                    follow("events"), follow("frames")
+                )
                 streamed = _events_from_ndjson(lines)
+                attach_frames = [json.loads(line) for line in frame_lines]
+                assert attach_frames == replay_frames(streamed)
 
                 # bit-identical to the session's own ring export
                 session = store.get(sid)
@@ -473,12 +516,6 @@ class TestEndToEndAttach:
                 samples = parse_prometheus(text)
                 assert samples["repro_serve_sessions"][0][0] == {"state": "done"}
 
-                # frames are a replay-mode concept: attach mode is 409
-                status, _ = await http_json(
-                    obs.host, obs.port, "GET", f"/api/sessions/{sid}/frames"
-                )
-                assert status == 409
-
                 # replay mode over the same JSONL serves identical frames
                 path = tmp_path / f"{sid}.jsonl"
                 path.write_text(
@@ -487,13 +524,10 @@ class TestEndToEndAttach:
                 replay = ObsServer(replay=[path])
                 await replay.start()
                 try:
-                    status, body = await http_json(
-                        replay.host, replay.port, "GET", f"/api/sessions/{sid}/frames"
-                    )
-                    assert status == 200
-                    assert body["frames"] == replay_frames(streamed)
-                    assert len(body["frames"]) == 3
-                    assert all(f["closed"] for f in body["frames"])
+                    frames = await _get_frames(replay.host, replay.port, sid)
+                    assert frames == attach_frames
+                    assert len(frames) == 3
+                    assert all(f["closed"] for f in frames)
                 finally:
                     await replay.stop()
             finally:
