@@ -76,6 +76,30 @@ def _distance_ok(
     return abs(new_mean - old_mean) <= mean_deviation * abs(old_mean)
 
 
+def _ring(hop: int) -> list[tuple[int, int]]:
+    """Block offsets exactly ``hop`` away: the ``8 * hop`` cells of the
+    ``hop``-th proximity ring."""
+    return [
+        (dx, dy)
+        for dy in range(-hop, hop + 1)
+        for dx in range(-hop, hop + 1)
+        if max(abs(dx), abs(dy)) == hop
+    ]
+
+
+def _mean_guard_ok(
+    cluster: list[SubdomainSummary], element: SubdomainSummary, mean_deviation: float
+) -> bool:
+    """The mean-deviation half of DISTANCE: adding ``element`` moves the
+    cluster's mean QCLOUD by at most ``mean_deviation`` of the old mean."""
+    qclouds = [m.qcloud for m in cluster]
+    old_mean = fmean(qclouds)
+    new_mean = fmean(qclouds + [element.qcloud])
+    if old_mean == 0:
+        return new_mean == 0
+    return abs(new_mean - old_mean) <= mean_deviation * abs(old_mean)
+
+
 def nearest_neighbour_clustering(
     qcloudinfo: list[SubdomainSummary], config: NNCConfig | None = None
 ) -> list[list[SubdomainSummary]]:
@@ -84,10 +108,19 @@ def nearest_neighbour_clustering(
     ``qcloudinfo`` must already be sorted in non-increasing QCLOUD order
     (Algorithm 1 line 13 does the sort before calling NNC); only the
     elements that survive the thresholds need to obey the ordering.
+
+    DISTANCE is evaluated in its two halves.  The clusters owning a block
+    exactly ``hop`` away are read from a cell → clusters index over that
+    ring, and the mean-deviation guard, which reads only the cluster and
+    the element, runs once per such candidate, in cluster order.  The
+    per-member loop of the paper is
+    :func:`_nearest_neighbour_clustering_reference`.
     """
     config = config or NNCConfig()
     with get_recorder().span("analysis.nnc", n_elements=len(qcloudinfo)):
         clusters: list[list[SubdomainSummary]] = []
+        owners: dict[tuple[int, int], set[int]] = {}  # block -> its clusters
+        rings = [_ring(hop) for hop in range(1, config.max_hops + 1)]
         last_accepted: SubdomainSummary | None = None
         for element in qcloudinfo:
             if not _passes_thresholds(element, config):
@@ -98,22 +131,65 @@ def nearest_neighbour_clustering(
                     "(Algorithm 1 sorts before clustering)"
                 )
             last_accepted = element
-            placed = False
+            x, y = element.block_x, element.block_y
+            home = None
             # 1-hop ring first, then 2-hop — never 2-hop before 1-hop.
-            for hop in range(1, config.max_hops + 1):
-                for cluster in clusters:
-                    if any(
-                        _distance_ok(element, member, cluster, hop, config.mean_deviation)
-                        for member in cluster
-                    ):
-                        cluster.append(element)
-                        placed = True
-                        break
-                if placed:
+            for ring in rings:
+                near = {c for dx, dy in ring for c in owners.get((x + dx, y + dy), ())}
+                home = next(
+                    (
+                        c
+                        for c in sorted(near)
+                        if _mean_guard_ok(clusters[c], element, config.mean_deviation)
+                    ),
+                    None,
+                )
+                if home is not None:
                     break
-            if not placed:
-                clusters.append([element])
+            if home is None:
+                home = len(clusters)
+                clusters.append([])
+            clusters[home].append(element)
+            owners.setdefault((x, y), set()).add(home)
         return clusters
+
+
+def _nearest_neighbour_clustering_reference(
+    qcloudinfo: list[SubdomainSummary], config: NNCConfig | None = None
+) -> list[list[SubdomainSummary]]:
+    """Algorithm 2 as published, one DISTANCE call per member (tests only).
+
+    The oracle of :func:`nearest_neighbour_clustering`: the same clusters,
+    the same summary objects in the same order.
+    """
+    config = config or NNCConfig()
+    clusters: list[list[SubdomainSummary]] = []
+    last_accepted: SubdomainSummary | None = None
+    for element in qcloudinfo:
+        if not _passes_thresholds(element, config):
+            continue
+        if last_accepted is not None and last_accepted.qcloud < element.qcloud:
+            raise ValueError(
+                "qcloudinfo must be sorted in non-increasing QCLOUD order "
+                "(Algorithm 1 sorts before clustering)"
+            )
+        last_accepted = element
+        placed = False
+        # 1-hop ring first, then 2-hop — never 2-hop before 1-hop.
+        for hop in range(1, config.max_hops + 1):
+            for cluster in clusters:
+                if any(
+                    _distance_ok(element, member, cluster, hop, config.mean_deviation)
+                    for member in cluster
+                ):
+                    cluster.append(element)
+                    placed = True
+                    break
+            if placed:
+                break
+        if not placed:
+            clusters.append([element])
+    return clusters
 
 
 def simple_two_hop_clustering(

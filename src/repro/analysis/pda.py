@@ -70,7 +70,8 @@ class PDAResult:
     n_files_missing: int = 0  # ``None`` entries (lost / truncated writers)
     n_files_corrupt: int = 0  # files with non-finite QCLOUD/OLR payloads
     n_ranks_failed: int = 0  # failed analysis ranks (their buckets unread)
-    #: reporting subdomain area / full domain area (1.0 when complete)
+    #: reporting subdomain area / full domain area (1.0 when complete, 0.0
+    #: when every split file is lost)
     coverage: float = 1.0
     #: area-weighted low-OLR fraction over *reporting* subdomains only
     low_olr_fraction: float = 0.0
@@ -85,17 +86,21 @@ def _assign_files(
     decomposition: the analysis grid is the most square factorisation of
     ``N`` and each analysis rank receives a contiguous block of subdomains.
     Missing files (``None`` entries) are simply absent from every bucket.
+    A file's analysis column is the number of column boundaries at or left
+    of its block, ``(xb[1:] <= block_x).sum()``, found for every file by one
+    ``searchsorted`` (likewise for rows).
     """
     ag = ProcessorGrid.square_like(n_analysis)
     xb = split_evenly(sim_grid.px, ag.px)
     yb = split_evenly(sim_grid.py, ag.py)
+    present = [f for f in files if f is not None]
+    bx = np.fromiter((f.block_x for f in present), np.int64, len(present))
+    by = np.fromiter((f.block_y for f in present), np.int64, len(present))
+    ax = np.searchsorted(xb[1:], bx, side="right")
+    ay = np.searchsorted(yb[1:], by, side="right")
     buckets: list[list[SplitFile]] = [[] for _ in range(n_analysis)]
-    for f in files:
-        if f is None:
-            continue
-        ax = int(max(0, (xb[1:] <= f.block_x).sum()))
-        ay = int(max(0, (yb[1:] <= f.block_y).sum()))
-        buckets[ay * ag.px + ax].append(f)
+    for f, owner in zip(present, (ay * ag.px + ax).tolist()):
+        buckets[owner].append(f)
     return buckets
 
 
@@ -122,17 +127,19 @@ def aggregate_summaries(
         for i, f in enumerate(files):
             by_shape.setdefault(f.qcloud.shape, []).append(i)
         for shape, idxs in by_shape.items():
-            q = np.stack([files[i].qcloud for i in idxs])
-            o = np.stack([files[i].olr for i in idxs])
+            # (n, h, w) stacks, each built by one concatenate along the rows
+            n = len(idxs)
+            q = np.concatenate([files[i].qcloud for i in idxs]).reshape(n, *shape)
+            o = np.concatenate([files[i].olr for i in idxs]).reshape(n, *shape)
             finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(o).all(
                 axis=(1, 2)
             )
             mask = o <= olr_threshold
-            counts = mask.sum(axis=(1, 2))
-            qsum = np.where(mask, q, 0.0).sum(axis=(1, 2))
+            counts = mask.sum(axis=(1, 2)).tolist()
+            qsum = np.where(mask, q, 0.0).sum(axis=(1, 2)).tolist()
             area = shape[0] * shape[1]
-            for j, i in enumerate(idxs):
-                if not finite[j]:
+            for i, ok, qs, count in zip(idxs, finite.tolist(), qsum, counts):
+                if not ok:
                     continue  # stays (True, None)
                 f = files[i]
                 results[i] = (
@@ -142,8 +149,8 @@ def aggregate_summaries(
                         block_x=f.block_x,
                         block_y=f.block_y,
                         extent=f.extent,
-                        qcloud=float(qsum[j]),
-                        olr_fraction=float(counts[j]) / area if area else 0.0,
+                        qcloud=qs,
+                        olr_fraction=count / area if area else 0.0,
                     ),
                 )
         return results
@@ -264,7 +271,10 @@ def parallel_data_analysis(
         n_corrupt = corrupt_count[0]
         partial = bool(n_missing or n_corrupt or n_failed)
         full_area = _full_domain_area(files)
-        coverage = reporting_area / full_area if full_area else 1.0
+        if full_area:
+            coverage = reporting_area / full_area
+        else:  # every file lost (or every tile empty): none unless complete
+            coverage = 0.0 if partial else 1.0
 
         # Root gather (line 11) + sort (line 13) + NNC (line 14) + rectangles.
         gathered = comm.gather(per_rank, root=0)

@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the pinned performance-baseline suite",
         description=(
-            "Times the reproduction's hot phases (PDA+NNC, tree edits, "
-            "transfer matrices, network simulation, data-plane round trip, "
+            "Times the reproduction's hot phases (field synthesis, split "
+            "files, PDA+NNC, tree edits, transfer matrices, the folded "
+            "mapping, network simulation, data-plane round trip, "
             "end-to-end comparison) on pinned inputs and writes per-phase "
             "median/p95 statistics as JSON."
         ),

@@ -8,24 +8,27 @@ to diff against (``repro bench`` again, compare the JSON).
 
 The suite covers the paper's whole latency argument end to end:
 
-==========================  ==================================================
-phase                       what it times
-==========================  ==================================================
-``analysis.pda``            Algorithm 1 + NNC over one step's split files
-``pda.aggregate``           batched split-file summarisation alone
-``tree.scratch``            Huffman build + rectangle layout (§IV-A)
-``tree.diffusion``          Algorithm-3 tree edit + layout (§IV-B)
-``grid.transfer_matrix``    per-nest transfer-matrix construction
-``netsim.link_loads``       routing + per-link byte accounting
-``netsim.bottleneck``       contention-aware alltoallv timing
-``netsim.flow``             max-min-fair flow simulation
-``redist.plan``             full redistribution planning
-``dataplane.roundtrip``     scatter → executed redistribution → gather
-``e2e.compare``             the ``repro compare`` path, scratch + diffusion
-``serve.throughput``        a session fleet through the async scheduler
-``serve.decision_latency``  one adaptation point through a live session
-``serve.recovery_latency``  cold journal recovery of a crashed fleet
-==========================  ==================================================
+===========================  ==================================================
+phase                        what it times
+===========================  ==================================================
+``wrf.fields``               QCLOUD + OLR synthesis over the parent domain
+``wrf.split_files``          cutting one step's split files from its fields
+``analysis.pda``             Algorithm 1 + NNC over one step's split files
+``pda.aggregate``            batched split-file summarisation alone
+``tree.scratch``             Huffman build + rectangle layout (§IV-A)
+``tree.diffusion``           Algorithm-3 tree edit + layout (§IV-B)
+``grid.transfer_matrix``     per-nest transfer-matrix construction
+``topology.folded_mapping``  the folded grid-to-torus rank mapping
+``netsim.link_loads``        routing + per-link byte accounting
+``netsim.bottleneck``        contention-aware alltoallv timing
+``netsim.flow``              max-min-fair flow simulation
+``redist.plan``              full redistribution planning
+``dataplane.roundtrip``      scatter → executed redistribution → gather
+``e2e.compare``              the ``repro compare`` path, scratch + diffusion
+``serve.throughput``         a session fleet through the async scheduler
+``serve.decision_latency``   one adaptation point through a live session
+``serve.recovery_latency``   cold journal recovery of a crashed fleet
+===========================  ==================================================
 
 Every phase times the shipped code path, and so does the committed
 baseline: the scalar ``*_reference`` oracles are test-only specifications
@@ -65,13 +68,16 @@ from typing import TYPE_CHECKING
 from repro.obs.stats import PhaseStats, summarise
 
 if TYPE_CHECKING:
+    from repro.analysis.records import SplitFile
     from repro.core.allocation import Allocation
     from repro.core.strategy import ReallocationStrategy
     from repro.experiments.runner import ExperimentContext
+    from repro.grid.procgrid import ProcessorGrid
     from repro.mpisim.alltoallv import MessageSet
     from repro.mpisim.costmodel import CostModel
     from repro.mpisim.netsim import NetworkSimulator
     from repro.topology.machines import MachineSpec
+    from repro.wrf.model import WrfLikeModel
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -220,8 +226,8 @@ def _allocation_pair(quick: bool) -> _AllocationPair:
     )
 
 
-def _pda_fixture(quick: bool):
-    """Pinned split files + analysis shape shared by the PDA phases."""
+def _pinned_model(quick: bool) -> WrfLikeModel:
+    """The pinned Mumbai parent model after its warm-up steps."""
     from repro.wrf import WrfLikeModel, mumbai_2005_scenario
 
     warmup_steps = 6 if quick else 14
@@ -231,10 +237,37 @@ def _pda_fixture(quick: bool):
     )
     for _ in range(warmup_steps):
         model.step()
-    files = model.write_split_files()
-    sim_grid = scenario.config.sim_grid
+    return model
+
+
+def _pda_fixture(quick: bool) -> tuple[list[SplitFile | None], ProcessorGrid, int]:
+    """Pinned split files + analysis shape shared by the PDA phases."""
+    model = _pinned_model(quick)
+    files: list[SplitFile | None] = list(model.write_split_files())
     n_analysis = 16 if quick else 64
-    return files, sim_grid, n_analysis
+    return files, model.config.sim_grid, n_analysis
+
+
+def _setup_wrf_fields(quick: bool) -> Callable[[], object]:
+    from repro.wrf.fields import olr_field, qcloud_field
+
+    model = _pinned_model(quick)
+    nx, ny = model.config.nx, model.config.ny
+
+    def run() -> object:
+        return olr_field(qcloud_field(nx, ny, model.systems))
+
+    return run
+
+
+def _setup_wrf_split_files(quick: bool) -> Callable[[], object]:
+    model = _pinned_model(quick)
+    model.fields()  # synthesised once per step; cutting is what is timed
+
+    def run() -> object:
+        return model.write_split_files()
+
+    return run
 
 
 def _setup_pda(quick: bool) -> Callable[[], object]:
@@ -317,6 +350,20 @@ def _setup_transfer_matrix(quick: bool) -> Callable[[], object]:
             )
             for nid in retained
         ]
+
+    return run
+
+
+def _setup_folded_mapping(quick: bool) -> Callable[[], object]:
+    from repro.topology import MACHINES, FoldedMapping, Torus3D
+
+    machine = MACHINES[_QUICK_MACHINE if quick else _FULL_MACHINE]
+    torus = machine.topology
+    assert isinstance(torus, Torus3D)  # the BG/L presets are tori
+    px, py = machine.grid
+
+    def run() -> object:
+        return FoldedMapping(torus, px, py)
 
     return run
 
@@ -534,6 +581,16 @@ def bench_phases() -> tuple[BenchPhase, ...]:
     """The pinned suite, in dependency-layer order."""
     return (
         BenchPhase(
+            "wrf.fields",
+            "QCLOUD + OLR synthesis over the parent domain",
+            _setup_wrf_fields,
+        ),
+        BenchPhase(
+            "wrf.split_files",
+            "one step's split files cut from its fields",
+            _setup_wrf_split_files,
+        ),
+        BenchPhase(
             "analysis.pda",
             "Algorithm 1 + NNC over one step's split files",
             _setup_pda,
@@ -557,6 +614,11 @@ def bench_phases() -> tuple[BenchPhase, ...]:
             "grid.transfer_matrix",
             "per-nest transfer-matrix construction",
             _setup_transfer_matrix,
+        ),
+        BenchPhase(
+            "topology.folded_mapping",
+            "the folded grid-to-torus rank mapping",
+            _setup_folded_mapping,
         ),
         BenchPhase(
             "netsim.link_loads",

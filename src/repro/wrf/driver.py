@@ -101,7 +101,8 @@ class CoupledSimulation:
     # ------------------------------------------------------------------
 
     def _payload(self, nest_id: int, nx: int, ny: int) -> np.ndarray:
-        """A nest's field payload: QCLOUD interpolated onto the fine grid."""
+        """A nest's field payload: the step's QCLOUD interpolated onto the
+        fine grid (the model synthesises its fields once per step)."""
         qcloud, _ = self.model.fields()
         return self.tracker.live[nest_id].interpolate_from_parent(qcloud)
 

@@ -33,7 +33,6 @@ import numpy as np
 from scipy import ndimage
 
 from repro.util.rng import make_rng
-from repro.wrf.fields import olr_field
 from repro.wrf.model import DomainConfig, WrfLikeModel
 
 __all__ = ["DynamicsConfig", "DynamicalModel"]
@@ -159,6 +158,7 @@ class DynamicalModel(WrfLikeModel):
 
     def step(self) -> None:
         """One analysis interval of moisture dynamics."""
+        self._fields = None
         d = self.dynamics
         cfg = self.config
         u, v = self.wind()
@@ -200,10 +200,13 @@ class DynamicalModel(WrfLikeModel):
         self._vortex[1] = float(np.clip(self._vortex[1], 0.2 * ny, 0.9 * ny))
         self.step_count += 1
 
-    def fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current ``(qcloud, olr)``; OLR derived exactly as the base model."""
-        q = self.qcloud_state
-        return q, olr_field(q)
+    def _qcloud(self) -> np.ndarray:
+        """This step's cloud water, copied from the prognostic state.
+
+        Two-way nest feedback writes ``qcloud_state`` in place; the copy
+        keeps the step's ``(qcloud, olr)`` pair consistent.
+        """
+        return self.qcloud_state.copy()
 
     # prognostic water content diagnostics ------------------------------
 

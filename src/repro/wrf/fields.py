@@ -78,5 +78,10 @@ def olr_field(
         )
     if saturation <= 0:
         raise ValueError(f"saturation must be positive, got {saturation}")
-    depth = np.minimum(np.asarray(qcloud, dtype=np.float64) / saturation, 1.0)
-    return clear_sky - (clear_sky - deep_cloud) * depth
+    # one new array, updated in place: the full-domain temporaries of the
+    # plain expression cost more than its arithmetic
+    q = np.asarray(qcloud, dtype=np.float64)
+    depth = np.divide(q, saturation, out=np.empty_like(q))
+    np.minimum(depth, 1.0, out=depth)
+    depth *= clear_sky - deep_cloud
+    return np.subtract(clear_sky, depth, out=depth)

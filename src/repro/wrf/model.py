@@ -74,9 +74,29 @@ class WrfLikeModel:
         self.birth_fn = birth_fn or (lambda step, systems: [])
         self.systems: list[CloudSystem] = list(systems or [])
         self.step_count = 0
+        #: this step's ``(qcloud, olr)`` once :meth:`fields` has built them
+        self._fields: tuple[np.ndarray, np.ndarray] | None = None
+        g = config.sim_grid
+        xb = split_evenly(config.nx, g.px).tolist()
+        yb = split_evenly(config.ny, g.py).tolist()
+        #: ``(rank, block_x, block_y, extent, window)`` of every simulation
+        #: rank's tile in rank order, ``window`` slicing the extent out of a
+        #: field; fixed by the decomposition
+        self._tiles: list[tuple[int, int, int, Rect, tuple[slice, slice]]] = [
+            (
+                g.rank(bx, by),
+                bx,
+                by,
+                Rect(xb[bx], yb[by], xb[bx + 1] - xb[bx], yb[by + 1] - yb[by]),
+                (slice(yb[by], yb[by + 1]), slice(xb[bx], xb[bx + 1])),
+            )
+            for by in range(g.py)
+            for bx in range(g.px)
+        ]
 
     def step(self) -> None:
         """Advance one analysis interval (the paper's 2 simulated minutes)."""
+        self._fields = None
         self.systems = advance_systems(self.systems)
         born = self.birth_fn(self.step_count, self.systems)
         self.systems.extend(born)
@@ -85,45 +105,43 @@ class WrfLikeModel:
     # ------------------------------------------------------------------
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current full-domain ``(qcloud, olr)`` fields, shape ``(ny, nx)``."""
-        q = qcloud_field(self.config.nx, self.config.ny, self.systems)
-        return q, olr_field(q)
+        """Current full-domain ``(qcloud, olr)`` fields, shape ``(ny, nx)``.
+
+        The pair is synthesised at most once per step, on the first call
+        after :meth:`step` (the only thing that invalidates it); later calls
+        return the same read-only arrays.
+        """
+        if self._fields is None:
+            q = self._qcloud()
+            o = olr_field(q)
+            q.flags.writeable = False
+            o.flags.writeable = False
+            self._fields = (q, o)
+        return self._fields
+
+    def _qcloud(self) -> np.ndarray:
+        """A new cloud-water field for the current state."""
+        return qcloud_field(self.config.nx, self.config.ny, self.systems)
 
     def subdomain_extent(self, block_x: int, block_y: int) -> Rect:
         """Grid-point extent of simulation rank block ``(block_x, block_y)``."""
-        g = self.config.sim_grid
-        xb = split_evenly(self.config.nx, g.px)
-        yb = split_evenly(self.config.ny, g.py)
-        return Rect(
-            int(xb[block_x]),
-            int(yb[block_y]),
-            int(xb[block_x + 1] - xb[block_x]),
-            int(yb[block_y + 1] - yb[block_y]),
-        )
+        return self._tiles[self.config.sim_grid.rank(block_x, block_y)][3]
 
     def write_split_files(self) -> list[SplitFile]:
-        """One split file per simulation rank for the current step."""
+        """One split file per simulation rank for the current step.
+
+        Each file's arrays are views of :meth:`fields` cut along the fixed
+        rank tiles.
+        """
         q, o = self.fields()
-        g = self.config.sim_grid
-        xb = split_evenly(self.config.nx, g.px)
-        yb = split_evenly(self.config.ny, g.py)
-        files = []
-        for by in range(g.py):
-            for bx in range(g.px):
-                extent = Rect(
-                    int(xb[bx]),
-                    int(yb[by]),
-                    int(xb[bx + 1] - xb[bx]),
-                    int(yb[by + 1] - yb[by]),
-                )
-                files.append(
-                    SplitFile(
-                        file_index=g.rank(bx, by),
-                        block_x=bx,
-                        block_y=by,
-                        extent=extent,
-                        qcloud=q[extent.y0 : extent.y1, extent.x0 : extent.x1],
-                        olr=o[extent.y0 : extent.y1, extent.x0 : extent.x1],
-                    )
-                )
-        return files
+        return [
+            SplitFile(
+                file_index=rank,
+                block_x=bx,
+                block_y=by,
+                extent=extent,
+                qcloud=q[window],
+                olr=o[window],
+            )
+            for rank, bx, by, extent, window in self._tiles
+        ]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     NNCConfig,
@@ -13,7 +15,9 @@ from repro.analysis import (
     parallel_data_analysis,
     simple_two_hop_clustering,
 )
+from repro.analysis.pda import _assign_files
 from repro.grid import ProcessorGrid, Rect
+from repro.grid.block import split_evenly
 from repro.mpisim import SimComm
 
 
@@ -335,3 +339,67 @@ class TestPDADegraded:
         result = parallel_data_analysis([None] * 4, grid, 1)
         assert result.partial and result.n_files_missing == 4
         assert result.rectangles == [] and result.low_olr_fraction == 0.0
+        assert result.coverage == 0.0  # nothing reported, nothing covered
+
+
+def bucket_by_formula(files, sim_grid, n_analysis):
+    """Algorithm 1's division of files, one boundary count per file."""
+    ag = ProcessorGrid.square_like(n_analysis)
+    xb = split_evenly(sim_grid.px, ag.px)
+    yb = split_evenly(sim_grid.py, ag.py)
+    buckets = [[] for _ in range(n_analysis)]
+    for f in files:
+        if f is not None:
+            ax = int((xb[1:] <= f.block_x).sum())
+            ay = int((yb[1:] <= f.block_y).sum())
+            buckets[ay * ag.px + ax].append(f)
+    return buckets
+
+
+def tiny_files(grid, missing=()):
+    """One 1x1 split file per rank of ``grid``; ``missing`` ranks are None."""
+    return [
+        None
+        if grid.rank(bx, by) in missing
+        else SplitFile(
+            grid.rank(bx, by), bx, by, Rect(bx, by, 1, 1), np.zeros((1, 1)), np.zeros((1, 1))
+        )
+        for by in range(grid.py)
+        for bx in range(grid.px)
+    ]
+
+
+def same_objects(a, b):
+    return [[id(f) for f in bucket] for bucket in a] == [
+        [id(f) for f in bucket] for bucket in b
+    ]
+
+
+class TestAssignFiles:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_file_formula(self, data):
+        grid = ProcessorGrid(
+            data.draw(st.integers(1, 9), label="px"), data.draw(st.integers(1, 9), label="py")
+        )
+        n_analysis = data.draw(st.integers(1, grid.nprocs), label="n_analysis")
+        missing = data.draw(
+            st.sets(st.integers(0, grid.nprocs - 1), max_size=grid.nprocs), label="missing"
+        )
+        files = tiny_files(grid, missing)
+        assert same_objects(
+            _assign_files(files, grid, n_analysis), bucket_by_formula(files, grid, n_analysis)
+        )
+
+    @pytest.mark.parametrize("px,py,n_analysis", [(1, 8, 4), (2, 9, 9), (3, 12, 16)])
+    def test_analysis_grid_wider_than_sim_grid(self, px, py, n_analysis):
+        grid = ProcessorGrid(px, py)
+        assert ProcessorGrid.square_like(n_analysis).px > grid.px
+        files = tiny_files(grid, missing={0, grid.nprocs - 1})
+        buckets = _assign_files(files, grid, n_analysis)
+        assert same_objects(buckets, bucket_by_formula(files, grid, n_analysis))
+        assert sum(map(len, buckets)) == grid.nprocs - 2
+
+    def test_all_missing_leaves_every_bucket_empty(self):
+        grid = ProcessorGrid(4, 4)
+        assert _assign_files([None] * 16, grid, 4) == [[], [], [], []]

@@ -8,6 +8,7 @@ from repro.core.dataplane import gather_nest
 from repro.grid import ProcessorGrid
 from repro.topology import blue_gene_l
 from repro.wrf import CoupledSimulation, DomainConfig, mumbai_2005_scenario
+from repro.wrf.fields import qcloud_field
 from repro.wrf.scenario import synthetic_scenario
 
 
@@ -103,3 +104,26 @@ class TestCoupledSimulation:
         )
         results = sim.run(6)
         assert len(results) == 6
+
+
+class TestOneFieldSynthesisPerStep:
+    def test_spawns_and_regrids_reuse_the_steps_fields(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return qcloud_field(*args, **kwargs)
+
+        monkeypatch.setattr("repro.wrf.model.qcloud_field", counted)
+        sim = small_sim()
+        spawned = regridded = 0
+        for _ in range(12):
+            before = dict(sim.reallocator.nest_sizes)
+            calls.clear()
+            r = sim.step()
+            now = sim.reallocator.nest_sizes
+            assert len(calls) == 1
+            spawned += len(r.spawned)
+            regridded += sum(before[n] != now[n] for n in r.reallocation.retained)
+        # the payload source ran for new nests and for resized ones
+        assert spawned and regridded

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import PDAConfig, parallel_data_analysis
 from repro.grid import ProcessorGrid
 from repro.wrf.dynamics import DynamicalModel, DynamicsConfig
+from repro.wrf.fields import olr_field
 from repro.wrf.model import DomainConfig
 
 
@@ -124,6 +125,30 @@ class TestDynamicalModel:
         assert np.array_equal(
             files[0].qcloud, q[: files[0].extent.h, : files[0].extent.w]
         )
+
+    def test_fields_once_per_step_follow_the_state(self):
+        m = DynamicalModel(small_config(), seed=0)
+        previous = m.fields()[0]
+        for _ in range(3):
+            m.step()
+            q, o = m.fields()
+            assert q is not previous
+            assert m.fields()[0] is q and m.fields()[1] is o
+            for arr in (q, o):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+            assert np.array_equal(q, m.qcloud_state)
+            assert np.array_equal(o, olr_field(m.qcloud_state))
+            previous = q
+
+    def test_fields_are_a_consistent_snapshot(self):
+        m = DynamicalModel(small_config(), seed=0)
+        m.step()
+        q, o = m.fields()
+        m.qcloud_state[:8, :8] += 1e-3  # what two-way feedback does in place
+        assert m.fields()[0] is q and np.array_equal(o, olr_field(q))
+        m.step()
+        assert np.array_equal(m.fields()[0], m.qcloud_state)
 
     def test_detection_pipeline_finds_systems(self):
         cfg = DomainConfig(nx=276, ny=162, sim_grid=ProcessorGrid(8, 8))

@@ -4,7 +4,8 @@ Every hot path with a vectorised implementation keeps its original
 scalar implementation beside it as a ``*_reference`` oracle — a test-only
 specification that shipped code never calls.  These tests drive both over
 randomized inputs — grids, nest sets, message sets, fault masks, degraded
-split-file sets — and demand the outputs match: bit-for-bit wherever the
+split-file sets, subdomain summaries — and demand the outputs match:
+bit-for-bit (for NNC, the very same summary objects) wherever the
 arithmetic is order-independent (integer-valued byte counts), and to
 1e-12 relative tolerance for the float aggregates whose summation order
 legitimately differs (batched QCLOUD sums).  Whole pipelines (plans, the
@@ -18,10 +19,19 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import PDAConfig, SplitFile, parallel_data_analysis
+from repro.analysis import (
+    NNCConfig,
+    PDAConfig,
+    SplitFile,
+    SubdomainSummary,
+    nearest_neighbour_clustering,
+    parallel_data_analysis,
+)
+from repro.analysis.nnc import _nearest_neighbour_clustering_reference
 from repro.analysis.pda import aggregate_summaries, aggregate_summaries_reference
 from repro.core import Allocation, plan_redistribution
 from repro.core.dataplane import (
@@ -456,6 +466,83 @@ class TestPDAEquivalence:
     def test_aggregate_empty(self):
         assert aggregate_summaries([], 200.0) == []
         assert aggregate_summaries_reference([], 200.0) == []
+
+
+#: small pools so cells and QCLOUD values repeat, zero included; a
+#: negative value under a negative threshold lets a cluster's mean be
+#: exactly 0 while the element's is not, so both sides of the guard's
+#: ``old_mean == 0`` branch are reached
+NNC_QCLOUDS = (-0.02, 0.0, 0.001, 0.005, 0.02, 0.02, 0.1, 0.5, 1.0, 3.0)
+NNC_FRACTIONS = (0.0, 0.004, 0.005, 0.3, 1.0)
+
+
+def draw_nnc_case(data):
+    """Sorted summaries on a small block grid plus an NNC configuration."""
+    w = data.draw(st.integers(1, 6), label="grid_w")
+    h = data.draw(st.integers(1, 6), label="grid_h")
+    cells = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    rows = data.draw(
+        st.lists(
+            st.tuples(cells, st.sampled_from(NNC_QCLOUDS), st.sampled_from(NNC_FRACTIONS)),
+            max_size=40,
+        ),
+        label="elements",
+    )
+    summaries = [
+        SubdomainSummary(
+            file_index=i,
+            block_x=bx,
+            block_y=by,
+            extent=Rect(bx, by, 1, 1),
+            qcloud=qcloud,
+            olr_fraction=fraction,
+        )
+        for i, ((bx, by), qcloud, fraction) in enumerate(rows)
+    ]
+    summaries.sort(key=lambda s: -s.qcloud)
+    config = NNCConfig(
+        qcloud_threshold=data.draw(st.sampled_from((-1.0, 0.0, 0.005, 0.05)), label="q_min"),
+        olr_fraction_threshold=data.draw(st.sampled_from((0.0, 0.005)), label="f_min"),
+        mean_deviation=data.draw(st.sampled_from((0.0, 0.3, 2.0)), label="mean_dev"),
+        max_hops=data.draw(st.integers(1, 4), label="max_hops"),
+    )
+    return summaries, config
+
+
+def cluster_ids(clusters):
+    """Clusters as lists of object identities: the same summaries, in order."""
+    return [[id(s) for s in cluster] for cluster in clusters]
+
+
+class TestNNCEquivalence:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_clusters_match_per_member_reference(self, data):
+        summaries, config = draw_nnc_case(data)
+        assert cluster_ids(nearest_neighbour_clustering(summaries, config)) == cluster_ids(
+            _nearest_neighbour_clustering_reference(summaries, config)
+        )
+
+    def test_zero_mean_cluster_admits_only_a_zero_mean(self):
+        # a cluster of mean 0 takes a neighbour that keeps the mean at 0,
+        # and refuses one that moves it at any hop
+        config = NNCConfig(qcloud_threshold=-1.0, olr_fraction_threshold=0.0)
+        summaries = [
+            SubdomainSummary(i, x, 0, Rect(x, 0, 1, 1), q, 0.5)
+            for i, (x, q) in enumerate([(0, 0.0), (1, 0.0), (2, -0.5)])
+        ]
+        for cluster in (nearest_neighbour_clustering, _nearest_neighbour_clustering_reference):
+            clusters = cluster(summaries, config)
+            assert [[s.file_index for s in c] for c in clusters] == [[0, 1], [2]]
+
+    def test_unsorted_input_rejected_by_both(self):
+        summaries = [
+            SubdomainSummary(0, 0, 0, Rect(0, 0, 1, 1), 0.1, 0.5),
+            SubdomainSummary(1, 1, 0, Rect(1, 0, 1, 1), 0.2, 0.5),
+        ]
+        for cluster in (nearest_neighbour_clustering, _nearest_neighbour_clustering_reference):
+            with pytest.raises(ValueError):
+                cluster(summaries)
 
 
 class TestStatefulChurnEquivalence:

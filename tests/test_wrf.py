@@ -20,7 +20,7 @@ from repro.wrf import (
     synthetic_scenario,
 )
 from repro.wrf.clouds import random_system
-from repro.wrf.fields import CLEAR_SKY_OLR, DEEP_CLOUD_OLR
+from repro.wrf.fields import CLEAR_SKY_OLR, DEEP_CLOUD_OLR, QCLOUD_SATURATION
 
 
 def system(**kw):
@@ -101,6 +101,16 @@ class TestFields:
         assert o[40, 40] <= 200.0
         assert o[0, 0] > 280.0  # clear corner
 
+    def test_olr_is_the_closed_form_bit_for_bit(self):
+        q = np.random.default_rng(5).uniform(-1e-4, 3e-3, (40, 60))
+        q[0, :3] = (0.0, 1.0e-3, np.nan)
+        o = olr_field(q)
+        expect = CLEAR_SKY_OLR - (CLEAR_SKY_OLR - DEEP_CLOUD_OLR) * np.minimum(
+            q / QCLOUD_SATURATION, 1.0
+        )
+        assert np.array_equal(o, expect, equal_nan=True)
+        assert o is not q and np.array_equal(q[0, :2], (0.0, 1.0e-3))
+
     def test_olr_validation(self):
         with pytest.raises(ValueError):
             olr_field(np.zeros((2, 2)), clear_sky=100.0, deep_cloud=200.0)
@@ -153,6 +163,43 @@ class TestModel:
         m = WrfLikeModel(self._config())
         e = m.subdomain_extent(1, 2)
         assert e == Rect(16, 32, 16, 16)
+
+    def test_fields_built_once_per_step_and_read_only(self):
+        m = WrfLikeModel(self._config(), systems=[system(x=30, y=30, age=5)])
+        for _ in range(3):
+            q, o = m.fields()
+            q2, o2 = m.fields()
+            assert q is q2 and o is o2
+            for arr in (q, o):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+            m.step()
+            q3, o3 = m.fields()
+            assert q3 is not q and o3 is not o
+            fresh = qcloud_field(64, 64, m.systems)
+            assert np.array_equal(q3, fresh)
+            assert np.array_equal(o3, olr_field(fresh))
+
+    def test_split_files_tile_the_domain_exactly(self):
+        # 67 x 45 over 4 x 3 ranks: uneven tiles on both axes
+        cfg = DomainConfig(nx=67, ny=45, sim_grid=ProcessorGrid(4, 3))
+        m = WrfLikeModel(cfg, systems=[system(x=30, y=20, age=5)])
+        q, o = m.fields()
+        cover = np.zeros((45, 67), dtype=np.int64)
+        files = m.write_split_files()
+        assert len(files) == cfg.sim_grid.nprocs
+        for f in files:
+            e = f.extent
+            assert f.file_index == cfg.sim_grid.rank(f.block_x, f.block_y)
+            assert 0 <= e.x0 and e.x1 <= 67 and 0 <= e.y0 and e.y1 <= 45
+            assert e == m.subdomain_extent(f.block_x, f.block_y)
+            cover[e.y0 : e.y1, e.x0 : e.x1] += 1
+            assert np.array_equal(f.qcloud, q[e.y0 : e.y1, e.x0 : e.x1])
+            assert np.array_equal(f.olr, o[e.y0 : e.y1, e.x0 : e.x1])
+        assert (cover == 1).all()  # disjoint, and their union is the domain
+        assert sorted((f.block_x, f.block_y) for f in files) == sorted(
+            (bx, by) for bx in range(4) for by in range(3)
+        )
 
     def test_pda_detects_model_cloud(self):
         cfg = self._config()
