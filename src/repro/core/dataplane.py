@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.grid.block import BlockDecomposition
-from repro.grid.overlap import TransferMatrix, transfer_matrix
+from repro.grid.overlap import TransferMatrix, merged_segments, transfer_matrix
 from repro.grid.rect import Rect
 from repro.mpisim.alltoallv import messages_from_transfer
 from repro.mpisim.ledger import CommLedger
@@ -222,20 +222,6 @@ def execute_redistribution(
     return transfer
 
 
-def _block_bounds(
-    decomp: BlockDecomposition,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every block's ``(x0, x1, y0, y1)`` as row-major ``(h*w,)`` arrays."""
-    xb, yb = decomp.x_bounds, decomp.y_bounds
-    w, h = decomp.proc_rect.w, decomp.proc_rect.h
-    return (
-        np.tile(xb[:-1], h),
-        np.tile(xb[1:], h),
-        np.repeat(yb[:-1], w),
-        np.repeat(yb[1:], w),
-    )
-
-
 def _execute(
     store: RankStore,
     nest_id: int,
@@ -319,53 +305,46 @@ def _move_blocks_vector(
 ) -> None:
     """Merged-segment data movement (the shipped path).
 
-    Both decompositions split the *same* ``nx x ny`` nest, so merging the
-    old and new split boundaries per axis yields elementary segments each
-    lying inside exactly one old and one new block — and, because no cut
-    can fall strictly inside an old∩new intersection, each (x-segment,
-    y-segment) product *is* one overlapping pair's full intersection.
-    That enumerates exactly the overlapping pairs in O(active blocks +
-    overlaps), with no ``n_old × n_new`` work.  Bit-for-bit the same
-    store state as the scalar oracle — the same bytes land in the same
-    destination blocks.
+    Both decompositions split the *same* ``nx x ny`` nest, so the
+    planner's per-axis segment walk (:func:`~repro.grid.overlap.merged_segments`)
+    yields elementary segments each lying inside exactly one old and one
+    new block — and, because no cut can fall strictly inside an old∩new
+    intersection, each (x-segment, y-segment) product *is* one
+    overlapping pair's full intersection.  That enumerates exactly the
+    overlapping pairs in O(active blocks + overlaps), with no
+    ``n_old × n_new`` work, and every slab bound is a Python int.
+    Bit-for-bit the same store state as the scalar oracle — the same
+    bytes land in the same destination blocks.
     """
     new_rect = new.rect_of(nest_id)
     old_rect = old.rect_of(nest_id)
-    new_ranks = new.grid.rank_grid(new_rect).ravel()
-    old_ranks = old.grid.rank_grid(old_rect).ravel()
-    nx0, nx1, ny0, ny1 = _block_bounds(new_decomp)
+    new_ranks = new.grid.rank_grid(new_rect).ravel().tolist()
+    old_ranks = old.grid.rank_grid(old_rect).ravel().tolist()
 
-    # Stage 1: receivers allocate their new blocks.
+    # Stage 1: receivers allocate their new blocks (zero-width ones too).
+    nxb = new_decomp.x_bounds.tolist()
+    nyb = new_decomp.y_bounds.tolist()
     incoming: dict[int, tuple[np.ndarray, Rect]] = {}
-    for k in range(new_ranks.size):
-        rect = Rect(
-            int(nx0[k]), int(ny0[k]), int(nx1[k] - nx0[k]), int(ny1[k] - ny0[k])
-        )
-        incoming[int(new_ranks[k])] = (np.empty((rect.h, rect.w)), rect)
+    k = 0
+    for y0, y1 in zip(nyb, nyb[1:]):
+        for x0, x1 in zip(nxb, nxb[1:]):
+            incoming[new_ranks[k]] = (
+                np.empty((y1 - y0, x1 - x0)),
+                Rect(x0, y0, x1 - x0, y1 - y0),
+            )
+            k += 1
 
     # Stage 2: per-axis elementary segments -> (old block, new block) pairs.
-    # searchsorted(..., "right") - 1 maps a segment start to the block it
-    # lies in; repeated bounds (zero-width blocks) resolve to the last
-    # block starting there, which is the only one with any width.
-    oxb, oyb = old_decomp.x_bounds, old_decomp.y_bounds
-    nxb, nyb = new_decomp.x_bounds, new_decomp.y_bounds
-    xcuts = np.union1d(oxb, nxb)
-    ycuts = np.union1d(oyb, nyb)
-    xo = np.searchsorted(oxb, xcuts[:-1], "right") - 1
-    xn = np.searchsorted(nxb, xcuts[:-1], "right") - 1
-    yo = np.searchsorted(oyb, ycuts[:-1], "right") - 1
-    yn = np.searchsorted(nyb, ycuts[:-1], "right") - 1
+    xcuts, xo, xn = merged_segments(new_decomp.nx, old_rect.w, new_rect.w)
+    ycuts, yo, yn = merged_segments(new_decomp.ny, old_rect.h, new_rect.h)
+    xsegs = list(zip(xcuts, xcuts[1:], xo, xn))
     w_old, w_new = old_rect.w, new_rect.w
-    for yk in range(ycuts.size - 1):
-        y0, y1 = int(ycuts[yk]), int(ycuts[yk + 1])
-        o_row = int(yo[yk]) * w_old
-        n_row = int(yn[yk]) * w_new
-        for xk in range(xcuts.size - 1):
-            src_block, src_rect = store.get(
-                int(old_ranks[o_row + int(xo[xk])]), nest_id
-            )
-            dst_block, dst_rect = incoming[int(new_ranks[n_row + int(xn[xk])])]
-            x0, x1 = int(xcuts[xk]), int(xcuts[xk + 1])
+    for y0, y1, oj, nj in zip(ycuts, ycuts[1:], yo, yn):
+        o_row = oj * w_old
+        n_row = nj * w_new
+        for x0, x1, oi, ni in xsegs:
+            src_block, src_rect = store.get(old_ranks[o_row + oi], nest_id)
+            dst_block, dst_rect = incoming[new_ranks[n_row + ni]]
             dst_block[
                 y0 - dst_rect.y0 : y1 - dst_rect.y0,
                 x0 - dst_rect.x0 : x1 - dst_rect.x0,
@@ -539,12 +518,12 @@ def execute_redistribution_with_retry(
     nx: int,
     ny: int,
     *,
+    bytes_per_point: float,
     policy: BackoffPolicy | None = None,
     timeout: float = math.inf,
     round_time: Callable[[int], float] | None = None,
     seed: int = 0,
     ledger: CommLedger | None = None,
-    bytes_per_point: int = 8,
 ) -> RetryOutcome:
     """Run one nest's redistribution with per-round timeout and backoff.
 
@@ -556,8 +535,10 @@ def execute_redistribution_with_retry(
     :class:`RedistributionAbortedError` is raised with the store untouched.
     The data movement itself is applied exactly once, on the winning try,
     so the bit-for-bit gather invariant is preserved through any number of
-    failed rounds.  When a ``ledger`` is given, re-sent bytes are
-    attributed to their senders via :meth:`CommLedger.add_retry`.
+    failed rounds.  ``bytes_per_point`` prices the wire traffic in the
+    plan's unit (the cost model's ``bytes_per_point``).  When a ``ledger``
+    is given, re-sent bytes are attributed to their senders via
+    :meth:`CommLedger.add_retry`.
 
     The plan is computed once, before the retry loop: every attempt —
     including the winning one, which reuses it through :func:`_execute` —

@@ -36,6 +36,7 @@ __all__ = [
     "DynamicChoice",
     "CandidateCosts",
     "predict_candidate_costs",
+    "predicted_costs",
     "predicted_exec_time",
 ]
 
@@ -89,6 +90,35 @@ def predicted_exec_time(
     )
 
 
+def predicted_costs(
+    old: Allocation | None,
+    candidate: Allocation,
+    nest_sizes: dict[int, tuple[int, int]],
+    machine: MachineSpec,
+    cost: CostModel,
+    predictor: ExecTimePredictor,
+) -> tuple[float, float]:
+    """One candidate's §IV-C decision inputs: ``(exec, redist)`` predicted.
+
+    The redistribution time is the §IV-C1 model alone over the retained
+    nests' moves, summed as a plan sums its ``predicted_time`` (0.0 at the
+    first adaptation point, where nothing moves).
+
+    Validation: :func:`predicted_exec_time` raises ``ValueError`` for an
+    allocated nest without a size.
+    """
+    exec_time = predicted_exec_time(predictor, candidate, nest_sizes)
+    if old is None:
+        return exec_time, 0.0
+    moves = nest_moves(old, candidate, nest_sizes, cost)
+    sanitizer = get_sanitizer()
+    if sanitizer.enabled:
+        sanitizer.after_moves(moves, nest_sizes)
+    return exec_time, predict_redistribution_time(
+        [move.messages for move in moves], machine, cost
+    )
+
+
 def predict_candidate_costs(
     old: Allocation | None,
     weights: dict[int, float],
@@ -100,35 +130,22 @@ def predict_candidate_costs(
 ) -> CandidateCosts:
     """Compute both candidate allocations and the §IV-C decision inputs.
 
-    This is the dynamic strategy's decision procedure, exposed so the
-    adaptation audit trail can record *what the predictions were* at an
-    adaptation point even when the run's strategy never computed them
-    (scratch- and diffusion-only runs).  The winner rule matches
-    :class:`DynamicStrategy` exactly: strict inequality, ties keep
-    diffusion (which preserves overlap for free).
+    This is the dynamic strategy's decision procedure.  The winner rule
+    is strict inequality; ties keep diffusion (which preserves overlap
+    for free).  The adaptation audit of scratch- and diffusion-only runs
+    prices the candidates with the same :func:`predicted_costs`.
     """
     missing = set(weights) - set(nest_sizes)
     if missing:
         raise KeyError(f"nest_sizes missing for nests {sorted(missing)}")
     scratch_alloc = ScratchStrategy().reallocate(old, weights, grid)
     diffusion_alloc = DiffusionStrategy().reallocate(old, weights, grid)
-
-    def redist_prediction(candidate: Allocation) -> float:
-        # the §IV-C1 model alone, summed as a plan sums its predicted_time
-        if old is None:
-            return 0.0
-        moves = nest_moves(old, candidate, nest_sizes, cost)
-        sanitizer = get_sanitizer()
-        if sanitizer.enabled:
-            sanitizer.after_moves(moves, nest_sizes)
-        return predict_redistribution_time(
-            [move.messages for move in moves], machine, cost
-        )
-
-    s_exec = predicted_exec_time(predictor, scratch_alloc, nest_sizes)
-    d_exec = predicted_exec_time(predictor, diffusion_alloc, nest_sizes)
-    s_redist = redist_prediction(scratch_alloc)
-    d_redist = redist_prediction(diffusion_alloc)
+    s_exec, s_redist = predicted_costs(
+        old, scratch_alloc, nest_sizes, machine, cost, predictor
+    )
+    d_exec, d_redist = predicted_costs(
+        old, diffusion_alloc, nest_sizes, machine, cost, predictor
+    )
     # Strict inequality: on a predicted tie (frequently the two trees
     # coincide exactly) keep the diffusion allocation, which preserves
     # overlap for free.

@@ -86,8 +86,8 @@ def nest_moves(
     cost: CostModel,
 ) -> list[NestMove]:
     """Every retained nest's transfer matrix and messages, by nest id: the
-    per-nest loop of a full plan and of the dynamic strategy's candidate
-    costing (:func:`repro.core.dynamic.predict_candidate_costs`)."""
+    per-nest loop of a full plan and of a candidate's costing
+    (:func:`repro.core.dynamic.predicted_costs`)."""
     recorder = get_recorder()
     moves: list[NestMove] = []
     for nid in sorted(set(old.rects) & set(new.rects)):

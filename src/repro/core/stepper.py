@@ -113,6 +113,7 @@ class AdaptationStepper:
                             new,
                             nx,
                             ny,
+                            bytes_per_point=realloc.cost.bytes_per_point,
                             policy=self.retry,
                             round_time=round_time,
                             seed=self.seed,

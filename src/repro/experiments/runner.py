@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.dynamic import DynamicStrategy, predict_candidate_costs
+from repro.core.dynamic import DynamicStrategy, predicted_costs
 from repro.core.metrics import StepMetrics
 from repro.core.reallocator import ProcessorReallocator, StepResult
 from repro.core.stepper import AdaptationStepper
@@ -49,9 +49,11 @@ class ExperimentContext:
     ``audit`` opts the run into the adaptation audit trail: every
     adaptation point appends one :class:`~repro.obs.audit.AdaptationAudit`
     with both candidates' predicted costs and the observed outcome (for
-    non-dynamic strategies the candidates are computed on the side — extra
-    prediction work, so it is off by default).  ``ledger`` opts into
-    per-rank traffic accounting of every executed redistribution.
+    non-dynamic strategies a candidate that differs from the applied
+    allocation is priced on the side — extra prediction work, so it is off
+    by default; one equal to it takes the step's own predictions).
+    ``ledger`` opts into per-rank traffic accounting of every executed
+    redistribution.
     """
 
     machine: MachineSpec
@@ -217,37 +219,36 @@ class WorkloadStepper:
     ) -> None:
         """Append one AdaptationAudit and gauge the per-step prediction errors.
 
-        Scratch/diffusion runs recompute both candidates' predictions on the
-        side, so the audit still answers "what *would* the other have cost".
+        A dynamic run records its own decision inputs.  Other runs price the
+        scratch and diffusion candidates on the side, so the audit still
+        answers "what *would* the other have cost"; a candidate whose
+        rectangles equal the applied allocation's takes the step's own
+        predictions (``exec_pred`` and the plan's ``predicted_time``).
         """
         context, strategy = self.context, self.strategy
         assert context.audit is not None
-        assert context.predictor is not None and context.cost is not None
+        plan = result.plan
+        applied_redist = plan.predicted_time if plan else 0.0
         if isinstance(strategy, DynamicStrategy) and strategy.history:
             cand = strategy.history[-1]
+            scratch = (cand.scratch_exec, cand.scratch_redist)
+            diffusion = (cand.diffusion_exec, cand.diffusion_redist)
         else:
-            cand = predict_candidate_costs(
-                old_alloc,
-                result.weights,
-                self.realloc.grid,
-                dict(nests),
-                context.machine,
-                context.cost,
-                context.predictor,
-            ).choice
-        plan = result.plan
+            scratch, diffusion = self._candidate_predictions(
+                old_alloc, result, nests, (exec_pred, applied_redist)
+            )
         record = context.audit.record(
             AdaptationAudit(
                 step=self.next_step,
                 strategy=strategy.name,
                 chosen=chosen or strategy.name,
                 n_nests=len(nests),
-                predicted_scratch_exec=cand.scratch_exec,
-                predicted_scratch_redist=cand.scratch_redist,
-                predicted_diffusion_exec=cand.diffusion_exec,
-                predicted_diffusion_redist=cand.diffusion_redist,
+                predicted_scratch_exec=scratch[0],
+                predicted_scratch_redist=scratch[1],
+                predicted_diffusion_exec=diffusion[0],
+                predicted_diffusion_redist=diffusion[1],
                 predicted_exec=exec_pred,
-                predicted_redist=plan.predicted_time if plan else 0.0,
+                predicted_redist=applied_redist,
                 observed_exec=exec_actual,
                 observed_redist=plan.measured_time if plan else 0.0,
             )
@@ -255,6 +256,40 @@ class WorkloadStepper:
         recorder = get_recorder()
         recorder.gauge("audit.exec_error", record.exec_error)
         recorder.gauge("audit.redist_error", record.redist_error)
+
+    def _candidate_predictions(
+        self,
+        old_alloc: Allocation | None,
+        result: StepResult,
+        nests: dict[int, tuple[int, int]],
+        applied: tuple[float, float],
+    ) -> list[tuple[float, float]]:
+        """Scratch's and diffusion's predicted ``(exec, redist)`` here.
+
+        A candidate equal to the applied allocation takes ``applied``, the
+        step's own predictions.  That is exact: a nest's moves depend only
+        on the old and new rectangles, its size and the bytes per point.
+        """
+        context = self.context
+        assert context.predictor is not None and context.cost is not None
+        grid, weights = self.realloc.grid, result.weights
+        candidates = (
+            ScratchStrategy().reallocate(old_alloc, weights, grid),
+            DiffusionStrategy().reallocate(old_alloc, weights, grid),
+        )
+        return [
+            applied
+            if candidate.rects == result.allocation.rects
+            else predicted_costs(
+                old_alloc,
+                candidate,
+                dict(nests),
+                context.machine,
+                context.cost,
+                context.predictor,
+            )
+            for candidate in candidates
+        ]
 
     def result(self) -> RunResult:
         """The run so far as a :class:`RunResult` (ledger sanity-checked)."""

@@ -12,9 +12,10 @@ predicted vs. actual execution time, mean absolute relative error of the
 redistribution prediction — without re-running anything.
 
 The trail is deliberately dumb about *where* predictions come from: the
-experiment runner feeds it plain floats (from
-:mod:`repro.perfmodel` via :func:`repro.core.dynamic.predict_candidate_costs`),
-which keeps this module import-light and free of cycles with ``core``.
+experiment runner feeds it plain floats (from :mod:`repro.perfmodel` via
+:func:`repro.core.dynamic.predicted_costs`, or the step's own plan for a
+candidate equal to the applied allocation), which keeps this module
+import-light and free of cycles with ``core``.
 """
 
 from __future__ import annotations

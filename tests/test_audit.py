@@ -11,10 +11,13 @@ import math
 
 import pytest
 
-from repro.core import DiffusionStrategy, ScratchStrategy
+import repro.core.dynamic as dynamic
+import repro.core.redistribution as redistribution
+from repro.core import AdaptiveResetStrategy, DiffusionStrategy, ScratchStrategy
+from repro.core.dynamic import predict_candidate_costs
 from repro.experiments import synthetic_workload
 from repro.experiments.report import prediction_accuracy_report
-from repro.experiments.runner import ExperimentContext, run_workload
+from repro.experiments.runner import ExperimentContext, WorkloadStepper, run_workload
 from repro.obs import AdaptationAudit, AuditTrail, FlightRecorder, pearson, use_recorder
 from repro.topology import MACHINES
 
@@ -214,6 +217,90 @@ class TestAuditedRuns:
         ctx = ExperimentContext(MACHINES["bgl-256"])
         run_workload(synthetic_workload(seed=0, n_steps=4), ScratchStrategy(), ctx)
         assert ctx.audit is None
+
+
+class TestSideCostingReusesTheAppliedPlan:
+    """A scratch-, diffusion- or adaptive-reset run prices on the side only
+    a candidate that differs from the allocation it applied; its records
+    equal those built from both candidates priced in full."""
+
+    N_STEPS = 12
+
+    @pytest.mark.parametrize(
+        "factory", [ScratchStrategy, DiffusionStrategy, AdaptiveResetStrategy]
+    )
+    def test_records_equal_full_candidate_costing(self, factory):
+        ctx = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
+        expected = []
+        coincide = []
+
+        class FullyCosted(WorkloadStepper):
+            def _audit(self, old_alloc, result, nests, exec_pred, exec_actual, chosen):
+                cand = predict_candidate_costs(
+                    old_alloc,
+                    result.weights,
+                    self.realloc.grid,
+                    dict(nests),
+                    ctx.machine,
+                    ctx.cost,
+                    ctx.predictor,
+                )
+                coincide.append(cand.scratch.rects == cand.diffusion.rects)
+                plan = result.plan
+                expected.append(
+                    AdaptationAudit(
+                        step=self.next_step,
+                        strategy=self.strategy.name,
+                        chosen=chosen or self.strategy.name,
+                        n_nests=len(nests),
+                        predicted_scratch_exec=cand.choice.scratch_exec,
+                        predicted_scratch_redist=cand.choice.scratch_redist,
+                        predicted_diffusion_exec=cand.choice.diffusion_exec,
+                        predicted_diffusion_redist=cand.choice.diffusion_redist,
+                        predicted_exec=exec_pred,
+                        predicted_redist=plan.predicted_time if plan else 0.0,
+                        observed_exec=exec_actual,
+                        observed_redist=plan.measured_time if plan else 0.0,
+                    )
+                )
+                super()._audit(old_alloc, result, nests, exec_pred, exec_actual, chosen)
+
+        stepper = FullyCosted(
+            synthetic_workload(seed=0, n_steps=self.N_STEPS), factory(), ctx
+        )
+        while not stepper.done:
+            stepper.advance()
+        assert ctx.audit.records == expected
+        # points where the candidates coincide and points where they differ
+        assert any(coincide) and not all(coincide)
+
+    @pytest.mark.parametrize("factory", [ScratchStrategy, DiffusionStrategy])
+    def test_each_distinct_move_set_is_made_once(self, factory, monkeypatch):
+        """A point makes its plan's moves plus, when the other candidate
+        differs, that candidate's: at most two ``nest_moves`` calls."""
+        moved = []
+        real_nest_moves = redistribution.nest_moves
+
+        def counting_nest_moves(old, new, nest_sizes, cost):
+            moved.append(new.rects)
+            return real_nest_moves(old, new, nest_sizes, cost)
+
+        monkeypatch.setattr(redistribution, "nest_moves", counting_nest_moves)
+        monkeypatch.setattr(dynamic, "nest_moves", counting_nest_moves)
+        ctx = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
+        stepper = WorkloadStepper(
+            synthetic_workload(seed=0, n_steps=self.N_STEPS), factory(), ctx
+        )
+        per_point = []
+        while not stepper.done:
+            start = len(moved)
+            stepper.advance()
+            per_point.append(moved[start:])
+        assert per_point[0] == []  # the first point moves nothing
+        for rects in per_point[1:]:
+            assert 1 <= len(rects) <= 2
+            assert len(rects) == 1 or rects[0] != rects[1]
+        assert any(len(rects) == 2 for rects in per_point)
 
 
 class TestSectionVFParity:

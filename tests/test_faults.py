@@ -47,6 +47,7 @@ from repro.faults import (
     tree_to_obj,
 )
 from repro.grid import ProcessorGrid
+from repro.mpisim.costmodel import DEFAULT_BYTES_PER_POINT
 from repro.mpisim.ledger import CommLedger
 from repro.obs import AuditTrail, FlightRecorder, use_recorder
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
@@ -419,6 +420,7 @@ class TestBackoffPolicy:
 class TestRetryExecutor:
     NEST = 1
     SIZE = (32, 32)
+    BPP = DEFAULT_BYTES_PER_POINT
 
     def _allocs(self):
         """Two allocations of the same nest set with different weights."""
@@ -446,7 +448,7 @@ class TestRetryExecutor:
 
         ledger = CommLedger(old.grid.nprocs)
         outcome = execute_redistribution_with_retry(
-            store, self.NEST, old, new, nx, ny,
+            store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
             round_time=round_time, seed=3, ledger=ledger,
         )
         assert isinstance(outcome, RetryOutcome)
@@ -498,7 +500,7 @@ class TestRetryExecutor:
             return 0.0
 
         outcome = execute_redistribution_with_retry(
-            store, self.NEST, old, new, nx, ny,
+            store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
             round_time=round_time, ledger=ledger,
         )
         assert outcome.attempts == 3 and outcome.recovered
@@ -520,7 +522,7 @@ class TestRetryExecutor:
             store = self._store(old)
             return execute_redistribution_with_retry(
                 store, self.NEST, old, new, *self.SIZE,
-                policy=policy, seed=11,
+                bytes_per_point=self.BPP, policy=policy, seed=11,
                 round_time=lambda a: (_ for _ in ()).throw(
                     TransientRedistributionError("x")
                 ) if a < 3 else 0.0,
@@ -541,7 +543,7 @@ class TestRetryExecutor:
 
         with pytest.raises(RedistributionAbortedError) as err:
             execute_redistribution_with_retry(
-                store, self.NEST, old, new, nx, ny,
+                store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
                 policy=policy, round_time=always_fail,
             )
         assert err.value.attempts == 3
@@ -556,7 +558,7 @@ class TestRetryExecutor:
         nx, ny = self.SIZE
         durations = iter([5.0, 0.1])
         outcome = execute_redistribution_with_retry(
-            store, self.NEST, old, new, nx, ny,
+            store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
             timeout=1.0, round_time=lambda a: next(durations),
         )
         assert outcome.attempts == 2 and outcome.recovered
@@ -566,7 +568,8 @@ class TestRetryExecutor:
         store = self._store(old)
         with pytest.raises(ValueError):
             execute_redistribution_with_retry(
-                store, self.NEST, old, new, *self.SIZE, timeout=0.0
+                store, self.NEST, old, new, *self.SIZE,
+                bytes_per_point=self.BPP, timeout=0.0,
             )
 
 

@@ -44,7 +44,8 @@ from repro.core.dataplane import (
     scatter_nest,
 )
 from repro.grid import ProcessorGrid, Rect
-from repro.grid.block import split_evenly
+from repro.grid.block import BlockDecomposition, split_evenly
+from repro.grid.overlap import _transfer_matrix_reference, transfer_matrix
 from repro.mpisim import CostModel, MessageSet, NetworkSimulator, SimComm
 from repro.mpisim.netsim import LinkLoadState
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
@@ -207,6 +208,60 @@ def draw_allocation(data, label, id_pool=range(1, 10)):
     return Allocation.from_tree(build_huffman(weights), GRID, weights), weights
 
 
+def draw_rect(data, label, x_range, py):
+    """A processor rectangle inside columns ``x_range`` and rows ``[0, py)``."""
+    lo, hi = x_range
+    w = data.draw(st.integers(1, hi - lo), label=f"{label}_w")
+    h = data.draw(st.integers(1, py), label=f"{label}_h")
+    x0 = data.draw(st.integers(lo, hi - w), label=f"{label}_x0")
+    y0 = data.draw(st.integers(0, py - h), label=f"{label}_y0")
+    return Rect(x0, y0, w, h)
+
+
+class TestTransferMatrixEquivalence:
+    """The one-walk-per-axis kernel against the union1d/searchsorted merge
+    with its duplicate-pair group-by: same entries, order and dtypes."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, data):
+        layout = data.draw(
+            st.sampled_from(["random", "identical", "disjoint"]), label="layout"
+        )
+        px = data.draw(st.integers(2 if layout == "disjoint" else 1, 64), label="px")
+        py = data.draw(st.integers(1, 64), label="py")
+        if layout == "disjoint":  # old left of a column cut, new right of it
+            cut = data.draw(st.integers(1, px - 1), label="cut")
+            old_rect = draw_rect(data, "old", (0, cut), py)
+            new_rect = draw_rect(data, "new", (cut, px), py)
+        else:
+            old_rect = draw_rect(data, "old", (0, px), py)
+            new_rect = (
+                old_rect
+                if layout == "identical"
+                else draw_rect(data, "new", (0, px), py)
+            )
+        # small sides (1x1 nests included) leave zero-width blocks on
+        # rectangles wider or taller than the nest
+        side = st.one_of(st.integers(1, 8), st.integers(1, 400))
+        nx = data.draw(side, label="nx")
+        ny = data.draw(side, label="ny")
+        old = BlockDecomposition(nx, ny, old_rect)
+        new = BlockDecomposition(nx, ny, new_rect)
+
+        got = transfer_matrix(old, new, px)
+        want = _transfer_matrix_reference(old, new, px)
+
+        for name in ("senders", "receivers", "points"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            assert np.array_equal(g, w), name
+        assert got.total_points == want.total_points == nx * ny
+        # no (sender, receiver) pair repeats, so the kernel needs no group-by
+        pairs = set(zip(got.senders.tolist(), got.receivers.tolist()))
+        assert len(pairs) == len(got.senders)
+
+
 class TestRedistributionPlanEquivalence:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
@@ -307,8 +362,9 @@ class TestDataplaneEquivalence:
         w_new = dict(w_old)
         w_new[nid] = w_new[nid] + data.draw(st.integers(1, 8), label="bump")
         new = Allocation.from_tree(build_huffman(w_new), GRID, w_new)
-        nx = data.draw(st.integers(8, 60), label="nx")
-        ny = data.draw(st.integers(8, 60), label="ny")
+        # sides from 1: the list-walk mover meets zero-width blocks
+        nx = data.draw(st.integers(1, 60), label="nx")
+        ny = data.draw(st.integers(1, 60), label="ny")
         seed = data.draw(st.integers(0, 2**20), label="seed")
         field = make_rng(seed).uniform(0.0, 1.0, (ny, nx))
 

@@ -157,7 +157,7 @@ class TestRunSanitized:
         [
             (
                 "diffusion",
-                {"linkstate.conservation": 11, "plan.conservation": 33,
+                {"linkstate.conservation": 11, "plan.conservation": 16,
                  "tree.invariants": 22},
             ),
             (
@@ -165,23 +165,32 @@ class TestRunSanitized:
                 {"linkstate.conservation": 11, "plan.conservation": 33,
                  "tree.invariants": 11},
             ),
+            (
+                "scratch",
+                {"linkstate.conservation": 11, "plan.conservation": 16,
+                 "tree.invariants": 11},
+            ),
         ],
     )
     def test_audited_run_checks_every_candidate(self, strategy, expected):
-        """Each point checks its executed plan and, costed by prediction
-        alone, both candidates' moves (the audit's or the dynamic
-        strategy's): 11 plans + 22 candidates over 12 points."""
-        from repro.core import DiffusionStrategy
+        """Every move set a point makes is checked, and the audit makes
+        each distinct one once.  Every point after the first checks its
+        executed plan.  The dynamic strategy also costs both candidates
+        by prediction alone and checks their moves: 11 plans + 22
+        candidates over 12 points.  A scratch or diffusion run's audit
+        costs only a candidate that differs from the applied allocation:
+        11 plans + the 5 points where the other candidate differs."""
+        from repro.core import DiffusionStrategy, ScratchStrategy
         from repro.experiments.runner import ExperimentContext, run_workload
         from repro.obs import AuditTrail
         from repro.topology import MACHINES
 
         context = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
-        chosen = (
-            DiffusionStrategy()
-            if strategy == "diffusion"
-            else context.make_dynamic_strategy()
-        )
+        chosen = {
+            "diffusion": DiffusionStrategy,
+            "scratch": ScratchStrategy,
+            "dynamic": context.make_dynamic_strategy,
+        }[strategy]()
         sanitizer = Sanitizer()
         with use_sanitizer(sanitizer):
             run_workload(synthetic_workload(seed=0, n_steps=12), chosen, context)

@@ -3,18 +3,24 @@
 A resized retained nest is moved at its stored size, then regridded at
 its new size; an empty nest set is a point like any other.  The soak,
 the coupled simulation, the workload runner and a bare stepper must all
-follow both rules.
+follow both rules.  A retried move is charged in the plan's bytes.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import AdaptationStepper, DiffusionStrategy, ProcessorReallocator
-from repro.core.dataplane import RankStore, gather_nest
+from repro.core.dataplane import (
+    BackoffPolicy,
+    RankStore,
+    TransientRedistributionError,
+    gather_nest,
+)
 from repro.experiments.runner import ExperimentContext, run_workload
 from repro.experiments.workloads import Workload
 from repro.faults.soak import SoakConfig, run_soak
 from repro.grid import ProcessorGrid, Rect
+from repro.mpisim.ledger import CommLedger
 from repro.obs import FlightRecorder, use_recorder
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import blue_gene_l, fist_cluster
@@ -144,3 +150,37 @@ class TestEmptyNestSet:
         assert runner == soak == coupled
         assert runner[1] == {}
         assert soak_held[1] == set()
+
+
+class TestRetriedBytesInThePlanUnit:
+    """A retried round re-sends its nest's planned messages, priced at the
+    cost model's bytes per point like every plan."""
+
+    def test_retried_bytes_equal_the_planned_messages(self):
+        machine = blue_gene_l(256)
+        predictor = ExecTimePredictor(ProfileTable(ExecutionOracle(), seed=SEED))
+        ledger = CommLedger(machine.ncores)
+        stepper = AdaptationStepper(
+            ProcessorReallocator(machine, DiffusionStrategy(), predictor),
+            store=RankStore(machine.ncores),
+            ledger=ledger,
+            retry=BackoffPolicy(),
+        )
+        stepper.step({1: (40, 30), 2: (30, 32)}, payload)
+
+        def first_round_fails(attempt):
+            if attempt == 0:
+                raise TransientRedistributionError("injected")
+            return 0.0
+
+        point = stepper.step(
+            {1: (40, 30), 2: (30, 32), 3: (36, 28)}, payload, first_round_fails
+        )
+        planned = {m.nest_id: m.messages for m in point.reallocation.plan.moves}
+        assert [o.nest_id for o in point.retries] == sorted(planned) == [1, 2]
+        for outcome in point.retries:
+            assert outcome.attempts == 2
+            assert outcome.retried_bytes == planned[outcome.nest_id].total_bytes
+        retried = sum(o.retried_bytes for o in point.retries)
+        assert retried > 0
+        assert ledger.retried.sum() == retried
