@@ -8,9 +8,10 @@ WRF does with ``MPI_Alltoallv``:
   nest id → block array, exactly the state a WRF process owns);
 * :func:`scatter_nest` gives each rank of an allocation its block of a
   full nest field (the initial interpolation onto a fresh nest);
-* :func:`execute_redistribution` moves blocks from the old owners to the
-  new owners following a :class:`~repro.grid.overlap.TransferMatrix` —
-  senders slice their block, receivers assemble theirs;
+* :func:`execute_redistribution` executes one planned
+  :class:`~repro.core.redistribution.NestMove`: blocks go from the old
+  owners to the new owners, senders slice their block and receivers
+  assemble theirs;
 * :func:`gather_nest` reassembles the full field from the owners.
 
 The end-to-end invariant — *gather after any chain of redistributions
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.allocation import Allocation
+from repro.core.redistribution import NestMove
 from repro.grid.block import BlockDecomposition
-from repro.grid.overlap import TransferMatrix, merged_segments, transfer_matrix
+from repro.grid.overlap import merged_segments
 from repro.grid.rect import Rect
-from repro.mpisim.alltoallv import messages_from_transfer
 from repro.mpisim.ledger import CommLedger
 from repro.obs import get_recorder
 from repro.sanitize.hooks import get_sanitizer
@@ -198,50 +199,32 @@ def _scatter_nest_reference(
 
 
 def execute_redistribution(
-    store: RankStore,
-    nest_id: int,
-    old: Allocation,
-    new: Allocation,
-    nx: int,
-    ny: int,
-) -> TransferMatrix:
-    """Move one nest's blocks from ``old`` owners to ``new`` owners.
+    store: RankStore, move: NestMove, old: Allocation, new: Allocation
+) -> None:
+    """Execute one planned move: the nest's blocks go from ``old`` owners
+    to ``new`` owners, at the size ``move`` was priced at.
 
     Implements the alltoallv data movement: every receiver's new block is
     assembled from the slices of the senders whose old blocks intersect it
     (paper Fig. 3: processor 16 receives from 0, 1, 4 and 5).  Old blocks
-    are freed afterwards.  Returns the transfer matrix actually executed.
+    are freed afterwards.  The store must hold the nest at the move's size.
+
+    Validation: none here — the move's size was checked when it was
+    planned; a store missing a sender's block raises ``KeyError``.
     """
-    check_positive("nx", nx)
-    check_positive("ny", ny)
+    nest_id, nx, ny = move.nest_id, move.nx, move.ny
     with get_recorder().span("dataplane.redistribute", nest=nest_id):
-        transfer = _execute(store, nest_id, old, new, nx, ny)
+        _move_blocks_vector(
+            store,
+            nest_id,
+            old,
+            new,
+            old.decomposition(nest_id, nx, ny),
+            new.decomposition(nest_id, nx, ny),
+        )
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
-        sanitizer.after_execute(store, nest_id, nx, ny)
-    return transfer
-
-
-def _execute(
-    store: RankStore,
-    nest_id: int,
-    old: Allocation,
-    new: Allocation,
-    nx: int,
-    ny: int,
-    transfer: TransferMatrix | None = None,
-) -> TransferMatrix:
-    """The data movement of :func:`execute_redistribution` (pre-validated).
-
-    ``transfer`` lets callers that already planned the move (the
-    self-healing retry executor) skip recomputing the transfer matrix.
-    """
-    old_decomp = old.decomposition(nest_id, nx, ny)
-    new_decomp = new.decomposition(nest_id, nx, ny)
-    if transfer is None:
-        transfer = transfer_matrix(old_decomp, new_decomp, old.grid.px)
-    _move_blocks_vector(store, nest_id, old, new, old_decomp, new_decomp)
-    return transfer
+        sanitizer.after_execute(store, move)
 
 
 def _move_blocks_reference(
@@ -495,7 +478,6 @@ class RetryOutcome:
     """What one self-healing redistribution actually took."""
 
     nest_id: int
-    transfer: TransferMatrix
     attempts: int  # tries made, including the successful one
     delays: tuple[float, ...]  # simulated backoff before each retry
     retried_bytes: float  # wire bytes re-sent by attempts after the first
@@ -512,20 +494,17 @@ class RetryOutcome:
 
 def execute_redistribution_with_retry(
     store: RankStore,
-    nest_id: int,
+    move: NestMove,
     old: Allocation,
     new: Allocation,
-    nx: int,
-    ny: int,
     *,
-    bytes_per_point: float,
     policy: BackoffPolicy | None = None,
     timeout: float = math.inf,
     round_time: Callable[[int], float] | None = None,
     seed: int = 0,
     ledger: CommLedger | None = None,
 ) -> RetryOutcome:
-    """Run one nest's redistribution with per-round timeout and backoff.
+    """Execute one planned move with per-round timeout and backoff.
 
     ``round_time(attempt)`` returns the simulated duration of try number
     ``attempt`` (0-based); a return above ``timeout`` — or a raised
@@ -533,33 +512,19 @@ def execute_redistribution_with_retry(
     retried after a seeded-jitter backoff delay (see :class:`BackoffPolicy`)
     until ``policy.max_attempts`` is exhausted, at which point
     :class:`RedistributionAbortedError` is raised with the store untouched.
-    The data movement itself is applied exactly once, on the winning try,
-    so the bit-for-bit gather invariant is preserved through any number of
-    failed rounds.  ``bytes_per_point`` prices the wire traffic in the
-    plan's unit (the cost model's ``bytes_per_point``).  When a ``ledger``
-    is given, re-sent bytes are attributed to their senders via
-    :meth:`CommLedger.add_retry`.
-
-    The plan is computed once, before the retry loop: every attempt —
-    including the winning one, which reuses it through :func:`_execute` —
-    works from the same transfer matrix and the same :class:`MessageSet`
-    object, so a retry storm never re-runs the planner.
+    The data movement itself is applied exactly once, on the winning try
+    (:func:`execute_redistribution`), so the bit-for-bit gather invariant
+    is preserved through any number of failed rounds.  Each failed try
+    re-sends the move's own :class:`~repro.mpisim.alltoallv.MessageSet`;
+    when a ``ledger`` is given, those bytes are attributed to their
+    senders via :meth:`CommLedger.add_retry`.
     """
-    check_positive("nx", nx)
-    check_positive("ny", ny)
     if timeout <= 0:
         raise ValueError(f"timeout must be > 0, got {timeout}")
     policy = policy or BackoffPolicy()
+    nest_id, messages = move.nest_id, move.messages
     rng = make_rng((seed * 1_000_003 + nest_id) % 2**63)
     flight = get_recorder()
-
-    # The wire traffic of one try, for retry attribution and execution.
-    plan_transfer = transfer_matrix(
-        old.decomposition(nest_id, nx, ny),
-        new.decomposition(nest_id, nx, ny),
-        old.grid.px,
-    )
-    messages = messages_from_transfer(plan_transfer, bytes_per_point)
 
     delays: list[float] = []
     retried_bytes = 0.0
@@ -596,12 +561,7 @@ def execute_redistribution_with_retry(
                     timeout=round(timeout, 6),
                 )
                 continue
-            transfer = _execute(
-                store, nest_id, old, new, nx, ny, transfer=plan_transfer
-            )
-            sanitizer = get_sanitizer()
-            if sanitizer.enabled:
-                sanitizer.after_execute(store, nest_id, nx, ny)
+            execute_redistribution(store, move, old, new)
             if attempt > 0:
                 flight.emit(
                     "redist.recovered",
@@ -611,7 +571,6 @@ def execute_redistribution_with_retry(
                 )
             return RetryOutcome(
                 nest_id=nest_id,
-                transfer=transfer,
                 attempts=attempt + 1,
                 delays=tuple(delays),
                 retried_bytes=retried_bytes,

@@ -103,16 +103,14 @@ class ProcessorReallocator:
                 )
             plan: RedistributionPlan | None = None
             if old is not None:
-                # Retained nests redistribute with their *new* size when the
-                # ROI moved: the paper redistributes the nest state onto the
-                # new rectangle; we conservatively use the current size for
-                # both decompositions (sizes of retained nests change slowly).
-                sizes = {**self.nest_sizes, **dict(nests)}
+                # Every retained nest moves at its size at this point: a
+                # data plane regrids a resized nest on the ranks that hold
+                # it, then executes the plan's move.
                 with recorder.span("realloc.plan"):
                     plan = plan_redistribution(
                         old,
                         new_alloc,
-                        sizes,
+                        nests,
                         self.machine,
                         self.cost,
                         self.simulator,

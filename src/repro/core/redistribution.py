@@ -13,7 +13,7 @@ quantities the paper reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.allocation import Allocation
 from repro.grid.overlap import TransferMatrix, transfer_matrix
@@ -35,9 +35,12 @@ __all__ = ["NestMove", "RedistributionPlan", "nest_moves", "plan_redistribution"
 
 @dataclass(frozen=True)
 class NestMove:
-    """One retained nest's data movement."""
+    """One retained nest's data movement, at the ``nx x ny`` size it was
+    priced at: the data plane executes exactly this move."""
 
     nest_id: int
+    nx: int
+    ny: int
     transfer: TransferMatrix
     messages: MessageSet
 
@@ -57,26 +60,10 @@ class RedistributionPlan:
     hop_bytes_avg: float  # byte-weighted average hops (Fig. 10 units)
     overlap_fraction: float  # point-weighted across retained nests
     network_bytes: float
-    #: §IV-C1 predicted time per nest round (keys = retained nest ids) —
-    #: the basis for per-round timeouts in the self-healing executor
-    per_nest_predicted: dict[int, float] = field(default_factory=dict)
 
     @property
     def retained_nests(self) -> list[int]:
         return [m.nest_id for m in self.moves]
-
-    def round_timeout(self, nest_id: int, factor: float = 4.0) -> float:
-        """Deadline for one nest's round: ``factor ×`` its predicted time.
-
-        A round exceeding this is treated as failed by the self-healing
-        executor (:func:`repro.core.dataplane.execute_redistribution_with_retry`)
-        and retried with backoff.  Falls back to the plan-wide prediction
-        when the nest has no per-round entry (e.g. an old serialized plan).
-        """
-        if factor <= 0:
-            raise ValueError(f"timeout factor must be > 0, got {factor}")
-        base = self.per_nest_predicted.get(nest_id, self.predicted_time)
-        return factor * base
 
 
 def nest_moves(
@@ -85,9 +72,9 @@ def nest_moves(
     nest_sizes: dict[int, tuple[int, int]],
     cost: CostModel,
 ) -> list[NestMove]:
-    """Every retained nest's transfer matrix and messages, by nest id: the
-    per-nest loop of a full plan and of a candidate's costing
-    (:func:`repro.core.dynamic.predicted_costs`)."""
+    """Every retained nest's transfer matrix and messages at its size in
+    ``nest_sizes``, by nest id: the per-nest loop of a full plan and of a
+    candidate's costing (:func:`repro.core.dynamic.predicted_costs`)."""
     recorder = get_recorder()
     moves: list[NestMove] = []
     for nid in sorted(set(old.rects) & set(new.rects)):
@@ -101,7 +88,7 @@ def nest_moves(
                 old.grid.px,
             )
             msgs = messages_from_transfer(t, cost.bytes_per_point)
-        moves.append(NestMove(nest_id=nid, transfer=t, messages=msgs))
+        moves.append(NestMove(nest_id=nid, nx=nx, ny=ny, transfer=t, messages=msgs))
     return moves
 
 
@@ -118,9 +105,10 @@ def plan_redistribution(
     """Plan and cost the redistribution from ``old`` to ``new``.
 
     ``nest_sizes`` maps every retained nest id to its ``(nx, ny)`` fine-grid
-    size.  Nests only in ``old`` (deleted) or only in ``new`` (created; their
-    initial data is interpolated from the parent, not redistributed) move no
-    data, exactly as in the paper.
+    size, which each move records: the data plane moves the nest at it.
+    Nests only in ``old`` (deleted) or only in ``new`` (created; their
+    initial data is interpolated from the parent, not redistributed) move
+    no data, exactly as in the paper.
 
     ``link_state`` (optional) is a live
     :class:`~repro.mpisim.netsim.LinkLoadState` to maintain by deltas:
@@ -157,11 +145,9 @@ def plan_redistribution(
     with recorder.span("redist.cost", n_moves=len(moves)):
         all_msgs = MessageSet.concat(per_nest_msgs)
         hb_total, hb_avg = hop_bytes(all_msgs, machine.mapping)
-        per_nest_predicted = {
-            move.nest_id: predict_alltoallv_time(move.messages, machine, cost)
-            for move in moves
-        }
-        predicted = sum(per_nest_predicted.values())
+        predicted = sum(
+            predict_alltoallv_time(move.messages, machine, cost) for move in moves
+        )
         measured = measure_redistribution_time(
             per_nest_msgs, simulator, flow_level, link_arrays=charges
         )
@@ -176,7 +162,6 @@ def plan_redistribution(
         hop_bytes_avg=hb_avg,
         overlap_fraction=overlap,
         network_bytes=all_msgs.total_bytes,
-        per_nest_predicted=per_nest_predicted,
     )
     sanitizer = get_sanitizer()
     if sanitizer.enabled:

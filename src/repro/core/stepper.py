@@ -2,11 +2,13 @@
 
 :meth:`AdaptationStepper.step` runs the reallocator on the point's nest
 set (an empty set too: every strategy returns the empty allocation).  With
-a :class:`~repro.core.dataplane.RankStore` it drops deleted nests, moves
-every retained nest at its stored size (its size at the previous point),
-regrids a resized one from the caller's payload source — as WRF
-re-interpolates a moved nest — and scatters created ones.  With a
-:class:`~repro.mpisim.ledger.CommLedger` it accounts the plan.
+a :class:`~repro.core.dataplane.RankStore` it drops deleted nests, executes
+each :class:`~repro.core.redistribution.NestMove` of the point's plan and
+scatters created nests.  A move is priced at the nest's size at this
+point, so a resized nest is first regridded from the caller's payload
+source on the ranks that hold it — as WRF re-interpolates a moved nest —
+and then moved.  With a :class:`~repro.mpisim.ledger.CommLedger` it
+accounts the plan.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class PointResult:
     """What one adaptation point did."""
 
     reallocation: StepResult
-    #: wire bytes the retained nests' moves shipped
+    #: wire bytes the executed moves shipped (the plan's ``network_bytes``)
     moved_bytes: float
     #: retained nests whose move was checked bit for bit
     verified: list[int]
@@ -90,10 +92,9 @@ class AdaptationStepper:
         if store is not None and payload is None:
             raise ValueError("a stepper with a store needs a payload source")
         point, old = realloc.step_count, realloc.allocation
-        # every live nest was moved or regridded to its size at the last point
-        stored = realloc.nest_sizes
+        stored = realloc.nest_sizes  # every live nest's size at the last point
         result = realloc.step(nests)
-        new = result.allocation
+        new, plan = result.allocation, result.plan
         moved = 0.0
         verified: list[int] = []
         retries: list[RetryOutcome] = []
@@ -101,42 +102,39 @@ class AdaptationStepper:
             with get_recorder().span("stepper.dataplane", n_retained=len(result.retained)):
                 for nid in result.deleted:
                     store.drop_nest(nid)
-                for nid in result.retained:
+                for move in plan.moves if plan is not None else []:
                     assert old is not None
-                    nx, ny = stored[nid]
+                    nid, nx, ny = move.nest_id, move.nx, move.ny
+                    if stored[nid] != (nx, ny):
+                        store.drop_nest(nid)
+                        scatter_nest(store, nid, payload(nid, nx, ny), old)
                     before = gather_nest(store, nid, nx, ny) if self.verify else None
                     if self.retry is not None:
-                        outcome = execute_redistribution_with_retry(
-                            store,
-                            nid,
-                            old,
-                            new,
-                            nx,
-                            ny,
-                            bytes_per_point=realloc.cost.bytes_per_point,
-                            policy=self.retry,
-                            round_time=round_time,
-                            seed=self.seed,
-                            ledger=self.ledger,
+                        retries.append(
+                            execute_redistribution_with_retry(
+                                store,
+                                move,
+                                old,
+                                new,
+                                policy=self.retry,
+                                round_time=round_time,
+                                seed=self.seed,
+                                ledger=self.ledger,
+                            )
                         )
-                        retries.append(outcome)
-                        transfer = outcome.transfer
                     else:
-                        transfer = execute_redistribution(store, nid, old, new, nx, ny)
-                    moved += transfer.network_points * realloc.cost.bytes_per_point
+                        execute_redistribution(store, move, old, new)
+                    moved += move.messages.total_bytes
                     if before is not None:
                         if not np.array_equal(before, gather_nest(store, nid, nx, ny)):
                             raise RuntimeError(
                                 f"nest {nid}: payload corrupted during redistribution"
                             )
                         verified.append(nid)
-                    if (nx, ny) != nests[nid]:
-                        store.drop_nest(nid)
-                        scatter_nest(store, nid, payload(nid, *nests[nid]), new)
                 for nid in result.created:
                     scatter_nest(store, nid, payload(nid, *nests[nid]), new)
-        if self.ledger is not None and result.plan is not None:
-            self._feed_ledger(result.plan, point)
+        if self.ledger is not None and plan is not None:
+            self._feed_ledger(plan, point)
         return PointResult(result, moved, verified, retries)
 
     def _feed_ledger(self, plan: RedistributionPlan, step: int) -> None:

@@ -84,7 +84,6 @@ class RunResult:
     workload: str
     strategy: str
     metrics: list[StepMetrics]
-    allocations: list[Allocation]
 
     def total(self, attribute: str) -> float:
         return float(np.sum([getattr(m, attribute) for m in self.metrics]))
@@ -146,7 +145,6 @@ class WorkloadStepper:
         )
         self._point = AdaptationStepper(self.realloc, ledger=context.ledger)
         self.metrics: list[StepMetrics] = []
-        self.allocations: list[Allocation] = []
         self._rng = make_rng(exec_noise_seed)
         self.next_step = 0
 
@@ -204,7 +202,6 @@ class WorkloadStepper:
             strategy_choice=choice,
         )
         self.metrics.append(metric)
-        self.allocations.append(alloc)
         self.next_step += 1
         return metric
 
@@ -300,7 +297,6 @@ class WorkloadStepper:
             workload=self.workload.name,
             strategy=self.strategy.name,
             metrics=list(self.metrics),
-            allocations=list(self.allocations),
         )
 
 

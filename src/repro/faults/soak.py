@@ -17,9 +17,10 @@ construction too.  Every step the run:
    last checkpoint), and nests the recovery drops are filtered out of
    later steps;
 3. takes the point through :class:`~repro.core.stepper.AdaptationStepper`:
-   retained nests move through the self-healing executor (per-round
-   timeout, seeded backoff), a resized one then regrids to its new size,
-   new nests are scattered, and the ledger and busiest-link check are fed;
+   a resized nest regrids to its new size on the ranks that hold it, each
+   move of the point's plan runs through the self-healing executor
+   (seeded backoff), new nests are scattered, and the ledger and
+   busiest-link check are fed;
 4. checks every :mod:`repro.core.invariants` guarantee, re-verifies every
    live nest's tiling (``audit.tiling``) and compares its field bit for
    bit with the seeded ground truth (``audit.data``) — the data-survives-

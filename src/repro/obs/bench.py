@@ -440,18 +440,19 @@ def _setup_dataplane(quick: bool) -> Callable[[], object]:
         gather_nest,
         scatter_nest,
     )
+    from repro.core.redistribution import nest_moves
 
     pair = _allocation_pair(quick)
     old, new = pair.old, pair.new
-    nest_id = sorted(set(old.rects) & set(new.rects))[0]
-    nx, ny = pair.sizes[nest_id]
+    move = nest_moves(old, new, pair.sizes, pair.cost)[0]
+    nest_id, nx, ny = move.nest_id, move.nx, move.ny
     payload = np.arange(nx * ny, dtype=np.float64).reshape(ny, nx)
     ncores = pair.machine.ncores
 
     def run() -> object:
         store = RankStore(ncores)
         scatter_nest(store, nest_id, payload, old)
-        execute_redistribution(store, nest_id, old, new, nx, ny)
+        execute_redistribution(store, move, old, new)
         return gather_nest(store, nest_id, nx, ny)
 
     return run

@@ -10,7 +10,8 @@ adaptation-point hooks defined by
   ``network_bytes`` equals the sum of its per-move message bytes;
 * **store tiling** — after execution/scatter/recovery, each nest's
   blocks tile its grid disjointly (every point stored exactly once,
-  every block shaped like its rectangle);
+  every block shaped like its rectangle), and after a move each new
+  owner holds exactly the points the move's transfer matrix sent it;
 * **tree invariants** — a ``diffusion_edit`` result names exactly the
   retained+new nests with their requested weights and internally
   consistent sums;
@@ -171,8 +172,25 @@ class Sanitizer(SanitizerHook):
                 "(bytes not conserved across the move)",
             )
 
-    def after_execute(self, store: Any, nest_id: int, nx: int, ny: int) -> None:
-        self._check_store_tiling("execute.conservation", store, nest_id, nx, ny)
+    def after_execute(self, store: Any, move: Any) -> None:
+        check, nest_id = "execute.conservation", move.nest_id
+        self._check_store_tiling(check, store, nest_id, move.nx, move.ny)
+        # each new owner holds exactly the points the plan sent it
+        planned: dict[int, int] = {}
+        transfer = move.transfer
+        for rank, points in zip(transfer.receivers.tolist(), transfer.points.tolist()):
+            planned[rank] = planned.get(rank, 0) + points
+        wrong: list[str] = []
+        for rank in store.holders(nest_id):
+            area, sent = store.get(rank, nest_id)[1].area, planned.get(rank, 0)
+            if area != sent:
+                wrong.append(f"rank {rank} holds {area} points, was sent {sent}")
+        if wrong:
+            self._violate(
+                check,
+                f"nest {nest_id}: {len(wrong)} ranks hold other than the plan "
+                f"sent them ({wrong[0]})",
+            )
 
     def after_scatter(self, store: Any, nest_id: int, nx: int, ny: int) -> None:
         self._check_store_tiling("scatter.tiling", store, nest_id, nx, ny)

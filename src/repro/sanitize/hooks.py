@@ -58,8 +58,8 @@ class SanitizerHook:
     def after_moves(self, moves: list[Any], nest_sizes: dict[int, tuple[int, int]]) -> None:
         """After a candidate's per-nest moves were costed without a plan."""
 
-    def after_execute(self, store: Any, nest_id: int, nx: int, ny: int) -> None:
-        """After the dataplane moved ``nest_id``'s blocks to new owners."""
+    def after_execute(self, store: Any, move: Any) -> None:
+        """After the dataplane executed a planned ``NestMove`` in ``store``."""
 
     def after_scatter(self, store: Any, nest_id: int, nx: int, ny: int) -> None:
         """After ``scatter_nest`` distributed a field into ``store``."""

@@ -17,8 +17,9 @@ the block decomposition or the transfer matrices is caught at the step it
 happens.
 
 ROI geometry changes are handled the way WRF handles moving nests: the
-payload is redistributed at its *current* size onto the new rectangle,
-then re-interpolated from the parent onto the new ROI (regridding).
+payload is re-interpolated from the parent onto the new ROI (regridding)
+on the ranks that hold it, then the plan's move redistributes it at its
+new size onto the new rectangle.
 """
 
 from __future__ import annotations

@@ -16,14 +16,24 @@ from repro.core.dataplane import (
     gather_nest,
     scatter_nest,
 )
+from repro.core.redistribution import nest_moves
 from repro.grid import ProcessorGrid, Rect
+from repro.mpisim import CostModel
+from repro.topology import MACHINES
 from repro.tree import build_huffman
 
 GRID = ProcessorGrid(16, 16)
+COST = CostModel.for_machine(MACHINES["bgl-256"])  # the machine of GRID
 
 
 def alloc_for(weights):
     return Allocation.from_tree(build_huffman(weights), GRID, weights)
+
+
+def move_of(nest_id, old, new, nx, ny):
+    """The planned move of ``nest_id`` at ``nx x ny`` from ``old`` to ``new``."""
+    sizes = {nid: (nx, ny) for nid in old.rects}
+    return next(m for m in nest_moves(old, new, sizes, COST) if m.nest_id == nest_id)
 
 
 def random_field(nx, ny, seed=0):
@@ -111,8 +121,9 @@ class TestExecuteRedistribution:
         store = RankStore(GRID.nprocs)
         f = random_field(123, 97)
         scatter_nest(store, 1, f, old)
-        t = execute_redistribution(store, 1, old, new, 123, 97)
-        assert int(t.points.sum()) == 123 * 97
+        move = move_of(1, old, new, 123, 97)
+        execute_redistribution(store, move, old, new)
+        assert int(move.transfer.points.sum()) == 123 * 97
         assert np.array_equal(gather_nest(store, 1, 123, 97), f)
         # blocks now live exactly on the new rectangle's ranks
         assert set(store.holders(1)) == set(
@@ -136,7 +147,7 @@ class TestExecuteRedistribution:
         f = random_field(200, 150, seed=3)
         scatter_nest(store, 1, f, allocs[0])
         for old, new in zip(allocs, allocs[1:]):
-            execute_redistribution(store, 1, old, new, 200, 150)
+            execute_redistribution(store, move_of(1, old, new, 200, 150), old, new)
         assert np.array_equal(gather_nest(store, 1, 200, 150), f)
 
     def test_identity_redistribution(self):
@@ -144,8 +155,9 @@ class TestExecuteRedistribution:
         store = RankStore(GRID.nprocs)
         f = random_field(64, 64)
         scatter_nest(store, 1, f, alloc)
-        t = execute_redistribution(store, 1, alloc, alloc, 64, 64)
-        assert t.network_points == 0
+        move = move_of(1, alloc, alloc, 64, 64)
+        execute_redistribution(store, move, alloc, alloc)
+        assert move.transfer.network_points == 0
         assert np.array_equal(gather_nest(store, 1, 64, 64), f)
 
     def test_multiple_nests_independent(self):
@@ -155,8 +167,8 @@ class TestExecuteRedistribution:
         f1, f2 = random_field(80, 60, 1), random_field(66, 99, 2)
         scatter_nest(store, 1, f1, old)
         scatter_nest(store, 2, f2, old)
-        execute_redistribution(store, 1, old, new, 80, 60)
-        execute_redistribution(store, 2, old, new, 66, 99)
+        execute_redistribution(store, move_of(1, old, new, 80, 60), old, new)
+        execute_redistribution(store, move_of(2, old, new, 66, 99), old, new)
         assert np.array_equal(gather_nest(store, 1, 80, 60), f1)
         assert np.array_equal(gather_nest(store, 2, 66, 99), f2)
 
@@ -174,5 +186,5 @@ class TestExecuteRedistribution:
         store = RankStore(GRID.nprocs)
         f = random_field(nx, ny, seed)
         scatter_nest(store, 1, f, old)
-        execute_redistribution(store, 1, old, new, nx, ny)
+        execute_redistribution(store, move_of(1, old, new, nx, ny), old, new)
         assert np.array_equal(gather_nest(store, 1, nx, ny), f)

@@ -47,7 +47,6 @@ from repro.faults import (
     tree_to_obj,
 )
 from repro.grid import ProcessorGrid
-from repro.mpisim.costmodel import DEFAULT_BYTES_PER_POINT
 from repro.mpisim.ledger import CommLedger
 from repro.obs import AuditTrail, FlightRecorder, use_recorder
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
@@ -420,14 +419,15 @@ class TestBackoffPolicy:
 class TestRetryExecutor:
     NEST = 1
     SIZE = (32, 32)
-    BPP = DEFAULT_BYTES_PER_POINT
 
     def _allocs(self):
-        """Two allocations of the same nest set with different weights."""
+        """Two allocations of the same nest set with different weights,
+        and the plan's move of the test nest between them."""
         realloc = make_reallocator()
         old = realloc.step({1: self.SIZE, 2: (48, 16)}).allocation
-        new = realloc.step({1: self.SIZE, 2: (16, 48)}).allocation
-        return old, new
+        result = realloc.step({1: self.SIZE, 2: (16, 48)})
+        move = next(m for m in result.plan.moves if m.nest_id == self.NEST)
+        return old, result.allocation, move
 
     def _store(self, old):
         store = RankStore(old.grid.nprocs)
@@ -436,7 +436,7 @@ class TestRetryExecutor:
         return store
 
     def test_flaky_rounds_recover_and_preserve_data(self):
-        old, new = self._allocs()
+        old, new, move = self._allocs()
         store = self._store(old)
         nx, ny = self.SIZE
         fails = 2
@@ -448,8 +448,7 @@ class TestRetryExecutor:
 
         ledger = CommLedger(old.grid.nprocs)
         outcome = execute_redistribution_with_retry(
-            store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
-            round_time=round_time, seed=3, ledger=ledger,
+            store, move, old, new, round_time=round_time, seed=3, ledger=ledger,
         )
         assert isinstance(outcome, RetryOutcome)
         assert outcome.attempts == 3 and outcome.recovered
@@ -458,32 +457,20 @@ class TestRetryExecutor:
             gather_nest(store, self.NEST, nx, ny), field_for(self.NEST, nx, ny)
         )
         # retry traffic attributed in the ledger, once per failed round
-        if outcome.transfer.network_points > 0:
+        if move.transfer.network_points > 0:
             assert outcome.retried_bytes > 0
             assert ledger.n_retries == 2
             assert ledger.skew("retried").total == pytest.approx(
                 outcome.retried_bytes
             )
 
-    def test_plan_computed_once_and_reused_across_attempts(self, monkeypatch):
-        """Satellite: the planner runs once per nest, outside the retry
-        loop — every retry (and the winning attempt) reuses the identical
-        MessageSet instead of re-planning under a retry storm."""
-        import repro.core.dataplane as dp
-
-        old, new = self._allocs()
+    def test_retries_resend_the_plans_own_messages(self):
+        """The executor derives no wire traffic of its own: every retried
+        round re-sends the planned move's MessageSet object, and the
+        winning attempt moves the data at the move's size."""
+        old, new, move = self._allocs()
         store = self._store(old)
         nx, ny = self.SIZE
-
-        planner_calls = []
-        real_transfer_matrix = dp.transfer_matrix
-
-        def counting_transfer_matrix(*args, **kwargs):
-            t = real_transfer_matrix(*args, **kwargs)
-            planner_calls.append(t)
-            return t
-
-        monkeypatch.setattr(dp, "transfer_matrix", counting_transfer_matrix)
 
         class RecordingLedger:
             def __init__(self):
@@ -500,16 +487,12 @@ class TestRetryExecutor:
             return 0.0
 
         outcome = execute_redistribution_with_retry(
-            store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
-            round_time=round_time, ledger=ledger,
+            store, move, old, new, round_time=round_time, ledger=ledger,
         )
         assert outcome.attempts == 3 and outcome.recovered
-        # one planner run covered all three attempts
-        assert len(planner_calls) == 1
-        # both retries re-sent the very same MessageSet object
         assert len(ledger.retried_with) == 2
-        assert ledger.retried_with[0] is ledger.retried_with[1]
-        # and the data still arrives intact through the reused plan
+        assert all(messages is move.messages for messages in ledger.retried_with)
+        assert outcome.retried_bytes == 2 * move.messages.total_bytes
         assert np.array_equal(
             gather_nest(store, self.NEST, nx, ny), field_for(self.NEST, nx, ny)
         )
@@ -518,11 +501,10 @@ class TestRetryExecutor:
         policy = BackoffPolicy(max_attempts=4)
 
         def run():
-            old, new = self._allocs()
+            old, new, move = self._allocs()
             store = self._store(old)
             return execute_redistribution_with_retry(
-                store, self.NEST, old, new, *self.SIZE,
-                bytes_per_point=self.BPP, policy=policy, seed=11,
+                store, move, old, new, policy=policy, seed=11,
                 round_time=lambda a: (_ for _ in ()).throw(
                     TransientRedistributionError("x")
                 ) if a < 3 else 0.0,
@@ -533,7 +515,7 @@ class TestRetryExecutor:
         assert a.total_delay <= policy.max_total_delay()
 
     def test_exhaustion_aborts_without_touching_the_store(self):
-        old, new = self._allocs()
+        old, new, move = self._allocs()
         store = self._store(old)
         nx, ny = self.SIZE
         policy = BackoffPolicy(max_attempts=3)
@@ -543,8 +525,7 @@ class TestRetryExecutor:
 
         with pytest.raises(RedistributionAbortedError) as err:
             execute_redistribution_with_retry(
-                store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
-                policy=policy, round_time=always_fail,
+                store, move, old, new, policy=policy, round_time=always_fail,
             )
         assert err.value.attempts == 3
         # untouched: the field still gathers intact under the OLD layout
@@ -553,24 +534,19 @@ class TestRetryExecutor:
         )
 
     def test_timeout_counts_as_failure(self):
-        old, new = self._allocs()
+        old, new, move = self._allocs()
         store = self._store(old)
-        nx, ny = self.SIZE
         durations = iter([5.0, 0.1])
         outcome = execute_redistribution_with_retry(
-            store, self.NEST, old, new, nx, ny, bytes_per_point=self.BPP,
-            timeout=1.0, round_time=lambda a: next(durations),
+            store, move, old, new, timeout=1.0, round_time=lambda a: next(durations),
         )
         assert outcome.attempts == 2 and outcome.recovered
 
     def test_bad_arguments_rejected(self):
-        old, new = self._allocs()
+        old, new, move = self._allocs()
         store = self._store(old)
         with pytest.raises(ValueError):
-            execute_redistribution_with_retry(
-                store, self.NEST, old, new, *self.SIZE,
-                bytes_per_point=self.BPP, timeout=0.0,
-            )
+            execute_redistribution_with_retry(store, move, old, new, timeout=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -148,13 +148,13 @@ def _plan(moves=(), overlap=0.5, predicted=0.0, measured=0.0):
     )
 
 
-def _move(nest_id, transfer):
+def _move(nest_id, transfer, nx, ny):
     empty = MessageSet(
         src=np.array([], dtype=np.int64),
         dst=np.array([], dtype=np.int64),
         nbytes=np.array([], dtype=np.int64),
     )
-    return NestMove(nest_id=nest_id, transfer=transfer, messages=empty)
+    return NestMove(nest_id=nest_id, nx=nx, ny=ny, transfer=transfer, messages=empty)
 
 
 class TestTilingMessages:
@@ -186,7 +186,7 @@ class TestTilingMessages:
 
 class TestPlanConservationMessages:
     def test_point_count_message(self):
-        plan = _plan(moves=[_move(4, _transfer([3], total=3))])
+        plan = _plan(moves=[_move(4, _transfer([3], total=3), 2, 2)])
         with pytest.raises(
             InvariantViolation, match="nest 4: transfer covers 3 of 4 points"
         ):

@@ -16,8 +16,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core import Allocation
+from repro.core.dataplane import RankStore, execute_redistribution, scatter_nest
+from repro.core.redistribution import nest_moves
 from repro.experiments.workloads import synthetic_workload
 from repro.faults import SoakConfig, format_soak_report, run_soak
+from repro.grid import ProcessorGrid
+from repro.mpisim import CostModel
 from repro.mpisim.ledger import CommLedger
 from repro.obs import FlightRecorder, use_recorder
 from repro.sanitize import (
@@ -28,6 +33,8 @@ from repro.sanitize import (
     use_sanitizer,
 )
 from repro.sanitize import hooks as sanitize_hooks
+from repro.topology import fist_cluster
+from repro.tree import build_huffman
 
 
 def run_fault_free(seed, n_steps, tamper=None):
@@ -131,6 +138,27 @@ class TestCheckpoints:
         )
         san.after_pda(bad)
         assert any(v.check == "pda.coverage" for v in san.violations)
+
+    def test_move_executed_into_another_allocation_is_flagged(self):
+        grid = ProcessorGrid(4, 4)
+        cost = CostModel.for_machine(fist_cluster(16))
+        weights = [{1: 0.5, 2: 0.5}, {1: 0.75, 2: 0.25}, {1: 0.25, 2: 0.75}]
+        old, planned, other = (
+            Allocation.from_tree(build_huffman(w), grid, w) for w in weights
+        )
+        move = nest_moves(old, planned, {1: (20, 12), 2: (20, 12)}, cost)[0]
+        field = np.arange(20 * 12, dtype=float).reshape(12, 20)
+        for new, ok in ((planned, True), (other, False)):
+            store = RankStore(grid.nprocs)
+            scatter_nest(store, 1, field, old)
+            execute_redistribution(store, move, old, new)
+            san = Sanitizer()
+            san.after_execute(store, move)
+            assert san.ok is ok
+            assert san.checks_run == {"execute.conservation": 1}
+        # the store still tiles the nest; only the plan check sees the swap
+        assert [v.check for v in san.violations] == ["execute.conservation"]
+        assert "hold other than the plan sent them" in san.violations[0].message
 
     def test_strict_mode_raises_on_first_violation(self):
         san = Sanitizer(strict=True)

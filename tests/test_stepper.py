@@ -1,10 +1,14 @@
 """The one adaptation-point driver and the rules its callers share.
 
-A resized retained nest is moved at its stored size, then regridded at
-its new size; an empty nest set is a point like any other.  The soak,
-the coupled simulation, the workload runner and a bare stepper must all
-follow both rules.  A retried move is charged in the plan's bytes.
+A resized retained nest is regridded at its new size on the ranks that
+hold it, then moved by its plan move; an empty nest set is a point like
+any other.  The soak, the coupled simulation, the workload runner and a
+bare stepper must all follow both rules.  The plan is the move set: the
+bytes a point moves, the ledger books and a retried move re-sends are
+the plan's.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +48,31 @@ def held_nests(store):
     return {nid for blocks in store.blocks.values() for nid in blocks}
 
 
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` at every ``repro`` module binding it."""
+    original = getattr(sys.modules[module], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("repro") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def bare_stepper(**kwargs):
+    machine = blue_gene_l(256)
+    predictor = ExecTimePredictor(ProfileTable(ExecutionOracle(), seed=SEED))
+    return AdaptationStepper(
+        ProcessorReallocator(machine, DiffusionStrategy(), predictor),
+        store=RankStore(machine.ncores),
+        **kwargs,
+    )
+
+
 def rects_by_step(events, n_steps):
     """``{nest: Rect}`` per point, read back from the ``alloc.rect`` events."""
     out = [{} for _ in range(n_steps)]
@@ -54,7 +83,7 @@ def rects_by_step(events, n_steps):
     return out
 
 
-class TestResizedNestIsMovedThenRegridded:
+class TestResizedNestIsRegriddedThenMoved:
     #: nest 1 keeps its id and grows from 40x30 to 48x36 at point 2
     STEPS = [
         {1: (40, 30)},
@@ -104,6 +133,42 @@ class TestResizedNestIsMovedThenRegridded:
             assert np.array_equal(gather_nest(sim.store, nid, nx, ny), fresh)
 
 
+class TestThePlanIsTheExecutedMoveSet:
+    #: as TestResizedNestIsRegriddedThenMoved, but nest 1 grows enough at
+    #: point 2 that its rectangle moves (at 48x36 it keeps its ranks, so
+    #: the point moves no bytes at either size)
+    STEPS = [
+        {1: (40, 30)},
+        {1: (40, 30), 2: (30, 32)},
+        {1: (160, 120), 2: (30, 32)},
+    ]
+
+    def test_moved_bytes_equal_the_plan_and_the_ledger(self):
+        ledger = CommLedger(blue_gene_l(256).ncores)
+        stepper = bare_stepper(ledger=ledger, verify=True)
+        sent, moved = 0.0, []
+        for nests in self.STEPS:
+            point = stepper.step(nests, payload)
+            plan = point.reallocation.plan
+            booked = float(ledger.sent.sum()) - sent
+            sent += booked
+            planned = plan.network_bytes if plan is not None else 0.0
+            assert point.moved_bytes == planned == booked
+            assert point.verified == point.reallocation.retained
+            moved.append(point.moved_bytes)
+        # the resize point moves nest 1 over the network at its new size
+        assert moved[2] > 0
+
+    def test_each_retained_nest_builds_one_transfer_matrix(self, monkeypatch):
+        calls = count_calls(monkeypatch, "repro.grid.overlap", "transfer_matrix")
+        stepper = bare_stepper()
+        for nests in self.STEPS:
+            before = len(calls)
+            point = stepper.step(nests, payload)
+            assert len(calls) - before == len(point.reallocation.retained)
+        assert len(calls) == 1 + 2
+
+
 class TestEmptyNestSet:
     #: two nests, none for one point, then one new and one more
     STEPS = [
@@ -118,7 +183,10 @@ class TestEmptyNestSet:
         workload = Workload(name="gap", steps=[dict(s) for s in self.STEPS])
 
         context = ExperimentContext(machine, profile_seed=SEED)
-        runner = [a.rects for a in run_workload(workload, DiffusionStrategy(), context).allocations]
+        recorder = FlightRecorder()
+        with use_recorder(recorder):
+            run_workload(workload, DiffusionStrategy(), context)
+        runner = rects_by_step(recorder.events(), len(self.STEPS))
 
         soak_held = {}
         recorder = FlightRecorder()
