@@ -4,11 +4,12 @@ Real machines measure ``MPI_Alltoallv`` wall-clock; offline we compute it by
 routing every message over the physical links and accounting for sharing:
 
 * :meth:`NetworkSimulator.bottleneck_time` — deterministic contention
-  bound: every message is routed (dimension-ordered on tori, up/down on the
-  fat-tree); the transfer phase lasts as long as the most loaded link needs
-  to drain, plus a per-message software-overhead phase on the busiest
-  endpoint.  This is the default "measured" redistribution time used by the
-  experiment harness (fast, deterministic, contention-aware).
+  bound: every message's bytes load the links of its route
+  (dimension-ordered on tori, up/down on the fat-tree); the transfer phase
+  lasts as long as the most loaded link needs to drain, plus a per-message
+  software-overhead phase on the busiest endpoint.  This is the default
+  "measured" redistribution time used by the experiment harness (fast,
+  deterministic, contention-aware).
 * :meth:`NetworkSimulator.flow_time` — a progressive-filling, max-min-fair
   flow simulation: flows share links fairly, rates re-waterfill whenever a
   flow completes, and the finish time of the last flow is returned.  More
@@ -17,14 +18,20 @@ routing every message over the physical links and accounting for sharing:
 Both account for exactly the effects the paper's diffusion strategy targets:
 fewer bytes on the wire (overlap) and fewer links per byte (hop locality).
 
-Routes for a whole :class:`~repro.mpisim.alltoallv.MessageSet` are
+The topology decides how the wire is priced.  On tori and meshes
+(:class:`~repro.topology.torus.Torus3D` and ``Mesh3D``) a route is at most
+three ring intervals: per-link loads come from one prefix sum per ring
+(:meth:`~repro.topology.torus.Torus3D.ring_link_loads`) and the busiest
+link's contributors from interval containment
+(:meth:`~repro.topology.torus.Torus3D.ring_crossings`), so no hop is
+materialised.  On other topologies, and for the flow-level simulator,
+routes for a whole :class:`~repro.mpisim.alltoallv.MessageSet` are
 materialised as one flat link-id array plus CSR offsets
-(:meth:`NetworkSimulator.routes_csr`) and link loads / busiest-link
-contributions reduce via ``np.bincount``.  The original per-message loops
-stay beside them as ``*_reference`` methods — test-only oracles the
-equivalence suite checks the shipped path against, bit for bit: message
-byte counts are integer-valued floats, so the sums are exact in any order
-(see ``docs/performance.md``).
+(:meth:`NetworkSimulator.routes_csr`) and reduce via ``np.bincount``.  The
+original per-message loops stay beside them as ``*_reference`` methods —
+test-only oracles the equivalence suite checks the shipped paths against,
+bit for bit: message byte counts are integer-valued floats, so the sums
+are exact in any order (see ``docs/performance.md``).
 
 Fault hooks (:mod:`repro.faults`): a simulator carries an optional set of
 *degraded links* (per-link bandwidth multipliers in ``(0, 1]``, modelling a
@@ -44,6 +51,7 @@ from repro.mpisim.alltoallv import MessageSet
 from repro.mpisim.costmodel import CostModel
 from repro.obs import get_recorder
 from repro.topology.mapping import ProcessMapping
+from repro.topology.torus import Torus3D
 
 __all__ = ["NetworkSimulator", "LinkLoadState"]
 
@@ -61,12 +69,7 @@ def _take_rows(
 
 
 class NetworkSimulator:
-    """Routes message sets over a mapped topology and times them."""
-
-    #: the six dimension orders static adaptive routing cycles through
-    _DIM_ORDERS = (
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    )
+    """Prices message sets on a mapped topology's links and times them."""
 
     def __init__(
         self,
@@ -77,17 +80,19 @@ class NetworkSimulator:
         self.mapping = mapping
         self.topology = mapping.topology
         self.cost = cost
+        # Tori and meshes price link loads from ring intervals; any other
+        # topology routes every message (routes_csr).
+        self._rings = isinstance(mapping.topology, Torus3D)
         # Static adaptive routing: vary the torus dimension order per
         # endpoint pair (deterministic hash) to spread link load.  Only
-        # meaningful on topologies exposing route_ordered (tori/meshes).
-        self.adaptive_routing = adaptive_routing and hasattr(
-            mapping.topology, "route_ordered"
-        )
-        # Routing is stateless: each call routes its unique rank pairs in
-        # one vectorised batch, cheaper per pair than a memo of routes.
-        # The counters keep their cache-era names for external readers: a
-        # miss is a unique pair a call routed, a hit a further message of
-        # such a pair -- the counts a cold cache made.
+        # meaningful on tori/meshes.
+        self.adaptive_routing = adaptive_routing and self._rings
+        # Routing is stateless: each routes_csr call routes its unique rank
+        # pairs in one vectorised batch, cheaper per pair than a memo of
+        # routes.  The counters keep their cache-era names for external
+        # readers: a miss is a unique pair a call routed, a hit a further
+        # message of such a pair -- the counts a cold cache made.  Pricing
+        # from ring intervals routes nothing and counts nothing.
         self.route_cache_hits = 0
         self.route_cache_misses = 0
         #: link id -> bandwidth multiplier in (0, 1] (1 = healthy)
@@ -101,6 +106,8 @@ class NetworkSimulator:
         """Degrade ``link`` to ``factor`` of its bandwidth (``(0, 1]``)."""
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"link fault factor must be in (0, 1], got {factor}")
+        if not 0 <= link < self.topology.nlinks:
+            raise ValueError(f"link {link} outside [0, {self.topology.nlinks})")
         if factor >= 1.0:
             self.link_faults.pop(link, None)
         else:
@@ -129,9 +136,20 @@ class NetworkSimulator:
         table = self.mapping.table
         src, dst = int(table[src_rank]), int(table[dst_rank])
         if self.adaptive_routing:
-            order = self._DIM_ORDERS[(src * 2654435761 + dst) % 6]
+            order = Torus3D.DIM_ORDERS[(src * 2654435761 + dst) % 6]
             return self.topology.route_ordered(src, dst, order)
         return self.topology.route(src, dst)
+
+    def _nodes(
+        self, messages: MessageSet
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Each message's physical ``(src, dst)`` nodes and, under adaptive
+        routing, its hashed index into :attr:`Torus3D.DIM_ORDERS`."""
+        table = self.mapping.table
+        src = table[messages.src].astype(np.int64)
+        dst = table[messages.dst].astype(np.int64)
+        order_idx = (src * 2654435761 + dst) % 6 if self.adaptive_routing else None
+        return src, dst, order_idx
 
     def _batch_routes(
         self, src_ranks: np.ndarray, dst_ranks: np.ndarray
@@ -151,7 +169,7 @@ class NetworkSimulator:
         for o in np.unique(order_idx):
             sel = np.flatnonzero(order_idx == o)
             glinks, goffs = self.topology.batch_routes_ordered(
-                src[sel], dst[sel], self._DIM_ORDERS[int(o)]
+                src[sel], dst[sel], Torus3D.DIM_ORDERS[int(o)]
             )
             sels.append(sel)
             links.append(glinks)
@@ -169,7 +187,9 @@ class NetworkSimulator:
         links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  The
         unique endpoint pairs are routed in one vectorised batch and each
         message gathers its pair's route; the ``route_cache_*`` counters
-        advance by the unique pairs (misses) and the repeats (hits).
+        advance by the unique pairs (misses) and the repeats (hits).  Only
+        the flow-level simulator and topologies without ring intervals
+        route; a torus or mesh prices link loads without calling this.
         """
         n = len(messages)
         if n == 0:
@@ -200,8 +220,11 @@ class NetworkSimulator:
         self, messages: MessageSet
     ) -> tuple[np.ndarray, np.ndarray]:
         """Loaded links and their byte totals as sorted parallel arrays."""
-        if len(messages) == 0:  # nothing to route
+        if len(messages) == 0:  # nothing on the wire
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        if self._rings:
+            src, dst, order_idx = self._nodes(messages)
+            return self.topology.ring_link_loads(src, dst, messages.nbytes, order_idx)
         links, offsets = self.routes_csr(messages)
         weights = np.repeat(
             messages.nbytes.astype(np.float64), np.diff(offsets)
@@ -231,23 +254,34 @@ class NetworkSimulator:
         its endpoint ranks — the per-pair breakdown a
         :class:`~repro.mpisim.ledger.CommLedger` accumulates to show who
         is responsible for the wire-phase bottleneck.  Returns
-        ``(-1, 0.0, {})`` for an empty message set or all-local routes.
+        ``(-1, 0.0, {})`` for an empty message set.
         """
-        links, offsets = self.routes_csr(messages)
+        links, loads = self._link_load_arrays(messages)
         if links.size == 0:
             return -1, 0.0, {}
-        nbytes = messages.nbytes.astype(np.float64)
-        weights = np.repeat(nbytes, np.diff(offsets))
-        uniq, inv = np.unique(links, return_inverse=True)
-        loads = np.bincount(inv, weights=weights, minlength=len(uniq))
-        # Ties break toward the smallest link id: uniq is sorted ascending
+        # Ties break toward the smallest link id: links is sorted ascending
         # and argmax returns the first maximum.
         bi = int(np.argmax(loads))
-        busiest = int(uniq[bi])
-        msg_of = np.repeat(
-            np.arange(len(messages), dtype=np.int64), np.diff(offsets)
-        )
-        touching = np.unique(msg_of[inv == bi])
+        busiest = int(links[bi])
+        return busiest, float(loads[bi]), self._pair_bytes_through(messages, busiest)
+
+    def _pair_bytes_through(
+        self, messages: MessageSet, link: int
+    ) -> dict[tuple[int, int], float]:
+        """Per ``(src, dst)`` rank pair, the bytes of ``messages`` whose
+        route crosses ``link``: by interval containment on tori and meshes,
+        else by routing every message."""
+        if self._rings:
+            src, dst, order_idx = self._nodes(messages)
+            touching = np.flatnonzero(
+                self.topology.ring_crossings(src, dst, link, order_idx)
+            )
+        else:
+            links, offsets = self.routes_csr(messages)
+            msg_of = np.repeat(
+                np.arange(len(messages), dtype=np.int64), np.diff(offsets)
+            )
+            touching = np.unique(msg_of[links == link])
         nranks = self.mapping.nranks
         pair_keys = (
             messages.src[touching].astype(np.int64) * nranks
@@ -255,13 +289,14 @@ class NetworkSimulator:
         )
         uniq_pairs, pair_inv = np.unique(pair_keys, return_inverse=True)
         pair_bytes = np.bincount(
-            pair_inv, weights=nbytes[touching], minlength=len(uniq_pairs)
+            pair_inv,
+            weights=messages.nbytes.astype(np.float64)[touching],
+            minlength=len(uniq_pairs),
         )
-        contributions = {
+        return {
             (int(key // nranks), int(key % nranks)): float(b)
-            for key, b in zip(uniq_pairs, pair_bytes)
+            for key, b in zip(uniq_pairs.tolist(), pair_bytes.tolist())
         }
-        return busiest, float(loads[bi]), contributions
 
     def _busiest_link_contributions_reference(
         self, messages: MessageSet
@@ -573,29 +608,29 @@ class NetworkSimulator:
 class LinkLoadState:
     """Live per-link load state maintained by message-set *deltas*.
 
-    At full-machine scale (``bgl-64k``: 393216 directed links) rebuilding
-    the link-load picture from every nest's messages at every adaptation
-    point is the dominant cost — yet between two adaptation points only
-    the churned nests' message sets change.  This class keeps one dense
-    ``loads`` array (float64, one slot per directed link — ~3 MB at 64k
-    ranks) plus the per-key contribution that produced it, and applies
-    each adaptation as a delta: :meth:`retire` subtracts a departed key's
-    contribution, :meth:`update` swaps a changed key's old contribution
-    for its new one.
+    This class keeps one dense ``loads`` array (float64, one slot per
+    directed link — ~3 MB at 64k ranks) plus the per-key contribution
+    (*charge*) that produced it, and applies each adaptation as a delta:
+    :meth:`retire` subtracts a departed key's charge, :meth:`update` swaps
+    a changed key's old charge for its new one.  A charge is
+    :meth:`NetworkSimulator._link_load_arrays` of the key's messages —
+    on a torus or mesh priced from ring intervals, elsewhere routed — so
+    no plan rebuilds the whole machine's link loads.
 
     Exactness: message byte counts are integer-valued float64, so every
     per-link total is an exact integer and add/subtract round-trips to
     exactly zero — the incremental ``loads`` is *bit-identical* to a
     from-scratch rebuild, which :meth:`rebuild` provides as the shipped
-    check (the sanitizer compares the two after every plan).
+    check (the sanitizer compares the two after every plan, and checks
+    that each charge sums to its messages' hop-bytes).
 
     Keys are nest ids; the state after an adaptation step holds exactly
     the retained nests' redistribution message sets, so
     :meth:`busiest_link_contributions` returns the same
-    ``(link, load, {pair: bytes})`` triple as routing the concatenation
-    of all active sets through
-    :meth:`NetworkSimulator.busiest_link_contributions` — without ever
-    materialising the concatenation.
+    ``(link, load, {pair: bytes})`` triple as
+    :meth:`NetworkSimulator.busiest_link_contributions` over the
+    concatenation of all active sets — without ever materialising the
+    concatenation.
     """
 
     def __init__(self, simulator: NetworkSimulator) -> None:
@@ -615,6 +650,10 @@ class LinkLoadState:
     def messages_for(self, key: int) -> MessageSet:
         """The message set currently charged under ``key``."""
         return self._messages[key]
+
+    def charge_for(self, key: int) -> tuple[np.ndarray, np.ndarray]:
+        """``key``'s charge: its sorted loaded links and their byte totals."""
+        return self._links[key], self._vals[key]
 
     def clear(self) -> None:
         """Drop every contribution (back to an idle wire)."""
@@ -647,7 +686,7 @@ class LinkLoadState:
     def rebuild(self) -> np.ndarray:
         """From-scratch recomputation of :attr:`loads` (the rebuild twin).
 
-        Routes every active message set again and sums.  The incremental
+        Prices every active message set again and sums.  The incremental
         array must equal this bit-for-bit; the sanitizer checks it does.
         """
         loads = np.zeros_like(self.loads)
@@ -675,7 +714,7 @@ class LinkLoadState:
         concatenation of all active message sets — ``(-1, 0.0, {})``
         when nothing is on the wire, ties toward the smallest link id —
         but the scan is O(links) on the live array and only the keys
-        whose routes cross the busiest link are routed again.
+        whose charge holds the busiest link are revisited.
         """
         if not self._messages:
             return -1, 0.0, {}
@@ -707,33 +746,18 @@ class LinkLoadState:
         self, busiest: int
     ) -> dict[tuple[int, int], float]:
         """Per-pair bytes through ``busiest``, revisiting only the keys
-        whose sorted link arrays contain it (membership by bisection)."""
+        whose sorted link arrays contain it (membership by bisection);
+        within a key, :meth:`NetworkSimulator._pair_bytes_through` finds
+        the messages that cross it."""
         contributions: dict[tuple[int, int], float] = {}
         if busiest < 0:
             return contributions
-        nranks = self.simulator.mapping.nranks
         for key in sorted(self._messages):
             slinks = self._links[key]
             idx = int(np.searchsorted(slinks, busiest))
             if idx >= slinks.size or int(slinks[idx]) != busiest:
                 continue
-            messages = self._messages[key]
-            links, offsets = self.simulator.routes_csr(messages)
-            msg_of = np.repeat(
-                np.arange(len(messages), dtype=np.int64), np.diff(offsets)
-            )
-            touching = np.unique(msg_of[links == busiest])
-            pair_keys = (
-                messages.src[touching].astype(np.int64) * nranks
-                + messages.dst[touching].astype(np.int64)
-            )
-            uniq_pairs, pair_inv = np.unique(pair_keys, return_inverse=True)
-            pair_bytes = np.bincount(
-                pair_inv,
-                weights=messages.nbytes.astype(np.float64)[touching],
-                minlength=len(uniq_pairs),
-            )
-            for pk, nbytes in zip(uniq_pairs.tolist(), pair_bytes.tolist()):
-                pair = (pk // nranks, pk % nranks)
+            through = self.simulator._pair_bytes_through(self._messages[key], busiest)
+            for pair, nbytes in through.items():
                 contributions[pair] = contributions.get(pair, 0.0) + nbytes
         return contributions

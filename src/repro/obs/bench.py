@@ -19,7 +19,7 @@ phase                        what it times
 ``tree.diffusion``           Algorithm-3 tree edit + layout (§IV-B)
 ``grid.transfer_matrix``     per-nest transfer-matrix construction
 ``topology.folded_mapping``  the folded grid-to-torus rank mapping
-``netsim.link_loads``        routing + per-link byte accounting
+``netsim.link_loads``        per-link byte accounting (ring intervals)
 ``netsim.bottleneck``        contention-aware alltoallv timing
 ``netsim.flow``              max-min-fair flow simulation
 ``redist.plan``              full redistribution planning
@@ -623,7 +623,7 @@ def bench_phases() -> tuple[BenchPhase, ...]:
         ),
         BenchPhase(
             "netsim.link_loads",
-            "routing + per-link byte accounting",
+            "per-link byte accounting (ring intervals)",
             _setup_netsim_link_loads,
         ),
         BenchPhase(

@@ -19,15 +19,18 @@ adaptation-point hooks defined by
   agrees with the partial-result flags;
 * **ledger vs netsim** — sent equals received in aggregate, per-pair
   byte totals match per-rank totals, and the busiest-link per-pair
-  split sums to the link load the netsim reported.
+  split sums to the link load the netsim reported;
+* **link-state conservation** — the incremental per-link loads equal a
+  rebuild, and each key's charge carries exactly its messages'
+  hop-bytes over the links.
 
 Violations are appended to :attr:`Sanitizer.violations` and emitted to
 the ambient flight recorder as ``sanitizer.violation`` events; with
 ``strict=True`` the first violation raises :class:`SanitizeError`.
 
-This module deliberately imports only numpy, the flight recorder, and
-the hook base — never ``repro.core`` — so the core can import the hook
-surface without a cycle.
+This module deliberately imports only numpy, the flight recorder, the
+hook base and the hop-bytes metric — never ``repro.core`` — so the core
+can import the hook surface without a cycle.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.mpisim.alltoallv import hop_bytes
 from repro.obs.recorder import get_recorder
 from repro.sanitize.hooks import SanitizerHook
 
@@ -305,12 +309,18 @@ class Sanitizer(SanitizerHook):
             )
 
     def after_link_state(self, link_state: Any) -> None:
-        """Incremental link-load state vs its from-scratch rebuild.
+        """Incremental link-load state vs its from-scratch rebuild, and
+        each charge vs its messages' hop-bytes.
 
         The deltas are exact (integer-valued float64 byte counts), so the
         live array must match a rebuild *bit-for-bit* and never dip below
         zero — any drift means a contribution was double-applied or a
-        retired key leaked.
+        retired key leaked.  Rebuild and increments price the wire with
+        the same kernel, so a kernel bug would pass that comparison; every
+        byte crosses exactly ``hops`` links, so each key's charge summed
+        over links must also equal the ``hop_bytes`` total of its messages,
+        which counts hops with ``topology.hops`` and shares no code with
+        routes or ring intervals.  Both sums are exact integers.
         """
         self._ran("linkstate.conservation")
         loads = link_state.loads
@@ -329,6 +339,16 @@ class Sanitizer(SanitizerHook):
                 f"incremental link loads differ from rebuild on {bad} links "
                 f"(max delta {float(diff.max())})",
             )
+        mapping = link_state.simulator.mapping
+        for key in link_state.active_keys:
+            charged = float(link_state.charge_for(key)[1].sum())
+            expected, _avg = hop_bytes(link_state.messages_for(key), mapping)
+            if charged != expected:
+                self._violate(
+                    "linkstate.conservation",
+                    f"key {key}: links carry {charged} byte-hops but its "
+                    f"messages' hop-bytes are {expected}",
+                )
 
     def audit_store(
         self, store: Any, nest_sizes: dict[int, tuple[int, int]]

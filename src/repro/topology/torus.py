@@ -3,9 +3,19 @@
 Blue Gene/L arranges compute nodes in a 3D torus; a 1024-node partition is
 an ``8 x 8 x 16`` torus [IBM Blue Gene team, IBM JRD 2005].  Messages are
 routed dimension-ordered (X, then Y, then Z), each hop taking the shorter
-way around the ring.  The hop metric and the per-link routes feed both the
-``hop-bytes`` metric of the paper (Fig. 10) and the contention-aware
-network simulator in :mod:`repro.mpisim.netsim`.
+way around the ring.  The hop metric feeds the ``hop-bytes`` metric of the
+paper (Fig. 10); the contention-aware network simulator in
+:mod:`repro.mpisim.netsim` prices the wire from the routes.
+
+A dimension-ordered route is at most three *ring intervals*, one per axis:
+while it corrects axis ``a`` the other two coordinates are fixed, so the
+``a`` segment uses the outgoing ``±a`` links of a run of consecutive
+positions on one ring.  :meth:`Torus3D.ring_link_loads` sums many
+messages' bytes per link from those intervals (one difference array per
+ring direction, one prefix sum) and :meth:`Torus3D.ring_crossings` tests
+which messages cross a given link by interval containment; neither
+materialises a hop.  :meth:`Torus3D.batch_routes_ordered` still lists
+every hop, for the flow-level simulator.
 """
 
 from __future__ import annotations
@@ -19,11 +29,22 @@ __all__ = ["Torus3D", "Mesh2D", "Mesh3D"]
 # Directed link direction codes: one outgoing link per node per direction.
 _DIRS3D = ("+x", "-x", "+y", "-y", "+z", "-z")
 
+# A ring of axis ``a`` is indexed by its two other coordinates, the lower
+# axis ``_LOWER[a]`` fastest; ``_RING_TO_LINK_AXES[a]`` permutes an
+# ``(direction, upper, lower, position)`` block of per-link loads into the
+# ``(z, y, x, direction)`` link-id layout.
+_AXES = np.arange(3)
+_LOWER = np.array([1, 0, 0])
+_UPPER = np.array([2, 2, 1])
+_RING_TO_LINK_AXES = ((1, 2, 3, 0), (1, 3, 2, 0), (3, 1, 2, 0))
+
 
 class Torus3D(Topology):
     """A ``dx x dy x dz`` torus with dimension-ordered shortest-ring routing.
 
-    Node id convention: ``node = x + dx * (y + dy * z)``.
+    Node id convention: ``node = x + dx * (y + dy * z)``; the directed link
+    leaving ``node`` along axis ``a`` in direction ``sign`` is
+    ``node * 6 + 2 * a + (sign < 0)``.
 
     Parameters
     ----------
@@ -35,6 +56,11 @@ class Torus3D(Topology):
     link_latency:
         Per-message latency (seconds).
     """
+
+    #: the six dimension orders; static adaptive routing indexes them
+    DIM_ORDERS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    #: ``_AXIS_RANK[o, a]``: when order ``o`` corrects axis ``a`` (0, 1 or 2)
+    _AXIS_RANK = np.argsort(np.asarray(DIM_ORDERS), axis=1)
 
     def __init__(
         self,
@@ -135,8 +161,9 @@ class Torus3D(Topology):
         whole walk — once the forward distance is ≤ the backward one, each
         +1 step shrinks it further — so a single upfront decision suffices.
         """
-        fwd = (t - s) % size
-        bwd = (s - t) % size
+        d = t - s
+        fwd = d + size * (d < 0)  # (t - s) mod size, without a division
+        bwd = (size - fwd) * (fwd > 0)  # (s - t) mod size
         return np.minimum(fwd, bwd), np.where(fwd <= bwd, 1, -1)
 
     def route(self, src: int, dst: int) -> list[int]:
@@ -209,6 +236,133 @@ class Torus3D(Topology):
         axis_of = np.asarray(order, dtype=np.int64)[flat_seg % 3]
         links = node * 6 + axis_of * 2 + (g < 0)
         return links, offsets
+
+    # -- ring intervals ---------------------------------------------------
+
+    def _ring_intervals(
+        self, src: np.ndarray, dst: np.ndarray, order_idx: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair's three axis segments as ``(3, n)`` arrays
+        ``(ring, lo, cnt, neg)``, row ``a`` for the ``a`` segment.
+
+        The segment uses the outgoing ``±a`` links of ring positions
+        ``lo, lo + 1, ..., lo + cnt - 1`` (mod the ring size) on ring
+        ``ring`` -- the index of its two other coordinates, lower axis
+        fastest -- in the negative direction where ``neg``.  Axes corrected
+        earlier sit at the target, later ones at the source (the rule
+        behind :meth:`batch_routes_ordered`'s ``base``).  Routing is XYZ
+        (``order_idx`` ``None``), or per pair ``DIM_ORDERS[order_idx[i]]``.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        for arr in (src, dst):
+            if arr.size and (arr.min() < 0 or arr.max() >= self.nnodes):
+                raise ValueError(f"node ids outside [0, {self.nnodes})")
+        if order_idx is None:
+            rank = self._AXIS_RANK[0][:, None]
+        else:
+            rank = self._AXIS_RANK[np.asarray(order_idx, dtype=np.int64)].T
+        s_xyz, t_xyz = np.stack(self.coords(np.stack((src, dst)))).transpose(1, 0, 2)
+        size = np.asarray(self.dims)[:, None]
+        cnt, sign = self._axis_steps_vec(s_xyz, t_xyz, size)
+        neg = sign < 0
+        # Going down from s, the links used leave s, s - 1, ..., t + 1.
+        lo = np.where(neg, t_xyz + 1, s_xyz)
+        lo[lo == size] = 0
+        # at[a, b]: axis b's coordinate while the route corrects axis a
+        at = np.where(rank[None] < rank[:, None], t_xyz, s_xyz)
+        ring = at[_AXES, _LOWER] + size[_LOWER] * at[_AXES, _UPPER]
+        return ring, lo, cnt, neg
+
+    def ring_link_loads(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        nbytes: np.ndarray,
+        order_idx: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bytes on each directed link when pair ``i`` sends ``nbytes[i]``.
+
+        Returns ``(links, loads)``: the loaded link ids, ascending, and
+        their byte totals -- the per-link sums of routing every pair
+        (:meth:`route_ordered`), with no hop materialised.  One
+        ``bincount`` puts ``+bytes`` at each interval's first position and
+        ``-bytes`` one past its last (an interval past the ring's end
+        splits in two) into one ``(direction, ring, size + 1)`` block per
+        axis; a prefix sum along each ring, written straight into the
+        link-id layout, turns the blocks into loads.  Routing as in
+        :meth:`_ring_intervals`.
+
+        Byte counts are integer-valued, so every partial sum is an exact
+        integer and each load equals any other summation of the same
+        bytes bit for bit; with positive byte counts a link is returned
+        exactly when some route crosses it.
+        """
+        ring, lo, cnt, neg = self._ring_intervals(src, dst, order_idx)
+        size = np.asarray(self.dims)[:, None]
+        nrings = self.nnodes // size
+        block = 2 * nrings * (size + 1)
+        start = np.cumsum(block) - block[:, 0]
+        row = (neg * nrings + ring) * (size + 1) + start[:, None]
+        end = lo + cnt
+        wrap = end > size
+        weight = np.broadcast_to(np.asarray(nbytes, dtype=np.float64), ring.shape)
+        diff = np.bincount(
+            np.concatenate(
+                (
+                    (row + lo).ravel(),
+                    (row + np.minimum(end, size)).ravel(),
+                    row[wrap],
+                    (row + end - size)[wrap],
+                )
+            ),
+            weights=np.concatenate(
+                (weight.ravel(), -weight.ravel(), weight[wrap], -weight[wrap])
+            ),
+            minlength=int(block.sum()),
+        )
+        dx, dy, dz = self.dims
+        out = np.empty((dz, dy, dx, 6), dtype=np.float64)
+        for axis in range(3):
+            ring_size = self.dims[axis]
+            rings = diff[start[axis] : start[axis] + block[axis, 0]].reshape(
+                2, self.dims[_UPPER[axis]], self.dims[_LOWER[axis]], ring_size + 1
+            )
+            np.cumsum(
+                rings[..., :ring_size].transpose(_RING_TO_LINK_AXES[axis]),
+                axis=2 - axis,
+                out=out[..., 2 * axis : 2 * axis + 2],
+            )
+        flat = out.reshape(-1)
+        links = np.flatnonzero(flat != 0.0)
+        return links, flat[links]
+
+    def ring_crossings(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        link: int,
+        order_idx: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Boolean mask of the pairs whose route crosses directed ``link``.
+
+        Pair ``i`` crosses ``link = node * 6 + 2 * a + d`` exactly when its
+        ``a`` segment runs in direction ``d`` on ``node``'s ring and
+        contains ``node``'s position ``p``: ``(p - lo) mod size < cnt``.
+        Routing as in :meth:`_ring_intervals`.
+        """
+        if not 0 <= link < self.nlinks:
+            raise ValueError(f"link {link} outside [0, {self.nlinks})")
+        node, code = divmod(int(link), 6)
+        axis, down = divmod(code, 2)
+        here = [int(v) for v in self.coords(np.asarray(node))]
+        lower, upper = _LOWER[axis], _UPPER[axis]
+        ring, lo, cnt, neg = self._ring_intervals(src, dst, order_idx)
+        return (
+            (neg[axis] == bool(down))
+            & (ring[axis] == here[lower] + self.dims[lower] * here[upper])
+            & ((here[axis] - lo[axis]) % self.dims[axis] < cnt[axis])
+        )
 
     def route_ordered(
         self, src: int, dst: int, order: tuple[int, int, int]

@@ -7,6 +7,7 @@ an unmodified re-run must exit zero.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,34 @@ class TestLoadBenchJson:
         bad["phases"]["p"] = {"mean_s": 0.1}
         with pytest.raises(ValueError, match="median_s"):
             compare_bench(good, bad)
+
+
+class TestScaleTablesQuoteTheirJson:
+    """Every median a scale table of ``docs/performance.md`` quotes is the
+    committed bench JSON the table names, rounded as printed."""
+
+    TABLE = re.compile(
+        r"Medians from the\s+committed\s+`(BENCH_\w+\.json)`.*?\n\n((?:\|[^\n]*\n)+)", re.S
+    )
+
+    def test_quoted_medians_equal_the_committed_json(self):
+        text = (ROOT / "docs" / "performance.md").read_text()
+        tables = self.TABLE.findall(text)
+        assert {name for name, _ in tables} == {
+            "BENCH_scale_baseline.json",
+            "BENCH_scale_full.json",
+        }
+        for name, table in tables:
+            phases = load_bench_json(ROOT / name)["phases"]
+            rows = [line.split("|")[1:-1] for line in table.splitlines()[2:]]
+            assert rows, name
+            for cells in rows:
+                phase = cells[0].strip().strip("`")
+                quoted = re.match(r"\s*(\d+(?:\.(\d+))?)", cells[-1])
+                assert quoted, (name, phase, cells[-1])
+                decimals = len(quoted.group(2) or "")
+                median_ms = phases[phase]["median_s"] * 1e3
+                assert f"{median_ms:.{decimals}f}" == quoted.group(1), (name, phase)
 
 
 class TestFormatComparison:

@@ -240,22 +240,25 @@ class TestProcessorReallocator:
 
 
 class TestRouteOnce:
-    """Candidate costing routes nothing; the executed plan routes each
-    retained nest with messages exactly once."""
+    """Candidate costing prices nothing; the executed plan prices each
+    retained nest with messages exactly once, from ring intervals, and
+    a torus plan routes nothing."""
 
     def test_routes_csr_calls_per_point(self, predictor, monkeypatch):
         from repro.experiments import synthetic_workload
         from repro.mpisim import NetworkSimulator
         from repro.sanitize import NULL_SANITIZER, use_sanitizer
-        from repro.topology import MACHINES
+        from repro.topology import MACHINES, Torus3D
 
         machine = MACHINES["bgl-256"]
         cost = CostModel.for_machine(machine)
         dyn = DynamicStrategy(machine, cost, predictor)
         realloc = ProcessorReallocator(machine, dyn, predictor, cost)
         built: list[NetworkSimulator] = []
+        priced: list[int] = []
         routed: list[int] = []
         init, routes_csr = NetworkSimulator.__init__, NetworkSimulator.routes_csr
+        ring_link_loads = Torus3D.ring_link_loads
 
         def counting_init(self, *args, **kwargs):
             built.append(self)
@@ -265,26 +268,32 @@ class TestRouteOnce:
             routed.append(len(messages))
             return routes_csr(self, messages)
 
+        def counting_loads(self, src, dst, nbytes, order_idx=None):
+            priced.append(len(src))
+            return ring_link_loads(self, src, dst, nbytes, order_idx)
+
         monkeypatch.setattr(NetworkSimulator, "__init__", counting_init)
         monkeypatch.setattr(NetworkSimulator, "routes_csr", counting_routes)
+        monkeypatch.setattr(Torus3D, "ring_link_loads", counting_loads)
         moved = 0
-        with use_sanitizer(NULL_SANITIZER):  # its rebuild check routes
+        with use_sanitizer(NULL_SANITIZER):  # its rebuild check prices again
             for nests in synthetic_workload(seed=3, n_steps=8).steps:
                 old = realloc.allocation
                 weights = predictor.weights(nests, realloc.grid.nprocs)
                 dyn.reallocate(old, weights, realloc.grid, nest_sizes=dict(nests))
-                assert built == [] and routed == []  # choosing routes nothing
+                assert built == [] and priced == []  # choosing prices nothing
                 result = realloc.step(nests)
                 nonempty = [
                     m for m in (result.plan.moves if result.plan else [])
                     if len(m.messages)
                 ]
                 assert built == []
-                assert len(routed) == len(nonempty)
-                assert all(n > 0 for n in routed)
+                assert len(priced) == len(nonempty)
+                assert all(n > 0 for n in priced)
                 moved += len(nonempty)
-                routed.clear()
+                priced.clear()
         assert moved > 0
+        assert routed == []
 
 
 class TestMetrics:

@@ -47,10 +47,11 @@ from repro.faults import (
     tree_to_obj,
 )
 from repro.grid import ProcessorGrid
+from repro.mpisim import CostModel, NetworkSimulator
 from repro.mpisim.ledger import CommLedger
 from repro.obs import AuditTrail, FlightRecorder, use_recorder
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
-from repro.topology import fist_cluster
+from repro.topology import blue_gene_l, fist_cluster
 from repro.util.rng import make_rng
 
 _PREDICTOR = ExecTimePredictor(ProfileTable(ExecutionOracle()))
@@ -633,6 +634,25 @@ class TestFaultInjector:
         assert damaged[0] is None
         assert not np.isfinite(damaged[1].qcloud).all()
         assert damaged[2] is files[2]
+
+    @pytest.mark.parametrize("link", [-1, 6 * 256, 10**9])
+    def test_link_outside_the_machine_is_rejected(self, link):
+        machine = blue_gene_l(256)  # 1 536 directed links
+        sim = NetworkSimulator(machine.mapping, CostModel.for_machine(machine))
+        with pytest.raises(ValueError, match=r"outside \[0, 1536\)"):
+            sim.set_link_fault(link, 0.5)
+        assert sim.link_faults == {}
+        if link < 0:  # a plan cannot name a negative link
+            return
+        inj = FaultInjector(FaultPlan((LinkFault(0, link, 0.5),)), simulator=sim)
+        flight = FlightRecorder()
+        with use_recorder(flight), pytest.raises(ValueError, match="outside"):
+            inj.apply_step(0)
+        assert sim.link_faults == {}
+        assert inj.applied == []
+        assert not [e for e in flight.events() if e.kind == "fault.inject"]
+        sim.set_link_fault(6 * 256 - 1, 0.5)  # the last link is the machine's
+        assert sim.link_faults == {6 * 256 - 1: 0.5}
 
 
 class TestSoak:

@@ -50,11 +50,23 @@ from repro.grid.overlap import _transfer_matrix_reference, transfer_matrix
 from repro.mpisim import CostModel, MessageSet, NetworkSimulator, SimComm
 from repro.mpisim.netsim import LinkLoadState
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
-from repro.topology import MACHINES
+from repro.topology import MACHINES, Mesh3D, RandomMapping, Torus3D, blue_gene_l
 from repro.tree import build_huffman
 from repro.util.rng import make_rng
 
 MACHINE_NAMES = ("bgl-256", "fist-256")  # one torus, one switched network
+#: every shape the link accounting prices: the BG/L tori from 64 to 4096
+#: ranks, odd and degenerate tori and meshes under seeded permutation
+#: mappings, and the switched network
+WIRES = {
+    "bgl-64": blue_gene_l(64).mapping,
+    **{name: MACHINES[name].mapping for name in ("bgl-256", "bgl-1024", "bgl-4096")},
+    "fist-256": MACHINES["fist-256"].mapping,
+    "torus-3x5x7": RandomMapping(Torus3D((3, 5, 7)), seed=1),
+    "torus-2x1x3": RandomMapping(Torus3D((2, 1, 3)), seed=2),
+    "mesh-4x3x5": RandomMapping(Mesh3D((4, 3, 5)), seed=3),
+    "mesh-8x1x1": RandomMapping(Mesh3D((8, 1, 1)), seed=4),
+}
 GRID = ProcessorGrid(16, 16)  # matches the 256-rank machines
 PREDICTOR = ExecTimePredictor(ProfileTable(ExecutionOracle()))
 
@@ -92,12 +104,17 @@ class ReferenceLinkState(LinkLoadState):
         return link, load, self._busiest_contributions_reference(link)
 
 
+def sim_pair(mapping, adaptive):
+    topology = mapping.topology
+    cost = CostModel(alpha=topology.link_latency, beta=1.0 / topology.link_bandwidth)
+    vec = NetworkSimulator(mapping, cost, adaptive_routing=adaptive)
+    ref = ReferenceSimulator(mapping, cost, adaptive_routing=adaptive)
+    return vec, ref
+
+
 def make_sim_pair(name, adaptive):
     machine = MACHINES[name]
-    cost = CostModel.for_machine(machine)
-    vec = NetworkSimulator(machine.mapping, cost, adaptive_routing=adaptive)
-    ref = ReferenceSimulator(machine.mapping, cost, adaptive_routing=adaptive)
-    return machine, vec, ref
+    return (machine, *sim_pair(machine.mapping, adaptive))
 
 
 def draw_messages(data, nranks, min_n=0, max_n=60):
@@ -134,12 +151,13 @@ class TestNetsimEquivalence:
     float64, so per-link sums match in any accumulation order."""
 
     @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_link_accounting_matches_reference(self, data):
-        name = data.draw(st.sampled_from(MACHINE_NAMES), label="machine")
+        name = data.draw(st.sampled_from(sorted(WIRES)), label="wire")
         adaptive = data.draw(st.booleans(), label="adaptive")
-        machine, vec, ref = make_sim_pair(name, adaptive)
-        msgs = draw_messages(data, machine.mapping.nranks, min_n=1)
+        mapping = WIRES[name]
+        vec, ref = sim_pair(mapping, adaptive)
+        msgs = draw_messages(data, mapping.nranks, min_n=1)
 
         # Random fault masks: degraded links (drawn from links actually
         # used) and straggler ranks, mirrored into both simulators.
@@ -154,7 +172,7 @@ class TestNetsimEquivalence:
                 ref.set_link_fault(link, 0.5)
         slow = data.draw(
             st.lists(
-                st.integers(0, machine.mapping.nranks - 1),
+                st.integers(0, mapping.nranks - 1),
                 max_size=3,
                 unique=True,
             ),
@@ -170,6 +188,24 @@ class TestNetsimEquivalence:
         )
         assert vec.bottleneck_time(msgs) == ref.bottleneck_time(msgs)
         assert vec.flow_time(msgs) == ref.flow_time(msgs)
+
+    def test_wrapping_interval_loads_the_links_it_crosses(self):
+        """On an 8-ring, x = 6 -> x = 1 goes up through the wrap: the +x
+        links leaving x = 6, 7 and 0, and nothing else."""
+        topology = Torus3D((8, 1, 1))
+        mapping = RandomMapping(topology, seed=0)
+        rank_of = {int(node): rank for rank, node in enumerate(mapping.table)}
+        msgs = MessageSet(
+            src=np.array([rank_of[6]]), dst=np.array([rank_of[1]]),
+            nbytes=np.array([64.0]),
+        )
+        vec, ref = sim_pair(mapping, adaptive=False)
+        plus_x = {node * 6: 64.0 for node in (6, 7, 0)}
+        assert vec.link_loads(msgs) == ref.link_loads(msgs) == plus_x
+        assert topology.ring_link_loads([6], [1], [64.0])[0].tolist() == [0, 36, 42]
+        for link in range(topology.nlinks):
+            crosses = bool(topology.ring_crossings([6], [1], link)[0])
+            assert crosses is (link in plus_x)
 
     def test_empty_message_set(self):
         for name in MACHINE_NAMES:

@@ -1,5 +1,5 @@
 """Tests for the per-rank communication ledger (``repro.mpisim.ledger``)
-and the route-cache counters / busiest-link breakdown it feeds on.
+and the route counters / busiest-link breakdown it feeds on.
 """
 
 import numpy as np
@@ -202,17 +202,19 @@ class TestBusiestLinkContributions:
 
 class TestRouteCacheCounters:
     """The hit/miss counters keep their cache-era names but count per
-    call: a miss is a unique rank pair the call routed, a hit a further
-    message of a pair that call already routed."""
+    ``routes_csr`` call: a miss is a unique rank pair the call routed, a
+    hit a further message of a pair that call already routed.  A torus
+    prices its link loads from ring intervals and routes nothing, so these
+    drive ``routes_csr`` directly."""
 
     def test_miss_then_hit(self):
         sim, _ = _sim()
         assert sim.route_cache_hits == 0 and sim.route_cache_misses == 0
         msgs = msgset([(0, 9, 10.0), (0, 9, 24.0)])  # one pair, twice
-        sim.bottleneck_time(msgs)
+        sim.routes_csr(msgs)
         assert sim.route_cache_misses == 1
         assert sim.route_cache_hits == 1
-        sim.bottleneck_time(msgs)  # nothing carries over between calls
+        sim.routes_csr(msgs)  # nothing carries over between calls
         assert sim.route_cache_misses == 2
         assert sim.route_cache_hits == 2
 
@@ -223,9 +225,9 @@ class TestRouteCacheCounters:
         msgs = msgset([(0, 9, 10.0), (3, 4, 10.0), (0, 9, 5.0)])
         rec = FlightRecorder()
         with use_recorder(rec):
-            sim.link_loads(msgs)
+            sim.routes_csr(msgs)
             assert (sim.route_cache_misses, sim.route_cache_hits) == (2, 1)
-            sim.link_loads(msgs)
+            sim.routes_csr(msgs)
         assert (sim.route_cache_misses, sim.route_cache_hits) == (4, 2)
         # the recorder's counters mirror the attributes
         assert metrics_snapshot(rec)["counters"] == {

@@ -16,13 +16,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import Allocation
+from repro.core import Allocation, plan_redistribution
 from repro.core.dataplane import RankStore, execute_redistribution, scatter_nest
 from repro.core.redistribution import nest_moves
 from repro.experiments.workloads import synthetic_workload
 from repro.faults import SoakConfig, format_soak_report, run_soak
 from repro.grid import ProcessorGrid
-from repro.mpisim import CostModel
+from repro.mpisim import CostModel, LinkLoadState, NetworkSimulator
 from repro.mpisim.ledger import CommLedger
 from repro.obs import FlightRecorder, use_recorder
 from repro.sanitize import (
@@ -33,7 +33,7 @@ from repro.sanitize import (
     use_sanitizer,
 )
 from repro.sanitize import hooks as sanitize_hooks
-from repro.topology import fist_cluster
+from repro.topology import Torus3D, blue_gene_l, fist_cluster
 from repro.tree import build_huffman
 
 
@@ -159,6 +159,37 @@ class TestCheckpoints:
         # the store still tiles the nest; only the plan check sees the swap
         assert [v.check for v in san.violations] == ["execute.conservation"]
         assert "hold other than the plan sent them" in san.violations[0].message
+
+    def test_link_state_charge_must_carry_the_hop_bytes(self, monkeypatch):
+        machine = blue_gene_l(64)
+        cost = CostModel.for_machine(machine)
+        grid = ProcessorGrid(*machine.grid)
+        weights = [{1: 0.5, 2: 0.5}, {1: 0.75, 2: 0.25}]
+        old, new = (Allocation.from_tree(build_huffman(w), grid, w) for w in weights)
+        sizes = {1: (40, 30), 2: (40, 30)}
+        sim = NetworkSimulator(machine.mapping, cost)
+        ring_link_loads = Torus3D.ring_link_loads
+
+        def drop_one_link(self, src, dst, nbytes, order_idx=None):
+            links, loads = ring_link_loads(self, src, dst, nbytes, order_idx)
+            return links[1:], loads[1:]
+
+        for tampered in (False, True):
+            if tampered:
+                monkeypatch.setattr(Torus3D, "ring_link_loads", drop_one_link)
+            san = Sanitizer()
+            with use_sanitizer(san):
+                plan_redistribution(
+                    old, new, sizes, machine, cost,
+                    simulator=sim, link_state=LinkLoadState(sim),
+                )
+            assert san.ok is not tampered
+            assert san.checks_run["linkstate.conservation"] == 1
+        # increments and rebuild both lost the link and still agree; only
+        # the hop-bytes identity sees the missing bytes
+        assert san.violations
+        assert all(v.check == "linkstate.conservation" for v in san.violations)
+        assert all("hop-bytes" in v.message for v in san.violations)
 
     def test_strict_mode_raises_on_first_violation(self):
         san = Sanitizer(strict=True)
