@@ -3,8 +3,10 @@
 The pipeline mirrors the paper exactly:
 
 1. each simulation rank writes a **split file** with its subdomain's QCLOUD
-   (cloud water mixing ratio) and OLR (outgoing long-wave radiation) fields
-   (:class:`~repro.analysis.records.SplitFile`);
+   (cloud water mixing ratio) and OLR (outgoing long-wave radiation) fields;
+   one step's files travel as one
+   :class:`~repro.analysis.records.SplitBatch` over the step's fields
+   (:class:`~repro.analysis.records.SplitFile` is one file on its own);
 2. ``N`` analysis processes each scan ``k = P/N`` split files, aggregating
    QCLOUD over grid points with ``OLR <= 200`` and computing the fraction of
    such points (**Algorithm 1**, :func:`~repro.analysis.pda.parallel_data_analysis`);
@@ -16,7 +18,7 @@ The pipeline mirrors the paper exactly:
    a nest is spawned (:func:`~repro.analysis.regions.clusters_to_rectangles`).
 """
 
-from repro.analysis.records import SplitFile, SubdomainSummary
+from repro.analysis.records import SplitBatch, SplitFile, SubdomainSummary
 from repro.analysis.nnc import (
     NNCConfig,
     nearest_neighbour_clustering,
@@ -37,6 +39,7 @@ __all__ = [
     "ParallelNNCResult",
     "count_distance_evaluations",
     "parallel_nnc",
+    "SplitBatch",
     "SplitFile",
     "SubdomainSummary",
     "NNCConfig",

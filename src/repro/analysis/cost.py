@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.analysis.parallel_nnc import count_distance_evaluations
 from repro.analysis.pda import PDAConfig, _assign_files
-from repro.analysis.records import SplitFile
+from repro.analysis.records import SplitBatch
 from repro.grid.procgrid import ProcessorGrid
 from repro.util.validation import check_positive
 
@@ -72,7 +72,7 @@ class PDACostProfile:
 
 
 def pda_cost_profile(
-    files: list[SplitFile],
+    batch: SplitBatch,
     sim_grid: ProcessorGrid,
     n_analysis: int,
     config: PDAConfig | None = None,
@@ -80,10 +80,14 @@ def pda_cost_profile(
     """Work profile of one PDA invocation (without re-running the scan)."""
     check_positive("n_analysis", n_analysis)
     config = config or PDAConfig()
-    buckets = _assign_files(files, sim_grid, n_analysis)
-    per_rank_points = [sum(f.qcloud.size for f in bucket) for bucket in buckets]
+    buckets = _assign_files(batch, sim_grid, n_analysis)
+    areas = batch.areas
+    per_rank_points = [int(areas[bucket].sum()) for bucket in buckets]
     summaries = []
-    for f in files:
+    for rank in range(len(batch)):
+        f = batch.file(rank)
+        if f is None:
+            continue
         s = f.summarise(config.olr_threshold)
         if s.olr_fraction > 0:
             summaries.append(s)

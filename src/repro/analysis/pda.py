@@ -11,16 +11,21 @@ The analysis runs on the :class:`~repro.mpisim.comm.SimComm` SPMD harness —
 "the parallel data analysis algorithm is executed simultaneously on a
 different set of processors than the processors running the WRF simulation"
 — so the division of files, the per-rank loop and the root-side gather are
-structured exactly as published.
+structured exactly as published.  The files arrive as one
+:class:`~repro.analysis.records.SplitBatch` over the step's fields: an
+analysis rank's files are an index array of its tiles, the per-tile
+reductions run once for the whole batch, and a
+:class:`~repro.analysis.records.SubdomainSummary` is built only for a tile
+its rank sends to the root.
 
 Degraded mode (:mod:`repro.faults`): a production analysis step must survive
 missing split files (a crashed writer leaves nothing behind), truncated or
-corrupt files (non-finite payloads), and failed analysis ranks.  The entry
-point therefore accepts ``None`` entries in ``files``, detects non-finite
-fields, and skips the buckets of failed :class:`SimComm` ranks; the result
-is flagged ``partial`` with per-cause counts, and the aggregate low-OLR
-fraction is renormalised over the *reporting* subdomain area rather than
-the whole domain, so thresholds stay comparable whatever was lost.
+corrupt files (non-finite payloads), and failed analysis ranks.  The batch
+marks missing tiles, non-finite tiles are detected, and the buckets of
+failed :class:`SimComm` ranks go unread; the result is flagged ``partial``
+with per-cause counts, and the aggregate low-OLR fraction is renormalised
+over the *reporting* subdomain area rather than the whole domain, so
+thresholds stay comparable whatever was lost.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering
-from repro.analysis.records import SplitFile, SubdomainSummary
+from repro.analysis.records import SplitBatch, SubdomainSummary
 from repro.analysis.regions import clusters_to_rectangles
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
@@ -67,7 +72,7 @@ class PDAResult:
     gathered_items: int  # elements gathered at the root
     #: True when any split file or analysis rank failed to report
     partial: bool = False
-    n_files_missing: int = 0  # ``None`` entries (lost / truncated writers)
+    n_files_missing: int = 0  # missing tiles (lost / truncated writers)
     n_files_corrupt: int = 0  # files with non-finite QCLOUD/OLR payloads
     n_ranks_failed: int = 0  # failed analysis ranks (their buckets unread)
     #: reporting subdomain area / full domain area (1.0 when complete, 0.0
@@ -78,99 +83,138 @@ class PDAResult:
 
 
 def _assign_files(
-    files: list[SplitFile | None], sim_grid: ProcessorGrid, n_analysis: int
-) -> list[list[SplitFile]]:
+    batch: SplitBatch, sim_grid: ProcessorGrid, n_analysis: int
+) -> list[np.ndarray]:
     """Divide the P split files among N analysis ranks (Algorithm 1, 1–2).
 
     The subsets are rectangular blocks of the simulation's ``(Px, Py)``
     decomposition: the analysis grid is the most square factorisation of
-    ``N`` and each analysis rank receives a contiguous block of subdomains.
-    Missing files (``None`` entries) are simply absent from every bucket.
-    A file's analysis column is the number of column boundaries at or left
-    of its block, ``(xb[1:] <= block_x).sum()``, found for every file by one
-    ``searchsorted`` (likewise for rows).
+    ``N`` and each analysis rank receives a contiguous block of subdomains,
+    as an index array of its tiles in rank order.  Missing tiles are absent
+    from every bucket.  A tile's analysis column is the number of column
+    boundaries at or left of its block, ``(xb[1:] <= block_x).sum()``, found
+    for every column by one ``searchsorted`` (likewise for rows).
     """
     ag = ProcessorGrid.square_like(n_analysis)
     xb = split_evenly(sim_grid.px, ag.px)
     yb = split_evenly(sim_grid.py, ag.py)
-    present = [f for f in files if f is not None]
-    bx = np.fromiter((f.block_x for f in present), np.int64, len(present))
-    by = np.fromiter((f.block_y for f in present), np.int64, len(present))
-    ax = np.searchsorted(xb[1:], bx, side="right")
-    ay = np.searchsorted(yb[1:], by, side="right")
-    buckets: list[list[SplitFile]] = [[] for _ in range(n_analysis)]
-    for f, owner in zip(present, (ay * ag.px + ax).tolist()):
-        buckets[owner].append(f)
-    return buckets
+    ax = np.searchsorted(xb[1:], np.arange(sim_grid.px), side="right")
+    ay = np.searchsorted(yb[1:], np.arange(sim_grid.py), side="right")
+    present = np.flatnonzero(~batch.missing)
+    owner = (ay[:, None] * ag.px + ax[None, :]).ravel()[present]
+    order = np.argsort(owner, kind="stable")
+    cuts = np.searchsorted(owner[order], np.arange(1, n_analysis))
+    return np.split(present[order], cuts)
+
+
+def _runs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Maximal runs ``[i, j)`` of consecutive tiles of one size on an axis."""
+    runs: list[tuple[int, int]] = []
+    start = 0
+    for i in range(1, len(bounds)):
+        if i == len(bounds) - 1 or (
+            bounds[i + 1] - bounds[i] != bounds[start + 1] - bounds[start]
+        ):
+            runs.append((start, i))
+            start = i
+    return runs
 
 
 def aggregate_summaries(
-    files: list[SplitFile],
+    batch: SplitBatch,
     olr_threshold: float,
-) -> list[tuple[bool, SubdomainSummary | None]]:
-    """Corruption flag + summary for many split files at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corruption flag, aggregated QCLOUD and low-OLR count of every tile.
 
-    Returns one ``(corrupt, summary)`` per input file, aligned with
-    ``files``; corrupt files (non-finite QCLOUD/OLR — a truncated or
-    garbled payload) carry ``None``.  Same-shape tiles are stacked and the
-    whole batch reduces with masked array ops.  Against the file-by-file
-    oracle :func:`aggregate_summaries_reference`, the integer-derived
-    fields (``olr_fraction``, corruption flags) are bit-identical; the
-    ``qcloud`` float aggregate may differ in the last ulp because batched
-    reductions sum in a different order (see ``docs/performance.md``).
+    Returns three arrays in rank order: ``corrupt`` (non-finite QCLOUD/OLR
+    — a truncated or garbled payload), ``qcloud`` (the sum of QCLOUD where
+    ``OLR <= olr_threshold``) and ``count`` (how many points that is).
+    Missing and corrupt tiles read ``0.0`` and ``0``; only corrupt ones are
+    flagged.  The threshold and the masked QCLOUD are applied once over
+    the whole field; the tiles are then grouped into rectangles of one tile
+    shape (runs of equal width by runs of equal height), and each group is
+    cut by one reshape/transpose copy into a contiguous ``(n, h, w)``
+    stack, so every tile's ``qcloud`` is summed in the order of its own
+    contiguous copy.  Against the file-by-file oracle
+    :func:`aggregate_summaries_reference`, ``corrupt`` and ``count`` are
+    identical; ``qcloud`` may differ in the last ulp because the oracle
+    sums a boolean-indexed copy (see ``docs/performance.md``).
+
+    Validation: the batch validated its fields, bounds and damaged tiles
+    when it was built; any threshold is meaningful.
     """
-    with get_recorder().span("analysis.aggregate", n_files=len(files)):
-        results: list[tuple[bool, SubdomainSummary | None]] = [
-            (True, None)
-        ] * len(files)
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, f in enumerate(files):
-            by_shape.setdefault(f.qcloud.shape, []).append(i)
-        for shape, idxs in by_shape.items():
-            # (n, h, w) stacks, each built by one concatenate along the rows
-            n = len(idxs)
-            q = np.concatenate([files[i].qcloud for i in idxs]).reshape(n, *shape)
-            o = np.concatenate([files[i].olr for i in idxs]).reshape(n, *shape)
-            finite = np.isfinite(q).all(axis=(1, 2)) & np.isfinite(o).all(
-                axis=(1, 2)
-            )
-            mask = o <= olr_threshold
-            counts = mask.sum(axis=(1, 2)).tolist()
-            qsum = np.where(mask, q, 0.0).sum(axis=(1, 2)).tolist()
-            area = shape[0] * shape[1]
-            for i, ok, qs, count in zip(idxs, finite.tolist(), qsum, counts):
-                if not ok:
-                    continue  # stays (True, None)
-                f = files[i]
-                results[i] = (
-                    False,
-                    SubdomainSummary(
-                        file_index=f.file_index,
-                        block_x=f.block_x,
-                        block_y=f.block_y,
-                        extent=f.extent,
-                        qcloud=qs,
-                        olr_fraction=count / area if area else 0.0,
-                    ),
-                )
-        return results
+    with get_recorder().span("analysis.aggregate", n_files=len(batch)):
+        mask = batch.olr <= olr_threshold
+        low = np.zeros_like(batch.qcloud)  # np.where(mask, qcloud, 0.0)
+        np.copyto(low, batch.qcloud, where=mask)
+        finite = None
+        # a sum is finite only when every term is (overflow just takes the
+        # exact per-tile path below)
+        if not np.isfinite(batch.qcloud.sum() + batch.olr.sum()):
+            finite = np.isfinite(batch.qcloud) & np.isfinite(batch.olr)
+        n = len(batch)
+        corrupt = np.zeros(n, dtype=bool)
+        qcloud = np.empty(n)
+        count = np.empty(n, dtype=np.int64)
+        xb, yb, px = batch.x_bounds, batch.y_bounds, batch.px
+        for y0, y1 in _runs(yb):
+            h = yb[y0 + 1] - yb[y0]
+            for x0, x1 in _runs(xb):
+                w = xb[x0 + 1] - xb[x0]
+                ranks = (
+                    np.arange(y0, y1)[:, None] * px + np.arange(x0, x1)
+                ).ravel()
+                window = (slice(yb[y0], yb[y1]), slice(xb[x0], xb[x1]))
+                grid = (y1 - y0, h, x1 - x0, w)
+                stack = low[window].reshape(grid).transpose(0, 2, 1, 3)
+                qcloud[ranks] = stack.reshape(-1, h, w).sum(axis=(1, 2))
+                rows = mask[window].reshape(grid).sum(axis=1, dtype=np.int64)
+                count[ranks] = rows.sum(axis=2).ravel()
+                if finite is not None:
+                    tiles_ok = finite[window].reshape(grid).all(axis=(1, 3))
+                    corrupt[ranks] = ~tiles_ok.ravel()
+        for rank, (q, o) in batch.damaged.items():
+            tile_mask = o <= olr_threshold
+            qcloud[rank] = np.where(tile_mask, q, 0.0).sum()
+            count[rank] = np.count_nonzero(tile_mask)
+            corrupt[rank] = not (np.isfinite(q).all() and np.isfinite(o).all())
+        corrupt &= ~batch.missing
+        void = corrupt | batch.missing
+        qcloud[void] = 0.0
+        count[void] = 0
+        return corrupt, qcloud, count
 
 
 def aggregate_summaries_reference(
-    files: list[SplitFile],
+    batch: SplitBatch,
     olr_threshold: float,
-) -> list[tuple[bool, SubdomainSummary | None]]:
-    """File-by-file scalar oracle of :func:`aggregate_summaries` (tests only)."""
-    return [
-        (False, f.summarise(olr_threshold))
-        if np.isfinite(f.qcloud).all() and np.isfinite(f.olr).all()
-        else (True, None)
-        for f in files
-    ]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """File-by-file scalar oracle of :func:`aggregate_summaries` (tests only).
+
+    Each present tile is cut into its own :class:`SplitFile` and
+    summarised by :meth:`SplitFile.summarise`.
+
+    Validation: as :func:`aggregate_summaries`.
+    """
+    n = len(batch)
+    corrupt = np.zeros(n, dtype=bool)
+    qcloud = np.zeros(n)
+    count = np.zeros(n, dtype=np.int64)
+    for rank in range(n):
+        f = batch.file(rank)
+        if f is None:
+            continue
+        if not (np.isfinite(f.qcloud).all() and np.isfinite(f.olr).all()):
+            corrupt[rank] = True
+            continue
+        summary = f.summarise(olr_threshold)
+        qcloud[rank] = summary.qcloud
+        count[rank] = round(summary.olr_fraction * f.extent.area)
+    return corrupt, qcloud, count
 
 
 def parallel_data_analysis(
-    files: list[SplitFile | None],
+    batch: SplitBatch,
     sim_grid: ProcessorGrid,
     n_analysis: int,
     config: PDAConfig | None = None,
@@ -180,13 +224,14 @@ def parallel_data_analysis(
 
     Parameters
     ----------
-    files:
-        The ``P`` split files written by the simulation ranks.  ``None``
-        entries mark files that never arrived (crashed or truncated
-        writers); they are counted and the result is flagged partial.
+    batch:
+        The ``P`` split files written by the simulation ranks.  Tiles
+        marked missing never arrived (crashed or truncated writers); they
+        are counted and the result is flagged partial.
     sim_grid:
         The simulation's ``(Px, Py)`` process decomposition (for the
-        rectangular division of files among analysis ranks).
+        rectangular division of files among analysis ranks); the batch
+        must hold one tile per simulation rank.
     n_analysis:
         ``N``, the number of analysis processes.
     config:
@@ -196,18 +241,18 @@ def parallel_data_analysis(
         omitted); its statistics account the root gather, and its failed
         ranks' buckets go unread (degraded mode).
 
-    Every present file is summarised once, in one batched pass
+    Every tile is reduced once, in one batched pass
     (:func:`aggregate_summaries`), shared by the per-rank analysis and the
     degraded-mode renormalisation.
     """
-    if len(files) != sim_grid.nprocs:
+    if (batch.px, batch.py) != (sim_grid.px, sim_grid.py):
         raise ValueError(
             f"expected one split file per simulation rank "
-            f"({sim_grid.nprocs}), got {len(files)}"
+            f"({sim_grid.px}x{sim_grid.py}), got {batch.px}x{batch.py} tiles"
         )
-    if not 1 <= n_analysis <= len(files):
+    if not 1 <= n_analysis <= len(batch):
         raise ValueError(
-            f"n_analysis must be in [1, {len(files)}], got {n_analysis}"
+            f"n_analysis must be in [1, {len(batch)}], got {n_analysis}"
         )
     config = config or PDAConfig()
     comm = comm or SimComm(n_analysis)
@@ -217,34 +262,40 @@ def parallel_data_analysis(
         )
 
     with get_recorder().span(
-        "analysis.pda", n_files=len(files), n_analysis=n_analysis
+        "analysis.pda", n_files=len(batch), n_analysis=n_analysis
     ):
-        n_missing = sum(1 for f in files if f is None)
-        buckets = _assign_files(files, sim_grid, n_analysis)
+        n_missing = int(np.count_nonzero(batch.missing))
+        buckets = _assign_files(batch, sim_grid, n_analysis)
+        corrupt, qcloud, count = aggregate_summaries(batch, config.olr_threshold)
+        areas = batch.areas
+        reports = count > 0  # zero for missing and corrupt tiles
+        any_corrupt = bool(corrupt.any())
+        qcloud_of, count_of, area_of = qcloud.tolist(), count.tolist(), areas.tolist()
         corrupt_count = [0]  # mutated by the per-rank closure
-        present = [f for f in files if f is not None]
-        info = {
-            id(f): cs
-            for f, cs in zip(
-                present, aggregate_summaries(present, config.olr_threshold)
-            )
-        }
 
         # Per-rank analysis (Algorithm 1, lines 3–9).  An analysis rank only
         # reports subdomains containing any low-OLR area — "some of the split
         # files may not have regions with OLR <= 200, in which case the
         # process owning these split files will send fewer than k values" —
-        # and skips corrupt files, counting them for the partial flag.
+        # and skips corrupt files, counting them for the partial flag.  A
+        # summary is built only for a tile the rank sends.
         def analyse(rank: int) -> list[SubdomainSummary]:
+            mine = buckets[rank]
+            if any_corrupt:
+                corrupt_count[0] += int(np.count_nonzero(corrupt[mine]))
             out = []
-            for f in buckets[rank]:
-                corrupt, summary = info[id(f)]
-                if corrupt:
-                    corrupt_count[0] += 1
-                    continue
-                assert summary is not None
-                if summary.olr_fraction > 0:
-                    out.append(summary)
+            for t in mine[reports[mine]].tolist():
+                by, bx = divmod(t, batch.px)
+                out.append(
+                    SubdomainSummary(
+                        file_index=t,
+                        block_x=bx,
+                        block_y=by,
+                        extent=batch.extent(t),
+                        qcloud=qcloud_of[t],
+                        olr_fraction=count_of[t] / area_of[t],
+                    )
+                )
             return out
 
         per_rank = comm.run(analyse)
@@ -253,28 +304,20 @@ def parallel_data_analysis(
         # Renormalise over reporting ranks: the low-OLR fraction a complete
         # analysis would divide by the whole domain is instead divided by
         # the area that actually reported, so it stays a comparable fraction.
-        reporting_area = 0
-        weighted_low_olr = 0.0
-        for rank, bucket in enumerate(buckets):
-            if not comm.alive(rank):
-                continue
-            for f in bucket:
-                corrupt, summary = info[id(f)]
-                if corrupt:
-                    continue
-                assert summary is not None
-                reporting_area += f.extent.area
-                weighted_low_olr += summary.olr_fraction * f.extent.area
+        # The weighted sum is one left fold in (rank, bucket) order.
+        alive = [mine for rank, mine in enumerate(buckets) if comm.alive(rank)]
+        seen = np.concatenate(alive) if alive else np.zeros(0, dtype=np.int64)
+        seen = seen[~corrupt[seen]]
+        seen_area = areas[seen]
+        reporting_area = int(seen_area.sum())
+        weighted = np.cumsum(count[seen] / seen_area * seen_area)
+        weighted_low_olr = float(weighted[-1]) if len(weighted) else 0.0
         low_olr = weighted_low_olr / reporting_area if reporting_area else 0.0
 
         n_failed = len(comm.failed_ranks)
         n_corrupt = corrupt_count[0]
         partial = bool(n_missing or n_corrupt or n_failed)
-        full_area = _full_domain_area(files)
-        if full_area:
-            coverage = reporting_area / full_area
-        else:  # every file lost (or every tile empty): none unless complete
-            coverage = 0.0 if partial else 1.0
+        coverage = reporting_area / batch.qcloud.size
 
         # Root gather (line 11) + sort (line 13) + NNC (line 14) + rectangles.
         gathered = comm.gather(per_rank, root=0)
@@ -306,18 +349,3 @@ def parallel_data_analysis(
         if sanitizer.enabled:
             sanitizer.after_pda(result)
         return result
-
-
-def _full_domain_area(files: list[SplitFile | None]) -> float:
-    """Total subdomain area including an estimate for missing files.
-
-    Present files report their exact extents; a missing file's extent is
-    unknown, so it is approximated by the mean extent of the present ones
-    (exact when the decomposition is even, close otherwise).
-    """
-    present = [f.extent.area for f in files if f is not None]
-    if not present:
-        return 0.0
-    mean_area = sum(present) / len(present)
-    n_missing = len(files) - len(present)
-    return float(sum(present) + mean_area * n_missing)

@@ -1,10 +1,18 @@
 """Data records flowing through the analysis pipeline.
 
-:class:`SplitFile` models one rank's simulation output file (the paper's
-``F_1 .. F_P``): the rank's QCLOUD/OLR subarrays plus where the subdomain
-sits, both as a block index in the simulation's process decomposition (used
-for the hop-distance proximity of Algorithm 2) and as a grid-point extent in
-parent-domain coordinates (used to build nest rectangles).
+:class:`SplitBatch` is one analysis step's split files (the paper's
+``F_1 .. F_P``) held as the step's full-domain QCLOUD/OLR pair plus the
+fixed tile bounds of the simulation's ``Px x Py`` decomposition: simulation
+rank ``by * Px + bx`` wrote tile ``(bx, by)``.  A tile whose file never
+arrived is marked missing; a damaged tile carries a private copy of its
+arrays that stands in for its view of the fields.
+
+:class:`SplitFile` models one rank's file on its own: the rank's QCLOUD/OLR
+subarrays plus where the subdomain sits, both as a block index in the
+simulation's process decomposition (used for the hop-distance proximity of
+Algorithm 2) and as a grid-point extent in parent-domain coordinates (used
+to build nest rectangles).  Only the disk writer and the scalar oracles
+build them, through :meth:`SplitBatch.file`.
 
 :class:`SubdomainSummary` is one element of the paper's ``qcloudinfo``: the
 aggregated QCLOUD of a split file plus the fraction of its area with
@@ -13,13 +21,114 @@ aggregated QCLOUD of a split file plus the fraction of its area with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.grid.rect import Rect
+from repro.util.validation import check_in_range
 
-__all__ = ["SplitFile", "SubdomainSummary"]
+__all__ = ["SplitBatch", "SplitFile", "SubdomainSummary"]
+
+
+def _check_bounds(name: str, bounds: tuple[int, ...]) -> None:
+    if len(bounds) < 2 or bounds[0] != 0:
+        raise ValueError(f"{name} must start at 0 and hold one tile: {bounds}")
+    if any(hi <= lo for lo, hi in zip(bounds, bounds[1:])):
+        raise ValueError(f"{name} must strictly increase: {bounds}")
+
+
+@dataclass(frozen=True, eq=False)
+class SplitBatch:
+    """One analysis step's split files over the step's shared fields.
+
+    ``qcloud``/``olr`` are the model's read-only ``(ny, nx)`` fields, never
+    copied.  Tile ``rank = by * px + bx`` covers parent grid points
+    ``[x_bounds[bx], x_bounds[bx + 1]) x [y_bounds[by], y_bounds[by + 1])``.
+    ``missing[rank]`` marks a file that never arrived (a crashed or
+    truncated writer); ``damaged[rank]`` is a private ``(qcloud, olr)``
+    copy of a tile that stands in for its view (a corrupt payload).
+    """
+
+    qcloud: np.ndarray
+    olr: np.ndarray
+    x_bounds: tuple[int, ...]
+    y_bounds: tuple[int, ...]
+    missing: np.ndarray  # (px * py,) bool, in rank order
+    damaged: Mapping[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        _check_bounds("x_bounds", self.x_bounds)
+        _check_bounds("y_bounds", self.y_bounds)
+        shape = (self.y_bounds[-1], self.x_bounds[-1])
+        if self.qcloud.shape != shape or self.olr.shape != shape:
+            raise ValueError(
+                f"field shapes {self.qcloud.shape}/{self.olr.shape} do not "
+                f"match the tile bounds' domain {shape}"
+            )
+        if self.missing.dtype != np.bool_ or self.missing.shape != (len(self),):
+            raise ValueError(
+                f"missing must hold one bool per tile ({len(self)}), got "
+                f"{self.missing.dtype} {self.missing.shape}"
+            )
+        for rank, (q, o) in self.damaged.items():
+            extent = self.extent(rank)
+            expected = (extent.h, extent.w)
+            if q.shape != expected or o.shape != expected:
+                raise ValueError(
+                    f"damaged tile {rank} shapes {q.shape}/{o.shape} do not "
+                    f"match its tile {expected}"
+                )
+
+    @property
+    def px(self) -> int:
+        """Tile columns (the simulation decomposition's ``Px``)."""
+        return len(self.x_bounds) - 1
+
+    @property
+    def py(self) -> int:
+        """Tile rows (the simulation decomposition's ``Py``)."""
+        return len(self.y_bounds) - 1
+
+    def __len__(self) -> int:
+        """``P``, the number of tiles (files), missing ones included."""
+        return self.px * self.py
+
+    @property
+    def areas(self) -> np.ndarray:
+        """Grid points per tile, in rank order."""
+        return np.outer(np.diff(self.y_bounds), np.diff(self.x_bounds)).ravel()
+
+    def extent(self, rank: int) -> Rect:
+        """Tile ``rank``'s grid-point extent in parent-domain coordinates."""
+        check_in_range("rank", rank, 0, len(self) - 1)
+        by, bx = divmod(rank, self.px)
+        xb, yb = self.x_bounds, self.y_bounds
+        return Rect(xb[bx], yb[by], xb[bx + 1] - xb[bx], yb[by + 1] - yb[by])
+
+    def tile_fields(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tile ``rank``'s ``(qcloud, olr)``: its damaged copy, else views.
+
+        Validation: a damaged rank was checked when the batch was built, and
+        :meth:`extent` checks any other.
+        """
+        if rank in self.damaged:
+            return self.damaged[rank]
+        e = self.extent(rank)
+        window = (slice(e.y0, e.y1), slice(e.x0, e.x1))
+        return self.qcloud[window], self.olr[window]
+
+    def file(self, rank: int) -> SplitFile | None:
+        """Tile ``rank`` as its own :class:`SplitFile` (``None`` if missing)."""
+        check_in_range("rank", rank, 0, len(self) - 1)
+        if self.missing[rank]:
+            return None
+        by, bx = divmod(rank, self.px)
+        qcloud, olr = self.tile_fields(rank)
+        return SplitFile(rank, bx, by, self.extent(rank), qcloud, olr)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.analysis.records import SplitFile
+from repro.analysis.records import SplitBatch
 from repro.faults.plan import (
     FaultPlan,
     LinkFault,
@@ -107,39 +107,38 @@ class FaultInjector:
             f.rank for f in self.plan.at_step(step) if isinstance(f, RankCrash)
         )
 
-    def damage_files(
-        self, step: int, files: list[SplitFile | None]
-    ) -> list[SplitFile | None]:
-        """Apply this step's split-file faults to a PDA input list.
+    def damage_files(self, step: int, batch: SplitBatch) -> SplitBatch:
+        """Apply this step's split-file faults to a PDA input batch.
 
-        Truncation replaces the entry with ``None`` (the file never made it
-        to disk); corruption poisons the QCLOUD payload with NaNs, which
-        PDA's finiteness check must catch.  Out-of-range file indices are
-        ignored — a plan written for a larger grid degrades gracefully.
+        Returns a new batch; ``batch`` and the fields it shares are never
+        written.  Truncation marks the tile missing (the file never made it
+        to disk); corruption gives the tile a private copy whose QCLOUD is
+        poisoned with a NaN, which PDA's finiteness check must catch.
+        Out-of-range file indices are ignored — a plan written for a larger
+        grid degrades gracefully.
         """
         flight = get_recorder()
-        damaged = list(files)
+        missing = batch.missing.copy()
+        damaged = dict(batch.damaged)
         for fault in self.plan.at_step(step):
             if not isinstance(fault, SplitFileFault):
                 continue
-            if fault.file_index >= len(damaged):
-                continue
-            victim = damaged[fault.file_index]
-            if victim is None:
+            rank = fault.file_index
+            if rank >= len(batch) or missing[rank]:
                 continue
             if fault.mode == "truncate":
-                damaged[fault.file_index] = None
+                missing[rank] = True
+                damaged.pop(rank, None)
             else:
-                poisoned = victim.qcloud.copy()
+                qcloud, olr = damaged.get(rank, batch.tile_fields(rank))
+                poisoned = qcloud.copy()
                 poisoned[0, 0] = np.nan
-                damaged[fault.file_index] = dataclasses.replace(
-                    victim, qcloud=poisoned
-                )
+                damaged[rank] = (poisoned, olr.copy())
             flight.emit(
                 "fault.inject",
                 step=step,
                 fault=f"split_file_{fault.mode}",
-                file_index=fault.file_index,
+                file_index=rank,
             )
             self._applied.append(fault)
-        return damaged
+        return dataclasses.replace(batch, missing=missing, damaged=damaged)

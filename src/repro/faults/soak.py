@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.pda import parallel_data_analysis
-from repro.analysis.records import SplitFile
+from repro.analysis.records import SplitBatch
 from repro.core.dataplane import (
     BackoffPolicy,
     RankStore,
@@ -299,29 +299,26 @@ def _flaky_steps(config: SoakConfig) -> set[int]:
     return {int(s) + 1 for s in drawn}
 
 
-def _pda_files(
-    sim_grid: ProcessorGrid, seed: int, domain: int = 64
-) -> list[SplitFile | None]:
-    """Synthetic split files over a ``domain x domain`` parent grid."""
+def _pda_files(sim_grid: ProcessorGrid, seed: int, domain: int = 64) -> SplitBatch:
+    """Synthetic split files over a ``domain x domain`` parent grid: each
+    tile is drawn on its own, in rank order, into one field pair."""
     rng = make_rng(seed)
     decomp = BlockDecomposition(nx=domain, ny=domain, proc_rect=sim_grid.full_rect)
-    files: list[SplitFile | None] = []
+    qcloud = np.empty((domain, domain))
+    olr = np.empty((domain, domain))
     for by in range(sim_grid.py):
         for bx in range(sim_grid.px):
             blk = decomp.block_of(bx, by)
-            olr = rng.uniform(150.0, 300.0, size=(blk.h, blk.w))
-            qcloud = rng.uniform(0.0, 1.0, size=(blk.h, blk.w))
-            files.append(
-                SplitFile(
-                    file_index=by * sim_grid.px + bx,
-                    block_x=bx,
-                    block_y=by,
-                    extent=blk,
-                    qcloud=qcloud,
-                    olr=olr,
-                )
-            )
-    return files
+            window = (slice(blk.y0, blk.y1), slice(blk.x0, blk.x1))
+            olr[window] = rng.uniform(150.0, 300.0, size=(blk.h, blk.w))
+            qcloud[window] = rng.uniform(0.0, 1.0, size=(blk.h, blk.w))
+    return SplitBatch(
+        qcloud,
+        olr,
+        tuple(decomp.x_bounds.tolist()),
+        tuple(decomp.y_bounds.tolist()),
+        np.zeros(sim_grid.nprocs, dtype=bool),
+    )
 
 
 def _audit_data(

@@ -12,9 +12,9 @@ The suite covers the paper's whole latency argument end to end:
 phase                        what it times
 ===========================  ==================================================
 ``wrf.fields``               QCLOUD + OLR synthesis over the parent domain
-``wrf.split_files``          cutting one step's split files from its fields
-``analysis.pda``             Algorithm 1 + NNC over one step's split files
-``pda.aggregate``            batched split-file summarisation alone
+``wrf.split_files``          one step's split batch over its fields
+``analysis.pda``             Algorithm 1 + NNC over one step's split batch
+``pda.aggregate``            the batch's per-tile reductions alone
 ``tree.scratch``             Huffman build + rectangle layout (§IV-A)
 ``tree.diffusion``           Algorithm-3 tree edit + layout (§IV-B)
 ``grid.transfer_matrix``     per-nest transfer-matrix construction
@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING
 from repro.obs.stats import PhaseStats, summarise
 
 if TYPE_CHECKING:
-    from repro.analysis.records import SplitFile
+    from repro.analysis.records import SplitBatch
     from repro.core.allocation import Allocation
     from repro.core.strategy import ReallocationStrategy
     from repro.experiments.runner import ExperimentContext
@@ -240,12 +240,11 @@ def _pinned_model(quick: bool) -> WrfLikeModel:
     return model
 
 
-def _pda_fixture(quick: bool) -> tuple[list[SplitFile | None], ProcessorGrid, int]:
-    """Pinned split files + analysis shape shared by the PDA phases."""
+def _pda_fixture(quick: bool) -> tuple[SplitBatch, ProcessorGrid, int]:
+    """Pinned split batch + analysis shape shared by the PDA phases."""
     model = _pinned_model(quick)
-    files: list[SplitFile | None] = list(model.write_split_files())
     n_analysis = 16 if quick else 64
-    return files, model.config.sim_grid, n_analysis
+    return model.write_split_files(), model.config.sim_grid, n_analysis
 
 
 def _setup_wrf_fields(quick: bool) -> Callable[[], object]:
@@ -262,7 +261,7 @@ def _setup_wrf_fields(quick: bool) -> Callable[[], object]:
 
 def _setup_wrf_split_files(quick: bool) -> Callable[[], object]:
     model = _pinned_model(quick)
-    model.fields()  # synthesised once per step; cutting is what is timed
+    model.fields()  # synthesised once per step; the batch is what is timed
 
     def run() -> object:
         return model.write_split_files()
@@ -273,11 +272,11 @@ def _setup_wrf_split_files(quick: bool) -> Callable[[], object]:
 def _setup_pda(quick: bool) -> Callable[[], object]:
     from repro.analysis import PDAConfig, parallel_data_analysis
 
-    files, sim_grid, n_analysis = _pda_fixture(quick)
+    batch, sim_grid, n_analysis = _pda_fixture(quick)
     config = PDAConfig()
 
     def run() -> object:
-        return parallel_data_analysis(files, sim_grid, n_analysis, config)
+        return parallel_data_analysis(batch, sim_grid, n_analysis, config)
 
     return run
 
@@ -286,12 +285,11 @@ def _setup_pda_aggregate(quick: bool) -> Callable[[], object]:
     from repro.analysis import PDAConfig
     from repro.analysis.pda import aggregate_summaries
 
-    files, _sim_grid, _n_analysis = _pda_fixture(quick)
-    present = [f for f in files if f is not None]
+    batch, _sim_grid, _n_analysis = _pda_fixture(quick)
     threshold = PDAConfig().olr_threshold
 
     def run() -> object:
-        return aggregate_summaries(present, threshold)
+        return aggregate_summaries(batch, threshold)
 
     return run
 
@@ -588,17 +586,17 @@ def bench_phases() -> tuple[BenchPhase, ...]:
         ),
         BenchPhase(
             "wrf.split_files",
-            "one step's split files cut from its fields",
+            "one step's split batch over its fields",
             _setup_wrf_split_files,
         ),
         BenchPhase(
             "analysis.pda",
-            "Algorithm 1 + NNC over one step's split files",
+            "Algorithm 1 + NNC over one step's split batch",
             _setup_pda,
         ),
         BenchPhase(
             "pda.aggregate",
-            "batched split-file summarisation alone",
+            "the batch's per-tile reductions alone",
             _setup_pda_aggregate,
         ),
         BenchPhase(

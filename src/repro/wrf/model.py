@@ -1,12 +1,13 @@
 """The time-stepping parent model and its split-file output.
 
 :class:`WrfLikeModel` advances a population of cloud systems over the parent
-domain and, at every analysis step, writes one
-:class:`~repro.analysis.records.SplitFile` per simulation rank — the
-subdomain's QCLOUD/OLR blocks — exactly the artefacts the paper's parallel
-data analysis consumes.  Cloud births are driven by a scenario
-(:mod:`repro.wrf.scenario`): either scripted events (the Mumbai-2005-like
-trace) or seeded random churn (the synthetic workloads).
+domain and, at every analysis step, writes one split file per simulation
+rank — the subdomain's QCLOUD/OLR blocks — exactly the artefacts the
+paper's parallel data analysis consumes, handed over as one
+:class:`~repro.analysis.records.SplitBatch` over the step's fields.  Cloud
+births are driven by a scenario (:mod:`repro.wrf.scenario`): either scripted
+events (the Mumbai-2005-like trace) or seeded random churn (the synthetic
+workloads).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.records import SplitFile
+from repro.analysis.records import SplitBatch
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
 from repro.grid.rect import Rect
@@ -49,6 +50,19 @@ class DomainConfig:
         if self.nest_refinement < 1:
             raise ValueError(f"nest_refinement must be >= 1")
 
+    def tile_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(x_bounds, y_bounds)`` of the simulation ranks' tiles.
+
+        Rank ``(bx, by)`` owns parent points ``[x_bounds[bx],
+        x_bounds[bx + 1]) x [y_bounds[by], y_bounds[by + 1])``, a balanced
+        split (:func:`~repro.grid.block.split_evenly`) of each axis.
+        """
+        g = self.sim_grid
+        return (
+            tuple(split_evenly(self.nx, g.px).tolist()),
+            tuple(split_evenly(self.ny, g.py).tolist()),
+        )
+
 
 class WrfLikeModel:
     """Cloud-field simulator producing per-rank split files.
@@ -76,23 +90,11 @@ class WrfLikeModel:
         self.step_count = 0
         #: this step's ``(qcloud, olr)`` once :meth:`fields` has built them
         self._fields: tuple[np.ndarray, np.ndarray] | None = None
-        g = config.sim_grid
-        xb = split_evenly(config.nx, g.px).tolist()
-        yb = split_evenly(config.ny, g.py).tolist()
-        #: ``(rank, block_x, block_y, extent, window)`` of every simulation
-        #: rank's tile in rank order, ``window`` slicing the extent out of a
-        #: field; fixed by the decomposition
-        self._tiles: list[tuple[int, int, int, Rect, tuple[slice, slice]]] = [
-            (
-                g.rank(bx, by),
-                bx,
-                by,
-                Rect(xb[bx], yb[by], xb[bx + 1] - xb[bx], yb[by + 1] - yb[by]),
-                (slice(yb[by], yb[by + 1]), slice(xb[bx], xb[bx + 1])),
-            )
-            for by in range(g.py)
-            for bx in range(g.px)
-        ]
+        #: the simulation ranks' tile bounds, fixed by the decomposition
+        self._tiles = config.tile_bounds()
+        #: every step's batch shares this (no file is lost by the model)
+        self._none_missing = np.zeros(config.sim_grid.nprocs, dtype=bool)
+        self._none_missing.flags.writeable = False
 
     def step(self) -> None:
         """Advance one analysis interval (the paper's 2 simulated minutes)."""
@@ -125,23 +127,20 @@ class WrfLikeModel:
 
     def subdomain_extent(self, block_x: int, block_y: int) -> Rect:
         """Grid-point extent of simulation rank block ``(block_x, block_y)``."""
-        return self._tiles[self.config.sim_grid.rank(block_x, block_y)][3]
+        self.config.sim_grid.rank(block_x, block_y)  # validates the block
+        xb, yb = self._tiles
+        return Rect(
+            xb[block_x],
+            yb[block_y],
+            xb[block_x + 1] - xb[block_x],
+            yb[block_y + 1] - yb[block_y],
+        )
 
-    def write_split_files(self) -> list[SplitFile]:
-        """One split file per simulation rank for the current step.
+    def write_split_files(self) -> SplitBatch:
+        """Every simulation rank's split file for the current step.
 
-        Each file's arrays are views of :meth:`fields` cut along the fixed
-        rank tiles.
+        The batch holds :meth:`fields` itself and the fixed rank tiles;
+        nothing is cut or copied.
         """
         q, o = self.fields()
-        return [
-            SplitFile(
-                file_index=rank,
-                block_x=bx,
-                block_y=by,
-                extent=extent,
-                qcloud=q[window],
-                olr=o[window],
-            )
-            for rank, bx, by, extent, window in self._tiles
-        ]
+        return SplitBatch(q, o, *self._tiles, self._none_missing)

@@ -1,5 +1,7 @@
 """Tests for repro.analysis: split files, NNC (Algorithm 2), PDA (Algorithm 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     NNCConfig,
+    SplitBatch,
     SplitFile,
     SubdomainSummary,
     cluster_bounding_rect,
@@ -41,6 +44,62 @@ def make_split_file(bx, by, qcloud_value, olr_value, size=10):
         qcloud=np.full((size, size), qcloud_value),
         olr=np.full((size, size), olr_value),
     )
+
+
+def cloud_batch(grid, cloudy_blocks, size=10):
+    """One ``size x size`` tile per rank of ``grid``: high cloud under low
+    OLR in ``cloudy_blocks``, clear sky elsewhere."""
+    bounds = (
+        tuple(range(0, size * (grid.px + 1), size)),
+        tuple(range(0, size * (grid.py + 1), size)),
+    )
+    qcloud = np.zeros((size * grid.py, size * grid.px))
+    olr = np.full_like(qcloud, 280.0)
+    for bx, by in cloudy_blocks:
+        window = (slice(by * size, (by + 1) * size), slice(bx * size, (bx + 1) * size))
+        qcloud[window] = 0.01
+        olr[window] = 150.0
+    return SplitBatch(qcloud, olr, *bounds, np.zeros(grid.nprocs, dtype=bool))
+
+
+def lose(batch, *ranks):
+    """``batch`` with the files of ``ranks`` missing."""
+    missing = batch.missing.copy()
+    missing[list(ranks)] = True
+    return dataclasses.replace(batch, missing=missing)
+
+
+class TestSplitBatch:
+    def test_validation(self):
+        q = np.zeros((4, 6))
+        none = np.zeros(2, dtype=bool)
+        SplitBatch(q, q, (0, 3, 6), (0, 4), none)
+        for xb, yb in [((0, 3, 5), (0, 4)), ((1, 3, 6), (0, 4)), ((0, 3, 3, 6), (0, 4))]:
+            with pytest.raises(ValueError):
+                SplitBatch(q, q, xb, yb, np.zeros((len(xb) - 1) * (len(yb) - 1), bool))
+        with pytest.raises(ValueError):
+            SplitBatch(q, np.zeros((4, 5)), (0, 3, 6), (0, 4), none)
+        with pytest.raises(ValueError):
+            SplitBatch(q, q, (0, 3, 6), (0, 4), np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError):
+            SplitBatch(q, q, (0, 3, 6), (0, 4), none, {1: (np.zeros((4, 2)), np.zeros((4, 3)))})
+        with pytest.raises(ValueError):
+            SplitBatch(q, q, (0, 3, 6), (0, 4), none, {2: (np.zeros((4, 3)), np.zeros((4, 3)))})
+
+    def test_file_is_the_tile(self):
+        # 7 x 5 over 2 x 2: uneven tiles, the larger chunks first
+        q = np.arange(35.0).reshape(5, 7)
+        o = -q
+        batch = SplitBatch(q, o, (0, 4, 7), (0, 3, 5), np.array([False, False, True, False]))
+        f = batch.file(1)
+        assert (f.file_index, f.block_x, f.block_y, f.extent) == (1, 1, 0, Rect(4, 0, 3, 3))
+        assert np.array_equal(f.qcloud, q[0:3, 4:7]) and np.shares_memory(f.qcloud, q)
+        assert batch.file(2) is None
+        assert batch.areas.tolist() == [12, 9, 8, 6]
+        poisoned = np.full((2, 3), np.nan)
+        damaged = dataclasses.replace(batch, damaged={3: (poisoned, o[3:5, 4:7])})
+        assert damaged.file(3).qcloud is poisoned
+        assert len(damaged) == 4
 
 
 class TestSplitFile:
@@ -187,19 +246,7 @@ class TestRegions:
 class TestPDA:
     def _files(self, grid, cloudy_blocks):
         """Split files over `grid` with high cloud in `cloudy_blocks`."""
-        files = []
-        for by in range(grid.py):
-            for bx in range(grid.px):
-                if (bx, by) in cloudy_blocks:
-                    f = make_split_file(bx, by, 0.01, 150.0)
-                else:
-                    f = make_split_file(bx, by, 0.0, 280.0)
-                files.append(
-                    SplitFile(
-                        grid.rank(bx, by), bx, by, f.extent, f.qcloud, f.olr
-                    )
-                )
-        return files
+        return cloud_batch(grid, cloudy_blocks)
 
     def test_detects_single_region(self):
         grid = ProcessorGrid(4, 4)
@@ -241,7 +288,7 @@ class TestPDA:
     def test_wrong_file_count(self):
         grid = ProcessorGrid(4, 4)
         with pytest.raises(ValueError):
-            parallel_data_analysis(self._files(grid, set())[:-1], grid, 4)
+            parallel_data_analysis(self._files(ProcessorGrid(4, 3), set()), grid, 4)
 
     def test_bad_n_analysis(self):
         grid = ProcessorGrid(4, 4)
@@ -269,17 +316,7 @@ class TestPDADegraded:
     """Graceful degradation: missing/corrupt files and failed ranks."""
 
     def _files(self, grid, cloudy_blocks):
-        files = []
-        for by in range(grid.py):
-            for bx in range(grid.px):
-                if (bx, by) in cloudy_blocks:
-                    f = make_split_file(bx, by, 0.01, 150.0)
-                else:
-                    f = make_split_file(bx, by, 0.0, 280.0)
-                files.append(
-                    SplitFile(grid.rank(bx, by), bx, by, f.extent, f.qcloud, f.olr)
-                )
-        return files
+        return cloud_batch(grid, cloudy_blocks)
 
     def test_complete_run_is_not_partial(self):
         grid = ProcessorGrid(4, 4)
@@ -291,8 +328,8 @@ class TestPDADegraded:
     def test_missing_file_flags_partial_but_still_detects(self):
         grid = ProcessorGrid(4, 4)
         cloudy = {(1, 1), (2, 1), (1, 2), (2, 2)}
-        files = self._files(grid, cloudy)
-        files[grid.rank(3, 3)] = None  # a non-cloudy writer crashed
+        # a non-cloudy writer crashed
+        files = lose(self._files(grid, cloudy), grid.rank(3, 3))
         result = parallel_data_analysis(files, grid, 4)
         assert result.partial and result.n_files_missing == 1
         assert result.coverage == pytest.approx(15 / 16)
@@ -301,12 +338,9 @@ class TestPDADegraded:
     def test_corrupt_file_excluded_and_counted(self):
         grid = ProcessorGrid(4, 4)
         files = self._files(grid, {(0, 0), (3, 3)})
-        bad = files[grid.rank(0, 0)]
-        qcloud = bad.qcloud.copy()
+        qcloud, olr = (a.copy() for a in files.tile_fields(grid.rank(0, 0)))
         qcloud[0, 0] = np.nan
-        files[grid.rank(0, 0)] = SplitFile(
-            bad.file_index, bad.block_x, bad.block_y, bad.extent, qcloud, bad.olr
-        )
+        files = dataclasses.replace(files, damaged={grid.rank(0, 0): (qcloud, olr)})
         result = parallel_data_analysis(files, grid, 4)
         assert result.partial and result.n_files_corrupt == 1
         # the poisoned subdomain cannot contribute a summary
@@ -329,17 +363,32 @@ class TestPDADegraded:
         files = self._files(grid, {(0, 0)})  # 1 of 4 equal blocks cloudy
         full = parallel_data_analysis(files, grid, 1)
         assert full.low_olr_fraction == pytest.approx(0.25)
-        files[grid.rank(1, 1)] = None  # lose a clear block
+        files = lose(files, grid.rank(1, 1))  # lose a clear block
         degraded = parallel_data_analysis(files, grid, 1)
         assert degraded.low_olr_fraction == pytest.approx(1 / 3)
         assert degraded.coverage == pytest.approx(0.75)
 
     def test_all_files_missing_degrades_to_empty(self):
         grid = ProcessorGrid(2, 2)
-        result = parallel_data_analysis([None] * 4, grid, 1)
+        result = parallel_data_analysis(lose(self._files(grid, set()), 0, 1, 2, 3), grid, 1)
         assert result.partial and result.n_files_missing == 4
         assert result.rectangles == [] and result.low_olr_fraction == 0.0
         assert result.coverage == 0.0  # nothing reported, nothing covered
+
+    @pytest.mark.parametrize("lost", [0, 11])
+    def test_coverage_is_the_reported_area_fraction(self, lost):
+        # 67 x 45 over 4 x 3: rank 0's tile is 17 x 15, rank 11's 16 x 15
+        grid = ProcessorGrid(4, 3)
+        q = np.full((45, 67), 0.01)
+        batch = SplitBatch(
+            q, np.full_like(q, 150.0), (0, 17, 34, 51, 67), (0, 15, 30, 45),
+            np.zeros(12, dtype=bool),
+        )
+        result = parallel_data_analysis(lose(batch, lost), grid, 4)
+        reporting_area = 67 * 45 - batch.extent(lost).area
+        assert result.partial and result.n_files_missing == 1
+        assert result.coverage == reporting_area / (67 * 45)
+        assert result.low_olr_fraction == 1.0
 
 
 def bucket_by_formula(files, sim_grid, n_analysis):
@@ -348,31 +397,27 @@ def bucket_by_formula(files, sim_grid, n_analysis):
     xb = split_evenly(sim_grid.px, ag.px)
     yb = split_evenly(sim_grid.py, ag.py)
     buckets = [[] for _ in range(n_analysis)]
-    for f in files:
+    for rank in range(len(files)):
+        f = files.file(rank)
         if f is not None:
             ax = int((xb[1:] <= f.block_x).sum())
             ay = int((yb[1:] <= f.block_y).sum())
-            buckets[ay * ag.px + ax].append(f)
+            buckets[ay * ag.px + ax].append(f.file_index)
     return buckets
 
 
 def tiny_files(grid, missing=()):
-    """One 1x1 split file per rank of ``grid``; ``missing`` ranks are None."""
-    return [
-        None
-        if grid.rank(bx, by) in missing
-        else SplitFile(
-            grid.rank(bx, by), bx, by, Rect(bx, by, 1, 1), np.zeros((1, 1)), np.zeros((1, 1))
-        )
-        for by in range(grid.py)
-        for bx in range(grid.px)
-    ]
+    """One 1x1 split file per rank of ``grid``; ``missing`` ranks are lost."""
+    missing_mask = np.isin(np.arange(grid.nprocs), list(missing))
+    field = np.zeros((grid.py, grid.px))
+    return SplitBatch(
+        field, field, tuple(range(grid.px + 1)), tuple(range(grid.py + 1)), missing_mask
+    )
 
 
 def same_objects(a, b):
-    return [[id(f) for f in bucket] for bucket in a] == [
-        [id(f) for f in bucket] for bucket in b
-    ]
+    """The same files, by rank, in the same buckets and order."""
+    return [bucket.tolist() for bucket in a] == b
 
 
 class TestAssignFiles:
@@ -402,4 +447,6 @@ class TestAssignFiles:
 
     def test_all_missing_leaves_every_bucket_empty(self):
         grid = ProcessorGrid(4, 4)
-        assert _assign_files([None] * 16, grid, 4) == [[], [], [], []]
+        assert same_objects(
+            _assign_files(tiny_files(grid, missing=range(16)), grid, 4), [[], [], [], []]
+        )

@@ -3,25 +3,22 @@
 import numpy as np
 
 from repro.analysis import pda_cost_profile
-from repro.analysis.records import SplitFile
-from repro.grid import ProcessorGrid, Rect
+from repro.analysis.records import SplitBatch
+from repro.grid import ProcessorGrid
 
 
 def files_for(grid: ProcessorGrid, cloudy_frac=0.2, size=12, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
+    q = np.zeros((grid.py * size, grid.px * size))
+    o = np.full_like(q, 280.0)
     for by in range(grid.py):
         for bx in range(grid.px):
-            cloudy = rng.uniform() < cloudy_frac
-            q = np.full((size, size), 0.01 if cloudy else 0.0)
-            o = np.full((size, size), 150.0 if cloudy else 280.0)
-            out.append(
-                SplitFile(
-                    grid.rank(bx, by), bx, by,
-                    Rect(bx * size, by * size, size, size), q, o,
-                )
-            )
-    return out
+            if rng.uniform() < cloudy_frac:
+                window = (slice(by * size, (by + 1) * size), slice(bx * size, (bx + 1) * size))
+                q[window] = 0.01
+                o[window] = 150.0
+    bounds = (tuple(range(0, q.shape[1] + 1, size)), tuple(range(0, q.shape[0] + 1, size)))
+    return SplitBatch(q, o, *bounds, np.zeros(grid.nprocs, dtype=bool))
 
 
 class TestPDACostProfile:

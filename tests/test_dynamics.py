@@ -119,7 +119,8 @@ class TestDynamicalModel:
         m = DynamicalModel(cfg, seed=0)
         for _ in range(20):
             m.step()
-        files = m.write_split_files()
+        batch = m.write_split_files()
+        files = [batch.file(rank) for rank in range(len(batch))]
         assert len(files) == cfg.sim_grid.nprocs
         q, o = m.fields()
         assert np.array_equal(

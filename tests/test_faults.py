@@ -614,8 +614,8 @@ class TestFaultInjector:
         assert inj.new_crashes(2) == [7]
 
     def test_split_file_faults_fire_in_damage_files(self):
-        from repro.analysis import SplitFile
-        from repro.grid import Rect
+        from repro.analysis import SplitBatch, parallel_data_analysis
+        from repro.grid import ProcessorGrid
 
         plan = FaultPlan(
             (
@@ -624,16 +624,22 @@ class TestFaultInjector:
             )
         )
         inj = FaultInjector(plan)
-        files = [
-            SplitFile(i, i, 0, Rect(10 * i, 0, 10, 10),
-                      np.zeros((10, 10)), np.full((10, 10), 280.0))
-            for i in range(3)
-        ]
+        qcloud, olr = np.zeros((10, 30)), np.full((10, 30), 150.0)
+        for field in (qcloud, olr):  # the step's fields, read-only as the model's
+            field.flags.writeable = False
+        files = SplitBatch(qcloud, olr, (0, 10, 20, 30), (0, 10), np.zeros(3, dtype=bool))
         assert inj.apply_step(0) == []  # data faults don't fire here
         damaged = inj.damage_files(0, files)
-        assert damaged[0] is None
-        assert not np.isfinite(damaged[1].qcloud).all()
-        assert damaged[2] is files[2]
+        assert damaged.file(0) is None
+        assert not np.isfinite(damaged.file(1).qcloud).all()
+        assert np.shares_memory(damaged.file(2).qcloud, qcloud)
+        # the input batch and the fields it shares are left as they were
+        assert damaged.qcloud is qcloud and damaged.olr is olr
+        assert not files.missing.any() and files.damaged == {}
+        assert (qcloud == 0.0).all()
+        result = parallel_data_analysis(damaged, ProcessorGrid(3, 1), 1)
+        assert result.n_files_missing == 1 and result.n_files_corrupt == 1
+        assert result.gathered_items == 1 and result.summaries[0].file_index == 2
 
     @pytest.mark.parametrize("link", [-1, 6 * 256, 10**9])
     def test_link_outside_the_machine_is_rejected(self, link):

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.analysis import (
     NNCConfig,
     PDAConfig,
+    SplitBatch,
     SplitFile,
     SubdomainSummary,
     nearest_neighbour_clustering,
@@ -53,6 +54,7 @@ from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import MACHINES, Mesh3D, RandomMapping, Torus3D, blue_gene_l
 from repro.tree import build_huffman
 from repro.util.rng import make_rng
+from repro.wrf import NestTracker, WrfLikeModel, detect_nests, mumbai_2005_scenario
 
 MACHINE_NAMES = ("bgl-256", "fist-256")  # one torus, one switched network
 #: every shape the link accounting prices: the BG/L tori from 64 to 4096
@@ -434,63 +436,49 @@ class TestDataplaneEquivalence:
         )
 
 
-def draw_split_files(data):
-    """A randomized sim grid of split files with missing/corrupt entries."""
+def draw_split_batch(data):
+    """A randomized sim grid of split files with missing and corrupt tiles.
+
+    Corrupt tiles arise both ways a batch gets them: a non-finite value in
+    the fields themselves (as a batch read back from disk has) and a
+    damaged private copy (as the fault injector makes, here sometimes
+    finite, so the copy must stand in for the field).
+    """
     px = data.draw(st.integers(1, 4), label="px")
     py = data.draw(st.integers(1, 4), label="py")
     nx = data.draw(st.integers(px, 36), label="domain_nx")
     ny = data.draw(st.integers(py, 36), label="domain_ny")
     seed = data.draw(st.integers(0, 2**20), label="field_seed")
     rng = make_rng(seed)
-    xb, yb = split_evenly(nx, px), split_evenly(ny, py)
+    xb = tuple(split_evenly(nx, px).tolist())
+    yb = tuple(split_evenly(ny, py).tolist())
     n_files = px * py
-    missing = set(
-        data.draw(
-            st.lists(st.integers(0, n_files - 1), max_size=2, unique=True),
-            label="missing",
-        )
-    )
-    corrupt = set(
-        data.draw(
-            st.lists(st.integers(0, n_files - 1), max_size=2, unique=True),
-            label="corrupt",
-        )
-    )
-    files = []
-    for by in range(py):
-        for bx in range(px):
-            idx = by * px + bx
-            if idx in missing:
-                files.append(None)
-                continue
-            extent = Rect(
-                int(xb[bx]),
-                int(yb[by]),
-                int(xb[bx + 1] - xb[bx]),
-                int(yb[by + 1] - yb[by]),
-            )
-            qcloud = rng.uniform(0.0, 5.0, (extent.h, extent.w))
-            olr = rng.uniform(100.0, 300.0, (extent.h, extent.w))
-            if idx in corrupt:
-                olr[0, 0] = np.inf
-            files.append(
-                SplitFile(
-                    file_index=idx,
-                    block_x=bx,
-                    block_y=by,
-                    extent=extent,
-                    qcloud=qcloud,
-                    olr=olr,
-                )
-            )
-    return files, ProcessorGrid(px, py)
+    tiles = st.lists(st.integers(0, n_files - 1), max_size=2, unique=True)
+    missing = data.draw(tiles, label="missing")
+    corrupt = data.draw(tiles, label="corrupt")
+    damaged = data.draw(tiles, label="damaged")
+    qcloud = rng.uniform(0.0, 5.0, (ny, nx))
+    olr = rng.uniform(100.0, 300.0, (ny, nx))
+    for idx in corrupt:
+        by, bx = divmod(idx, px)
+        olr[yb[by], xb[bx]] = np.inf
+    copies = {}
+    for idx in damaged:
+        by, bx = divmod(idx, px)
+        shape = (yb[by + 1] - yb[by], xb[bx + 1] - xb[bx])
+        q = rng.uniform(0.0, 5.0, shape)
+        if data.draw(st.booleans(), label=f"poison_{idx}"):
+            q[0, 0] = np.nan
+        copies[idx] = (q, rng.uniform(100.0, 300.0, shape))
+    lost = np.isin(np.arange(n_files), missing)
+    return SplitBatch(qcloud, olr, xb, yb, lost, copies), ProcessorGrid(px, py)
 
 
 class TestPDAEquivalence:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_pda_matches_reference(self, data):
-        files, sim_grid = draw_split_files(data)
+        files, sim_grid = draw_split_batch(data)
         n_analysis = data.draw(
             st.integers(1, sim_grid.nprocs), label="n_analysis"
         )
@@ -536,32 +524,94 @@ class TestPDAEquivalence:
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_aggregate_matches_per_file_summarise(self, data):
-        files, _sim_grid = draw_split_files(data)
-        present = [f for f in files if f is not None]
+        files, _sim_grid = draw_split_batch(data)
         threshold = data.draw(
             st.sampled_from((0.0, 150.0, 200.0, 400.0)), label="threshold"
         )
-        batched = aggregate_summaries(present, threshold)
-        for (corrupt, summary), f in zip(batched, present):
-            olr_bad = not bool(np.isfinite(f.olr).all())
-            assert corrupt == olr_bad
-            if corrupt:
-                assert summary is None
+        corrupt, qcloud, count = aggregate_summaries(files, threshold)
+        ref = aggregate_summaries_reference(files, threshold)
+        assert np.array_equal(corrupt, ref[0]) and np.array_equal(count, ref[2])
+        for rank in range(len(files)):
+            f = files.file(rank)
+            if f is None:
+                assert (corrupt[rank], qcloud[rank], count[rank]) == (False, 0.0, 0)
+                continue
+            bad = not (np.isfinite(f.qcloud).all() and np.isfinite(f.olr).all())
+            assert corrupt[rank] == bad
+            if corrupt[rank]:
+                assert (qcloud[rank], count[rank]) == (0.0, 0)
                 continue
             expect = f.summarise(threshold)
-            assert (summary.file_index, summary.block_x, summary.block_y) == (
-                expect.file_index,
-                expect.block_x,
-                expect.block_y,
-            )
-            assert summary.olr_fraction == expect.olr_fraction
+            assert count[rank] / f.extent.area == expect.olr_fraction
             assert math.isclose(
-                summary.qcloud, expect.qcloud, rel_tol=1e-12, abs_tol=1e-15
+                qcloud[rank], expect.qcloud, rel_tol=1e-12, abs_tol=1e-15
             )
 
     def test_aggregate_empty(self):
-        assert aggregate_summaries([], 200.0) == []
-        assert aggregate_summaries_reference([], 200.0) == []
+        field = np.zeros((3, 4))
+        lost = SplitBatch(field, field, (0, 2, 4), (0, 3), np.ones(2, dtype=bool))
+        for aggregate in (aggregate_summaries, aggregate_summaries_reference):
+            corrupt, qcloud, count = aggregate(lost, 200.0)
+            assert corrupt.tolist() == [False, False]
+            assert qcloud.tolist() == [0.0, 0.0] and count.tolist() == [0, 0]
+
+
+class TestBatchHotPath:
+    """The shipped batch path: its summation order, and no per-file objects."""
+
+    @staticmethod
+    def mumbai_model(steps=14):
+        scenario = mumbai_2005_scenario(seed=2005, n_steps=steps + 2)
+        model = WrfLikeModel(
+            scenario.config, scenario.birth_fn, scenario.initial_systems
+        )
+        for _ in range(steps):
+            model.step()
+        return model
+
+    def test_qcloud_sums_each_tile_in_its_own_order(self):
+        # the 552 x 324 Mumbai grid over 32 x 32 ranks: four tile shapes
+        model = self.mumbai_model()
+        batch = model.write_split_files()
+        assert (batch.px, batch.py) == (32, 32)
+        threshold = PDAConfig().olr_threshold
+        corrupt, qcloud, count = aggregate_summaries(batch, threshold)
+        assert not corrupt.any()
+        for rank in range(len(batch)):
+            q, o = batch.tile_fields(rank)
+            mask = o <= threshold
+            assert qcloud[rank] == np.where(mask, q, 0.0).sum()  # bit for bit
+            assert count[rank] == np.count_nonzero(mask)
+
+    def test_detect_builds_a_summary_only_per_gathered_item(self):
+        machine = MACHINES["bgl-1024"]
+        model = self.mumbai_model()
+        assert model.config.sim_grid.nprocs == machine.ncores
+        built = []
+        results = []
+        summary_init = SubdomainSummary.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            summary_init(self, *args, **kwargs)
+
+        def no_split_file(self):
+            raise AssertionError("a SplitFile was built on the detect path")
+
+        def recording_pda(*args, **kwargs):
+            results.append(parallel_data_analysis(*args, **kwargs))
+            return results[-1]
+
+        with (
+            mock.patch.object(SubdomainSummary, "__init__", counting_init),
+            mock.patch.object(SplitFile, "__post_init__", no_split_file),
+            mock.patch("repro.wrf.nests.parallel_data_analysis", recording_pda),
+        ):
+            detection = detect_nests(model, NestTracker())
+        (result,) = results
+        assert detection.rois and result.gathered_items > 0
+        assert len(built) == result.gathered_items
+        assert {id(s) for s in built} == {id(s) for s in result.summaries}
 
 
 #: small pools so cells and QCLOUD values repeat, zero included; a

@@ -124,7 +124,8 @@ class TestModel:
 
     def test_split_files_cover_domain(self):
         m = WrfLikeModel(self._config(), systems=[system(x=30, y=30, age=5)])
-        files = m.write_split_files()
+        batch = m.write_split_files()
+        files = [batch.file(rank) for rank in range(len(batch))]
         assert len(files) == 16
         total = sum(f.extent.area for f in files)
         assert total == 64 * 64
@@ -132,7 +133,9 @@ class TestModel:
     def test_split_files_match_full_field(self):
         m = WrfLikeModel(self._config(), systems=[system(x=30, y=30, age=5)])
         q, o = m.fields()
-        for f in m.write_split_files():
+        batch = m.write_split_files()
+        assert batch.qcloud is q and batch.olr is o  # shared, never copied
+        for f in map(batch.file, range(len(batch))):
             e = f.extent
             assert np.array_equal(f.qcloud, q[e.y0 : e.y1, e.x0 : e.x1])
             assert np.array_equal(f.olr, o[e.y0 : e.y1, e.x0 : e.x1])
@@ -186,7 +189,8 @@ class TestModel:
         m = WrfLikeModel(cfg, systems=[system(x=30, y=20, age=5)])
         q, o = m.fields()
         cover = np.zeros((45, 67), dtype=np.int64)
-        files = m.write_split_files()
+        batch = m.write_split_files()
+        files = [batch.file(rank) for rank in range(len(batch))]
         assert len(files) == cfg.sim_grid.nprocs
         for f in files:
             e = f.extent
