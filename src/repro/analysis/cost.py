@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.parallel_nnc import count_distance_evaluations
-from repro.analysis.pda import PDAConfig, _assign_files
+from repro.analysis.pda import PDAConfig, _assign_files, aggregate_summaries
 from repro.analysis.records import SplitBatch
 from repro.grid.procgrid import ProcessorGrid
 from repro.util.validation import check_positive
@@ -83,10 +83,12 @@ def pda_cost_profile(
     buckets = _assign_files(batch, sim_grid, n_analysis)
     areas = batch.areas
     per_rank_points = [int(areas[bucket].sum()) for bucket in buckets]
+    # PDA's corruption rule: a corrupt tile is counted, never gathered
+    corrupt, _, _ = aggregate_summaries(batch, config.olr_threshold)
     summaries = []
     for rank in range(len(batch)):
         f = batch.file(rank)
-        if f is None:
+        if f is None or corrupt[rank]:
             continue
         s = f.summarise(config.olr_threshold)
         if s.olr_fraction > 0:

@@ -4,34 +4,37 @@ Everything else in :mod:`repro.core` *costs* redistributions; this module
 *performs* them on simulated per-rank memory, the way the paper's modified
 WRF does with ``MPI_Alltoallv``:
 
-* :class:`RankStore` holds every rank's local nest blocks (rank →
-  nest id → block array, exactly the state a WRF process owns);
+* :class:`RankStore` holds every nest as one :class:`NestRecord`: its
+  processor rectangle, its size and one flat buffer in which each holding
+  rank's block (exactly the state a WRF process owns) is a contiguous
+  slab;
 * :func:`scatter_nest` gives each rank of an allocation its block of a
   full nest field (the initial interpolation onto a fresh nest);
 * :func:`execute_redistribution` executes one planned
-  :class:`~repro.core.redistribution.NestMove`: blocks go from the old
-  owners to the new owners, senders slice their block and receivers
-  assemble theirs;
+  :class:`~repro.core.redistribution.NestMove`: every point goes from its
+  old owner's slab to its new owner's slab;
 * :func:`gather_nest` reassembles the full field from the owners.
 
-The end-to-end invariant — *gather after any chain of redistributions
-returns the original field bit-for-bit* — is what the integration tests
-and the failure-injection tests check.  This is the paper's contribution 2
-("a framework that supports dynamic nest formation and processor
-rescheduling within a running simulation") made executable.
+Scatter and gather are one strided copy per block shape (at most four),
+and a move is one ``take``.  The end-to-end invariant — *gather after any
+chain of redistributions returns the original field bit-for-bit* — is
+what the integration tests and the failure-injection tests check.  This
+is the paper's contribution 2 ("a framework that supports dynamic nest
+formation and processor rescheduling within a running simulation") made
+executable.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.redistribution import NestMove
-from repro.grid.block import BlockDecomposition
+from repro.grid.block import BlockDecomposition, split_evenly
 from repro.grid.overlap import merged_segments
 from repro.grid.rect import Rect
 from repro.mpisim.ledger import CommLedger
@@ -41,6 +44,7 @@ from repro.util.rng import make_rng
 from repro.util.validation import check_positive
 
 __all__ = [
+    "NestRecord",
     "RankStore",
     "scatter_nest",
     "execute_redistribution",
@@ -52,87 +56,153 @@ __all__ = [
     "execute_redistribution_with_retry",
 ]
 
+#: one nest's blocks as the per-block oracles hold them: rank -> (block, rect)
+Blocks = dict[int, tuple[np.ndarray, Rect]]
+
+
+def _block(n: int, parts: int, k: int) -> tuple[int, int]:
+    """First point and size of block ``k`` of :func:`split_evenly`'s split."""
+    base, extra = divmod(n, parts)
+    return k * base + min(k, extra), base + (k < extra)
+
+
+def _runs(n: int, parts: int) -> list[tuple[int, int, int]]:
+    """:func:`split_evenly`'s split of ``n`` as runs of equal blocks.
+
+    Each run is ``(first point, blocks, block size)``, the larger blocks
+    first; zero-size blocks (more parts than points) own no run.
+    """
+    base, extra = divmod(n, parts)
+    runs = [(0, extra, base + 1)] if extra else []
+    if base:
+        runs.append((extra * (base + 1), parts - extra, base))
+    return runs
+
+
+def _slab_views(
+    buf: np.ndarray, grid: np.ndarray, w: int, h: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(slabs, blocks)`` views of each block-shape rectangle of a layout.
+
+    ``grid`` is an ``(ny, nx)`` nest field split over a ``w x h``
+    processor rectangle and ``buf`` its ``nx * ny`` record buffer.  Both
+    views are ``(nbj, nbi, bh, bw)`` arrays of the same blocks, so one
+    assignment between them copies every block of that shape.
+    """
+    ny, nx = grid.shape
+    xruns = _runs(nx, w)
+    for y0, nbj, bh in _runs(ny, h):
+        band = buf[y0 * nx : (y0 + nbj * bh) * nx].reshape(nbj, bh * nx)
+        rows = grid[y0 : y0 + nbj * bh]
+        for x0, nbi, bw in xruns:
+            slabs = band[:, x0 * bh : (x0 + nbi * bw) * bh]
+            blocks = rows[:, x0 : x0 + nbi * bw].reshape(nbj, bh, nbi, bw)
+            yield slabs.reshape(nbj, nbi, bh, bw), blocks.transpose(0, 2, 1, 3)
+
+
+@dataclass(frozen=True, eq=False)
+class NestRecord:
+    """One nest's distributed state.
+
+    ``rect`` is the nest's processor rectangle on a grid ``px`` ranks wide
+    (rank ``y * px + x``), and ``buf`` holds all ``nx * ny`` points.  With
+    ``xb = split_evenly(nx, rect.w)`` and ``yb = split_evenly(ny, rect.h)``,
+    the block of rect-relative processor ``(i, j)`` is the row-major
+    ``h_j x w_i`` slab at ``buf[yb[j] * nx + xb[i] * h_j]``.  A block row's
+    blocks fill exactly the buffer range its rows fill in the nest, so
+    every slab is contiguous and every block-shape rectangle is one
+    strided view.
+    """
+
+    rect: Rect
+    px: int
+    nx: int
+    ny: int
+    buf: np.ndarray
+
+    def block_of(self, rank: int) -> tuple[np.ndarray, Rect] | None:
+        """A view of ``rank``'s slab and the nest points it covers.
+
+        Validation: any rank is acceptable — one outside the rectangle
+        holds no block and returns ``None``.
+        """
+        y, x = divmod(rank, self.px)
+        if rank < 0 or not self.rect.contains_point(x, y):
+            return None
+        x0, w = _block(self.nx, self.rect.w, x - self.rect.x0)
+        y0, h = _block(self.ny, self.rect.h, y - self.rect.y0)
+        start = y0 * self.nx + x0 * h
+        return self.buf[start : start + h * w].reshape(h, w), Rect(x0, y0, w, h)
+
 
 @dataclass
 class RankStore:
-    """Per-rank nest storage: ``blocks[rank][nest_id] -> (block, rect)``.
+    """Every nest's distributed state: ``nests[nest_id] -> NestRecord``.
 
-    ``rect`` records which nest points the block covers, in nest
-    coordinates — the ground truth the assembly step is checked against.
+    A rank's block of a nest is its slab of the nest's record; :meth:`get`
+    views it, so writing the view writes the store.  Records are only
+    installed whole (:func:`scatter_nest`, :func:`execute_redistribution`),
+    so a held nest tiles its grid by construction.
     """
 
     nranks: int
-    blocks: dict[int, dict[int, tuple[np.ndarray, Rect]]] = field(default_factory=dict)
-    #: nest id -> ranks that hold (or held) a block of it.  ``put`` and
-    #: ``drop_nest`` keep it exact; code that deletes from ``blocks``
-    #: directly (fault injectors) leaves stale entries, so readers
-    #: re-verify membership against ``blocks`` — the index is a superset,
-    #: never a subset, of the true holder set.
-    _nest_holders: dict[int, set[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    nests: dict[int, NestRecord] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {self.nranks}")
-        for rank, rank_blocks in self.blocks.items():
-            for nest_id in rank_blocks:
-                self._nest_holders.setdefault(nest_id, set()).add(rank)
-
-    def put(self, rank: int, nest_id: int, block: np.ndarray, rect: Rect) -> None:
-        if not 0 <= rank < self.nranks:
-            raise ValueError(f"rank {rank} out of range [0, {self.nranks})")
-        if block.shape != (rect.h, rect.w):
-            raise ValueError(
-                f"block shape {block.shape} does not match rect {rect}"
-            )
-        self.blocks.setdefault(rank, {})[nest_id] = (block, rect)
-        self._nest_holders.setdefault(nest_id, set()).add(rank)
 
     def get(self, rank: int, nest_id: int) -> tuple[np.ndarray, Rect]:
-        try:
-            return self.blocks[rank][nest_id]
-        except KeyError:
-            raise KeyError(f"rank {rank} holds no block of nest {nest_id}") from None
+        """A view of ``rank``'s block of ``nest_id`` and the nest points
+        it covers; ``KeyError`` when ``rank`` holds no block of it."""
+        record = self.nests.get(nest_id)
+        held = record.block_of(rank) if record is not None else None
+        if held is None:
+            raise KeyError(f"rank {rank} holds no block of nest {nest_id}")
+        return held
 
     def drop_nest(self, nest_id: int) -> int:
         """Free every rank's storage of a deleted nest; returns blocks freed.
 
         Validation: any nest id is acceptable — unknown ids free nothing
-        and report 0 blocks.  Costs O(ranks holding the nest), not
-        O(all ranks) — the holder index says who to visit.
+        and report 0 blocks.
         """
-        n = 0
-        for rank in self._nest_holders.pop(nest_id, ()):
-            rank_blocks = self.blocks.get(rank)
-            if rank_blocks is not None and rank_blocks.pop(nest_id, None) is not None:
-                n += 1
-        return n
+        record = self.nests.pop(nest_id, None)
+        return record.rect.area if record is not None else 0
 
     def holders(self, nest_id: int) -> list[int]:
-        """Ranks currently holding a block of ``nest_id``.
-
-        O(ranks holding the nest) via the holder index; stale index
-        entries (blocks deleted behind the store's back) are filtered
-        out and pruned.
+        """Ranks currently holding a block of ``nest_id``, ascending.
 
         Validation: any nest id is acceptable — an unknown id simply
         holds no blocks and returns the empty list.
         """
-        ranks = self._nest_holders.get(nest_id)
-        if not ranks:
+        record = self.nests.get(nest_id)
+        if record is None:
             return []
-        live = sorted(
-            rank for rank in ranks if nest_id in self.blocks.get(rank, {})
-        )
-        if len(live) != len(ranks):
-            self._nest_holders[nest_id] = set(live)
-        return live
+        rect, px = record.rect, record.px
+        return [
+            y * px + x for y in range(rect.y0, rect.y1) for x in range(rect.x0, rect.x1)
+        ]
 
     def memory_bytes(self, rank: int) -> int:
-        """Bytes of nest state held by ``rank`` (for memory accounting)."""
-        return sum(
-            block.nbytes for block, _ in self.blocks.get(rank, {}).values()
+        """Bytes of nest state held by ``rank`` (for memory accounting).
+
+        Validation: any rank is acceptable — one that holds no block
+        holds 0 bytes.
+        """
+        total = 0
+        for record in self.nests.values():
+            held = record.block_of(rank)
+            if held is not None:
+                total += held[0].nbytes
+        return total
+
+
+def _check_fits(store: RankStore, allocation: Allocation) -> None:
+    if allocation.grid.nprocs > store.nranks:
+        raise ValueError(
+            f"allocation grid {allocation.grid} has {allocation.grid.nprocs} "
+            f"ranks; the store holds {store.nranks}"
         )
 
 
@@ -141,61 +211,87 @@ def scatter_nest(
     nest_id: int,
     field_data: np.ndarray,
     allocation: Allocation,
-) -> BlockDecomposition:
+) -> None:
     """Distribute a full nest field over its allocated rectangle.
 
     This is what happens when a nest spawns: the parent-interpolated field
     is block-decomposed over the nest's processor rectangle, each rank
-    receiving its block.  Returns the decomposition for later transfers.
+    receiving its block — one strided copy per block shape into the
+    nest's new record.
+
+    Validation: the field must be 2-D and non-empty, and the allocation's
+    grid must fit the store's ranks (``ValueError``).
     """
-    if field_data.ndim != 2:
-        raise ValueError(f"field_data must be 2-D (ny, nx), got shape {field_data.shape}")
+    if field_data.ndim != 2 or 0 in field_data.shape:
+        raise ValueError(
+            f"field_data must be a non-empty 2-D (ny, nx) array, got shape "
+            f"{field_data.shape}"
+        )
+    _check_fits(store, allocation)
     ny, nx = field_data.shape
     with get_recorder().span("dataplane.scatter", nest=nest_id):
-        decomp = allocation.decomposition(nest_id, nx, ny)
         rect = allocation.rect_of(nest_id)
-        # Split boundaries and the rank grid are computed once (block_of
-        # recomputes both bounds arrays per cell) and each rank's slab is
-        # copied by a precomputed slice.
-        xb, yb = decomp.x_bounds, decomp.y_bounds
-        ranks = allocation.grid.rank_grid(rect)
-        for j in range(rect.h):
-            y0, y1 = int(yb[j]), int(yb[j + 1])
-            for i in range(rect.w):
-                x0, x1 = int(xb[i]), int(xb[i + 1])
-                store.put(
-                    int(ranks[j, i]),
-                    nest_id,
-                    field_data[y0:y1, x0:x1].copy(),
-                    Rect(x0, y0, x1 - x0, y1 - y0),
-                )
+        buf = np.empty(nx * ny, dtype=field_data.dtype)
+        for slabs, blocks in _slab_views(buf, field_data, rect.w, rect.h):
+            slabs[...] = blocks
+        store.nests[nest_id] = NestRecord(rect, allocation.grid.px, nx, ny, buf)
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_scatter(store, nest_id, nx, ny)
-    return decomp
 
 
 def _scatter_nest_reference(
-    store: RankStore,
     nest_id: int,
     field_data: np.ndarray,
     allocation: Allocation,
-) -> BlockDecomposition:
-    """Per-cell scalar oracle of :func:`scatter_nest` (tests only)."""
+) -> Blocks:
+    """Per-cell scalar oracle of :func:`scatter_nest` (tests only): every
+    rank's block of the field, with the nest points it covers."""
     ny, nx = field_data.shape
     decomp = allocation.decomposition(nest_id, nx, ny)
     rect = allocation.rect_of(nest_id)
+    blocks: Blocks = {}
     for j in range(rect.h):
         for i in range(rect.w):
             blk = decomp.block_of(i, j)
             rank = allocation.grid.rank(rect.x0 + i, rect.y0 + j)
-            store.put(
-                rank,
-                nest_id,
-                field_data[blk.y0 : blk.y1, blk.x0 : blk.x1].copy(),
-                blk,
-            )
-    return decomp
+            blocks[rank] = (field_data[blk.y0 : blk.y1, blk.x0 : blk.x1].copy(), blk)
+    return blocks
+
+
+def _axis_offsets(n: int, old_parts: int, new_parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of one axis: the first point of its old block, and its
+    offset inside that block.
+
+    The old block of every point comes from
+    :func:`~repro.grid.overlap.merged_segments`, the walk the plan's
+    transfer matrix uses.
+    """
+    cuts, old_idx, _ = merged_segments(n, old_parts, new_parts)
+    start = np.repeat(split_evenly(n, old_parts)[old_idx], np.diff(cuts))
+    return start, np.arange(n) - start
+
+
+def _take_index(nx: int, ny: int, old_rect: Rect, new_rect: Rect) -> np.ndarray:
+    """Old-buffer position of every point of the new buffer.
+
+    Point ``(x, y)`` of old block ``(i, j)`` sits at slab position
+    ``yb[j] * nx + xb[i] * h_j + (y - yb[j]) * w_i + (x - xb[i])`` of the
+    old buffer: over each old block-shape rectangle, one outer sum.  The
+    new record's views then cut that position field into the new layout.
+    """
+    xstart, dx = _axis_offsets(nx, old_rect.w, new_rect.w)
+    ystart, dy = _axis_offsets(ny, old_rect.h, new_rect.h)
+    pos = np.empty((ny, nx), dtype=np.intp)
+    for y0, nbj, h in _runs(ny, old_rect.h):
+        ys = slice(y0, y0 + nbj * h)
+        for x0, nbi, w in _runs(nx, old_rect.w):
+            xs = slice(x0, x0 + nbi * w)
+            np.add.outer(ystart[ys] * nx + dy[ys] * w, xstart[xs] * h + dx[xs], out=pos[ys, xs])
+    index = np.empty(nx * ny, dtype=np.intp)
+    for slabs, blocks in _slab_views(index, pos, new_rect.w, new_rect.h):
+        slabs[...] = blocks
+    return index
 
 
 def execute_redistribution(
@@ -206,21 +302,31 @@ def execute_redistribution(
 
     Implements the alltoallv data movement: every receiver's new block is
     assembled from the slices of the senders whose old blocks intersect it
-    (paper Fig. 3: processor 16 receives from 0, 1, 4 and 5).  Old blocks
-    are freed afterwards.  The store must hold the nest at the move's size.
+    (paper Fig. 3: processor 16 receives from 0, 1, 4 and 5).  Each point
+    goes straight from its old owner's slab to its new owner's slab: the
+    new record's buffer is one ``take`` from the old one, and the old
+    record is freed.
 
-    Validation: none here — the move's size was checked when it was
-    planned; a store missing a sender's block raises ``KeyError``.
+    Validation: the move's size was checked when it was planned; a store
+    that does not hold the nest on ``old``'s rectangle at the move's size
+    raises ``KeyError``, and a ``new`` grid wider than the store
+    ``ValueError``.
     """
     nest_id, nx, ny = move.nest_id, move.nx, move.ny
     with get_recorder().span("dataplane.redistribute", nest=nest_id):
-        _move_blocks_vector(
-            store,
-            nest_id,
-            old,
-            new,
-            old.decomposition(nest_id, nx, ny),
-            new.decomposition(nest_id, nx, ny),
+        record = store.nests.get(nest_id)
+        old_rect = old.rect_of(nest_id)
+        layout = (old_rect, old.grid.px, nx, ny)
+        if record is None or (record.rect, record.px, record.nx, record.ny) != layout:
+            raise KeyError(f"the store holds no {nx}x{ny} nest {nest_id} on {old_rect}")
+        _check_fits(store, new)
+        new_rect = new.rect_of(nest_id)
+        store.nests[nest_id] = NestRecord(
+            new_rect,
+            new.grid.px,
+            nx,
+            ny,
+            record.buf.take(_take_index(nx, ny, old_rect, new_rect)),
         )
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
@@ -228,17 +334,19 @@ def execute_redistribution(
 
 
 def _move_blocks_reference(
-    store: RankStore,
+    blocks: Blocks,
     nest_id: int,
     old: Allocation,
     new: Allocation,
     old_decomp: BlockDecomposition,
     new_decomp: BlockDecomposition,
-) -> None:
-    """Per-block-pair data movement (the scalar oracle; tests only)."""
+) -> Blocks:
+    """Per-block-pair data movement of :func:`execute_redistribution`
+    (the scalar oracle; tests only): the new owners' blocks, assembled
+    from the old owners' ``blocks``."""
     # Stage 1: receivers allocate their new blocks.
     new_rect = new.rect_of(nest_id)
-    incoming: dict[int, tuple[np.ndarray, Rect]] = {}
+    incoming: Blocks = {}
     for j in range(new_rect.h):
         for i in range(new_rect.w):
             blk = new_decomp.block_of(i, j)
@@ -251,7 +359,7 @@ def _move_blocks_reference(
     for j in range(old_rect.h):
         for i in range(old_rect.w):
             src_rank = old.grid.rank(old_rect.x0 + i, old_rect.y0 + j)
-            src_block, src_rect = store.get(src_rank, nest_id)
+            src_block, src_rect = blocks[src_rank]
             # receivers overlapping this sender's block
             i0 = int(np.searchsorted(new_decomp.x_bounds, src_rect.x0, "right")) - 1
             i1 = int(np.searchsorted(new_decomp.x_bounds, src_rect.x1 - 1, "right")) - 1
@@ -271,126 +379,24 @@ def _move_blocks_reference(
                         inter.y0 - src_rect.y0 : inter.y1 - src_rect.y0,
                         inter.x0 - src_rect.x0 : inter.x1 - src_rect.x0,
                     ]
-
-    # Stage 3: free old blocks, install new ones.
-    store.drop_nest(nest_id)
-    for rank, (block, rect) in incoming.items():
-        store.put(rank, nest_id, block, rect)
-
-
-def _move_blocks_vector(
-    store: RankStore,
-    nest_id: int,
-    old: Allocation,
-    new: Allocation,
-    old_decomp: BlockDecomposition,
-    new_decomp: BlockDecomposition,
-) -> None:
-    """Merged-segment data movement (the shipped path).
-
-    Both decompositions split the *same* ``nx x ny`` nest, so the
-    planner's per-axis segment walk (:func:`~repro.grid.overlap.merged_segments`)
-    yields elementary segments each lying inside exactly one old and one
-    new block — and, because no cut can fall strictly inside an old∩new
-    intersection, each (x-segment, y-segment) product *is* one
-    overlapping pair's full intersection.  That enumerates exactly the
-    overlapping pairs in O(active blocks + overlaps), with no
-    ``n_old × n_new`` work, and every slab bound is a Python int.
-    Bit-for-bit the same store state as the scalar oracle — the same
-    bytes land in the same destination blocks.
-    """
-    new_rect = new.rect_of(nest_id)
-    old_rect = old.rect_of(nest_id)
-    new_ranks = new.grid.rank_grid(new_rect).ravel().tolist()
-    old_ranks = old.grid.rank_grid(old_rect).ravel().tolist()
-
-    # Stage 1: receivers allocate their new blocks (zero-width ones too).
-    nxb = new_decomp.x_bounds.tolist()
-    nyb = new_decomp.y_bounds.tolist()
-    incoming: dict[int, tuple[np.ndarray, Rect]] = {}
-    k = 0
-    for y0, y1 in zip(nyb, nyb[1:]):
-        for x0, x1 in zip(nxb, nxb[1:]):
-            incoming[new_ranks[k]] = (
-                np.empty((y1 - y0, x1 - x0)),
-                Rect(x0, y0, x1 - x0, y1 - y0),
-            )
-            k += 1
-
-    # Stage 2: per-axis elementary segments -> (old block, new block) pairs.
-    xcuts, xo, xn = merged_segments(new_decomp.nx, old_rect.w, new_rect.w)
-    ycuts, yo, yn = merged_segments(new_decomp.ny, old_rect.h, new_rect.h)
-    xsegs = list(zip(xcuts, xcuts[1:], xo, xn))
-    w_old, w_new = old_rect.w, new_rect.w
-    for y0, y1, oj, nj in zip(ycuts, ycuts[1:], yo, yn):
-        o_row = oj * w_old
-        n_row = nj * w_new
-        for x0, x1, oi, ni in xsegs:
-            src_block, src_rect = store.get(old_ranks[o_row + oi], nest_id)
-            dst_block, dst_rect = incoming[new_ranks[n_row + ni]]
-            dst_block[
-                y0 - dst_rect.y0 : y1 - dst_rect.y0,
-                x0 - dst_rect.x0 : x1 - dst_rect.x0,
-            ] = src_block[
-                y0 - src_rect.y0 : y1 - src_rect.y0,
-                x0 - src_rect.x0 : x1 - src_rect.x0,
-            ]
-
-    # Stage 3: free old blocks, install new ones.
-    store.drop_nest(nest_id)
-    for rank, (block, rect) in incoming.items():
-        store.put(rank, nest_id, block, rect)
-
-
-def _gather_nest_checked(
-    store: RankStore, nest_id: int, nx: int, ny: int
-) -> np.ndarray:
-    """The verifying gather walk: write-then-check every block region."""
-    out = np.full((ny, nx), np.nan)
-    covered = 0
-    for rank in store.holders(nest_id):
-        block, rect = store.get(rank, nest_id)
-        region = out[rect.y0 : rect.y1, rect.x0 : rect.x1]
-        if not np.all(np.isnan(region)):
-            raise ValueError(
-                f"nest {nest_id}: rank {rank}'s block {rect} overlaps another block"
-            )
-        out[rect.y0 : rect.y1, rect.x0 : rect.x1] = block
-        covered += rect.area
-    if covered != nx * ny or np.isnan(out).any():
-        raise ValueError(
-            f"nest {nest_id}: blocks cover {covered} of {nx * ny} points"
-        )
-    return out
+    return incoming
 
 
 def gather_nest(store: RankStore, nest_id: int, nx: int, ny: int) -> np.ndarray:
-    """Reassemble the full nest field from its current owners.
+    """Reassemble the full nest field from its current owners: one
+    strided copy per block shape out of the nest's record.
 
-    Raises :class:`ValueError` if the held blocks do not tile the nest
-    exactly (a broken redistribution would be caught here).
+    Raises :class:`ValueError` if the store does not hold the nest at
+    ``nx x ny`` (a dropped or regridded nest would be caught here).
     """
     with get_recorder().span("dataplane.gather", nest=nest_id):
-        # Optimistically assemble in one pass — O(active blocks), no
-        # pairwise overlap test — and accept when the coverage count and
-        # the absence of NaN holes prove the tiling exact.  Any
-        # discrepancy (overlap implies a hole, so the checks catch it)
-        # re-runs the verifying walk on the untouched store, which blames
-        # the offending rank in its diagnostics.
-        pairs = [
-            store.get(rank, nest_id) for rank in store.holders(nest_id)
-        ]
-        out = np.full((ny, nx), np.nan)
-        covered = 0
-        try:
-            for block, rect in pairs:
-                out[rect.y0 : rect.y1, rect.x0 : rect.x1] = block
-                covered += rect.area
-        except ValueError:
-            return _gather_nest_checked(store, nest_id, nx, ny)
-        if covered == nx * ny and not np.isnan(out).any():
-            return out
-        return _gather_nest_checked(store, nest_id, nx, ny)
+        record = store.nests.get(nest_id)
+        if record is None or (record.nx, record.ny) != (nx, ny):
+            raise ValueError(f"nest {nest_id}: the store holds no {nx}x{ny} record")
+        out = np.empty((ny, nx), dtype=record.buf.dtype)
+        for slabs, blocks in _slab_views(record.buf, out, record.rect.w, record.rect.h):
+            blocks[...] = slabs
+        return out
 
 
 # -- self-healing execution (repro.faults) ------------------------------

@@ -7,11 +7,12 @@ specifications: shipped code never runs them.  Two properties keep that
 honest:
 
 * **Twins evolve together.**  Where an oracle has a name-paired twin
-  (``_move_blocks_reference`` ↔ ``_move_blocks_vector``, resolved through
-  the project symbol table), the pair must share one parameter list (a
-  new knob must reach both) and branch on the same parameters (a kwarg
-  branch on one side means the twins no longer compute the same function
-  family).  A ``*vector*`` kernel without its oracle is flagged too.
+  (``_endpoint_overhead_reference`` ↔ ``_endpoint_overhead_vector``,
+  resolved through the project symbol table), the pair must share one
+  parameter list (a new knob must reach both) and branch on the same
+  parameters (a kwarg branch on one side means the twins no longer
+  compute the same function family).  A ``*vector*`` kernel without its
+  oracle is flagged too.
 * **Oracles stay off shipped paths.**  Only another ``*reference*``
   function may call a ``*reference*`` function; tests call them
   directly.  A shipped caller would both pay the scalar cost in

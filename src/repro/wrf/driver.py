@@ -145,6 +145,4 @@ class CoupledSimulation:
 
     def total_nest_memory(self) -> int:
         """Bytes of nest state currently resident across all ranks."""
-        return sum(
-            self.store.memory_bytes(rank) for rank in range(self.machine.ncores)
-        )
+        return sum(record.buf.nbytes for record in self.store.nests.values())

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.analysis import pda_cost_profile
+from repro.analysis import PDAConfig, parallel_data_analysis, pda_cost_profile
+from repro.analysis.parallel_nnc import count_distance_evaluations
 from repro.analysis.records import SplitBatch
 from repro.grid import ProcessorGrid
 
@@ -61,6 +62,22 @@ class TestPDACostProfile:
         files = files_for(grid, cloudy_frac=0.0)
         p = pda_cost_profile(files, grid, 4)
         assert p.gathered_elements == 0 and p.cluster_ops == 0
+
+    def test_corrupt_tile_is_not_gathered(self):
+        # PDA skips a tile whose fields are not finite; the profile counts
+        # and clusters exactly the tiles PDA gathers
+        grid = ProcessorGrid(2, 2)
+        tiles = np.array([[1.0, 2.0], [3.0, 4.0]])
+        q = np.repeat(np.repeat(tiles, 4, axis=0), 4, axis=1)
+        o = np.full_like(q, 150.0)  # every tile has low OLR
+        q[1, 1] = np.nan  # one NaN in tile 0
+        batch = SplitBatch(q, o, (0, 4, 8), (0, 4, 8), np.zeros(4, dtype=bool))
+        result = parallel_data_analysis(batch, grid, 2)
+        assert result.n_files_corrupt == 1
+        p = pda_cost_profile(batch, grid, 2)
+        assert p.gathered_elements == result.gathered_items == 3
+        assert p.cluster_ops == count_distance_evaluations(result.summaries, PDAConfig().nnc)
+        assert p.cluster_ops > 0
 
     def test_gather_bytes(self):
         grid = ProcessorGrid(8, 8)

@@ -17,7 +17,7 @@ from repro.core.dataplane import (
     scatter_nest,
 )
 from repro.core.redistribution import nest_moves
-from repro.grid import ProcessorGrid, Rect
+from repro.grid import ProcessorGrid
 from repro.mpisim import CostModel
 from repro.topology import MACHINES
 from repro.tree import build_huffman
@@ -41,43 +41,66 @@ def random_field(nx, ny, seed=0):
 
 
 class TestRankStore:
-    def test_put_get(self):
+    def test_scatter_get(self):
+        alloc = alloc_for({1: 1.0})
         s = RankStore(GRID.nprocs)
-        blk = np.ones((3, 4))
-        s.put(5, 1, blk, Rect(0, 0, 4, 3))
-        got, rect = s.get(5, 1)
-        assert np.array_equal(got, blk) and rect == Rect(0, 0, 4, 3)
-
-    def test_shape_mismatch(self):
-        s = RankStore(4)
-        with pytest.raises(ValueError):
-            s.put(0, 1, np.ones((3, 3)), Rect(0, 0, 4, 3))
+        f = random_field(40, 24)
+        scatter_nest(s, 1, f, alloc)
+        rect = alloc.rect_of(1)
+        blk, got = s.get(GRID.rank(rect.x0 + 2, rect.y0 + 1), 1)
+        expected = alloc.decomposition(1, 40, 24).block_of(2, 1)
+        assert got == expected
+        assert np.array_equal(blk, f[expected.y0 : expected.y1, expected.x0 : expected.x1])
 
     def test_rank_range(self):
-        s = RankStore(4)
-        with pytest.raises(ValueError):
-            s.put(4, 1, np.ones((1, 1)), Rect(0, 0, 1, 1))
+        # the allocation's grid has more ranks than the store
+        alloc = alloc_for({1: 1.0})
+        with pytest.raises(ValueError, match="ranks"):
+            scatter_nest(RankStore(GRID.nprocs - 1), 1, random_field(8, 8), alloc)
 
     def test_missing_block(self):
         with pytest.raises(KeyError):
             RankStore(4).get(0, 9)
+        alloc = alloc_for({1: 0.5, 2: 0.5})
+        s = RankStore(GRID.nprocs)
+        scatter_nest(s, 1, random_field(20, 20), alloc)
+        outside = GRID.ranks_in(alloc.rect_of(2))[0]
+        with pytest.raises(KeyError):
+            s.get(int(outside), 1)
 
     def test_drop_nest(self):
-        s = RankStore(4)
-        s.put(0, 1, np.ones((1, 1)), Rect(0, 0, 1, 1))
-        s.put(1, 1, np.ones((1, 1)), Rect(1, 0, 1, 1))
-        assert s.drop_nest(1) == 2
+        alloc = alloc_for({1: 0.5, 2: 0.5})
+        s = RankStore(GRID.nprocs)
+        scatter_nest(s, 1, random_field(20, 20), alloc)
+        scatter_nest(s, 2, random_field(20, 20), alloc)
+        assert s.drop_nest(1) == alloc.rect_of(1).area
         assert s.holders(1) == []
+        assert s.drop_nest(1) == 0
+        assert s.holders(2) == sorted(GRID.ranks_in(alloc.rect_of(2)).tolist())
 
     def test_memory_accounting(self):
-        s = RankStore(4)
-        s.put(0, 1, np.ones((2, 2)), Rect(0, 0, 2, 2))
-        assert s.memory_bytes(0) == 4 * 8
-        assert s.memory_bytes(3) == 0
+        alloc = alloc_for({1: 0.5, 2: 0.5})
+        s = RankStore(GRID.nprocs)
+        scatter_nest(s, 1, random_field(30, 20), alloc)
+        inside = s.holders(1)
+        assert s.memory_bytes(inside[0]) == s.get(inside[0], 1)[0].nbytes > 0
+        assert sum(s.memory_bytes(r) for r in range(GRID.nprocs)) == 30 * 20 * 8
+        assert s.memory_bytes(int(GRID.ranks_in(alloc.rect_of(2))[0])) == 0
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             RankStore(0)
+
+    def test_write_through_get_view_is_gathered(self):
+        alloc = alloc_for({1: 1.0})
+        s = RankStore(GRID.nprocs)
+        f = random_field(40, 40)
+        scatter_nest(s, 1, f, alloc)
+        blk, rect = s.get(s.holders(1)[5], 1)
+        blk[:] = -1.0
+        expected = f.copy()
+        expected[rect.y0 : rect.y1, rect.x0 : rect.x1] = -1.0
+        assert np.array_equal(gather_nest(s, 1, 40, 40), expected)
 
 
 class TestScatterGather:
@@ -97,20 +120,21 @@ class TestScatterGather:
         assert holders == expected
 
     def test_gather_detects_missing_block(self):
+        # a dropped nest has no blocks left to gather
         alloc = alloc_for({1: 1.0})
         store = RankStore(GRID.nprocs)
         scatter_nest(store, 1, random_field(40, 40), alloc)
-        victim = store.holders(1)[3]
-        del store.blocks[victim][1]
+        store.drop_nest(1)
         with pytest.raises(ValueError):
             gather_nest(store, 1, 40, 40)
 
-    def test_gather_detects_overlapping_blocks(self):
-        store = RankStore(4)
-        store.put(0, 1, np.ones((2, 4)), Rect(0, 0, 4, 2))
-        store.put(1, 1, np.ones((2, 4)), Rect(0, 1, 4, 2))
-        with pytest.raises(ValueError):
-            gather_nest(store, 1, 4, 4)
+    def test_gather_rejects_another_size(self):
+        alloc = alloc_for({1: 1.0})
+        store = RankStore(GRID.nprocs)
+        scatter_nest(store, 1, random_field(40, 30), alloc)
+        for nx, ny in ((30, 40), (40, 31)):
+            with pytest.raises(ValueError):
+                gather_nest(store, 1, nx, ny)
 
 
 class TestExecuteRedistribution:
@@ -188,3 +212,18 @@ class TestExecuteRedistribution:
         scatter_nest(store, 1, f, old)
         execute_redistribution(store, move_of(1, old, new, nx, ny), old, new)
         assert np.array_equal(gather_nest(store, 1, nx, ny), f)
+
+    def test_rejects_a_store_without_the_old_layout(self):
+        old = alloc_for({1: 0.3, 2: 0.3, 3: 0.4})
+        new = DiffusionStrategy().reallocate(old, {1: 0.5, 3: 0.2, 4: 0.3}, GRID)
+        assert old.rect_of(1) != new.rect_of(1)
+        move = move_of(1, old, new, 50, 40)
+        store = RankStore(GRID.nprocs)
+        with pytest.raises(KeyError):  # no record at all
+            execute_redistribution(store, move, old, new)
+        scatter_nest(store, 1, random_field(50, 40), new)
+        with pytest.raises(KeyError):  # held on another rectangle
+            execute_redistribution(store, move, old, new)
+        scatter_nest(store, 1, random_field(50, 41), old)
+        with pytest.raises(KeyError):  # held at another size
+            execute_redistribution(store, move, old, new)

@@ -47,12 +47,7 @@ class TestCoupledSimulation:
         sim = small_sim()
         sim.run(10)
         live = set(sim.tracker.live)
-        held = {
-            nid
-            for blocks in sim.store.blocks.values()
-            for nid in blocks
-        }
-        assert held == live
+        assert set(sim.store.nests) == live
 
     def test_blocks_on_allocated_ranks(self):
         sim = small_sim()

@@ -718,9 +718,9 @@ class TestSoak:
         live_after = []
 
         def tamper(store, step):
-            live_after.append({nid for blocks in store.blocks.values() for nid in blocks})
-            rank = min(store.blocks)
-            block, _rect = store.blocks[rank][min(store.blocks[rank])]
+            live_after.append(set(store.nests))
+            nid = min(store.nests)
+            block, _rect = store.get(store.holders(nid)[0], nid)
             block += 1e-12
 
         flight = FlightRecorder()

@@ -37,7 +37,6 @@ from repro.analysis.pda import aggregate_summaries, aggregate_summaries_referenc
 from repro.core import Allocation, plan_redistribution
 from repro.core.dataplane import (
     RankStore,
-    _gather_nest_checked,
     _move_blocks_reference,
     _scatter_nest_reference,
     execute_redistribution,
@@ -387,53 +386,72 @@ class TestCandidateCostEquivalence:
         assert got.diffusion.rects == diffusion.rects
 
 
+def assert_store_matches(store, blocks, nid, field):
+    """Every holder's ``get`` view and rectangle equal the oracle's blocks
+    bit for bit, and both the shipped gather and the oracle's blocks
+    reassemble ``field``."""
+    ny, nx = field.shape
+    assert store.holders(nid) == sorted(blocks)
+    assembled = np.full((ny, nx), np.nan)
+    for rank, (block, rect) in blocks.items():
+        got, got_rect = store.get(rank, nid)
+        assert got_rect == rect
+        assert np.array_equal(got, block)
+        assembled[rect.y0 : rect.y1, rect.x0 : rect.x1] = block
+    assert np.array_equal(assembled, field)
+    assert np.array_equal(gather_nest(store, nid, nx, ny), field)
+
+
 class TestDataplaneEquivalence:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_store_contents_match_reference(self, data):
-        """scatter → execute through the shipped path and through the
-        oracles leaves identical per-rank blocks, and both the shipped
-        gather and its verifying walk return the original field
-        bit-for-bit."""
-        old, w_old = draw_allocation(data, "old")
+        """A scatter, then a chain of 2-4 moves over freshly drawn
+        allocations, through the shipped path and through the per-block
+        oracles.  Before some moves the nest is regridded (dropped and
+        scattered at a new size, as the stepper does).  After every step
+        the store matches the oracles' blocks bit for bit."""
+        old, w_old = draw_allocation(data, "a0")
         nid = next(iter(w_old))
-        w_new = dict(w_old)
-        w_new[nid] = w_new[nid] + data.draw(st.integers(1, 8), label="bump")
-        new = Allocation.from_tree(build_huffman(w_new), GRID, w_new)
-        # sides from 1: the list-walk mover meets zero-width blocks
-        nx = data.draw(st.integers(1, 60), label="nx")
-        ny = data.draw(st.integers(1, 60), label="ny")
-        seed = data.draw(st.integers(0, 2**20), label="seed")
-        field = make_rng(seed).uniform(0.0, 1.0, (ny, nx))
-
-        sizes = {n: (nx, ny) for n in w_old}
         cost = CostModel.for_machine(MACHINES["bgl-256"])
-        move = next(m for m in nest_moves(old, new, sizes, cost) if m.nest_id == nid)
+        rng = make_rng(data.draw(st.integers(0, 2**20), label="seed"))
+        # sides from 1: the layouts meet zero-width blocks
+        nx = data.draw(st.integers(1, 60), label="nx0")
+        ny = data.draw(st.integers(1, 60), label="ny0")
+        field = rng.uniform(0.0, 1.0, (ny, nx))
+        store = RankStore(GRID.nprocs)
+        scatter_nest(store, nid, field, old)
+        blocks = _scatter_nest_reference(nid, field, old)
+        assert_store_matches(store, blocks, nid, field)
 
-        stores = {"vector": RankStore(GRID.nprocs), "reference": RankStore(GRID.nprocs)}
-        scatter_nest(stores["vector"], nid, field, old)
-        execute_redistribution(stores["vector"], move, old, new)
-        _scatter_nest_reference(stores["reference"], nid, field, old)
-        _move_blocks_reference(
-            stores["reference"],
-            nid,
-            old,
-            new,
-            old.decomposition(nid, nx, ny),
-            new.decomposition(nid, nx, ny),
-        )
-
-        holders = stores["vector"].holders(nid)
-        assert holders == stores["reference"].holders(nid)
-        for rank in holders:
-            block_v, rect_v = stores["vector"].get(rank, nid)
-            block_r, rect_r = stores["reference"].get(rank, nid)
-            assert rect_v == rect_r
-            assert np.array_equal(block_v, block_r)
-        assert np.array_equal(gather_nest(stores["vector"], nid, nx, ny), field)
-        assert np.array_equal(
-            _gather_nest_checked(stores["reference"], nid, nx, ny), field
-        )
+        for k in range(1, data.draw(st.integers(2, 4), label="moves") + 1):
+            if data.draw(st.booleans(), label=f"regrid{k}"):
+                nx = data.draw(st.integers(1, 60), label=f"nx{k}")
+                ny = data.draw(st.integers(1, 60), label=f"ny{k}")
+                field = rng.uniform(0.0, 1.0, (ny, nx))
+                store.drop_nest(nid)
+                scatter_nest(store, nid, field, old)
+                blocks = _scatter_nest_reference(nid, field, old)
+                assert_store_matches(store, blocks, nid, field)
+            others = data.draw(st.sets(st.integers(1, 9), max_size=4), label=f"ids{k}")
+            w_new = {
+                n: 1.0 + data.draw(st.integers(0, 12), label=f"w{k}_{n}")
+                for n in sorted(others | {nid})
+            }
+            new = Allocation.from_tree(build_huffman(w_new), GRID, w_new)
+            sizes = {n: (nx, ny) for n in old.rects}
+            move = next(m for m in nest_moves(old, new, sizes, cost) if m.nest_id == nid)
+            execute_redistribution(store, move, old, new)
+            blocks = _move_blocks_reference(
+                blocks,
+                nid,
+                old,
+                new,
+                old.decomposition(nid, nx, ny),
+                new.decomposition(nid, nx, ny),
+            )
+            assert_store_matches(store, blocks, nid, field)
+            old = new
 
 
 def draw_split_batch(data):

@@ -279,11 +279,8 @@ class TestRunSanitized:
 
     def test_injected_conservation_bug_detected(self):
         def tamper(store, step):
-            if step == 6:  # silently lose one block late in the run
-                for rank in sorted(store.blocks):
-                    for nid in sorted(store.blocks[rank]):
-                        del store.blocks[rank][nid]
-                        return
+            if step == 6 and store.nests:  # silently lose a nest late in the run
+                store.drop_nest(min(store.nests))
 
         report = run_fault_free(7, 7, tamper=tamper)
         assert not report.ok
@@ -294,11 +291,10 @@ class TestRunSanitized:
 
     def test_corrupted_block_values_detected_bit_for_bit(self):
         def tamper(store, step):
-            if step == 5:
-                for rank in sorted(store.blocks):
-                    for nid, (block, _rect) in sorted(store.blocks[rank].items()):
-                        block += 1e-12  # tiling intact, bits wrong
-                        return
+            if step == 5 and store.nests:
+                nid = min(store.nests)
+                block, _rect = store.get(store.holders(nid)[0], nid)
+                block += 1e-12  # tiling intact, bits wrong
 
         report = run_fault_free(7, 6, tamper=tamper)
         assert not report.ok

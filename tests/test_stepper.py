@@ -45,7 +45,7 @@ def payload(nest_id, nx, ny):
 
 
 def held_nests(store):
-    return {nid for blocks in store.blocks.values() for nid in blocks}
+    return set(store.nests)
 
 
 def count_calls(monkeypatch, module, name):
