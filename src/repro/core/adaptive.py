@@ -19,11 +19,16 @@ it.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.allocation import Allocation
 from repro.core.diffusion import DiffusionStrategy
 from repro.core.scratch import ScratchStrategy
 from repro.core.strategy import ReallocationStrategy
 from repro.grid.procgrid import ProcessorGrid
+
+if TYPE_CHECKING:
+    from repro.core.redistribution import MoveMap
 
 __all__ = ["AdaptiveResetStrategy", "layout_quality"]
 
@@ -75,6 +80,7 @@ class AdaptiveResetStrategy(ReallocationStrategy):
         weights: dict[int, float],
         grid: ProcessorGrid,
         nest_sizes: dict[int, tuple[int, int]] | None = None,
+        moves: MoveMap | None = None,
     ) -> Allocation:
         self.check_reallocate_args(old, weights, grid)
         self._step += 1

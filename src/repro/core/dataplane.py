@@ -16,7 +16,10 @@ WRF does with ``MPI_Alltoallv``:
 * :func:`gather_nest` reassembles the full field from the owners.
 
 Scatter and gather are one strided copy per block shape (at most four),
-and a move is one ``take``.  The end-to-end invariant — *gather after any
+and a move is one ``take`` — or nothing, when the nest's new rectangle
+has its old one's width and height, because the slab layout is
+rect-relative and the new record keeps the old buffer.  The end-to-end
+invariant — *gather after any
 chain of redistributions returns the original field bit-for-bit* — is
 what the integration tests and the failure-injection tests check.  This
 is the paper's contribution 2 ("a framework that supports dynamic nest
@@ -305,7 +308,9 @@ def execute_redistribution(
     (paper Fig. 3: processor 16 receives from 0, 1, 4 and 5).  Each point
     goes straight from its old owner's slab to its new owner's slab: the
     new record's buffer is one ``take`` from the old one, and the old
-    record is freed.
+    record is freed.  A new rectangle of the old one's width and height
+    lays every point out where it already is, so the new record keeps the
+    old buffer.
 
     Validation: the move's size was checked when it was planned; a store
     that does not hold the nest on ``old``'s rectangle at the move's size
@@ -321,13 +326,10 @@ def execute_redistribution(
             raise KeyError(f"the store holds no {nx}x{ny} nest {nest_id} on {old_rect}")
         _check_fits(store, new)
         new_rect = new.rect_of(nest_id)
-        store.nests[nest_id] = NestRecord(
-            new_rect,
-            new.grid.px,
-            nx,
-            ny,
-            record.buf.take(_take_index(nx, ny, old_rect, new_rect)),
-        )
+        buf = record.buf
+        if (new_rect.w, new_rect.h) != (old_rect.w, old_rect.h):
+            buf = buf.take(_take_index(nx, ny, old_rect, new_rect))
+        store.nests[nest_id] = NestRecord(new_rect, new.grid.px, nx, ny, buf)
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_execute(store, move)

@@ -10,11 +10,16 @@ mapping) hop-bytes drop sharply.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.allocation import Allocation
 from repro.core.strategy import ReallocationStrategy
 from repro.grid.procgrid import ProcessorGrid
 from repro.tree.edit import diffusion_edit
 from repro.tree.huffman import build_huffman
+
+if TYPE_CHECKING:
+    from repro.core.redistribution import MoveMap
 
 __all__ = ["DiffusionStrategy"]
 
@@ -30,6 +35,7 @@ class DiffusionStrategy(ReallocationStrategy):
         weights: dict[int, float],
         grid: ProcessorGrid,
         nest_sizes: dict[int, tuple[int, int]] | None = None,
+        moves: MoveMap | None = None,
     ) -> Allocation:
         self.check_reallocate_args(old, weights, grid)
         if old is None or old.tree is None:

@@ -10,6 +10,10 @@ predicted redistribution time** wins:
 * predicted redistribution time is the §IV-C1 analytical alltoallv model
   over the retained nests' transfer matrices.
 
+Both candidates price their moves into the point's move map, so a move
+the two share is built once, and the plan reads the winner's moves from
+the same map.
+
 The choice history is recorded so the Fig. 12 experiment can report how
 often each method was selected and whether the selection was correct.
 """
@@ -20,14 +24,13 @@ from dataclasses import dataclass
 
 from repro.core.allocation import Allocation
 from repro.core.diffusion import DiffusionStrategy
-from repro.core.redistribution import nest_moves
+from repro.core.redistribution import MoveMap, nest_moves
 from repro.core.scratch import ScratchStrategy
 from repro.core.strategy import ReallocationStrategy
 from repro.grid.procgrid import ProcessorGrid
 from repro.mpisim.costmodel import CostModel
 from repro.obs import get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
-from repro.perfmodel.redisttime import predict_redistribution_time
 from repro.sanitize.hooks import get_sanitizer
 from repro.topology.machines import MachineSpec
 
@@ -97,12 +100,14 @@ def predicted_costs(
     machine: MachineSpec,
     cost: CostModel,
     predictor: ExecTimePredictor,
+    moves: MoveMap | None = None,
 ) -> tuple[float, float]:
     """One candidate's §IV-C decision inputs: ``(exec, redist)`` predicted.
 
     The redistribution time is the §IV-C1 model alone over the retained
     nests' moves, summed as a plan sums its ``predicted_time`` (0.0 at the
-    first adaptation point, where nothing moves).
+    first adaptation point, where nothing moves).  ``moves`` is the
+    point's move map (:func:`~repro.core.redistribution.nest_moves`).
 
     Validation: :func:`predicted_exec_time` raises ``ValueError`` for an
     allocated nest without a size.
@@ -110,13 +115,11 @@ def predicted_costs(
     exec_time = predicted_exec_time(predictor, candidate, nest_sizes)
     if old is None:
         return exec_time, 0.0
-    moves = nest_moves(old, candidate, nest_sizes, cost)
+    priced = nest_moves(old, candidate, nest_sizes, machine, cost, moves)
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
-        sanitizer.after_moves(moves, nest_sizes)
-    return exec_time, predict_redistribution_time(
-        [move.messages for move in moves], machine, cost
-    )
+        sanitizer.after_moves(priced, nest_sizes)
+    return exec_time, sum(move.predicted_time for move in priced)
 
 
 def predict_candidate_costs(
@@ -127,24 +130,29 @@ def predict_candidate_costs(
     machine: MachineSpec,
     cost: CostModel,
     predictor: ExecTimePredictor,
+    moves: MoveMap | None = None,
 ) -> CandidateCosts:
     """Compute both candidate allocations and the §IV-C decision inputs.
 
     This is the dynamic strategy's decision procedure.  The winner rule
     is strict inequality; ties keep diffusion (which preserves overlap
     for free).  The adaptation audit of scratch- and diffusion-only runs
-    prices the candidates with the same :func:`predicted_costs`.
+    prices the candidates with the same :func:`predicted_costs`.  Both
+    candidates price into ``moves``, the point's move map (a fresh one
+    when none is given), so a move they share is built once.
     """
     missing = set(weights) - set(nest_sizes)
     if missing:
         raise KeyError(f"nest_sizes missing for nests {sorted(missing)}")
+    if moves is None:
+        moves = {}
     scratch_alloc = ScratchStrategy().reallocate(old, weights, grid)
     diffusion_alloc = DiffusionStrategy().reallocate(old, weights, grid)
     s_exec, s_redist = predicted_costs(
-        old, scratch_alloc, nest_sizes, machine, cost, predictor
+        old, scratch_alloc, nest_sizes, machine, cost, predictor, moves
     )
     d_exec, d_redist = predicted_costs(
-        old, diffusion_alloc, nest_sizes, machine, cost, predictor
+        old, diffusion_alloc, nest_sizes, machine, cost, predictor, moves
     )
     # Strict inequality: on a predicted tie (frequently the two trees
     # coincide exactly) keep the diffusion allocation, which preserves
@@ -191,13 +199,21 @@ class DynamicStrategy(ReallocationStrategy):
         weights: dict[int, float],
         grid: ProcessorGrid,
         nest_sizes: dict[int, tuple[int, int]] | None = None,
+        moves: MoveMap | None = None,
     ) -> Allocation:
         if nest_sizes is None:
             raise ValueError(
                 "DynamicStrategy needs nest_sizes to predict redistribution"
             )
         candidates = predict_candidate_costs(
-            old, weights, grid, nest_sizes, self.machine, self.cost, self.predictor
+            old,
+            weights,
+            grid,
+            nest_sizes,
+            self.machine,
+            self.cost,
+            self.predictor,
+            moves,
         )
         choice = candidates.choice
         self.history.append(choice)

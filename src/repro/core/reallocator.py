@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.allocation import Allocation
-from repro.core.redistribution import RedistributionPlan, plan_redistribution
+from repro.core.redistribution import MoveMap, RedistributionPlan, plan_redistribution
 from repro.core.strategy import ReallocationStrategy
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.netsim import LinkLoadState, NetworkSimulator
@@ -97,9 +97,12 @@ class ProcessorReallocator:
             old_ids = set(old.rects) if old is not None else set()
             with recorder.span("realloc.weights"):
                 weights = self.predictor.weights(nests, self.grid.nprocs)
+            # This point's move map: a strategy that prices moves fills it,
+            # and the plan takes the winner's moves from it.
+            moves: MoveMap = {}
             with recorder.span("realloc.strategy", strategy=self.strategy.name):
                 new_alloc = self.strategy.reallocate(
-                    old, weights, self.grid, nest_sizes=dict(nests)
+                    old, weights, self.grid, nest_sizes=dict(nests), moves=moves
                 )
             plan: RedistributionPlan | None = None
             if old is not None:
@@ -115,6 +118,7 @@ class ProcessorReallocator:
                         self.cost,
                         self.simulator,
                         link_state=self.link_state,
+                        moves=moves,
                     )
             for nid in sorted(new_alloc.rects):
                 rect = new_alloc.rects[nid]

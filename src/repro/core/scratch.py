@@ -9,10 +9,15 @@ sender/receiver sets and high redistribution cost.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.allocation import Allocation
 from repro.core.strategy import ReallocationStrategy
 from repro.grid.procgrid import ProcessorGrid
 from repro.tree.huffman import build_huffman
+
+if TYPE_CHECKING:
+    from repro.core.redistribution import MoveMap
 
 __all__ = ["ScratchStrategy"]
 
@@ -28,6 +33,7 @@ class ScratchStrategy(ReallocationStrategy):
         weights: dict[int, float],
         grid: ProcessorGrid,
         nest_sizes: dict[int, tuple[int, int]] | None = None,
+        moves: MoveMap | None = None,
     ) -> Allocation:
         self.check_reallocate_args(old, weights, grid)
         tree = build_huffman(weights)

@@ -54,9 +54,11 @@ class AdaptationStepper:
 
     ``retry`` sends every move through
     :func:`~repro.core.dataplane.execute_redistribution_with_retry`,
-    seeded by ``seed``.  ``verify`` gathers each moved nest before and
-    after its move and raises :class:`RuntimeError` on any changed bit.
-    A caller may replace ``store`` between points (a recovery rebuilds it).
+    seeded by ``seed``.  ``verify`` compares each moved nest's gather
+    after its move with its field before it — the field just scattered,
+    for a regridded nest, so the check covers the scatter too — and
+    raises :class:`RuntimeError` on any changed bit.  A caller may
+    replace ``store`` between points (a recovery rebuilds it).
     """
 
     def __init__(
@@ -105,10 +107,13 @@ class AdaptationStepper:
                 for move in plan.moves if plan is not None else []:
                     assert old is not None
                     nid, nx, ny = move.nest_id, move.nx, move.ny
+                    before = None  # the nest's field before its move
                     if stored[nid] != (nx, ny):
                         store.drop_nest(nid)
-                        scatter_nest(store, nid, payload(nid, nx, ny), old)
-                    before = gather_nest(store, nid, nx, ny) if self.verify else None
+                        before = payload(nid, nx, ny)
+                        scatter_nest(store, nid, before, old)
+                    elif self.verify:
+                        before = gather_nest(store, nid, nx, ny)
                     if self.retry is not None:
                         retries.append(
                             execute_redistribution_with_retry(
@@ -125,10 +130,10 @@ class AdaptationStepper:
                     else:
                         execute_redistribution(store, move, old, new)
                     moved += move.messages.total_bytes
-                    if before is not None:
+                    if self.verify and before is not None:
                         if not np.array_equal(before, gather_nest(store, nid, nx, ny)):
                             raise RuntimeError(
-                                f"nest {nid}: payload corrupted during redistribution"
+                                f"nest {nid}: payload corrupted during regrid or redistribution"
                             )
                         verified.append(nid)
                 for nid in result.created:

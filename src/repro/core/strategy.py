@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import abc
 import math
+from typing import TYPE_CHECKING
 
 from repro.core.allocation import Allocation
 from repro.grid.procgrid import ProcessorGrid
 from repro.util.validation import check_type
+
+if TYPE_CHECKING:
+    from repro.core.redistribution import MoveMap
 
 __all__ = ["ReallocationStrategy"]
 
@@ -25,6 +29,7 @@ class ReallocationStrategy(abc.ABC):
         weights: dict[int, float],
         grid: ProcessorGrid,
         nest_sizes: dict[int, tuple[int, int]] | None = None,
+        moves: MoveMap | None = None,
     ) -> Allocation:
         """Allocate processors for the nests in ``weights``.
 
@@ -41,6 +46,11 @@ class ReallocationStrategy(abc.ABC):
         nest_sizes:
             ``{nest_id: (nx, ny)}`` fine-grid sizes; required by strategies
             that predict redistribution cost (dynamic), ignored otherwise.
+        moves:
+            The adaptation point's move map
+            (:data:`~repro.core.redistribution.MoveMap`).  A strategy that
+            prices moves (dynamic) adds them to it, so the point's plan
+            reuses them; the others ignore it.
         """
 
     @staticmethod

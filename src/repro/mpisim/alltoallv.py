@@ -97,7 +97,10 @@ def messages_from_transfer(
 
 
 def predict_alltoallv_time(
-    messages: MessageSet, machine: MachineSpec, cost: CostModel
+    messages: MessageSet,
+    machine: MachineSpec,
+    cost: CostModel,
+    hops: np.ndarray | None = None,
 ) -> float:
     """§IV-C1 prediction of the alltoallv redistribution time.
 
@@ -106,13 +109,15 @@ def predict_alltoallv_time(
     ``max`` over senders of ``Σ (α + (β + soft_β)·bytes)``.  Both carry the
     ``soft_α · P`` full-communicator collective floor (the alltoallv runs
     over the parent communicator; non-participants contribute zero counts
-    but still walk the count arrays).
+    but still walk the count arrays).  ``hops`` are the messages' hop
+    counts under ``machine.mapping`` when the caller already has them.
     """
     if len(messages) == 0:
         return 0.0
     floor = cost.collective_floor(machine.ncores)
     if machine.is_torus:
-        hops = machine.mapping.rank_hops(messages.src, messages.dst)
+        if hops is None:
+            hops = machine.mapping.rank_hops(messages.src, messages.dst)
         times = (
             cost.alpha
             + (np.maximum(hops, 1) * cost.beta + cost.soft_beta) * messages.nbytes

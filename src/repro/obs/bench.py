@@ -13,6 +13,7 @@ phase                        what it times
 ===========================  ==================================================
 ``wrf.fields``               QCLOUD + OLR synthesis over the parent domain
 ``wrf.split_files``          one step's split batch over its fields
+``wrf.payload``              one Mumbai-sized nest regridded from the parent
 ``analysis.pda``             Algorithm 1 + NNC over one step's split batch
 ``pda.aggregate``            the batch's per-tile reductions alone
 ``tree.scratch``             Huffman build + rectangle layout (§IV-A)
@@ -269,6 +270,22 @@ def _setup_wrf_split_files(quick: bool) -> Callable[[], object]:
     return run
 
 
+def _setup_wrf_payload(quick: bool) -> Callable[[], object]:
+    from repro.grid.rect import Rect
+    from repro.wrf import Nest
+
+    model = _pinned_model(quick)
+    qcloud, _ = model.fields()
+    side = 120  # the largest ROI a Mumbai point keeps, at refinement 3
+    x0, y0 = (model.config.nx - side) // 2, (model.config.ny - side) // 2
+    nest = Nest(1, Rect(x0, y0, side, side), refinement=3)
+
+    def run() -> object:
+        return nest.interpolate_from_parent(qcloud)
+
+    return run
+
+
 def _setup_pda(quick: bool) -> Callable[[], object]:
     from repro.analysis import PDAConfig, parallel_data_analysis
 
@@ -442,7 +459,7 @@ def _setup_dataplane(quick: bool) -> Callable[[], object]:
 
     pair = _allocation_pair(quick)
     old, new = pair.old, pair.new
-    move = nest_moves(old, new, pair.sizes, pair.cost)[0]
+    move = nest_moves(old, new, pair.sizes, pair.machine, pair.cost)[0]
     nest_id, nx, ny = move.nest_id, move.nx, move.ny
     payload = np.arange(nx * ny, dtype=np.float64).reshape(ny, nx)
     ncores = pair.machine.ncores
@@ -588,6 +605,11 @@ def bench_phases() -> tuple[BenchPhase, ...]:
             "wrf.split_files",
             "one step's split batch over its fields",
             _setup_wrf_split_files,
+        ),
+        BenchPhase(
+            "wrf.payload",
+            "one Mumbai-sized nest regridded from the parent",
+            _setup_wrf_payload,
         ),
         BenchPhase(
             "analysis.pda",

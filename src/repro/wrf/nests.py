@@ -56,18 +56,57 @@ class Nest:
     def npoints(self) -> int:
         return self.nx * self.ny
 
+    def _check_inside(self, parent_field: np.ndarray) -> tuple[int, int]:
+        """The parent's ``(height, width)``; ``ValueError`` when the ROI
+        reaches outside it on any side."""
+        ph, pw = parent_field.shape
+        roi = self.roi
+        if roi.x0 < 0 or roi.y0 < 0 or roi.x1 > pw or roi.y1 > ph:
+            raise ValueError(f"ROI {roi} outside parent field {pw}x{ph}")
+        return ph, pw
+
     def interpolate_from_parent(self, parent_field: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the parent field onto the nest grid.
 
         ``parent_field`` is the full parent domain ``(ny, nx)``; the result
         has shape ``(self.ny, self.nx)``.  Fine points sit at the centres of
         the ``refinement x refinement`` subdivision of each parent cell.
+        An ROI outside the parent raises ``ValueError``.
+
+        The row weights are applied once per fine row over the parent
+        columns the ROI reads, then the columns are gathered and weighted:
+        every fine point sees the operands of
+        :meth:`_interpolate_from_parent_reference` in its order, so the two
+        agree bit for bit.
         """
-        ph, pw = parent_field.shape
-        if self.roi.x1 > pw or self.roi.y1 > ph:
-            raise ValueError(
-                f"ROI {self.roi} outside parent field {pw}x{ph}"
-            )
+        ph, pw = self._check_inside(parent_field)
+        x0, x1, tx = _axis_stencil(self.roi.x0, self.nx, self.refinement, pw)
+        y0, y1, ty = _axis_stencil(self.roi.y0, self.ny, self.refinement, ph)
+        c0, c1 = int(x0[0]), int(x1[-1]) + 1
+        wy = ty[:, None]
+        top = parent_field[y0, c0:c1] * (1 - wy)
+        bottom = parent_field[y1, c0:c1] * wy
+        left, right = x0 - c0, x1 - c0
+        wl = 1 - tx
+        out = top.take(left, axis=1)
+        out *= wl
+        term = top.take(right, axis=1)
+        term *= tx
+        out += term
+        # the stencil's indices are in range, and "clip" lets take write
+        # straight into ``term`` where "raise" would stage a copy
+        bottom.take(left, axis=1, out=term, mode="clip")
+        term *= wl
+        out += term
+        bottom.take(right, axis=1, out=term, mode="clip")
+        term *= tx
+        out += term
+        return out
+
+    def _interpolate_from_parent_reference(self, parent_field: np.ndarray) -> np.ndarray:
+        """Four-corner oracle of :meth:`interpolate_from_parent` (tests
+        only): each corner gathered and weighted at fine resolution."""
+        ph, pw = self._check_inside(parent_field)
         r = self.refinement
         # Fine-point coordinates in parent index space (cell-centre offsets).
         fx = self.roi.x0 + (np.arange(self.nx) + 0.5) / r - 0.5
@@ -92,6 +131,21 @@ class Nest:
             + f10 * wy * (1 - wx)
             + f11 * wy * wx
         )
+
+
+def _axis_stencil(
+    start: int, n: int, r: int, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis of the bilinear stencil: for each of the ``n`` fine points
+    from parent point ``start`` at refinement ``r``, its lower and upper
+    parent neighbours on an axis of ``size`` points and the upper one's
+    weight."""
+    if size == 1:
+        zeros = np.zeros(n, dtype=np.int64)
+        return zeros, zeros, np.zeros(n)
+    f = np.clip(start + (np.arange(n) + 0.5) / r - 0.5, 0, size - 1)
+    lower = np.clip(np.floor(f).astype(np.int64), 0, size - 2)
+    return lower, lower + 1, f - lower
 
 
 class NestTracker:

@@ -281,9 +281,9 @@ class TestSideCostingReusesTheAppliedPlan:
         moved = []
         real_nest_moves = redistribution.nest_moves
 
-        def counting_nest_moves(old, new, nest_sizes, cost):
+        def counting_nest_moves(old, new, nest_sizes, machine, cost, moves=None):
             moved.append(new.rects)
-            return real_nest_moves(old, new, nest_sizes, cost)
+            return real_nest_moves(old, new, nest_sizes, machine, cost, moves)
 
         monkeypatch.setattr(redistribution, "nest_moves", counting_nest_moves)
         monkeypatch.setattr(dynamic, "nest_moves", counting_nest_moves)

@@ -296,6 +296,80 @@ class TestRouteOnce:
         assert routed == []
 
 
+class TestOneMovePerPoint:
+    """A point's candidates and its plan share one move map: each distinct
+    move is built once, the plan executes the very moves the winner was
+    priced with, and its sums read the moves' own hop-bytes and times."""
+
+    def test_candidates_and_plan_share_each_move(self, predictor, monkeypatch):
+        from repro.core import dynamic, redistribution
+        from repro.experiments import synthetic_workload
+        from repro.mpisim import MessageSet, hop_bytes
+        from repro.sanitize import Sanitizer, use_sanitizer
+        from repro.topology import MACHINES
+
+        machine = MACHINES["bgl-256"]
+        cost = CostModel.for_machine(machine)
+        dyn = DynamicStrategy(machine, cost, predictor)
+        realloc = ProcessorReallocator(machine, dyn, predictor, cost)
+        built, priced = [], []
+        real_transfer, real_nest_moves = (
+            redistribution.transfer_matrix,
+            dynamic.nest_moves,
+        )
+
+        def counting_transfer(old, new, px):
+            built.append((old.proc_rect, new.proc_rect, new.nx, new.ny))
+            return real_transfer(old, new, px)
+
+        def recording_nest_moves(old, new, nest_sizes, machine, cost, moves=None):
+            out = real_nest_moves(old, new, nest_sizes, machine, cost, moves)
+            priced.append((old, new, out))
+            return out
+
+        monkeypatch.setattr(redistribution, "transfer_matrix", counting_transfer)
+        monkeypatch.setattr(dynamic, "nest_moves", recording_nest_moves)
+        san = Sanitizer()
+        shared = total = 0
+        with use_sanitizer(san):
+            for nests in synthetic_workload(seed=3, n_steps=16).steps:
+                built.clear()
+                priced.clear()
+                result = realloc.step(nests)
+                plan = result.plan
+                if plan is None:
+                    assert built == [] and priced == []
+                    continue
+                # one build per distinct (nest, new rect, size) of the point
+                (old, scratch, s_moves), (_, diffusion, d_moves) = priced
+                distinct = {
+                    (old.rects[m.nest_id], cand.rects[m.nest_id], m.nx, m.ny)
+                    for cand, moves in ((scratch, s_moves), (diffusion, d_moves))
+                    for m in moves
+                }
+                assert len(built) == len(set(built)) == len(distinct)
+                assert set(built) == distinct
+                shared += len(s_moves) + len(d_moves) - len(distinct)
+                total += len(distinct)
+                # the plan executes the winner's priced moves, and reads
+                # their sums bit for bit
+                choice = dyn.history[-1]
+                winner = s_moves if choice.chosen == "scratch" else d_moves
+                assert len(plan.moves) == len(winner)
+                assert all(a is b for a, b in zip(plan.moves, winner))
+                redist = (
+                    choice.scratch_redist
+                    if choice.chosen == "scratch"
+                    else choice.diffusion_redist
+                )
+                assert plan.predicted_time == redist
+                all_msgs = MessageSet.concat([m.messages for m in plan.moves])
+                assert plan.hop_bytes_total == hop_bytes(all_msgs, machine.mapping)[0]
+        assert total > 0 and shared > 0  # the candidates did share moves
+        assert san.violations == []
+        assert san.checks_run["plan.conservation"] > 0
+
+
 class TestMetrics:
     def _metric(self, step, measured, exec_actual=10.0):
         return StepMetrics(

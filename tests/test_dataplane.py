@@ -13,17 +13,20 @@ from repro.core import Allocation, DiffusionStrategy, ScratchStrategy
 from repro.core.dataplane import (
     RankStore,
     execute_redistribution,
+    execute_redistribution_with_retry,
     gather_nest,
     scatter_nest,
 )
 from repro.core.redistribution import nest_moves
-from repro.grid import ProcessorGrid
+from repro.grid import ProcessorGrid, Rect
 from repro.mpisim import CostModel
+from repro.sanitize import Sanitizer, use_sanitizer
 from repro.topology import MACHINES
 from repro.tree import build_huffman
 
 GRID = ProcessorGrid(16, 16)
-COST = CostModel.for_machine(MACHINES["bgl-256"])  # the machine of GRID
+MACHINE = MACHINES["bgl-256"]  # the machine of GRID
+COST = CostModel.for_machine(MACHINE)
 
 
 def alloc_for(weights):
@@ -33,7 +36,7 @@ def alloc_for(weights):
 def move_of(nest_id, old, new, nx, ny):
     """The planned move of ``nest_id`` at ``nx x ny`` from ``old`` to ``new``."""
     sizes = {nid: (nx, ny) for nid in old.rects}
-    return next(m for m in nest_moves(old, new, sizes, COST) if m.nest_id == nest_id)
+    return next(m for m in nest_moves(old, new, sizes, MACHINE, COST) if m.nest_id == nest_id)
 
 
 def random_field(nx, ny, seed=0):
@@ -227,3 +230,34 @@ class TestExecuteRedistribution:
         scatter_nest(store, 1, random_field(50, 41), old)
         with pytest.raises(KeyError):  # held at another size
             execute_redistribution(store, move, old, new)
+
+
+class TestShapeKeepingMoveKeepsTheBuffer:
+    """The slab layout is rect-relative, so a new rectangle of the old
+    one's width and height holds every point where it already is: the
+    move keeps the nest's buffer and copies nothing."""
+
+    OLD = Rect(2, 3, 5, 4)
+
+    @pytest.mark.parametrize("new_rect", [Rect(2, 3, 5, 4), Rect(9, 10, 5, 4)])
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_same_and_translated_rectangle(self, new_rect, retry):
+        old = Allocation(GRID, None, {1: self.OLD})
+        new = Allocation(GRID, None, {1: new_rect})
+        store = RankStore(GRID.nprocs)
+        f = random_field(43, 29, seed=4)
+        scatter_nest(store, 1, f, old)
+        buf = store.nests[1].buf
+        move = move_of(1, old, new, 43, 29)
+        san = Sanitizer()
+        with use_sanitizer(san):
+            if retry:
+                execute_redistribution_with_retry(store, move, old, new)
+            else:
+                execute_redistribution(store, move, old, new)
+        assert store.nests[1].buf is buf
+        assert store.nests[1].rect == new_rect
+        assert san.checks_run["execute.conservation"] == 1
+        assert san.violations == []
+        assert np.array_equal(gather_nest(store, 1, 43, 29), f)
+        assert set(store.holders(1)) == set(GRID.ranks_in(new_rect).tolist())

@@ -154,7 +154,15 @@ def _move(nest_id, transfer, nx, ny):
         dst=np.array([], dtype=np.int64),
         nbytes=np.array([], dtype=np.int64),
     )
-    return NestMove(nest_id=nest_id, nx=nx, ny=ny, transfer=transfer, messages=empty)
+    return NestMove(
+        nest_id=nest_id,
+        nx=nx,
+        ny=ny,
+        transfer=transfer,
+        messages=empty,
+        hop_bytes=0.0,
+        predicted_time=0.0,
+    )
 
 
 class TestTilingMessages:

@@ -4,7 +4,8 @@ Every hot path with a vectorised implementation keeps its original
 scalar implementation beside it as a ``*_reference`` oracle — a test-only
 specification that shipped code never calls.  These tests drive both over
 randomized inputs — grids, nest sets, message sets, fault masks, degraded
-split-file sets, subdomain summaries — and demand the outputs match:
+split-file sets, subdomain summaries, parent fields and nest ROIs — and
+demand the outputs match:
 bit-for-bit (for NNC, the very same summary objects) wherever the
 arithmetic is order-independent (integer-valued byte counts), and to
 1e-12 relative tolerance for the float aggregates whose summation order
@@ -53,7 +54,7 @@ from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import MACHINES, Mesh3D, RandomMapping, Torus3D, blue_gene_l
 from repro.tree import build_huffman
 from repro.util.rng import make_rng
-from repro.wrf import NestTracker, WrfLikeModel, detect_nests, mumbai_2005_scenario
+from repro.wrf import Nest, NestTracker, WrfLikeModel, detect_nests, mumbai_2005_scenario
 
 MACHINE_NAMES = ("bgl-256", "fist-256")  # one torus, one switched network
 #: every shape the link accounting prices: the BG/L tori from 64 to 4096
@@ -413,7 +414,8 @@ class TestDataplaneEquivalence:
         the store matches the oracles' blocks bit for bit."""
         old, w_old = draw_allocation(data, "a0")
         nid = next(iter(w_old))
-        cost = CostModel.for_machine(MACHINES["bgl-256"])
+        machine = MACHINES["bgl-256"]
+        cost = CostModel.for_machine(machine)
         rng = make_rng(data.draw(st.integers(0, 2**20), label="seed"))
         # sides from 1: the layouts meet zero-width blocks
         nx = data.draw(st.integers(1, 60), label="nx0")
@@ -440,7 +442,9 @@ class TestDataplaneEquivalence:
             }
             new = Allocation.from_tree(build_huffman(w_new), GRID, w_new)
             sizes = {n: (nx, ny) for n in old.rects}
-            move = next(m for m in nest_moves(old, new, sizes, cost) if m.nest_id == nid)
+            move = next(
+                m for m in nest_moves(old, new, sizes, machine, cost) if m.nest_id == nid
+            )
             execute_redistribution(store, move, old, new)
             blocks = _move_blocks_reference(
                 blocks,
@@ -452,6 +456,49 @@ class TestDataplaneEquivalence:
             )
             assert_store_matches(store, blocks, nid, field)
             old = new
+
+
+def draw_roi_axis(data, label, size):
+    """One ROI side inside ``[0, size)``: from the near edge, to the far
+    edge, spanning the axis, or anywhere."""
+    where = data.draw(st.sampled_from(["near", "far", "span", "any"]), label=f"{label}_at")
+    if where == "span":
+        return 0, size
+    n = data.draw(st.integers(1, size), label=f"{label}_n")
+    if where == "near":
+        return 0, n
+    if where == "far":
+        return size - n, n
+    return data.draw(st.integers(0, size - n), label=f"{label}_0"), n
+
+
+class TestInterpolationEquivalence:
+    """The regrid at parent-row resolution against the four-corner oracle:
+    same values, signs and dtype, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, data):
+        side = st.one_of(st.just(1), st.integers(1, 40))
+        ph = data.draw(side, label="ph")
+        pw = data.draw(side, label="pw")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        rng = make_rng(data.draw(st.integers(0, 2**20), label="seed"))
+        parent = rng.standard_normal((ph, pw)).astype(dtype)
+        # signed zeros: a -0.0 corner must keep its sign through both paths
+        parent[rng.uniform(size=(ph, pw)) < 0.1] = -0.0
+        parent[rng.uniform(size=(ph, pw)) < 0.1] = 0.0
+        x0, w = draw_roi_axis(data, "x", pw)
+        y0, h = draw_roi_axis(data, "y", ph)
+        nest = Nest(1, Rect(x0, y0, w, h), data.draw(st.integers(1, 5), label="r"))
+
+        got = nest.interpolate_from_parent(parent)
+        want = nest._interpolate_from_parent_reference(parent)
+
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape == (nest.ny, nest.nx)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def draw_split_batch(data):

@@ -141,12 +141,13 @@ class TestCheckpoints:
 
     def test_move_executed_into_another_allocation_is_flagged(self):
         grid = ProcessorGrid(4, 4)
-        cost = CostModel.for_machine(fist_cluster(16))
+        machine = fist_cluster(16)
+        cost = CostModel.for_machine(machine)
         weights = [{1: 0.5, 2: 0.5}, {1: 0.75, 2: 0.25}, {1: 0.25, 2: 0.75}]
         old, planned, other = (
             Allocation.from_tree(build_huffman(w), grid, w) for w in weights
         )
-        move = nest_moves(old, planned, {1: (20, 12), 2: (20, 12)}, cost)[0]
+        move = nest_moves(old, planned, {1: (20, 12), 2: (20, 12)}, machine, cost)[0]
         field = np.arange(20 * 12, dtype=float).reshape(12, 20)
         for new, ok in ((planned, True), (other, False)):
             store = RankStore(grid.nprocs)

@@ -133,6 +133,31 @@ class TestResizedNestIsRegriddedThenMoved:
             assert np.array_equal(gather_nest(sim.store, nid, nx, ny), fresh)
 
 
+class TestVerifyCoversTheRegrid:
+    def test_a_corrupted_regrid_scatter_is_caught(self, monkeypatch):
+        """``verify`` compares a regridded nest's moved field with the
+        field it scattered, so a scatter that corrupts one value fails the
+        point; a gather taken after that scatter would hold the same
+        corruption and pass."""
+        import repro.core.stepper as stepper_module
+
+        real_scatter = stepper_module.scatter_nest
+
+        def corrupting_scatter(store, nest_id, field_data, allocation):
+            real_scatter(store, nest_id, field_data, allocation)
+            store.nests[nest_id].buf[7] = -store.nests[nest_id].buf[7]
+
+        steps = TestResizedNestIsRegriddedThenMoved.STEPS
+        stepper = bare_stepper(verify=True)
+        for nests in steps[:2]:
+            stepper.step(nests, payload)
+        # at the last point nest 1 is regridded from 40x30 to 48x36 and
+        # nothing is created: the regrid is the point's one scatter
+        monkeypatch.setattr(stepper_module, "scatter_nest", corrupting_scatter)
+        with pytest.raises(RuntimeError, match="nest 1: payload corrupted"):
+            stepper.step(steps[2], payload)
+
+
 class TestThePlanIsTheExecutedMoveSet:
     #: as TestResizedNestIsRegriddedThenMoved, but nest 1 grows enough at
     #: point 2 that its rectangle moves (at 48x36 it keeps its ranks, so

@@ -248,6 +248,13 @@ class TestNest:
         with pytest.raises(ValueError):
             n.interpolate_from_parent(np.zeros((50, 50)))
 
+    @pytest.mark.parametrize("roi", [Rect(-5, -3, 10, 10), Rect(-1, 0, 4, 4), Rect(0, -1, 4, 4)])
+    def test_interpolation_rejects_a_negative_origin(self, roi):
+        # the near edges are checked like the far ones: no field smeared
+        # from the parent's edge
+        with pytest.raises(ValueError, match="outside parent"):
+            Nest(1, roi).interpolate_from_parent(np.zeros((50, 50)))
+
     @given(st.integers(1, 5), st.integers(1, 12), st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
     def test_interpolation_within_parent_range(self, r, w, h):
