@@ -34,8 +34,6 @@ __all__ = ["PDACostProfile", "pda_cost_profile"]
 SCAN_POINTS_PER_SECOND = 2.5e7
 #: Root-side clustering throughput, distance evaluations per second.
 CLUSTER_OPS_PER_SECOND = 2.0e6
-#: Bytes per gathered (qcloud, olr_fraction, position) tuple.
-GATHER_TUPLE_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,6 @@ class PDACostProfile:
     def scan_time(self) -> float:
         """Parallel scan phase (slowest rank), seconds."""
         return self.scan_points_max_rank / SCAN_POINTS_PER_SECOND
-
-    @property
-    def gather_bytes(self) -> int:
-        return self.gathered_elements * GATHER_TUPLE_BYTES
 
     @property
     def cluster_time(self) -> float:

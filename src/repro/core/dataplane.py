@@ -187,19 +187,6 @@ class RankStore:
             y * px + x for y in range(rect.y0, rect.y1) for x in range(rect.x0, rect.x1)
         ]
 
-    def memory_bytes(self, rank: int) -> int:
-        """Bytes of nest state held by ``rank`` (for memory accounting).
-
-        Validation: any rank is acceptable — one that holds no block
-        holds 0 bytes.
-        """
-        total = 0
-        for record in self.nests.values():
-            held = record.block_of(rank)
-            if held is not None:
-                total += held[0].nbytes
-        return total
-
 
 def _check_fits(store: RankStore, allocation: Allocation) -> None:
     if allocation.grid.nprocs > store.nranks:
@@ -469,16 +456,6 @@ class BackoffPolicy:
         )
         spread = self.jitter * (2.0 * float(rng.random()) - 1.0)
         return nominal * (1.0 + spread)
-
-    def max_total_delay(self) -> float:
-        """Upper bound on summed backoff across every possible retry."""
-        total = 0.0
-        for retry in range(1, self.max_attempts):
-            nominal = min(
-                self.base_delay * self.multiplier ** (retry - 1), self.max_delay
-            )
-            total += nominal * (1.0 + self.jitter)
-        return total
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,6 @@ class DynamicChoice:
     diffusion_exec: float
     diffusion_redist: float
 
-    @property
-    def scratch_total(self) -> float:
-        return self.scratch_exec + self.scratch_redist
-
-    @property
-    def diffusion_total(self) -> float:
-        return self.diffusion_exec + self.diffusion_redist
-
 
 @dataclass(frozen=True)
 class CandidateCosts:

@@ -10,7 +10,6 @@ from repro.experiments.workloads import (
     synthetic_workload,
     mumbai_trace_workload,
     dynamical_trace_workload,
-    paper_example_steps,
 )
 from repro.experiments.runner import (
     RunResult,
@@ -31,7 +30,6 @@ from repro.experiments.report import (
     fig12_report,
     real_trace_report,
     prediction_accuracy_report,
-    comm_skew_report,
 )
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "synthetic_workload",
     "mumbai_trace_workload",
     "dynamical_trace_workload",
-    "paper_example_steps",
     "BootstrapCI",
     "bootstrap_improvement_ci",
     "Sweep",
@@ -59,5 +56,4 @@ __all__ = [
     "fig12_report",
     "real_trace_report",
     "prediction_accuracy_report",
-    "comm_skew_report",
 ]

@@ -15,13 +15,11 @@ from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering, simple_t
 from repro.analysis.pda import PDAConfig, parallel_data_analysis
 from repro.analysis.regions import cluster_bounding_rect
 from repro.core.allocation import Allocation
-from repro.core.diffusion import DiffusionStrategy
 from repro.core.metrics import summarize_improvement
 from repro.core.scratch import ScratchStrategy
 from repro.experiments.runner import ExperimentContext, RunResult, run_both_strategies, run_workload
 from repro.experiments.workloads import mumbai_trace_workload, synthetic_workload
 from repro.grid.procgrid import ProcessorGrid
-from repro.mpisim.ledger import CommLedger, format_ledger
 from repro.obs import AuditTrail
 from repro.topology.machines import MACHINES
 from repro.tree.edit import diffusion_edit
@@ -39,7 +37,6 @@ __all__ = [
     "Fig12Report",
     "RealTraceReport",
     "PredictionAccuracyReport",
-    "CommSkewReport",
     "table1_report",
     "table2_report",
     "table3_report",
@@ -50,7 +47,6 @@ __all__ = [
     "fig12_report",
     "real_trace_report",
     "prediction_accuracy_report",
-    "comm_skew_report",
 ]
 
 #: The worked example's weights (Fig. 2) and its churn (Fig. 4 / 8).
@@ -547,39 +543,3 @@ def prediction_accuracy_report(
     )
     return PredictionAccuracyReport(text=text, pearson_r=r, audit=trail)
 
-
-@dataclass(frozen=True)
-class CommSkewReport:
-    """Per-rank traffic skew of both strategies on one workload."""
-
-    text: str
-    ledgers: dict[str, CommLedger] = field(repr=False, default_factory=dict)
-
-
-def comm_skew_report(
-    seed: int = 0, n_steps: int = 20, machine_key: str = "bgl-256"
-) -> CommSkewReport:
-    """Per-rank communication ledger: who carries the redistribution.
-
-    Runs the synthetic workload under scratch and diffusion with a
-    :class:`~repro.mpisim.ledger.CommLedger` attached and renders both
-    ledgers' skew digests (max/mean, Gini), heaviest rank pairs, and
-    busiest-link shares — the pre-aggregation view behind Fig. 10's
-    hop-bytes averages.
-    """
-    machine = MACHINES[machine_key]
-    wl = synthetic_workload(seed=seed, n_steps=n_steps)
-    ledgers: dict[str, CommLedger] = {}
-    parts: list[str] = []
-    for strategy in (ScratchStrategy(), DiffusionStrategy()):
-        ledger = CommLedger(machine.ncores)
-        ctx = ExperimentContext(machine, ledger=ledger)
-        run = run_workload(wl, strategy, ctx)
-        ledgers[run.strategy] = ledger
-        parts.append(
-            format_ledger(
-                ledger,
-                title=f"{run.strategy} — per-rank traffic on {machine.name}",
-            )
-        )
-    return CommSkewReport(text="\n\n".join(parts), ledgers=ledgers)

@@ -32,11 +32,6 @@ class BootstrapCI:
         pct = int(round(self.confidence * 100))
         return f"{self.estimate:.1f}% ({pct}% CI [{self.low:.1f}, {self.high:.1f}])"
 
-    @property
-    def excludes_zero(self) -> bool:
-        """True when the interval lies strictly on one side of zero."""
-        return self.low > 0 or self.high < 0
-
 
 def bootstrap_improvement_ci(
     baseline: list[StepMetrics],

@@ -8,8 +8,6 @@ Two families, matching the paper's §V-B:
   substrate end-to-end (cloud fields → split files → PDA → NNC → ROIs →
   nest tracking), ~100 adaptation points with at most 7 nests — the full
   pipeline the paper ran, minus WRF itself.
-
-``paper_example_steps`` is the worked example of Figs. 2–8 / Tables I–II.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ __all__ = [
     "synthetic_workload",
     "mumbai_trace_workload",
     "dynamical_trace_workload",
-    "paper_example_steps",
 ]
 
 #: One adaptation point: nest id -> (nx, ny) fine-grid size.
@@ -195,15 +192,3 @@ def dynamical_trace_workload(
         metadata={"seed": seed, "dropped_empty_steps": len(steps) - len(non_empty)},
     )
 
-
-def paper_example_steps() -> Workload:
-    """The worked example of §IV: 5 nests then churn to {3, 5, 6}.
-
-    Nest sizes are chosen so the execution-time predictor reproduces the
-    paper's weight ratios closely (0.1:0.1:0.2:0.25:0.35 → 0.27:0.42:0.31
-    after the churn); the exact paper weights are also injected directly by
-    the Table I / Fig. 8 reports, which bypass the predictor.
-    """
-    step1 = {1: (181, 181), 2: (181, 181), 3: (256, 256), 4: (287, 287), 5: (340, 340)}
-    step2 = {3: (256, 256), 5: (340, 340), 6: (300, 300)}
-    return Workload(name="paper-example", steps=[step1, step2])

@@ -13,7 +13,7 @@ serving tier around it on purpose, and prove both heal.
 * :mod:`~repro.faults.recovery` — heartbeat detection, ReSHAPE-style grid
   shrink, tree excision via the standard diffusion edit, invariant-checked
   degraded-mode reallocation, data-plane rebuild;
-* :mod:`~repro.faults.checkpoint` — serializable durable nest state
+* :mod:`~repro.faults.checkpoint` — durable nest state
   (allocation tree + gathered fields) recovery resumes from;
 * :mod:`~repro.faults.soak` — the machine-layer runner and its suites
   (``repro faults run --suite quick|full|mumbai``);
@@ -34,7 +34,7 @@ ledger attributes retry traffic.  See ``docs/robustness.md``.
 
 from __future__ import annotations
 
-from repro.faults.checkpoint import Checkpoint, tree_from_obj, tree_to_obj
+from repro.faults.checkpoint import Checkpoint
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ConsumerDisconnect,
@@ -99,7 +99,5 @@ __all__ = [
     "plan_shrink",
     "recover_from_rank_failure",
     "run_soak",
-    "tree_from_obj",
-    "tree_to_obj",
     "verdict_ok",
 ]

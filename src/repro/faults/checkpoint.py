@@ -8,78 +8,19 @@ blocks it owned are gone; :func:`repro.faults.recovery.recover_from_rank_failure
 reconstructs each retained nest from the surviving blocks and fills the
 dead rank's regions from the last checkpoint — so an aborted epoch resumes
 from the last durable point instead of replaying from the start.
-
-Checkpoints serialise to a single ``.npz`` archive (numpy's own container,
-no extra dependency): nest fields as arrays, the tree and metadata as one
-JSON string.  ``allow_pickle`` stays off on both ends, so a damaged or
-hostile archive cannot execute code on restore.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.dataplane import RankStore, gather_nest, scatter_nest
+from repro.core.dataplane import RankStore, gather_nest
 from repro.tree.node import TreeNode
 
-__all__ = ["Checkpoint", "tree_to_obj", "tree_from_obj"]
-
-
-def tree_to_obj(node: TreeNode | None) -> dict[str, object] | None:
-    """A JSON-ready nested mapping of one allocation (sub)tree."""
-    if node is None:
-        return None
-    if node.is_leaf:
-        return {
-            "weight": node.weight,
-            "nest_id": node.nest_id,
-            "free": node.free,
-        }
-    return {
-        "weight": node.weight,
-        "left": tree_to_obj(node.left),
-        "right": tree_to_obj(node.right),
-    }
-
-
-def tree_from_obj(obj: dict[str, object] | None) -> TreeNode | None:
-    """Rebuild a tree from :func:`tree_to_obj` output (validated)."""
-    if obj is None:
-        return None
-    node = _node_from_obj(obj)
-    node.validate()
-    return node
-
-
-def _node_from_obj(obj: dict[str, object]) -> TreeNode:
-    weight = obj.get("weight", 0.0)
-    if not isinstance(weight, (int, float)):
-        raise ValueError(f"tree node weight is not a number: {weight!r}")
-    left = obj.get("left")
-    right = obj.get("right")
-    if (left is None) != (right is None):
-        raise ValueError("tree node has exactly one child")
-    if left is not None:
-        if not isinstance(left, dict) or not isinstance(right, dict):
-            raise ValueError("tree node children must be mappings")
-        return TreeNode(
-            float(weight),
-            left=_node_from_obj(left),
-            right=_node_from_obj(right),
-        )
-    nest_id = obj.get("nest_id")
-    free = obj.get("free", False)
-    if nest_id is not None and not isinstance(nest_id, int):
-        raise ValueError(f"leaf nest_id is not an int: {nest_id!r}")
-    if not isinstance(free, bool):
-        raise ValueError(f"leaf free flag is not a bool: {free!r}")
-    return TreeNode(float(weight), nest_id=nest_id, free=free)
+__all__ = ["Checkpoint"]
 
 
 @dataclass(frozen=True)
@@ -142,77 +83,3 @@ class Checkpoint:
             weights=dict(allocation.weights),
             fields=fields,
         )
-
-    def restore_store(self, allocation: Allocation) -> RankStore:
-        """Scatter every checkpointed nest onto ``allocation``'s ranks.
-
-        ``allocation`` must allocate exactly the checkpointed nests (a
-        full rollback target, not a partial one).
-        """
-        if sorted(allocation.nest_ids) != self.nest_ids:
-            raise ValueError(
-                f"allocation nests {allocation.nest_ids} != "
-                f"checkpointed nests {self.nest_ids}"
-            )
-        store = RankStore(allocation.grid.nprocs)
-        for nid in self.nest_ids:
-            scatter_nest(store, nid, self.fields[nid].copy(), allocation)
-        return store
-
-    # -- serialization --------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """The checkpoint as one ``.npz`` archive (pickle-free)."""
-        meta = {
-            "step": self.step,
-            "grid": list(self.grid),
-            "tree": tree_to_obj(self.tree),
-            "nest_sizes": {str(k): list(v) for k, v in self.nest_sizes.items()},
-            "weights": {str(k): v for k, v in self.weights.items()},
-        }
-        arrays = {f"nest_{nid}": arr for nid, arr in self.fields.items()}
-        buf = io.BytesIO()
-        np.savez(
-            buf,
-            _meta=np.frombuffer(
-                json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-            ),
-            **arrays,
-        )
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "Checkpoint":
-        """Rebuild a checkpoint from :meth:`to_bytes` output (validated)."""
-        with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
-            if "_meta" not in archive:
-                raise ValueError("checkpoint archive has no _meta entry")
-            meta = json.loads(bytes(archive["_meta"]).decode("utf-8"))
-            fields = {
-                int(name[len("nest_") :]): archive[name]
-                for name in archive.files
-                if name.startswith("nest_")
-            }
-        grid = meta.get("grid")
-        if not (isinstance(grid, list) and len(grid) == 2):
-            raise ValueError(f"checkpoint grid is not a pair: {grid!r}")
-        return cls(
-            step=int(meta["step"]),
-            grid=(int(grid[0]), int(grid[1])),
-            tree=tree_from_obj(meta.get("tree")),
-            nest_sizes={
-                int(k): (int(v[0]), int(v[1]))
-                for k, v in meta.get("nest_sizes", {}).items()
-            },
-            weights={int(k): float(v) for k, v in meta.get("weights", {}).items()},
-            fields=fields,
-        )
-
-    def save(self, path: str | Path) -> Path:
-        out = Path(path)
-        out.write_bytes(self.to_bytes())
-        return out
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Checkpoint":
-        return cls.from_bytes(Path(path).read_bytes())

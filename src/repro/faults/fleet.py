@@ -79,7 +79,6 @@ __all__ = [
     "build_suite",
     "format_campaign_report",
     "run_campaign",
-    "run_suite",
 ]
 
 log = get_logger("faults.fleet")
@@ -818,11 +817,6 @@ def build_suite(name: str, seed: int = 0) -> list[CampaignConfig]:
             ),
         ),
     ]
-
-
-def run_suite(name: str, seed: int = 0) -> list[CampaignReport]:
-    """Run every campaign of a suite in order; reports in the same order."""
-    return [run_campaign(config) for config in build_suite(name, seed)]
 
 
 def format_campaign_report(report: CampaignReport) -> str:

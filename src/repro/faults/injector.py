@@ -101,12 +101,6 @@ class FaultInjector:
             self._applied.append(fault)
         return fired
 
-    def new_crashes(self, step: int) -> list[int]:
-        """Ranks whose crash is scheduled exactly at ``step`` (sorted)."""
-        return sorted(
-            f.rank for f in self.plan.at_step(step) if isinstance(f, RankCrash)
-        )
-
     def damage_files(self, step: int, batch: SplitBatch) -> SplitBatch:
         """Apply this step's split-file faults to a PDA input batch.
 

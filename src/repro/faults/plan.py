@@ -306,7 +306,6 @@ ServiceFault = (
 FaultSpec = MachineFault | ServiceFault
 
 _MACHINE_KINDS = (RankCrash, LinkFault, RankStraggler, SplitFileFault)
-_PAST_TENSE = {"truncate": "truncated", "corrupt": "corrupted"}
 
 
 @dataclass(frozen=True)
@@ -384,60 +383,6 @@ class FaultPlan:
     @property
     def n_faults(self) -> int:
         return len(self.faults)
-
-    def describe(self) -> str:
-        """One line per fault: machine faults in step order, then the service layer."""
-        lines = []
-        for f in sorted(self._machine_faults(), key=lambda f: f.step):
-            if isinstance(f, RankCrash):
-                lines.append(f"step {f.step}: rank {f.rank} crashes")
-            elif isinstance(f, LinkFault):
-                lines.append(
-                    f"step {f.step}: link {f.link} degrades to "
-                    f"{f.factor:.0%} bandwidth"
-                )
-            elif isinstance(f, RankStraggler):
-                lines.append(
-                    f"step {f.step}: rank {f.rank} straggles at {f.factor:g}x"
-                )
-            else:
-                lines.append(
-                    f"step {f.step}: split file {f.file_index} "
-                    f"{_PAST_TENSE[f.mode]}"
-                )
-        for w in self.worker_crashes():
-            lines.append(f"fleet step {w.at_step}: worker {w.worker} crashes")
-        for s in self.stalls():
-            lines.append(
-                f"session #{s.session_index} step {s.at_step}: "
-                f"stalls {s.seconds:g}s"
-            )
-        for k in self.kills():
-            lines.append(
-                f"session #{k.session_index} step {k.at_step}: rank {k.rank} crashes"
-            )
-        for c in self.consumers():
-            if isinstance(c, SlowConsumer):
-                lines.append(
-                    f"consumer on session #{c.session_index} stalls after "
-                    f"{c.read_limit} line(s)"
-                )
-            else:
-                lines.append(
-                    f"consumer on session #{c.session_index} disconnects after "
-                    f"{c.after_lines} line(s)"
-                )
-        jf = self.journal_fault()
-        if isinstance(jf, JournalTruncate):
-            lines.append(
-                f"fleet step {jf.at_step}: crash + journal loses last "
-                f"{jf.nbytes} byte(s)"
-            )
-        elif isinstance(jf, JournalCorrupt):
-            lines.append(
-                f"fleet step {jf.at_step}: crash + journal line {jf.line} poisoned"
-            )
-        return "\n".join(lines) if lines else "(no faults)"
 
     # -- seeded constructors ---------------------------------------------
 

@@ -154,19 +154,6 @@ class RankRemap:
         if self.new_grid.px != self.old_grid.px:
             raise ValueError("a row shrink cannot change the grid width")
 
-    def to_physical(self, new_rank: int) -> int:
-        """The physical (old-grid) rank backing logical ``new_rank``."""
-        if not 0 <= new_rank < self.new_grid.nprocs:
-            raise ValueError(
-                f"rank {new_rank} out of range [0, {self.new_grid.nprocs})"
-            )
-        x, y = new_rank % self.new_grid.px, new_rank // self.new_grid.px
-        return self.rows[y] * self.old_grid.px + x
-
-    def physical_ranks(self) -> list[int]:
-        """All backing physical ranks, ordered by logical rank."""
-        return [self.to_physical(r) for r in range(self.new_grid.nprocs)]
-
 
 def plan_shrink(
     grid: ProcessorGrid, dead_ranks: frozenset[int]

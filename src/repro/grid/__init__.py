@@ -12,14 +12,13 @@ the sender/receiver ownership-overlap computation behind Fig. 11.
 from repro.grid.rect import Rect
 from repro.grid.procgrid import ProcessorGrid
 from repro.grid.block import BlockDecomposition, split_evenly
-from repro.grid.overlap import ownership_map, overlap_fraction, transfer_matrix
+from repro.grid.overlap import overlap_fraction, transfer_matrix
 
 __all__ = [
     "Rect",
     "ProcessorGrid",
     "BlockDecomposition",
     "split_evenly",
-    "ownership_map",
     "overlap_fraction",
     "transfer_matrix",
 ]

@@ -73,24 +73,3 @@ class BlockDecomposition:
         return Rect(
             int(xb[i]), int(yb[j]), int(xb[i + 1] - xb[i]), int(yb[j + 1] - yb[j])
         )
-
-    def owner_of_point(self, x: int, y: int) -> tuple[int, int]:
-        """Rect-relative processor position owning nest point ``(x, y)``."""
-        if not (0 <= x < self.nx and 0 <= y < self.ny):
-            raise ValueError(f"nest point ({x},{y}) outside {self.nx}x{self.ny}")
-        i = int(np.searchsorted(self.x_bounds, x, side="right") - 1)
-        j = int(np.searchsorted(self.y_bounds, y, side="right") - 1)
-        return i, j
-
-    def owner_grid(self, grid_px: int) -> np.ndarray:
-        """Global rank owning each nest point, shaped ``(ny, nx)``.
-
-        ``grid_px`` is the parent process grid width (for rank arithmetic).
-        Fully vectorised; used by the overlap and transfer computations.
-        """
-        xb, yb = self.x_bounds, self.y_bounds
-        col = np.repeat(np.arange(self.proc_rect.w), np.diff(xb))  # len nx
-        row = np.repeat(np.arange(self.proc_rect.h), np.diff(yb))  # len ny
-        gx = self.proc_rect.x0 + col
-        gy = self.proc_rect.y0 + row
-        return gy[:, None] * grid_px + gx[None, :]

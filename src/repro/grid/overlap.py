@@ -25,16 +25,10 @@ from repro.grid.block import BlockDecomposition
 
 __all__ = [
     "merged_segments",
-    "ownership_map",
     "overlap_fraction",
     "transfer_matrix",
     "TransferMatrix",
 ]
-
-
-def ownership_map(decomp: BlockDecomposition, grid_px: int) -> np.ndarray:
-    """Global owner rank of every nest point, shaped ``(ny, nx)``."""
-    return decomp.owner_grid(grid_px)
 
 
 def merged_segments(
@@ -131,10 +125,6 @@ class TransferMatrix:
     def overlap_fraction(self) -> float:
         """Fraction of nest points whose old and new owner coincide."""
         return self.local_points / self.total_points
-
-    def bytes_per_pair(self, bytes_per_point: float) -> np.ndarray:
-        """Message size in bytes for each (sender, receiver) pair."""
-        return self.points * float(bytes_per_point)
 
 
 def transfer_matrix(

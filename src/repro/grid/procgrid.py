@@ -76,13 +76,6 @@ class ProcessorGrid:
         ys = np.arange(rect.y0, rect.y1)
         return (ys[:, None] * self.px + xs[None, :]).ravel()
 
-    def rank_grid(self, rect: Rect) -> np.ndarray:
-        """Ranks inside ``rect`` shaped ``(h, w)`` (row ``j``, column ``i``)."""
-        self._check_rect(rect)
-        xs = np.arange(rect.x0, rect.x1)
-        ys = np.arange(rect.y0, rect.y1)
-        return ys[:, None] * self.px + xs[None, :]
-
     def _check_rect(self, rect: Rect) -> None:
         if not self.full_rect.contains(rect):
             raise ValueError(f"rect {rect} not inside grid {self.px}x{self.py}")

@@ -130,6 +130,3 @@ class Rect:
             Rect(self.x0, self.y0, self.w, top_h),
             Rect(self.x0, self.y0 + top_h, self.w, self.h - top_h),
         )
-
-    def translated(self, dx: int, dy: int) -> "Rect":
-        return Rect(self.x0 + dx, self.y0 + dy, self.w, self.h)

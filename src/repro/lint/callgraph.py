@@ -34,16 +34,13 @@ __all__ = ["CallGraph", "build_callgraph", "get_callgraph"]
 
 @dataclass
 class CallGraph:
-    """Directed edges between function qualnames (callers -> callees)."""
+    """Directed edges between function qualnames (caller -> called)."""
 
     project: Project
     edges: dict[str, set[str]] = field(default_factory=dict)
 
     def add(self, caller: str, callee: str) -> None:
         self.edges.setdefault(caller, set()).add(callee)
-
-    def callees(self, qualname: str) -> set[str]:
-        return self.edges.get(qualname, set())
 
     def callers(self, qualname: str) -> set[str]:
         return {src for src, dsts in self.edges.items() if qualname in dsts}

@@ -322,7 +322,7 @@ def lint_paths(
     return LintEngine(get_rules(select)).run(paths, only=only)
 
 
-def lint_source(
+def lint_source(  # reprolint: disable=R016 -- in-memory entry point the reprolint self-tests feed fixtures through
     source: str,
     *,
     module: str = "repro.snippet",
@@ -336,7 +336,7 @@ def lint_source(
     )
 
 
-def lint_sources(
+def lint_sources(  # reprolint: disable=R016 -- in-memory entry point the reprolint self-tests feed fixtures through
     sources: dict[str, str],
     *,
     select: list[str] | None = None,

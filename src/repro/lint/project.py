@@ -168,9 +168,6 @@ def _function_info(
     )
 
 
-_PROTOCOL_MARKERS = ("Protocol", "ABC", "ABCMeta")
-
-
 def _collect_definitions(mod: ModuleInfo) -> None:
     for node in mod.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -415,7 +412,7 @@ def build_project(
     return project
 
 
-def project_from_sources(sources: dict[str, str]) -> Project:
+def project_from_sources(sources: dict[str, str]) -> Project:  # reprolint: disable=R016 -- in-memory entry point the reprolint self-tests feed fixtures through
     """Test helper: build a project from ``{dotted_module: source}``.
 
     Module names ending in ``.__init__`` mark packages (the suffix is

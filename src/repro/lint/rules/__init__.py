@@ -28,6 +28,7 @@ from repro.lint.rules.randomness import UnseededRandomnessRule
 from repro.lint.rules.swallow import SwallowedExceptionRule
 from repro.lint.rules.tasks import FireAndForgetTaskRule
 from repro.lint.rules.timing import DirectTimingRule
+from repro.lint.rules.unused import UnusedDefinitionRule
 from repro.lint.rules.validation import MissingValidationRule
 from repro.lint.rules.vectorization import ScalarMessageLoopRule
 
@@ -52,6 +53,7 @@ __all__ = [
     "SharedMutationRule",
     "KernelParityRule",
     "FireAndForgetTaskRule",
+    "UnusedDefinitionRule",
     "ALL_RULES",
     "get_rules",
 ]
@@ -73,6 +75,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     SharedMutationRule,
     KernelParityRule,
     FireAndForgetTaskRule,
+    UnusedDefinitionRule,
 )
 
 

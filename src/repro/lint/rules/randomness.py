@@ -2,10 +2,10 @@
 
 Determinism is load-bearing: resume/replay of a workload trace, the
 Table IV seed sweeps, and regression baselines all assume that a seed
-pins every stochastic draw.  The only sanctioned entry points are
-:func:`repro.util.rng.make_rng` and :func:`repro.util.rng.spawn_rngs`;
-``random.*`` and ``np.random.*`` calls anywhere else create hidden
-global streams that break bit-for-bit reproducibility.
+pins every stochastic draw.  The only sanctioned entry point is
+:func:`repro.util.rng.make_rng`; ``random.*`` and ``np.random.*`` calls
+anywhere else create hidden global streams that break bit-for-bit
+reproducibility.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class UnseededRandomnessRule(Rule):
     rule_id = "R001"
     severity = Severity.ERROR
     summary = "randomness must flow through repro.util.rng"
-    fix_hint = "seed via repro.util.rng.make_rng / spawn_rngs"
+    fix_hint = "seed via repro.util.rng.make_rng"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.module in _EXEMPT_MODULES:

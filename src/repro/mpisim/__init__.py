@@ -42,7 +42,7 @@ from repro.mpisim.collectives import (
     schedule_pairwise,
     scheduled_time,
 )
-from repro.mpisim.halo import halo_messages, halo_volume_per_step
+from repro.mpisim.halo import halo_messages
 from repro.mpisim.comm import SimComm
 
 __all__ = [
@@ -64,6 +64,5 @@ __all__ = [
     "schedule_pairwise",
     "scheduled_time",
     "halo_messages",
-    "halo_volume_per_step",
     "SimComm",
 ]

@@ -15,9 +15,11 @@ of communication rounds chosen so each rank talks to one partner per round:
 For the *sparse* alltoallv of a nest redistribution most rounds carry no
 messages and are skipped.  :func:`scheduled_time` costs a schedule as the
 sum of per-round network times (rounds are separated by synchronisation) —
-a more conservative model than the concurrent bound; the collective-model
-ablation shows the paper's scratch-vs-diffusion ordering is insensitive to
-this choice.
+a more conservative model than the concurrent bound.  The choice decides
+the paper's scratch-vs-diffusion ordering: in the collective-model ablation
+(``benchmarks/results/ablation_collective.txt``) diffusion redistributes
+10.9 % faster than scratch under the concurrent model, but 5.3 % slower
+under direct rounds and 4.5 % slower under pairwise rounds.
 """
 
 from __future__ import annotations
@@ -46,14 +48,10 @@ class CollectiveSchedule:
     rounds: list[MessageSet]
 
     @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
     def total_bytes(self) -> float:
         return float(sum(r.total_bytes for r in self.rounds))
 
-    def validate_against(self, messages: MessageSet) -> None:
+    def validate_against(self, messages: MessageSet) -> None:  # reprolint: disable=R016 -- the spec the schedule tests hold every schedule to
         """Check the rounds partition the original message set exactly."""
         combined = MessageSet.concat(list(self.rounds))
 

@@ -67,14 +67,6 @@ class CostModel:
             bytes_per_point=bytes_per_point,
         )
 
-    def transfer_time(self, nbytes: float, hops: int = 1) -> float:
-        """One message over ``hops`` store-and-forward links, incl. packing."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if nbytes <= 0.0:
-            return 0.0
-        return self.alpha + (max(1, int(hops)) * self.beta + self.soft_beta) * nbytes
-
     def collective_floor(self, nparticipants: int) -> float:
         """Software floor of one full-communicator collective."""
         if nparticipants < 0:

@@ -22,7 +22,7 @@ from repro.grid.block import BlockDecomposition
 from repro.grid.rect import Rect
 from repro.mpisim.alltoallv import MessageSet
 
-__all__ = ["halo_messages", "halo_volume_per_step"]
+__all__ = ["halo_messages"]
 
 
 def halo_messages(
@@ -95,16 +95,3 @@ def halo_messages(
         np.asarray(nbytes, dtype=np.float64),
     )
 
-
-def halo_volume_per_step(decomp: BlockDecomposition, halo: int = 1) -> float:
-    """Worst-rank halo points exchanged per step (both directions, 4 faces).
-
-    The analytic counterpart of the oracle's ``nx/px + ny/py`` perimeter
-    term: an interior processor exchanges ``2·halo·(block_w + block_h)``
-    points each way.
-    """
-    if halo < 1:
-        raise ValueError(f"halo width must be >= 1, got {halo}")
-    bw = int(np.max(np.diff(decomp.x_bounds)))
-    bh = int(np.max(np.diff(decomp.y_bounds)))
-    return 2.0 * halo * (bw + bh)

@@ -92,14 +92,6 @@ class PairByteAccumulator:
         if self._pending_n > max(self._compact_threshold, self._keys.size):
             self._compact()
 
-    def add_pair(self, src: int, dst: int, nbytes: float) -> None:
-        """Append a single pair's byte count."""
-        self.add_pairs(
-            np.array([src], dtype=np.int64),
-            np.array([dst], dtype=np.int64),
-            np.array([nbytes], dtype=np.float64),
-        )
-
     def _compact(self) -> None:
         """Fold every pending chunk into the sorted compacted arrays."""
         if not self._pending_keys:

@@ -124,11 +124,6 @@ class NetworkSimulator:
         else:
             self.rank_slowdown[rank] = float(factor)
 
-    def clear_faults(self) -> None:
-        """Restore every link and rank to full health."""
-        self.link_faults.clear()
-        self.rank_slowdown.clear()
-
     # -- routing ---------------------------------------------------------
 
     def _route(self, src_rank: int, dst_rank: int) -> list[int]:

@@ -4,12 +4,10 @@ The library's only performance surface is one always-on, bounded
 :class:`~repro.obs.recorder.FlightRecorder`: decision events, nestable
 timed spans (each a ``.start``/``.end`` event pair on the same ring,
 with a running per-name duration digest) and counters/gauges.  Around
-it: per-adaptation-point queries (:mod:`repro.obs.timeline`), the
-:class:`~repro.obs.audit.AuditTrail` of per-adaptation-point strategy
-decisions, exporters (Chrome trace-event JSON, flat metrics snapshot,
-text/HTML reports, flight JSONL), and the ``repro bench`` pinned
-perf-baseline suite with its :func:`~repro.obs.compare.compare_bench`
-regression gate.
+it: the :class:`~repro.obs.audit.AuditTrail` of per-adaptation-point
+strategy decisions, exporters (Chrome trace-event JSON, text/HTML
+reports, flight JSONL), and the ``repro bench`` pinned perf-baseline
+suite with its :func:`~repro.obs.compare.compare_bench` regression gate.
 
 Quick start::
 
@@ -35,7 +33,6 @@ from repro.obs.aggregate import (
     QuantileDigest,
     aggregate_fleet,
     fleet_metrics,
-    gini_of,
     parse_prometheus,
     render_prometheus,
 )
@@ -59,7 +56,6 @@ from repro.obs.export import (
     chrome_trace,
     format_report,
     html_report,
-    metrics_snapshot,
     write_chrome_trace,
 )
 from repro.obs.flight import (
@@ -69,6 +65,7 @@ from repro.obs.flight import (
     replay_flight,
 )
 from repro.obs.recorder import (
+    ADAPTATION_SPAN,
     DEFAULT_FLIGHT_CAPACITY,
     FlightEvent,
     FlightRecorder,
@@ -84,12 +81,6 @@ from repro.obs.stats import (
     SpanDigest,
     percentile,
     summarise,
-)
-from repro.obs.timeline import (
-    ADAPTATION_SPAN,
-    per_step_phase_times,
-    phase_totals,
-    spans_with_tag,
 )
 
 __all__ = [
@@ -124,21 +115,16 @@ __all__ = [
     "format_flight",
     "format_report",
     "get_recorder",
-    "gini_of",
     "html_report",
     "load_bench_json",
     "load_flight_jsonl",
-    "metrics_snapshot",
     "parse_prometheus",
     "pearson",
-    "per_step_phase_times",
     "percentile",
-    "phase_totals",
     "render_prometheus",
     "replay_flight",
     "run_bench",
     "set_recorder",
-    "spans_with_tag",
     "summarise",
     "use_recorder",
     "write_baseline",

@@ -14,12 +14,6 @@ The rollup exports in the Prometheus text exposition format (typed
 ``/metrics`` endpoint and the mission-control web UI both render
 through this module, and :func:`parse_prometheus` is the line-format
 validator the tests (and the ``--attach`` proxy) hold that output to.
-
-Pure python on purpose, like the rest of ``repro.obs``: the numbers
-feed dashboards and regression gates, so aggregation must be
-deterministic and dependency-free.  The per-rank arrays a
-:class:`~repro.mpisim.ledger.CommLedger` holds are consumed
-element-wise, never through numpy ufuncs.
 """
 
 from __future__ import annotations
@@ -29,9 +23,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.obs.audit import AuditTrail
 from repro.obs.recorder import FlightRecorder
-from repro.obs.stats import SpanDigest, percentile, summarise_digests
+from repro.obs.stats import SpanDigest, summarise_digests
 
 if TYPE_CHECKING:
     from repro.mpisim.ledger import CommLedger
@@ -43,29 +39,12 @@ __all__ = [
     "QuantileDigest",
     "aggregate_fleet",
     "fleet_metrics",
-    "gini_of",
     "parse_prometheus",
     "render_prometheus",
 ]
 
 #: the per-rank ledger series a fleet rollup concatenates
 _LEDGER_SERIES = ("sent", "received", "hop_bytes", "retried")
-
-
-def gini_of(values: Sequence[float]) -> float:
-    """Gini coefficient of a nonnegative series (pure-python twin of
-    :func:`repro.mpisim.ledger.gini`, so fleet rollups need no numpy)."""
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        return 0.0
-    if ordered[0] < 0.0:
-        raise ValueError("gini requires nonnegative values")
-    total = sum(ordered)
-    if total <= 0.0:
-        return 0.0
-    n = len(ordered)
-    weighted = sum(rank * v for rank, v in enumerate(ordered, start=1))
-    return 2.0 * weighted / (n * total) - (n + 1) / n
 
 
 @dataclass(frozen=True)
@@ -77,19 +56,6 @@ class QuantileDigest:
     p50: float
     p95: float
     max: float
-
-    @classmethod
-    def of(cls, values: Sequence[float]) -> QuantileDigest:
-        if not values:
-            raise ValueError("QuantileDigest.of needs at least one value")
-        vals = [float(v) for v in values]
-        return cls(
-            count=len(vals),
-            total=sum(vals),
-            p50=percentile(vals, 50.0),
-            p95=percentile(vals, 95.0),
-            max=max(vals),
-        )
 
     @classmethod
     def of_digests(cls, digests: Sequence[SpanDigest]) -> QuantileDigest:
@@ -151,12 +117,18 @@ def aggregate_fleet(
     ``sources`` counts the recorders (the natural per-session handle);
     the other iterables may be shorter or longer — a fleet where only
     some sessions carry a ledger still rolls up.  Span counts and sums
-    are exact; p50/p95 pool the digests' recent windows, so a scrape
-    costs the same however long the sessions have run.  The Gini digests
-    are computed over the *concatenation* of every ledger's per-rank
-    series, so a fleet whose load concentrates on a few sessions' few
-    ranks reads as skewed even when each session looks balanced.
+    are exact; p50/p95 pool the digests' recent windows, so the span
+    part of a scrape costs the same however long the sessions have run.
+    The ``audits`` walk visits every decision record on every scrape, so
+    its cost grows with every adaptation point.  The Gini digests are
+    computed over the *concatenation* of every ledger's per-rank series,
+    so a fleet whose load concentrates on a few sessions' few ranks
+    reads as skewed even when each session looks balanced.
     """
+    # imported here: repro.mpisim imports repro.obs, so a module-level
+    # import would be circular
+    from repro.mpisim.ledger import gini
+
     counters: dict[str, float] = {}
     digests: dict[str, list[SpanDigest]] = {}
     sources = 0
@@ -170,10 +142,17 @@ def aggregate_fleet(
             digests.setdefault(name, []).append(digest)
         flight_events += recorder.total_emitted
         flight_dropped += recorder.dropped
-    series: dict[str, list[float]] = {name: [] for name in _LEDGER_SERIES}
+    series: dict[str, list[np.ndarray]] = {name: [] for name in _LEDGER_SERIES}
     for ledger in ledgers:
         for name in _LEDGER_SERIES:
-            series[name].extend(float(v) for v in getattr(ledger, name))
+            series[name].append(getattr(ledger, name))
+    ginis: dict[str, float] = {}
+    for name, parts in series.items():
+        values = np.concatenate(parts) if parts else np.empty(0)
+        # an all-zero series (nothing retried, say) is "no signal", not
+        # "perfectly even" — omit it rather than report gini 0.0
+        if values.any():
+            ginis[name] = gini(values)
     decisions: dict[str, int] = {}
     for trail in audits:
         for record in trail.records:
@@ -185,11 +164,7 @@ def aggregate_fleet(
             name: QuantileDigest.of_digests(parts)
             for name, parts in digests.items()
         },
-        # an all-zero series (nothing retried, say) is "no signal", not
-        # "perfectly even" — omit it rather than report gini 0.0
-        gini={
-            name: gini_of(vals) for name, vals in series.items() if any(vals)
-        },
+        gini=ginis,
         decisions=decisions,
         flight_events=flight_events,
         flight_dropped=flight_dropped,

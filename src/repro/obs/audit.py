@@ -84,14 +84,6 @@ class AdaptationAudit:
         return self.predicted_diffusion_exec + self.predicted_diffusion_redist
 
     @property
-    def predicted_total(self) -> float:
-        return self.predicted_exec + self.predicted_redist
-
-    @property
-    def observed_total(self) -> float:
-        return self.observed_exec + self.observed_redist
-
-    @property
     def exec_error(self) -> float:
         """Signed prediction error of the execution time (pred - observed)."""
         return self.predicted_exec - self.observed_exec

@@ -1,17 +1,15 @@
-"""Exporters: Chrome trace-event JSON, flat metrics snapshot, text report.
+"""Exporters: Chrome trace-event JSON and text/HTML reports.
 
-Three views of one :class:`~repro.obs.recorder.FlightRecorder`:
+Views of one :class:`~repro.obs.recorder.FlightRecorder`:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event format (balanced ``B``/``E`` duration events, microsecond
   timestamps) over the spans still in the ring, loadable in Perfetto /
   ``chrome://tracing`` to see every adaptation point's phase breakdown
   on a timeline;
-* :func:`metrics_snapshot` — a flat JSON-ready dict (per-phase duration
-  stats from the span digests + counters + gauges) for machine-readable
-  perf trajectories;
 * :func:`format_report` — the aggregated text table humans read after a
-  run, from the same digests.
+  run, from the per-phase span digests;
+* :func:`html_report` — the same sections as one HTML page.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.obs.recorder import FlightRecorder
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "metrics_snapshot",
     "format_report",
     "html_report",
 ]
@@ -87,20 +84,6 @@ def write_chrome_trace(
     out = Path(path)
     out.write_text(json.dumps(chrome_trace(recorder, process_name)), encoding="utf-8")
     return out
-
-
-def metrics_snapshot(recorder: FlightRecorder) -> dict[str, object]:
-    """A flat, JSON-ready snapshot of everything the recorder holds."""
-    spans = {
-        name: digest.stats().to_dict()
-        for name, digest in sorted(recorder.digests().items())
-    }
-    return {
-        "schema": 1,
-        "spans": spans,
-        "counters": dict(sorted(recorder.counters.items())),
-        "gauges": dict(sorted(recorder.gauges.items())),
-    }
 
 
 def format_report(recorder: FlightRecorder, title: str = "observed phases") -> str:

@@ -51,6 +51,7 @@ from typing import NamedTuple
 from repro.obs.stats import SpanDigest
 
 __all__ = [
+    "ADAPTATION_SPAN",
     "DEFAULT_FLIGHT_CAPACITY",
     "TagValue",
     "FlightEvent",
@@ -65,6 +66,10 @@ __all__ = [
 
 #: values a span tag or event field may carry (JSON-serialisable)
 TagValue = str | int | float
+
+#: name of the umbrella span the workload stepper opens around each
+#: adaptation point (the step index and strategy are bound as ambient tags)
+ADAPTATION_SPAN = "adaptation_point"
 
 #: default ring size — generous for dozens of adaptation points, yet
 #: bounded (~a few MiB) however long the process runs

@@ -258,7 +258,7 @@ class FrameFold:
         return done
 
 
-def replay_frames(events: Iterable[FlightEvent]) -> list[dict[str, object]]:
+def replay_frames(events: Iterable[FlightEvent]) -> list[dict[str, object]]:  # reprolint: disable=R016 -- the fold a live frame stream is compared against
     """One JSON-ready frame per adaptation point of a flight log.
 
     :class:`FrameFold` over the whole log.  Pure and deterministic: the

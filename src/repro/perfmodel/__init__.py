@@ -9,14 +9,14 @@
 * :mod:`repro.perfmodel.exectime` — the predictor: Delaunay interpolation
   over (area, aspect) at each profiled processor count, then linear
   interpolation in processor count (after Malakar et al., SC'12);
-* :mod:`repro.perfmodel.redisttime` — §IV-C1 redistribution-time predictor
-  and its measured counterpart via the network simulator.
+* :mod:`repro.perfmodel.redisttime` — §IV-C1 redistribution time measured
+  through the network simulator.
 """
 
 from repro.perfmodel.groundtruth import ExecutionOracle
 from repro.perfmodel.profiles import ProfileTable, DEFAULT_PROFILE_DOMAINS, DEFAULT_PROC_COUNTS
 from repro.perfmodel.exectime import ExecTimePredictor
-from repro.perfmodel.redisttime import predict_redistribution_time, measure_redistribution_time
+from repro.perfmodel.redisttime import measure_redistribution_time
 
 __all__ = [
     "ExecutionOracle",
@@ -24,6 +24,5 @@ __all__ = [
     "DEFAULT_PROFILE_DOMAINS",
     "DEFAULT_PROC_COUNTS",
     "ExecTimePredictor",
-    "predict_redistribution_time",
     "measure_redistribution_time",
 ]

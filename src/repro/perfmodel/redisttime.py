@@ -1,12 +1,12 @@
-"""Redistribution-time prediction and measurement (paper §IV-C1).
+"""Redistribution-time measurement (paper §IV-C1).
 
 Each retained nest redistributes with its own ``MPI_Alltoallv`` ("followed
 by MPI_Alltoallv to redistribute data for each nest"); the per-adaptation
 redistribution time is the sum over retained nests.
 
-*Predicted* uses the direct-algorithm analytical model
-(:func:`repro.mpisim.alltoallv.predict_alltoallv_time`); *measured* routes
-the same messages through the contention-aware network simulator.
+The plan predicts each nest's time with the direct-algorithm analytical
+model (:func:`repro.mpisim.alltoallv.predict_alltoallv_time`); *measured*
+routes the same messages through the contention-aware network simulator.
 """
 
 from __future__ import annotations
@@ -15,21 +15,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.mpisim.alltoallv import MessageSet, predict_alltoallv_time
-from repro.mpisim.costmodel import CostModel
+from repro.mpisim.alltoallv import MessageSet
 from repro.mpisim.netsim import NetworkSimulator
-from repro.topology.machines import MachineSpec
 
-__all__ = ["predict_redistribution_time", "measure_redistribution_time"]
-
-
-def predict_redistribution_time(
-    per_nest_messages: list[MessageSet], machine: MachineSpec, cost: CostModel
-) -> float:
-    """§IV-C1 analytical prediction, summed over the per-nest collectives."""
-    return sum(
-        predict_alltoallv_time(msgs, machine, cost) for msgs in per_nest_messages
-    )
+__all__ = ["measure_redistribution_time"]
 
 
 def measure_redistribution_time(

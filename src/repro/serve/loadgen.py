@@ -29,9 +29,8 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import ADAPTATION_SPAN, FlightRecorder
 from repro.obs.stats import PhaseStats, SpanDigest, summarise_digests
-from repro.obs.timeline import ADAPTATION_SPAN
 from repro.serve.api import ServeServer, http_json
 from repro.serve.scheduler import SchedulerConfig, SessionScheduler
 from repro.serve.session import ScenarioSpec, SessionState

@@ -53,7 +53,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RankCrash
 from repro.mpisim.ledger import CommLedger
 from repro.obs import AuditTrail, FlightEvent, FlightRecorder, use_recorder
-from repro.obs.timeline import ADAPTATION_SPAN
+from repro.obs.recorder import ADAPTATION_SPAN
 from repro.topology import MACHINES
 from repro.util.logging import get_logger
 
@@ -140,6 +140,8 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {_STRATEGIES}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.priority < 0:

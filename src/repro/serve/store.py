@@ -351,9 +351,15 @@ class SessionStore:
             if not isinstance(sid, str):
                 raise ValueError(f"{path}:{lineno}: journal entry without id")
             if op == "create":
-                specs[sid] = ScenarioSpec.from_dict(entry["spec"])  # type: ignore[arg-type]
-                order.append(sid)
                 created_total += 1
+                try:
+                    specs[sid] = ScenarioSpec.from_dict(entry["spec"])  # type: ignore[arg-type]
+                except ValueError as exc:
+                    # a spec today's validation rejects (a journal written
+                    # before it, say): drop that session, keep the rest
+                    log.warning("%s:%d: skipping session %s: %s", path, lineno, sid, exc)
+                    continue
+                order.append(sid)
             elif op == "state":
                 states[sid] = (
                     SessionState(entry["state"]),  # type: ignore[arg-type]

@@ -15,7 +15,7 @@ mappings used by the cost models and the link-level network simulator.
 """
 
 from repro.topology.base import Topology
-from repro.topology.torus import Torus3D, Mesh3D, Mesh2D
+from repro.topology.torus import Torus3D, Mesh3D
 from repro.topology.switched import SwitchedNetwork
 from repro.topology.mapping import (
     ProcessMapping,
@@ -29,7 +29,6 @@ __all__ = [
     "Topology",
     "Torus3D",
     "Mesh3D",
-    "Mesh2D",
     "SwitchedNetwork",
     "ProcessMapping",
     "RowMajorMapping",

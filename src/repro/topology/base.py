@@ -8,7 +8,7 @@ A :class:`Topology` knows, for physical node ids ``0 .. nnodes-1``:
 * the total number of directed links.
 
 Node ids are *physical* processor identities.  Logical MPI-style ranks are
-translated to node ids by a :class:`~repro.topology.mapping.ProcessMapping`;
+mapped to node ids by a :class:`~repro.topology.mapping.ProcessMapping`;
 cost models always compose ``mapping`` then ``topology``.
 """
 
@@ -17,8 +17,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-
-from repro.util.rng import make_rng
 
 __all__ = ["Topology"]
 
@@ -93,14 +91,3 @@ class Topology(abc.ABC):
         """Raise :class:`ValueError` if ``node`` is out of range."""
         if not 0 <= node < self.nnodes:
             raise ValueError(f"node {node} out of range [0, {self.nnodes})")
-
-    def mean_pairwise_hops(self, sample: int | None = None, seed: int = 0) -> float:
-        """Average hop distance over all (or ``sample`` random) node pairs."""
-        n = self.nnodes
-        if sample is None or sample >= n * n:
-            src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            return float(self.hops(src.ravel(), dst.ravel()).mean())
-        rng = make_rng(seed)
-        src = rng.integers(0, n, size=sample)
-        dst = rng.integers(0, n, size=sample)
-        return float(self.hops(src, dst).mean())

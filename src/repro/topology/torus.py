@@ -1,4 +1,4 @@
-"""3D torus (Blue Gene/L style) and 2D mesh interconnects.
+"""3D torus (Blue Gene/L style) and 3D mesh interconnects.
 
 Blue Gene/L arranges compute nodes in a 3D torus; a 1024-node partition is
 an ``8 x 8 x 16`` torus [IBM Blue Gene team, IBM JRD 2005].  Messages are
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.topology.base import Topology
 
-__all__ = ["Torus3D", "Mesh2D", "Mesh3D"]
+__all__ = ["Torus3D", "Mesh3D"]
 
 # Directed link direction codes: one outgoing link per node per direction.
 _DIRS3D = ("+x", "-x", "+y", "-y", "+z", "-z")
@@ -428,112 +428,3 @@ class Mesh3D(Torus3D):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Mesh3D(dims={self.dims})"
 
-
-class Mesh2D(Topology):
-    """A ``dx x dy`` mesh (no wrap-around), X-then-Y routed.
-
-    Used in unit tests and for the small worked examples; also a reasonable
-    stand-in for mesh-partition mode on Blue Gene (partitions smaller than a
-    midplane are meshes, not tori).
-    """
-
-    def __init__(
-        self,
-        dims: tuple[int, int],
-        link_bandwidth: float = 175e6,
-        link_latency: float = 3e-6,
-    ) -> None:
-        if len(dims) != 2 or any(int(d) < 1 for d in dims):
-            raise ValueError(f"mesh dims must be two positive ints, got {dims!r}")
-        self.dims = (int(dims[0]), int(dims[1]))
-        self.nnodes = self.dims[0] * self.dims[1]
-        self._bw = float(link_bandwidth)
-        self._lat = float(link_latency)
-
-    def coords(self, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        node = np.asarray(node)
-        dx = self.dims[0]
-        return node % dx, node // dx
-
-    def node_id(self, x: int, y: int) -> int:
-        dx, dy = self.dims
-        if not (0 <= x < dx and 0 <= y < dy):
-            raise ValueError(f"coords ({x},{y}) outside mesh {self.dims}")
-        return x + dx * y
-
-    def hops(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        sx, sy = self.coords(np.asarray(src))
-        tx, ty = self.coords(np.asarray(dst))
-        return np.abs(sx - tx) + np.abs(sy - ty)
-
-    @property
-    def nlinks(self) -> int:
-        return 4 * self.nnodes
-
-    @property
-    def link_bandwidth(self) -> float:
-        return self._bw
-
-    @property
-    def link_latency(self) -> float:
-        return self._lat
-
-    def link_id(self, node: int, direction: int) -> int:
-        """Directed link id; direction in ``(+x, -x, +y, -y)`` order."""
-        return node * 4 + direction
-
-    def route(self, src: int, dst: int) -> list[int]:
-        self.validate_node(src)
-        self.validate_node(dst)
-        x, y = (int(v) for v in self.coords(np.asarray(src)))
-        tx, ty = (int(v) for v in self.coords(np.asarray(dst)))
-        links: list[int] = []
-        while x != tx:
-            sign = 1 if tx > x else -1
-            links.append(self.link_id(self.node_id(x, y), 0 if sign > 0 else 1))
-            x += sign
-        while y != ty:
-            sign = 1 if ty > y else -1
-            links.append(self.link_id(self.node_id(x, y), 2 if sign > 0 else 3))
-            y += sign
-        return links
-
-    def batch_routes(
-        self, src: np.ndarray, dst: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised X-then-Y mesh routes in CSR form (see base class)."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        n = src.shape[0]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        if n == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        for arr in (src, dst):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.nnodes):
-                raise ValueError(f"node ids outside [0, {self.nnodes})")
-        dx = self.dims[0]
-        sx, sy = self.coords(src)
-        tx, ty = self.coords(dst)
-        # Segment 0 walks X (Y still at source); segment 1 walks Y (X at
-        # target).  Same layout as the torus kernel, two axes, stride-4 ids.
-        cnt = np.stack([np.abs(tx - sx), np.abs(ty - sy)], axis=1)
-        sign = np.stack([np.where(tx >= sx, 1, -1), np.where(ty >= sy, 1, -1)], axis=1)
-        start = np.stack([sx, sy], axis=1)
-        base = np.stack([dx * sy, tx], axis=1)
-        stride = np.array([1, dx], dtype=np.int64)
-        np.cumsum(cnt.sum(axis=1), out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        seg_counts = cnt.ravel()
-        seg_starts = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
-        flat_seg = np.repeat(np.arange(2 * n, dtype=np.int64), seg_counts)
-        k = np.arange(total, dtype=np.int64) - seg_starts[flat_seg]
-        g = sign.ravel()[flat_seg]
-        coord = start.ravel()[flat_seg] + g * k
-        node = base.ravel()[flat_seg] + stride[flat_seg % 2] * coord
-        links = node * 4 + (flat_seg % 2) * 2 + (g < 0)
-        return links, offsets
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Mesh2D(dims={self.dims})"

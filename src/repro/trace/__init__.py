@@ -7,25 +7,20 @@ without re-running the simulator.
 
 * :func:`save_workload` / :func:`load_workload` — the nest-configuration
   stream (JSON), round-trip exact;
-* :func:`save_run` / :func:`load_run` — a run's per-step metrics (JSON);
-* :func:`metrics_to_csv` — flat CSV for external tooling;
-* :func:`compare_runs` — summary delta between two saved runs.
+* :func:`save_run` — a run's per-step metrics (JSON);
+* :func:`metrics_to_csv` — flat CSV for external tooling.
 """
 
 from repro.trace.io import (
     save_workload,
     load_workload,
     save_run,
-    load_run,
     metrics_to_csv,
-    compare_runs,
 )
 
 __all__ = [
     "save_workload",
     "load_workload",
     "save_run",
-    "load_run",
     "metrics_to_csv",
-    "compare_runs",
 ]

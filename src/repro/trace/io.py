@@ -14,9 +14,7 @@ __all__ = [
     "save_workload",
     "load_workload",
     "save_run",
-    "load_run",
     "metrics_to_csv",
-    "compare_runs",
 ]
 
 _WORKLOAD_FORMAT = 1
@@ -86,18 +84,6 @@ def save_run(
     _to_path(path).write_text(json.dumps(doc, indent=1))
 
 
-def load_run(path: str | pathlib.Path) -> tuple[list[StepMetrics], dict[str, str]]:
-    """Read a run; returns ``(metrics, labels)``."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    if doc.get("format") != _RUN_FORMAT:
-        raise ValueError(f"unsupported run format {doc.get('format')!r} in {path}")
-    metrics = [StepMetrics(**m) for m in doc["metrics"]]
-    labels = {
-        k: doc.get(k, "") for k in ("workload", "strategy", "machine")
-    }
-    return metrics, labels
-
-
 def metrics_to_csv(metrics: list[StepMetrics], path: str | pathlib.Path) -> None:
     """Write per-step metrics as a flat CSV (one row per adaptation point)."""
     fields = [f.name for f in dataclasses.fields(StepMetrics)]
@@ -107,21 +93,3 @@ def metrics_to_csv(metrics: list[StepMetrics], path: str | pathlib.Path) -> None
         for m in metrics:
             writer.writerow(dataclasses.asdict(m))
 
-
-def compare_runs(
-    a: list[StepMetrics], b: list[StepMetrics]
-) -> dict[str, tuple[float, float, float]]:
-    """Summary deltas between two runs on the same workload.
-
-    Returns ``{metric: (total_a, total_b, improvement_%_of_b_over_a)}`` for
-    the cost metrics; raises when the runs have different lengths.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"runs differ in length: {len(a)} vs {len(b)}")
-    out: dict[str, tuple[float, float, float]] = {}
-    for attr in ("measured_redist", "predicted_redist", "exec_actual", "hop_bytes_total"):
-        ta = float(sum(getattr(m, attr) for m in a))
-        tb = float(sum(getattr(m, attr) for m in b))
-        imp = 100.0 * (ta - tb) / ta if ta else 0.0
-        out[attr] = (ta, tb, imp)
-    return out

@@ -5,7 +5,7 @@ Every stochastic component of the reproduction draws from a
 every experiment in the paper reproduction is bit-for-bit deterministic.
 """
 
-from repro.util.rng import make_rng, spawn_rngs
+from repro.util.rng import make_rng
 from repro.util.tables import format_table, format_series, percent
 from repro.util.validation import (
     check_positive,
@@ -16,7 +16,6 @@ from repro.util.validation import (
 
 __all__ = [
     "make_rng",
-    "spawn_rngs",
     "format_table",
     "format_series",
     "percent",

@@ -1,38 +1,17 @@
-"""Library logging: per-module loggers plus an opt-in console configuration.
+"""Library logging: one logger per module under the ``repro`` namespace.
 
 Every long-running component (the reallocator, the coupled driver, the
-experiment runner) logs through ``logging.getLogger("repro.<module>")``.
-The library itself never configures handlers — that is the application's
-call — but :func:`configure_logging` sets up a sensible console handler
-for scripts and examples:
-
-    from repro.util.logging import configure_logging
-    configure_logging("debug")   # watch every adaptation point
-
-The default level comes from the ``REPRO_LOG_LEVEL`` environment variable
-(falling back to ``info``), so scripts can be made chatty without edits::
-
-    REPRO_LOG_LEVEL=debug python -m repro track
+experiment runner) logs through :func:`get_logger`, which returns
+``logging.getLogger("repro.<module>")``.  The library never configures
+handlers, levels or formats: an application that wants the records
+attaches its own handler to the ``repro`` logger.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 
-__all__ = ["configure_logging", "get_logger"]
-
-_FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
-
-_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "error": logging.ERROR,
-    "critical": logging.CRITICAL,
-}
-
-_LEVEL_ENV_VAR = "REPRO_LOG_LEVEL"
+__all__ = ["get_logger"]
 
 
 def get_logger(name: str) -> logging.Logger:
@@ -40,27 +19,3 @@ def get_logger(name: str) -> logging.Logger:
     if not name.startswith("repro"):
         name = f"repro.{name}"
     return logging.getLogger(name)
-
-
-def configure_logging(level: str | None = None) -> logging.Logger:
-    """Attach a console handler to the ``repro`` root logger.
-
-    ``level`` defaults to the ``REPRO_LOG_LEVEL`` environment variable when
-    unset (and to ``info`` when that is unset too); passing an explicit
-    level always wins over the environment.  Calling again replaces the
-    previous configuration (safe in notebooks).  Returns the configured
-    root ``repro`` logger.
-    """
-    if level is None:
-        level = os.environ.get(_LEVEL_ENV_VAR, "info").lower()
-    if level not in _LEVELS:
-        raise ValueError(f"unknown level {level!r}; choose from {sorted(_LEVELS)}")
-    root = logging.getLogger("repro")
-    for handler in list(root.handlers):
-        root.removeHandler(handler)
-    handler = logging.StreamHandler()
-    handler.setFormatter(logging.Formatter(_FORMAT))
-    root.addHandler(handler)
-    root.setLevel(_LEVELS[level])
-    root.propagate = False
-    return root

@@ -2,16 +2,17 @@
 
 All stochastic behaviour in the library (synthetic cloud events, profiling
 noise, workload churn) flows through generators produced here so that every
-experiment is reproducible.  The helpers wrap :class:`numpy.random.Generator`
-with a uniform seeding policy: an integer seed, an existing generator, or
-``None`` (fresh OS entropy — only appropriate for interactive use).
+experiment is reproducible.  :func:`make_rng` wraps
+:class:`numpy.random.Generator` with a uniform seeding policy: an integer
+seed, an existing generator, or ``None`` (fresh OS entropy — only
+appropriate for interactive use).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -28,19 +29,3 @@ def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generat
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Split a seed into ``n`` statistically independent child generators.
-
-    Uses :class:`numpy.random.SeedSequence` spawning so that child streams do
-    not overlap regardless of how many draws each consumes.  Useful for giving
-    each simulated process / each adaptation point its own stream.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's own bit stream.
-        seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]

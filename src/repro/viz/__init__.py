@@ -1,4 +1,4 @@
-"""Plain-text visualisation of allocations, fields and clusters.
+"""Plain-text visualisation of allocations and fields.
 
 The paper communicates its ideas through small diagrams (Figs. 2–8) and
 field maps (Figs. 1, 9).  This package renders the same artefacts as
@@ -10,8 +10,6 @@ terminal text, so examples and debugging sessions can *see* an allocation:
   per-nest overlap annotation;
 * :func:`render_field` — a downsampled shaded map of a QCLOUD/OLR field
   (the paper's Fig. 1);
-* :func:`render_clusters` — subdomain blocks coloured by cluster
-  (the paper's Fig. 9);
 * :func:`sparkline` — compact per-step metric series.
 """
 
@@ -19,8 +17,6 @@ from repro.viz.render import (
     render_allocation,
     render_allocation_diff,
     render_field,
-    render_clusters,
-    render_tree,
     sparkline,
 )
 
@@ -28,7 +24,5 @@ __all__ = [
     "render_allocation",
     "render_allocation_diff",
     "render_field",
-    "render_clusters",
-    "render_tree",
     "sparkline",
 ]

@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.records import SubdomainSummary
 from repro.core.allocation import Allocation
 
 __all__ = [
     "render_allocation",
     "render_allocation_diff",
     "render_field",
-    "render_clusters",
-    "render_tree",
     "sparkline",
 ]
 
@@ -113,66 +110,6 @@ def render_field(field: np.ndarray, width: int = 72, invert: bool = False) -> st
     idx = np.minimum((norm * len(_SHADES)).astype(int), len(_SHADES) - 1)
     rows = ["".join(_SHADES[i] for i in row) for row in idx]
     return "\n".join(rows)
-
-
-def render_clusters(
-    clusters: list[list[SubdomainSummary]],
-    blocks_x: int,
-    blocks_y: int,
-) -> str:
-    """Subdomain block map with one glyph per cluster (paper Fig. 9)."""
-    if blocks_x < 1 or blocks_y < 1:
-        raise ValueError(f"block grid must be at least 1x1: {blocks_x}x{blocks_y}")
-    canvas = np.full((blocks_y, blocks_x), ".", dtype="<U1")
-    for i, cluster in enumerate(clusters):
-        g = _glyph(i)
-        for s in cluster:
-            if not (0 <= s.block_x < blocks_x and 0 <= s.block_y < blocks_y):
-                raise ValueError(
-                    f"cluster member block ({s.block_x},{s.block_y}) outside "
-                    f"{blocks_x}x{blocks_y}"
-                )
-            canvas[s.block_y, s.block_x] = g
-    rows = ["".join(canvas[y]) for y in range(blocks_y)]
-    legend = "  ".join(
-        f"{_glyph(i)}: {len(c)} blocks" for i, c in enumerate(clusters)
-    )
-    return "\n".join([*rows, legend or "(no clusters)"])
-
-
-def render_tree(root, show_weights: bool = True) -> str:
-    """Box-drawing rendering of an allocation tree (paper Fig. 2a / 8c).
-
-    Accepts a :class:`~repro.tree.node.TreeNode` (or ``None`` for the empty
-    tree).  Leaves print as ``nest <id>`` (or ``(free)``); internal nodes
-    as ``●``; weights are appended when ``show_weights``.
-    """
-    if root is None:
-        return "(empty tree)"
-
-    def label(node) -> str:
-        if node.is_leaf:
-            base = "(free)" if node.free else f"nest {node.nest_id}"
-        else:
-            base = "●"
-        if show_weights:
-            base += f" [{node.weight:.3g}]"
-        return base
-
-    lines: list[str] = [label(root)]
-
-    def walk(node, prefix: str) -> None:
-        if node.is_leaf:
-            return
-        children = [node.left, node.right]
-        for i, child in enumerate(children):
-            last = i == len(children) - 1
-            connector = "└─ " if last else "├─ "
-            lines.append(prefix + connector + label(child))
-            walk(child, prefix + ("   " if last else "│  "))
-
-    walk(root, "")
-    return "\n".join(lines)
 
 
 def sparkline(values: list[float], width: int = 60) -> str:

@@ -15,29 +15,23 @@ lightweight cloud-field simulator with the same interface:
 * :mod:`repro.wrf.nests` — nest domains (3x refinement, parent→nest
   interpolation), ROI↔nest tracking across adaptation points and the
   detect half of a point (:func:`~repro.wrf.nests.detect_nests`),
-* :mod:`repro.wrf.scenario` — the Mumbai-2005-like scripted scenario and
-  random synthetic scenarios matching the paper's workload statistics.
+* :mod:`repro.wrf.scenario` — the Mumbai-2005-like scripted scenario
+  matching the paper's real-trace statistics.
 """
 
 from repro.wrf.clouds import CloudSystem, advance_systems
 from repro.wrf.fields import qcloud_field, olr_field
 from repro.wrf.model import DomainConfig, WrfLikeModel
 from repro.wrf.nests import Detection, Nest, NestTracker, detect_nests
-from repro.wrf.scenario import mumbai_2005_scenario, synthetic_scenario
+from repro.wrf.scenario import mumbai_2005_scenario
 from repro.wrf.driver import CoupledSimulation, CoupledStepResult
-from repro.wrf.io import SplitFileReader, SplitFileWriter, split_file_name
 from repro.wrf.dynamics import DynamicalModel, DynamicsConfig
-from repro.wrf.nestsim import NestModel
 
 __all__ = [
     "CoupledSimulation",
     "CoupledStepResult",
-    "SplitFileReader",
-    "SplitFileWriter",
-    "split_file_name",
     "DynamicalModel",
     "DynamicsConfig",
-    "NestModel",
     "CloudSystem",
     "advance_systems",
     "qcloud_field",
@@ -49,5 +43,4 @@ __all__ = [
     "Detection",
     "detect_nests",
     "mumbai_2005_scenario",
-    "synthetic_scenario",
 ]

@@ -201,15 +201,6 @@ class DynamicalModel(WrfLikeModel):
         self.step_count += 1
 
     def _qcloud(self) -> np.ndarray:
-        """This step's cloud water, copied from the prognostic state.
-
-        Two-way nest feedback writes ``qcloud_state`` in place; the copy
-        keeps the step's ``(qcloud, olr)`` pair consistent.
-        """
+        """This step's cloud water, copied from the prognostic state so the
+        read-only ``(qcloud, olr)`` pair never aliases the model's state."""
         return self.qcloud_state.copy()
-
-    # prognostic water content diagnostics ------------------------------
-
-    def total_water(self) -> float:
-        """Domain-integrated vapour + cloud (diagnostic for tests)."""
-        return float(self.qvapor.sum() + self.qcloud_state.sum())

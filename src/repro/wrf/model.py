@@ -20,7 +20,6 @@ import numpy as np
 from repro.analysis.records import SplitBatch
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
-from repro.grid.rect import Rect
 from repro.wrf.clouds import CloudSystem, advance_systems
 from repro.wrf.fields import olr_field, qcloud_field
 
@@ -124,17 +123,6 @@ class WrfLikeModel:
     def _qcloud(self) -> np.ndarray:
         """A new cloud-water field for the current state."""
         return qcloud_field(self.config.nx, self.config.ny, self.systems)
-
-    def subdomain_extent(self, block_x: int, block_y: int) -> Rect:
-        """Grid-point extent of simulation rank block ``(block_x, block_y)``."""
-        self.config.sim_grid.rank(block_x, block_y)  # validates the block
-        xb, yb = self._tiles
-        return Rect(
-            xb[block_x],
-            yb[block_y],
-            xb[block_x + 1] - xb[block_x],
-            yb[block_y + 1] - yb[block_y],
-        )
 
     def write_split_files(self) -> SplitBatch:
         """Every simulation rank's split file for the current step.

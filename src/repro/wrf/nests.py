@@ -52,10 +52,6 @@ class Nest:
         """Nest grid height (fine points)."""
         return self.roi.h * self.refinement
 
-    @property
-    def npoints(self) -> int:
-        return self.nx * self.ny
-
     def _check_inside(self, parent_field: np.ndarray) -> tuple[int, int]:
         """The parent's ``(height, width)``; ``ValueError`` when the ROI
         reaches outside it on any side."""

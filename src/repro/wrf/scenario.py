@@ -1,4 +1,4 @@
-"""Scenarios: cloud-birth scripts matching the paper's two workloads.
+"""Scenarios: the cloud-birth script of the paper's real workload.
 
 *Real-like* (§V-B "Real"): a Mumbai-July-2005-style episode over the Indian
 region — a persistent intense west-coast system (the record Mumbai rainfall
@@ -6,9 +6,6 @@ cell) plus monsoon-depression systems appearing and decaying across the Bay
 of Bengal and central India.  Tuned so that PDA detects 4–5 simultaneous
 regions of interest on average, at most 7, over ~100 adaptation points —
 the statistics the paper reports for its real traces.
-
-*Synthetic* (§V-B "Synthetic"): seeded random churn keeping 2–9 systems
-alive, used for the 70 random reconfiguration cases of Figs. 10–11.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from repro.util.rng import make_rng
 from repro.wrf.clouds import CloudSystem, random_system
 from repro.wrf.model import DomainConfig
 
-__all__ = ["Scenario", "mumbai_2005_scenario", "synthetic_scenario"]
+__all__ = ["Scenario", "mumbai_2005_scenario"]
 
 
 @dataclass
@@ -109,41 +106,3 @@ def mumbai_2005_scenario(
 
     return Scenario(config=config, initial_systems=initial, n_steps=n_steps, _birth_fn=births)
 
-
-def synthetic_scenario(
-    seed: int = 0,
-    n_steps: int = 70,
-    config: DomainConfig | None = None,
-    n_range: tuple[int, int] = (2, 9),
-) -> Scenario:
-    """Random churn keeping ``n_range`` systems alive (the 70 synthetic cases)."""
-    if not 1 <= n_range[0] <= n_range[1]:
-        raise ValueError(f"invalid n_range {n_range}")
-    config = config or DomainConfig()
-    rng = make_rng(seed)
-    nx, ny = config.nx, config.ny
-    scale = min(nx / 552.0, ny / 324.0)
-    sigma_range = (12.0 * scale, 32.0 * scale)
-    counter = [0]
-
-    def fresh_id() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    lo, hi = n_range
-    initial = [
-        random_system(rng, fresh_id(), nx, ny, sigma_range=sigma_range)
-        for _ in range(int(rng.integers(lo, hi + 1)))
-    ]
-
-    def births(step: int, systems: list[CloudSystem]) -> list[CloudSystem]:
-        born: list[CloudSystem] = []
-        alive = len(systems)
-        # Top up below the floor; otherwise churn stochastically below the cap.
-        while alive + len(born) < lo:
-            born.append(random_system(rng, fresh_id(), nx, ny, sigma_range=sigma_range))
-        if alive + len(born) < hi and rng.uniform() < 0.45:
-            born.append(random_system(rng, fresh_id(), nx, ny, sigma_range=sigma_range))
-        return born
-
-    return Scenario(config=config, initial_systems=initial, n_steps=n_steps, _birth_fn=births)

@@ -1,8 +1,8 @@
 """Tests for cross-session aggregation (``repro.obs.aggregate``).
 
-Covers the aggregation tentpole layer: the pure-python Gini twin, the
-quantile digests, fleet rollups over recorder/ledger/audit/flight
-snapshots, and the Prometheus renderer + strict line-format validator.
+Covers the aggregation layer: the quantile digests, fleet rollups over
+recorder/ledger/audit/flight snapshots, and the Prometheus renderer +
+strict line-format validator.
 """
 
 import math
@@ -21,7 +21,6 @@ from repro.obs import (
     QuantileDigest,
     aggregate_fleet,
     fleet_metrics,
-    gini_of,
     parse_prometheus,
     render_prometheus,
 )
@@ -45,47 +44,9 @@ def _audit(step: int, chosen: str) -> AdaptationAudit:
     )
 
 
-class TestGiniOf:
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [],
-            [0.0, 0.0],
-            [1.0, 1.0, 1.0],
-            [0.0, 0.0, 10.0],
-            [1.0, 2.0, 3.0, 4.0, 5.0],
-            [5.5, 0.25, 12.0, 0.0, 3.0, 7.75],
-        ],
-    )
-    def test_matches_numpy_twin(self, values):
-        assert gini_of(values) == pytest.approx(
-            numpy_gini(np.asarray(values, dtype=np.float64)), abs=1e-12
-        )
-
-    def test_concentration_reads_high(self):
-        assert gini_of([0, 0, 10]) == pytest.approx(2 / 3)
-        assert gini_of([1, 1, 1, 1]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            gini_of([1.0, -0.5])
-
-
 class TestQuantileDigest:
-    def test_of_computes_digest(self):
-        digest = QuantileDigest.of([0.1, 0.2, 0.3, 0.4])
-        assert digest.count == 4
-        assert digest.total == pytest.approx(1.0)
-        assert digest.p50 == pytest.approx(0.25)
-        assert digest.max == 0.4
-        assert digest.p50 <= digest.p95 <= digest.max
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            QuantileDigest.of([])
-
     def test_to_dict_keys(self):
-        d = QuantileDigest.of([1.0]).to_dict()
+        d = QuantileDigest(count=1, total=1.0, p50=1.0, p95=1.0, max=1.0).to_dict()
         assert set(d) == {"count", "total_s", "p50_s", "p95_s", "max_s"}
 
 
@@ -110,12 +71,22 @@ class TestAggregateFleet:
         lo.sent[:] = [1.0, 1.0]
         hi.sent[:] = [100.0, 100.0]
         rollup = aggregate_fleet(ledgers=[lo, hi])
-        assert rollup.gini["sent"] == pytest.approx(
-            gini_of([1.0, 1.0, 100.0, 100.0])
-        )
+        assert rollup.gini["sent"] == numpy_gini(np.concatenate([lo.sent, hi.sent]))
         assert rollup.gini["sent"] > 0.4
         # all-zero series are omitted rather than reported as 0-skew
         assert "retried" not in rollup.gini
+
+    def test_gini_is_ledger_gini_of_the_concatenation(self):
+        series = ("sent", "received", "hop_bytes", "retried")
+        rng = np.random.default_rng(0)
+        ledgers = [CommLedger(8) for _ in range(3)]
+        for ledger in ledgers:
+            for name in series:
+                getattr(ledger, name)[:] = rng.uniform(0.0, 100.0, 8)
+        rollup = aggregate_fleet(ledgers=ledgers)
+        for name in series:
+            values = np.concatenate([getattr(ledger, name) for ledger in ledgers])
+            assert rollup.gini[name] == numpy_gini(values)
 
     def test_decisions_counted_across_audits(self):
         t1, t2 = AuditTrail(), AuditTrail()

@@ -67,8 +67,6 @@ class TestAdaptationAudit:
         a = _audit()
         assert a.predicted_scratch == pytest.approx(2.5)
         assert a.predicted_diffusion == pytest.approx(2.3)
-        assert a.predicted_total == pytest.approx(2.3)
-        assert a.observed_total == pytest.approx(2.2)
 
     def test_errors(self):
         a = _audit()

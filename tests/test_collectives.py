@@ -44,7 +44,7 @@ SAMPLE = [(0, 1, 1e5), (0, 5, 2e5), (3, 4, 1e5), (7, 2, 3e5), (9, 10, 1e5)]
 class TestSchedules:
     def test_concurrent_single_round(self):
         sched = schedule_concurrent(msgset(SAMPLE))
-        assert sched.n_rounds == 1
+        assert len(sched.rounds) == 1
         sched.validate_against(msgset(SAMPLE))
 
     def test_direct_partitions(self):
@@ -80,9 +80,9 @@ class TestSchedules:
 
     def test_empty_schedules(self):
         empty = msgset([])
-        assert schedule_concurrent(empty).n_rounds == 0
-        assert schedule_direct(empty, 16).n_rounds == 0
-        assert schedule_pairwise(empty, 16).n_rounds == 0
+        assert len(schedule_concurrent(empty).rounds) == 0
+        assert len(schedule_direct(empty, 16).rounds) == 0
+        assert len(schedule_pairwise(empty, 16).rounds) == 0
 
     def test_direct_validation(self):
         with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ class TestScheduledTime:
         sched = schedule_direct(msgs, 256)
         base = scheduled_time(sched, sim)
         with_lat = scheduled_time(sched, sim, round_latency=1e-3)
-        assert with_lat == pytest.approx(base + sched.n_rounds * 1e-3)
+        assert with_lat == pytest.approx(base + len(sched.rounds) * 1e-3)
 
     def test_negative_latency_rejected(self, sim):
         with pytest.raises(ValueError):

@@ -85,10 +85,10 @@ class TestRankStore:
         alloc = alloc_for({1: 0.5, 2: 0.5})
         s = RankStore(GRID.nprocs)
         scatter_nest(s, 1, random_field(30, 20), alloc)
-        inside = s.holders(1)
-        assert s.memory_bytes(inside[0]) == s.get(inside[0], 1)[0].nbytes > 0
-        assert sum(s.memory_bytes(r) for r in range(GRID.nprocs)) == 30 * 20 * 8
-        assert s.memory_bytes(int(GRID.ranks_in(alloc.rect_of(2))[0])) == 0
+        held = [s.get(r, 1)[0].nbytes for r in s.holders(1)]
+        assert min(held) > 0 and sum(held) == 30 * 20 * 8
+        with pytest.raises(KeyError):
+            s.get(int(GRID.ranks_in(alloc.rect_of(2))[0]), 1)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ from repro.core import ScratchStrategy
 from repro.core.dataplane import gather_nest
 from repro.grid import ProcessorGrid
 from repro.topology import blue_gene_l
+from repro.util.rng import make_rng
 from repro.wrf import CoupledSimulation, DomainConfig, mumbai_2005_scenario
+from repro.wrf.clouds import random_system
 from repro.wrf.fields import qcloud_field
-from repro.wrf.scenario import synthetic_scenario
+from repro.wrf.scenario import Scenario
 
 
 def small_sim(**kwargs):
@@ -89,8 +91,15 @@ class TestCoupledSimulation:
             small_sim().run(-1)
 
     def test_synthetic_scenario_driver(self):
+        # any scenario drives the loop, not only Mumbai's script: here
+        # random systems with no births
         cfg = DomainConfig(nx=128, ny=96, sim_grid=ProcessorGrid(8, 8))
-        scenario = synthetic_scenario(seed=5, n_steps=30, config=cfg, n_range=(2, 5))
+        rng = make_rng(5)
+        systems = [
+            random_system(rng, i, cfg.nx, cfg.ny, sigma_range=(3.0, 7.5))
+            for i in range(1, 5)
+        ]
+        scenario = Scenario(config=cfg, initial_systems=systems, n_steps=30)
         sim = CoupledSimulation(
             machine=blue_gene_l(256),
             scenario=scenario,

@@ -12,7 +12,6 @@ from repro.experiments import (
     Workload,
     fig8_report,
     mumbai_trace_workload,
-    paper_example_steps,
     synthetic_workload,
     table1_report,
     table2_report,
@@ -63,11 +62,6 @@ class TestWorkloads:
     def test_workload_requires_steps(self):
         with pytest.raises(ValueError):
             Workload(name="x", steps=[])
-
-    def test_paper_example(self):
-        wl = paper_example_steps()
-        assert wl.n_steps == 2
-        assert set(wl.steps[1]) == {3, 5, 6}
 
     def test_dynamical_trace_small(self):
         from repro.experiments import dynamical_trace_workload

@@ -43,8 +43,6 @@ from repro.faults import (
     format_soak_report,
     plan_shrink,
     run_soak,
-    tree_from_obj,
-    tree_to_obj,
 )
 from repro.grid import ProcessorGrid
 from repro.mpisim import CostModel, NetworkSimulator
@@ -125,19 +123,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.seeded(0, n_steps=10, nranks=4, n_crashes=4)
 
-    def test_describe_mentions_every_fault(self):
-        plan = FaultPlan(
-            (
-                RankCrash(1, 5),
-                SplitFileFault(2, 3, mode="corrupt"),
-                SplitFileFault(4, 6, mode="truncate"),
-            )
-        )
-        text = plan.describe()
-        assert "rank 5 crashes" in text
-        assert "split file 3 corrupted" in text
-        assert "split file 6 truncated" in text
-
 
 # ---------------------------------------------------------------------------
 # HealthView
@@ -186,11 +171,8 @@ class TestPlanShrink:
         grid = ProcessorGrid(4, 4)
         new_grid, remap = plan_shrink(grid, frozenset({5}))  # row 1
         assert (new_grid.px, new_grid.py) == (4, 3)
+        # logical row j of the new grid is physical row rows[j] of the old
         assert remap.rows == (0, 2, 3)
-        # logical row 1 of the new grid is physical row 2 of the old
-        assert remap.to_physical(4) == 8
-        assert len(set(remap.physical_ranks())) == new_grid.nprocs
-        assert not set(remap.physical_ranks()) & {4, 5, 6, 7}
 
     def test_every_row_dead_is_unrecoverable(self):
         grid = ProcessorGrid(2, 2)
@@ -212,11 +194,8 @@ class TestCheckpoint:
         nests = {1: (32, 32), 2: (24, 40)}
         realloc, store = stepped_reallocator(nests)
         ckpt = Checkpoint.take(0, realloc.allocation, nests, store)
-        restored = ckpt.restore_store(realloc.allocation)
         for nid, (nx, ny) in nests.items():
-            assert np.array_equal(
-                gather_nest(restored, nid, nx, ny), field_for(nid, nx, ny)
-            )
+            assert np.array_equal(ckpt.fields[nid], field_for(nid, nx, ny))
 
     def test_checkpoint_survives_live_mutation(self):
         nests = {1: (32, 32)}
@@ -225,29 +204,6 @@ class TestCheckpoint:
         blk, _ = store.get(next(iter(store.holders(1))), 1)
         blk[:] = -1.0  # corrupt the live store in place
         assert np.array_equal(ckpt.fields[1], field_for(1, 32, 32))
-
-    def test_bytes_round_trip(self):
-        nests = {1: (32, 32), 5: (24, 40)}
-        realloc, store = stepped_reallocator(nests)
-        ckpt = Checkpoint.take(3, realloc.allocation, nests, store)
-        back = Checkpoint.from_bytes(ckpt.to_bytes())
-        assert back.step == 3 and back.grid == ckpt.grid
-        assert back.nest_sizes == ckpt.nest_sizes
-        assert back.weights == pytest.approx(ckpt.weights)
-        assert tree_to_obj(back.tree) == tree_to_obj(ckpt.tree)
-        for nid in ckpt.nest_ids:
-            assert np.array_equal(back.fields[nid], ckpt.fields[nid])
-
-    def test_save_load(self, tmp_path):
-        nests = {1: (16, 16)}
-        realloc, store = stepped_reallocator(nests)
-        ckpt = Checkpoint.take(0, realloc.allocation, nests, store)
-        back = Checkpoint.load(ckpt.save(tmp_path / "ck.npz"))
-        assert np.array_equal(back.fields[1], ckpt.fields[1])
-
-    def test_damaged_archive_rejected(self):
-        with pytest.raises((ValueError, OSError)):
-            Checkpoint.from_bytes(b"not an npz archive")
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ValueError, match="field shape"):
@@ -259,15 +215,6 @@ class TestCheckpoint:
                 weights={},
                 fields={1: np.zeros((3, 4))},
             )
-
-    def test_tree_obj_round_trip_validates(self):
-        nests = {1: (16, 16), 2: (16, 16)}
-        realloc, _ = stepped_reallocator(nests)
-        obj = tree_to_obj(realloc.allocation.tree)
-        back = tree_from_obj(obj)
-        assert tree_to_obj(back) == obj
-        with pytest.raises(ValueError, match="one child"):
-            tree_from_obj({"weight": 1.0, "left": {"weight": 1.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +344,6 @@ class TestBackoffPolicy:
             d = policy.delay(1, make_rng(seed))
             assert 0.075 <= d <= 0.125
 
-    def test_max_total_delay_bounds_every_sequence(self):
-        policy = BackoffPolicy(max_attempts=5)
-        for seed in range(10):
-            rng = make_rng(seed)
-            total = sum(policy.delay(r, rng) for r in range(1, 5))
-            assert total <= policy.max_total_delay() + 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BackoffPolicy(base_delay=0.0)
@@ -513,7 +453,7 @@ class TestRetryExecutor:
 
         a, b = run(), run()
         assert a.delays == b.delays
-        assert a.total_delay <= policy.max_total_delay()
+        assert all(0 < d <= policy.max_delay * (1 + policy.jitter) for d in a.delays)
 
     def test_exhaustion_aborts_without_touching_the_store(self):
         old, new, move = self._allocs()
@@ -611,7 +551,8 @@ class TestFaultInjector:
         assert inj.apply_step(0) == []
         assert inj.apply_step(1) == [RankCrash(1, 3)]
         assert inj.crashed_ranks == frozenset({3})
-        assert inj.new_crashes(2) == [7]
+        assert inj.apply_step(2) == [RankCrash(2, 7)]
+        assert inj.crashed_ranks == frozenset({3, 7})
 
     def test_split_file_faults_fire_in_damage_files(self):
         from repro.analysis import SplitBatch, parallel_data_analysis

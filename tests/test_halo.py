@@ -5,7 +5,7 @@ import pytest
 
 from repro.grid import BlockDecomposition, ProcessorGrid, Rect
 from repro.mpisim import CostModel, NetworkSimulator
-from repro.mpisim.halo import halo_messages, halo_volume_per_step
+from repro.mpisim.halo import halo_messages
 from repro.topology import blue_gene_l
 
 GRID = ProcessorGrid(16, 16)
@@ -80,10 +80,6 @@ class TestSkewCost:
 
     def test_volume_formula(self):
         d = BlockDecomposition(120, 90, Rect(0, 0, 4, 3))
-        # blocks are 30x30: interior perimeter exchange 2*(30+30) = 120
-        assert halo_volume_per_step(d) == 120.0
-
-    def test_volume_validation(self):
-        d = BlockDecomposition(30, 30, Rect(0, 0, 2, 2))
-        with pytest.raises(ValueError):
-            halo_volume_per_step(d, halo=0)
+        msgs = halo_messages(d, GRID.px, 1.0)
+        # blocks are 30x30: an interior processor sends 2*(30+30) = 120 points
+        assert msgs.nbytes[msgs.src == GRID.rank(1, 1)].sum() == 120.0

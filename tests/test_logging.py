@@ -2,9 +2,7 @@
 
 import logging
 
-import pytest
-
-from repro.util.logging import configure_logging, get_logger
+from repro.util.logging import get_logger
 
 
 class TestGetLogger:
@@ -14,64 +12,11 @@ class TestGetLogger:
     def test_already_namespaced(self):
         assert get_logger("repro.wrf.driver").name == "repro.wrf.driver"
 
-
-class TestConfigureLogging:
-    def test_sets_level_and_handler(self):
-        root = configure_logging("debug")
-        assert root.level == logging.DEBUG
-        assert len(root.handlers) == 1
-
-    def test_reconfigure_replaces_handler(self):
-        configure_logging("info")
-        root = configure_logging("warning")
-        assert len(root.handlers) == 1
-        assert root.level == logging.WARNING
-
-    def test_unknown_level(self):
-        with pytest.raises(ValueError):
-            configure_logging("verbose")
-
-    def test_critical_level(self):
-        root = configure_logging("critical")
-        assert root.level == logging.CRITICAL
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "warning")
-        root = configure_logging()
-        assert root.level == logging.WARNING
-
-    def test_env_var_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "CRITICAL")
-        root = configure_logging()
-        assert root.level == logging.CRITICAL
-
-    def test_explicit_level_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "error")
-        root = configure_logging("debug")
-        assert root.level == logging.DEBUG
-
-    def test_env_unset_defaults_to_info(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOG_LEVEL", raising=False)
-        root = configure_logging()
-        assert root.level == logging.INFO
-
-    def test_bad_env_level_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "chatty")
-        with pytest.raises(ValueError):
-            configure_logging()
-
     def test_debug_messages_flow(self, caplog):
         from repro.core import ScratchStrategy
         from repro.core.reallocator import ProcessorReallocator
         from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
         from repro.topology import blue_gene_l
-
-        # undo any configure_logging from earlier tests so records propagate
-        # to caplog's root handler
-        root = logging.getLogger("repro")
-        for handler in list(root.handlers):
-            root.removeHandler(handler)
-        root.propagate = True
 
         predictor = ExecTimePredictor(ProfileTable(ExecutionOracle()))
         realloc = ProcessorReallocator(blue_gene_l(256), ScratchStrategy(), predictor)

@@ -28,22 +28,11 @@ def msgset(triples):
 
 
 class TestCostModel:
-    def test_transfer_time(self):
-        c = CostModel(alpha=1e-6, beta=1e-9, soft_beta=0.0)
-        assert c.transfer_time(1000, hops=2) == pytest.approx(1e-6 + 2e-6)
-
-    def test_transfer_time_includes_packing(self):
-        c = CostModel(alpha=0.0, beta=1e-9, soft_beta=2e-9)
-        assert c.transfer_time(1000, hops=1) == pytest.approx(3e-6)
-
     def test_collective_floor(self):
         c = CostModel(alpha=0.0, beta=1e-9, soft_alpha=1e-5)
         assert c.collective_floor(1024) == pytest.approx(1024e-5)
         with pytest.raises(ValueError):
             c.collective_floor(-1)
-
-    def test_zero_bytes_free(self):
-        assert CostModel(1e-6, 1e-9).transfer_time(0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,10 +46,6 @@ class TestCostModel:
         m = blue_gene_l(256)
         c = CostModel.for_machine(m)
         assert c.beta == pytest.approx(1.0 / m.topology.link_bandwidth)
-
-    def test_negative_bytes(self):
-        with pytest.raises(ValueError):
-            CostModel(0, 1e-9).transfer_time(-1)
 
 
 class TestMessageSet:

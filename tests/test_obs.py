@@ -22,12 +22,8 @@ from repro.obs import (
     chrome_trace,
     format_report,
     get_recorder,
-    metrics_snapshot,
-    per_step_phase_times,
     percentile,
-    phase_totals,
     set_recorder,
-    spans_with_tag,
     summarise,
     use_recorder,
     write_chrome_trace,
@@ -278,23 +274,6 @@ class TestTimeline:
         edits = [s for s in rec.spans if s.name == "tree.edit"]
         assert [s.tags["step"] for s in edits] == [0, 1]
 
-    def test_per_step_phase_times(self):
-        rec = self._record_two_steps()
-        table = per_step_phase_times(rec)
-        assert set(table) == {0, 1}
-        assert {"tree.edit", "netsim", ADAPTATION_SPAN} <= set(table[0])
-        # the umbrella covers its phases
-        assert table[0][ADAPTATION_SPAN] >= table[0]["tree.edit"]
-
-    def test_phase_totals_and_tag_query(self):
-        rec = self._record_two_steps()
-        totals = phase_totals(rec)
-        assert totals[ADAPTATION_SPAN] == pytest.approx(
-            sum(s.duration for s in rec.spans if s.name == ADAPTATION_SPAN)
-        )
-        assert len(spans_with_tag(rec, "step")) == len(rec.spans)
-        assert spans_with_tag(rec, "no_such_tag") == []
-
 
 def _balanced(events):
     """Simulate a trace viewer: every E must close the innermost open B."""
@@ -368,14 +347,6 @@ class TestMetricsSnapshotAndReport:
         rec.gauge("nests", 4)
         return rec
 
-    def test_snapshot_shape(self):
-        snap = self._recorded()
-        payload = json.loads(json.dumps(metrics_snapshot(snap)))
-        assert payload["schema"] == 1
-        assert payload["spans"]["p"]["count"] == 1
-        assert payload["counters"] == {"miss": 2}
-        assert payload["gauges"] == {"nests": 4}
-
     def test_report_mentions_everything(self):
         text = format_report(self._recorded(), title="demo")
         assert "demo" in text and "p" in text
@@ -407,17 +378,23 @@ class TestInstrumentedRun:
 
     def test_phases_observed_inside_steps(self):
         rec, wl, _ = self._run()
-        table = per_step_phase_times(rec)
-        assert set(table) == set(range(wl.n_steps))
-        observed = set(phase_totals(rec))
+        steps = {s.tags["step"] for s in rec.spans if "step" in s.tags}
+        assert steps == set(range(wl.n_steps))
+        observed = {s.name for s in rec.spans}
         assert "adapt" in observed
         assert "tree.layout" in observed
         assert "netsim.bottleneck" in observed
 
     def test_phase_times_fit_inside_umbrella(self):
         rec, _, _ = self._run()
-        for step, phases in per_step_phase_times(rec).items():
-            assert phases["adapt"] <= phases[ADAPTATION_SPAN] + 1e-9
+        umbrella = {s.tags["step"]: s.duration for s in rec.spans if s.name == ADAPTATION_SPAN}
+        adapt: dict[int, float] = {}
+        for s in rec.spans:
+            if s.name == "adapt":
+                adapt[s.tags["step"]] = adapt.get(s.tags["step"], 0.0) + s.duration
+        assert set(adapt) == set(umbrella)
+        for step, seconds in adapt.items():
+            assert seconds <= umbrella[step] + 1e-9
 
     def test_trace_of_real_run_is_balanced(self):
         rec, _, _ = self._run()
@@ -582,8 +559,7 @@ class TestExporterEdgeCases:
         rec = FlightRecorder()
         doc = chrome_trace(rec)
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]  # metadata only
-        snap = metrics_snapshot(rec)
-        assert snap["spans"] == {} and snap["counters"] == {} and snap["gauges"] == {}
+        assert rec.digests() == {} and rec.counters == {} and rec.gauges == {}
         text = format_report(rec, title="empty")
         assert "empty" in text and "phase" in text
 
@@ -599,9 +575,9 @@ class TestExporterEdgeCases:
         events = chrome_trace(rec)["traceEvents"]
         assert all(e["name"] != "never.closed" for e in events)
         assert "never.closed" not in format_report(rec)
-        assert metrics_snapshot(rec)["spans"] == {}
+        assert rec.digests() == {}
         handle.__exit__(None, None, None)
-        assert "never.closed" in metrics_snapshot(rec)["spans"]
+        assert "never.closed" in rec.digests()
 
     def test_counters_and_gauges_only(self):
         rec = FlightRecorder()
@@ -609,10 +585,9 @@ class TestExporterEdgeCases:
         rec.gauge("nests.live", 7)
         doc = json.loads(json.dumps(chrome_trace(rec)))
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
-        snap = metrics_snapshot(rec)
-        assert snap["spans"] == {}
-        assert snap["counters"] == {"netsim.route_cache_miss": 3}
-        assert snap["gauges"] == {"nests.live": 7}
+        assert rec.digests() == {}
+        assert rec.counters == {"netsim.route_cache_miss": 3}
+        assert rec.gauges == {"nests.live": 7}
         text = format_report(rec)
         assert "netsim.route_cache_miss" in text and "nests.live" in text
 

@@ -11,7 +11,6 @@ from repro.perfmodel import (
     ExecutionOracle,
     ProfileTable,
     measure_redistribution_time,
-    predict_redistribution_time,
 )
 from repro.topology import blue_gene_l
 
@@ -153,7 +152,6 @@ class TestRedistTimes:
         m = blue_gene_l(256)
         cost = CostModel.for_machine(m)
         sim = NetworkSimulator(m.mapping, cost)
-        assert predict_redistribution_time([], m, cost) == 0.0
         assert measure_redistribution_time([], sim) == 0.0
 
     def test_sums_over_nests(self):
@@ -166,8 +164,6 @@ class TestRedistTimes:
         assert t_ab == pytest.approx(
             sim.bottleneck_time(a) + sim.bottleneck_time(b)
         )
-        p_ab = predict_redistribution_time([a, b], m, cost)
-        assert p_ab > predict_redistribution_time([a], m, cost)
 
     def test_given_link_loads_time_like_routed_ones(self):
         m = blue_gene_l(256)

@@ -880,6 +880,130 @@ class TestR015FireAndForget:
         assert "R015" in rule_ids(src, module="repro.serve.api", select=["R015"])
 
 
+# ---------------------------------------------------------------------------
+# R016 — public definitions no shipped code names
+# ---------------------------------------------------------------------------
+
+#: a repository tree: src/repro, a perfbench/ script and test, and tests/
+R016_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/lib.py": """
+        import ast
+
+        __all__ = ["Engine", "Walker", "dispatched", "kept", "listed_only",
+                   "orphan", "scan_reference"]
+
+        def orphan():
+            return 1
+
+        def listed_only():
+            return 2
+
+        def dispatched():
+            return 3
+
+        def scan_reference():
+            return 4
+
+        def kept():  # reprolint: disable=R016 -- the spec the tests hold
+            return 5
+
+        class Engine:
+            def start(self):
+                return 6
+
+            def tested_only(self):
+                return 7
+
+            def traced(self):
+                return 8
+
+        class Walker(ast.NodeVisitor):
+            def visit_Call(self, node):
+                self.generic_visit(node)
+        """,
+    "src/repro/app.py": """
+        from repro import lib
+
+        __all__ = ["main"]
+
+        def main():
+            lib.Engine().start()
+            lib.Walker()
+            return getattr(lib, "dispatched")()
+        """,
+    "perfbench/run.py": """
+        from repro.app import main
+
+        TARGET = "repro.lib:Engine.traced"
+        main()
+        """,
+    "perfbench/test_run.py": """
+        from repro.lib import Engine
+
+        def test_engine():
+            Engine().tested_only()
+        """,
+    "tests/test_lib.py": """
+        from repro.lib import Engine, orphan
+
+        def test_lib():
+            assert orphan() == 1 and Engine().tested_only() == 7
+        """,
+}
+
+
+class TestR016UnusedDefinitions:
+    @staticmethod
+    def _flagged(tmp_path, lint=("src/repro",)):
+        for rel, text in R016_TREE.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(text))
+        report = lint_paths([tmp_path / p for p in lint], select=["R016"])
+        return {f.message.split()[2] for f in report.findings}
+
+    def test_function_nothing_names_flagged(self, tmp_path):
+        assert "repro.lib.orphan" in self._flagged(tmp_path)
+
+    def test_method_only_tests_call_flagged(self, tmp_path):
+        # tests/ and perfbench/test_*.py call it; neither is shipped code
+        assert "repro.lib.Engine.tested_only" in self._flagged(tmp_path)
+
+    def test_name_only_in_all_flagged(self, tmp_path):
+        assert "repro.lib.listed_only" in self._flagged(tmp_path)
+
+    def test_flags_exactly_the_dead_definitions(self, tmp_path):
+        assert self._flagged(tmp_path) == {
+            "repro.lib.orphan",
+            "repro.lib.listed_only",
+            "repro.lib.Engine.tested_only",
+        }
+
+    def test_attribute_use_in_another_module_clean(self, tmp_path):
+        assert "repro.lib.Engine.start" not in self._flagged(tmp_path)
+
+    def test_perfbench_tracer_string_clean(self, tmp_path):
+        assert "repro.lib.Engine.traced" not in self._flagged(tmp_path)
+
+    def test_getattr_string_clean(self, tmp_path):
+        assert "repro.lib.dispatched" not in self._flagged(tmp_path)
+
+    def test_visit_method_clean(self, tmp_path):
+        assert "repro.lib.Walker.visit_Call" not in self._flagged(tmp_path)
+
+    def test_reference_oracle_clean(self, tmp_path):
+        assert "repro.lib.scan_reference" not in self._flagged(tmp_path)
+
+    def test_suppressed_definition_clean(self, tmp_path):
+        assert "repro.lib.kept" not in self._flagged(tmp_path)
+
+    def test_linting_one_module_still_reads_its_siblings(self, tmp_path):
+        flagged = self._flagged(tmp_path, lint=("src/repro/lib.py",))
+        assert "repro.lib.Engine.start" not in flagged
+        assert "repro.lib.orphan" in flagged
+
+
 class TestSuppression:
     def test_line_suppression(self):
         src = """

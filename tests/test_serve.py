@@ -55,6 +55,7 @@ class TestScenarioSpec:
             {"steps": 0},
             {"priority": -1},
             {"kernels": "quantum"},
+            {"seed": -1},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
@@ -273,6 +274,28 @@ class TestSessionStore:
         assert pending.state is SessionState.DONE
         # compaction rewrote the journal in the current format
         assert "kernels" not in journal.read_text(encoding="utf-8")
+
+    def test_recovery_skips_a_spec_validation_now_rejects(self, tmp_path, caplog):
+        # a journal written before negative seeds were rejected
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(
+            '{"id": "s00000", "op": "create", "spec": {"machine": "bgl-256", '
+            '"priority": 0, "seed": -1, "steps": 2, "strategy": "diffusion", '
+            '"workload": "synthetic"}}\n'
+            '{"id": "s00000", "op": "state", "reason": "", "state": "running", '
+            '"step": 1}\n'
+            '{"id": "s00001", "op": "create", "spec": {"machine": "bgl-256", '
+            '"priority": 0, "seed": 5, "steps": 2, "strategy": "diffusion", '
+            '"workload": "synthetic"}}\n',
+            encoding="utf-8",
+        )
+        with caplog.at_level("WARNING", logger="repro"):
+            recovered = SessionStore.recover(journal)
+        assert len(recovered) == 1
+        assert recovered.get("s00001").spec == ScenarioSpec(seed=5, steps=2)
+        assert any("seed must be >= 0" in r.getMessage() for r in caplog.records)
+        # the skipped id is never handed out again
+        assert recovered.create(ScenarioSpec(steps=1)).session_id not in ("s00000", "s00001")
 
     def test_recovered_session_replays_identically(self, tmp_path):
         journal = tmp_path / "journal.jsonl"

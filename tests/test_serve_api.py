@@ -178,6 +178,21 @@ class TestServeValidation:
 
         server_main(check)
 
+    def test_negative_seed_is_400_and_health_stays_ok(self, server_main):
+        async def check(server):
+            status, body = await http_json(
+                server.host, server.port, "POST", "/sessions", {"seed": -1}
+            )
+            assert status == 400
+            assert "seed" in body["error"]
+            status, body = await http_json(server.host, server.port, "GET", "/healthz")
+            assert status == 200 and body["status"] == "ok"
+            # the rejected spec never became a session
+            status, body = await http_json(server.host, server.port, "GET", "/sessions")
+            assert status == 200 and body["sessions"] == []
+
+        server_main(check)
+
     def test_unknown_session_is_404(self, server_main):
         async def check(server):
             status, _ = await http_json(

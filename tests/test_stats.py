@@ -25,7 +25,6 @@ class TestBootstrapCI:
         # constant per-step values: every resample gives the same statistic
         assert ci.low == pytest.approx(25.0)
         assert ci.high == pytest.approx(25.0)
-        assert ci.excludes_zero
 
     def test_interval_brackets_estimate(self):
         rng = np.random.default_rng(0)
@@ -45,7 +44,6 @@ class TestBootstrapCI:
         cand = [metric(i, v) for i, v in enumerate(shuffled)]
         ci = bootstrap_improvement_ci(base, cand)
         assert ci.low < 0 < ci.high
-        assert not ci.excludes_zero
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -84,4 +82,4 @@ class TestBootstrapCI:
         scratch, diffusion = run_both_strategies(wl, ctx)
         ci = bootstrap_improvement_ci(scratch.metrics, diffusion.metrics)
         assert ci.estimate > 0
-        assert ci.excludes_zero, f"improvement not significant: {ci}"
+        assert ci.low > 0, f"improvement not significant: {ci}"

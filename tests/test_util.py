@@ -12,7 +12,6 @@ from repro.util import (
     format_table,
     make_rng,
     percent,
-    spawn_rngs,
 )
 
 
@@ -33,30 +32,6 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_children_independent(self):
-        a, b = spawn_rngs(3, 2)
-        assert not np.array_equal(
-            a.integers(0, 10**9, 20), b.integers(0, 10**9, 20)
-        )
-
-    def test_deterministic(self):
-        a1, _ = spawn_rngs(9, 2)
-        a2, _ = spawn_rngs(9, 2)
-        assert np.array_equal(a1.integers(0, 100, 5), a2.integers(0, 100, 5))
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(1), 3)
-        assert len(children) == 3
 
 
 class TestFormatTable:

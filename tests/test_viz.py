@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis.records import SubdomainSummary
 from repro.core import Allocation
-from repro.grid import ProcessorGrid, Rect
+from repro.grid import ProcessorGrid
 from repro.tree import build_huffman
 from repro.viz import (
     render_allocation,
     render_allocation_diff,
-    render_clusters,
     render_field,
-    render_tree,
     sparkline,
 )
 
@@ -94,57 +91,6 @@ class TestRenderField:
     def test_invalid(self):
         with pytest.raises(ValueError):
             render_field(np.zeros(5))
-
-
-class TestRenderClusters:
-    def _summary(self, x, y):
-        return SubdomainSummary(0, x, y, Rect(x, y, 1, 1), 1.0, 0.5)
-
-    def test_glyph_per_cluster(self):
-        clusters = [[self._summary(0, 0)], [self._summary(3, 3), self._summary(4, 3)]]
-        out = render_clusters(clusters, 6, 5)
-        lines = out.splitlines()
-        assert lines[0][0] == "1"
-        assert lines[3][3] == "2" and lines[3][4] == "2"
-        assert "1: 1 blocks" in lines[-1]
-
-    def test_out_of_grid_member(self):
-        with pytest.raises(ValueError):
-            render_clusters([[self._summary(9, 0)]], 4, 4)
-
-    def test_empty(self):
-        assert "(no clusters)" in render_clusters([], 3, 3)
-
-
-class TestRenderTree:
-    def test_paper_tree(self):
-        t = build_huffman({1: 0.1, 2: 0.1, 3: 0.2, 4: 0.25, 5: 0.35})
-        out = render_tree(t)
-        assert "nest 5 [0.35]" in out
-        assert out.count("●") == 4  # four internal nodes
-        assert "└─" in out and "├─" in out
-
-    def test_weights_optional(self):
-        t = build_huffman({1: 0.5, 2: 0.5})
-        out = render_tree(t, show_weights=False)
-        assert "[" not in out
-
-    def test_free_slot_label(self):
-        from repro.tree import TreeNode
-
-        t = TreeNode(
-            0.5,
-            left=TreeNode(0.5, nest_id=1),
-            right=TreeNode(0.0, free=True),
-        )
-        assert "(free)" in render_tree(t)
-
-    def test_empty(self):
-        assert render_tree(None) == "(empty tree)"
-
-    def test_single_leaf(self):
-        t = build_huffman({7: 1.0})
-        assert render_tree(t).splitlines()[0].startswith("nest 7")
 
 
 class TestSparkline:

@@ -140,8 +140,8 @@ class TestCallGraph:
             """
         )
         graph = build_callgraph(proj)
-        assert "app.helper" in graph.callees("app.main")
-        assert "app.Engine.start" in graph.callees("app.main")
+        assert "app.helper" in graph.edges["app.main"]
+        assert "app.Engine.start" in graph.edges["app.main"]
 
     def test_functools_partial_unwraps(self):
         proj = project(
@@ -156,7 +156,7 @@ class TestCallGraph:
             """
         )
         graph = build_callgraph(proj)
-        assert "app.worker" in graph.callees("app.main")
+        assert "app.worker" in graph.edges["app.main"]
 
     def test_protocol_call_fans_out_to_implementors(self):
         proj = project(
@@ -175,7 +175,7 @@ class TestCallGraph:
             """
         )
         graph = build_callgraph(proj)
-        assert "app.Greedy.pick" in graph.callees("app.drive")
+        assert "app.Greedy.pick" in graph.edges["app.drive"]
 
     def test_init_reexport_call_reaches_definition(self):
         proj = project(
@@ -186,7 +186,7 @@ class TestCallGraph:
             }
         )
         graph = build_callgraph(proj)
-        assert "pkg.impl.thing" in graph.callees("app.use")
+        assert "pkg.impl.thing" in graph.edges["app.use"]
 
     def test_module_cycle_terminates_with_both_edges(self):
         proj = project(
@@ -202,8 +202,8 @@ class TestCallGraph:
             }
         )
         graph = build_callgraph(proj)
-        assert "faults.recover" in graph.callees("core.adapt")
-        assert "core.adapt" in graph.callees("faults.recover")
+        assert "faults.recover" in graph.edges["core.adapt"]
+        assert "core.adapt" in graph.edges["faults.recover"]
         # reachability over the cycle terminates too
         reach = reachable_with_paths(graph.edges, ["core.adapt"])
         assert "faults.recover" in reach

@@ -17,7 +17,6 @@ from repro.wrf import (
     mumbai_2005_scenario,
     olr_field,
     qcloud_field,
-    synthetic_scenario,
 )
 from repro.wrf.clouds import random_system
 from repro.wrf.fields import CLEAR_SKY_OLR, DEEP_CLOUD_OLR, QCLOUD_SATURATION
@@ -163,9 +162,9 @@ class TestModel:
             DomainConfig(nx=2, ny=2, sim_grid=ProcessorGrid(4, 4))
 
     def test_subdomain_extent(self):
-        m = WrfLikeModel(self._config())
-        e = m.subdomain_extent(1, 2)
-        assert e == Rect(16, 32, 16, 16)
+        cfg = self._config()
+        batch = WrfLikeModel(cfg).write_split_files()
+        assert batch.extent(cfg.sim_grid.rank(1, 2)) == Rect(16, 32, 16, 16)
 
     def test_fields_built_once_per_step_and_read_only(self):
         m = WrfLikeModel(self._config(), systems=[system(x=30, y=30, age=5)])
@@ -196,7 +195,6 @@ class TestModel:
             e = f.extent
             assert f.file_index == cfg.sim_grid.rank(f.block_x, f.block_y)
             assert 0 <= e.x0 and e.x1 <= 67 and 0 <= e.y0 and e.y1 <= 45
-            assert e == m.subdomain_extent(f.block_x, f.block_y)
             cover[e.y0 : e.y1, e.x0 : e.x1] += 1
             assert np.array_equal(f.qcloud, q[e.y0 : e.y1, e.x0 : e.x1])
             assert np.array_equal(f.olr, o[e.y0 : e.y1, e.x0 : e.x1])
@@ -217,7 +215,7 @@ class TestModel:
 class TestNest:
     def test_sizes(self):
         n = Nest(nest_id=1, roi=Rect(10, 20, 30, 40), refinement=3)
-        assert (n.nx, n.ny) == (90, 120) and n.npoints == 90 * 120
+        assert (n.nx, n.ny) == (90, 120)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -348,21 +346,7 @@ class TestScenarios:
         assert max(counts) >= 3
         assert min(counts) >= 1  # the Mumbai cell persists
 
-    def test_synthetic_bounds_population(self):
-        sc = synthetic_scenario(
-            seed=2, n_steps=40, n_range=(2, 6),
-            config=DomainConfig(nx=128, ny=96, sim_grid=ProcessorGrid(8, 8)),
-        )
-        m = WrfLikeModel(sc.config, sc.birth_fn, sc.initial_systems)
-        for _ in range(40):
-            m.step()
-            assert len(m.systems) >= 1
-
     def test_scenarios_deterministic(self):
         a = mumbai_2005_scenario(seed=7)
         b = mumbai_2005_scenario(seed=7)
         assert [s.x for s in a.initial_systems] == [s.x for s in b.initial_systems]
-
-    def test_synthetic_validation(self):
-        with pytest.raises(ValueError):
-            synthetic_scenario(n_range=(0, 5))
