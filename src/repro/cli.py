@@ -226,18 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="observability reports: flight recorder, audit trail, comm ledger",
+        help="observability reports: flight recorder, §V-F accuracy, comm ledger",
         description=(
             "Render the second observability layer: the flight-recorder "
-            "event ring, the adaptation audit trail (predicted scratch vs. "
-            "diffusion costs and the observed outcome at every adaptation "
-            "point), and the per-rank communication ledger."
+            "event ring, the §V-F prediction accuracy of each strategy "
+            "(Pearson r of predicted vs. observed execution time, the mean "
+            "relative error of the execution and redistribution "
+            "predictions, and how often each allocation was applied), and "
+            "the per-rank communication ledger."
         ),
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
     p = obs_sub.add_parser(
         "report",
-        help="run an instrumented comparison and render flight+audit+ledger",
+        help="run an instrumented comparison and render flight+accuracy+ledger",
     )
     p.add_argument("--machine", default="bgl-256")
     p.add_argument("--seed", type=int, default=0)
@@ -551,26 +553,21 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
     """Run the three strategies instrumented and build the report sections."""
     from repro.core import DiffusionStrategy, ScratchStrategy
     from repro.experiments import mumbai_trace_workload, synthetic_workload
-    from repro.experiments.runner import ExperimentContext, run_workload
+    from repro.experiments.report import accuracy_report
+    from repro.experiments.runner import ExperimentContext, RunResult, run_workload
     from repro.mpisim.ledger import CommLedger, format_ledger
-    from repro.obs import (
-        AuditTrail,
-        FlightRecorder,
-        format_flight,
-        format_report,
-        use_recorder,
-    )
+    from repro.obs import FlightRecorder, format_flight, format_report, use_recorder
     from repro.topology import MACHINES
 
     machine = MACHINES[args.machine]
     recorder = FlightRecorder()
-    trail = AuditTrail()
     if getattr(args, "workload", "synthetic") == "mumbai":
         workload = mumbai_trace_workload(seed=args.seed, n_steps=args.steps)
     else:
         workload = synthetic_workload(seed=args.seed, n_steps=args.steps)
-    context = ExperimentContext(machine, audit=trail)
+    context = ExperimentContext(machine)
     ledgers: dict[str, CommLedger] = {}
+    runs: list[RunResult] = []
     with use_recorder(recorder):
         for strategy in (
             ScratchStrategy(),
@@ -579,8 +576,8 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
         ):
             ledger = CommLedger(machine.ncores)
             context.ledger = ledger
-            run = run_workload(workload, strategy, context)
-            ledgers[run.strategy] = ledger
+            runs.append(run_workload(workload, strategy, context))
+            ledgers[runs[-1].strategy] = ledger
     if args.export_flight:
         recorder.write_jsonl(args.export_flight)
         print(f"flight log -> {args.export_flight}", file=sys.stderr)
@@ -594,7 +591,7 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
             ),
         ),
         ("flight recorder", format_flight(recorder, tail=args.tail)),
-        ("adaptation audit trail", trail.accuracy_report()),
+        ("adaptation audit trail", accuracy_report(runs)),
     ]
     for name, ledger in ledgers.items():
         sections.append(
@@ -816,14 +813,14 @@ def _cmd_track(args: argparse.Namespace) -> None:
 def _cmd_compare(args: argparse.Namespace) -> None:
     from repro.core import DiffusionStrategy, ScratchStrategy
     from repro.experiments import synthetic_workload
+    from repro.experiments.report import accuracy_report
     from repro.experiments.runner import ExperimentContext, run_workload
-    from repro.obs import AuditTrail
     from repro.topology import MACHINES
     from repro.util.tables import format_table, percent
     from repro.viz import sparkline
 
     machine = MACHINES[args.machine]
-    ctx = ExperimentContext(machine, audit=AuditTrail())
+    ctx = ExperimentContext(machine)
     wl = synthetic_workload(seed=args.seed, n_steps=args.steps)
     runs = [
         run_workload(wl, s, ctx)
@@ -851,9 +848,8 @@ def _cmd_compare(args: argparse.Namespace) -> None:
         f"\ndiffusion vs scratch improvement: "
         f"{percent(runs[1].total('measured_redist'), runs[0].total('measured_redist')):.1f}%"
     )
-    assert ctx.audit is not None
     print()
-    print(ctx.audit.accuracy_report())
+    print(accuracy_report(runs))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:

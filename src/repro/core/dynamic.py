@@ -128,10 +128,9 @@ def predict_candidate_costs(
 
     This is the dynamic strategy's decision procedure.  The winner rule
     is strict inequality; ties keep diffusion (which preserves overlap
-    for free).  The adaptation audit of scratch- and diffusion-only runs
-    prices the candidates with the same :func:`predicted_costs`.  Both
-    candidates price into ``moves``, the point's move map (a fresh one
-    when none is given), so a move they share is built once.
+    for free).  Both candidates price into ``moves``, the point's move
+    map (a fresh one when none is given), so a move they share is built
+    once.
     """
     missing = set(weights) - set(nest_sizes)
     if missing:

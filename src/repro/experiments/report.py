@@ -7,6 +7,8 @@ prints the reproduced rows next to the paper's published values.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,12 +17,12 @@ from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering, simple_t
 from repro.analysis.pda import PDAConfig, parallel_data_analysis
 from repro.analysis.regions import cluster_bounding_rect
 from repro.core.allocation import Allocation
-from repro.core.metrics import summarize_improvement
+from repro.core.metrics import StepMetrics, summarize_improvement
 from repro.core.scratch import ScratchStrategy
 from repro.experiments.runner import ExperimentContext, RunResult, run_both_strategies, run_workload
 from repro.experiments.workloads import mumbai_trace_workload, synthetic_workload
 from repro.grid.procgrid import ProcessorGrid
-from repro.obs import AuditTrail
+from repro.obs import pearson
 from repro.topology.machines import MACHINES
 from repro.tree.edit import diffusion_edit
 from repro.tree.huffman import build_huffman
@@ -46,6 +48,7 @@ __all__ = [
     "fig10_fig11_report",
     "fig12_report",
     "real_trace_report",
+    "accuracy_report",
     "prediction_accuracy_report",
 ]
 
@@ -510,36 +513,84 @@ def real_trace_report(
     return RealTraceReport(text=text, improvements=improvements, exec_increase=exec_increase)
 
 
+def _mean_abs_rel_error(pairs: Iterable[tuple[float, float]]) -> float:
+    """Mean ``|predicted - observed| / observed`` over ``(predicted,
+    observed)`` pairs, skipping points where nothing was observed (NaN
+    when none is left)."""
+    errors = [abs(pred - obs) / obs for pred, obs in pairs if obs != 0]
+    return sum(errors) / len(errors) if errors else float("nan")
+
+
+def accuracy_report(
+    runs: Sequence[RunResult], title: str = "adaptation audit trail"
+) -> str:
+    """§V-F accuracy table over runs' own per-point metrics.
+
+    One row per run strategy, in the order strategies first appear (runs
+    of one strategy pool their points): the points, the Pearson r of
+    predicted vs. observed execution time, the mean absolute relative
+    error of the execution and §IV-C1 redistribution predictions, and
+    how often each allocation was applied.
+    """
+    pooled: dict[str, list[StepMetrics]] = {}
+    for run in runs:
+        pooled.setdefault(run.strategy, []).extend(run.metrics)
+    rows = []
+    for strategy, metrics in pooled.items():
+        predicted = [m.exec_predicted for m in metrics]
+        observed = [m.exec_actual for m in metrics]
+        redist_mare = _mean_abs_rel_error(
+            (m.predicted_redist, m.measured_redist) for m in metrics
+        )
+        choices = Counter(m.strategy_choice or strategy for m in metrics)
+        rows.append(
+            (
+                strategy,
+                str(len(metrics)),
+                f"{pearson(predicted, observed):.3f}",
+                f"{100 * _mean_abs_rel_error(zip(predicted, observed)):.1f}%",
+                f"{100 * redist_mare:.1f}%",
+                ", ".join(f"{k}:{v}" for k, v in sorted(choices.items())),
+            )
+        )
+    return format_table(
+        [
+            "run strategy",
+            "points",
+            "exec Pearson r",
+            "exec MARE",
+            "redist MARE",
+            "applied allocations",
+        ],
+        rows,
+        title=f"{title} — prediction accuracy (paper §V-F: r ≈ 0.9)",
+    )
+
+
 @dataclass(frozen=True)
 class PredictionAccuracyReport:
     text: str
     pearson_r: float
-    audit: AuditTrail = field(default_factory=AuditTrail, repr=False)
+    run: RunResult = field(repr=False)
 
 
 def prediction_accuracy_report(
     seed: int = 5, n_steps: int = 40, machine_key: str = "bgl-1024"
 ) -> PredictionAccuracyReport:
     """§V-F: Pearson correlation between predicted and actual execution
-    times (paper: ≈ 0.9).
-
-    The correlation is computed from the run's adaptation audit trail —
-    the same per-step (predicted, observed) pairs any instrumented run
-    records — so the report path and the audit path cannot drift apart.
-    """
-    trail = AuditTrail()
-    ctx = ExperimentContext(MACHINES[machine_key], audit=trail)
+    times (paper: ≈ 0.9), from the run's own per-point metrics — the
+    records :func:`accuracy_report` tabulates."""
+    ctx = ExperimentContext(MACHINES[machine_key])
     wl = synthetic_workload(seed=seed, n_steps=n_steps)
     run = run_workload(wl, ScratchStrategy(), ctx)
-    r = trail.exec_correlation(run.strategy)
+    r = pearson(run.series("exec_predicted"), run.series("exec_actual"))
     text = "\n".join(
         [
-            f"Execution-time prediction accuracy over {len(trail)} adaptation "
+            f"Execution-time prediction accuracy over {len(run.metrics)} adaptation "
             f"points on {MACHINES[machine_key].name}:",
             f"  Pearson r = {r:.3f}   (paper: ~0.9)",
             "",
-            trail.accuracy_report(),
+            accuracy_report([run]),
         ]
     )
-    return PredictionAccuracyReport(text=text, pearson_r=r, audit=trail)
-
+    return PredictionAccuracyReport(text=text, pearson_r=r, run=run)

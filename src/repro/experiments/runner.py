@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.dynamic import DynamicStrategy, predicted_costs
+from repro.core.dynamic import DynamicStrategy
 from repro.core.metrics import StepMetrics
-from repro.core.reallocator import ProcessorReallocator, StepResult
+from repro.core.reallocator import ProcessorReallocator
 from repro.core.stepper import AdaptationStepper
 from repro.core.strategy import ReallocationStrategy
 from repro.core.scratch import ScratchStrategy
@@ -23,7 +23,7 @@ from repro.core.diffusion import DiffusionStrategy
 from repro.experiments.workloads import Workload
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.ledger import CommLedger
-from repro.obs import ADAPTATION_SPAN, AdaptationAudit, AuditTrail, get_recorder
+from repro.obs import ADAPTATION_SPAN, DECISION_COUNTER, get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
 from repro.sanitize.hooks import get_sanitizer
 from repro.perfmodel.groundtruth import ExecutionOracle
@@ -46,12 +46,6 @@ class ExperimentContext:
 
     Telemetry goes to the ambient recorder (:func:`~repro.obs.get_recorder`);
     scope one with :func:`~repro.obs.use_recorder` around the run.
-    ``audit`` opts the run into the adaptation audit trail: every
-    adaptation point appends one :class:`~repro.obs.audit.AdaptationAudit`
-    with both candidates' predicted costs and the observed outcome (for
-    non-dynamic strategies a candidate that differs from the applied
-    allocation is priced on the side — extra prediction work, so it is off
-    by default; one equal to it takes the step's own predictions).
     ``ledger`` opts into per-rank traffic accounting of every executed
     redistribution.
     """
@@ -61,7 +55,6 @@ class ExperimentContext:
     cost: CostModel | None = None
     predictor: ExecTimePredictor | None = None
     profile_seed: int = 1234
-    audit: AuditTrail | None = None
     ledger: CommLedger | None = None
 
     def __post_init__(self) -> None:
@@ -124,9 +117,11 @@ class WorkloadStepper:
     keeps concurrent steppers out of each other's telemetry.
 
     The stepper owns everything mutable about the run — the reallocator,
-    the execution-noise RNG, the collected metrics — so a (workload,
-    strategy, seed) triple replays identically however its ``advance``
-    calls interleave with other steppers'.
+    the execution-noise RNG, the running redistribution total — so a
+    (workload, strategy, seed) triple replays identically however its
+    ``advance`` calls interleave with other steppers'.  It keeps no
+    per-point history: each point's :class:`StepMetrics` goes to the
+    caller.
     """
 
     def __init__(
@@ -144,9 +139,10 @@ class WorkloadStepper:
             context.machine, strategy, context.predictor, context.cost
         )
         self._point = AdaptationStepper(self.realloc, ledger=context.ledger)
-        self.metrics: list[StepMetrics] = []
         self._rng = make_rng(exec_noise_seed)
         self.next_step = 0
+        #: measured redistribution time summed over the points run so far
+        self.measured_redist_total = 0.0
 
     @property
     def done(self) -> bool:
@@ -155,7 +151,12 @@ class WorkloadStepper:
 
     def advance(self) -> StepMetrics:
         """Run the next point (one :class:`AdaptationStepper` call, which
-        also feeds ``context.ledger``) and return its metrics."""
+        also feeds ``context.ledger``) and return its metrics.
+
+        The point's predicted and observed execution times ride on the
+        ``adaptation_point.end`` event, and the allocation it applied
+        bumps the ``decision.<chosen>`` counter.
+        """
         if self.done:
             raise ValueError(
                 f"workload {self.workload.name!r} is exhausted after "
@@ -166,9 +167,8 @@ class WorkloadStepper:
         i = self.next_step
         nests = self.workload.steps[i]
         recorder = get_recorder()
-        old_alloc = self.realloc.allocation
         with recorder.bind(step=i, strategy=strategy.name):
-            with recorder.span(ADAPTATION_SPAN, n_nests=len(nests)):
+            with recorder.span(ADAPTATION_SPAN, n_nests=len(nests)) as span:
                 result = self._point.step(nests).reallocation
                 alloc = result.allocation
                 plan = result.plan
@@ -183,11 +183,11 @@ class WorkloadStepper:
                 exec_actual = _actual_exec_time(
                     alloc, nests, context.oracle, self._rng
                 )
+                span.tag(exec_predicted=exec_pred, exec_observed=exec_actual)
         choice = ""
         if isinstance(strategy, DynamicStrategy) and strategy.history:
             choice = strategy.history[-1].chosen
-        if context.audit is not None:
-            self._audit(old_alloc, result, nests, exec_pred, exec_actual, choice)
+        recorder.count(DECISION_COUNTER + (choice or strategy.name))
         metric = StepMetrics(
             step=i,
             n_nests=len(nests),
@@ -201,103 +201,9 @@ class WorkloadStepper:
             exec_actual=exec_actual,
             strategy_choice=choice,
         )
-        self.metrics.append(metric)
+        self.measured_redist_total += metric.measured_redist
         self.next_step += 1
         return metric
-
-    def _audit(
-        self,
-        old_alloc: Allocation | None,
-        result: StepResult,
-        nests: dict[int, tuple[int, int]],
-        exec_pred: float,
-        exec_actual: float,
-        chosen: str,
-    ) -> None:
-        """Append one AdaptationAudit and gauge the per-step prediction errors.
-
-        A dynamic run records its own decision inputs.  Other runs price the
-        scratch and diffusion candidates on the side, so the audit still
-        answers "what *would* the other have cost"; a candidate whose
-        rectangles equal the applied allocation's takes the step's own
-        predictions (``exec_pred`` and the plan's ``predicted_time``).
-        """
-        context, strategy = self.context, self.strategy
-        assert context.audit is not None
-        plan = result.plan
-        applied_redist = plan.predicted_time if plan else 0.0
-        if isinstance(strategy, DynamicStrategy) and strategy.history:
-            cand = strategy.history[-1]
-            scratch = (cand.scratch_exec, cand.scratch_redist)
-            diffusion = (cand.diffusion_exec, cand.diffusion_redist)
-        else:
-            scratch, diffusion = self._candidate_predictions(
-                old_alloc, result, nests, (exec_pred, applied_redist)
-            )
-        record = context.audit.record(
-            AdaptationAudit(
-                step=self.next_step,
-                strategy=strategy.name,
-                chosen=chosen or strategy.name,
-                n_nests=len(nests),
-                predicted_scratch_exec=scratch[0],
-                predicted_scratch_redist=scratch[1],
-                predicted_diffusion_exec=diffusion[0],
-                predicted_diffusion_redist=diffusion[1],
-                predicted_exec=exec_pred,
-                predicted_redist=applied_redist,
-                observed_exec=exec_actual,
-                observed_redist=plan.measured_time if plan else 0.0,
-            )
-        )
-        recorder = get_recorder()
-        recorder.gauge("audit.exec_error", record.exec_error)
-        recorder.gauge("audit.redist_error", record.redist_error)
-
-    def _candidate_predictions(
-        self,
-        old_alloc: Allocation | None,
-        result: StepResult,
-        nests: dict[int, tuple[int, int]],
-        applied: tuple[float, float],
-    ) -> list[tuple[float, float]]:
-        """Scratch's and diffusion's predicted ``(exec, redist)`` here.
-
-        A candidate equal to the applied allocation takes ``applied``, the
-        step's own predictions.  That is exact: a nest's moves depend only
-        on the old and new rectangles, its size and the bytes per point.
-        """
-        context = self.context
-        assert context.predictor is not None and context.cost is not None
-        grid, weights = self.realloc.grid, result.weights
-        candidates = (
-            ScratchStrategy().reallocate(old_alloc, weights, grid),
-            DiffusionStrategy().reallocate(old_alloc, weights, grid),
-        )
-        return [
-            applied
-            if candidate.rects == result.allocation.rects
-            else predicted_costs(
-                old_alloc,
-                candidate,
-                dict(nests),
-                context.machine,
-                context.cost,
-                context.predictor,
-            )
-            for candidate in candidates
-        ]
-
-    def result(self) -> RunResult:
-        """The run so far as a :class:`RunResult` (ledger sanity-checked)."""
-        sanitizer = get_sanitizer()
-        if sanitizer.enabled and self.context.ledger is not None:
-            sanitizer.check_ledger(self.context.ledger)
-        return RunResult(
-            workload=self.workload.name,
-            strategy=self.strategy.name,
-            metrics=list(self.metrics),
-        )
 
 
 def run_workload(
@@ -306,13 +212,16 @@ def run_workload(
     context: ExperimentContext,
     exec_noise_seed: int = 99,
 ) -> RunResult:
-    """Drive ``strategy`` through every step of ``workload``."""
+    """Drive ``strategy`` through every step of ``workload`` (the ledger
+    sanity-checked at the end when a sanitizer is armed)."""
     stepper = WorkloadStepper(
         workload, strategy, context, exec_noise_seed=exec_noise_seed
     )
-    while not stepper.done:
-        stepper.advance()
-    return stepper.result()
+    metrics = [stepper.advance() for _ in range(workload.n_steps)]
+    sanitizer = get_sanitizer()
+    if sanitizer.enabled and context.ledger is not None:
+        sanitizer.check_ledger(context.ledger)
+    return RunResult(workload=workload.name, strategy=strategy.name, metrics=metrics)
 
 
 def run_both_strategies(

@@ -8,10 +8,11 @@ rules (:class:`~repro.lint.rules.base.ProjectRule`) instead receive one
 :class:`~repro.lint.project.Project` built from every parsed file, so a
 run parses each file exactly once no matter how many rules inspect it.
 
-Suppression syntax (per line, comma-separated ids or ``all``)::
+Suppression syntax (per line, comma-separated ids or ``all``; the first
+word not joined to the list by a comma starts a free-text reason)::
 
     t = plan.measured_time == 0.0  # reprolint: disable=R002
-    risky()                        # reprolint: disable=R001,R005
+    risky()                        # reprolint: disable=R001, R005 both known
     legacy()                       # repro: noqa=R001   (accepted alias)
 
 A suppression on a decorated ``def``/``class`` line also covers the
@@ -35,7 +36,8 @@ from repro.lint.rules import ALL_RULES, Finding, LintContext, ProjectRule, Rule,
 __all__ = ["LintEngine", "LintReport", "lint_paths", "lint_source", "lint_sources"]
 
 _SUPPRESS_RE = re.compile(
-    r"#\s*(?:reprolint:\s*disable|repro:\s*noqa)=([A-Za-z0-9_,\s]+)"
+    r"#\s*(?:reprolint:\s*disable|repro:\s*noqa)=\s*"
+    r"([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
 )
 
 
@@ -81,7 +83,7 @@ def _suppressions(source: str) -> dict[int, set[str]]:
             match = _SUPPRESS_RE.search(tok.string)
             if match is None:
                 continue
-            ids = {part.strip() for part in match.group(1).split(",") if part.strip()}
+            ids = {part.strip() for part in match.group(1).split(",")}
             out.setdefault(tok.start[0], set()).update(ids)
     except tokenize.TokenError:
         # Syntactically broken file: keep whatever suppressions were read

@@ -4,10 +4,10 @@ The library's only performance surface is one always-on, bounded
 :class:`~repro.obs.recorder.FlightRecorder`: decision events, nestable
 timed spans (each a ``.start``/``.end`` event pair on the same ring,
 with a running per-name duration digest) and counters/gauges.  Around
-it: the :class:`~repro.obs.audit.AuditTrail` of per-adaptation-point
-strategy decisions, exporters (Chrome trace-event JSON, text/HTML
-reports, flight JSONL), and the ``repro bench`` pinned perf-baseline
-suite with its :func:`~repro.obs.compare.compare_bench` regression gate.
+it: the :class:`~repro.obs.audit.AuditTrail` of fault-recovery
+decisions, exporters (Chrome trace-event JSON, text/HTML reports,
+flight JSONL), and the ``repro bench`` pinned perf-baseline suite with
+its :func:`~repro.obs.compare.compare_bench` regression gate.
 
 Quick start::
 
@@ -19,7 +19,7 @@ Quick start::
     print(format_report(rec))
 
 See ``docs/observability.md`` for the span API, the flight recorder,
-the audit trail, and the bench workflow.  This package (and only this
+the §V-F accuracy table, and the bench workflow.  This package (and only this
 package) may read raw clocks — reprolint rule R007 keeps
 ``time.perf_counter()``/``time.time()`` out of the rest of the library.
 """
@@ -36,7 +36,7 @@ from repro.obs.aggregate import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.audit import AdaptationAudit, AuditTrail, RecoveryDecision, pearson
+from repro.obs.audit import AuditTrail, RecoveryDecision, pearson
 from repro.obs.bench import (
     BenchPhase,
     BenchResult,
@@ -66,6 +66,7 @@ from repro.obs.flight import (
 )
 from repro.obs.recorder import (
     ADAPTATION_SPAN,
+    DECISION_COUNTER,
     DEFAULT_FLIGHT_CAPACITY,
     FlightEvent,
     FlightRecorder,
@@ -85,9 +86,9 @@ from repro.obs.stats import (
 
 __all__ = [
     "ADAPTATION_SPAN",
+    "DECISION_COUNTER",
     "DEFAULT_FLIGHT_CAPACITY",
     "DIGEST_WINDOW",
-    "AdaptationAudit",
     "AuditTrail",
     "BenchComparison",
     "BenchPhase",

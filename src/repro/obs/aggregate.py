@@ -1,12 +1,13 @@
 """Cross-session metric aggregation and Prometheus text exposition.
 
-One session's recorder, ledger and audit trail describe one tracked
-simulation; a *service* needs the fleet view.  :func:`aggregate_fleet`
-merges any number of per-session snapshots into a :class:`FleetRollup`:
-counter sums, per-span latency digests merged from each recorder's
-running span digests (never from its events), fleet-wide Gini skew
-over the concatenated per-rank traffic series, per-strategy decision
-counts from the audit trails, and flight-ring drop totals.
+One session's recorder and ledger describe one tracked simulation; a
+*service* needs the fleet view.  :func:`aggregate_fleet` merges any
+number of per-session snapshots into a :class:`FleetRollup`: counter
+sums, per-span latency digests merged from each recorder's running span
+digests (never from its events), fleet-wide Gini skew over the
+concatenated per-rank traffic series, decision counts by applied
+allocation (the summed ``decision.<chosen>`` counters), and flight-ring
+drop totals.
 
 The rollup exports in the Prometheus text exposition format (typed
 ``# HELP`` / ``# TYPE`` blocks, labelled samples) via
@@ -25,8 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.obs.audit import AuditTrail
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import DECISION_COUNTER, FlightRecorder
 from repro.obs.stats import SpanDigest, summarise_digests
 
 if TYPE_CHECKING:
@@ -110,20 +110,19 @@ class FleetRollup:
 def aggregate_fleet(
     recorders: Iterable[FlightRecorder] = (),
     ledgers: Iterable[CommLedger] = (),
-    audits: Iterable[AuditTrail] = (),
 ) -> FleetRollup:
     """Merge per-session snapshots into one :class:`FleetRollup`.
 
     ``sources`` counts the recorders (the natural per-session handle);
-    the other iterables may be shorter or longer — a fleet where only
-    some sessions carry a ledger still rolls up.  Span counts and sums
-    are exact; p50/p95 pool the digests' recent windows, so the span
-    part of a scrape costs the same however long the sessions have run.
-    The ``audits`` walk visits every decision record on every scrape, so
-    its cost grows with every adaptation point.  The Gini digests are
-    computed over the *concatenation* of every ledger's per-rank series,
-    so a fleet whose load concentrates on a few sessions' few ranks
-    reads as skewed even when each session looks balanced.
+    the ledgers may be fewer or more — a fleet where only some sessions
+    carry a ledger still rolls up.  Span counts and sums are exact;
+    p50/p95 pool the digests' recent windows, so the span part of a
+    scrape costs the same however long the sessions have run.  Decision
+    counts are the summed ``decision.<chosen>`` counters.  The Gini
+    digests are computed over the *concatenation* of every ledger's
+    per-rank series, so a fleet whose load concentrates on a few
+    sessions' few ranks reads as skewed even when each session looks
+    balanced.
     """
     # imported here: repro.mpisim imports repro.obs, so a module-level
     # import would be circular
@@ -153,10 +152,11 @@ def aggregate_fleet(
         # "perfectly even" — omit it rather than report gini 0.0
         if values.any():
             ginis[name] = gini(values)
-    decisions: dict[str, int] = {}
-    for trail in audits:
-        for record in trail.records:
-            decisions[record.chosen] = decisions.get(record.chosen, 0) + 1
+    decisions = {
+        name[len(DECISION_COUNTER) :]: int(value)
+        for name, value in counters.items()
+        if name.startswith(DECISION_COUNTER)
+    }
     return FleetRollup(
         sources=sources,
         counters=counters,

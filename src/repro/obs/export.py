@@ -129,7 +129,7 @@ def html_report(sections: list[tuple[str, str]], title: str = "repro obs report"
     ``sections`` is a list of ``(heading, body)`` pairs where each body is
     the output of a text formatter (:func:`format_report`,
     :func:`~repro.obs.flight.format_flight`,
-    :meth:`~repro.obs.audit.AuditTrail.accuracy_report`,
+    :func:`~repro.experiments.report.accuracy_report`,
     :func:`~repro.mpisim.ledger.format_ledger`, …).  The tables are
     monospace art already, so the page just escapes and ``<pre>``-wraps
     them — zero dependencies, one file, opens anywhere.

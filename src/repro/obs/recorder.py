@@ -52,6 +52,7 @@ from repro.obs.stats import SpanDigest
 
 __all__ = [
     "ADAPTATION_SPAN",
+    "DECISION_COUNTER",
     "DEFAULT_FLIGHT_CAPACITY",
     "TagValue",
     "FlightEvent",
@@ -70,6 +71,10 @@ TagValue = str | int | float
 #: name of the umbrella span the workload stepper opens around each
 #: adaptation point (the step index and strategy are bound as ambient tags)
 ADAPTATION_SPAN = "adaptation_point"
+
+#: prefix of the counters the workload stepper bumps once per adaptation
+#: point, one per applied allocation (``decision.scratch``, ...)
+DECISION_COUNTER = "decision."
 
 #: default ring size — generous for dozens of adaptation points, yet
 #: bounded (~a few MiB) however long the process runs

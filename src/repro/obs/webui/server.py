@@ -53,7 +53,7 @@ from repro.obs.flight import (
     parse_flight_line,
     replay_flight,
 )
-from repro.obs.recorder import FlightEvent, TagValue
+from repro.obs.recorder import ADAPTATION_SPAN, FlightEvent, TagValue
 from repro.serve.wire import (
     HTTPError,
     http_json,
@@ -126,6 +126,10 @@ KNOWN_EVENT_KINDS = frozenset(
 )
 
 
+#: the span event that closes a workload run's adaptation point
+_ADAPTATION_END = ADAPTATION_SPAN + ".end"
+
+
 def _as_int(data: dict[str, TagValue], key: str, default: int = 0) -> int:
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -159,6 +163,8 @@ def _new_frame(event: FlightEvent) -> dict[str, object]:
         "choice": "",
         "redist_predicted": 0.0,
         "redist_measured": 0.0,
+        "exec_predicted": 0.0,
+        "exec_observed": 0.0,
         "heat_load": 0.0,
         "heat_pairs": "",
         "skew_gini": 0.0,
@@ -189,10 +195,13 @@ class FrameFold:
     nest rectangles (``alloc.rect``), churn lists, dynamic choice, link
     heat and ledger skew land on the frame they arrive in — a point's
     ledger events follow its ``adapt.end``, which only marks the frame
-    ``closed`` and records the redistribution times.  Every other
-    *known* kind — :data:`KNOWN_EVENT_KINDS` plus every span event
-    (``.start``/``.end`` suffix) — is tallied into the frame's ``other``
-    counts; the rest go to ``unknown``.  Events before the first
+    ``closed`` and records the redistribution times; the
+    ``adaptation_point.end`` span event that follows brings the point's
+    predicted and observed execution times (0.0 in a log without that
+    span, such as a coupled simulation's) and is tallied like any span
+    event.  Every other *known* kind — :data:`KNOWN_EVENT_KINDS` plus
+    every span event (``.start``/``.end`` suffix) — is tallied into the
+    frame's ``other`` counts; the rest go to ``unknown``.  Events before the first
     ``adapt.start`` (the tail of points a bounded ring already evicted,
     say) are tallied into the first frame's counts only.
     """
@@ -217,6 +226,10 @@ class FrameFold:
             frame["redist_predicted"] = _as_float(data, "redist_predicted")
             frame["redist_measured"] = _as_float(data, "redist_measured")
             frame["closed"] = True
+        elif kind == _ADAPTATION_END:
+            frame["exec_predicted"] = _as_float(data, "exec_predicted")
+            frame["exec_observed"] = _as_float(data, "exec_observed")
+            _bump(frame, "other", kind)
         elif kind == "alloc.rect":
             rects = frame["rects"]
             assert isinstance(rects, dict)

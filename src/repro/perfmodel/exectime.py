@@ -23,6 +23,10 @@ from repro.perfmodel.profiles import ProfileTable
 
 __all__ = ["ExecTimePredictor"]
 
+#: most nest sizes the interpolation memo holds; a full memo is cleared
+#: (entries are pure, so clearing changes no prediction)
+_PROFILE_CACHE_LIMIT = 512
+
 
 class ExecTimePredictor:
     """Interpolating execution-time predictor built from a profile table."""
@@ -34,19 +38,16 @@ class ExecTimePredictor:
         # (areas are O(1e5), aspects O(1)).
         self._scale = feats.max(axis=0)
         pts = feats / self._scale
-        self._linear = [
-            LinearNDInterpolator(pts, profiles.times[:, pi])
-            for pi in range(len(profiles.proc_counts))
-        ]
-        self._nearest = [
-            NearestNDInterpolator(pts, profiles.times[:, pi])
-            for pi in range(len(profiles.proc_counts))
-        ]
+        # one triangulation serves every processor count: each interpolator
+        # maps a domain to its whole row of profiled times
+        self._linear = LinearNDInterpolator(pts, profiles.times)
+        self._nearest = NearestNDInterpolator(pts, profiles.times)
         self._proc_counts = np.asarray(profiles.proc_counts, dtype=np.float64)
         # Nest sizes recur at every adaptation point (a tracked storm keeps
         # its fine-grid size for many steps), so the scipy interpolation —
-        # the dominant cost of a prediction — is memoised per (nx, ny);
-        # callers only ever see copies, so results match an uncached run.
+        # the dominant cost of a prediction — is memoised per (nx, ny), up
+        # to _PROFILE_CACHE_LIMIT sizes; callers only ever see copies, so
+        # results match an uncached run.
         self._profile_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -63,14 +64,15 @@ class ExecTimePredictor:
         if cached is not None:
             return cached.copy()
         q = self._domain_features(nx, ny)[None, :]
-        out = np.empty(len(self._proc_counts))
-        for pi, (lin, near) in enumerate(zip(self._linear, self._nearest)):
-            v = lin(q)[0]
-            if np.isnan(v):  # outside the convex hull of profiled domains
-                v = near(q)[0]
-            out[pi] = v
-        self._profile_cache[key] = out
-        return out.copy()
+        row = self._linear(q)[0]
+        if np.isnan(row).any():  # outside the convex hull of profiled domains
+            row = self._nearest(q)[0]
+        if len(self._profile_cache) >= _PROFILE_CACHE_LIMIT:
+            self._profile_cache.clear()
+        # the copy owns its 10 values; ``row`` is a view that keeps the
+        # interpolator's whole output alive
+        self._profile_cache[key] = row.copy()
+        return row
 
     def predict(self, nx: int, ny: int, nprocs: int) -> float:
         """Predicted execution time of an ``nx x ny`` nest on ``nprocs``."""

@@ -47,8 +47,9 @@ events it missed — loss is counted, never silent.
 
 ``/metrics`` renders through :mod:`repro.obs.aggregate`: service-level
 gauges (sessions by state, queue depth, lane submissions) plus the
-fleet rollup of every stored session's recorder (span digests, counters,
-ring totals), ledger and audit trail — scrapeable by a stock Prometheus, validated by
+fleet rollup of every stored session's recorder (span digests, counters
+with the decision counts, ring totals) and ledger — scrapeable by a
+stock Prometheus, validated by
 :func:`repro.obs.aggregate.parse_prometheus` in the tests.
 """
 
@@ -191,7 +192,6 @@ def serve_metrics(
     rollup = aggregate_fleet(
         recorders=[s.recorder for s in sessions],
         ledgers=[s.ledger for s in sessions],
-        audits=[s.audit for s in sessions],
     )
     metrics.extend(fleet_metrics(rollup))
     return metrics

@@ -7,12 +7,12 @@ with its own memo cache, cost model), its own
 :class:`~repro.mpisim.netsim.NetworkSimulator` and live link state (via
 the reallocator the stepper builds), one per-session
 :class:`~repro.obs.recorder.FlightRecorder` (the bounded ring carrying
-its spans and decisions, named both ``recorder`` and ``flight``),
-:class:`~repro.mpisim.ledger.CommLedger` and
-:class:`~repro.obs.audit.AuditTrail`, and a per-session seeded RNG
-stream.  Nothing is shared between sessions, which is what makes an
-interleaved schedule bit-identical to a sequential one (the regression
-test in ``tests/test_serve.py`` holds the service to that).
+its spans, decisions and decision counts, named both ``recorder`` and
+``flight``), a :class:`~repro.mpisim.ledger.CommLedger`, and a
+per-session seeded RNG stream.  Nothing is shared between sessions,
+which is what makes an interleaved schedule bit-identical to a
+sequential one (the regression test in ``tests/test_serve.py`` holds
+the service to that).
 
 The lifecycle is a small validated state machine::
 
@@ -52,7 +52,7 @@ from repro.experiments.workloads import (
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RankCrash
 from repro.mpisim.ledger import CommLedger
-from repro.obs import AuditTrail, FlightEvent, FlightRecorder, use_recorder
+from repro.obs import FlightEvent, FlightRecorder, use_recorder
 from repro.obs.recorder import ADAPTATION_SPAN
 from repro.topology import MACHINES
 from repro.util.logging import get_logger
@@ -251,12 +251,9 @@ class Session:
         re-materialising replay rebuilds them identically.
         """
         # -- per-session fixtures: nothing here is shared across sessions
-        self.audit = AuditTrail()
         machine = MACHINES[self.spec.machine]
         self.ledger = CommLedger(machine.ncores)
-        self.context = ExperimentContext(
-            machine, audit=self.audit, ledger=self.ledger
-        )
+        self.context = ExperimentContext(machine, ledger=self.ledger)
 
     # -- introspection --------------------------------------------------
 
@@ -313,10 +310,8 @@ class Session:
             snap["error"] = self.error
         if self._hibernated:
             snap["hibernated"] = True
-        if self._stepper is not None and self._stepper.metrics:
-            snap["measured_redist_total"] = float(
-                sum(m.measured_redist for m in self._stepper.metrics)
-            )
+        if self._stepper is not None and self._stepper.next_step:
+            snap["measured_redist_total"] = self._stepper.measured_redist_total
         return snap
 
     # -- lifecycle -------------------------------------------------------
@@ -367,8 +362,8 @@ class Session:
         """Drop a PAUSED session's simulation state to reclaim memory.
 
         Only the spec, lifecycle history, completed-step count and the
-        flight ring survive; the stepper (with its reallocator and link
-        state), ledger and audit trail are released.  The next
+        flight ring (with its counters) survive; the stepper (with its
+        reallocator and link state) and ledger are released.  The next
         :meth:`advance` after :meth:`resume` re-materialises them by
         deterministically replaying the completed steps from the spec —
         same decisions, same metrics, because the spec is the whole
@@ -405,10 +400,10 @@ class Session:
         Called under the session lock from :meth:`advance`.  Replays
         ``_hibernated_steps`` adaptation points through fresh fixtures;
         the replay is bit-identical to the original run (seeded
-        workload, seeded execution noise), so the stepper, ledger and
-        audit trail land exactly where hibernation found them.  The
-        replay records into a throwaway ring: the session's own ring
-        already holds those points' events.
+        workload, seeded execution noise), so the stepper and ledger
+        land exactly where hibernation found them.  The replay records
+        into a throwaway ring: the session's own ring already holds
+        those points' events and decision counts.
         """
         target = self._hibernated_steps
         stepper = WorkloadStepper(

@@ -1,11 +1,12 @@
 """Tests for cross-session aggregation (``repro.obs.aggregate``).
 
 Covers the aggregation layer: the quantile digests, fleet rollups over
-recorder/ledger/audit/flight snapshots, and the Prometheus renderer +
-strict line-format validator.
+recorder/ledger/flight snapshots (decision counts included), and the
+Prometheus renderer + strict line-format validator.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from repro.mpisim.ledger import CommLedger
 from repro.mpisim.ledger import gini as numpy_gini
 from repro.obs import (
-    AuditTrail,
     FleetRollup,
     FlightRecorder,
     PromMetric,
@@ -24,24 +24,7 @@ from repro.obs import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.audit import AdaptationAudit
-
-
-def _audit(step: int, chosen: str) -> AdaptationAudit:
-    return AdaptationAudit(
-        step=step,
-        strategy="dynamic",
-        chosen=chosen,
-        n_nests=3,
-        predicted_scratch_exec=1.0,
-        predicted_scratch_redist=0.5,
-        predicted_diffusion_exec=1.0,
-        predicted_diffusion_redist=0.25,
-        predicted_exec=1.0,
-        predicted_redist=0.25,
-        observed_exec=1.1,
-        observed_redist=0.3,
-    )
+from repro.serve import ScenarioSpec, Session
 
 
 class TestQuantileDigest:
@@ -88,13 +71,45 @@ class TestAggregateFleet:
             values = np.concatenate([getattr(ledger, name) for ledger in ledgers])
             assert rollup.gini[name] == numpy_gini(values)
 
-    def test_decisions_counted_across_audits(self):
-        t1, t2 = AuditTrail(), AuditTrail()
-        t1.record(_audit(0, "scratch"))
-        t1.record(_audit(1, "diffusion"))
-        t2.record(_audit(0, "diffusion"))
-        rollup = aggregate_fleet(audits=[t1, t2])
+    def test_decisions_summed_from_counters(self):
+        a, b = FlightRecorder(), FlightRecorder()
+        a.count("decision.scratch")
+        a.count("decision.diffusion")
+        b.count("decision.diffusion")
+        b.count("netsim.route_cache_miss", 7.0)
+        rollup = aggregate_fleet(recorders=[a, b])
         assert rollup.decisions == {"scratch": 1, "diffusion": 2}
+        # the decision counters are counters like any other
+        assert rollup.counters["decision.diffusion"] == 2.0
+
+    def test_sessions_decisions_summed_across_the_fleet(self):
+        sessions = [
+            Session(f"s{i}", ScenarioSpec(strategy=strategy, steps=4, seed=i))
+            for i, strategy in enumerate(("scratch", "diffusion", "dynamic"))
+        ]
+        for session in sessions:
+            session.run_to_completion()
+        rollup = aggregate_fleet(recorders=[s.recorder for s in sessions])
+        history = sessions[2]._stepper.strategy.history
+        expected = Counter({"scratch": 4, "diffusion": 4})
+        expected.update(choice.chosen for choice in history)
+        assert rollup.decisions == dict(expected)
+        assert sum(rollup.decisions.values()) == 12
+
+    def test_hibernated_session_counts_decisions_once(self):
+        spec = ScenarioSpec(strategy="dynamic", steps=6, seed=2)
+        twin, resumed = Session("twin", spec), Session("resumed", spec)
+        twin.run_to_completion()
+        for _ in range(3):
+            resumed.advance()
+        resumed.pause()
+        assert resumed.hibernate()
+        resumed.resume()
+        resumed.run_to_completion()  # replays 3 points into a throwaway ring
+        both = [aggregate_fleet(recorders=[s.recorder]).decisions for s in (twin, resumed)]
+        assert both[0] == both[1]
+        assert sum(both[0].values()) == 6
+        assert resumed.snapshot()["decisions"] == twin.snapshot()["decisions"] == 6
 
     def test_flight_drop_totals(self):
         ring = FlightRecorder(capacity=4)
@@ -228,15 +243,10 @@ class TestFleetMetrics:
             pass
         for _ in range(3):
             recorder.emit("tick")
+        recorder.count("decision.diffusion")
         ledger = CommLedger(4)
         ledger.sent[:] = [0.0, 0.0, 0.0, 8.0]
-        trail = AuditTrail()
-        trail.record(_audit(0, "diffusion"))
-        return aggregate_fleet(
-            recorders=[recorder],
-            ledgers=[ledger],
-            audits=[trail],
-        )
+        return aggregate_fleet(recorders=[recorder], ledgers=[ledger])
 
     def test_families_render_and_validate(self):
         parsed = parse_prometheus(render_prometheus(fleet_metrics(self._rollup())))

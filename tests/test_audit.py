@@ -1,24 +1,34 @@
-"""Tests for the adaptation audit trail (``repro.obs.audit``).
+"""Tests for the §V-F accuracy table and its one per-point record.
 
-Acceptance criteria covered here: every adaptation point of an audited
-run produces a record with predicted-scratch, predicted-diffusion,
-chosen-strategy and observed-cost fields, and the prediction error
-computed from the trail matches the §V-F report path.
+A run's :class:`~repro.core.metrics.StepMetrics` are the only record of
+an adaptation point: predicted and observed execution and redistribution
+times plus the allocation applied.  These tests cover the Pearson
+correlation (``repro.obs.audit.pearson``), the §V-F table
+:func:`~repro.experiments.report.accuracy_report` computes from
+``RunResult``s, the decision counters and flight-log fields a workload
+run records at every point, and that a run prices nothing it does not
+apply.
 """
 
-import json
 import math
+from collections import Counter
 
 import pytest
 
 import repro.core.dynamic as dynamic
 import repro.core.redistribution as redistribution
 from repro.core import AdaptiveResetStrategy, DiffusionStrategy, ScratchStrategy
-from repro.core.dynamic import predict_candidate_costs
+from repro.core.metrics import StepMetrics
 from repro.experiments import synthetic_workload
-from repro.experiments.report import prediction_accuracy_report
-from repro.experiments.runner import ExperimentContext, WorkloadStepper, run_workload
-from repro.obs import AdaptationAudit, AuditTrail, FlightRecorder, pearson, use_recorder
+from repro.experiments.report import accuracy_report, prediction_accuracy_report
+from repro.experiments.runner import (
+    ExperimentContext,
+    RunResult,
+    WorkloadStepper,
+    run_workload,
+)
+from repro.obs import FlightRecorder, pearson, use_recorder
+from repro.serve import ScenarioSpec, Session
 from repro.topology import MACHINES
 
 
@@ -43,239 +53,161 @@ class TestPearson:
             pearson([1.0], [1.0, 2.0])
 
 
-def _audit(**overrides):
+def _metric(step, exec_predicted, exec_actual, **overrides):
     base = dict(
-        step=0,
-        strategy="dynamic",
-        chosen="diffusion",
+        step=step,
         n_nests=3,
-        predicted_scratch_exec=2.0,
-        predicted_scratch_redist=0.5,
-        predicted_diffusion_exec=2.2,
-        predicted_diffusion_redist=0.1,
-        predicted_exec=2.2,
+        n_retained=2,
         predicted_redist=0.1,
-        observed_exec=2.0,
-        observed_redist=0.2,
+        measured_redist=0.2,
+        hop_bytes_avg=1.0,
+        hop_bytes_total=3.0,
+        overlap_fraction=0.5,
+        exec_predicted=exec_predicted,
+        exec_actual=exec_actual,
     )
     base.update(overrides)
-    return AdaptationAudit(**base)
+    return StepMetrics(**base)
 
 
-class TestAdaptationAudit:
-    def test_derived_totals(self):
-        a = _audit()
-        assert a.predicted_scratch == pytest.approx(2.5)
-        assert a.predicted_diffusion == pytest.approx(2.3)
-
-    def test_errors(self):
-        a = _audit()
-        assert a.exec_error == pytest.approx(0.2)
-        assert a.redist_error == pytest.approx(-0.1)
-        assert a.exec_rel_error == pytest.approx(0.1)
-        assert a.redist_rel_error == pytest.approx(0.5)
-
-    def test_rel_error_nan_when_nothing_observed(self):
-        a = _audit(observed_exec=0.0, observed_redist=0.0)
-        assert math.isnan(a.exec_rel_error)
-        assert math.isnan(a.redist_rel_error)
-
-    def test_to_dict_includes_derived_fields(self):
-        d = _audit().to_dict()
-        assert d["chosen"] == "diffusion"
-        assert d["predicted_scratch"] == pytest.approx(2.5)
-        assert d["exec_error"] == pytest.approx(0.2)
-        assert json.loads(json.dumps(d)) == d
+def _table(text):
+    """``{run strategy: {column: cell}}`` of an accuracy report."""
+    lines = text.splitlines()
+    rule = next(i for i, line in enumerate(lines) if "-+-" in line)
+    headers = [cell.strip() for cell in lines[rule - 1].split("|")]
+    rows = [[cell.strip() for cell in line.split("|")] for line in lines[rule + 1 :]]
+    return {row[0]: dict(zip(headers, row)) for row in rows}
 
 
 class TestAuditTrail:
-    def _trail(self):
-        trail = AuditTrail()
-        for i in range(4):
-            trail.record(
-                _audit(
-                    step=i,
-                    strategy="scratch",
-                    chosen="scratch",
-                    predicted_exec=1.0 + i,
-                    observed_exec=2.0 + 2 * i,
-                )
-            )
-        trail.record(_audit(step=0, strategy="dynamic", chosen="diffusion"))
-        return trail
+    """The §V-F aggregations, computed by :func:`accuracy_report` from
+    ``RunResult``s."""
+
+    def _runs(self):
+        scratch = RunResult(
+            workload="w",
+            strategy="scratch",
+            metrics=[_metric(i, 1.0 + i, 2.0 + 2 * i) for i in range(4)],
+        )
+        dynamic_run = RunResult(
+            workload="w",
+            strategy="dynamic",
+            metrics=[_metric(0, 2.2, 2.0, strategy_choice="diffusion")],
+        )
+        return [scratch, dynamic_run]
 
     def test_slicing_and_order(self):
-        trail = self._trail()
-        assert len(trail) == 5
-        assert trail.strategies() == ["scratch", "dynamic"]
-        assert len(trail.for_strategy("scratch")) == 4
-        assert trail.for_strategy("nope") == []
+        scratch, dynamic_run = self._runs()
+        more_scratch = RunResult(
+            workload="w2", strategy="scratch", metrics=[_metric(0, 1.0, 1.0)]
+        )
+        table = _table(accuracy_report([scratch, dynamic_run, more_scratch]))
+        # strategies in first-seen order; runs of one strategy pool points
+        assert list(table) == ["scratch", "dynamic"]
+        assert table["scratch"]["points"] == "5"
+        assert table["dynamic"]["points"] == "1"
 
     def test_exec_correlation_matches_pearson(self):
-        trail = self._trail()
-        records = trail.for_strategy("scratch")
-        expected = pearson(
-            [r.predicted_exec for r in records],
-            [r.observed_exec for r in records],
-        )
-        assert trail.exec_correlation("scratch") == pytest.approx(expected)
-        assert trail.exec_correlation("scratch") == pytest.approx(1.0)
+        scratch, _ = self._runs()
+        expected = pearson(scratch.series("exec_predicted"), scratch.series("exec_actual"))
+        table = _table(accuracy_report(self._runs()))
+        assert table["scratch"]["exec Pearson r"] == f"{expected:.3f}" == "1.000"
+        assert table["dynamic"]["exec Pearson r"] == "nan"  # one point
 
     def test_mean_abs_rel_error_skips_nan(self):
-        trail = AuditTrail()
-        trail.record(_audit(observed_exec=2.0, predicted_exec=1.0))  # 50%
-        trail.record(_audit(observed_exec=0.0))  # NaN, skipped
-        assert trail.mean_abs_rel_error("exec_rel_error") == pytest.approx(0.5)
-        assert math.isnan(AuditTrail().mean_abs_rel_error("exec_rel_error"))
+        runs = [
+            RunResult(
+                workload="w",
+                strategy="scratch",
+                metrics=[
+                    _metric(0, 1.0, 2.0, predicted_redist=0.3, measured_redist=0.2),
+                    _metric(1, 5.0, 0.0, predicted_redist=9.0, measured_redist=0.0),
+                ],
+            ),
+            RunResult(
+                workload="w",
+                strategy="diffusion",
+                metrics=[_metric(0, 1.0, 0.0, measured_redist=0.0)],
+            ),
+        ]
+        table = _table(accuracy_report(runs))
+        # the unobserved second point is skipped, not counted as an error
+        assert table["scratch"]["exec MARE"] == "50.0%"
+        assert table["scratch"]["redist MARE"] == "50.0%"
+        assert table["diffusion"]["exec MARE"] == "nan%"
+        assert table["diffusion"]["redist MARE"] == "nan%"
 
     def test_choice_counts(self):
-        trail = self._trail()
-        assert trail.choice_counts() == {"scratch": 4, "diffusion": 1}
-        assert trail.choice_counts("dynamic") == {"diffusion": 1}
-
-    def test_to_jsonl(self):
-        lines = self._trail().to_jsonl().splitlines()
-        assert len(lines) == 5
-        first = json.loads(lines[0])
-        assert first["strategy"] == "scratch" and first["step"] == 0
+        table = _table(accuracy_report(self._runs()))
+        assert table["scratch"]["applied allocations"] == "scratch:4"
+        assert table["dynamic"]["applied allocations"] == "diffusion:1"
 
     def test_accuracy_report_renders(self):
-        text = self._trail().accuracy_report()
-        assert "§V-F" in text and "scratch" in text and "dynamic" in text
+        text = accuracy_report(self._runs())
+        assert text.startswith(
+            "adaptation audit trail — prediction accuracy (paper §V-F: r ≈ 0.9)"
+        )
+        assert "scratch" in text and "dynamic" in text
+        assert accuracy_report(self._runs(), title="x").startswith("x — ")
 
 
 class TestAuditedRuns:
-    """Every adaptation point of an audited run yields one full record."""
+    """Every adaptation point of a run yields one record and one decision."""
 
     N_STEPS = 8
 
     def _run(self, strategy_factory):
-        trail = AuditTrail()
-        ctx = ExperimentContext(MACHINES["bgl-256"], audit=trail)
+        ctx = ExperimentContext(MACHINES["bgl-256"])
         strategy = strategy_factory(ctx)
-        run_workload(synthetic_workload(seed=0, n_steps=self.N_STEPS), strategy, ctx)
-        return trail
+        rec = FlightRecorder()
+        with use_recorder(rec):
+            run = run_workload(
+                synthetic_workload(seed=0, n_steps=self.N_STEPS), strategy, ctx
+            )
+        return run, rec, strategy
 
     def test_one_record_per_adaptation_point(self):
-        trail = self._run(lambda ctx: ScratchStrategy())
-        assert len(trail) == self.N_STEPS
-        assert [r.step for r in trail.records] == list(range(self.N_STEPS))
-
-    def test_records_carry_both_candidates_and_observation(self):
-        trail = self._run(lambda ctx: ScratchStrategy())
-        for r in trail.records:
-            assert r.strategy == "scratch" and r.chosen == "scratch"
-            assert r.n_nests > 0
-            assert r.predicted_scratch_exec > 0.0
-            assert r.predicted_diffusion_exec > 0.0
-            assert r.predicted_scratch_redist >= 0.0
-            assert r.predicted_diffusion_redist >= 0.0
-            assert r.predicted_exec > 0.0
-            assert r.observed_exec > 0.0
-            assert r.observed_redist >= 0.0
+        run, rec, _ = self._run(lambda ctx: ScratchStrategy())
+        assert [m.step for m in run.metrics] == list(range(self.N_STEPS))
+        assert all(m.exec_predicted > 0.0 and m.exec_actual > 0.0 for m in run.metrics)
+        assert rec.counters["decision.scratch"] == self.N_STEPS
 
     def test_dynamic_chosen_matches_history(self):
-        trail = AuditTrail()
-        ctx = ExperimentContext(MACHINES["bgl-256"], audit=trail)
-        strategy = ctx.make_dynamic_strategy()
-        run_workload(synthetic_workload(seed=0, n_steps=self.N_STEPS), strategy, ctx)
-        assert len(trail) == self.N_STEPS
-        for record, choice in zip(trail.records, strategy.history):
-            assert record.strategy == "dynamic"
-            assert record.chosen == choice.chosen
-            assert record.predicted_scratch_exec == pytest.approx(choice.scratch_exec)
-            assert record.predicted_scratch_redist == pytest.approx(
-                choice.scratch_redist
-            )
-            assert record.predicted_diffusion_exec == pytest.approx(
-                choice.diffusion_exec
-            )
-            assert record.predicted_diffusion_redist == pytest.approx(
-                choice.diffusion_redist
-            )
+        run, rec, strategy = self._run(lambda ctx: ctx.make_dynamic_strategy())
+        chosen = [m.strategy_choice for m in run.metrics]
+        assert chosen == [choice.chosen for choice in strategy.history]
+        decisions = {
+            name: count for name, count in rec.counters.items()
+            if name.startswith("decision.")
+        }
+        assert decisions == {f"decision.{k}": v for k, v in Counter(chosen).items()}
 
     def test_diffusion_run_audits_too(self):
-        trail = self._run(lambda ctx: DiffusionStrategy())
-        assert len(trail) == self.N_STEPS
-        assert all(r.chosen == "diffusion" for r in trail.records)
+        run, rec, _ = self._run(lambda ctx: DiffusionStrategy())
+        assert len(run.metrics) == self.N_STEPS
+        assert rec.counters["decision.diffusion"] == self.N_STEPS
+        assert _table(accuracy_report([run]))["diffusion"]["applied allocations"] == (
+            f"diffusion:{self.N_STEPS}"
+        )
 
-    def test_error_gauges_on_ambient_recorder(self):
-        trail = AuditTrail()
-        rec = FlightRecorder()
-        ctx = ExperimentContext(MACHINES["bgl-256"], audit=trail)
-        with use_recorder(rec):
-            run_workload(synthetic_workload(seed=0, n_steps=4), ScratchStrategy(), ctx)
-        assert "audit.exec_error" in rec.gauges
-        assert "audit.redist_error" in rec.gauges
-        last = trail.records[-1]
-        assert rec.gauges["audit.exec_error"] == pytest.approx(last.exec_error)
-        assert rec.gauges["audit.redist_error"] == pytest.approx(last.redist_error)
-
-    def test_unaudited_run_stays_clean(self):
-        ctx = ExperimentContext(MACHINES["bgl-256"])
-        run_workload(synthetic_workload(seed=0, n_steps=4), ScratchStrategy(), ctx)
-        assert ctx.audit is None
+    def test_exec_prediction_rides_on_adaptation_point_end(self):
+        run, rec, _ = self._run(lambda ctx: ScratchStrategy())
+        ends = [e for e in rec.events() if e.kind == "adaptation_point.end"]
+        assert [e.data["exec_predicted"] for e in ends] == run.series("exec_predicted")
+        assert [e.data["exec_observed"] for e in ends] == run.series("exec_actual")
 
 
 class TestSideCostingReusesTheAppliedPlan:
-    """A scratch-, diffusion- or adaptive-reset run prices on the side only
-    a candidate that differs from the allocation it applied; its records
-    equal those built from both candidates priced in full."""
+    """Nothing is priced on the side: a scratch-, diffusion- or
+    adaptive-reset run makes its applied plan's moves and no others."""
 
     N_STEPS = 12
 
     @pytest.mark.parametrize(
         "factory", [ScratchStrategy, DiffusionStrategy, AdaptiveResetStrategy]
     )
-    def test_records_equal_full_candidate_costing(self, factory):
-        ctx = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
-        expected = []
-        coincide = []
-
-        class FullyCosted(WorkloadStepper):
-            def _audit(self, old_alloc, result, nests, exec_pred, exec_actual, chosen):
-                cand = predict_candidate_costs(
-                    old_alloc,
-                    result.weights,
-                    self.realloc.grid,
-                    dict(nests),
-                    ctx.machine,
-                    ctx.cost,
-                    ctx.predictor,
-                )
-                coincide.append(cand.scratch.rects == cand.diffusion.rects)
-                plan = result.plan
-                expected.append(
-                    AdaptationAudit(
-                        step=self.next_step,
-                        strategy=self.strategy.name,
-                        chosen=chosen or self.strategy.name,
-                        n_nests=len(nests),
-                        predicted_scratch_exec=cand.choice.scratch_exec,
-                        predicted_scratch_redist=cand.choice.scratch_redist,
-                        predicted_diffusion_exec=cand.choice.diffusion_exec,
-                        predicted_diffusion_redist=cand.choice.diffusion_redist,
-                        predicted_exec=exec_pred,
-                        predicted_redist=plan.predicted_time if plan else 0.0,
-                        observed_exec=exec_actual,
-                        observed_redist=plan.measured_time if plan else 0.0,
-                    )
-                )
-                super()._audit(old_alloc, result, nests, exec_pred, exec_actual, chosen)
-
-        stepper = FullyCosted(
-            synthetic_workload(seed=0, n_steps=self.N_STEPS), factory(), ctx
-        )
-        while not stepper.done:
-            stepper.advance()
-        assert ctx.audit.records == expected
-        # points where the candidates coincide and points where they differ
-        assert any(coincide) and not all(coincide)
-
-    @pytest.mark.parametrize("factory", [ScratchStrategy, DiffusionStrategy])
     def test_each_distinct_move_set_is_made_once(self, factory, monkeypatch):
-        """A point makes its plan's moves plus, when the other candidate
-        differs, that candidate's: at most two ``nest_moves`` calls."""
+        """Every point after the first calls ``nest_moves`` exactly once."""
         moved = []
         real_nest_moves = redistribution.nest_moves
 
@@ -285,7 +217,7 @@ class TestSideCostingReusesTheAppliedPlan:
 
         monkeypatch.setattr(redistribution, "nest_moves", counting_nest_moves)
         monkeypatch.setattr(dynamic, "nest_moves", counting_nest_moves)
-        ctx = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
+        ctx = ExperimentContext(MACHINES["bgl-256"])
         stepper = WorkloadStepper(
             synthetic_workload(seed=0, n_steps=self.N_STEPS), factory(), ctx
         )
@@ -293,26 +225,66 @@ class TestSideCostingReusesTheAppliedPlan:
         while not stepper.done:
             start = len(moved)
             stepper.advance()
-            per_point.append(moved[start:])
-        assert per_point[0] == []  # the first point moves nothing
-        for rects in per_point[1:]:
-            assert 1 <= len(rects) <= 2
-            assert len(rects) == 1 or rects[0] != rects[1]
-        assert any(len(rects) == 2 for rects in per_point)
+            per_point.append(len(moved) - start)
+        assert per_point == [0] + [1] * (self.N_STEPS - 1)
+
+    def test_scratch_session_runs_no_diffusion_edit(self):
+        session = Session("s", ScenarioSpec(strategy="scratch", steps=6, seed=3))
+        session.run_to_completion()
+        kinds = {event.kind for event in session.recorder.events()}
+        assert "adaptation_point.end" in kinds
+        assert not any(kind.startswith("tree.diffusion_edit") for kind in kinds)
 
 
 class TestSectionVFParity:
-    """The §V-F report path and the audit trail agree exactly."""
+    """The §V-F report path and the runs' own metrics agree exactly."""
 
     def test_report_pearson_comes_from_the_trail(self):
         report = prediction_accuracy_report(seed=5, n_steps=12, machine_key="bgl-256")
-        trail = report.audit
-        assert len(trail) == 12
-        assert report.pearson_r == pytest.approx(trail.exec_correlation("scratch"))
+        run = report.run
+        assert len(run.metrics) == 12
         # recompute from the raw records: same number, no drift possible
         recomputed = pearson(
-            [r.predicted_exec for r in trail.records],
-            [r.observed_exec for r in trail.records],
+            [m.exec_predicted for m in run.metrics],
+            [m.exec_actual for m in run.metrics],
         )
-        assert report.pearson_r == pytest.approx(recomputed)
+        assert report.pearson_r == recomputed
+        assert accuracy_report([run]) in report.text
         assert "§V-F" in report.text
+
+    def test_three_strategy_table_matches_raw_metrics(self):
+        ctx = ExperimentContext(MACHINES["bgl-256"])
+        workload = synthetic_workload(seed=0, n_steps=10)
+        runs = [
+            run_workload(workload, strategy, ctx)
+            for strategy in (
+                ScratchStrategy(),
+                DiffusionStrategy(),
+                ctx.make_dynamic_strategy(),
+            )
+        ]
+
+        def mare(pairs):
+            errors = [abs(p - o) / o for p, o in pairs if o > 0]
+            return sum(errors) / len(errors)
+
+        table = _table(accuracy_report(runs))
+        assert list(table) == ["scratch", "diffusion", "dynamic"]
+        for run in runs:
+            ms = run.metrics
+            counts = Counter(m.strategy_choice or run.strategy for m in ms)
+            r = pearson([m.exec_predicted for m in ms], [m.exec_actual for m in ms])
+            exec_mare = mare((m.exec_predicted, m.exec_actual) for m in ms)
+            redist_mare = mare((m.predicted_redist, m.measured_redist) for m in ms)
+            assert table[run.strategy] == {
+                "run strategy": run.strategy,
+                "points": str(len(ms)),
+                "exec Pearson r": f"{r:.3f}",
+                "exec MARE": f"{100 * exec_mare:.1f}%",
+                "redist MARE": f"{100 * redist_mare:.1f}%",
+                "applied allocations": ", ".join(
+                    f"{k}:{v}" for k, v in sorted(counts.items())
+                ),
+            }
+        # the first point moves nothing, and the MARE skipped it
+        assert all(run.metrics[0].measured_redist == 0.0 for run in runs)

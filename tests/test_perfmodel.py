@@ -123,6 +123,48 @@ class TestExecTimePredictor:
     def test_weights_empty(self, predictor):
         assert predictor.weights({}, 1024) == {}
 
+    def test_rows_equal_per_count_interpolators(self):
+        """One interpolator of each kind over the whole times table gives,
+        bit for bit, the rows of one interpolator per processor count."""
+        from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+
+        profiles = ProfileTable(ExecutionOracle())
+        predictor = ExecTimePredictor(profiles)
+        scale = profiles.features.max(axis=0)
+        pts = profiles.features / scale
+        columns = range(len(profiles.proc_counts))
+        linear = [LinearNDInterpolator(pts, profiles.times[:, c]) for c in columns]
+        nearest = [NearestNDInterpolator(pts, profiles.times[:, c]) for c in columns]
+        rng = np.random.default_rng(7)
+        hull = []
+        for nx, ny in rng.integers(40, 501, size=(300, 2)):
+            q = np.asarray([[nx * ny, max(nx, ny) / min(nx, ny)]]) / scale
+            expected = []
+            for lin, near in zip(linear, nearest):
+                v = lin(q)[0]
+                expected.append(near(q)[0] if np.isnan(v) else v)
+            hull.append(not np.isnan(linear[0](q)[0]))
+            got = predictor.predict_at_profiled_counts(int(nx), int(ny))
+            assert np.array_equal(got, np.asarray(expected)), (nx, ny)
+        assert any(hull) and not all(hull)  # sizes inside and outside the hull
+
+    def test_memo_bound_holds_and_changes_nothing(self, monkeypatch):
+        import repro.perfmodel.exectime as exectime
+
+        sizes = [(40 + 13 * i, 60 + 7 * i) for i in range(12)] * 2
+        unbounded = ExecTimePredictor(ProfileTable(ExecutionOracle()))
+        expected = [unbounded.predict(nx, ny, 256) for nx, ny in sizes]
+        monkeypatch.setattr(exectime, "_PROFILE_CACHE_LIMIT", 2)
+        bounded = ExecTimePredictor(ProfileTable(ExecutionOracle()))
+        got = []
+        for nx, ny in sizes:
+            got.append(bounded.predict(nx, ny, 256))
+            assert len(bounded._profile_cache) <= 2
+        assert got == expected
+        assert len(unbounded._profile_cache) == 12
+        # each entry owns its row, not a view pinning the interpolator output
+        assert all(row.base is None for row in unbounded._profile_cache.values())
+
     def test_validation(self, predictor):
         with pytest.raises(ValueError):
             predictor.predict(0, 10, 64)

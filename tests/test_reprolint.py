@@ -1036,6 +1036,30 @@ class TestSuppression:
         """
         assert rule_ids(src) == []
 
+    def test_reason_after_a_plain_space_suppresses(self):
+        src = """
+        def f(t: float):
+            return t == 0.0  # reprolint: disable=R002 exact sentinel
+        """
+        assert rule_ids(src, select=["R002"]) == []
+
+    def test_reason_after_spaced_ids_suppresses_both(self):
+        src = """
+        import time
+        def f(t: float):
+            return t == time.time()  # reprolint: disable=R002, R007 reason
+        """
+        unsuppressed = src.replace("# reprolint: disable", "# no")
+        assert rule_ids(unsuppressed, select=["R002", "R007"]) == ["R002", "R007"]
+        assert rule_ids(src, select=["R002", "R007"]) == []
+
+    def test_dashed_reason_still_suppresses(self):
+        src = """
+        def f(t: float):
+            return t == 0.0  # reprolint: disable=R002 -- exact sentinel
+        """
+        assert rule_ids(src, select=["R002"]) == []
+
 
 class TestEngine:
     def test_unknown_rule_id_rejected(self):

@@ -217,8 +217,8 @@ class TestRunSanitized:
         [
             (
                 "diffusion",
-                {"linkstate.conservation": 11, "plan.conservation": 16,
-                 "tree.invariants": 22},
+                {"linkstate.conservation": 11, "plan.conservation": 11,
+                 "tree.invariants": 11},
             ),
             (
                 "dynamic",
@@ -227,25 +227,22 @@ class TestRunSanitized:
             ),
             (
                 "scratch",
-                {"linkstate.conservation": 11, "plan.conservation": 16,
-                 "tree.invariants": 11},
+                {"linkstate.conservation": 11, "plan.conservation": 11},
             ),
         ],
     )
     def test_audited_run_checks_every_candidate(self, strategy, expected):
-        """Every move set a point makes is checked, and the audit makes
-        each distinct one once.  Every point after the first checks its
-        executed plan.  The dynamic strategy also costs both candidates
-        by prediction alone and checks their moves: 11 plans + 22
-        candidates over 12 points.  A scratch or diffusion run's audit
-        costs only a candidate that differs from the applied allocation:
-        11 plans + the 5 points where the other candidate differs."""
+        """Every move set a point makes is checked.  Every point after
+        the first checks its executed plan.  The dynamic strategy also
+        costs both candidates by prediction alone and checks their
+        moves: 11 plans + 22 candidates over 12 points.  A scratch or
+        diffusion run prices nothing else: 11 plans, and a scratch run
+        makes no diffusion tree edit to check."""
         from repro.core import DiffusionStrategy, ScratchStrategy
         from repro.experiments.runner import ExperimentContext, run_workload
-        from repro.obs import AuditTrail
         from repro.topology import MACHINES
 
-        context = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
+        context = ExperimentContext(MACHINES["bgl-256"])
         chosen = {
             "diffusion": DiffusionStrategy,
             "scratch": ScratchStrategy,

@@ -36,6 +36,7 @@ from repro.serve import (
     StoreFull,
     flight_signature,
 )
+import repro.perfmodel.exectime as exectime
 from repro.obs.webui import replay_frames
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -421,9 +422,12 @@ class TestObsConcurrency:
 
 
 class TestLongSessionBounded:
-    """A long session's telemetry does not grow with the points it ran."""
+    """A long session's telemetry and predictor memo do not grow with the
+    points it ran."""
 
     N_POINTS = 160
+    EARLY = 80
+    MEMO_LIMIT = 16  # below the session's 77 distinct nest sizes: binding
 
     def _telemetry(self, session: Session, points: int) -> tuple[set, set]:
         recorder = session.recorder
@@ -434,25 +438,30 @@ class TestLongSessionBounded:
         digests = recorder.digests()
         assert all(len(d.recent) <= DIGEST_WINDOW for d in digests.values())
         assert session.snapshot()["decisions"] == points
+        assert len(session.context.predictor._profile_cache) <= self.MEMO_LIMIT
         samples = parse_prometheus(
             render_prometheus(fleet_metrics(aggregate_fleet(recorders=[recorder])))
         )
         assert ({"name": "adaptation_point"}, float(points)) in samples[
             "repro_fleet_span_seconds_count"
         ]
+        assert ({"chosen": "diffusion"}, float(points)) in samples[
+            "repro_fleet_decisions_total"
+        ]
         return set(digests), set(recorder.counters)
 
-    def test_telemetry_at_point_40_matches_point_160(self):
+    def test_telemetry_at_point_80_matches_point_160(self, monkeypatch):
+        monkeypatch.setattr(exectime, "_PROFILE_CACHE_LIMIT", self.MEMO_LIMIT)
         session = Session(
             "long", ScenarioSpec(steps=self.N_POINTS, machine="bgl-256")
         )
         names = {}
         for point in range(1, self.N_POINTS + 1):
             session.advance()
-            if point in (40, self.N_POINTS):
+            if point in (self.EARLY, self.N_POINTS):
                 names[point] = self._telemetry(session, point)
         assert session.state is SessionState.DONE
-        assert names[40] == names[self.N_POINTS]
+        assert names[self.EARLY] == names[self.N_POINTS]
 
 
 class TestJournalCrashConsistency:

@@ -21,7 +21,6 @@ from repro.experiments import synthetic_workload
 from repro.experiments.runner import ExperimentContext, run_workload
 from repro.mpisim.ledger import CommLedger
 from repro.obs import (
-    AuditTrail,
     FlightEvent,
     FlightRecorder,
     load_flight_jsonl,
@@ -96,11 +95,7 @@ def _instrumented_flight(n_steps: int = 5) -> FlightRecorder:
     """A real dynamic-strategy run with the ledger feed, so the log holds
     adapt/alloc/churn/choice/heat/skew events like production traffic."""
     machine = MACHINES["bgl-256"]
-    context = ExperimentContext(
-        machine,
-        audit=AuditTrail(),
-        ledger=CommLedger(machine.ncores),
-    )
+    context = ExperimentContext(machine, ledger=CommLedger(machine.ncores))
     flight = FlightRecorder()
     with use_recorder(flight):
         run_workload(
@@ -172,12 +167,12 @@ class TestKnownKinds:
 class TestReplayFrames:
     @pytest.mark.parametrize("strategy", ["dynamic", "diffusion"])
     def test_one_round_per_retained_nest(self, strategy):
-        """Only the executed plan emits ``redist.round``: candidate costing
-        (the dynamic strategy's, or the audit's on a diffusion run) adds
-        none, in its own frame or the next."""
+        """Only the executed plan emits ``redist.round``: the dynamic
+        strategy's candidate costing adds none, in its own frame or the
+        next."""
         from repro.core import DiffusionStrategy
 
-        context = ExperimentContext(MACHINES["bgl-256"], audit=AuditTrail())
+        context = ExperimentContext(MACHINES["bgl-256"])
         chosen = (
             context.make_dynamic_strategy()
             if strategy == "dynamic"
@@ -246,6 +241,33 @@ class TestReplayFrames:
         assert frame["redist_measured"] == 0.75
         assert frame["other"] == {"redist.round": 1}
         assert frame["closed"] is True
+        # no adaptation_point span (a coupled simulation's log): no exec times
+        assert frame["exec_predicted"] == 0.0 and frame["exec_observed"] == 0.0
+
+    def test_adaptation_point_end_brings_exec_times(self):
+        events = [
+            FlightEvent(0, 0.0, "adapt.start", {"step": 0}),
+            FlightEvent(1, 0.1, "adapt.end", {"step": 0}),
+            FlightEvent(2, 0.2, "adaptation_point.end", {"step": 0, "exec_predicted": 2.5, "exec_observed": 2.75}),
+        ]
+        (frame,) = replay_frames(events)
+        assert frame["exec_predicted"] == 2.5 and frame["exec_observed"] == 2.75
+        assert frame["other"] == {"adaptation_point.end": 1}  # still tallied
+
+    def test_real_run_frames_carry_each_points_exec_times(self):
+        machine = MACHINES["bgl-256"]
+        context = ExperimentContext(machine)
+        flight = FlightRecorder()
+        with use_recorder(flight):
+            run = run_workload(
+                synthetic_workload(seed=3, n_steps=5),
+                context.make_dynamic_strategy(),
+                context,
+            )
+        frames = replay_frames(flight.events())
+        assert [f["exec_predicted"] for f in frames] == run.series("exec_predicted")
+        assert [f["exec_observed"] for f in frames] == run.series("exec_actual")
+        assert all(f["exec_predicted"] > 0.0 and f["exec_observed"] > 0.0 for f in frames)
 
     def test_between_frame_events_attach_to_next_frame(self):
         events = [
