@@ -8,7 +8,9 @@ the tests exercise, and it drifts away from the pipeline it claims to be
 part of.  Shipped code is the linted project plus every other ``.py``
 file under ``src/`` and those three directories, so linting one package
 does not flag what its siblings use; ``tests/`` and ``test_*.py`` files
-never count.
+never count.  A ``repro`` module read from a file outside such a
+repository (a copy under ``lib/``, an installed wheel) is not judged:
+the code that names its definitions is out of sight.
 
 A subject counts as used when its bare name appears in shipped code as a
 ``Name``, as an ``Attribute``, as a string constant equal to the name
@@ -110,6 +112,8 @@ def _subjects(project: Project) -> Iterable[tuple[str, ast.AST, str]]:
     """``(qualname, node, path)`` of every public repro definition."""
     for mod in sorted(project.modules.values(), key=lambda m: m.name):
         if mod.name.split(".")[0] != "repro":
+            continue
+        if Path(mod.path).is_file() and _src_root(mod.path, mod.name) is None:
             continue
         for fn in mod.functions.values():
             yield fn.qualname, fn.node, fn.path

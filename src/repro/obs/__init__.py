@@ -30,7 +30,6 @@ from repro.obs.aggregate import (
     FleetRollup,
     PromMetric,
     PromSample,
-    QuantileDigest,
     aggregate_fleet,
     fleet_metrics,
     parse_prometheus,
@@ -77,7 +76,6 @@ from repro.obs.recorder import (
     use_recorder,
 )
 from repro.obs.stats import (
-    DIGEST_WINDOW,
     PhaseStats,
     SpanDigest,
     percentile,
@@ -88,7 +86,6 @@ __all__ = [
     "ADAPTATION_SPAN",
     "DECISION_COUNTER",
     "DEFAULT_FLIGHT_CAPACITY",
-    "DIGEST_WINDOW",
     "AuditTrail",
     "BenchComparison",
     "BenchPhase",
@@ -101,7 +98,6 @@ __all__ = [
     "PhaseStats",
     "PromMetric",
     "PromSample",
-    "QuantileDigest",
     "RecoveryDecision",
     "SpanDigest",
     "SpanRecord",

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.obs.recorder import DECISION_COUNTER, FlightRecorder
-from repro.obs.stats import SpanDigest, summarise_digests
+from repro.obs.stats import PhaseStats, SpanDigest
 
 if TYPE_CHECKING:
     from repro.mpisim.ledger import CommLedger
@@ -36,7 +36,6 @@ __all__ = [
     "FleetRollup",
     "PromMetric",
     "PromSample",
-    "QuantileDigest",
     "aggregate_fleet",
     "fleet_metrics",
     "parse_prometheus",
@@ -48,63 +47,16 @@ _LEDGER_SERIES = ("sent", "received", "hop_bytes", "retried")
 
 
 @dataclass(frozen=True)
-class QuantileDigest:
-    """Count/total plus the p50/p95/max of one duration series (seconds)."""
-
-    count: int
-    total: float
-    p50: float
-    p95: float
-    max: float
-
-    @classmethod
-    def of_digests(cls, digests: Sequence[SpanDigest]) -> QuantileDigest:
-        """Merge running span digests: count, total and max exact, p50/p95
-        over their pooled recent windows."""
-        stats = summarise_digests(digests)
-        return cls(
-            count=stats.count,
-            total=stats.total,
-            p50=stats.median,
-            p95=stats.p95,
-            max=stats.max,
-        )
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total_s": self.total,
-            "p50_s": self.p50,
-            "p95_s": self.p95,
-            "max_s": self.max,
-        }
-
-
-@dataclass(frozen=True)
 class FleetRollup:
     """Service-level aggregation of many per-session telemetry snapshots."""
 
     sources: int
     counters: dict[str, float] = field(default_factory=dict)
-    span_digests: dict[str, QuantileDigest] = field(default_factory=dict)
+    span_digests: dict[str, PhaseStats] = field(default_factory=dict)
     gini: dict[str, float] = field(default_factory=dict)
     decisions: dict[str, int] = field(default_factory=dict)
     flight_events: int = 0
     flight_dropped: int = 0
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "sources": self.sources,
-            "counters": dict(sorted(self.counters.items())),
-            "span_digests": {
-                name: digest.to_dict()
-                for name, digest in sorted(self.span_digests.items())
-            },
-            "gini": dict(sorted(self.gini.items())),
-            "decisions": dict(sorted(self.decisions.items())),
-            "flight_events": self.flight_events,
-            "flight_dropped": self.flight_dropped,
-        }
 
 
 def aggregate_fleet(
@@ -115,14 +67,14 @@ def aggregate_fleet(
 
     ``sources`` counts the recorders (the natural per-session handle);
     the ledgers may be fewer or more — a fleet where only some sessions
-    carry a ledger still rolls up.  Span counts and sums are exact;
-    p50/p95 pool the digests' recent windows, so the span part of a
-    scrape costs the same however long the sessions have run.  Decision
-    counts are the summed ``decision.<chosen>`` counters.  The Gini
-    digests are computed over the *concatenation* of every ledger's
-    per-rank series, so a fleet whose load concentrates on a few
-    sessions' few ranks reads as skewed even when each session looks
-    balanced.
+    carry a ledger still rolls up.  Each span name's digests merge into
+    one by adding their bucket counts: counts and sums are exact, and
+    p50/p95 cover every span the sessions ever closed, within the
+    bucket error (:mod:`repro.obs.stats`).  Decision counts are the
+    summed ``decision.<chosen>`` counters.  The Gini digests are
+    computed over the *concatenation* of every ledger's per-rank
+    series, so a fleet whose load concentrates on a few sessions' few
+    ranks reads as skewed even when each session looks balanced.
     """
     # imported here: repro.mpisim imports repro.obs, so a module-level
     # import would be circular
@@ -135,7 +87,7 @@ def aggregate_fleet(
     flight_dropped = 0
     for recorder in recorders:
         sources += 1
-        for name, value in recorder.counters.items():
+        for name, value in recorder.copy_counters().items():
             counters[name] = counters.get(name, 0.0) + value
         for name, digest in recorder.digests().items():
             digests.setdefault(name, []).append(digest)
@@ -161,8 +113,7 @@ def aggregate_fleet(
         sources=sources,
         counters=counters,
         span_digests={
-            name: QuantileDigest.of_digests(parts)
-            for name, parts in digests.items()
+            name: SpanDigest.merged(parts).stats() for name, parts in digests.items()
         },
         gini=ginis,
         decisions=decisions,
@@ -377,7 +328,7 @@ def fleet_metrics(
         for name, digest in sorted(rollup.span_digests.items()):
             samples.append(
                 PromSample(
-                    value=digest.p50,
+                    value=digest.median,
                     labels=(("name", name), ("quantile", "0.5")),
                 )
             )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = ["AuditTrail", "RecoveryDecision", "pearson"]
 
@@ -24,9 +24,8 @@ __all__ = ["AuditTrail", "RecoveryDecision", "pearson"]
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation coefficient (NaN for degenerate inputs).
 
-    Pure python on purpose (``repro.obs`` carries no numpy dependency):
-    the §V-F table must aggregate identically everywhere the baselines
-    are compared.
+    Pure python on purpose: a deterministic sum, so the §V-F table
+    aggregates identically everywhere the baselines are compared.
     """
     n = len(xs)
     if n != len(ys):
@@ -61,14 +60,6 @@ class RecoveryDecision:
     dropped_nests: tuple[int, ...]  # unrecoverable: excised via diffusion edit
     restored_from_checkpoint: tuple[int, ...]
     invariants_ok: bool
-
-    def to_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = asdict(self)
-        payload["dead_ranks"] = list(self.dead_ranks)
-        payload["retained_nests"] = list(self.retained_nests)
-        payload["dropped_nests"] = list(self.dropped_nests)
-        payload["restored_from_checkpoint"] = list(self.restored_from_checkpoint)
-        return payload
 
 
 class AuditTrail:

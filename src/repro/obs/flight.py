@@ -18,7 +18,6 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from repro.obs.recorder import FlightEvent, FlightRecorder, TagValue, pair_spans
-from repro.obs.stats import SpanDigest
 
 __all__ = [
     "FlightLog",
@@ -139,7 +138,7 @@ def replay_flight(events: Iterable[FlightEvent]) -> FlightRecorder:
     for event in log:
         recorder.count(f"flight.{event.kind}")
     for span in pair_spans(log):
-        recorder._digests.setdefault(span.name, SpanDigest()).add(span.duration)
+        recorder._digests[span.name].add(span.duration)
     return recorder
 
 

@@ -13,16 +13,17 @@ Everything the library reports about a run flows through one
   events' ``data`` holds only the span's tags (the timing lives in
   ``t``), which keeps a log's content a pure function of the seed.  A
   closing span also folds its duration into a per-name
-  :class:`~repro.obs.stats.SpanDigest`;
+  :class:`~repro.obs.stats.SpanDigest` (exact count and total, quantiles
+  from fixed log-spaced bucket counts);
 * **counters** (monotonic counts such as rank pairs routed) and
   **gauges** (last values such as live nest counts).
 
 The ring has a fixed capacity (the oldest events fall off the back) and
-the digests a fixed window, so memory stays bounded however long a run
-is.  Recording is always on: the ambient recorder defaults to one
-process-wide ring.  Instrumented code never holds a recorder; it calls
-:func:`get_recorder` at use sites, and applications scope their own
-with :func:`use_recorder`::
+each digest a fixed array of bucket counts, so memory stays bounded
+however long a run is.  Recording is always on: the ambient recorder
+defaults to one process-wide ring.  Instrumented code never holds a
+recorder; it calls :func:`get_recorder` at use sites, and applications
+scope their own with :func:`use_recorder`::
 
     rec = FlightRecorder()
     with use_recorder(rec):
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
@@ -187,10 +188,7 @@ class Span:
         with recorder._lock:
             del recorder._open[self.seq]
             recorder._push(self.name + ".end", end, self.tags)
-            digest = recorder._digests.get(self.name)
-            if digest is None:
-                digest = recorder._digests[self.name] = SpanDigest()
-            digest.add(end - self.start)
+            recorder._digests[self.name].add(end - self.start)
         return None
 
 
@@ -218,7 +216,7 @@ class FlightRecorder:
         self.gauges: dict[str, float] = {}
         self._events: deque[FlightEvent] = deque(maxlen=capacity)
         self._seq = 0
-        self._digests: dict[str, SpanDigest] = {}
+        self._digests: defaultdict[str, SpanDigest] = defaultdict(SpanDigest)
         self._open: dict[int, str] = {}  # start seq -> name of open spans
         self._lock = threading.Lock()
         self._scope: ContextVar[_Scope] = ContextVar(
@@ -289,6 +287,12 @@ class FlightRecorder:
         """A consistent copy of every span name's running digest."""
         with self._lock:
             return {name: d.copy() for name, d in self._digests.items()}
+
+    def copy_counters(self) -> dict[str, float]:
+        """A consistent copy of the counters, for readers on other
+        threads (iterating :attr:`counters` races a first :meth:`count`)."""
+        with self._lock:
+            return dict(self.counters)
 
     @property
     def spans(self) -> list[SpanRecord]:

@@ -30,7 +30,7 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.obs.recorder import ADAPTATION_SPAN, FlightRecorder
-from repro.obs.stats import PhaseStats, SpanDigest, summarise_digests
+from repro.obs.stats import PhaseStats, SpanDigest
 from repro.serve.api import ServeServer, http_json
 from repro.serve.scheduler import SchedulerConfig, SessionScheduler
 from repro.serve.session import ScenarioSpec, SessionState
@@ -166,7 +166,7 @@ def run_loadgen(
         failed=failed,
         steps_total=steps_total,
         duration=duration,
-        latency=summarise_digests(digests) if digests else None,
+        latency=SpanDigest.merged(digests).stats() if digests else None,
     )
     log.info(
         "loadgen: %d sessions (%d done, %d failed) in %.2fs — %.1f sessions/s",

@@ -53,7 +53,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, RankCrash
 from repro.mpisim.ledger import CommLedger
 from repro.obs import FlightEvent, FlightRecorder, use_recorder
-from repro.obs.recorder import ADAPTATION_SPAN
+from repro.obs.recorder import DECISION_COUNTER
 from repro.topology import MACHINES
 from repro.util.logging import get_logger
 
@@ -294,7 +294,11 @@ class Session:
 
     def snapshot(self) -> dict[str, object]:
         """A JSON-ready view of the session for the API and the journal."""
-        decisions = self.recorder.digests().get(ADAPTATION_SPAN)
+        decisions = sum(
+            value
+            for name, value in self.recorder.copy_counters().items()
+            if name.startswith(DECISION_COUNTER)
+        )
         snap: dict[str, object] = {
             "id": self.session_id,
             "state": self.state.value,
@@ -303,7 +307,7 @@ class Session:
             "steps_total": self.spec.steps,
             "events_emitted": self.flight.total_emitted,
             "events_dropped": self.flight.dropped,
-            "decisions": decisions.count if decisions is not None else 0,
+            "decisions": int(decisions),
             "recovered": self.recovered,
         }
         if self.error:

@@ -1,7 +1,7 @@
 """Tests for cross-session aggregation (``repro.obs.aggregate``).
 
-Covers the aggregation layer: the quantile digests, fleet rollups over
-recorder/ledger/flight snapshots (decision counts included), and the
+Covers the aggregation layer: fleet rollups over recorder/ledger/flight
+snapshots (span digests and decision counts included), and the
 Prometheus renderer + strict line-format validator.
 """
 
@@ -18,19 +18,12 @@ from repro.obs import (
     FlightRecorder,
     PromMetric,
     PromSample,
-    QuantileDigest,
     aggregate_fleet,
     fleet_metrics,
     parse_prometheus,
     render_prometheus,
 )
 from repro.serve import ScenarioSpec, Session
-
-
-class TestQuantileDigest:
-    def test_to_dict_keys(self):
-        d = QuantileDigest(count=1, total=1.0, p50=1.0, p95=1.0, max=1.0).to_dict()
-        assert set(d) == {"count", "total_s", "p50_s", "p95_s", "max_s"}
 
 
 class TestAggregateFleet:
@@ -122,7 +115,7 @@ class TestAggregateFleet:
     def test_empty_fleet(self):
         rollup = aggregate_fleet()
         assert rollup.sources == 0
-        assert rollup.to_dict()["counters"] == {}
+        assert rollup.counters == {}
 
 
 class TestRenderPrometheus:

@@ -8,16 +8,18 @@ bound the design promises, and the bench harness.
 """
 
 import json
+import math
 import threading
 import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     ADAPTATION_SPAN,
     DEFAULT_FLIGHT_CAPACITY,
-    DIGEST_WINDOW,
     FlightRecorder,
     chrome_trace,
     format_report,
@@ -27,6 +29,12 @@ from repro.obs import (
     summarise,
     use_recorder,
     write_chrome_trace,
+)
+from repro.obs.stats import (
+    BUCKETS_PER_DOUBLING,
+    DIGEST_BUCKETS,
+    DIGEST_LOWEST_S,
+    SpanDigest,
 )
 
 
@@ -75,14 +83,17 @@ class TestInMemoryRecorder:
         assert digest.count == 1
         assert digest.total == pytest.approx(end.t - start.t)
 
-    def test_digest_window_is_bounded(self):
+    def test_digest_size_is_fixed(self):
         rec = FlightRecorder(capacity=8)
-        for _ in range(DIGEST_WINDOW + 10):
+        sizes = {}
+        for n in range(1, 10_001):
             with rec.span("p"):
                 pass
-        digest = rec.digests()["p"]
-        assert digest.count == DIGEST_WINDOW + 10
-        assert len(digest.recent) == DIGEST_WINDOW
+            if n in (10, 10_000):
+                digest = rec.digests()["p"]
+                assert digest.count == sum(digest.buckets) == n
+                sizes[n] = len(digest.buckets)
+        assert sizes == {10: DIGEST_BUCKETS, 10_000: DIGEST_BUCKETS}
         assert len(rec.spans) == 4  # the ring keeps its last 4 pairs
         stats = digest.stats()
         assert stats.min <= stats.median <= stats.p95 <= stats.max
@@ -174,9 +185,68 @@ class TestInMemoryRecorder:
         with rec.span("q"):
             pass
         digests = rec.digests()
-        assert digests["p"].count == 3 and len(digests["p"].recent) == 3
+        assert digests["p"].count == 3
         assert digests["q"].count == 1
         assert "absent" not in digests
+
+
+#: the relative error bound of a digest quantile: half a bucket, in log space
+DIGEST_EPSILON = 2 ** (0.5 / BUCKETS_PER_DOUBLING) - 1
+#: the upper edge of a digest's last bucket
+DIGEST_HIGHEST_S = DIGEST_LOWEST_S * 2 ** (DIGEST_BUCKETS / BUCKETS_PER_DOUBLING)
+
+
+class TestSpanDigest:
+    """The mergeable bucketed digest and its quantile error bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        durations=st.lists(
+            st.floats(
+                min_value=DIGEST_LOWEST_S,
+                max_value=DIGEST_HIGHEST_S,
+                exclude_max=True,
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        parts=st.integers(min_value=1, max_value=5),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_merged_quantiles_within_the_bucket_error(self, durations, parts, rng):
+        digests = [SpanDigest() for _ in range(parts)]
+        for duration in durations:
+            digests[rng.randrange(parts)].add(duration)
+        merged = SpanDigest.merged(digests)
+        rng.shuffle(digests)
+        split = rng.randrange(parts + 1)
+        regrouped = SpanDigest.merged(
+            [SpanDigest.merged(digests[:split]), SpanDigest.merged(digests[split:])]
+        )
+        assert regrouped.buckets == merged.buckets
+        assert merged.count == regrouped.count == len(durations)
+        assert merged.min == min(durations) and merged.max == max(durations)
+        xs = sorted(durations)
+        bound = 1 + DIGEST_EPSILON + 1e-12  # float slack at a bucket edge
+        for q in (0.0, 50.0, 95.0, 100.0):
+            r = q / 100 * (len(xs) - 1)
+            estimate = merged.quantile(q)
+            assert xs[math.floor(r)] / bound <= estimate <= xs[math.ceil(r)] * bound
+
+    @pytest.mark.parametrize("duration", [0.0, 1e-12, 3.7e-4, 2.5, 5000.0])
+    def test_one_duration_reads_exactly(self, duration):
+        digest = SpanDigest()
+        digest.add(duration)
+        stats = digest.stats()
+        assert stats.median == stats.p95 == stats.min == stats.max == duration
+
+    def test_out_of_range_durations_count_in_the_end_buckets(self):
+        digest = SpanDigest()
+        for duration in (0.0, DIGEST_LOWEST_S / 2, DIGEST_HIGHEST_S, 1e6):
+            digest.add(duration)
+        assert digest.buckets[0] == digest.buckets[-1] == 2
+        assert sum(digest.buckets) == digest.count == 4
+        assert (digest.min, digest.max) == (0.0, 1e6)
 
 
 class TestActiveRecorder:

@@ -955,9 +955,9 @@ R016_TREE = {
 
 class TestR016UnusedDefinitions:
     @staticmethod
-    def _flagged(tmp_path, lint=("src/repro",)):
+    def _flagged(tmp_path, lint=("src/repro",), src="src"):
         for rel, text in R016_TREE.items():
-            path = tmp_path / rel
+            path = tmp_path / rel.replace("src/", f"{src}/", 1)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(text))
         report = lint_paths([tmp_path / p for p in lint], select=["R016"])
@@ -1002,6 +1002,11 @@ class TestR016UnusedDefinitions:
         flagged = self._flagged(tmp_path, lint=("src/repro/lib.py",))
         assert "repro.lib.Engine.start" not in flagged
         assert "repro.lib.orphan" in flagged
+
+    def test_package_outside_a_checkout_not_judged(self, tmp_path):
+        # no src/ above the package: perfbench/ is out of sight, so
+        # Engine.traced would read as unused
+        assert self._flagged(tmp_path, lint=("lib/repro",), src="lib") == set()
 
 
 class TestSuppression:

@@ -10,12 +10,12 @@ leaks between sessions.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 
 import pytest
 
 from repro.obs import (
-    DIGEST_WINDOW,
     FlightEvent,
     FlightRecorder,
     aggregate_fleet,
@@ -37,6 +37,7 @@ from repro.serve import (
     flight_signature,
 )
 import repro.perfmodel.exectime as exectime
+from repro.obs.stats import DIGEST_BUCKETS
 from repro.obs.webui import replay_frames
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -420,6 +421,40 @@ class TestObsConcurrency:
         # without the lock this read-modify-write loses increments
         assert recorder.counters["stress.hits"] == n_threads * per_thread
 
+    def test_readers_copy_counters_while_workers_add_names(self):
+        session = Session("stress", ScenarioSpec(steps=1))
+        recorder = session.recorder
+        n_threads, per_thread = 3, 4000
+        running = threading.Barrier(n_threads + 1, timeout=30)
+
+        def bump(worker: int) -> None:
+            running.wait()
+            for i in range(per_thread):
+                # a fresh name grows the dict a reader may be iterating
+                recorder.count(f"decision.w{worker}.{i}")
+
+        threads = [
+            threading.Thread(target=bump, args=(w,)) for w in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            running.wait()
+            while any(t.is_alive() for t in threads):
+                aggregate_fleet(recorders=[recorder])
+                session.snapshot()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        bumps = n_threads * per_thread
+        rollup = aggregate_fleet(recorders=[recorder])
+        assert sum(rollup.counters.values()) == bumps
+        assert session.snapshot()["decisions"] == bumps
+
 
 class TestLongSessionBounded:
     """A long session's telemetry and predictor memo do not grow with the
@@ -436,7 +471,8 @@ class TestLongSessionBounded:
         assert len(recorder) <= recorder.capacity
         assert len(recorder.spans) <= recorder.capacity // 2
         digests = recorder.digests()
-        assert all(len(d.recent) <= DIGEST_WINDOW for d in digests.values())
+        # a rollup merges a fixed number of bucket counts per digest
+        assert all(len(d.buckets) == DIGEST_BUCKETS for d in digests.values())
         assert session.snapshot()["decisions"] == points
         assert len(session.context.predictor._profile_cache) <= self.MEMO_LIMIT
         samples = parse_prometheus(
