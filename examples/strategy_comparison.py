@@ -13,9 +13,9 @@ import sys
 
 from repro.experiments import synthetic_workload
 from repro.experiments.runner import ExperimentContext, run_workload
-from repro.core import DiffusionStrategy, ScratchStrategy
+from repro.core import DiffusionStrategy, ScratchStrategy, summarize_improvement
 from repro.topology import MACHINES
-from repro.util.tables import format_table, percent
+from repro.util.tables import format_table
 
 
 def main(machine_key: str = "bgl-1024", seed: int = 0) -> None:
@@ -50,9 +50,7 @@ def main(machine_key: str = "bgl-1024", seed: int = 0) -> None:
     ))
 
     scratch, diffusion = runs[0], runs[1]
-    imp = percent(
-        diffusion.total("measured_redist"), scratch.total("measured_redist")
-    )
+    imp = summarize_improvement(scratch.metrics, diffusion.metrics)
     print(
         f"\ndiffusion reduces redistribution time by {imp:.1f}% over scratch "
         f"(paper: 10-25% depending on machine)"

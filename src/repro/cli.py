@@ -591,7 +591,10 @@ def _instrumented_obs_sections(args: argparse.Namespace) -> list[tuple[str, str]
             ),
         ),
         ("flight recorder", format_flight(recorder, tail=args.tail)),
-        ("adaptation audit trail", accuracy_report(runs)),
+        (
+            "prediction accuracy (§V-F)",
+            accuracy_report(runs, title=f"three strategies on {machine.name}"),
+        ),
     ]
     for name, ledger in ledgers.items():
         sections.append(
@@ -625,25 +628,24 @@ def _run_soak_suite(args: argparse.Namespace) -> tuple[bool, FlightRecorder]:
     import dataclasses
     import json
 
-    from repro.faults import SUITES, format_soak_report, run_soak
+    from repro.faults import SUITES, format_recoveries, format_soak_report, run_soak
     from repro.mpisim.ledger import CommLedger, format_ledger
-    from repro.obs import AuditTrail, FlightRecorder, use_recorder
+    from repro.obs import FlightRecorder, use_recorder
 
     config = SUITES[args.suite]
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    audit = AuditTrail()
     flight = FlightRecorder()
     ledger = CommLedger(config.machine().ncores)
     with use_recorder(flight):
-        report = run_soak(config, audit=audit, ledger=ledger)
+        report = run_soak(config, ledger=ledger)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(format_soak_report(report))
         print()
-        if audit.recoveries:
-            print(audit.recovery_report(title=f"recovery decisions — {config.name} suite"))
+        if report.recoveries:
+            print(format_recoveries(report))
             print()
         print(format_ledger(ledger, title=f"soak traffic — {config.name} suite"))
     if not report.ok:
@@ -811,12 +813,12 @@ def _cmd_track(args: argparse.Namespace) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
-    from repro.core import DiffusionStrategy, ScratchStrategy
+    from repro.core import DiffusionStrategy, ScratchStrategy, summarize_improvement
     from repro.experiments import synthetic_workload
     from repro.experiments.report import accuracy_report
     from repro.experiments.runner import ExperimentContext, run_workload
     from repro.topology import MACHINES
-    from repro.util.tables import format_table, percent
+    from repro.util.tables import format_table
     from repro.viz import sparkline
 
     machine = MACHINES[args.machine]
@@ -846,30 +848,68 @@ def _cmd_compare(args: argparse.Namespace) -> None:
         print(f"  {r.strategy:10s} {sparkline(r.series('measured_redist'))}")
     print(
         f"\ndiffusion vs scratch improvement: "
-        f"{percent(runs[1].total('measured_redist'), runs[0].total('measured_redist')):.1f}%"
+        f"{summarize_improvement(runs[0].metrics, runs[1].metrics):.1f}%"
     )
     print()
     print(accuracy_report(runs))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    from repro.experiments.sweeps import improvement_sweep
+    import csv
+    import pathlib
+
+    from repro.experiments.report import table4_report
     from repro.util.tables import format_table
 
-    sweep = improvement_sweep(
-        machines=tuple(args.machines), seeds=tuple(args.seeds), n_steps=args.steps
-    )
-    sweep.run()
-    print(sweep.to_table())
-    matrix = sweep.improvement_matrix()
+    report = table4_report(tuple(args.seeds), args.steps, tuple(args.machines))
+    # one record per machine, seed and strategy, in run order
+    records = [
+        (
+            key,
+            run.strategy,
+            seed,
+            run.workload,
+            run.total("measured_redist"),
+            run.total("exec_actual"),
+            run.mean("hop_bytes_avg", nonzero_only=True),
+            run.mean("overlap_fraction"),
+        )
+        for key in args.machines
+        for seed in args.seeds
+        for run in report.runs[f"{key}:{seed}"]
+    ]
+    print(format_table(
+        ["machine", "strategy", "seed", "Σredist (s)", "Σexec (s)", "hop-bytes", "overlap"],
+        [
+            (
+                key,
+                strategy,
+                seed,
+                f"{redist:.3f}",
+                f"{exec_:.1f}",
+                f"{hops:.2f}",
+                f"{100 * overlap:.1f}%",
+            )
+            for key, strategy, seed, _, redist, exec_, hops, overlap in records
+        ],
+        title="sweep results",
+    ))
     print()
     print(format_table(
         ["Machine", "diffusion improvement over scratch"],
-        [(k, f"{v:.1f}%") for k, v in matrix.items()],
+        [(k, f"{v:.1f}%") for k, v in report.improvements.items()],
         title="mean improvement per machine",
     ))
     if args.csv:
-        sweep.to_csv(args.csv)
+        path = pathlib.Path(args.csv)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([
+                "machine", "strategy", "seed", "workload",
+                "total_redist", "total_exec", "mean_hop_bytes", "mean_overlap",
+            ])
+            writer.writerows(records)
         print(f"\nrecords -> {args.csv}")
 
 

@@ -178,12 +178,6 @@ class DynamicStrategy(ReallocationStrategy):
         self.predictor = predictor
         self.history: list[DynamicChoice] = []
 
-    def predicted_exec_time(
-        self, allocation: Allocation, nest_sizes: dict[int, tuple[int, int]]
-    ) -> float:
-        """Slowest-nest predicted execution time for an allocation."""
-        return predicted_exec_time(self.predictor, allocation, nest_sizes)
-
     def reallocate(
         self,
         old: Allocation | None,

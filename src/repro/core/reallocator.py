@@ -20,7 +20,7 @@ from repro.core.redistribution import MoveMap, RedistributionPlan, plan_redistri
 from repro.core.strategy import ReallocationStrategy
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.netsim import LinkLoadState, NetworkSimulator
-from repro.obs import AuditTrail, get_recorder
+from repro.obs import get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
 from repro.topology.machines import MachineSpec
 from repro.util.logging import get_logger
@@ -175,7 +175,6 @@ class ProcessorReallocator:
         dead_ranks: Iterable[int],
         store: RankStore | None = None,
         checkpoint: Checkpoint | None = None,
-        audit: AuditTrail | None = None,
     ) -> RecoveryResult:
         """Degraded-mode reallocation after losing ``dead_ranks``.
 
@@ -202,9 +201,5 @@ class ProcessorReallocator:
         # its own message sets, restoring the retained-nests invariant.
         self.link_state.clear()
         return recover_from_rank_failure(
-            self,
-            dead,
-            store=store,
-            checkpoint=checkpoint,
-            audit=audit,
+            self, dead, store=store, checkpoint=checkpoint
         )

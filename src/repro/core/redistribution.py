@@ -33,7 +33,6 @@ from repro.mpisim.alltoallv import (
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.netsim import LinkLoadState, NetworkSimulator
 from repro.obs import get_recorder
-from repro.perfmodel.redisttime import measure_redistribution_time
 from repro.sanitize.hooks import get_sanitizer
 from repro.topology.machines import MachineSpec
 
@@ -150,7 +149,6 @@ def plan_redistribution(
     machine: MachineSpec,
     cost: CostModel,
     simulator: NetworkSimulator | None = None,
-    flow_level: bool = False,
     link_state: LinkLoadState | None = None,
     moves: MoveMap | None = None,
 ) -> RedistributionPlan:
@@ -167,10 +165,10 @@ def plan_redistribution(
     deleted nests' contributions are retired and each retained nest's is
     replaced by this plan's messages, so after the call the state holds
     exactly this adaptation point's wire traffic without any full
-    recomputation.  When the state routes through ``simulator`` and the
-    bottleneck bound measures the plan, each nest's charge also times its
-    wire phase, so every nest is routed once.  The sanitizer (when armed)
-    cross-checks the incremental state against a from-scratch rebuild.
+    recomputation.  When the state routes through ``simulator``, each
+    nest's charge also times its wire phase, so every nest is routed once.
+    The sanitizer (when armed) cross-checks the incremental state against
+    a from-scratch rebuild.
 
     ``moves`` (optional) is the point's move map: the plan takes each move
     the candidates' pricing already built from it instead of building it
@@ -207,8 +205,11 @@ def plan_redistribution(
         hb_total = sum((move.hop_bytes for move in priced), 0.0)
         hb_avg = hb_total / all_msgs.total_bytes if len(all_msgs) else 0.0
         predicted = sum(move.predicted_time for move in priced)
-        measured = measure_redistribution_time(
-            per_nest_msgs, simulator, flow_level, link_arrays=charges
+        # §IV-C1: each retained nest redistributes with its own
+        # MPI_Alltoallv, so the measured time sums the nests' bottlenecks
+        measured = sum(
+            simulator.bottleneck_time(msgs, link_arrays=charge)
+            for msgs, charge in zip(per_nest_msgs, charges or [None] * len(priced))
         )
     total_points = sum(move.transfer.total_points for move in priced)
     local_points = sum(move.transfer.local_points for move in priced)

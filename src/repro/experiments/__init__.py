@@ -17,7 +17,6 @@ from repro.experiments.runner import (
     run_workload,
     run_both_strategies,
 )
-from repro.experiments.sweeps import Sweep, SweepRecord, improvement_sweep
 from repro.experiments.stats import BootstrapCI, bootstrap_improvement_ci
 from repro.experiments.report import (
     table1_report,
@@ -39,9 +38,6 @@ __all__ = [
     "dynamical_trace_workload",
     "BootstrapCI",
     "bootstrap_improvement_ci",
-    "Sweep",
-    "SweepRecord",
-    "improvement_sweep",
     "RunResult",
     "WorkloadStepper",
     "run_workload",

@@ -7,6 +7,7 @@ prints the reproduced rows next to the paper's published values.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -22,7 +23,6 @@ from repro.core.scratch import ScratchStrategy
 from repro.experiments.runner import ExperimentContext, RunResult, run_both_strategies, run_workload
 from repro.experiments.workloads import mumbai_trace_workload, synthetic_workload
 from repro.grid.procgrid import ProcessorGrid
-from repro.obs import pearson
 from repro.topology.machines import MACHINES
 from repro.tree.edit import diffusion_edit
 from repro.tree.huffman import build_huffman
@@ -49,6 +49,7 @@ __all__ = [
     "fig12_report",
     "real_trace_report",
     "accuracy_report",
+    "pearson",
     "prediction_accuracy_report",
 ]
 
@@ -144,8 +145,8 @@ def table4_report(
     improvements: dict[str, float] = {}
     spreads: dict[str, float] = {}
     runs: dict[str, tuple[RunResult, RunResult]] = {}
-    for key in machines:
-        machine = MACHINES[key]
+    specs = [MACHINES[key] for key in machines]  # an unknown key fails before any run
+    for key, machine in zip(machines, specs):
         ctx = ExperimentContext(machine)
         per_seed = []
         for seed in seeds:
@@ -511,6 +512,27 @@ def real_trace_report(
         title=f"Real-trace (Mumbai 2005-like) results over {wl.n_steps} reconfigurations",
     )
     return RealTraceReport(text=text, improvements=improvements, exec_increase=exec_increase)
+
+
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson correlation coefficient (NaN for degenerate inputs).
+
+    Pure python on purpose: a deterministic sum, so the §V-F table
+    aggregates identically everywhere the baselines are compared.
+    """
+    n = len(xs)
+    if n != len(ys):
+        raise ValueError(f"series lengths differ: {n} vs {len(ys)}")
+    if n < 2:
+        return float("nan")
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = sum((x - mean_x) ** 2 for x in xs)
+    var_y = sum((y - mean_y) ** 2 for y in ys)
+    if var_x <= 0.0 or var_y <= 0.0:
+        return float("nan")
+    return cov / math.sqrt(var_x * var_y)
 
 
 def _mean_abs_rel_error(pairs: Iterable[tuple[float, float]]) -> float:

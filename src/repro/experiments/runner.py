@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.dynamic import DynamicStrategy
+from repro.core.dynamic import DynamicStrategy, predicted_exec_time
 from repro.core.metrics import StepMetrics
 from repro.core.reallocator import ProcessorReallocator
 from repro.core.stepper import AdaptationStepper
@@ -172,14 +172,7 @@ class WorkloadStepper:
                 result = self._point.step(nests).reallocation
                 alloc = result.allocation
                 plan = result.plan
-                exec_pred = (
-                    max(
-                        context.predictor.predict(nx, ny, alloc.rects[nid].area)
-                        for nid, (nx, ny) in nests.items()
-                    )
-                    if nests
-                    else 0.0
-                )
+                exec_pred = predicted_exec_time(context.predictor, alloc, nests)
                 exec_actual = _actual_exec_time(
                     alloc, nests, context.oracle, self._rng
                 )

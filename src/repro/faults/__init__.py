@@ -27,9 +27,9 @@ package's plan and injector, so it is intentionally **not** imported here
 — ``from repro.faults.fleet import run_campaign`` when you need it.
 
 Every fault and every recovery decision is observable: flight events
-trace injection → detection → recovery, the audit trail records
-:class:`~repro.obs.audit.RecoveryDecision` rows, and the communication
-ledger attributes retry traffic.  See ``docs/robustness.md``.
+trace injection → detection → recovery, a soak report keeps one row per
+recovery (:func:`~repro.faults.soak.format_recoveries`), and the
+communication ledger attributes retry traffic.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from repro.faults.soak import (
     SUITES,
     SoakConfig,
     SoakReport,
+    format_recoveries,
     format_soak_report,
     run_soak,
     verdict_ok,
@@ -95,6 +96,7 @@ __all__ = [
     "SplitFileFault",
     "StepStall",
     "WorkerCrash",
+    "format_recoveries",
     "format_soak_report",
     "plan_shrink",
     "recover_from_rank_failure",

@@ -342,11 +342,6 @@ class FaultPlan:
         """Every machine fault scheduled for adaptation point ``step``, plan order."""
         return [f for f in self._machine_faults() if f.step == step]
 
-    def crashes(self) -> list[RankCrash]:
-        """All rank crashes in the plan, ordered by step then rank."""
-        found = [f for f in self.faults if isinstance(f, RankCrash)]
-        return sorted(found, key=lambda c: (c.step, c.rank))
-
     @property
     def last_step(self) -> int:
         """The latest step any machine fault fires at (-1 when there is none)."""

@@ -22,9 +22,9 @@ Three pieces:
   retained nest's field survives bit-for-bit.
 
 The whole path is observable: detection, shrink, per-nest outcomes and the
-final verification all emit flight events, and a
-:class:`~repro.obs.audit.RecoveryDecision` lands in the audit trail when
-one is attached.
+final verification all emit flight events, and the returned
+:class:`RecoveryResult` says which nests each recovery kept, dropped and
+restored.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.core.dataplane import RankStore, scatter_nest
 from repro.core.invariants import check_tiling, check_tree_consistency
 from repro.faults.checkpoint import Checkpoint
 from repro.grid.procgrid import ProcessorGrid
-from repro.obs import AuditTrail, RecoveryDecision, get_recorder
+from repro.obs import get_recorder
 from repro.sanitize.hooks import get_sanitizer
 from repro.tree.edit import diffusion_edit
 
@@ -250,7 +250,6 @@ def recover_from_rank_failure(
     dead_ranks: frozenset[int],
     store: RankStore | None = None,
     checkpoint: Checkpoint | None = None,
-    audit: AuditTrail | None = None,
 ) -> RecoveryResult:
     """Shrink, re-edit, verify, and rebuild after losing ``dead_ranks``.
 
@@ -329,19 +328,6 @@ def recover_from_rank_failure(
             retained=len(retained),
             dropped=len(dropped),
         )
-        if audit is not None:
-            audit.record_recovery(
-                RecoveryDecision(
-                    step=reallocator.step_count,
-                    dead_ranks=tuple(sorted(dead_ranks)),
-                    old_grid=str(old_grid),
-                    new_grid=str(new_grid),
-                    retained_nests=tuple(retained),
-                    dropped_nests=tuple(dropped),
-                    restored_from_checkpoint=tuple(restored),
-                    invariants_ok=invariants_ok,
-                )
-            )
 
     # Rebuild the data plane: every retained nest's field reassembled from
     # surviving blocks (checkpointed regions standing in for dead ranks'),

@@ -64,7 +64,7 @@ from repro.faults.recovery import HealthView
 from repro.grid.block import BlockDecomposition
 from repro.grid.procgrid import ProcessorGrid
 from repro.mpisim.ledger import CommLedger
-from repro.obs import AuditTrail, get_recorder
+from repro.obs import get_recorder
 from repro.perfmodel.exectime import ExecTimePredictor
 from repro.perfmodel.groundtruth import ExecutionOracle
 from repro.perfmodel.profiles import ProfileTable
@@ -77,6 +77,7 @@ __all__ = [
     "SoakReport",
     "SUITES",
     "run_soak",
+    "format_recoveries",
     "format_soak_report",
     "verdict_ok",
 ]
@@ -208,6 +209,9 @@ class SoakReport:
     pda_runs: int = 0
     pda_partial: int = 0
     recovery_steps: list[int] = field(default_factory=list)
+    #: one table row per recovery, for :func:`format_recoveries` (the
+    #: JSON verdict carries the counts above)
+    recoveries: list[tuple[str, ...]] = field(default_factory=list)
     checks_run: dict[str, int] = field(default_factory=dict)
     violations: list[SanitizeViolation] = field(default_factory=list)
 
@@ -354,7 +358,6 @@ def run_soak(
     config: SoakConfig,
     workload: Workload | None = None,
     *,
-    audit: AuditTrail | None = None,
     ledger: CommLedger | None = None,
     tamper: TamperFn | None = None,
 ) -> SoakReport:
@@ -412,10 +415,21 @@ def run_soak(
             if newly_dead:
                 report.n_crashes += len(newly_dead)
                 recovery = realloc.handle_rank_failure(
-                    newly_dead, store=store, checkpoint=checkpoint, audit=audit
+                    newly_dead, store=store, checkpoint=checkpoint
                 )
                 report.n_recoveries += 1
                 report.recovery_steps.append(step)
+                report.recoveries.append(
+                    (
+                        str(step),
+                        ",".join(map(str, sorted(recovery.dead_ranks))),
+                        f"{recovery.old_grid} → {recovery.new_grid}",
+                        str(len(recovery.retained_nests)),
+                        ",".join(map(str, recovery.dropped_nests)) or "-",
+                        ",".join(map(str, recovery.restored_from_checkpoint)) or "-",
+                        "ok" if recovery.invariants_ok else "VIOLATED",
+                    )
+                )
                 report.dropped_nests += len(recovery.dropped_nests)
                 report.restored_nests += len(recovery.restored_from_checkpoint)
                 assert recovery.store is not None
@@ -533,3 +547,15 @@ def format_soak_report(report: SoakReport) -> str:
         if len(report.violations) > 20:
             lines.append(f"  ... and {len(report.violations) - 20} more")
     return "\n".join(lines)
+
+
+def format_recoveries(report: SoakReport) -> str:
+    """One row per recovery: what died, how the grid shrank, which nests
+    were dropped or restored from the checkpoint."""
+    from repro.util.tables import format_table
+
+    return format_table(
+        ["step", "dead ranks", "grid", "retained", "dropped", "from checkpoint", "invariants"],
+        report.recoveries,
+        title=f"recovery decisions — {report.suite} suite",
+    )

@@ -12,13 +12,12 @@ the sender/receiver ownership-overlap computation behind Fig. 11.
 from repro.grid.rect import Rect
 from repro.grid.procgrid import ProcessorGrid
 from repro.grid.block import BlockDecomposition, split_evenly
-from repro.grid.overlap import overlap_fraction, transfer_matrix
+from repro.grid.overlap import transfer_matrix
 
 __all__ = [
     "Rect",
     "ProcessorGrid",
     "BlockDecomposition",
     "split_evenly",
-    "overlap_fraction",
     "transfer_matrix",
 ]

@@ -25,7 +25,6 @@ from repro.grid.block import BlockDecomposition
 
 __all__ = [
     "merged_segments",
-    "overlap_fraction",
     "transfer_matrix",
     "TransferMatrix",
 ]
@@ -211,10 +210,3 @@ def _transfer_matrix_reference(
         points=agg_pts,
         total_points=old.nx * old.ny,
     )
-
-
-def overlap_fraction(
-    old: BlockDecomposition, new: BlockDecomposition, grid_px: int
-) -> float:
-    """Fraction of nest points keeping the same owner (paper Fig. 11)."""
-    return transfer_matrix(old, new, grid_px).overlap_fraction

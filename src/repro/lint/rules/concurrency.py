@@ -78,7 +78,6 @@ SHARED_CLASSES = (
     "NetworkSimulator",
     "CommLedger",
     "RankStore",
-    "AuditTrail",
     "FlightRecorder",
 )
 

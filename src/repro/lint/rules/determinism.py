@@ -3,9 +3,9 @@
 Replay, audit and ledger comparisons are only meaningful when every value
 that flows into them is a pure function of the seeded inputs.  These two
 passes walk the whole-program call graph backwards from the *decision and
-record* sinks — flight recorder, audit trail, comm ledger,
-``DynamicStrategy`` policy code — and flag any function on a path into
-them that reads a nondeterministic source:
+record* sinks — flight recorder, comm ledger, ``DynamicStrategy`` policy
+code — and flag any function on a path into them that reads a
+nondeterministic source:
 
 * **R011** — wall clocks (``time.time``/``perf_counter``/...,
   ``datetime.now``) outside ``repro.obs`` (the one sanctioned clock
@@ -37,7 +37,7 @@ __all__ = ["DeterminismTaintRule", "OrderDependenceRule"]
 #: modules whose functions are determinism *sinks* (record/decide state)
 SINK_MODULES = (
     "repro.obs.flight",
-    "repro.obs.audit",
+    "repro.obs.recorder",
     "repro.mpisim.ledger",
     "repro.core.dynamic",
 )

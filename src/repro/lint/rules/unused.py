@@ -12,14 +12,17 @@ never count.  A ``repro`` module read from a file outside such a
 repository (a copy under ``lib/``, an installed wheel) is not judged:
 the code that names its definitions is out of sight.
 
-A subject counts as used when its bare name appears in shipped code as a
-``Name``, as an ``Attribute``, as a string constant equal to the name
-(outside ``__all__``; this covers ``getattr`` dispatch) or as a segment
-of a ``"module:qualname"`` string (the perfbench tracer's bound names).
-Names are matched without resolution, so a dead method that shares its
-name with a live one elsewhere is not flagged; in exchange the rule never
-fires on dynamic dispatch, which the call graph cannot type (the engine
-calls every rule's ``check`` through ``self.rules``).
+A method counts as used when shipped code reaches its name as an
+``Attribute``, as a string constant equal to the name (outside
+``__all__``; this covers ``getattr`` dispatch) or as a segment of a
+``"module:qualname"`` string (the perfbench tracer's bound names).  A
+function or class also counts when its name appears as a bare ``Name``;
+a method does not, because a local variable or module function of the
+same name is no call of it.  Names are matched without resolution, so a
+dead method that shares its name with a live attribute elsewhere is not
+flagged; in exchange the rule never fires on dynamic dispatch, which the
+call graph cannot type (the engine calls every rule's ``check`` through
+``self.rules``).
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ def _is_dotted(text: str) -> bool:
     return all(part.isidentifier() for part in text.split("."))
 
 
-def _names_in(tree: ast.Module) -> set[str]:
-    """Every bare name ``tree`` uses, in the forms the rule counts."""
+def _names_in(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names ``tree`` uses, in the forms the rule counts: those used
+    as a bare ``Name``, and those reached as a member (an attribute, a
+    string, a tracer-binding segment)."""
     in_all: set[int] = set()
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign):
@@ -59,12 +64,13 @@ def _names_in(tree: ast.Module) -> set[str]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in targets
         ):
             in_all.update(id(sub) for sub in ast.walk(stmt.value))
-    out: set[str] = set()
+    bare: set[str] = set()
+    members: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            members.add(node.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -72,12 +78,12 @@ def _names_in(tree: ast.Module) -> set[str]:
         ):
             text = node.value
             if text.isidentifier():
-                out.add(text)
+                members.add(text)
             else:
                 module, colon, qualname = text.partition(":")
                 if colon and _is_dotted(module) and _is_dotted(qualname):
-                    out.update(qualname.split("."))
-    return out
+                    members.update(qualname.split("."))
+    return bare, members
 
 
 def _src_root(path: str, module: str) -> Path | None:
@@ -108,22 +114,23 @@ def _root_files(project: Project) -> Iterator[Path]:
                     yield file
 
 
-def _subjects(project: Project) -> Iterable[tuple[str, ast.AST, str]]:
-    """``(qualname, node, path)`` of every public repro definition."""
+def _subjects(project: Project) -> Iterable[tuple[str, ast.AST, str, bool]]:
+    """``(qualname, node, path, is_method)`` of every public repro
+    definition."""
     for mod in sorted(project.modules.values(), key=lambda m: m.name):
         if mod.name.split(".")[0] != "repro":
             continue
         if Path(mod.path).is_file() and _src_root(mod.path, mod.name) is None:
             continue
         for fn in mod.functions.values():
-            yield fn.qualname, fn.node, fn.path
+            yield fn.qualname, fn.node, fn.path, False
         for cls in mod.classes.values():
-            yield cls.qualname, cls.node, cls.path
+            yield cls.qualname, cls.node, cls.path, False
             if cls.name.startswith("_"):
                 continue
             for meth in cls.methods.values():
                 if not meth.name.startswith("visit_"):
-                    yield meth.qualname, meth.node, meth.path
+                    yield meth.qualname, meth.node, meth.path, True
 
 
 class UnusedDefinitionRule(ProjectRule):
@@ -141,18 +148,26 @@ class UnusedDefinitionRule(ProjectRule):
     )
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        used: set[str] = set()
-        seen: set[Path] = set()
-        for mod in project.modules.values():
-            if not _is_test(Path(mod.path)):
-                used |= _names_in(mod.tree)
-                seen.add(Path(mod.path).resolve())
-        for file in _root_files(project):
-            if file.resolve() not in seen:
-                used |= _names_in(ast.parse(file.read_text(encoding="utf-8")))
-        for qualname, node, path in _subjects(project):
+        trees = [
+            mod.tree for mod in project.modules.values() if not _is_test(Path(mod.path))
+        ]
+        seen = {Path(mod.path).resolve() for mod in project.modules.values()}
+        trees += [
+            ast.parse(file.read_text(encoding="utf-8"))
+            for file in _root_files(project)
+            if file.resolve() not in seen
+        ]
+        bare: set[str] = set()
+        members: set[str] = set()
+        for tree in trees:
+            names, attrs = _names_in(tree)
+            bare |= names
+            members |= attrs
+        for qualname, node, path, is_method in _subjects(project):
             name = qualname.rpartition(".")[2]
-            if name.startswith("_") or name.endswith("_reference") or name in used:
+            if name.startswith("_") or name.endswith("_reference") or name in members:
+                continue
+            if not is_method and name in bare:
                 continue
             yield Finding(
                 path=path,

@@ -145,10 +145,6 @@ class PairByteAccumulator:
         idx = int(np.searchsorted(self._keys, key))
         return idx < self._keys.size and int(self._keys[idx]) == key
 
-    def keys(self) -> list[tuple[int, int]]:
-        src, dst, _ = self.arrays()
-        return list(zip(src.tolist(), dst.tolist()))
-
     def values(self) -> np.ndarray:
         """Byte totals in (src, dst) key order."""
         self._compact()

@@ -4,10 +4,9 @@ The library's only performance surface is one always-on, bounded
 :class:`~repro.obs.recorder.FlightRecorder`: decision events, nestable
 timed spans (each a ``.start``/``.end`` event pair on the same ring,
 with a running per-name duration digest) and counters/gauges.  Around
-it: the :class:`~repro.obs.audit.AuditTrail` of fault-recovery
-decisions, exporters (Chrome trace-event JSON, text/HTML reports,
-flight JSONL), and the ``repro bench`` pinned perf-baseline suite with
-its :func:`~repro.obs.compare.compare_bench` regression gate.
+it: exporters (Chrome trace-event JSON, text/HTML reports, flight
+JSONL), and the ``repro bench`` pinned perf-baseline suite with its
+:func:`~repro.obs.compare.compare_bench` regression gate.
 
 Quick start::
 
@@ -35,7 +34,6 @@ from repro.obs.aggregate import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.audit import AuditTrail, RecoveryDecision, pearson
 from repro.obs.bench import (
     BenchPhase,
     BenchResult,
@@ -86,7 +84,6 @@ __all__ = [
     "ADAPTATION_SPAN",
     "DECISION_COUNTER",
     "DEFAULT_FLIGHT_CAPACITY",
-    "AuditTrail",
     "BenchComparison",
     "BenchPhase",
     "BenchResult",
@@ -98,7 +95,6 @@ __all__ = [
     "PhaseStats",
     "PromMetric",
     "PromSample",
-    "RecoveryDecision",
     "SpanDigest",
     "SpanRecord",
     "TagValue",
@@ -116,7 +112,6 @@ __all__ = [
     "load_bench_json",
     "load_flight_jsonl",
     "parse_prometheus",
-    "pearson",
     "percentile",
     "render_prometheus",
     "replay_flight",

@@ -2,7 +2,8 @@
 
 A :class:`~repro.obs.recorder.FlightRecorder` exports its ring to JSONL
 (one event per line); :func:`load_flight_jsonl` loads a log back,
-tolerating the truncated tail a crashed writer leaves, and
+tolerating the truncated tail a crashed writer leaves (the rule of
+:func:`read_lenient_jsonl`, which the serve journal shares), and
 :func:`replay_flight` turns it into a recorder of the same type, so the
 text/Chrome exporters and the fleet rollup read a log exactly like a
 live session.  A live follower parses a streamed log one line at a time
@@ -14,8 +15,9 @@ events.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
+from typing import TypeVar
 
 from repro.obs.recorder import FlightEvent, FlightRecorder, TagValue, pair_spans
 
@@ -23,6 +25,7 @@ __all__ = [
     "FlightLog",
     "load_flight_jsonl",
     "parse_flight_line",
+    "read_lenient_jsonl",
     "replay_flight",
     "format_flight",
 ]
@@ -70,11 +73,48 @@ class FlightLog(list[FlightEvent]):
         self.skipped_lines = skipped_lines
 
 
+T = TypeVar("T")
+
+
+def read_lenient_jsonl(
+    path: str | Path, parse: Callable[[str, int], T], strict: bool = False
+) -> tuple[list[tuple[int, T]], list[str]]:
+    """Parse every non-blank line of a JSONL file with ``parse(line, lineno)``.
+
+    ``parse`` raises ``ValueError`` with the message to report.  A writer
+    that crashed mid-append leaves unparseable *trailing* lines: they are
+    skipped, and their messages come back beside the ``(lineno, value)``
+    of every good line.  An unparseable line that a good one follows is
+    corruption, not truncation, and raises ``ValueError`` (``"…
+    (mid-file corruption)"``); with ``strict`` every bad line raises.
+    """
+    good: list[tuple[int, T]] = []
+    pending: list[str] = []  # bad lines no good line has followed yet
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = parse(line, lineno)
+            except ValueError as exc:
+                if strict:
+                    raise
+                pending.append(str(exc))
+                continue
+            if pending:
+                raise ValueError(f"{pending[0]} (mid-file corruption)")
+            good.append((lineno, value))
+    return good, pending
+
+
 def parse_flight_line(line: str, lineno: int) -> FlightEvent:
     """One JSONL line as a :class:`FlightEvent`; raises ``ValueError``
-    (``json.JSONDecodeError`` included) naming ``lineno`` when it is not
-    a flight event."""
-    payload = json.loads(line)
+    naming ``lineno`` when it is not a flight event."""
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"flight JSONL line {lineno}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"flight JSONL line {lineno}: not a JSON object")
     return _event_from_dict(payload, lineno)
@@ -91,32 +131,8 @@ def load_flight_jsonl(path: str | Path, strict: bool = False) -> FlightLog:
     truncation, and always raises; ``strict=True`` restores raising on any
     bad line.
     """
-    parsed: list[tuple[int, FlightEvent | None, str]] = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            parsed.append((lineno, parse_flight_line(line, lineno), ""))
-        except json.JSONDecodeError as exc:
-            parsed.append((lineno, None, f"flight JSONL line {lineno}: {exc}"))
-        except ValueError as exc:  # _event_from_dict errors carry the lineno
-            parsed.append((lineno, None, str(exc)))
-    last_good = max(
-        (i for i, (_, ev, _) in enumerate(parsed) if ev is not None), default=-1
-    )
-    events: list[FlightEvent] = []
-    skipped = 0
-    for i, (_, event, error) in enumerate(parsed):
-        if event is not None:
-            events.append(event)
-        elif strict or i < last_good:
-            raise ValueError(error)
-        else:
-            skipped += 1
-    return FlightLog(events, skipped_lines=skipped)
+    events, skipped = read_lenient_jsonl(path, parse_flight_line, strict=strict)
+    return FlightLog((event for _, event in events), skipped_lines=len(skipped))
 
 
 def replay_flight(events: Iterable[FlightEvent]) -> FlightRecorder:

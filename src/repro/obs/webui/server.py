@@ -41,6 +41,7 @@ GET      ``/api/metrics``                  Prometheus text exposition
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import re
 from collections.abc import AsyncIterator, Iterable, Sequence
@@ -59,9 +60,9 @@ from repro.serve.wire import (
     http_json,
     http_stream_lines,
     http_text,
-    read_request,
     send_json,
     send_text,
+    serve_connection,
 )
 from repro.util.logging import get_logger
 
@@ -327,7 +328,9 @@ class ObsServer:
 
     async def start(self) -> None:
         """Bind the socket (idempotent port discovery, like ServeServer)."""
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self._server = await asyncio.start_server(
+            functools.partial(serve_connection, route=self._route), self.host, self.port
+        )
         sockets = self._server.sockets
         assert sockets
         self.port = sockets[0].getsockname()[1]
@@ -346,31 +349,13 @@ class ObsServer:
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            method, path, _query, _body = await read_request(reader)
-            await self._route(method, path, writer)
-        except HTTPError as exc:
-            await send_json(writer, exc.status, {"error": exc.message})
-        except (ConnectionError, asyncio.IncompleteReadError) as exc:
-            log.debug("client connection dropped: %s", exc)
-        except Exception:
-            log.exception("request handling failed")
-            try:
-                await send_json(writer, 500, {"error": "internal error"})
-            except ConnectionError as exc:
-                log.debug("could not deliver 500: %s", exc)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except ConnectionError as exc:
-                log.debug("connection close raced the client: %s", exc)
-
     async def _route(
-        self, method: str, path: str, writer: asyncio.StreamWriter
+        self,
+        method: str,
+        path: str,
+        _query: dict[str, str],
+        _body: bytes,
+        writer: asyncio.StreamWriter,
     ) -> None:
         if method != "GET":
             raise HTTPError(405, f"{method} not allowed")

@@ -8,15 +8,15 @@
   domains of varying size/aspect timed at 10 processor counts;
 * :mod:`repro.perfmodel.exectime` — the predictor: Delaunay interpolation
   over (area, aspect) at each profiled processor count, then linear
-  interpolation in processor count (after Malakar et al., SC'12);
-* :mod:`repro.perfmodel.redisttime` — §IV-C1 redistribution time measured
-  through the network simulator.
+  interpolation in processor count (after Malakar et al., SC'12).
+
+The §IV-C1 redistribution time is predicted and measured where the
+redistribution is planned (:func:`repro.core.redistribution.plan_redistribution`).
 """
 
 from repro.perfmodel.groundtruth import ExecutionOracle
 from repro.perfmodel.profiles import ProfileTable, DEFAULT_PROFILE_DOMAINS, DEFAULT_PROC_COUNTS
 from repro.perfmodel.exectime import ExecTimePredictor
-from repro.perfmodel.redisttime import measure_redistribution_time
 
 __all__ = [
     "ExecutionOracle",
@@ -24,5 +24,4 @@ __all__ = [
     "DEFAULT_PROFILE_DOMAINS",
     "DEFAULT_PROC_COUNTS",
     "ExecTimePredictor",
-    "measure_redistribution_time",
 ]

@@ -56,6 +56,7 @@ stock Prometheus, validated by
 from __future__ import annotations
 
 import asyncio
+import functools
 from collections.abc import Sequence
 
 from repro.obs import (
@@ -74,9 +75,9 @@ from repro.serve.wire import (
     http_json,
     http_stream_lines,
     parse_json,
-    read_request,
     send_json,
     send_text,
+    serve_connection,
 )
 from repro.util.logging import get_logger
 
@@ -215,7 +216,9 @@ class ServeServer:
 
     async def start(self) -> None:
         """Bind the socket and spawn the scheduler's worker pool."""
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self._server = await asyncio.start_server(
+            functools.partial(serve_connection, route=self._route), self.host, self.port
+        )
         sockets = self._server.sockets
         assert sockets
         self.port = sockets[0].getsockname()[1]
@@ -231,31 +234,6 @@ class ServeServer:
         await self.scheduler.stop()
 
     # -- connection handling ---------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            method, path, query, body = await read_request(reader)
-            await self._route(method, path, query, body, writer)
-        except HTTPError as exc:
-            await send_json(
-                writer, exc.status, {"error": exc.message}, headers=exc.headers
-            )
-        except (ConnectionError, asyncio.IncompleteReadError) as exc:
-            log.debug("client connection dropped: %s", exc)
-        except Exception:
-            log.exception("request handling failed")
-            try:
-                await send_json(writer, 500, {"error": "internal error"})
-            except ConnectionError as exc:
-                log.debug("could not deliver 500: %s", exc)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except ConnectionError as exc:
-                log.debug("connection close raced the client: %s", exc)
 
     async def _route(
         self,

@@ -18,8 +18,8 @@ Journal appends happen from worker threads (a session transitions inside
 ``asyncio.to_thread``), so the store serialises its mutations with a
 lock.
 
-Crash consistency mirrors the flight-recorder loader
-(:func:`repro.obs.flight.load_flight_jsonl`): a process that dies
+Crash consistency is the flight-recorder loader's: both read their file
+with :func:`repro.obs.flight.read_lenient_jsonl`.  A process that dies
 mid-append leaves a truncated *trailing* record, which recovery skips
 and counts (``journal_skipped_lines``) — the affected session simply
 replays its last transition or re-runs from its spec.  A bad line
@@ -36,6 +36,7 @@ import os
 import threading
 from pathlib import Path
 
+from repro.obs.flight import read_lenient_jsonl
 from repro.serve.session import (
     ScenarioSpec,
     Session,
@@ -298,8 +299,8 @@ class SessionStore:
     ) -> SessionStore:
         """Rebuild a store from its journal after a process crash.
 
-        The journal is read with the same lenient policy as
-        :func:`repro.obs.flight.load_flight_jsonl`: a bad *trailing* line
+        The journal is read by :func:`repro.obs.flight.read_lenient_jsonl`,
+        the flight-log loader's reader: a bad *trailing* line
         is the signature of a crash mid-append, so it is skipped and
         counted in ``journal_skipped_lines``; a bad line *before* a good
         one means the file was damaged some other way and recovery raises
@@ -312,37 +313,25 @@ class SessionStore:
         (read-only inspection, benchmarks).
         """
         path = Path(journal_path)
-        parsed: list[tuple[int, dict[str, object] | None, str]] = []
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    if not isinstance(entry, dict):
-                        raise ValueError("journal entry must be a JSON object")
-                    parsed.append((lineno, entry, ""))
-                except (json.JSONDecodeError, ValueError) as exc:
-                    parsed.append(
-                        (lineno, None, f"{path}:{lineno}: invalid journal line: {exc}")
-                    )
-        good_indices = [i for i, (_, entry, _) in enumerate(parsed) if entry is not None]
-        last_good = good_indices[-1] if good_indices else -1
-        skipped = 0
+
+        def parse(line: str, lineno: int) -> dict[str, object]:
+            try:
+                entry = json.loads(line)
+                if not isinstance(entry, dict):
+                    raise ValueError("journal entry must be a JSON object")
+            except ValueError as exc:  # json.JSONDecodeError included
+                raise ValueError(
+                    f"{path}:{lineno}: invalid journal line: {exc}"
+                ) from exc
+            return entry
+
+        entries, tail = read_lenient_jsonl(path, parse)
         specs: dict[str, ScenarioSpec] = {}
         states: dict[str, tuple[SessionState, int, str]] = {}
         order: list[str] = []
         counter = 0  # restores the id counter past compaction + evictions
         created_total = 0
-        for index, (lineno, entry, error) in enumerate(parsed):
-            if entry is None:
-                if index < last_good:
-                    raise ValueError(f"{error} (mid-file corruption)")
-                # crash mid-append: the half-written tail is expected loss
-                skipped += 1
-                log.warning("skipping truncated journal tail: %s", error)
-                continue
+        for lineno, entry in entries:
             op = entry.get("op")
             if op == "counter":
                 counter = max(counter, int(entry.get("next", 0)))  # type: ignore[call-overload]
@@ -371,6 +360,10 @@ class SessionStore:
                 states.pop(sid, None)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown journal op {op!r}")
+        # crash mid-append: the half-written tail is expected loss
+        for error in tail:
+            log.warning("skipping truncated journal tail: %s", error)
+        skipped = len(tail)
         # journalling stays off during replay — the entries being replayed
         # are already in the file
         store = cls(capacity=capacity, journal_path=None, flight_capacity=flight_capacity)
@@ -390,7 +383,7 @@ class SessionStore:
         store._next_id = max(counter, created_total)
         store.journal_path = path
         store.journal_skipped_lines = skipped
-        if compact and (skipped or parsed):
+        if compact and (skipped or entries):
             store.compact()
         log.info(
             "recovered %d session(s) from %s (%d will re-run, %d line(s) skipped)",

@@ -4,16 +4,20 @@ Both HTTP front ends — the serving tier (:mod:`repro.serve.api`) and
 mission control (:mod:`repro.obs.webui.server`) — speak the same
 minimal dialect: one short-lived connection per request
 (``Connection: close``), requests parsed straight off the stream, JSON
-or plain-text responses.  This module is that dialect in one place, plus
-the minimal async client the load generator, the ``--attach`` proxy and
-the end-to-end tests share.
+or plain-text responses.  This module is that dialect in one place — the
+connection handler both servers run (:func:`serve_connection`) included
+— plus the minimal async client the load generator, the ``--attach``
+proxy and the end-to-end tests share.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
-from collections.abc import AsyncIterator
+from collections.abc import AsyncIterator, Awaitable, Callable
+
+from repro.util.logging import get_logger
 
 __all__ = [
     "HTTPError",
@@ -28,6 +32,14 @@ __all__ = [
     "read_response_headers",
     "send_json",
     "send_text",
+    "serve_connection",
+]
+
+log = get_logger("serve.wire")
+
+#: a server's router: ``route(method, path, query, body, writer)``
+Route = Callable[
+    [str, str, dict[str, str], bytes, asyncio.StreamWriter], Awaitable[None]
 ]
 
 REASONS = {
@@ -63,6 +75,38 @@ class HTTPError(Exception):
 
 
 # -- server side -----------------------------------------------------------
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, route: Route
+) -> None:
+    """Answer one connection: read its request, route it, then close.
+
+    An :class:`HTTPError` becomes its JSON error response (with its
+    headers), a client that drops the connection is only logged, and any
+    other failure is logged and answered with a 500.
+    """
+    try:
+        method, path, query, body = await read_request(reader)
+        await route(method, path, query, body, writer)
+    except HTTPError as exc:
+        await send_json(
+            writer, exc.status, {"error": exc.message}, headers=exc.headers
+        )
+    except (ConnectionError, asyncio.IncompleteReadError) as exc:
+        log.debug("client connection dropped: %s", exc)
+    except Exception:
+        log.exception("request handling failed")
+        try:
+            await send_json(writer, 500, {"error": "internal error"})
+        except ConnectionError as exc:
+            log.debug("could not deliver 500: %s", exc)
+    finally:
+        try:
+            writer.close()
+            await writer.wait_closed()
+        except ConnectionError as exc:
+            log.debug("connection close raced the client: %s", exc)
 
 
 async def read_request(
@@ -155,6 +199,30 @@ async def _send_body(
 # -- minimal async client --------------------------------------------------
 
 
+@contextlib.asynccontextmanager
+async def _request(
+    host: str, port: int, method: str, path: str, body: bytes | None = None
+) -> AsyncIterator[asyncio.StreamReader]:
+    """Send one request and yield the response stream, closing the
+    connection after.  ``Content-Length`` goes out only with a ``body``
+    (an empty one included)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        length = "" if body is None else f"Content-Length: {len(body)}\r\n"
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {host}\r\n"
+            f"{length}"
+            f"Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        writer.write(head + (body or b""))
+        await writer.drain()
+        yield reader
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
 async def http_json(
     host: str,
     port: int,
@@ -164,20 +232,8 @@ async def http_json(
 ) -> tuple[int, dict[str, object]]:
     """One JSON request/response round trip; returns (status, body)."""
     body = json.dumps(payload).encode() if payload is not None else b""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
+    async with _request(host, port, method, path, body) as reader:
         status, raw = await read_response(reader)
-    finally:
-        writer.close()
-        await writer.wait_closed()
     parsed = json.loads(raw.decode()) if raw else {}
     if not isinstance(parsed, dict):
         parsed = {"body": parsed}
@@ -188,19 +244,8 @@ async def http_text(
     host: str, port: int, path: str
 ) -> tuple[int, str]:
     """GET ``path`` and return (status, decoded body) — for text routes."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        head = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {host}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head)
-        await writer.drain()
+    async with _request(host, port, "GET", path) as reader:
         status, raw = await read_response(reader)
-    finally:
-        writer.close()
-        await writer.wait_closed()
     return status, raw.decode("utf-8", errors="replace")
 
 
@@ -208,15 +253,7 @@ async def http_stream_lines(
     host: str, port: int, path: str
 ) -> AsyncIterator[str]:
     """GET ``path`` and yield each response line (NDJSON streaming)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        head = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {host}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head)
-        await writer.drain()
+    async with _request(host, port, "GET", path) as reader:
         status_line = (await reader.readline()).decode("latin-1")
         if " 200 " not in status_line:
             raise RuntimeError(f"stream request failed: {status_line.strip()!r}")
@@ -229,9 +266,6 @@ async def http_stream_lines(
             text = line.decode().strip()
             if text:
                 yield text
-    finally:
-        writer.close()
-        await writer.wait_closed()
 
 
 async def read_response(

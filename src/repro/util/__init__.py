@@ -6,7 +6,7 @@ every experiment in the paper reproduction is bit-for-bit deterministic.
 """
 
 from repro.util.rng import make_rng
-from repro.util.tables import format_table, format_series, percent
+from repro.util.tables import format_table, format_series
 from repro.util.validation import (
     check_positive,
     check_non_negative,
@@ -18,7 +18,6 @@ __all__ = [
     "make_rng",
     "format_table",
     "format_series",
-    "percent",
     "check_positive",
     "check_non_negative",
     "check_in_range",

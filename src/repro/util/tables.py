@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "percent"]
+__all__ = ["format_table", "format_series"]
 
 
 def _stringify(cell: object) -> str:
@@ -62,12 +62,3 @@ def format_series(
     body = format_table([x_label, y_label], rows, title=f"series: {name}")
     return body
 
-
-def percent(new: float, old: float) -> float:
-    """Relative improvement of ``new`` over ``old`` in percent.
-
-    Positive means ``new`` is smaller (better, for a cost metric).
-    """
-    if old == 0:
-        return 0.0
-    return 100.0 * (old - new) / old

@@ -3,7 +3,7 @@
 A run's :class:`~repro.core.metrics.StepMetrics` are the only record of
 an adaptation point: predicted and observed execution and redistribution
 times plus the allocation applied.  These tests cover the Pearson
-correlation (``repro.obs.audit.pearson``), the §V-F table
+correlation (``repro.experiments.report.pearson``), the §V-F table
 :func:`~repro.experiments.report.accuracy_report` computes from
 ``RunResult``s, the decision counters and flight-log fields a workload
 run records at every point, and that a run prices nothing it does not
@@ -20,14 +20,18 @@ import repro.core.redistribution as redistribution
 from repro.core import AdaptiveResetStrategy, DiffusionStrategy, ScratchStrategy
 from repro.core.metrics import StepMetrics
 from repro.experiments import synthetic_workload
-from repro.experiments.report import accuracy_report, prediction_accuracy_report
+from repro.experiments.report import (
+    accuracy_report,
+    pearson,
+    prediction_accuracy_report,
+)
 from repro.experiments.runner import (
     ExperimentContext,
     RunResult,
     WorkloadStepper,
     run_workload,
 )
-from repro.obs import FlightRecorder, pearson, use_recorder
+from repro.obs import FlightRecorder, use_recorder
 from repro.serve import ScenarioSpec, Session
 from repro.topology import MACHINES
 

@@ -24,6 +24,7 @@ from repro.obs import (
     use_recorder,
 )
 from repro.obs.export import chrome_trace, format_report
+from repro.serve import ScenarioSpec, SessionStore
 from repro.topology import MACHINES
 
 
@@ -179,6 +180,55 @@ class TestJsonlRoundTrip:
         path.write_text('{"seq": 0, "t"\n{"broken\n')
         loaded = load_flight_jsonl(path)
         assert loaded == [] and loaded.skipped_lines == 2
+
+
+def _write_flight_log(path):
+    ring = FlightRecorder()
+    for i in range(3):
+        ring.emit("tick", i=i)
+    ring.write_jsonl(path)
+
+
+def _write_journal(path):
+    store = SessionStore(journal_path=path)
+    for seed in range(3):
+        store.create(ScenarioSpec(steps=1, seed=seed))
+
+
+#: the two readers of a JSONL file that a crashed writer may have cut
+#: short: (write a clean file, read it back and return the skipped lines)
+LENIENT_READERS = {
+    "flight log": (
+        _write_flight_log,
+        lambda path: load_flight_jsonl(path).skipped_lines,
+    ),
+    "serve journal": (
+        _write_journal,
+        lambda path: SessionStore.recover(path, compact=False).journal_skipped_lines,
+    ),
+}
+
+
+class TestLenientJsonl:
+    """One lenient-JSONL rule, shared by the flight loader and the
+    serve journal's recovery."""
+
+    @pytest.mark.parametrize("reader", sorted(LENIENT_READERS))
+    def test_truncated_tail_skipped_mid_file_damage_raises(self, tmp_path, reader):
+        write, skipped_lines = LENIENT_READERS[reader]
+        path = tmp_path / "log.jsonl"
+        write(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) >= 3
+        # a writer that died mid-append: the half line is skipped and counted
+        path.write_text("\n".join([*lines, lines[-1][:-5]]) + "\n", encoding="utf-8")
+        assert skipped_lines(path) == 1
+        # a bad line that a good one follows is corruption
+        damaged = [lines[0], lines[1][:-5], *lines[2:]]
+        path.write_text("\n".join(damaged) + "\n", encoding="utf-8")
+        # both messages name the line: "flight JSONL line 2: …", "log.jsonl:2: …"
+        with pytest.raises(ValueError, match=r"(line |\.jsonl:)2: .*\(mid-file corruption\)$"):
+            skipped_lines(path)
 
 
 class TestReplay:

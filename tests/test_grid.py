@@ -9,7 +9,6 @@ from repro.grid import (
     BlockDecomposition,
     ProcessorGrid,
     Rect,
-    overlap_fraction,
     split_evenly,
     transfer_matrix,
 )
@@ -196,7 +195,7 @@ class TestTransferMatrix:
         g = ProcessorGrid(8, 8)
         old = BlockDecomposition(20, 20, Rect(0, 0, 3, 3))
         new = BlockDecomposition(20, 20, Rect(4, 4, 3, 3))
-        assert overlap_fraction(old, new, g.px) == 0.0
+        assert transfer_matrix(old, new, g.px).overlap_fraction == 0.0
 
     def test_matches_dense_ownership(self):
         # cross-check the interval algebra against brute-force owner maps

@@ -314,11 +314,10 @@ class TestRedistributionPlanEquivalence:
             )
             for nid in set(w_old) | set(w_new)
         }
-        flow = data.draw(st.booleans(), label="flow_level")
         machine = MACHINES["bgl-256"]
         cost = CostModel.for_machine(machine)
 
-        plan_v = plan_redistribution(old, new, sizes, machine, cost, flow_level=flow)
+        plan_v = plan_redistribution(old, new, sizes, machine, cost)
         plan_r = plan_redistribution(
             old,
             new,
@@ -326,7 +325,6 @@ class TestRedistributionPlanEquivalence:
             machine,
             cost,
             simulator=ReferenceSimulator(machine.mapping, cost),
-            flow_level=flow,
         )
 
         assert plan_v.hop_bytes_total == plan_r.hop_bytes_total

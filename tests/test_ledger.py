@@ -290,7 +290,7 @@ class TestPairByteAccumulator:
         expect = {(0, 1): 16.0, (2, 3): 16.0}
         assert acc.to_dict() == expect
         assert acc == expect
-        assert sorted(acc.keys()) == sorted(expect)
+        assert sorted(pair for pair, _ in acc.items()) == sorted(expect)
         assert acc[(0, 1)] == 16.0
         assert (2, 3) in acc
         assert (3, 2) not in acc

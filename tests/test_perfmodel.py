@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.mpisim import CostModel, MessageSet, NetworkSimulator
+from repro.core import DiffusionStrategy, plan_redistribution
+from repro.grid import ProcessorGrid
+from repro.mpisim import CostModel, LinkLoadState, MessageSet, NetworkSimulator
 from repro.perfmodel import (
     DEFAULT_PROC_COUNTS,
     DEFAULT_PROFILE_DOMAINS,
     ExecTimePredictor,
     ExecutionOracle,
     ProfileTable,
-    measure_redistribution_time,
 )
 from repro.topology import blue_gene_l
 
@@ -190,36 +191,48 @@ class TestExecTimePredictor:
 
 
 class TestRedistTimes:
-    def test_empty(self):
+    """The §IV-C1 measured time a plan reports: each retained nest's own
+    alltoallv, timed by the network simulator, summed over the nests."""
+
+    SIZES = {nid: (120 + 20 * nid, 90 + 10 * nid) for nid in range(1, 5)}
+
+    def _plan(self, new_weights, link_state=False):
         m = blue_gene_l(256)
         cost = CostModel.for_machine(m)
         sim = NetworkSimulator(m.mapping, cost)
-        assert measure_redistribution_time([], sim) == 0.0
+        grid = ProcessorGrid(*m.grid)
+        diffusion = DiffusionStrategy()
+        old = diffusion.reallocate(None, {1: 0.2, 2: 0.3, 3: 0.5}, grid)
+        new = diffusion.reallocate(old, new_weights, grid)
+        state = LinkLoadState(sim) if link_state else None
+        plan = plan_redistribution(
+            old, new, self.SIZES, m, cost, sim, link_state=state
+        )
+        return plan, sim
+
+    def test_empty(self):
+        plan, _ = self._plan({4: 1.0})  # no nest is retained
+        assert plan.moves == [] and plan.measured_time == 0.0
 
     def test_sums_over_nests(self):
-        m = blue_gene_l(256)
-        cost = CostModel.for_machine(m)
-        sim = NetworkSimulator(m.mapping, cost)
-        a = MessageSet(np.array([0]), np.array([1]), np.array([1e6]))
-        b = MessageSet(np.array([2]), np.array([3]), np.array([2e6]))
-        t_ab = measure_redistribution_time([a, b], sim)
-        assert t_ab == pytest.approx(
-            sim.bottleneck_time(a) + sim.bottleneck_time(b)
+        plan, sim = self._plan({1: 0.3, 2: 0.4, 3: 0.3})
+        assert len(plan.moves) == 3
+        assert plan.measured_time == sum(
+            sim.bottleneck_time(move.messages) for move in plan.moves
         )
 
     def test_given_link_loads_time_like_routed_ones(self):
-        m = blue_gene_l(256)
-        cost = CostModel.for_machine(m)
-        sim = NetworkSimulator(m.mapping, cost)
-        a = MessageSet(np.array([0, 5]), np.array([1, 9]), np.array([1e6, 3e5]))
-        b = MessageSet(np.array([2]), np.array([3]), np.array([2e6]))
-        routed = measure_redistribution_time([a, b], sim)
-        given = [sim._link_load_arrays(a), None]
-        assert measure_redistribution_time([a, b], sim, link_arrays=given) == routed
+        """A plan that keeps a live link state times each nest from its
+        charge; the time equals the routed one."""
+        weights = {1: 0.3, 2: 0.4, 3: 0.3}
+        routed, _ = self._plan(weights)
+        charged, _ = self._plan(weights, link_state=True)
+        assert charged.measured_time == routed.measured_time > 0
 
     def test_flow_level_option(self):
+        """The max-min-fair flow model (``repro bench``'s ``netsim.flow``
+        phase) times the same messages the bottleneck bound does."""
         m = blue_gene_l(256)
-        cost = CostModel.for_machine(m)
-        sim = NetworkSimulator(m.mapping, cost)
+        sim = NetworkSimulator(m.mapping, CostModel.for_machine(m))
         a = MessageSet(np.array([0]), np.array([1]), np.array([1e6]))
-        assert measure_redistribution_time([a], sim, flow_level=True) > 0
+        assert sim.flow_time(a) > 0

@@ -890,11 +890,14 @@ R016_TREE = {
     "src/repro/lib.py": """
         import ast
 
-        __all__ = ["Engine", "Walker", "dispatched", "kept", "listed_only",
-                   "orphan", "scan_reference"]
+        __all__ = ["Engine", "Walker", "dispatched", "helper", "kept",
+                   "listed_only", "orphan", "scan_reference"]
 
         def orphan():
             return 1
+
+        def helper():
+            return 9
 
         def listed_only():
             return 2
@@ -918,19 +921,24 @@ R016_TREE = {
             def traced(self):
                 return 8
 
+            def shadowed(self):
+                return 10
+
         class Walker(ast.NodeVisitor):
             def visit_Call(self, node):
                 self.generic_visit(node)
         """,
     "src/repro/app.py": """
         from repro import lib
+        from repro.lib import helper
 
         __all__ = ["main"]
 
         def main():
             lib.Engine().start()
             lib.Walker()
-            return getattr(lib, "dispatched")()
+            shadowed = helper()  # a local named like a method calls no method
+            return getattr(lib, "dispatched")(), shadowed
         """,
     "perfbench/run.py": """
         from repro.app import main
@@ -978,10 +986,17 @@ class TestR016UnusedDefinitions:
             "repro.lib.orphan",
             "repro.lib.listed_only",
             "repro.lib.Engine.tested_only",
+            "repro.lib.Engine.shadowed",
         }
 
     def test_attribute_use_in_another_module_clean(self, tmp_path):
         assert "repro.lib.Engine.start" not in self._flagged(tmp_path)
+
+    def test_method_reached_only_by_bare_name_flagged(self, tmp_path):
+        assert "repro.lib.Engine.shadowed" in self._flagged(tmp_path)
+
+    def test_function_reached_by_bare_name_clean(self, tmp_path):
+        assert "repro.lib.helper" not in self._flagged(tmp_path)
 
     def test_perfbench_tracer_string_clean(self, tmp_path):
         assert "repro.lib.Engine.traced" not in self._flagged(tmp_path)

@@ -1,8 +1,10 @@
-"""Tests for repro.util: RNG plumbing, table rendering, validation."""
+"""Tests for repro.util: RNG plumbing, table rendering, validation, and
+the improvement percentage the rendered reports print."""
 
 import numpy as np
 import pytest
 
+from repro.core import StepMetrics, summarize_improvement
 from repro.util import (
     check_in_range,
     check_non_negative,
@@ -11,7 +13,6 @@ from repro.util import (
     format_series,
     format_table,
     make_rng,
-    percent,
 )
 
 
@@ -65,14 +66,32 @@ class TestFormatSeries:
 
 
 class TestPercent:
+    """Every report's "improvement over scratch" is
+    :func:`~repro.core.summarize_improvement`: positive when the candidate
+    is cheaper, 0 when the baseline did no work."""
+
+    @staticmethod
+    def _improvement(new, old):
+        def run(measured):
+            return [
+                StepMetrics(
+                    step=0, n_nests=1, n_retained=1,
+                    predicted_redist=measured, measured_redist=measured,
+                    hop_bytes_avg=0.0, hop_bytes_total=0.0, overlap_fraction=1.0,
+                    exec_predicted=0.0, exec_actual=0.0,
+                )
+            ]
+
+        return summarize_improvement(run(old), run(new))
+
     def test_improvement(self):
-        assert percent(75.0, 100.0) == pytest.approx(25.0)
+        assert self._improvement(75.0, 100.0) == pytest.approx(25.0)
 
     def test_regression_negative(self):
-        assert percent(110.0, 100.0) == pytest.approx(-10.0)
+        assert self._improvement(110.0, 100.0) == pytest.approx(-10.0)
 
     def test_zero_old(self):
-        assert percent(5.0, 0.0) == 0.0
+        assert self._improvement(5.0, 0.0) == 0.0
 
 
 class TestValidation:

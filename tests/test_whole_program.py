@@ -291,6 +291,31 @@ class TestR011Determinism:
         messages = [f.message for f in findings(sources, ["R011"])]
         assert any("emit" in m for m in messages)
 
+    def test_flight_recorder_module_is_a_sink(self):
+        # the recorder's emit/span/count live in repro.obs.recorder, not in
+        # repro.obs.flight (which only loads and replays logs)
+        sources = {
+            "repro.obs.recorder": """
+            class FlightRecorder:
+                def emit(self, kind, **data):
+                    pass
+
+            def get_recorder():
+                return FlightRecorder()
+            """,
+            "repro.util.rng": "def make_rng(seed=None):\n    pass\n",
+            "app.policy": """
+            from repro.obs.recorder import get_recorder
+            from repro.util.rng import make_rng
+
+            def decide():
+                get_recorder().emit("pick", value=make_rng().random())
+            """,
+        }
+        found = findings(sources, ["R011"])
+        assert len(found) == 1
+        assert "make_rng() without a seed" in found[0].message
+
 
 # ---------------------------------------------------------------------------
 # R012 — order dependence
