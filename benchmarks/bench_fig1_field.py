@@ -11,7 +11,7 @@ field synthesis.
 
 import pytest
 
-from repro.analysis import PDAConfig, parallel_data_analysis
+from repro.analysis import parallel_data_analysis
 from repro.viz import render_field
 from repro.wrf.fields import qcloud_field
 from repro.wrf.model import WrfLikeModel
@@ -32,9 +32,7 @@ def test_fig1(benchmark, report_sink, snapshot):
     benchmark(qcloud_field, config.nx, config.ny, model.systems)
 
     qcloud, olr = model.fields()
-    pda = parallel_data_analysis(
-        model.write_split_files(), config.sim_grid, 64, PDAConfig()
-    )
+    pda = parallel_data_analysis(model.write_split_files(), config.sim_grid, 64)
     # the premise: multiple simultaneous organised systems
     assert len(pda.rectangles) >= 3
     art = render_field(olr, width=72, invert=True)

@@ -10,7 +10,7 @@ Mumbai-2005-like simulation; the benchmark times one full NNC pass.
 from repro.analysis import NNCConfig, nearest_neighbour_clustering
 from repro.experiments import fig9_report
 from repro.experiments.report import _overlapping_pairs  # noqa: F401  (reuse)
-from repro.analysis.pda import PDAConfig, parallel_data_analysis
+from repro.analysis.pda import parallel_data_analysis
 from repro.wrf.model import WrfLikeModel
 from repro.wrf.scenario import mumbai_2005_scenario
 
@@ -20,9 +20,7 @@ def test_fig9(benchmark, report_sink):
     model = WrfLikeModel(scenario.config, scenario.birth_fn, scenario.initial_systems)
     for _ in range(13):
         model.step()
-    pda = parallel_data_analysis(
-        model.write_split_files(), scenario.config.sim_grid, 64, PDAConfig()
-    )
+    pda = parallel_data_analysis(model.write_split_files(), scenario.config.sim_grid, 64)
     benchmark(nearest_neighbour_clustering, pda.summaries, NNCConfig())
 
     report = fig9_report(seed=2005, step=26)

@@ -13,7 +13,7 @@ real-trace experiments use).
 
 import pytest
 
-from repro.analysis import PDAConfig, parallel_data_analysis, pda_cost_profile
+from repro.analysis import parallel_data_analysis, pda_cost_profile
 from repro.util.tables import format_table
 from repro.wrf.model import WrfLikeModel
 from repro.wrf.scenario import mumbai_2005_scenario
@@ -30,7 +30,7 @@ def snapshot():
 
 def test_pda_scaling(benchmark, report_sink, snapshot):
     files, sim_grid = snapshot
-    benchmark(parallel_data_analysis, files, sim_grid, 64, PDAConfig())
+    benchmark(parallel_data_analysis, files, sim_grid, 64)
 
     serial = pda_cost_profile(files, sim_grid, 1)
     rows = []
@@ -61,7 +61,7 @@ def test_pda_scaling(benchmark, report_sink, snapshot):
     # the scan phase (the part the paper parallelises) scales near-linearly
     assert serial.scan_time / profiles[64].scan_time > 30.0
     # the result itself is N-independent (tested in unit tests; spot-check)
-    r1 = parallel_data_analysis(files, sim_grid, 1, PDAConfig())
-    r64 = parallel_data_analysis(files, sim_grid, 64, PDAConfig())
+    r1 = parallel_data_analysis(files, sim_grid, 1)
+    r64 = parallel_data_analysis(files, sim_grid, 64)
     assert sorted(map(str, r1.rectangles)) == sorted(map(str, r64.rectangles))
     report_sink("pda_scaling", text)

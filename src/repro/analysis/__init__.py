@@ -24,7 +24,7 @@ from repro.analysis.nnc import (
     nearest_neighbour_clustering,
     simple_two_hop_clustering,
 )
-from repro.analysis.pda import PDAConfig, PDAResult, parallel_data_analysis
+from repro.analysis.pda import PDAResult, parallel_data_analysis
 from repro.analysis.parallel_nnc import (
     ParallelNNCResult,
     count_distance_evaluations,
@@ -45,7 +45,6 @@ __all__ = [
     "NNCConfig",
     "nearest_neighbour_clustering",
     "simple_two_hop_clustering",
-    "PDAConfig",
     "PDAResult",
     "parallel_data_analysis",
     "cluster_bounding_rect",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.parallel_nnc import count_distance_evaluations
-from repro.analysis.pda import PDAConfig, _assign_files, aggregate_summaries
+from repro.analysis.pda import OLR_THRESHOLD, _assign_files, aggregate_summaries
 from repro.analysis.records import SplitBatch
 from repro.grid.procgrid import ProcessorGrid
 from repro.util.validation import check_positive
@@ -69,26 +69,24 @@ def pda_cost_profile(
     batch: SplitBatch,
     sim_grid: ProcessorGrid,
     n_analysis: int,
-    config: PDAConfig | None = None,
 ) -> PDACostProfile:
     """Work profile of one PDA invocation (without re-running the scan)."""
     check_positive("n_analysis", n_analysis)
-    config = config or PDAConfig()
     buckets = _assign_files(batch, sim_grid, n_analysis)
     areas = batch.areas
     per_rank_points = [int(areas[bucket].sum()) for bucket in buckets]
     # PDA's corruption rule: a corrupt tile is counted, never gathered
-    corrupt, _, _ = aggregate_summaries(batch, config.olr_threshold)
+    corrupt, _, _ = aggregate_summaries(batch, OLR_THRESHOLD)
     summaries = []
     for rank in range(len(batch)):
         f = batch.file(rank)
         if f is None or corrupt[rank]:
             continue
-        s = f.summarise(config.olr_threshold)
+        s = f.summarise(OLR_THRESHOLD)
         if s.olr_fraction > 0:
             summaries.append(s)
     summaries.sort(key=lambda s: -s.qcloud)
-    cluster_ops = count_distance_evaluations(summaries, config.nnc)
+    cluster_ops = count_distance_evaluations(summaries)
     return PDACostProfile(
         n_analysis=n_analysis,
         scan_points_total=sum(per_rank_points),

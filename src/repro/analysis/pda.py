@@ -7,45 +7,43 @@ analysis process summarises its ``k = P/N`` files (aggregate QCLOUD where
 summaries, sorts them by decreasing QCLOUD, clusters them with Algorithm 2
 and emits one bounding rectangle per cluster.
 
-The analysis runs on the :class:`~repro.mpisim.comm.SimComm` SPMD harness —
-"the parallel data analysis algorithm is executed simultaneously on a
-different set of processors than the processors running the WRF simulation"
-— so the division of files, the per-rank loop and the root-side gather are
-structured exactly as published.  The files arrive as one
-:class:`~repro.analysis.records.SplitBatch` over the step's fields: an
-analysis rank's files are an index array of its tiles, the per-tile
-reductions run once for the whole batch, and a
+"The parallel data analysis algorithm is executed simultaneously on a
+different set of processors than the processors running the WRF
+simulation": here the ``N`` analysis ranks are a loop over the file
+buckets, one per rank, and the root gather concatenates their summaries
+in rank order, so the division of files, the per-rank analysis and the
+root-side sort and clustering are structured as published.  The files
+arrive as one :class:`~repro.analysis.records.SplitBatch` over the step's
+fields: an analysis rank's files are an index array of its tiles, the
+per-tile reductions run once for the whole batch, and a
 :class:`~repro.analysis.records.SubdomainSummary` is built only for a tile
 its rank sends to the root.
 
 Degraded mode (:mod:`repro.faults`): a production analysis step must survive
-missing split files (a crashed writer leaves nothing behind), truncated or
-corrupt files (non-finite payloads), and failed analysis ranks.  The batch
-marks missing tiles, non-finite tiles are detected, and the buckets of
-failed :class:`SimComm` ranks go unread; the result is flagged ``partial``
-with per-cause counts, and the aggregate low-OLR fraction is renormalised
-over the *reporting* subdomain area rather than the whole domain, so
-thresholds stay comparable whatever was lost.
+missing split files (a crashed writer leaves nothing behind) and truncated
+or corrupt files (non-finite payloads).  The batch marks missing tiles and
+non-finite tiles are detected; the result is flagged ``partial`` with
+per-cause counts, and the aggregate low-OLR fraction is renormalised over
+the *reporting* subdomain area rather than the whole domain, so thresholds
+stay comparable whatever was lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering
+from repro.analysis.nnc import nearest_neighbour_clustering
 from repro.analysis.records import SplitBatch, SubdomainSummary
 from repro.analysis.regions import clusters_to_rectangles
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
 from repro.grid.rect import Rect
 from repro.sanitize.hooks import get_sanitizer
-from repro.mpisim.comm import SimComm
 from repro.obs import get_recorder
 
 __all__ = [
-    "PDAConfig",
     "PDAResult",
     "aggregate_summaries",
     "aggregate_summaries_reference",
@@ -53,13 +51,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PDAConfig:
-    """Thresholds for Algorithm 1 + the embedded Algorithm 2."""
-
-    olr_threshold: float = 200.0  # paper: upper OLR bound for deep cloud
-    nnc: NNCConfig = field(default_factory=NNCConfig)
-    min_roi_area: int = 0
+#: the paper's upper OLR bound (W/m²) for deep cloud
+OLR_THRESHOLD = 200.0
 
 
 @dataclass(frozen=True)
@@ -70,11 +63,10 @@ class PDAResult:
     clusters: list[list[SubdomainSummary]]
     summaries: list[SubdomainSummary]  # sorted qcloudinfo the root saw
     gathered_items: int  # elements gathered at the root
-    #: True when any split file or analysis rank failed to report
+    #: True when any split file failed to report
     partial: bool = False
     n_files_missing: int = 0  # missing tiles (lost / truncated writers)
     n_files_corrupt: int = 0  # files with non-finite QCLOUD/OLR payloads
-    n_ranks_failed: int = 0  # failed analysis ranks (their buckets unread)
     #: reporting subdomain area / full domain area (1.0 when complete, 0.0
     #: when every split file is lost)
     coverage: float = 1.0
@@ -217,8 +209,6 @@ def parallel_data_analysis(
     batch: SplitBatch,
     sim_grid: ProcessorGrid,
     n_analysis: int,
-    config: PDAConfig | None = None,
-    comm: SimComm | None = None,
 ) -> PDAResult:
     """Run Algorithm 1 over one step's split files.
 
@@ -234,16 +224,11 @@ def parallel_data_analysis(
         must hold one tile per simulation rank.
     n_analysis:
         ``N``, the number of analysis processes.
-    config:
-        Thresholds; paper defaults when omitted.
-    comm:
-        An existing :class:`SimComm` of size ``N`` (one is created when
-        omitted); its statistics account the root gather, and its failed
-        ranks' buckets go unread (degraded mode).
 
     Every tile is reduced once, in one batched pass
     (:func:`aggregate_summaries`), shared by the per-rank analysis and the
-    degraded-mode renormalisation.
+    degraded-mode renormalisation.  Clustering runs with the paper's
+    :class:`~repro.analysis.nnc.NNCConfig` thresholds.
     """
     if (batch.px, batch.py) != (sim_grid.px, sim_grid.py):
         raise ValueError(
@@ -254,35 +239,25 @@ def parallel_data_analysis(
         raise ValueError(
             f"n_analysis must be in [1, {len(batch)}], got {n_analysis}"
         )
-    config = config or PDAConfig()
-    comm = comm or SimComm(n_analysis)
-    if comm.Get_size() != n_analysis:
-        raise ValueError(
-            f"communicator size {comm.Get_size()} != n_analysis {n_analysis}"
-        )
 
     with get_recorder().span(
         "analysis.pda", n_files=len(batch), n_analysis=n_analysis
     ):
         n_missing = int(np.count_nonzero(batch.missing))
         buckets = _assign_files(batch, sim_grid, n_analysis)
-        corrupt, qcloud, count = aggregate_summaries(batch, config.olr_threshold)
+        corrupt, qcloud, count = aggregate_summaries(batch, OLR_THRESHOLD)
         areas = batch.areas
         reports = count > 0  # zero for missing and corrupt tiles
-        any_corrupt = bool(corrupt.any())
         qcloud_of, count_of, area_of = qcloud.tolist(), count.tolist(), areas.tolist()
-        corrupt_count = [0]  # mutated by the per-rank closure
 
         # Per-rank analysis (Algorithm 1, lines 3–9).  An analysis rank only
         # reports subdomains containing any low-OLR area — "some of the split
         # files may not have regions with OLR <= 200, in which case the
         # process owning these split files will send fewer than k values" —
-        # and skips corrupt files, counting them for the partial flag.  A
-        # summary is built only for a tile the rank sends.
+        # and skips corrupt files.  A summary is built only for a tile the
+        # rank sends.
         def analyse(rank: int) -> list[SubdomainSummary]:
             mine = buckets[rank]
-            if any_corrupt:
-                corrupt_count[0] += int(np.count_nonzero(corrupt[mine]))
             out = []
             for t in mine[reports[mine]].tolist():
                 by, bx = divmod(t, batch.px)
@@ -298,15 +273,14 @@ def parallel_data_analysis(
                 )
             return out
 
-        per_rank = comm.run(analyse)
+        per_rank = [analyse(rank) for rank in range(n_analysis)]
 
-        # Reporting area: every healthy file whose analysis rank is alive.
-        # Renormalise over reporting ranks: the low-OLR fraction a complete
-        # analysis would divide by the whole domain is instead divided by
-        # the area that actually reported, so it stays a comparable fraction.
-        # The weighted sum is one left fold in (rank, bucket) order.
-        alive = [mine for rank, mine in enumerate(buckets) if comm.alive(rank)]
-        seen = np.concatenate(alive) if alive else np.zeros(0, dtype=np.int64)
+        # Reporting area: every healthy file.  Renormalise over it: the
+        # low-OLR fraction a complete analysis would divide by the whole
+        # domain is instead divided by the area that actually reported, so
+        # it stays a comparable fraction.  The weighted sum is one left
+        # fold in (rank, bucket) order.
+        seen = np.concatenate(buckets)
         seen = seen[~corrupt[seen]]
         seen_area = areas[seen]
         reporting_area = int(seen_area.sum())
@@ -314,23 +288,21 @@ def parallel_data_analysis(
         weighted_low_olr = float(weighted[-1]) if len(weighted) else 0.0
         low_olr = weighted_low_olr / reporting_area if reporting_area else 0.0
 
-        n_failed = len(comm.failed_ranks)
-        n_corrupt = corrupt_count[0]
-        partial = bool(n_missing or n_corrupt or n_failed)
+        n_corrupt = int(np.count_nonzero(corrupt))  # missing tiles never are
+        partial = bool(n_missing or n_corrupt)
         coverage = reporting_area / batch.qcloud.size
 
-        # Root gather (line 11) + sort (line 13) + NNC (line 14) + rectangles.
-        gathered = comm.gather(per_rank, root=0)
-        assert gathered is not None
+        # Root gather (line 11: the ranks' summaries in rank order) + sort
+        # (line 13) + NNC (line 14) + rectangles.
+        gathered = [summary for mine in per_rank for summary in mine]
         qcloudinfo = sorted(gathered, key=lambda s: -s.qcloud)
-        clusters = nearest_neighbour_clustering(qcloudinfo, config.nnc)
-        rectangles = clusters_to_rectangles(clusters, config.min_roi_area)
+        clusters = nearest_neighbour_clustering(qcloudinfo)
+        rectangles = clusters_to_rectangles(clusters)
         if partial:
             get_recorder().emit(
                 "pda.partial",
                 missing=n_missing,
                 corrupt=n_corrupt,
-                failed_ranks=n_failed,
                 coverage=round(coverage, 6),
             )
         result = PDAResult(
@@ -341,7 +313,6 @@ def parallel_data_analysis(
             partial=partial,
             n_files_missing=n_missing,
             n_files_corrupt=n_corrupt,
-            n_ranks_failed=n_failed,
             coverage=coverage,
             low_olr_fraction=low_olr,
         )

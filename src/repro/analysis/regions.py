@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.analysis.records import SubdomainSummary
 from repro.grid.rect import Rect
-from repro.util.validation import check_non_negative
 
 __all__ = ["cluster_bounding_rect", "clusters_to_rectangles"]
 
@@ -24,16 +23,10 @@ def cluster_bounding_rect(cluster: list[SubdomainSummary]) -> Rect:
     return rect
 
 
-def clusters_to_rectangles(
-    clusters: list[list[SubdomainSummary]],
-    min_area: int = 0,
-) -> list[Rect]:
-    """Region-of-interest rectangles for all clusters.
+def clusters_to_rectangles(clusters: list[list[SubdomainSummary]]) -> list[Rect]:
+    """Region-of-interest rectangles for all non-empty clusters.
 
-    ``min_area`` (parent grid points) drops degenerate single-subdomain
-    specks not worth a nest; 0 keeps everything, as the paper does — its
-    thresholds already filtered weak subdomains.
+    Every cluster yields a rectangle, as in the paper: its thresholds
+    already filtered weak subdomains.
     """
-    check_non_negative("min_area", min_area)
-    rects = [cluster_bounding_rect(c) for c in clusters if c]
-    return [r for r in rects if r.area >= min_area]
+    return [cluster_bounding_rect(c) for c in clusters if c]

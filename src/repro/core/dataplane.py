@@ -29,7 +29,6 @@ executable.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -394,9 +393,9 @@ def gather_nest(store: RankStore, nest_id: int, nx: int, ny: int) -> np.ndarray:
 class TransientRedistributionError(RuntimeError):
     """One redistribution round failed in a retryable way.
 
-    Raised by a round-time callback (usually a fault injector) to model a
-    lost or interrupted alltoallv round; the self-healing executor treats
-    it exactly like a timeout and retries with backoff.
+    Raised by a round-fault callback (usually a fault injector) to model a
+    lost or interrupted alltoallv round; the self-healing executor retries
+    the round with backoff.
     """
 
 
@@ -484,17 +483,15 @@ def execute_redistribution_with_retry(
     new: Allocation,
     *,
     policy: BackoffPolicy | None = None,
-    timeout: float = math.inf,
-    round_time: Callable[[int], float] | None = None,
+    round_fault: Callable[[int], None] | None = None,
     seed: int = 0,
     ledger: CommLedger | None = None,
 ) -> RetryOutcome:
-    """Execute one planned move with per-round timeout and backoff.
+    """Execute one planned move, retrying failed rounds with backoff.
 
-    ``round_time(attempt)`` returns the simulated duration of try number
-    ``attempt`` (0-based); a return above ``timeout`` — or a raised
-    :class:`TransientRedistributionError` — fails that try, which is
-    retried after a seeded-jitter backoff delay (see :class:`BackoffPolicy`)
+    ``round_fault(attempt)`` runs before try number ``attempt`` (0-based);
+    a :class:`TransientRedistributionError` it raises fails that try,
+    which is retried after a seeded-jitter backoff delay (see :class:`BackoffPolicy`)
     until ``policy.max_attempts`` is exhausted, at which point
     :class:`RedistributionAbortedError` is raised with the store untouched.
     The data movement itself is applied exactly once, on the winning try
@@ -504,8 +501,6 @@ def execute_redistribution_with_retry(
     when a ``ledger`` is given, those bytes are attributed to their
     senders via :meth:`CommLedger.add_retry`.
     """
-    if timeout <= 0:
-        raise ValueError(f"timeout must be > 0, got {timeout}")
     policy = policy or BackoffPolicy()
     nest_id, messages = move.nest_id, move.messages
     rng = make_rng((seed * 1_000_003 + nest_id) % 2**63)
@@ -528,22 +523,14 @@ def execute_redistribution_with_retry(
                     backoff=round(backoff, 6),
                 )
             try:
-                duration = round_time(attempt) if round_time is not None else 0.0
+                if round_fault is not None:
+                    round_fault(attempt)
             except TransientRedistributionError as exc:
                 flight.emit(
                     "redist.round_failed",
                     nest=nest_id,
                     attempt=attempt,
                     reason=str(exc),
-                )
-                continue
-            if duration > timeout:
-                flight.emit(
-                    "redist.round_timeout",
-                    nest=nest_id,
-                    attempt=attempt,
-                    duration=round(duration, 6),
-                    timeout=round(timeout, 6),
                 )
                 continue
             execute_redistribution(store, move, old, new)

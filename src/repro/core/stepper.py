@@ -82,13 +82,14 @@ class AdaptationStepper:
         self,
         nests: dict[int, tuple[int, int]],
         payload: Callable[[int, int, int], np.ndarray] | None = None,
-        round_time: Callable[[int], float] | None = None,
+        round_fault: Callable[[int], None] | None = None,
     ) -> PointResult:
         """Run one point over ``nests`` (``{nest_id: (nx, ny)}``).
 
         With a store, ``payload(nest_id, nx, ny)`` supplies the field of
-        each created or regridded nest.  ``round_time`` is the retry
-        executor's per-try duration callback.
+        each created or regridded nest.  ``round_fault`` is the retry
+        executor's per-try fault hook: it fails a try by raising
+        :class:`~repro.core.dataplane.TransientRedistributionError`.
         """
         realloc, store = self.realloc, self.store
         if store is not None and payload is None:
@@ -122,7 +123,7 @@ class AdaptationStepper:
                                 old,
                                 new,
                                 policy=self.retry,
-                                round_time=round_time,
+                                round_fault=round_fault,
                                 seed=self.seed,
                                 ledger=self.ledger,
                             )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering, simple_two_hop_clustering
-from repro.analysis.pda import PDAConfig, parallel_data_analysis
+from repro.analysis.pda import parallel_data_analysis
 from repro.analysis.regions import cluster_bounding_rect
 from repro.core.allocation import Allocation
 from repro.core.metrics import StepMetrics, summarize_improvement
@@ -285,9 +285,7 @@ def fig9_report(
     for t in range(n_run):
         model.step()
         files = model.write_split_files()
-        pda = parallel_data_analysis(
-            files, scenario.config.sim_grid, n_analysis, PDAConfig()
-        )
+        pda = parallel_data_analysis(files, scenario.config.sim_grid, n_analysis)
         simple = simple_two_hop_clustering(pda.summaries, NNCConfig())
         full = nearest_neighbour_clustering(pda.summaries, NNCConfig())
         sp, fp = _overlapping_pairs(simple), _overlapping_pairs(full)
@@ -544,7 +542,7 @@ def _mean_abs_rel_error(pairs: Iterable[tuple[float, float]]) -> float:
 
 
 def accuracy_report(
-    runs: Sequence[RunResult], title: str = "adaptation audit trail"
+    runs: Sequence[RunResult], title: str = "per-point metrics"
 ) -> str:
     """§V-F accuracy table over runs' own per-point metrics.
 

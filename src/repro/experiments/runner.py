@@ -40,33 +40,33 @@ __all__ = [
 ]
 
 
+#: seed of the profiling runs behind every context's predictor
+PROFILE_SEED = 1234
+
+
 @dataclass
 class ExperimentContext:
     """Shared fixtures of one experiment: machine, oracle, predictor, cost.
 
-    Telemetry goes to the ambient recorder (:func:`~repro.obs.get_recorder`);
-    scope one with :func:`~repro.obs.use_recorder` around the run.
-    ``ledger`` opts into per-rank traffic accounting of every executed
-    redistribution.
+    The oracle, the machine's cost model and a predictor profiled with
+    :data:`PROFILE_SEED` are built from ``machine``.  Telemetry goes to
+    the ambient recorder (:func:`~repro.obs.get_recorder`); scope one with
+    :func:`~repro.obs.use_recorder` around the run.  ``ledger`` opts into
+    per-rank traffic accounting of every executed redistribution.
     """
 
     machine: MachineSpec
-    oracle: ExecutionOracle = field(default_factory=ExecutionOracle)
-    cost: CostModel | None = None
-    predictor: ExecTimePredictor | None = None
-    profile_seed: int = 1234
     ledger: CommLedger | None = None
+    oracle: ExecutionOracle = field(init=False)
+    cost: CostModel = field(init=False)
+    predictor: ExecTimePredictor = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.cost is None:
-            self.cost = CostModel.for_machine(self.machine)
-        if self.predictor is None:
-            self.predictor = ExecTimePredictor(
-                ProfileTable(self.oracle, seed=self.profile_seed)
-            )
+        self.oracle = ExecutionOracle()
+        self.cost = CostModel.for_machine(self.machine)
+        self.predictor = ExecTimePredictor(ProfileTable(self.oracle, seed=PROFILE_SEED))
 
     def make_dynamic_strategy(self) -> DynamicStrategy:
-        assert self.predictor is not None and self.cost is not None
         return DynamicStrategy(self.machine, self.cost, self.predictor)
 
 
@@ -131,7 +131,6 @@ class WorkloadStepper:
         context: ExperimentContext,
         exec_noise_seed: int = 99,
     ) -> None:
-        assert context.predictor is not None and context.cost is not None
         self.workload = workload
         self.strategy = strategy
         self.context = context
@@ -163,7 +162,6 @@ class WorkloadStepper:
                 f"{self.workload.n_steps} steps"
             )
         context, strategy = self.context, self.strategy
-        assert context.predictor is not None
         i = self.next_step
         nests = self.workload.steps[i]
         recorder = get_recorder()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.pda import PDAConfig
 from repro.util.rng import make_rng
 from repro.wrf.model import DomainConfig, WrfLikeModel
 from repro.wrf.nests import NestTracker, detect_nests
@@ -106,8 +105,6 @@ def mumbai_trace_workload(
     n_steps: int = 100,
     config: DomainConfig | None = None,
     n_analysis: int = 64,
-    pda_config: PDAConfig | None = None,
-    max_nests: int = 7,
     roi_side_range: tuple[int, int] = (58, 120),
 ) -> Workload:
     """The real-like trace: run the full detection pipeline end to end.
@@ -127,9 +124,7 @@ def mumbai_trace_workload(
     roi_counts: list[int] = []
     for _ in range(n_steps):
         model.step()
-        found = detect_nests(
-            model, tracker, n_analysis, pda_config, max_nests, roi_side_range
-        )
+        found = detect_nests(model, tracker, n_analysis, roi_side_range)
         roi_counts.append(len(found.rois))
         steps.append(found.nests)
     # Keep only non-empty steps: the paper's runs always had an active region
@@ -151,8 +146,6 @@ def dynamical_trace_workload(
     n_steps: int = 60,
     config: DomainConfig | None = None,
     n_analysis: int = 64,
-    pda_config: PDAConfig | None = None,
-    max_nests: int = 7,
     roi_side_range: tuple[int, int] = (58, 120),
     spinup: int = 8,
 ) -> Workload:
@@ -176,9 +169,7 @@ def dynamical_trace_workload(
     steps: list[StepConfig] = []
     for _ in range(n_steps):
         model.step()
-        found = detect_nests(
-            model, tracker, n_analysis, pda_config, max_nests, roi_side_range
-        )
+        found = detect_nests(model, tracker, n_analysis, roi_side_range)
         steps.append(found.nests)
     non_empty = [s for s in steps if s]
     if not non_empty:

@@ -386,7 +386,6 @@ async def _run_fleet(
         max_step_retries=_MAX_STEP_RETRIES,
         backoff_scale=_BACKOFF_SCALE,
         health_window=8,
-        supervised=True,
         shed_when_degraded=True,
     )
     scheduler = SessionScheduler(store, sched_config)

@@ -1,12 +1,10 @@
 """Applies the machine layer of a :class:`~repro.faults.plan.FaultPlan`.
 
 The injector is the single choke point between a declarative plan and the
-hooks scattered through the pipeline: crashed ranks feed the
-:class:`~repro.faults.recovery.HealthView` (and a
-:class:`~repro.mpisim.comm.SimComm` when one is attached), link and
-straggler faults program the
-:class:`~repro.mpisim.netsim.NetworkSimulator`, and split-file faults
-damage the PDA inputs.  Every applied fault emits a ``fault.inject``
+hooks scattered through the pipeline: crashed simulation ranks feed the
+:class:`~repro.faults.recovery.HealthView`, link and straggler faults
+program the :class:`~repro.mpisim.netsim.NetworkSimulator`, and split-file
+faults damage the PDA inputs.  Every applied fault emits a ``fault.inject``
 flight event, so a soak run's log reads as a causal chain:
 injection → detection → degraded reallocation → recovered redistribution.
 """
@@ -26,7 +24,6 @@ from repro.faults.plan import (
     RankStraggler,
     SplitFileFault,
 )
-from repro.mpisim.comm import SimComm
 from repro.mpisim.netsim import NetworkSimulator
 from repro.obs import get_recorder
 
@@ -40,11 +37,9 @@ class FaultInjector:
         self,
         plan: FaultPlan,
         simulator: NetworkSimulator | None = None,
-        comm: SimComm | None = None,
     ) -> None:
         self.plan = plan
         self.simulator = simulator
-        self.comm = comm
         self._crashed: set[int] = set()
         self._applied: list[MachineFault] = []
 
@@ -70,8 +65,6 @@ class FaultInjector:
         for fault in self.plan.at_step(step):
             if isinstance(fault, RankCrash):
                 self._crashed.add(fault.rank)
-                if self.comm is not None:
-                    self.comm.fail_rank(fault.rank)
                 flight.emit(
                     "fault.inject", step=step, fault="rank_crash", rank=fault.rank
                 )

@@ -392,19 +392,16 @@ class FaultPlan:
         n_link_faults: int = 0,
         n_stragglers: int = 0,
         n_file_faults: int = 0,
-        first_step: int = 1,
     ) -> "FaultPlan":
         """A deterministic random machine-layer plan (the soak suites').
 
         Crashed ranks are drawn without replacement and never include rank
         0 (the root of gathers, whose loss is out of the fail-stop model's
-        scope); fault steps land in ``[first_step, n_steps)`` so the first
+        scope); fault steps land in ``[1, n_steps)`` so the first
         allocation always exists before anything breaks.
         """
-        if n_steps <= first_step:
-            raise ValueError(
-                f"need n_steps > first_step, got {n_steps} <= {first_step}"
-            )
+        if n_steps <= 1:
+            raise ValueError(f"need n_steps > 1, got {n_steps}")
         if n_crashes >= nranks:
             raise ValueError(
                 f"cannot crash {n_crashes} of {nranks} ranks"
@@ -413,7 +410,7 @@ class FaultPlan:
         faults: list[FaultSpec] = []
 
         def step() -> int:
-            return int(rng.integers(first_step, n_steps))
+            return int(rng.integers(1, n_steps))
 
         crash_ranks = rng.choice(nranks - 1, size=n_crashes, replace=False) + 1
         for rank in sorted(int(r) for r in crash_ranks):

@@ -3,9 +3,9 @@
 Three pieces:
 
 * :class:`HealthView` — a deterministic heartbeat table over the simulated
-  ranks.  Ranks beat once per adaptation point; a rank silent for more
-  than ``grace`` consecutive points is declared dead.  (Fail-stop model:
-  a declared rank never comes back.)
+  ranks.  Ranks beat once per adaptation point; a rank silent at a point
+  is declared dead at that point.  (Fail-stop model: a declared rank
+  never comes back.)
 * :func:`plan_shrink` — the ReSHAPE-style planned shrink: every grid *row*
   containing a dead rank is vacated, because dropping whole rows is the
   only shrink that keeps the survivors a rectangular ``Px x Py'`` grid —
@@ -68,14 +68,10 @@ class HealthView:
     a function of which ``beat`` calls were made.
     """
 
-    def __init__(self, nranks: int, grace: int = 0) -> None:
+    def __init__(self, nranks: int) -> None:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
-        if grace < 0:
-            raise ValueError(f"grace must be >= 0, got {grace}")
         self.nranks = nranks
-        #: extra silent steps tolerated before a rank is declared dead
-        self.grace = grace
         #: last step each rank was heard from (-1 = never)
         self.last_beat = [-1] * nranks
         self._dead: set[int] = set()
@@ -94,15 +90,14 @@ class HealthView:
                 self.beat(rank, step)
 
     def suspects(self, step: int) -> list[int]:
-        """Ranks silent for more than ``grace`` steps as of ``step`` (sorted).
+        """Ranks not heard from at ``step`` (sorted).
 
         Already-declared ranks are not re-reported.
         """
         return [
             rank
             for rank in range(self.nranks)
-            if rank not in self._dead
-            and step - self.last_beat[rank] > self.grace
+            if rank not in self._dead and self.last_beat[rank] < step
         ]
 
     def declare_dead(self, rank: int) -> None:
@@ -188,7 +183,6 @@ class RecoveryResult:
     dropped_nests: tuple[int, ...]  # unrecoverable, excised from the tree
     restored_from_checkpoint: tuple[int, ...]
     store: RankStore | None  # rebuilt data plane (None when none was given)
-    invariants_ok: bool
 
 
 def _retained_weights(allocation: Allocation, retained: list[int]) -> dict[int, float]:
@@ -313,6 +307,7 @@ def recover_from_rank_failure(
         new_tree = None
     new_alloc = Allocation.from_tree(new_tree, new_grid, weights=weights)
 
+    # a recovery that breaks tiling raises, after recording ok=0
     invariants_ok = True
     try:
         check_tiling(new_alloc)
@@ -377,5 +372,4 @@ def recover_from_rank_failure(
         dropped_nests=tuple(dropped),
         restored_from_checkpoint=tuple(restored),
         store=new_store,
-        invariants_ok=invariants_ok,
     )

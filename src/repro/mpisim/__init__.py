@@ -15,9 +15,7 @@ the same observable quantities:
 * :mod:`repro.mpisim.ledger` — a per-rank communication ledger (bytes
   sent/received, hop-bytes, busiest-link share per rank pair) with
   Gini/max-mean skew digests for diagnosing transfer imbalance;
-* :mod:`repro.mpisim.costmodel` — latency/bandwidth parameters per machine;
-* :mod:`repro.mpisim.comm` — a tiny SPMD harness used to run the parallel
-  data analysis (Algorithm 1) as N simulated analysis processes.
+* :mod:`repro.mpisim.costmodel` — latency/bandwidth parameters per machine.
 """
 
 from repro.mpisim.costmodel import CostModel
@@ -43,7 +41,6 @@ from repro.mpisim.collectives import (
     scheduled_time,
 )
 from repro.mpisim.halo import halo_messages
-from repro.mpisim.comm import SimComm
 
 __all__ = [
     "CostModel",
@@ -64,5 +61,4 @@ __all__ = [
     "schedule_pairwise",
     "scheduled_time",
     "halo_messages",
-    "SimComm",
 ]

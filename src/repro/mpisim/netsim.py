@@ -451,7 +451,7 @@ class NetworkSimulator:
 
     # ------------------------------------------------------------------
 
-    def flow_time(self, messages: MessageSet, max_epochs: int | None = None) -> float:
+    def flow_time(self, messages: MessageSet) -> float:
         """Max-min-fair flow simulation of the full message set.
 
         Progressive filling: in each epoch flow rates are the max-min fair
@@ -464,17 +464,15 @@ class NetworkSimulator:
             return 0.0
         with get_recorder().span("netsim.flow", n_messages=nflows):
             incidence = self._flow_incidence_vector(messages)
-            wire = self._drain_time(messages, incidence, max_epochs)
+            wire = self._drain_time(messages, incidence)
             return wire + self._endpoint_overhead_vector(messages)
 
-    def _flow_time_reference(
-        self, messages: MessageSet, max_epochs: int | None = None
-    ) -> float:
+    def _flow_time_reference(self, messages: MessageSet) -> float:
         """Scalar oracle of :meth:`flow_time` (per-message route walks)."""
         if len(messages) == 0:
             return 0.0
         incidence = self._flow_incidence_reference(messages)
-        wire = self._drain_time(messages, incidence, max_epochs)
+        wire = self._drain_time(messages, incidence)
         return wire + self._endpoint_overhead_reference(messages)
 
     def _flow_incidence_vector(
@@ -520,9 +518,12 @@ class NetworkSimulator:
         self,
         messages: MessageSet,
         incidence: tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        max_epochs: int | None,
     ) -> float:
-        """Progressive-filling wire phase over a precomputed incidence."""
+        """Progressive-filling wire phase over a precomputed incidence.
+
+        Each epoch finishes at least one flow, so ``2 * flows + 8`` epochs
+        bound a converging fill; past that it raises ``RuntimeError``.
+        """
         nflows = len(messages)
         nlinks, link_ids, finc, linc, active = incidence
         remaining = messages.nbytes.astype(np.float64).copy()
@@ -537,7 +538,7 @@ class NetworkSimulator:
                     bw[idx] *= factor
         t = 0.0
         epochs = 0
-        limit = max_epochs if max_epochs is not None else 2 * nflows + 8
+        limit = 2 * nflows + 8
         while active.any():
             epochs += 1
             if epochs > limit:

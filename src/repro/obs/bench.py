@@ -287,26 +287,23 @@ def _setup_wrf_payload(quick: bool) -> Callable[[], object]:
 
 
 def _setup_pda(quick: bool) -> Callable[[], object]:
-    from repro.analysis import PDAConfig, parallel_data_analysis
+    from repro.analysis import parallel_data_analysis
 
     batch, sim_grid, n_analysis = _pda_fixture(quick)
-    config = PDAConfig()
 
     def run() -> object:
-        return parallel_data_analysis(batch, sim_grid, n_analysis, config)
+        return parallel_data_analysis(batch, sim_grid, n_analysis)
 
     return run
 
 
 def _setup_pda_aggregate(quick: bool) -> Callable[[], object]:
-    from repro.analysis import PDAConfig
-    from repro.analysis.pda import aggregate_summaries
+    from repro.analysis.pda import OLR_THRESHOLD, aggregate_summaries
 
     batch, _sim_grid, _n_analysis = _pda_fixture(quick)
-    threshold = PDAConfig().olr_threshold
 
     def run() -> object:
-        return aggregate_summaries(batch, threshold)
+        return aggregate_summaries(batch, OLR_THRESHOLD)
 
     return run
 
@@ -762,7 +759,6 @@ def _scale_step_setup(
         from repro.topology import MACHINES
 
         ctx = ExperimentContext(MACHINES[machine_name])
-        assert ctx.predictor is not None
         realloc = ProcessorReallocator(ctx.machine, make_strategy(ctx), ctx.predictor, ctx.cost)
         batches = schedule()
         for nests in next(batches):

@@ -14,7 +14,8 @@ The relative threshold absorbs scheduler jitter on slow phases; the
 absolute floor stops microsecond-scale phases (e.g. ``tree.scratch``)
 from tripping the gate on pure timer noise.  Comparisons are refused
 outright (exit code 2) when the two documents are not like-for-like:
-different quick/full mode, machine preset, or an unknown schema.
+different quick/full mode, machine preset, repeat count, or an unknown
+schema.
 
 The whole module is pure functions over plain dicts, so the regression
 gate is testable with injected timings — no sleeps, no real benchmarks.
@@ -146,7 +147,8 @@ def compare_bench(
     :func:`~repro.obs.bench.write_baseline`).  The like-for-like header
     check refuses to compare across quick/full modes or machine presets —
     those are different workloads, and a "regression" between them is
-    meaningless.
+    meaningless — and across repeat counts, whose medians spread
+    differently.
     """
     if threshold < 1.0:
         raise ValueError(f"threshold must be >= 1.0, got {threshold}")
@@ -164,6 +166,12 @@ def compare_bench(
     if base_machine is not None and cur_machine is not None and base_machine != cur_machine:
         mismatches.append(
             f"machine preset differs: baseline={base_machine!r} current={cur_machine!r}"
+        )
+    base_repeats = baseline.get("repeats")
+    cur_repeats = current.get("repeats")
+    if base_repeats is not None and cur_repeats is not None and base_repeats != cur_repeats:
+        mismatches.append(
+            f"repeat count differs: baseline={base_repeats} current={cur_repeats}"
         )
 
     base_phases = baseline["phases"]

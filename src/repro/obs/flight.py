@@ -77,7 +77,7 @@ T = TypeVar("T")
 
 
 def read_lenient_jsonl(
-    path: str | Path, parse: Callable[[str, int], T], strict: bool = False
+    path: str | Path, parse: Callable[[str, int], T]
 ) -> tuple[list[tuple[int, T]], list[str]]:
     """Parse every non-blank line of a JSONL file with ``parse(line, lineno)``.
 
@@ -86,7 +86,7 @@ def read_lenient_jsonl(
     skipped, and their messages come back beside the ``(lineno, value)``
     of every good line.  An unparseable line that a good one follows is
     corruption, not truncation, and raises ``ValueError`` (``"…
-    (mid-file corruption)"``); with ``strict`` every bad line raises.
+    (mid-file corruption)"``).
     """
     good: list[tuple[int, T]] = []
     pending: list[str] = []  # bad lines no good line has followed yet
@@ -98,8 +98,6 @@ def read_lenient_jsonl(
             try:
                 value = parse(line, lineno)
             except ValueError as exc:
-                if strict:
-                    raise
                 pending.append(str(exc))
                 continue
             if pending:
@@ -120,18 +118,17 @@ def parse_flight_line(line: str, lineno: int) -> FlightEvent:
     return _event_from_dict(payload, lineno)
 
 
-def load_flight_jsonl(path: str | Path, strict: bool = False) -> FlightLog:
+def load_flight_jsonl(path: str | Path) -> FlightLog:
     """Load an exported flight log back into :class:`FlightEvent` objects.
 
     A run that crashed mid-write leaves a truncated final line (or several,
-    with buffered writers); by default those *trailing* unparseable lines
-    are skipped and counted in the returned log's ``skipped_lines`` so the
-    record stays replayable — exactly when a flight log matters most.  An
-    unparseable line *followed by a valid one* is real corruption, not
-    truncation, and always raises; ``strict=True`` restores raising on any
-    bad line.
+    with buffered writers); those *trailing* unparseable lines are skipped
+    and counted in the returned log's ``skipped_lines`` so the record stays
+    replayable — exactly when a flight log matters most.  An unparseable
+    line *followed by a valid one* is real corruption, not truncation, and
+    raises.
     """
-    events, skipped = read_lenient_jsonl(path, parse_flight_line, strict=strict)
+    events, skipped = read_lenient_jsonl(path, parse_flight_line)
     return FlightLog((event for _, event in events), skipped_lines=len(skipped))
 
 

@@ -98,7 +98,6 @@ KNOWN_EVENT_KINDS = frozenset(
         "redist.round",
         "redist.retry",
         "redist.round_failed",
-        "redist.round_timeout",
         "redist.recovered",
         "redist.aborted",
         "dynamic.choice",

@@ -8,7 +8,7 @@ sanitizer (:func:`repro.faults.soak.run_soak` and
 ``REPRO_SANITIZE=1`` arms the same checkpoints in any other run.
 """
 
-from repro.sanitize.checks import SanitizeError, Sanitizer, SanitizeViolation
+from repro.sanitize.checks import Sanitizer, SanitizeViolation
 from repro.sanitize.hooks import (
     NULL_SANITIZER,
     SanitizerHook,
@@ -18,7 +18,6 @@ from repro.sanitize.hooks import (
 )
 
 __all__ = [
-    "SanitizeError",
     "SanitizeViolation",
     "Sanitizer",
     "SanitizerHook",

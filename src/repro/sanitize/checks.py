@@ -25,8 +25,8 @@ adaptation-point hooks defined by
   hop-bytes over the links.
 
 Violations are appended to :attr:`Sanitizer.violations` and emitted to
-the ambient flight recorder as ``sanitizer.violation`` events; with
-``strict=True`` the first violation raises :class:`SanitizeError`.
+the ambient flight recorder as ``sanitizer.violation`` events; a run
+reads its verdict from them, and no check raises.
 
 This module deliberately imports only numpy, the flight recorder, the
 hook base and the hop-bytes metric — never ``repro.core`` — so the core
@@ -45,13 +45,9 @@ from repro.mpisim.alltoallv import hop_bytes
 from repro.obs.recorder import get_recorder
 from repro.sanitize.hooks import SanitizerHook
 
-__all__ = ["SanitizeError", "SanitizeViolation", "Sanitizer"]
+__all__ = ["SanitizeViolation", "Sanitizer"]
 
 _REL_TOL = 1e-9
-
-
-class SanitizeError(AssertionError):
-    """Raised (in strict mode) when a conservation checkpoint fails."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +66,7 @@ class Sanitizer(SanitizerHook):
 
     enabled = True
 
-    def __init__(self, strict: bool = False) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self.violations: list[SanitizeViolation] = []
         self.checks_run: dict[str, int] = {}
 
@@ -93,8 +88,6 @@ class Sanitizer(SanitizerHook):
         get_recorder().emit(
             "sanitizer.violation", check=check, detail=message[:200]
         )
-        if self.strict:
-            raise SanitizeError(str(violation))
 
     # -- checkpoints -------------------------------------------------------
 
@@ -267,9 +260,7 @@ class Sanitizer(SanitizerHook):
                 "pda.coverage",
                 f"low_olr_fraction {result.low_olr_fraction} outside [0, 1]",
             )
-        losses = (
-            result.n_files_missing + result.n_files_corrupt + result.n_ranks_failed
-        )
+        losses = result.n_files_missing + result.n_files_corrupt
         if result.partial != bool(losses):
             self._violate(
                 "pda.coverage",

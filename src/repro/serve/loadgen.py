@@ -46,6 +46,10 @@ LOADGEN_SPAN = "loadgen.run"
 
 #: how often the HTTP modes poll for completion (seconds)
 _POLL_INTERVAL = 0.05
+#: give up polling an external server after this many seconds
+_POLL_TIMEOUT = 300.0
+#: every Nth session of a campaign rides the priority lane
+_PRIORITY_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -59,28 +63,20 @@ class LoadgenConfig:
     workload: str = "synthetic"
     machine: str = "bgl-256"
     strategy: str = "diffusion"
-    priority_every: int = 4  # every Nth session rides the priority lane (0=never)
     via_http: bool = False
     url: str = ""  # "host:port" of an external server ("" = in-process)
-    poll_timeout: float = 300.0  # give up polling an external server after this
 
     def __post_init__(self) -> None:
         if self.sessions < 1:
             raise ValueError(f"sessions must be >= 1, got {self.sessions}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.priority_every < 0:
-            raise ValueError(
-                f"priority_every must be >= 0, got {self.priority_every}"
-            )
 
     def specs(self) -> list[ScenarioSpec]:
         """The seeded fleet: one spec per session, all derived from ``seed``."""
         out = []
         for i in range(self.sessions):
-            priority = (
-                1 if self.priority_every and i % self.priority_every == 0 else 0
-            )
+            priority = 1 if i % _PRIORITY_EVERY == 0 else 0
             out.append(
                 ScenarioSpec(
                     workload=self.workload,
@@ -128,11 +124,9 @@ class LoadgenResult:
         return out
 
 
-def run_loadgen(
-    config: LoadgenConfig, scheduler_config: SchedulerConfig | None = None
-) -> LoadgenResult:
+def run_loadgen(config: LoadgenConfig) -> LoadgenResult:
     """Run one campaign to completion and aggregate the numbers."""
-    sched_cfg = scheduler_config or SchedulerConfig(workers=config.workers)
+    sched_cfg = SchedulerConfig(workers=config.workers)
     timer = FlightRecorder(capacity=2)
     if config.url:
         host, port = _parse_hostport(config.url)
@@ -227,7 +221,7 @@ async def _poll_until_done(
     config: LoadgenConfig, host: str, port: int
 ) -> list[dict[str, object]]:
     """Poll /sessions until every session is terminal; returns snapshots."""
-    polls_left = max(1, int(config.poll_timeout / _POLL_INTERVAL))
+    polls_left = max(1, int(_POLL_TIMEOUT / _POLL_INTERVAL))
     while True:
         status, body = await http_json(host, port, "GET", "/sessions")
         if status != 200:
@@ -239,7 +233,7 @@ async def _poll_until_done(
         polls_left -= 1
         if polls_left <= 0:
             raise TimeoutError(
-                f"sessions still running after {config.poll_timeout}s"
+                f"sessions still running after {_POLL_TIMEOUT}s"
             )
         await asyncio.sleep(_POLL_INTERVAL)
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
 
 from repro.core.dataplane import BackoffPolicy
@@ -65,6 +65,12 @@ log = get_logger("serve.scheduler")
 _PRIORITY_LANE = 0
 _DEFAULT_LANE = 1
 
+#: the step-retry and worker-restart backoff (simulated seconds, scaled by
+#: ``SchedulerConfig.backoff_scale`` into real pauses)
+_BACKOFF = BackoffPolicy()
+#: jitter stream of the step-retry backoff; restarts draw from the next seed
+_BACKOFF_SEED = 424242
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -74,10 +80,7 @@ class SchedulerConfig:
     step_timeout: float = 30.0  # real seconds one adaptation point may take
     max_step_retries: int = 2  # timeout retries before the session fails
     backoff_scale: float = 0.01  # simulated backoff seconds -> real sleep seconds
-    backoff_seed: int = 424242  # jitter stream of the retry backoff
     health_window: int = 16  # step outcomes the liveness window remembers
-    backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
-    supervised: bool = True  # restart crashed workers
     max_worker_restarts: int = 32  # supervisor gives up past this (crash loop)
     admission_high_water: int = 256  # queue depth beyond which intake sheds
     #: also shed while the liveness window holds a failure.  Off by
@@ -181,10 +184,10 @@ class SessionScheduler:
         #: worker index -> session id it was advancing when cancelled; the
         #: supervisor pops each entry exactly once when it restarts the worker
         self._interrupted: dict[int, str] = {}
-        self._backoff_rng = make_rng(self.config.backoff_seed)
+        self._backoff_rng = make_rng(_BACKOFF_SEED)
         # the supervisor jitters restart pauses from its own stream so a
         # chaos campaign's timeline never shifts the step-retry jitter
-        self._restart_rng = make_rng(self.config.backoff_seed + 1)
+        self._restart_rng = make_rng(_BACKOFF_SEED + 1)
         self.steps_run = 0
         self.step_timeouts = 0
         self.worker_restarts = 0
@@ -228,10 +231,9 @@ class SessionScheduler:
             return
         self._stopping = False
         self._workers = [self._spawn_worker(i) for i in range(self.config.workers)]
-        if self.config.supervised:
-            self._supervisor = asyncio.create_task(
-                self._supervise(), name="serve-supervisor"
-            )
+        self._supervisor = asyncio.create_task(
+            self._supervise(), name="serve-supervisor"
+        )
 
     def _spawn_worker(self, index: int) -> asyncio.Task[None]:
         return asyncio.create_task(self._worker(index), name=f"serve-worker-{index}")
@@ -322,10 +324,7 @@ class SessionScheduler:
                     abandoned.add(index)
                     continue
                 self.worker_restarts += 1
-                pause = (
-                    self.config.backoff.delay(1, self._restart_rng)
-                    * self.config.backoff_scale
-                )
+                pause = _BACKOFF.delay(1, self._restart_rng) * self.config.backoff_scale
                 log.warning(
                     "worker %s died (%r); restarting after %.3fs",
                     task.get_name(),
@@ -452,8 +451,7 @@ class SessionScheduler:
                 # orphaned step still holds the session lock, so the retry
                 # serialises behind it
                 pause = (
-                    self.config.backoff.delay(retries, self._backoff_rng)
-                    * self.config.backoff_scale
+                    _BACKOFF.delay(retries, self._backoff_rng) * self.config.backoff_scale
                 )
                 log.warning(
                     "session %s: step timed out (retry %d after %.3fs)",

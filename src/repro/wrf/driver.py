@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.pda import PDAConfig
 from repro.core.dataplane import RankStore
 from repro.core.diffusion import DiffusionStrategy
 from repro.core.reallocator import ProcessorReallocator, StepResult
@@ -72,8 +71,6 @@ class CoupledSimulation:
         strategy: ReallocationStrategy | None = None,
         predictor: ExecTimePredictor | None = None,
         n_analysis: int = 64,
-        pda_config: PDAConfig | None = None,
-        max_nests: int = 7,
         roi_side_range: tuple[int, int] = (58, 120),
         verify_data: bool = True,
     ) -> None:
@@ -92,8 +89,6 @@ class CoupledSimulation:
             CostModel.for_machine(self.machine),
         )
         self.n_analysis = n_analysis
-        self.pda_config = pda_config or PDAConfig()
-        self.max_nests = max_nests
         self.roi_side_range = roi_side_range
         self.store = RankStore(self.machine.ncores)
         self.stepper = AdaptationStepper(self.reallocator, store=self.store, verify=verify_data)
@@ -116,12 +111,7 @@ class CoupledSimulation:
             self.step_count += 1
             with recorder.span("driver.detect"):
                 found = detect_nests(
-                    self.model,
-                    self.tracker,
-                    self.n_analysis,
-                    self.pda_config,
-                    self.max_nests,
-                    self.roi_side_range,
+                    self.model, self.tracker, self.n_analysis, self.roi_side_range
                 )
             point = self.stepper.step(found.nests, self._payload)
         return CoupledStepResult(

@@ -5,14 +5,16 @@ region of interest.  The paper spawns nests on-the-fly when the parallel
 data analysis reports a new ROI, deletes nests whose ROI vanished, and
 *retains* a nest "output by PDA in the previous invocation as well as in
 the current invocation".  :class:`NestTracker` implements that identity
-matching: a new ROI that substantially overlaps a live nest's ROI is the
-same nest (greedy best-IoU matching), everything else is a birth or death.
+matching: a new ROI whose intersection-over-union with a live nest's ROI
+is at least :data:`IOU_THRESHOLD` is the same nest (greedy best-IoU
+matching), everything else is a birth or death.
 
 Initial nest data is interpolated from the parent fields
 (:meth:`Nest.interpolate_from_parent`), as WRF does when a nest spawns.
 
 :func:`detect_nests` is the detect half of an adaptation point: split
-files → parallel data analysis → the largest ROIs, clamped → tracking.
+files → parallel data analysis → the :data:`MAX_NESTS` largest ROIs,
+clamped → tracking.
 """
 
 from __future__ import annotations
@@ -21,11 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.pda import PDAConfig, parallel_data_analysis
+from repro.analysis.pda import parallel_data_analysis
 from repro.grid.rect import Rect
 from repro.wrf.model import WrfLikeModel
 
 __all__ = ["Nest", "NestTracker", "Detection", "detect_nests"]
+
+#: the least intersection-over-union at which a new ROI continues a live nest
+IOU_THRESHOLD = 0.15
+#: the most nests one adaptation point keeps (the Mumbai run had at most 7)
+MAX_NESTS = 7
 
 
 @dataclass(frozen=True)
@@ -148,49 +155,16 @@ class NestTracker:
     """Maintains nest identity across adaptation points.
 
     ``update(rois)`` matches the new ROIs against live nests (greedy, best
-    score first); matched nests are *retained* (their ROI updates to the
-    new rectangle), unmatched live nests are *deleted*, unmatched ROIs
-    become *new* nests with fresh ids.
-
-    Two matchers are available:
-
-    * ``"iou"`` (default) — match score is intersection-over-union of the
-      old and new rectangles; robust to growth/shrinkage.
-    * ``"centroid"`` — match score is 1/(1 + centre distance), accepted
-      when the centres are within half the old rectangle's diagonal;
-      tolerates fast-moving systems whose rectangles stop overlapping
-      between adaptation points.
+    intersection-over-union first, accepted at :data:`IOU_THRESHOLD` or
+    above, so a matched nest may grow or shrink); matched nests are
+    *retained* (their ROI updates to the new rectangle), unmatched live
+    nests are *deleted*, unmatched ROIs become *new* nests with fresh ids.
     """
 
-    def __init__(
-        self,
-        refinement: int = 3,
-        iou_threshold: float = 0.15,
-        matcher: str = "iou",
-    ) -> None:
-        if not 0 < iou_threshold <= 1:
-            raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-        if matcher not in ("iou", "centroid"):
-            raise ValueError(f"unknown matcher {matcher!r}")
+    def __init__(self, refinement: int = 3) -> None:
         self.refinement = refinement
-        self.iou_threshold = iou_threshold
-        self.matcher = matcher
         self.live: dict[int, Nest] = {}
         self._next_id = 1
-
-    def _match_score(self, nest: Nest, roi: Rect) -> float | None:
-        """Score of matching ``nest`` to ``roi``; None when unacceptable."""
-        if self.matcher == "iou":
-            iou = nest.roi.iou(roi)
-            return iou if iou >= self.iou_threshold else None
-        # centroid matcher
-        ox = nest.roi.x0 + nest.roi.w / 2
-        oy = nest.roi.y0 + nest.roi.h / 2
-        nx_ = roi.x0 + roi.w / 2
-        ny_ = roi.y0 + roi.h / 2
-        dist = float(np.hypot(ox - nx_, oy - ny_))
-        limit = 0.5 * float(np.hypot(nest.roi.w, nest.roi.h))
-        return 1.0 / (1.0 + dist) if dist <= limit else None
 
     def update(self, rois: list[Rect]) -> tuple[list[Nest], list[int], list[Nest]]:
         """Process one adaptation point.
@@ -202,9 +176,9 @@ class NestTracker:
         candidates = []
         for nest in self.live.values():
             for ri, roi in enumerate(rois):
-                score = self._match_score(nest, roi)
-                if score is not None:
-                    candidates.append((score, nest.nest_id, ri))
+                iou = nest.roi.iou(roi)
+                if iou >= IOU_THRESHOLD:
+                    candidates.append((iou, nest.nest_id, ri))
         candidates.sort(key=lambda t: -t[0])
         matched_nests: set[int] = set()
         matched_rois: set[int] = set()
@@ -264,20 +238,16 @@ def detect_nests(
     model: WrfLikeModel,
     tracker: NestTracker,
     n_analysis: int = 64,
-    pda_config: PDAConfig | None = None,
-    max_nests: int = 7,
     roi_side_range: tuple[int, int] = (58, 120),
 ) -> Detection:
-    """PDA over the model's split files; the ``max_nests`` largest ROIs,
+    """PDA over the model's split files; the :data:`MAX_NESTS` largest ROIs,
     clamped to ``roi_side_range`` parent points a side, update ``tracker``."""
     config = model.config
-    result = parallel_data_analysis(
-        model.write_split_files(), config.sim_grid, n_analysis, pda_config
-    )
+    result = parallel_data_analysis(model.write_split_files(), config.sim_grid, n_analysis)
     lo, hi = roi_side_range
     rois = [
         _clamp_roi(r, lo, hi, config.nx, config.ny)
-        for r in sorted(result.rectangles, key=lambda r: -r.area)[:max_nests]
+        for r in sorted(result.rectangles, key=lambda r: -r.area)[:MAX_NESTS]
     ]
     retained, deleted, spawned = tracker.update(rois)
     nests = {n.nest_id: (n.nx, n.ny) for n in tracker.live.values()}

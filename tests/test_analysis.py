@@ -21,7 +21,6 @@ from repro.analysis import (
 from repro.analysis.pda import _assign_files
 from repro.grid import ProcessorGrid, Rect
 from repro.grid.block import split_evenly
-from repro.mpisim import SimComm
 
 
 def make_summary(bx, by, qcloud=1.0, olr_fraction=0.5):
@@ -237,10 +236,12 @@ class TestRegions:
         with pytest.raises(ValueError):
             cluster_bounding_rect([])
 
-    def test_min_area_filter(self):
-        clusters = [[make_summary(0, 0)], [make_summary(5, 5), make_summary(6, 5)]]
-        rects = clusters_to_rectangles(clusters, min_area=150)
-        assert len(rects) == 1 and rects[0].w == 20
+    def test_every_cluster_keeps_its_rectangle(self):
+        clusters = [[make_summary(0, 0)], [], [make_summary(5, 5), make_summary(6, 5)]]
+        assert clusters_to_rectangles(clusters) == [
+            Rect(0, 0, 10, 10),
+            Rect(50, 50, 20, 10),
+        ]
 
 
 class TestPDA:
@@ -278,13 +279,6 @@ class TestPDA:
         rect_sets = [sorted(map(str, r.rectangles)) for r in results]
         assert all(rs == rect_sets[0] for rs in rect_sets)
 
-    def test_gather_stats_recorded(self):
-        grid = ProcessorGrid(4, 4)
-        comm = SimComm(4)
-        files = self._files(grid, {(0, 0)})
-        parallel_data_analysis(files, grid, 4, comm=comm)
-        assert comm.stats.gathers == 1
-
     def test_wrong_file_count(self):
         grid = ProcessorGrid(4, 4)
         with pytest.raises(ValueError):
@@ -298,12 +292,6 @@ class TestPDA:
         with pytest.raises(ValueError):
             parallel_data_analysis(files, grid, 17)
 
-    def test_comm_size_mismatch(self):
-        grid = ProcessorGrid(4, 4)
-        files = self._files(grid, set())
-        with pytest.raises(ValueError):
-            parallel_data_analysis(files, grid, 4, comm=SimComm(2))
-
     def test_summaries_sorted(self):
         grid = ProcessorGrid(4, 4)
         files = self._files(grid, {(0, 0), (2, 2), (3, 3)})
@@ -313,7 +301,7 @@ class TestPDA:
 
 
 class TestPDADegraded:
-    """Graceful degradation: missing/corrupt files and failed ranks."""
+    """Graceful degradation: missing and corrupt files."""
 
     def _files(self, grid, cloudy_blocks):
         return cloud_batch(grid, cloudy_blocks)
@@ -347,16 +335,6 @@ class TestPDADegraded:
         assert all(
             (s.block_x, s.block_y) != (0, 0) for s in result.summaries
         )
-
-    def test_failed_analysis_rank_bucket_unread(self):
-        grid = ProcessorGrid(4, 4)
-        comm = SimComm(4)
-        comm.fail_rank(1)
-        result = parallel_data_analysis(
-            self._files(grid, set()), grid, 4, comm=comm
-        )
-        assert result.partial and result.n_ranks_failed == 1
-        assert result.coverage < 1.0
 
     def test_low_olr_fraction_renormalised_over_reporting_area(self):
         grid = ProcessorGrid(2, 2)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.analysis import PDAConfig, parallel_data_analysis, pda_cost_profile
+from repro.analysis import parallel_data_analysis, pda_cost_profile
 from repro.analysis.parallel_nnc import count_distance_evaluations
 from repro.analysis.records import SplitBatch
 from repro.grid import ProcessorGrid
@@ -76,7 +76,7 @@ class TestPDACostProfile:
         assert result.n_files_corrupt == 1
         p = pda_cost_profile(batch, grid, 2)
         assert p.gathered_elements == result.gathered_items == 3
-        assert p.cluster_ops == count_distance_evaluations(result.summaries, PDAConfig().nnc)
+        assert p.cluster_ops == count_distance_evaluations(result.summaries)
         assert p.cluster_ops > 0
 
     def test_gather_bytes(self):

@@ -149,7 +149,7 @@ class TestAuditTrail:
     def test_accuracy_report_renders(self):
         text = accuracy_report(self._runs())
         assert text.startswith(
-            "adaptation audit trail — prediction accuracy (paper §V-F: r ≈ 0.9)"
+            "per-point metrics — prediction accuracy (paper §V-F: r ≈ 0.9)"
         )
         assert "scratch" in text and "dynamic" in text
         assert accuracy_report(self._runs(), title="x").startswith("x — ")

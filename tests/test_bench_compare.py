@@ -108,6 +108,12 @@ class TestCompareBench:
         assert cmp.exit_code == 2
         assert any("quick" in m for m in cmp.mismatches)
 
+    def test_repeats_mismatch_refused(self):
+        cmp = compare_bench(_doc({"p": 0.1}, repeats=7), _doc({"p": 0.1}, repeats=3))
+        assert cmp.exit_code == 2
+        assert any("repeat" in m for m in cmp.mismatches)
+        assert compare_bench(_doc({"p": 0.1}), _doc({"p": 0.1})).exit_code == 0
+
     def test_machine_mismatch_refused(self):
         cmp = compare_bench(
             _doc({"p": 0.1}, machine="bgl-1024"), _doc({"p": 0.1}, machine="bgl-256")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import PDAConfig, parallel_data_analysis
+from repro.analysis import parallel_data_analysis
 from repro.grid import ProcessorGrid
 from repro.wrf.dynamics import DynamicalModel, DynamicsConfig
 from repro.wrf.fields import olr_field
@@ -161,5 +161,5 @@ class TestDynamicalModel:
         m = DynamicalModel(cfg, seed=0)
         for _ in range(30):
             m.step()
-        res = parallel_data_analysis(m.write_split_files(), cfg.sim_grid, 16, PDAConfig())
+        res = parallel_data_analysis(m.write_split_files(), cfg.sim_grid, 16)
         assert len(res.rectangles) >= 1

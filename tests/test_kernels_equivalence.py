@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     NNCConfig,
-    PDAConfig,
     SplitBatch,
     SplitFile,
     SubdomainSummary,
@@ -34,7 +33,11 @@ from repro.analysis import (
     parallel_data_analysis,
 )
 from repro.analysis.nnc import _nearest_neighbour_clustering_reference
-from repro.analysis.pda import aggregate_summaries, aggregate_summaries_reference
+from repro.analysis.pda import (
+    OLR_THRESHOLD,
+    aggregate_summaries,
+    aggregate_summaries_reference,
+)
 from repro.core import Allocation, plan_redistribution
 from repro.core.dataplane import (
     RankStore,
@@ -48,7 +51,7 @@ from repro.core.redistribution import nest_moves
 from repro.grid import ProcessorGrid, Rect
 from repro.grid.block import BlockDecomposition, split_evenly
 from repro.grid.overlap import _transfer_matrix_reference, transfer_matrix
-from repro.mpisim import CostModel, MessageSet, NetworkSimulator, SimComm
+from repro.mpisim import CostModel, MessageSet, NetworkSimulator
 from repro.mpisim.netsim import LinkLoadState
 from repro.perfmodel import ExecTimePredictor, ExecutionOracle, ProfileTable
 from repro.topology import MACHINES, Mesh3D, RandomMapping, Torus3D, blue_gene_l
@@ -545,17 +548,9 @@ class TestPDAEquivalence:
         n_analysis = data.draw(
             st.integers(1, sim_grid.nprocs), label="n_analysis"
         )
-        dead = data.draw(
-            st.lists(st.integers(1, max(1, n_analysis - 1)), max_size=2, unique=True)
-            if n_analysis > 1
-            else st.just([]),
-            label="dead_ranks",
-        )
-        config = PDAConfig()
 
         def run():
-            comm = SimComm(n_analysis, failed_ranks=tuple(dead))
-            return parallel_data_analysis(files, sim_grid, n_analysis, config, comm=comm)
+            return parallel_data_analysis(files, sim_grid, n_analysis)
 
         rv = run()
         with mock.patch(
@@ -564,11 +559,10 @@ class TestPDAEquivalence:
             rr = run()
 
         assert rv.rectangles == rr.rectangles
-        assert rv.gathered_items == rr.gathered_items
+        assert rv.gathered_items == rr.gathered_items == len(rv.summaries)
         assert rv.partial == rr.partial
         assert rv.n_files_missing == rr.n_files_missing
         assert rv.n_files_corrupt == rr.n_files_corrupt
-        assert rv.n_ranks_failed == rr.n_ranks_failed
         assert rv.coverage == rr.coverage
         assert math.isclose(
             rv.low_olr_fraction, rr.low_olr_fraction, rel_tol=1e-12, abs_tol=1e-15
@@ -637,12 +631,11 @@ class TestBatchHotPath:
         model = self.mumbai_model()
         batch = model.write_split_files()
         assert (batch.px, batch.py) == (32, 32)
-        threshold = PDAConfig().olr_threshold
-        corrupt, qcloud, count = aggregate_summaries(batch, threshold)
+        corrupt, qcloud, count = aggregate_summaries(batch, OLR_THRESHOLD)
         assert not corrupt.any()
         for rank in range(len(batch)):
             q, o = batch.tile_fields(rank)
-            mask = o <= threshold
+            mask = o <= OLR_THRESHOLD
             assert qcloud[rank] == np.where(mask, q, 0.0).sum()  # bit for bit
             assert count[rank] == np.count_nonzero(mask)
 

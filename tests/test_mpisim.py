@@ -1,4 +1,4 @@
-"""Tests for repro.mpisim: cost model, alltoallv, network simulator, SimComm."""
+"""Tests for repro.mpisim: cost model, alltoallv, network simulator."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.mpisim import (
     CostModel,
     MessageSet,
     NetworkSimulator,
-    SimComm,
     hop_bytes,
     messages_from_transfer,
     predict_alltoallv_time,
@@ -265,33 +264,3 @@ class TestAdaptiveRouting:
         cost = CostModel.for_machine(machine)
         sim = NetworkSimulator(machine.mapping, cost, adaptive_routing=True)
         assert sim.adaptive_routing is False  # no route_ordered on fat-tree
-
-
-class TestSimComm:
-    def test_run_executes_all_ranks(self):
-        comm = SimComm(4)
-        assert comm.run(lambda r: r * r) == [0, 1, 4, 9]
-
-    def test_gather_flattens(self):
-        comm = SimComm(3)
-        out = comm.gather([[1], [2, 3], []], root=0)
-        assert out == [1, 2, 3]
-
-    def test_gather_counts_messages(self):
-        comm = SimComm(3)
-        comm.gather([[1], [2], [3]], root=0)
-        assert comm.stats.messages == 2  # root does not message itself
-        assert comm.stats.gathers == 1
-
-    def test_gather_wrong_length(self):
-        with pytest.raises(ValueError):
-            SimComm(2).gather([[1]], root=0)
-
-    def test_gather_bad_root(self):
-        with pytest.raises(ValueError):
-            SimComm(2).gather([[1], [2]], root=5)
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            SimComm(0)
-

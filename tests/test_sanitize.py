@@ -27,7 +27,6 @@ from repro.mpisim.ledger import CommLedger
 from repro.obs import FlightRecorder, use_recorder
 from repro.sanitize import (
     NULL_SANITIZER,
-    SanitizeError,
     Sanitizer,
     get_sanitizer,
     use_sanitizer,
@@ -121,7 +120,6 @@ class TestCheckpoints:
             low_olr_fraction=0.5,
             n_files_missing=0,
             n_files_corrupt=0,
-            n_ranks_failed=0,
             partial=False,
         )
         san = Sanitizer()
@@ -133,7 +131,6 @@ class TestCheckpoints:
             low_olr_fraction=0.5,
             n_files_missing=0,
             n_files_corrupt=0,
-            n_ranks_failed=0,
             partial=False,  # claims complete but coverage < 1
         )
         san.after_pda(bad)
@@ -191,11 +188,6 @@ class TestCheckpoints:
         assert san.violations
         assert all(v.check == "linkstate.conservation" for v in san.violations)
         assert all("hop-bytes" in v.message for v in san.violations)
-
-    def test_strict_mode_raises_on_first_violation(self):
-        san = Sanitizer(strict=True)
-        with pytest.raises(SanitizeError):
-            san.after_busiest_link(-1.0, {})
 
     def test_violations_reach_the_flight_recorder(self):
         flight = FlightRecorder()

@@ -207,7 +207,9 @@ class TestEmptyNestSet:
         machine = fist_cluster(16)
         workload = Workload(name="gap", steps=[dict(s) for s in self.STEPS])
 
-        context = ExperimentContext(machine, profile_seed=SEED)
+        context = ExperimentContext(machine)
+        # the soak's predictor: profiled with its own seed
+        context.predictor = ExecTimePredictor(ProfileTable(context.oracle, seed=SEED))
         recorder = FlightRecorder()
         with use_recorder(recorder):
             run_workload(workload, DiffusionStrategy(), context)

@@ -12,10 +12,14 @@ frames replay mode serves for the same JSONL.
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import json
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.experiments import synthetic_workload
 from repro.experiments.runner import ExperimentContext, run_workload
@@ -39,6 +43,36 @@ from repro.serve.api import ServeServer
 from repro.serve.wire import http_json, http_stream_lines, http_text
 from repro.topology import MACHINES
 
+def _literal_event_kinds() -> tuple[set[str], set[str]]:
+    """Event kinds ``src/repro`` emits as literals, and its literal span names.
+
+    A kind is emitted by ``<recorder>.emit("kind", ...)`` or by
+    ``FlightEvent(kind="kind", ...)``; a span is opened by
+    ``<recorder>.span("name", ...)``.
+    """
+    emitted: set[str] = set()
+    spans: set[str] = set()
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            first = node.args[0] if node.args else None
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                if name == "emit":
+                    emitted.add(first.value)
+                elif name == "span":
+                    spans.add(first.value)
+            if name == "FlightEvent":
+                emitted.update(
+                    kw.value.value
+                    for kw in node.keywords
+                    if kw.arg == "kind" and isinstance(kw.value, ast.Constant)
+                )
+    return emitted, spans
+
+
 #: one representative payload per emitted event kind, for the loader
 #: round-trip satellite: every kind the library emits today must survive
 #: JSONL and render in replay without an unknown-event fallback
@@ -57,7 +91,6 @@ _SAMPLE_DATA: dict[str, dict[str, object]] = {
     "redist.round": {"round": 0, "nbytes": 1024.0},
     "redist.retry": {"round": 1, "attempt": 2},
     "redist.round_failed": {"round": 1, "reason": "timeout"},
-    "redist.round_timeout": {"round": 1},
     "redist.recovered": {"round": 1},
     "redist.aborted": {"round": 2},
     "dynamic.choice": {
@@ -127,6 +160,14 @@ async def _get_frames(host: str, port: int, sid: str) -> list[dict[str, object]]
 class TestKnownKinds:
     def test_sample_table_covers_exactly_the_known_kinds(self):
         assert set(_SAMPLE_DATA) == set(KNOWN_EVENT_KINDS)
+
+    def test_known_kinds_are_exactly_the_literal_emitted_kinds(self):
+        emitted, spans = _literal_event_kinds()
+        span_kinds = {f"{name}.{end}" for name in spans for end in ("start", "end")}
+        # every known kind has an emitter: an emit, an event or a span
+        assert KNOWN_EVENT_KINDS - emitted - span_kinds == set()
+        # and every literal kind the library emits is known
+        assert emitted - KNOWN_EVENT_KINDS == set()
 
     def test_every_kind_round_trips_through_jsonl(self, tmp_path):
         ring = FlightRecorder()
