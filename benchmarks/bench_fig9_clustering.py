@@ -9,7 +9,6 @@ Mumbai-2005-like simulation; the benchmark times one full NNC pass.
 
 from repro.analysis import NNCConfig, nearest_neighbour_clustering
 from repro.experiments import fig9_report
-from repro.experiments.report import _overlapping_pairs  # noqa: F401  (reuse)
 from repro.analysis.pda import parallel_data_analysis
 from repro.wrf.model import WrfLikeModel
 from repro.wrf.scenario import mumbai_2005_scenario

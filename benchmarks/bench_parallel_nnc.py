@@ -18,12 +18,12 @@ import pytest
 
 from repro.analysis import (
     NNCConfig,
+    QcloudInfo,
     count_distance_evaluations,
     nearest_neighbour_clustering,
     parallel_nnc,
 )
-from repro.analysis.records import SubdomainSummary
-from repro.grid import ProcessorGrid, Rect
+from repro.grid import ProcessorGrid
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
 
@@ -31,7 +31,7 @@ from repro.util.tables import format_table
 def big_field(seed=0, grid=64, n_blobs=24):
     """A large scattered detection field (many distinct cloud systems)."""
     rng = make_rng(seed)
-    items = []
+    blocks, qclouds = [], []
     seen = set()
     for b in range(n_blobs):
         cx, cy = rng.integers(3, grid - 3, 2)
@@ -43,17 +43,19 @@ def big_field(seed=0, grid=64, n_blobs=24):
                 if not (0 <= x < grid and 0 <= y < grid) or (x, y) in seen:
                     continue
                 seen.add((x, y))
-                items.append(
-                    SubdomainSummary(
-                        file_index=0,
-                        block_x=x,
-                        block_y=y,
-                        extent=Rect(x * 10, y * 10, 10, 10),
-                        qcloud=q * float(rng.uniform(0.9, 1.1)),
-                        olr_fraction=0.5,
-                    )
-                )
-    return sorted(items, key=lambda s: -s.qcloud)
+                blocks.append((x, y))
+                qclouds.append(q * float(rng.uniform(0.9, 1.1)))
+    block_x, block_y = np.array(blocks, dtype=np.int64).reshape(-1, 2).T
+    bounds = tuple(range(0, 10 * (grid + 1), 10))
+    return QcloudInfo.sort_gathered(
+        np.zeros(len(blocks), dtype=np.int64),
+        block_x,
+        block_y,
+        qclouds,
+        np.full(len(blocks), 0.5),
+        bounds,
+        bounds,
+    )
 
 
 @pytest.fixture(scope="module")

@@ -10,15 +10,16 @@ The pipeline mirrors the paper exactly:
 2. ``N`` analysis processes each scan ``k = P/N`` split files, aggregating
    QCLOUD over grid points with ``OLR <= 200`` and computing the fraction of
    such points (**Algorithm 1**, :func:`~repro.analysis.pda.parallel_data_analysis`);
-3. the root gathers the per-subdomain summaries, sorts them by aggregated
-   QCLOUD, and clusters them by spatial proximity (**Algorithm 2**,
+3. the root gathers the per-subdomain summaries as one
+   :class:`~repro.analysis.records.QcloudInfo` record, sorts it by
+   aggregated QCLOUD, and clusters its rows by spatial proximity (**Algorithm 2**,
    :func:`~repro.analysis.nnc.nearest_neighbour_clustering`) — 1-hop first,
    then 2-hop, guarded by a 30 % mean-deviation test;
 4. each cluster's bounding rectangle becomes a region of interest over which
    a nest is spawned (:func:`~repro.analysis.regions.clusters_to_rectangles`).
 """
 
-from repro.analysis.records import SplitBatch, SplitFile, SubdomainSummary
+from repro.analysis.records import QcloudInfo, SplitBatch, SplitFile
 from repro.analysis.nnc import (
     NNCConfig,
     nearest_neighbour_clustering,
@@ -39,9 +40,9 @@ __all__ = [
     "ParallelNNCResult",
     "count_distance_evaluations",
     "parallel_nnc",
+    "QcloudInfo",
     "SplitBatch",
     "SplitFile",
-    "SubdomainSummary",
     "NNCConfig",
     "nearest_neighbour_clustering",
     "simple_two_hop_clustering",

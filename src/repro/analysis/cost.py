@@ -21,11 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.parallel_nnc import count_distance_evaluations
-from repro.analysis.pda import OLR_THRESHOLD, _assign_files, aggregate_summaries
-from repro.analysis.records import SplitBatch
+from repro.analysis.pda import (
+    OLR_THRESHOLD,
+    _assign_files,
+    _check_inputs,
+    aggregate_summaries,
+)
+from repro.analysis.records import QcloudInfo, SplitBatch
 from repro.grid.procgrid import ProcessorGrid
-from repro.util.validation import check_positive
 
 __all__ = ["PDACostProfile", "pda_cost_profile"]
 
@@ -70,27 +76,38 @@ def pda_cost_profile(
     sim_grid: ProcessorGrid,
     n_analysis: int,
 ) -> PDACostProfile:
-    """Work profile of one PDA invocation (without re-running the scan)."""
-    check_positive("n_analysis", n_analysis)
+    """Work profile of one PDA invocation (without re-running the scan).
+
+    The root's elements are the tiles PDA gathers, each summarised file by
+    file (:meth:`~repro.analysis.records.SplitFile.summarise`).
+
+    Validation: the inputs :func:`~repro.analysis.pda.parallel_data_analysis`
+    refuses are refused here too, by the same check.
+    """
+    _check_inputs(batch, sim_grid, n_analysis)
     buckets = _assign_files(batch, sim_grid, n_analysis)
     areas = batch.areas
     per_rank_points = [int(areas[bucket].sum()) for bucket in buckets]
     # PDA's corruption rule: a corrupt tile is counted, never gathered
     corrupt, _, _ = aggregate_summaries(batch, OLR_THRESHOLD)
-    summaries = []
+    ranks, qclouds, fractions = [], [], []
     for rank in range(len(batch)):
         f = batch.file(rank)
         if f is None or corrupt[rank]:
             continue
-        s = f.summarise(OLR_THRESHOLD)
-        if s.olr_fraction > 0:
-            summaries.append(s)
-    summaries.sort(key=lambda s: -s.qcloud)
-    cluster_ops = count_distance_evaluations(summaries)
+        qcloud, olr_fraction = f.summarise(OLR_THRESHOLD)
+        if olr_fraction > 0:
+            ranks.append(rank)
+            qclouds.append(qcloud)
+            fractions.append(olr_fraction)
+    block_y, block_x = np.divmod(np.array(ranks, dtype=np.int64), batch.px)
+    info = QcloudInfo.sort_gathered(
+        ranks, block_x, block_y, qclouds, fractions, batch.x_bounds, batch.y_bounds
+    )
     return PDACostProfile(
         n_analysis=n_analysis,
         scan_points_total=sum(per_rank_points),
-        scan_points_max_rank=max(per_rank_points) if per_rank_points else 0,
-        gathered_elements=len(summaries),
-        cluster_ops=cluster_ops,
+        scan_points_max_rank=max(per_rank_points),
+        gathered_elements=len(info),
+        cluster_ops=count_distance_evaluations(info),
     )

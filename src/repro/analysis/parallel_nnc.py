@@ -5,7 +5,7 @@ future for simulations on larger number of processors".  This module
 implements that extension with the standard two-phase scheme for
 proximity clustering:
 
-1. **Local phase** — the subdomain summaries are partitioned spatially
+1. **Local phase** — the ``qcloudinfo`` rows are partitioned spatially
    into ``n_workers`` rectangular tiles of the block grid; each worker
    runs the *sequential* NNC (Algorithm 2) on its own tile.  Workers only
    look at their own elements, so the phase is embarrassingly parallel.
@@ -26,12 +26,19 @@ measurable without real parallel hardware.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering
-from repro.analysis.records import SubdomainSummary
+from repro.analysis.nnc import (
+    NNCConfig,
+    _accepted,
+    _guarded_mean,
+    nearest_neighbour_clustering,
+)
+from repro.analysis.records import QcloudInfo
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
 from repro.util.validation import check_non_negative
@@ -43,7 +50,7 @@ __all__ = ["ParallelNNCResult", "parallel_nnc", "count_distance_evaluations"]
 class ParallelNNCResult:
     """Clusters plus the per-phase work accounting."""
 
-    clusters: list[list[SubdomainSummary]]
+    clusters: list[np.ndarray]  # rows of the input, as ``nearest_neighbour_clustering``
     n_workers: int
     per_worker_elements: list[int]
     per_worker_ops: list[int]  # local-phase distance evaluations per worker
@@ -63,41 +70,57 @@ class ParallelNNCResult:
 
 
 def count_distance_evaluations(
-    qcloudinfo: list[SubdomainSummary], config: NNCConfig | None = None
+    info: QcloudInfo, config: NNCConfig | None = None
 ) -> int:
     """Distance evaluations the *sequential* NNC performs on this input.
 
-    Mirrors Algorithm 2's loop structure: for each accepted element, every
-    member of every existing cluster is inspected at 1 hop and (on miss)
-    again at 2 hops, until placement.
+    Mirrors Algorithm 2's loop structure, as
+    :func:`~repro.analysis.nnc._nearest_neighbour_clustering_reference`
+    runs it: for each accepted element, every member of every existing
+    cluster is inspected at 1 hop and (on miss) again at 2 hops, until a
+    member ``hop`` away whose cluster's mean guard admits the element
+    places it.  A member at ``hop`` whose cluster refuses the element does
+    not place it; the scan goes on.
 
     Validation: a pure counting mirror of the sequential algorithm — it
     accepts whatever input the clustering itself would, by construction.
     """
     config = config or NNCConfig()
+    block_x, block_y = info.block_x.tolist(), info.block_y.tolist()
+    qclouds = info.qcloud.tolist()
     ops = 0
-    clusters: list[list[SubdomainSummary]] = []
-    for element in qcloudinfo:
-        if (
-            element.qcloud < config.qcloud_threshold
-            or element.olr_fraction < config.olr_fraction_threshold
-        ):
-            continue
-        placed = False
+    clusters: list[list[int]] = []
+    values: list[list[float]] = []  # each cluster's member QCLOUDs
+    means: list[float] = []
+    for element in _accepted(info, config).tolist():
+        x, y, qcloud = block_x[element], block_y[element], qclouds[element]
+        home, mean = -1, 0.0
         for hop in range(1, config.max_hops + 1):
-            for cluster in clusters:
+            for c, cluster in enumerate(clusters):
+                admits = None  # the guard's verdict, once a member is at hop
                 for member in cluster:
                     ops += 1
-                    if element.hop_distance(member) == hop:
-                        cluster.append(element)
-                        placed = True
+                    if max(abs(x - block_x[member]), abs(y - block_y[member])) != hop:
+                        continue
+                    if admits is None:
+                        admits = _guarded_mean(
+                            values[c], means[c], qcloud, config.mean_deviation
+                        )
+                    if admits is not None:
+                        home, mean = c, admits
                         break
-                if placed:
+                if home >= 0:
                     break
-            if placed:
+            if home >= 0:
                 break
-        if not placed:
-            clusters.append([element])
+        if home < 0:  # a new cluster, whose mean is its one member's
+            home, mean = len(clusters), math.fsum([qcloud])
+            clusters.append([])
+            values.append([])
+            means.append(mean)
+        clusters[home].append(element)
+        values[home].append(qcloud)
+        means[home] = mean
     return ops
 
 
@@ -117,20 +140,20 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _tile_of(
-    s: SubdomainSummary, xb: np.ndarray, yb: np.ndarray, tiles_x: int
-) -> int:
-    tx = int(max(0, (xb[1:] <= s.block_x).sum()))
-    ty = int(max(0, (yb[1:] <= s.block_y).sum()))
-    return ty * tiles_x + tx
-
-
-def _cluster_mean(cluster: list[SubdomainSummary]) -> float:
-    return float(np.mean([m.qcloud for m in cluster]))
+def _rows_of(info: QcloudInfo, rows: np.ndarray) -> QcloudInfo:
+    """The record of ``info``'s rows ``rows``, in that order."""
+    return dataclasses.replace(
+        info,
+        file_index=info.file_index[rows],
+        block_x=info.block_x[rows],
+        block_y=info.block_y[rows],
+        qcloud=info.qcloud[rows],
+        olr_fraction=info.olr_fraction[rows],
+    )
 
 
 def parallel_nnc(
-    qcloudinfo: list[SubdomainSummary],
+    info: QcloudInfo,
     n_workers: int,
     config: NNCConfig | None = None,
     sim_grid: ProcessorGrid | None = None,
@@ -139,28 +162,30 @@ def parallel_nnc(
 
     Parameters
     ----------
-    qcloudinfo:
-        Subdomain summaries sorted in non-increasing QCLOUD order (the
+    info:
+        The ``qcloudinfo`` rows, sorted in non-increasing QCLOUD order (the
         same input Algorithm 2 receives).
     n_workers:
         Number of analysis workers (tiles).
     config:
         Thresholds shared with the sequential NNC.
     sim_grid:
-        The simulation's block grid; inferred from the summaries' block
+        The simulation's block grid; inferred from the rows' block
         coordinates when omitted.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     config = config or NNCConfig()
-    if not qcloudinfo:
+    if not len(info):
         return ParallelNNCResult([], n_workers, [0] * n_workers, [0] * n_workers, 0)
 
     if sim_grid is None:
-        px = max(s.block_x for s in qcloudinfo) + 1
-        py = max(s.block_y for s in qcloudinfo) + 1
+        px = int(info.block_x.max()) + 1
+        py = int(info.block_y.max()) + 1
     else:
         px, py = sim_grid.px, sim_grid.py
+        if info.block_x.max() >= px or info.block_y.max() >= py:
+            raise ValueError(f"rows lie outside the {px}x{py} block grid")
     tiles = ProcessorGrid.square_like(n_workers)
     xb = split_evenly(px, tiles.px)
     yb = split_evenly(py, tiles.py)
@@ -168,18 +193,22 @@ def parallel_nnc(
     # ------------------------------------------------------------------
     # Phase 1: local clustering per tile (order within a tile preserves the
     # global QCLOUD ordering, as each worker receives a sorted sublist).
+    # A row's tile column is the number of tile boundaries at or left of
+    # its block (likewise for rows).
     # ------------------------------------------------------------------
-    buckets: list[list[SubdomainSummary]] = [[] for _ in range(n_workers)]
-    for s in qcloudinfo:
-        buckets[_tile_of(s, xb, yb, tiles.px)].append(s)
+    tile_x = np.searchsorted(xb[1:], info.block_x, side="right")
+    tile_y = np.searchsorted(yb[1:], info.block_y, side="right")
+    tile = tile_y * tiles.px + tile_x
+    buckets = [np.flatnonzero(tile == w) for w in range(n_workers)]
 
-    local_clusters: list[list[SubdomainSummary]] = []
+    local_clusters: list[np.ndarray] = []  # each cluster's rows of ``info``
     cluster_tile: list[int] = []
     per_worker_ops: list[int] = []
-    for w, bucket in enumerate(buckets):
+    for w, rows in enumerate(buckets):
+        bucket = _rows_of(info, rows)
         per_worker_ops.append(count_distance_evaluations(bucket, config))
         for cluster in nearest_neighbour_clustering(bucket, config):
-            local_clusters.append(cluster)
+            local_clusters.append(rows[cluster])
             cluster_tile.append(w)
 
     # ------------------------------------------------------------------
@@ -187,20 +216,21 @@ def parallel_nnc(
     # ------------------------------------------------------------------
     uf = _UnionFind(len(local_clusters))
     merge_ops = 0
-    means = [_cluster_mean(c) for c in local_clusters]
+    means = [float(np.mean(info.qcloud[c])) for c in local_clusters]
     # Spatial prefilter: a pair of clusters can only merge when their block
     # bounding boxes come within the hop limit — O(1) per pair, so the
     # quadratic pair scan stays cheap and member-level distance checks run
     # only for genuinely adjacent border clusters.
     boxes = [
         (
-            min(s.block_x for s in c),
-            max(s.block_x for s in c),
-            min(s.block_y for s in c),
-            max(s.block_y for s in c),
+            int(info.block_x[c].min()),
+            int(info.block_x[c].max()),
+            int(info.block_y[c].min()),
+            int(info.block_y[c].max()),
         )
         for c in local_clusters
     ]
+    block_x, block_y = info.block_x.tolist(), info.block_y.tolist()
     for a in range(len(local_clusters)):
         for b in range(a + 1, len(local_clusters)):
             if cluster_tile[a] == cluster_tile[b]:
@@ -222,10 +252,11 @@ def parallel_nnc(
             if not compatible:
                 continue
             close = False
-            for s in local_clusters[a]:
-                for t in local_clusters[b]:
+            for s in local_clusters[a].tolist():
+                for t in local_clusters[b].tolist():
                     merge_ops += 1
-                    if s.hop_distance(t) <= config.max_hops:
+                    hops = max(abs(block_x[s] - block_x[t]), abs(block_y[s] - block_y[t]))
+                    if hops <= config.max_hops:
                         close = True
                         break
                 if close:
@@ -233,20 +264,18 @@ def parallel_nnc(
             if close:
                 uf.union(a, b)
 
-    merged: dict[int, list[SubdomainSummary]] = {}
+    merged: dict[int, list[int]] = {}
     for idx, cluster in enumerate(local_clusters):
-        merged.setdefault(uf.find(idx), []).extend(cluster)
+        merged.setdefault(uf.find(idx), []).extend(cluster.tolist())
     # Keep the output ordering deterministic: clusters by their strongest
     # member, members by decreasing QCLOUD (as the sequential NNC sees them).
-    out = [
-        sorted(c, key=lambda s: -s.qcloud)
-        for c in merged.values()
-    ]
-    out.sort(key=lambda c: -c[0].qcloud)
+    qcloud = info.qcloud.tolist()
+    out = [sorted(c, key=lambda row: -qcloud[row]) for c in merged.values()]
+    out.sort(key=lambda c: -qcloud[c[0]])
     return ParallelNNCResult(
-        clusters=out,
+        clusters=[np.array(c, dtype=np.int64) for c in out],
         n_workers=n_workers,
-        per_worker_elements=[len(b) for b in buckets],
+        per_worker_elements=[len(rows) for rows in buckets],
         per_worker_ops=per_worker_ops,
         merge_ops=merge_ops,
     )

@@ -9,15 +9,14 @@ and emits one bounding rectangle per cluster.
 
 "The parallel data analysis algorithm is executed simultaneously on a
 different set of processors than the processors running the WRF
-simulation": here the ``N`` analysis ranks are a loop over the file
-buckets, one per rank, and the root gather concatenates their summaries
-in rank order, so the division of files, the per-rank analysis and the
-root-side sort and clustering are structured as published.  The files
-arrive as one :class:`~repro.analysis.records.SplitBatch` over the step's
-fields: an analysis rank's files are an index array of its tiles, the
-per-tile reductions run once for the whole batch, and a
-:class:`~repro.analysis.records.SubdomainSummary` is built only for a tile
-its rank sends to the root.
+simulation": here the files arrive as one
+:class:`~repro.analysis.records.SplitBatch` over the step's fields, the
+``N`` analysis ranks' per-file reductions run once for the whole batch,
+and each rank's sends are one masked selection over the tiles ordered by
+analysis rank, so the root sees the tuples in the order the published
+per-rank analysis and gather deliver them.  The root's ``qcloudinfo`` is
+one :class:`~repro.analysis.records.QcloudInfo` record from the gather to
+the rectangles.
 
 Degraded mode (:mod:`repro.faults`): a production analysis step must survive
 missing split files (a crashed writer leaves nothing behind) and truncated
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.nnc import nearest_neighbour_clustering
-from repro.analysis.records import SplitBatch, SubdomainSummary
+from repro.analysis.records import QcloudInfo, SplitBatch
 from repro.analysis.regions import clusters_to_rectangles
 from repro.grid.block import split_evenly
 from repro.grid.procgrid import ProcessorGrid
@@ -55,13 +54,15 @@ __all__ = [
 OLR_THRESHOLD = 200.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PDAResult:
     """Everything the root computes at one adaptation point."""
 
     rectangles: list[Rect]  # regions of interest (parent grid points)
-    clusters: list[list[SubdomainSummary]]
-    summaries: list[SubdomainSummary]  # sorted qcloudinfo the root saw
+    #: NNC's clusters as row indices into ``summaries``: clusters in
+    #: creation order, members in join order
+    clusters: list[np.ndarray]
+    summaries: QcloudInfo  # the sorted qcloudinfo the root saw
     gathered_items: int  # elements gathered at the root
     #: True when any split file failed to report
     partial: bool = False
@@ -74,18 +75,19 @@ class PDAResult:
     low_olr_fraction: float = 0.0
 
 
-def _assign_files(
+def _files_by_rank(
     batch: SplitBatch, sim_grid: ProcessorGrid, n_analysis: int
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Divide the P split files among N analysis ranks (Algorithm 1, 1–2).
 
     The subsets are rectangular blocks of the simulation's ``(Px, Py)``
     decomposition: the analysis grid is the most square factorisation of
-    ``N`` and each analysis rank receives a contiguous block of subdomains,
-    as an index array of its tiles in rank order.  Missing tiles are absent
-    from every bucket.  A tile's analysis column is the number of column
-    boundaries at or left of its block, ``(xb[1:] <= block_x).sum()``, found
-    for every column by one ``searchsorted`` (likewise for rows).
+    ``N`` and each analysis rank receives a contiguous block of subdomains.
+    Returns the present tiles ordered by analysis rank, each rank's tiles
+    in rank order, and each tile's analysis rank; missing tiles are
+    absent.  A tile's analysis column is the number of column boundaries
+    at or left of its block, ``(xb[1:] <= block_x).sum()``, found for
+    every column by one ``searchsorted`` (likewise for rows).
     """
     ag = ProcessorGrid.square_like(n_analysis)
     xb = split_evenly(sim_grid.px, ag.px)
@@ -95,8 +97,16 @@ def _assign_files(
     present = np.flatnonzero(~batch.missing)
     owner = (ay[:, None] * ag.px + ax[None, :]).ravel()[present]
     order = np.argsort(owner, kind="stable")
-    cuts = np.searchsorted(owner[order], np.arange(1, n_analysis))
-    return np.split(present[order], cuts)
+    return present[order], owner[order]
+
+
+def _assign_files(
+    batch: SplitBatch, sim_grid: ProcessorGrid, n_analysis: int
+) -> list[np.ndarray]:
+    """Each analysis rank's files, as an index array of its tiles in rank
+    order (:func:`_files_by_rank` cut at the rank boundaries)."""
+    tiles, owner = _files_by_rank(batch, sim_grid, n_analysis)
+    return np.split(tiles, np.searchsorted(owner, np.arange(1, n_analysis)))
 
 
 def _runs(bounds: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -122,23 +132,23 @@ def aggregate_summaries(
     — a truncated or garbled payload), ``qcloud`` (the sum of QCLOUD where
     ``OLR <= olr_threshold``) and ``count`` (how many points that is).
     Missing and corrupt tiles read ``0.0`` and ``0``; only corrupt ones are
-    flagged.  The threshold and the masked QCLOUD are applied once over
-    the whole field; the tiles are then grouped into rectangles of one tile
-    shape (runs of equal width by runs of equal height), and each group is
-    cut by one reshape/transpose copy into a contiguous ``(n, h, w)``
-    stack, so every tile's ``qcloud`` is summed in the order of its own
-    contiguous copy.  Against the file-by-file oracle
-    :func:`aggregate_summaries_reference`, ``corrupt`` and ``count`` are
-    identical; ``qcloud`` may differ in the last ulp because the oracle
-    sums a boolean-indexed copy (see ``docs/performance.md``).
+    flagged.  The threshold is applied once over the whole field and the
+    tiles are grouped into rectangles of one tile shape (runs of equal
+    width by runs of equal height); each group's counts come from one
+    reshape of the mask.  QCLOUD is summed only for tiles with a low-OLR
+    point: a group's such tiles are gathered into one contiguous
+    ``(n, h, w)`` copy of their masked QCLOUD, so every tile's ``qcloud``
+    is summed in the order of its own contiguous copy.  Against the
+    file-by-file oracle :func:`aggregate_summaries_reference`, ``corrupt``
+    and ``count`` are identical; ``qcloud`` may differ in the last ulp
+    because the oracle sums a boolean-indexed copy (see
+    ``docs/performance.md``).
 
     Validation: the batch validated its fields, bounds and damaged tiles
     when it was built; any threshold is meaningful.
     """
     with get_recorder().span("analysis.aggregate", n_files=len(batch)):
         mask = batch.olr <= olr_threshold
-        low = np.zeros_like(batch.qcloud)  # np.where(mask, qcloud, 0.0)
-        np.copyto(low, batch.qcloud, where=mask)
         finite = None
         # a sum is finite only when every term is (overflow just takes the
         # exact per-tile path below)
@@ -146,7 +156,7 @@ def aggregate_summaries(
             finite = np.isfinite(batch.qcloud) & np.isfinite(batch.olr)
         n = len(batch)
         corrupt = np.zeros(n, dtype=bool)
-        qcloud = np.empty(n)
+        qcloud = np.zeros(n)
         count = np.empty(n, dtype=np.int64)
         xb, yb, px = batch.x_bounds, batch.y_bounds, batch.px
         for y0, y1 in _runs(yb):
@@ -158,10 +168,16 @@ def aggregate_summaries(
                 ).ravel()
                 window = (slice(yb[y0], yb[y1]), slice(xb[x0], xb[x1]))
                 grid = (y1 - y0, h, x1 - x0, w)
-                stack = low[window].reshape(grid).transpose(0, 2, 1, 3)
-                qcloud[ranks] = stack.reshape(-1, h, w).sum(axis=(1, 2))
-                rows = mask[window].reshape(grid).sum(axis=1, dtype=np.int64)
+                tiles_mask = mask[window].reshape(grid)
+                rows = tiles_mask.sum(axis=1, dtype=np.int64)
                 count[ranks] = rows.sum(axis=2).ravel()
+                # only a tile with low-OLR points has QCLOUD to sum: gather
+                # those tiles into contiguous (n, h, w) copies
+                take = np.flatnonzero(count[ranks] > 0)
+                ty, tx = np.divmod(take, x1 - x0)
+                tiles = batch.qcloud[window].reshape(grid)[ty, :, tx]
+                low = np.where(tiles_mask[ty, :, tx], tiles, 0.0)
+                qcloud[ranks[take]] = low.reshape(len(take), h * w).sum(axis=1)
                 if finite is not None:
                     tiles_ok = finite[window].reshape(grid).all(axis=(1, 3))
                     corrupt[ranks] = ~tiles_ok.ravel()
@@ -199,10 +215,23 @@ def aggregate_summaries_reference(
         if not (np.isfinite(f.qcloud).all() and np.isfinite(f.olr).all()):
             corrupt[rank] = True
             continue
-        summary = f.summarise(olr_threshold)
-        qcloud[rank] = summary.qcloud
-        count[rank] = round(summary.olr_fraction * f.extent.area)
+        qcloud[rank], olr_fraction = f.summarise(olr_threshold)
+        count[rank] = round(olr_fraction * f.extent.area)
     return corrupt, qcloud, count
+
+
+def _check_inputs(batch: SplitBatch, sim_grid: ProcessorGrid, n_analysis: int) -> None:
+    """Refuse a batch that is not one tile per rank of ``sim_grid``, or an
+    ``n_analysis`` outside ``[1, P]``."""
+    if (batch.px, batch.py) != (sim_grid.px, sim_grid.py):
+        raise ValueError(
+            f"expected one split file per simulation rank "
+            f"({sim_grid.px}x{sim_grid.py}), got {batch.px}x{batch.py} tiles"
+        )
+    if not 1 <= n_analysis <= len(batch):
+        raise ValueError(
+            f"n_analysis must be in [1, {len(batch)}], got {n_analysis}"
+        )
 
 
 def parallel_data_analysis(
@@ -229,62 +258,39 @@ def parallel_data_analysis(
     (:func:`aggregate_summaries`), shared by the per-rank analysis and the
     degraded-mode renormalisation.  Clustering runs with the paper's
     :class:`~repro.analysis.nnc.NNCConfig` thresholds.
+
+    Validation: a batch that is not one tile per simulation rank, and an
+    ``n_analysis`` outside ``[1, P]``, are refused (``ValueError``).
     """
-    if (batch.px, batch.py) != (sim_grid.px, sim_grid.py):
-        raise ValueError(
-            f"expected one split file per simulation rank "
-            f"({sim_grid.px}x{sim_grid.py}), got {batch.px}x{batch.py} tiles"
-        )
-    if not 1 <= n_analysis <= len(batch):
-        raise ValueError(
-            f"n_analysis must be in [1, {len(batch)}], got {n_analysis}"
-        )
+    _check_inputs(batch, sim_grid, n_analysis)
 
     with get_recorder().span(
         "analysis.pda", n_files=len(batch), n_analysis=n_analysis
     ):
         n_missing = int(np.count_nonzero(batch.missing))
-        buckets = _assign_files(batch, sim_grid, n_analysis)
+        # every present tile, by analysis rank and then in rank order
+        seen, _ = _files_by_rank(batch, sim_grid, n_analysis)
         corrupt, qcloud, count = aggregate_summaries(batch, OLR_THRESHOLD)
         areas = batch.areas
-        reports = count > 0  # zero for missing and corrupt tiles
-        qcloud_of, count_of, area_of = qcloud.tolist(), count.tolist(), areas.tolist()
 
-        # Per-rank analysis (Algorithm 1, lines 3–9).  An analysis rank only
-        # reports subdomains containing any low-OLR area — "some of the split
-        # files may not have regions with OLR <= 200, in which case the
-        # process owning these split files will send fewer than k values" —
-        # and skips corrupt files.  A summary is built only for a tile the
-        # rank sends.
-        def analyse(rank: int) -> list[SubdomainSummary]:
-            mine = buckets[rank]
-            out = []
-            for t in mine[reports[mine]].tolist():
-                by, bx = divmod(t, batch.px)
-                out.append(
-                    SubdomainSummary(
-                        file_index=t,
-                        block_x=bx,
-                        block_y=by,
-                        extent=batch.extent(t),
-                        qcloud=qcloud_of[t],
-                        olr_fraction=count_of[t] / area_of[t],
-                    )
-                )
-            return out
-
-        per_rank = [analyse(rank) for rank in range(n_analysis)]
+        # Per-rank analysis and root gather (Algorithm 1, lines 3–11): an
+        # analysis rank only reports subdomains containing any low-OLR
+        # area — "some of the split files may not have regions with
+        # OLR <= 200, in which case the process owning these split files
+        # will send fewer than k values" — and skips corrupt files (their
+        # count is zero); the root receives the ranks' tuples in rank
+        # order.
+        gathered = seen[count[seen] > 0]
 
         # Reporting area: every healthy file.  Renormalise over it: the
         # low-OLR fraction a complete analysis would divide by the whole
         # domain is instead divided by the area that actually reported, so
         # it stays a comparable fraction.  The weighted sum is one left
         # fold in (rank, bucket) order.
-        seen = np.concatenate(buckets)
-        seen = seen[~corrupt[seen]]
-        seen_area = areas[seen]
+        healthy = seen[~corrupt[seen]]
+        seen_area = areas[healthy]
         reporting_area = int(seen_area.sum())
-        weighted = np.cumsum(count[seen] / seen_area * seen_area)
+        weighted = np.cumsum(count[healthy] / seen_area * seen_area)
         weighted_low_olr = float(weighted[-1]) if len(weighted) else 0.0
         low_olr = weighted_low_olr / reporting_area if reporting_area else 0.0
 
@@ -292,12 +298,19 @@ def parallel_data_analysis(
         partial = bool(n_missing or n_corrupt)
         coverage = reporting_area / batch.qcloud.size
 
-        # Root gather (line 11: the ranks' summaries in rank order) + sort
-        # (line 13) + NNC (line 14) + rectangles.
-        gathered = [summary for mine in per_rank for summary in mine]
-        qcloudinfo = sorted(gathered, key=lambda s: -s.qcloud)
+        # Sort (line 13) + NNC (line 14) + rectangles (lines 16–19).
+        block_y, block_x = np.divmod(gathered, batch.px)
+        qcloudinfo = QcloudInfo.sort_gathered(
+            gathered,
+            block_x,
+            block_y,
+            qcloud[gathered],
+            count[gathered] / areas[gathered],
+            batch.x_bounds,
+            batch.y_bounds,
+        )
         clusters = nearest_neighbour_clustering(qcloudinfo)
-        rectangles = clusters_to_rectangles(clusters)
+        rectangles = clusters_to_rectangles(qcloudinfo, clusters)
         if partial:
             get_recorder().emit(
                 "pda.partial",
@@ -309,7 +322,7 @@ def parallel_data_analysis(
             rectangles=rectangles,
             clusters=clusters,
             summaries=qcloudinfo,
-            gathered_items=len(gathered),
+            gathered_items=len(qcloudinfo),
             partial=partial,
             n_files_missing=n_missing,
             n_files_corrupt=n_corrupt,

@@ -9,14 +9,15 @@ arrays that stands in for its view of the fields.
 
 :class:`SplitFile` models one rank's file on its own: the rank's QCLOUD/OLR
 subarrays plus where the subdomain sits, both as a block index in the
-simulation's process decomposition (used for the hop-distance proximity of
-Algorithm 2) and as a grid-point extent in parent-domain coordinates (used
-to build nest rectangles).  Only the disk writer and the scalar oracles
-build them, through :meth:`SplitBatch.file`.
+simulation's process decomposition and as a grid-point extent in
+parent-domain coordinates.  Only the disk writer, the scalar oracles and
+the cost profile build them, through :meth:`SplitBatch.file`.
 
-:class:`SubdomainSummary` is one element of the paper's ``qcloudinfo``: the
-aggregated QCLOUD of a split file plus the fraction of its area with
-``OLR <= 200``.
+:class:`QcloudInfo` is the paper's ``qcloudinfo``, the root's gathered
+``(qcloud, olrfraction)`` tuples, held as parallel arrays with one row per
+subdomain: where the subdomain sits in the block grid (the hop-distance
+proximity of Algorithm 2) and, through the grid's tile bounds, which grid
+points it covers (the nest rectangles).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from repro.grid.rect import Rect
 from repro.util.validation import check_in_range
 
-__all__ = ["SplitBatch", "SplitFile", "SubdomainSummary"]
+__all__ = ["QcloudInfo", "SplitBatch", "SplitFile"]
 
 
 def _check_bounds(name: str, bounds: tuple[int, ...]) -> None:
@@ -150,8 +151,11 @@ class SplitFile:
                 f"match extent {expected}"
             )
 
-    def summarise(self, olr_threshold: float) -> "SubdomainSummary":
+    def summarise(self, olr_threshold: float) -> tuple[float, float]:
         """Algorithm 1, lines 4–9: aggregate QCLOUD where OLR <= threshold.
+
+        Returns ``(qcloud, olr_fraction)``: the QCLOUD summed over the
+        points with ``OLR <= olr_threshold``, and their share of the area.
 
         Validation: any threshold is meaningful — one below the field's
         minimum simply selects nothing (zero cloud fraction).
@@ -159,32 +163,94 @@ class SplitFile:
         mask = self.olr <= olr_threshold
         qcloud = float(self.qcloud[mask].sum())
         area = self.qcloud.size
-        olr_fraction = float(mask.sum()) / area if area else 0.0
-        return SubdomainSummary(
-            file_index=self.file_index,
-            block_x=self.block_x,
-            block_y=self.block_y,
-            extent=self.extent,
-            qcloud=qcloud,
-            olr_fraction=olr_fraction,
-        )
+        return qcloud, float(mask.sum()) / area if area else 0.0
 
 
-@dataclass(frozen=True)
-class SubdomainSummary:
-    """One ``qcloudinfo`` tuple: a subdomain's cloud-cover summary."""
+#: the row columns of a :class:`QcloudInfo` and their dtypes
+_QCLOUDINFO_COLUMNS = (
+    ("file_index", np.int64),
+    ("block_x", np.int64),
+    ("block_y", np.int64),
+    ("qcloud", np.float64),
+    ("olr_fraction", np.float64),
+)
 
-    file_index: int
-    block_x: int
-    block_y: int
-    extent: Rect
-    qcloud: float
-    olr_fraction: float
 
-    def hop_distance(self, other: "SubdomainSummary") -> int:
-        """Chebyshev distance between subdomain block positions.
+@dataclass(frozen=True, eq=False)
+class QcloudInfo:
+    """The root's ``qcloudinfo``: one row per gathered subdomain.
 
-        "1-hop" neighbours are the 8 surrounding subdomains; "2-hop" the
-        next ring out — the proximity notion of Algorithm 2.
+    Five parallel read-only arrays hold a row each: ``file_index`` (the
+    writing rank), ``block_x``/``block_y`` (the subdomain's position in the
+    ``Px x Py`` block grid; the Chebyshev distance between two positions is
+    Algorithm 2's hop count), ``qcloud`` (aggregated QCLOUD where
+    ``OLR <= 200``) and ``olr_fraction`` (the low-OLR share of its area).
+    ``x_bounds``/``y_bounds`` are the block grid's tile bounds: row ``i``
+    covers parent grid points ``[x_bounds[bx], x_bounds[bx + 1]) x
+    [y_bounds[by], y_bounds[by + 1])`` with ``bx, by = block_x[i],
+    block_y[i]``.  Each column is copied on construction, so the record
+    shares no array with its caller.
+    """
+
+    file_index: np.ndarray
+    block_x: np.ndarray
+    block_y: np.ndarray
+    qcloud: np.ndarray
+    olr_fraction: np.ndarray
+    x_bounds: tuple[int, ...]
+    y_bounds: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_bounds("x_bounds", self.x_bounds)
+        _check_bounds("y_bounds", self.y_bounds)
+        n = len(self.qcloud)
+        for name, dtype in _QCLOUDINFO_COLUMNS:
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (n,):
+                raise ValueError(
+                    f"{name} must hold one value per row ({n}), got shape "
+                    f"{column.shape}"
+                )
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        for name, blocks, size in (
+            ("block_x", self.block_x, self.px),
+            ("block_y", self.block_y, self.py),
+        ):
+            if n and not (0 <= blocks.min() and blocks.max() < size):
+                raise ValueError(f"{name} must lie in [0, {size}): {blocks}")
+
+    @classmethod
+    def sort_gathered(
+        cls,
+        file_index: np.ndarray,
+        block_x: np.ndarray,
+        block_y: np.ndarray,
+        qcloud: np.ndarray,
+        olr_fraction: np.ndarray,
+        x_bounds: tuple[int, ...],
+        y_bounds: tuple[int, ...],
+    ) -> QcloudInfo:
+        """The gathered rows sorted by decreasing QCLOUD (Algorithm 1, line 13).
+
+        The sort is stable, so rows of equal QCLOUD keep their gather order.
+
+        Validation: the record's constructor checks the columns and bounds.
         """
-        return max(abs(self.block_x - other.block_x), abs(self.block_y - other.block_y))
+        order = np.argsort(-np.asarray(qcloud, dtype=np.float64), kind="stable")
+        columns = (file_index, block_x, block_y, qcloud, olr_fraction)
+        return cls(*(np.asarray(c)[order] for c in columns), x_bounds, y_bounds)
+
+    @property
+    def px(self) -> int:
+        """Block-grid columns."""
+        return len(self.x_bounds) - 1
+
+    @property
+    def py(self) -> int:
+        """Block-grid rows."""
+        return len(self.y_bounds) - 1
+
+    def __len__(self) -> int:
+        """Rows: the subdomains gathered at the root."""
+        return len(self.qcloud)

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.nnc import NNCConfig, nearest_neighbour_clustering, simple_two_hop_clustering
+from repro.analysis.nnc import NNCConfig, simple_two_hop_clustering
 from repro.analysis.pda import parallel_data_analysis
-from repro.analysis.regions import cluster_bounding_rect
+from repro.analysis.regions import clusters_to_rectangles
 from repro.core.allocation import Allocation
 from repro.core.metrics import StepMetrics, summarize_improvement
 from repro.core.scratch import ScratchStrategy
 from repro.experiments.runner import ExperimentContext, RunResult, run_both_strategies, run_workload
 from repro.experiments.workloads import mumbai_trace_workload, synthetic_workload
 from repro.grid.procgrid import ProcessorGrid
+from repro.grid.rect import Rect
 from repro.topology.machines import MACHINES
 from repro.tree.edit import diffusion_edit
 from repro.tree.huffman import build_huffman
@@ -255,8 +256,7 @@ class Fig9Report:
     nnc_total_pairs: int = 0
 
 
-def _overlapping_pairs(clusters) -> int:
-    rects = [cluster_bounding_rect(c) for c in clusters if c]
+def _overlapping_pairs(rects: list[Rect]) -> int:
     n = 0
     for i in range(len(rects)):
         for j in range(i + 1, len(rects)):
@@ -287,13 +287,13 @@ def fig9_report(
         files = model.write_split_files()
         pda = parallel_data_analysis(files, scenario.config.sim_grid, n_analysis)
         simple = simple_two_hop_clustering(pda.summaries, NNCConfig())
-        full = nearest_neighbour_clustering(pda.summaries, NNCConfig())
-        sp, fp = _overlapping_pairs(simple), _overlapping_pairs(full)
+        sp = _overlapping_pairs(clusters_to_rectangles(pda.summaries, simple))
+        fp = _overlapping_pairs(pda.rectangles)
         if t < scan_steps:
             simple_total += sp
             nnc_total += fp
         if t == step:
-            snapshot = (len(simple), sp, len(full), fp)
+            snapshot = (len(simple), sp, len(pda.clusters), fp)
     assert snapshot is not None
     s_clusters, s_pairs, f_clusters, f_pairs = snapshot
     rows = [

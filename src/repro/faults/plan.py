@@ -395,10 +395,13 @@ class FaultPlan:
     ) -> "FaultPlan":
         """A deterministic random machine-layer plan (the soak suites').
 
-        Crashed ranks are drawn without replacement and never include rank
-        0 (the root of gathers, whose loss is out of the fail-stop model's
-        scope); fault steps land in ``[1, n_steps)`` so the first
-        allocation always exists before anything breaks.
+        Crashed ranks are drawn without replacement from ranks
+        ``1 .. nranks - 1``.  Rank 0 is never drawn: no gather is rooted at
+        a simulation rank any more, but every seeded plan, and so every
+        soak and machine-suite verdict, is drawn this way, so the
+        exclusion stays as a fixed property of seeded plans that keeps
+        them reproducible.  Fault steps land in ``[1, n_steps)`` so the
+        first allocation always exists before anything breaks.
         """
         if n_steps <= 1:
             raise ValueError(f"need n_steps > 1, got {n_steps}")

@@ -91,18 +91,6 @@ class Rect:
     def overlaps(self, other: "Rect") -> bool:
         return self.intersect(other).area > 0
 
-    def union_bbox(self, other: "Rect") -> "Rect":
-        """Smallest rectangle covering both (bounding box, not set union)."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        x0 = min(self.x0, other.x0)
-        y0 = min(self.y0, other.y0)
-        x1 = max(self.x1, other.x1)
-        y1 = max(self.y1, other.y1)
-        return Rect(x0, y0, x1 - x0, y1 - y0)
-
     def iou(self, other: "Rect") -> float:
         """Intersection-over-union; the nest tracking match score."""
         inter = self.intersect(other).area

@@ -9,29 +9,38 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     NNCConfig,
+    QcloudInfo,
     SplitBatch,
     SplitFile,
-    SubdomainSummary,
     cluster_bounding_rect,
     clusters_to_rectangles,
     nearest_neighbour_clustering,
     parallel_data_analysis,
     simple_two_hop_clustering,
 )
+from repro.analysis.nnc import _distance_ok
 from repro.analysis.pda import _assign_files
 from repro.grid import ProcessorGrid, Rect
 from repro.grid.block import split_evenly
 
 
-def make_summary(bx, by, qcloud=1.0, olr_fraction=0.5):
-    return SubdomainSummary(
-        file_index=by * 8 + bx,
-        block_x=bx,
-        block_y=by,
-        extent=Rect(bx * 10, by * 10, 10, 10),
-        qcloud=qcloud,
-        olr_fraction=olr_fraction,
-    )
+def row(bx, by, qcloud=1.0, olr_fraction=0.5):
+    """One ``qcloudinfo`` row: a subdomain's block and its summary."""
+    return bx, by, qcloud, olr_fraction
+
+
+def make_info(rows, size=10):
+    """The rows, in the given order, over ``size x size``-point tiles."""
+    bx, by, qcloud, fraction = (list(c) for c in zip(*rows)) if rows else ([],) * 4
+    n = max([*bx, *by], default=0) + 1
+    bounds = tuple(range(0, size * (n + 1), size))
+    file_index = [y * n + x for x, y in zip(bx, by)]
+    return QcloudInfo(file_index, bx, by, qcloud, fraction, bounds, bounds)
+
+
+def blocks_of(info, cluster):
+    """A cluster's members as ``(block_x, block_y)`` pairs, in join order."""
+    return list(zip(info.block_x[cluster].tolist(), info.block_y[cluster].tolist()))
 
 
 def make_split_file(bx, by, qcloud_value, olr_value, size=10):
@@ -108,102 +117,124 @@ class TestSplitFile:
 
     def test_summarise_thresholds_olr(self):
         f = make_split_file(0, 0, qcloud_value=2.0, olr_value=150.0)
-        s = f.summarise(olr_threshold=200.0)
-        assert s.qcloud == pytest.approx(2.0 * 100)
-        assert s.olr_fraction == 1.0
+        qcloud, olr_fraction = f.summarise(olr_threshold=200.0)
+        assert qcloud == pytest.approx(2.0 * 100)
+        assert olr_fraction == 1.0
 
     def test_summarise_clear_sky(self):
         f = make_split_file(0, 0, qcloud_value=2.0, olr_value=280.0)
-        s = f.summarise(olr_threshold=200.0)
-        assert s.qcloud == 0.0 and s.olr_fraction == 0.0
+        assert f.summarise(olr_threshold=200.0) == (0.0, 0.0)
 
     def test_summarise_partial(self):
         f = make_split_file(0, 0, 1.0, 150.0, size=4)
         olr = f.olr.copy()
         olr[:2, :] = 250.0  # half the subdomain is clear
         f2 = SplitFile(0, 0, 0, f.extent, f.qcloud, olr)
-        s = f2.summarise(200.0)
-        assert s.olr_fraction == pytest.approx(0.5)
-        assert s.qcloud == pytest.approx(8.0)
+        qcloud, olr_fraction = f2.summarise(200.0)
+        assert olr_fraction == pytest.approx(0.5)
+        assert qcloud == pytest.approx(8.0)
+
+
+class TestQcloudInfo:
+    def test_validation(self):
+        bounds = (0, 10, 20)
+        QcloudInfo([0, 3], [0, 1], [0, 1], [1.0, 0.5], [0.5, 0.5], bounds, bounds)
+        with pytest.raises(ValueError):  # a column one row short
+            QcloudInfo([0], [0, 1], [0, 1], [1.0, 0.5], [0.5, 0.5], bounds, bounds)
+        with pytest.raises(ValueError):  # a block outside the grid
+            QcloudInfo([0], [2], [0], [1.0], [0.5], bounds, bounds)
+        with pytest.raises(ValueError):
+            QcloudInfo([0], [-1], [0], [1.0], [0.5], bounds, bounds)
+        with pytest.raises(ValueError):  # bounds that do not start at 0
+            QcloudInfo([0], [0], [0], [1.0], [0.5], (5, 10), bounds)
+
+    def test_columns_are_private_and_read_only(self):
+        qcloud = np.array([2.0, 1.0])
+        info = QcloudInfo([0, 1], [0, 1], [0, 0], qcloud, [0.5, 0.5], (0, 4, 8), (0, 4))
+        qcloud[0] = 0.0
+        assert info.qcloud.tolist() == [2.0, 1.0]
+        with pytest.raises(ValueError):
+            info.qcloud[0] = 3.0
+        assert info.block_x.dtype == np.int64 and len(info) == 2
+
+    def test_sort_gathered_keeps_gather_order_among_ties(self):
+        info = QcloudInfo.sort_gathered(
+            [7, 5, 9, 4], [0, 1, 2, 3], [0, 0, 0, 0], [1.0, 2.0, 1.0, 2.0],
+            [0.1, 0.2, 0.3, 0.4], (0, 1, 2, 3, 4), (0, 1),
+        )
+        assert info.file_index.tolist() == [5, 4, 7, 9]
+        assert info.olr_fraction.tolist() == [0.2, 0.4, 0.1, 0.3]
 
 
 class TestHopDistance:
     def test_chebyshev(self):
-        a = make_summary(2, 2)
-        assert a.hop_distance(make_summary(3, 3)) == 1  # diagonal = 1 hop
-        assert a.hop_distance(make_summary(4, 2)) == 2
-        assert a.hop_distance(make_summary(2, 2)) == 0
+        # DISTANCE's hop count is the Chebyshev distance between blocks
+        info = make_info([row(2, 2), row(3, 3), row(4, 2), row(2, 2)])
+        assert _distance_ok(info, 1, 0, [0], 1, None)  # diagonal = 1 hop
+        assert _distance_ok(info, 2, 0, [0], 2, None)
+        assert not _distance_ok(info, 2, 0, [0], 1, None)
+        assert _distance_ok(info, 3, 0, [0], 0, None)
 
 
 class TestNNC:
     def test_adjacent_same_cluster(self):
-        items = [make_summary(0, 0), make_summary(1, 0)]
-        clusters = nearest_neighbour_clustering(items)
-        assert len(clusters) == 1 and len(clusters[0]) == 2
+        clusters = nearest_neighbour_clustering(make_info([row(0, 0), row(1, 0)]))
+        assert [c.tolist() for c in clusters] == [[0, 1]]
 
     def test_far_apart_two_clusters(self):
-        items = [make_summary(0, 0), make_summary(6, 6)]
-        clusters = nearest_neighbour_clustering(items)
+        clusters = nearest_neighbour_clustering(make_info([row(0, 0), row(6, 6)]))
         assert len(clusters) == 2
 
     def test_two_hop_joins(self):
-        items = [make_summary(0, 0), make_summary(2, 0)]
-        clusters = nearest_neighbour_clustering(items)
+        clusters = nearest_neighbour_clustering(make_info([row(0, 0), row(2, 0)]))
         assert len(clusters) == 1
 
     def test_three_hops_does_not_join(self):
-        items = [make_summary(0, 0), make_summary(3, 0)]
-        clusters = nearest_neighbour_clustering(items)
+        clusters = nearest_neighbour_clustering(make_info([row(0, 0), row(3, 0)]))
         assert len(clusters) == 2
 
     def test_below_threshold_skipped(self):
-        items = [make_summary(0, 0, qcloud=1e-6), make_summary(1, 0)]
-        clusters = nearest_neighbour_clustering(items)
-        assert sum(len(c) for c in clusters) == 1
+        info = make_info([row(0, 0, qcloud=1e-6), row(1, 0)])
+        clusters = nearest_neighbour_clustering(info)
+        assert [c.tolist() for c in clusters] == [[1]]
 
     def test_low_olr_fraction_skipped(self):
-        items = [make_summary(0, 0, olr_fraction=1e-6)]
-        assert nearest_neighbour_clustering(items) == []
+        info = make_info([row(0, 0, olr_fraction=1e-6)])
+        assert nearest_neighbour_clustering(info) == []
 
     def test_mean_deviation_guard(self):
         # second element adjacent but with wildly different qcloud: rejected
-        items = [make_summary(0, 0, qcloud=10.0), make_summary(1, 0, qcloud=1.0)]
-        clusters = nearest_neighbour_clustering(items)
-        assert len(clusters) == 2
+        info = make_info([row(0, 0, qcloud=10.0), row(1, 0, qcloud=1.0)])
+        assert len(nearest_neighbour_clustering(info)) == 2
         # within 30%: accepted
-        items = [make_summary(0, 0, qcloud=10.0), make_summary(1, 0, qcloud=9.0)]
-        assert len(nearest_neighbour_clustering(items)) == 1
+        info = make_info([row(0, 0, qcloud=10.0), row(1, 0, qcloud=9.0)])
+        assert len(nearest_neighbour_clustering(info)) == 1
 
     def test_one_hop_preferred_over_two_hop(self):
         # element at (2,0) is 1 hop from B(3,0) and 2 hops from A(0,0);
         # A comes first in the list but the 1-hop pass must win.
-        a = make_summary(0, 0, qcloud=5.0)
-        b = make_summary(3, 0, qcloud=4.9)
-        e = make_summary(2, 0, qcloud=4.8)
-        clusters = nearest_neighbour_clustering([a, b, e])
-        for c in clusters:
-            if any(m.block_x == 2 for m in c):
-                assert any(m.block_x == 3 for m in c), "joined the 2-hop cluster"
+        info = make_info([row(0, 0, 5.0), row(3, 0, 4.9), row(2, 0, 4.8)])
+        clusters = nearest_neighbour_clustering(info)
+        assert [blocks_of(info, c) for c in clusters] == [[(0, 0)], [(3, 0), (2, 0)]]
 
     def test_clusters_spatially_disjoint_on_grid(self):
         # a dense random field: the paper's property is that NNC bounding
         # rectangles do not overlap (Fig 9b) while simple 2-hop ones may
         rng = np.random.default_rng(3)
-        items = sorted(
+        rows = sorted(
             (
-                make_summary(int(x), int(y), qcloud=float(q))
+                row(int(x), int(y), qcloud=float(q))
                 for x, y, q in zip(
                     rng.integers(0, 10, 40),
                     rng.integers(0, 10, 40),
                     rng.uniform(1, 2, 40),
                 )
             ),
-            key=lambda s: -s.qcloud,
+            key=lambda r: -r[2],
         )
-        clusters = nearest_neighbour_clustering(items)
+        clusters = nearest_neighbour_clustering(make_info(rows))
         # every element lands in exactly one cluster
-        total = sum(len(c) for c in clusters)
-        assert total == len(items)
+        assert sorted(np.concatenate(clusters).tolist()) == list(range(len(rows)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -215,30 +246,36 @@ class TestNNC:
 class TestSimpleTwoHop:
     def test_no_mean_guard(self):
         # wildly different qcloud still joins in the baseline
-        items = [make_summary(0, 0, qcloud=10.0), make_summary(1, 0, qcloud=1.0)]
-        assert len(simple_two_hop_clustering(items)) == 1
+        info = make_info([row(0, 0, qcloud=10.0), row(1, 0, qcloud=1.0)])
+        assert len(simple_two_hop_clustering(info)) == 1
 
     def test_chains_grow_unbounded(self):
         # a long chain of 2-hop steps collapses into one cluster
-        items = [make_summary(2 * i, 0) for i in range(6)]
-        assert len(simple_two_hop_clustering(items)) == 1
+        info = make_info([row(2 * i, 0) for i in range(6)])
+        assert len(simple_two_hop_clustering(info)) == 1
         # the paper's NNC (2-hop max from *any member*) also chains, but the
         # mean guard can stop it; with equal qclouds it also chains:
-        assert len(nearest_neighbour_clustering(items)) == 1
+        assert len(nearest_neighbour_clustering(info)) == 1
 
 
 class TestRegions:
     def test_bounding_rect(self):
-        c = [make_summary(0, 0), make_summary(1, 1)]
-        assert cluster_bounding_rect(c) == Rect(0, 0, 20, 20)
+        info = make_info([row(0, 0), row(1, 1)])
+        assert cluster_bounding_rect(info, np.array([0, 1])) == Rect(0, 0, 20, 20)
+        # uneven tiles: the rectangle runs along the record's tile bounds
+        uneven = QcloudInfo(
+            [0, 1], [1, 2], [0, 1], [1.0, 1.0], [0.5, 0.5], (0, 7, 13, 20), (0, 5, 9)
+        )
+        assert cluster_bounding_rect(uneven, np.array([1, 0])) == Rect(7, 0, 13, 9)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            cluster_bounding_rect([])
+            cluster_bounding_rect(make_info([row(0, 0)]), np.array([], dtype=np.int64))
 
     def test_every_cluster_keeps_its_rectangle(self):
-        clusters = [[make_summary(0, 0)], [], [make_summary(5, 5), make_summary(6, 5)]]
-        assert clusters_to_rectangles(clusters) == [
+        info = make_info([row(0, 0), row(5, 5), row(6, 5)])
+        clusters = [np.array([0]), np.array([], dtype=np.int64), np.array([1, 2])]
+        assert clusters_to_rectangles(info, clusters) == [
             Rect(0, 0, 10, 10),
             Rect(50, 50, 20, 10),
         ]
@@ -296,7 +333,7 @@ class TestPDA:
         grid = ProcessorGrid(4, 4)
         files = self._files(grid, {(0, 0), (2, 2), (3, 3)})
         result = parallel_data_analysis(files, grid, 4)
-        qs = [s.qcloud for s in result.summaries]
+        qs = result.summaries.qcloud.tolist()
         assert qs == sorted(qs, reverse=True)
 
 
@@ -332,9 +369,7 @@ class TestPDADegraded:
         result = parallel_data_analysis(files, grid, 4)
         assert result.partial and result.n_files_corrupt == 1
         # the poisoned subdomain cannot contribute a summary
-        assert all(
-            (s.block_x, s.block_y) != (0, 0) for s in result.summaries
-        )
+        assert (0, 0) not in blocks_of(result.summaries, np.arange(result.gathered_items))
 
     def test_low_olr_fraction_renormalised_over_reporting_area(self):
         grid = ProcessorGrid(2, 2)

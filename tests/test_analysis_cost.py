@@ -1,6 +1,7 @@
 """Tests for the PDA cost model (§III scaling claims)."""
 
 import numpy as np
+import pytest
 
 from repro.analysis import parallel_data_analysis, pda_cost_profile
 from repro.analysis.parallel_nnc import count_distance_evaluations
@@ -78,6 +79,22 @@ class TestPDACostProfile:
         assert p.gathered_elements == result.gathered_items == 3
         assert p.cluster_ops == count_distance_evaluations(result.summaries)
         assert p.cluster_ops > 0
+
+    @pytest.mark.parametrize(
+        "sim_grid, n_analysis",
+        [
+            (ProcessorGrid(2, 2), 0),
+            (ProcessorGrid(2, 2), 5),
+            (ProcessorGrid(2, 2), 9),
+            (ProcessorGrid(2, 2), 16),
+            (ProcessorGrid(4, 4), 4),  # one rank would read every point
+        ],
+    )
+    def test_refuses_what_pda_refuses(self, sim_grid, n_analysis):
+        batch = files_for(ProcessorGrid(2, 2), cloudy_frac=0.5)
+        for analyse in (parallel_data_analysis, pda_cost_profile):
+            with pytest.raises(ValueError):
+                analyse(batch, sim_grid, n_analysis)
 
     def test_gather_bytes(self):
         grid = ProcessorGrid(8, 8)

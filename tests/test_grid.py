@@ -52,9 +52,6 @@ class TestRect:
         assert r.contains_point(1, 1) and r.contains_point(2, 2)
         assert not r.contains_point(3, 3)  # half-open
 
-    def test_union_bbox(self):
-        assert Rect(0, 0, 1, 1).union_bbox(Rect(4, 4, 1, 1)) == Rect(0, 0, 5, 5)
-
     def test_iou(self):
         a, b = Rect(0, 0, 2, 2), Rect(1, 0, 2, 2)
         assert a.iou(b) == pytest.approx(2 / 6)

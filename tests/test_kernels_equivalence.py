@@ -4,9 +4,9 @@ Every hot path with a vectorised implementation keeps its original
 scalar implementation beside it as a ``*_reference`` oracle — a test-only
 specification that shipped code never calls.  These tests drive both over
 randomized inputs — grids, nest sets, message sets, fault masks, degraded
-split-file sets, subdomain summaries, parent fields and nest ROIs — and
+split-file sets, ``qcloudinfo`` records, parent fields and nest ROIs — and
 demand the outputs match:
-bit-for-bit (for NNC, the very same summary objects) wherever the
+bit-for-bit (for NNC, the very same row indices) wherever the
 arithmetic is order-independent (integer-valued byte counts), and to
 1e-12 relative tolerance for the float aggregates whose summation order
 legitimately differs (batched QCLOUD sums).  Whole pipelines (plans, the
@@ -26,13 +26,14 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     NNCConfig,
+    QcloudInfo,
     SplitBatch,
     SplitFile,
-    SubdomainSummary,
+    count_distance_evaluations,
     nearest_neighbour_clustering,
     parallel_data_analysis,
 )
-from repro.analysis.nnc import _nearest_neighbour_clustering_reference
+from repro.analysis.nnc import _distance_ok, _nearest_neighbour_clustering_reference
 from repro.analysis.pda import (
     OLR_THRESHOLD,
     aggregate_summaries,
@@ -567,16 +568,12 @@ class TestPDAEquivalence:
         assert math.isclose(
             rv.low_olr_fraction, rr.low_olr_fraction, rel_tol=1e-12, abs_tol=1e-15
         )
-        assert len(rv.summaries) == len(rr.summaries)
-        for sv, sr in zip(rv.summaries, rr.summaries):
-            assert (sv.file_index, sv.block_x, sv.block_y, sv.extent) == (
-                sr.file_index,
-                sr.block_x,
-                sr.block_y,
-                sr.extent,
-            )
-            assert sv.olr_fraction == sr.olr_fraction
-            assert math.isclose(sv.qcloud, sr.qcloud, rel_tol=1e-12, abs_tol=1e-15)
+        sv, sr = rv.summaries, rr.summaries
+        assert (sv.x_bounds, sv.y_bounds) == (sr.x_bounds, sr.y_bounds)
+        for column in ("file_index", "block_x", "block_y", "olr_fraction"):
+            assert np.array_equal(getattr(sv, column), getattr(sr, column))
+        assert np.allclose(sv.qcloud, sr.qcloud, rtol=1e-12, atol=1e-15)
+        assert [c.tolist() for c in rv.clusters] == [c.tolist() for c in rr.clusters]
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
@@ -598,10 +595,10 @@ class TestPDAEquivalence:
             if corrupt[rank]:
                 assert (qcloud[rank], count[rank]) == (0.0, 0)
                 continue
-            expect = f.summarise(threshold)
-            assert count[rank] / f.extent.area == expect.olr_fraction
+            expect_qcloud, expect_fraction = f.summarise(threshold)
+            assert count[rank] / f.extent.area == expect_fraction
             assert math.isclose(
-                qcloud[rank], expect.qcloud, rel_tol=1e-12, abs_tol=1e-15
+                qcloud[rank], expect_qcloud, rel_tol=1e-12, abs_tol=1e-15
             )
 
     def test_aggregate_empty(self):
@@ -639,35 +636,45 @@ class TestBatchHotPath:
             assert qcloud[rank] == np.where(mask, q, 0.0).sum()  # bit for bit
             assert count[rank] == np.count_nonzero(mask)
 
-    def test_detect_builds_a_summary_only_per_gathered_item(self):
+    def test_detect_makes_no_call_per_row(self):
+        # the root's qcloudinfo stays one record from the gather to the
+        # rectangles: no tile is cut into a file or asked for its extent,
+        # and a Rect is built only for each rectangle
         machine = MACHINES["bgl-1024"]
         model = self.mumbai_model()
         assert model.config.sim_grid.nprocs == machine.ncores
-        built = []
+        rects_built = []
         results = []
-        summary_init = SubdomainSummary.__init__
+        rects_of_pda = []  # the Rects built while each PDA call ran
+        rect_init = Rect.__post_init__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            summary_init(self, *args, **kwargs)
+        def counting_init(self):
+            rects_built.append(self)
+            rect_init(self)
 
-        def no_split_file(self):
-            raise AssertionError("a SplitFile was built on the detect path")
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called on the detect path")
+
+            return call
 
         def recording_pda(*args, **kwargs):
+            before = len(rects_built)
             results.append(parallel_data_analysis(*args, **kwargs))
+            rects_of_pda.append(rects_built[before:])
             return results[-1]
 
         with (
-            mock.patch.object(SubdomainSummary, "__init__", counting_init),
-            mock.patch.object(SplitFile, "__post_init__", no_split_file),
+            mock.patch.object(Rect, "__post_init__", counting_init),
+            mock.patch.object(SplitFile, "__post_init__", refuse("SplitFile")),
+            mock.patch.object(SplitBatch, "extent", refuse("SplitBatch.extent")),
+            mock.patch.object(SplitBatch, "file", refuse("SplitBatch.file")),
             mock.patch("repro.wrf.nests.parallel_data_analysis", recording_pda),
         ):
             detection = detect_nests(model, NestTracker())
-        (result,) = results
-        assert detection.rois and result.gathered_items > 0
-        assert len(built) == result.gathered_items
-        assert {id(s) for s in built} == {id(s) for s in result.summaries}
+        (result,), (built,) = results, rects_of_pda
+        assert detection.rois and result.gathered_items > len(result.rectangles) > 0
+        assert [id(r) for r in built] == [id(r) for r in result.rectangles]
 
 
 #: small pools so cells and QCLOUD values repeat, zero included; a
@@ -679,7 +686,7 @@ NNC_FRACTIONS = (0.0, 0.004, 0.005, 0.3, 1.0)
 
 
 def draw_nnc_case(data):
-    """Sorted summaries on a small block grid plus an NNC configuration."""
+    """A sorted ``qcloudinfo`` on a small block grid plus an NNC configuration."""
     w = data.draw(st.integers(1, 6), label="grid_w")
     h = data.draw(st.integers(1, 6), label="grid_h")
     cells = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
@@ -690,61 +697,64 @@ def draw_nnc_case(data):
         ),
         label="elements",
     )
-    summaries = [
-        SubdomainSummary(
-            file_index=i,
-            block_x=bx,
-            block_y=by,
-            extent=Rect(bx, by, 1, 1),
-            qcloud=qcloud,
-            olr_fraction=fraction,
-        )
-        for i, ((bx, by), qcloud, fraction) in enumerate(rows)
-    ]
-    summaries.sort(key=lambda s: -s.qcloud)
+    flat = [(x, y, qcloud, fraction) for (x, y), qcloud, fraction in rows]
+    columns = [list(c) for c in zip(*flat)] if flat else [[]] * 4
+    info = QcloudInfo.sort_gathered(
+        np.arange(len(rows)), *columns, tuple(range(w + 1)), tuple(range(h + 1))
+    )
     config = NNCConfig(
         qcloud_threshold=data.draw(st.sampled_from((-1.0, 0.0, 0.005, 0.05)), label="q_min"),
         olr_fraction_threshold=data.draw(st.sampled_from((0.0, 0.005)), label="f_min"),
         mean_deviation=data.draw(st.sampled_from((0.0, 0.3, 2.0)), label="mean_dev"),
         max_hops=data.draw(st.integers(1, 4), label="max_hops"),
     )
-    return summaries, config
+    return info, config
 
 
 def cluster_ids(clusters):
-    """Clusters as lists of object identities: the same summaries, in order."""
-    return [[id(s) for s in cluster] for cluster in clusters]
+    """Clusters as lists of row indices: the same rows, in order."""
+    return [c.tolist() for c in clusters]
 
 
 class TestNNCEquivalence:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_clusters_match_per_member_reference(self, data):
-        summaries, config = draw_nnc_case(data)
-        assert cluster_ids(nearest_neighbour_clustering(summaries, config)) == cluster_ids(
-            _nearest_neighbour_clustering_reference(summaries, config)
+        info, config = draw_nnc_case(data)
+        assert cluster_ids(nearest_neighbour_clustering(info, config)) == cluster_ids(
+            _nearest_neighbour_clustering_reference(info, config)
         )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_distance_count_is_the_references_distance_calls(self, data):
+        info, config = draw_nnc_case(data)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _distance_ok(*args)
+
+        with mock.patch("repro.analysis.nnc._distance_ok", counting):
+            _nearest_neighbour_clustering_reference(info, config)
+        assert count_distance_evaluations(info, config) == len(calls)
 
     def test_zero_mean_cluster_admits_only_a_zero_mean(self):
         # a cluster of mean 0 takes a neighbour that keeps the mean at 0,
         # and refuses one that moves it at any hop
         config = NNCConfig(qcloud_threshold=-1.0, olr_fraction_threshold=0.0)
-        summaries = [
-            SubdomainSummary(i, x, 0, Rect(x, 0, 1, 1), q, 0.5)
-            for i, (x, q) in enumerate([(0, 0.0), (1, 0.0), (2, -0.5)])
-        ]
+        bounds = (0, 1, 2, 3)
+        info = QcloudInfo(
+            [0, 1, 2], [0, 1, 2], [0, 0, 0], [0.0, 0.0, -0.5], [0.5] * 3, bounds, (0, 1)
+        )
         for cluster in (nearest_neighbour_clustering, _nearest_neighbour_clustering_reference):
-            clusters = cluster(summaries, config)
-            assert [[s.file_index for s in c] for c in clusters] == [[0, 1], [2]]
+            assert cluster_ids(cluster(info, config)) == [[0, 1], [2]]
 
     def test_unsorted_input_rejected_by_both(self):
-        summaries = [
-            SubdomainSummary(0, 0, 0, Rect(0, 0, 1, 1), 0.1, 0.5),
-            SubdomainSummary(1, 1, 0, Rect(1, 0, 1, 1), 0.2, 0.5),
-        ]
+        info = QcloudInfo([0, 1], [0, 1], [0, 0], [0.1, 0.2], [0.5, 0.5], (0, 1, 2), (0, 1))
         for cluster in (nearest_neighbour_clustering, _nearest_neighbour_clustering_reference):
             with pytest.raises(ValueError):
-                cluster(summaries)
+                cluster(info)
 
 
 class TestStatefulChurnEquivalence:

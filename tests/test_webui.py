@@ -43,14 +43,17 @@ from repro.serve.api import ServeServer
 from repro.serve.wire import http_json, http_stream_lines, http_text
 from repro.topology import MACHINES
 
-def _literal_event_kinds() -> tuple[set[str], set[str]]:
+def _literal_event_kinds() -> tuple[dict[str, list[frozenset[str]]], set[str]]:
     """Event kinds ``src/repro`` emits as literals, and its literal span names.
 
     A kind is emitted by ``<recorder>.emit("kind", ...)`` or by
     ``FlightEvent(kind="kind", ...)``; a span is opened by
-    ``<recorder>.span("name", ...)``.
+    ``<recorder>.span("name", ...)``.  Each kind maps to the keyword names
+    of its ``emit`` calls, one set per call; a call that passes ``**``
+    tags, and a ``FlightEvent``, add no set (their tags are not known
+    statically).
     """
-    emitted: set[str] = set()
+    emitted: dict[str, list[frozenset[str]]] = {}
     spans: set[str] = set()
     for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -61,38 +64,48 @@ def _literal_event_kinds() -> tuple[set[str], set[str]]:
             first = node.args[0] if node.args else None
             if isinstance(first, ast.Constant) and isinstance(first.value, str):
                 if name == "emit":
-                    emitted.add(first.value)
+                    calls = emitted.setdefault(first.value, [])
+                    names = [kw.arg for kw in node.keywords if kw.arg is not None]
+                    if len(names) == len(node.keywords):
+                        calls.append(frozenset(names))
                 elif name == "span":
                     spans.add(first.value)
             if name == "FlightEvent":
-                emitted.update(
-                    kw.value.value
-                    for kw in node.keywords
-                    if kw.arg == "kind" and isinstance(kw.value, ast.Constant)
-                )
+                for kw in node.keywords:
+                    if kw.arg == "kind" and isinstance(kw.value, ast.Constant):
+                        emitted.setdefault(kw.value.value, [])
     return emitted, spans
 
 
 #: one representative payload per emitted event kind, for the loader
 #: round-trip satellite: every kind the library emits today must survive
-#: JSONL and render in replay without an unknown-event fallback
+#: JSONL and render in replay without an unknown-event fallback; a kind
+#: with a literal ``emit`` carries exactly the tags one of its emitters sends
 _SAMPLE_DATA: dict[str, dict[str, object]] = {
     "adapt.start": {"step": 0, "strategy": "dynamic", "n_nests": 2, "px": 16, "py": 16},
-    "adapt.end": {"step": 0, "redist_predicted": 0.25, "redist_measured": 0.3},
+    "adapt.end": {
+        "step": 0,
+        "strategy": "dynamic",
+        "n_nests": 2,
+        "px": 16,
+        "py": 16,
+        "redist_predicted": 0.25,
+        "redist_measured": 0.3,
+    },
     "alloc.rect": {"step": 0, "nest": 1, "x": 0, "y": 0, "w": 8, "h": 8},
-    "nest.insert": {"nest": 1, "nx": 60, "ny": 90},
-    "nest.retain": {"nest": 2, "weight": 1.5},
-    "nest.delete": {"nest": 3},
-    "tree.free": {"slot": 0},
-    "tree.fill_slot": {"slot": 1, "nest": 4},
-    "tree.huffman_fill": {"n": 2},
+    "nest.insert": {"step": 0, "nest": 1, "nx": 60, "ny": 90},
+    "nest.retain": {"step": 0, "nest": 2, "nx": 72, "ny": 72},
+    "nest.delete": {"step": 0, "nest": 3},
+    "tree.free": {"nest": 3},
+    "tree.fill_slot": {"nest": 4, "policy": "sibling-match"},
+    "tree.huffman_fill": {"n_nests": 2},
     "tree.pair_insert": {"nest": 5},
-    "tree.prune_slot": {"slot": 2},
-    "redist.round": {"round": 0, "nbytes": 1024.0},
-    "redist.retry": {"round": 1, "attempt": 2},
-    "redist.round_failed": {"round": 1, "reason": "timeout"},
-    "redist.recovered": {"round": 1},
-    "redist.aborted": {"round": 2},
+    "tree.prune_slot": {},
+    "redist.round": {"nest": 1, "n_messages": 12, "network_bytes": 1024.0, "overlap": 0.5},
+    "redist.retry": {"nest": 1, "attempt": 1, "backoff": 0.01},
+    "redist.round_failed": {"nest": 1, "attempt": 0, "reason": "timeout"},
+    "redist.recovered": {"nest": 1, "attempts": 2, "total_backoff": 0.01},
+    "redist.aborted": {"nest": 2, "attempts": 3, "total_backoff": 0.07},
     "dynamic.choice": {
         "chosen": "diffusion",
         "scratch_exec": 1.0,
@@ -102,25 +115,25 @@ _SAMPLE_DATA: dict[str, dict[str, object]] = {
     },
     "link.heat": {"step": 0, "link": 7, "load": 4096.0, "pairs": "0>1:2048;2>3:2048"},
     "ledger.skew": {"step": 0, "gini": 0.42, "max_over_mean": 3.5, "total": 8192.0},
-    "fault.inject": {"fault": "rank_crash", "rank": 3},
+    "fault.inject": {"step": 4, "fault": "rank_crash", "rank": 3},
     "fault.detected": {"step": 4, "rank": 3},
-    "recovery.start": {"step": 4},
-    "recovery.shrink": {"ncores": 192},
-    "recovery.drop_nest": {"nest": 2},
-    "recovery.verified": {"step": 4},
-    "recovery.nest_rebuilt": {"nest": 1},
-    "recovery.done": {"step": 4},
-    "sanitizer.violation": {"check": "bytes_conserved"},
-    "session.state": {"state": "done", "step": 3},
+    "recovery.start": {"step": 4, "dead_ranks": "3"},
+    "recovery.shrink": {"step": 4, "old_grid": "16x16", "new_grid": "15x16"},
+    "recovery.drop_nest": {"step": 4, "nest": 2},
+    "recovery.verified": {"step": 4, "ok": 1, "retained": 1, "dropped": 1},
+    "recovery.nest_rebuilt": {"step": 4, "nest": 1, "from_checkpoint": 0},
+    "recovery.done": {"step": 4, "new_grid": "15x16", "retained": 1, "dropped": 1},
+    "sanitizer.violation": {"check": "bytes_conserved", "detail": "moved 10 of 12 bytes"},
+    "session.state": {"state": "done", "reason": "", "step": 3},
     "session.hibernate": {"step": 3},
     "session.rematerialize": {"step": 3},
     "stream.gap": {"lost": 12},
-    "pda.partial": {"missing": 1},
-    "soak.data_mismatch": {"nest": 1},
-    "soak.invariant_violation": {"what": "overlap"},
+    "pda.partial": {"missing": 1, "corrupt": 0, "coverage": 0.999023},
+    "soak.data_mismatch": {"step": 2, "nest": 1},
+    "soak.invariant_violation": {"step": 2, "error": "overlap"},
     "chaos.phase": {"phase": "fleet", "campaign": "worker-crash"},
-    "chaos.fault": {"fault": "worker.crash", "worker": 1, "fleet_step": 7},
-    "chaos.verdict": {"campaign": "worker-crash", "ok": 1, "stuck": 0},
+    "chaos.fault": {"fault": "worker.crash", "worker": 1, "task": "worker-1", "fleet_step": 7},
+    "chaos.verdict": {"campaign": "worker-crash", "ok": 1, "stuck": 0, "signature_ok": 1},
 }
 
 
@@ -165,9 +178,18 @@ class TestKnownKinds:
         emitted, spans = _literal_event_kinds()
         span_kinds = {f"{name}.{end}" for name in spans for end in ("start", "end")}
         # every known kind has an emitter: an emit, an event or a span
-        assert KNOWN_EVENT_KINDS - emitted - span_kinds == set()
+        assert KNOWN_EVENT_KINDS - set(emitted) - span_kinds == set()
         # and every literal kind the library emits is known
-        assert emitted - KNOWN_EVENT_KINDS == set()
+        assert set(emitted) - KNOWN_EVENT_KINDS == set()
+        # a sample carries exactly the tags of one of its kind's literal
+        # emitters (a kind with none, emitted only through ``**`` tags or a
+        # FlightEvent, is exempt)
+        wrong = {
+            kind: (sorted(_SAMPLE_DATA[kind]), [sorted(tags) for tags in calls])
+            for kind, calls in emitted.items()
+            if calls and frozenset(_SAMPLE_DATA[kind]) not in calls
+        }
+        assert wrong == {}
 
     def test_every_kind_round_trips_through_jsonl(self, tmp_path):
         ring = FlightRecorder()
