@@ -52,6 +52,10 @@ class MessageSet:
             raise ValueError("src/dst/nbytes must have equal length")
         if n and bool((self.src == self.dst).any()):
             raise ValueError("MessageSet must not contain self-messages")
+        # A negative rank would index the mapping from its end and be
+        # priced as another rank.
+        if n and min(self.src.min(), self.dst.min()) < 0:
+            raise ValueError("MessageSet ranks must be non-negative")
         if n and bool((np.asarray(self.nbytes) <= 0).any()):
             raise ValueError("MessageSet must not contain empty messages")
 

@@ -354,12 +354,14 @@ class NetworkSimulator:
         DMA directions), so an endpoint pays for the *larger* of its
         outgoing and incoming volumes, not their sum.
 
-        Only the ranks the messages touch are accounted.  Untouched ranks
-        contribute exactly zero to every maximum (counts and byte sums are
+        Only the window of ranks from the smallest to the largest the
+        messages touch is accounted, rank ``first + i`` in slot ``i``.
+        Ranks outside it, and untouched ranks inside it, contribute
+        exactly zero to every maximum (counts and byte sums are
         non-negative, the slowdown factors only scale values that are
-        already zero there), so compacting to the touched ranks is
-        bit-identical to the dense oracle — the per-rank sums accumulate
-        the same integer-valued float64 terms.
+        already zero there), so the window is bit-identical to the dense
+        oracle — the per-rank sums accumulate the same integer-valued
+        float64 terms.
         """
         n = len(messages)
         if n == 0:  # matches the dense oracle's all-zero maxima
@@ -368,14 +370,14 @@ class NetworkSimulator:
                 if include_floor
                 else 0.0
             )
-        ranks = np.concatenate((messages.src, messages.dst)).astype(np.int64)
-        uniq, inv = np.unique(ranks, return_inverse=True)
-        out_inv, in_inv = inv[:n], inv[n:]
-        k = len(uniq)
-        out_msgs = np.bincount(out_inv, minlength=k)
-        in_msgs = np.bincount(in_inv, minlength=k)
-        out_bytes = np.bincount(out_inv, weights=messages.nbytes, minlength=k)
-        in_bytes = np.bincount(in_inv, weights=messages.nbytes, minlength=k)
+        first = min(int(messages.src.min()), int(messages.dst.min()))
+        k = max(int(messages.src.max()), int(messages.dst.max())) + 1 - first
+        out_idx = messages.src - first
+        in_idx = messages.dst - first
+        out_msgs = np.bincount(out_idx, minlength=k)
+        in_msgs = np.bincount(in_idx, minlength=k)
+        out_bytes = np.bincount(out_idx, weights=messages.nbytes, minlength=k)
+        in_bytes = np.bincount(in_idx, weights=messages.nbytes, minlength=k)
         floor = (
             self.cost.collective_floor(self.mapping.nranks) if include_floor else 0.0
         )
@@ -385,9 +387,8 @@ class NetworkSimulator:
                 + self.cost.soft_beta * np.maximum(out_bytes, in_bytes)
             )
             for rank, factor in self.rank_slowdown.items():
-                idx = int(np.searchsorted(uniq, rank))
-                if idx < k and uniq[idx] == rank:
-                    per_rank[idx] *= factor
+                if first <= rank < first + k:
+                    per_rank[rank - first] *= factor
             return float(per_rank.max()) + floor
         worst_msgs = int(np.maximum(out_msgs, in_msgs).max())
         worst_bytes = float(np.maximum(out_bytes, in_bytes).max())

@@ -73,6 +73,12 @@ WIRES = {
     "mesh-4x3x5": RandomMapping(Mesh3D((4, 3, 5)), seed=3),
     "mesh-8x1x1": RandomMapping(Mesh3D((8, 1, 1)), seed=4),
 }
+#: fresh tori and meshes, whose node coordinate table is not built yet
+FRESH_TORI = {
+    "bgl-256": lambda: blue_gene_l(256).mapping,
+    "torus-2x1x3": lambda: RandomMapping(Torus3D((2, 1, 3)), seed=2),
+    "mesh-8x1x1": lambda: RandomMapping(Mesh3D((8, 1, 1)), seed=4),
+}
 GRID = ProcessorGrid(16, 16)  # matches the 256-rank machines
 PREDICTOR = ExecTimePredictor(ProfileTable(ExecutionOracle()))
 
@@ -195,6 +201,26 @@ class TestNetsimEquivalence:
         assert vec.bottleneck_time(msgs) == ref.bottleneck_time(msgs)
         assert vec.flow_time(msgs) == ref.flow_time(msgs)
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_stragglers_the_messages_touch(self, data):
+        """Slowed ranks drawn from the messages' own endpoints: each scales
+        its slot of the endpoint tally's rank window, which seldom starts
+        at rank 0."""
+        mapping = WIRES[data.draw(st.sampled_from(sorted(WIRES)), label="wire")]
+        vec, ref = sim_pair(mapping, adaptive=False)
+        msgs = draw_messages(data, mapping.nranks, min_n=1)
+        touched = sorted(set(msgs.src.tolist()) | set(msgs.dst.tolist()))
+        slow = data.draw(
+            st.lists(st.sampled_from(touched), min_size=1, max_size=3, unique=True),
+            label="stragglers",
+        )
+        for rank in slow:
+            vec.set_rank_slowdown(rank, 2.5)
+            ref.set_rank_slowdown(rank, 2.5)
+        assert vec.bottleneck_time(msgs) == ref.bottleneck_time(msgs)
+        assert vec.flow_time(msgs) == ref.flow_time(msgs)
+
     def test_wrapping_interval_loads_the_links_it_crosses(self):
         """On an 8-ring, x = 6 -> x = 1 goes up through the wrap: the +x
         links leaving x = 6, 7 and 0, and nothing else."""
@@ -225,15 +251,19 @@ class TestNetsimEquivalence:
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
-    def test_warm_cache_matches_cold_reference(self, data):
-        """A second pass over overlapping pairs still reproduces the
-        oracle exactly: nothing an earlier call routed leaks into it."""
-        name = data.draw(st.sampled_from(MACHINE_NAMES), label="machine")
-        machine, vec, ref = make_sim_pair(name, adaptive=False)
-        first = draw_messages(data, machine.mapping.nranks, min_n=1, max_n=30)
-        second = draw_messages(data, machine.mapping.nranks, min_n=1, max_n=30)
+    def test_table_building_and_later_calls_match_reference(self, data):
+        """On a fresh torus the first call builds the coordinate table and
+        a later one over overlapping pairs reads it; both reproduce the
+        oracle exactly."""
+        name = data.draw(st.sampled_from(sorted(FRESH_TORI)), label="wire")
+        mapping = FRESH_TORI[name]()
+        vec, ref = sim_pair(mapping, data.draw(st.booleans(), label="adaptive"))
+        first = draw_messages(data, mapping.nranks, min_n=1, max_n=30)
+        second = draw_messages(data, mapping.nranks, min_n=1, max_n=30)
         both = MessageSet.concat([first, second])
-        vec.link_loads(first)  # route a subset of the pairs first
+        assert mapping.topology._xyz is None
+        assert vec.link_loads(first) == ref.link_loads(first)
+        assert mapping.topology._xyz is not None
         assert vec.link_loads(both) == ref.link_loads(both)
         assert vec.bottleneck_time(both) == ref.bottleneck_time(both)
 

@@ -73,6 +73,17 @@ class TestMessageSet:
         with pytest.raises(ValueError):
             MessageSet(np.array([0]), np.array([1, 2]), np.array([1.0]))
 
+    def test_rejects_negative_ranks(self):
+        # rank -1 would index the mapping from its end: the last rank
+        for triple in ((-1, 3, 8.0), (3, -1, 8.0)):
+            with pytest.raises(ValueError, match="non-negative"):
+                msgset([(0, 1, 8.0), triple])
+        g = ProcessorGrid(8, 8)
+        old = BlockDecomposition(16, 16, Rect(0, 0, 2, 2))
+        new = BlockDecomposition(16, 16, Rect(0, 0, 4, 4))
+        msgs = messages_from_transfer(transfer_matrix(old, new, g.px), 8.0)
+        assert len(msgs) and min(msgs.src.min(), msgs.dst.min()) == 0
+
 
 class TestMessagesFromTransfer:
     def test_drops_local_copies(self):

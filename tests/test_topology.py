@@ -1,5 +1,11 @@
 """Tests for repro.topology: torus/mesh/switched metrics, routing, mappings."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +140,106 @@ class TestMesh3D:
         m = Mesh3D((8, 8, 4))
         mapping = FoldedMapping(m, 16, 16)
         assert sorted(mapping.table.tolist()) == list(range(256))
+
+
+def coords_hops(topology, src, dst):
+    """Hop counts straight from :meth:`Torus3D.coords` arithmetic, axis by
+    axis: the mesh travels the direct way, the torus the shorter one."""
+    total = 0
+    for s, t, size in zip(topology.coords(src), topology.coords(dst), topology.dims):
+        d = np.abs(s - t)
+        total = total + (d if isinstance(topology, Mesh3D) else np.minimum(d, size - d))
+    return total
+
+
+#: the degenerate shapes the wire equivalence suite prices, a BG/L
+#: partition and odd rings
+TABLE_DIMS = ((2, 1, 3), (8, 1, 1), (1, 1, 1), (3, 5, 7), (4, 3, 5), (8, 8, 4))
+
+
+class TestCoordinateTable:
+    """``hops`` and the ring kernels read one lazily built node table."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hops_match_coords_arithmetic(self, data):
+        cls = data.draw(st.sampled_from((Torus3D, Mesh3D)), label="kind")
+        t = cls(data.draw(st.sampled_from(TABLE_DIMS), label="dims"))
+        node = st.integers(0, t.nnodes - 1)
+        form = data.draw(st.sampled_from(("array", "broadcast", "0-d")), label="form")
+        if form == "0-d":
+            src = np.asarray(data.draw(node, label="src"))
+            dst = np.asarray(data.draw(node, label="dst"))
+        else:
+            n = data.draw(st.integers(0, 12), label="n")
+            m = n if form == "array" else data.draw(st.integers(1, 5), label="m")
+            src = np.asarray(data.draw(st.lists(node, min_size=n, max_size=n)), np.int64)
+            dst = np.asarray(data.draw(st.lists(node, min_size=m, max_size=m)), np.int64)
+            if form == "broadcast":
+                src = src[:, None]  # (n, 1) against (m,)
+        got = t.hops(src, dst)
+        expected = coords_hops(t, src, dst)
+        assert np.shape(got) == np.broadcast_shapes(src.shape, dst.shape)
+        assert np.array_equal(got, expected)
+        if form == "0-d":
+            assert int(t.hops(src, dst)) == int(expected)
+
+    def test_table_is_built_on_first_use(self):
+        t = Torus3D((3, 5, 7))
+        assert t._xyz is None
+        t.hops(np.asarray(0), np.asarray(1))
+        assert t._xyz.dtype == np.int64
+        assert np.array_equal(t._xyz, np.stack(t.coords(np.arange(t.nnodes))))
+
+    def test_no_table_is_built_at_import(self):
+        code = (
+            "from repro.topology import MACHINES, Torus3D\n"
+            "tori = [m.topology for m in MACHINES.values()"
+            " if isinstance(m.topology, Torus3D)]\n"
+            "print(len(tori), sum(t._xyz is not None for t in tori))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        ntori, built = (int(v) for v in proc.stdout.split())
+        assert ntori >= 6 and built == 0
+
+    def test_racing_first_calls_agree(self):
+        """Four threads make a fresh torus's first ``hops`` call at once;
+        the lazily built table must give each the arithmetic's answer."""
+        rng = np.random.default_rng(11)
+        src, dst = rng.integers(0, 16 * 16 * 16, (2, 3000))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(10):
+                t = Torus3D((16, 16, 16))
+                expected = coords_hops(t, src, dst)
+                start = threading.Barrier(4)
+                results: list = [None] * 4
+
+                def first_call(i, t=t, start=start, results=results):
+                    start.wait(timeout=10)
+                    results[i] = t.hops(src, dst)
+
+                threads = [
+                    threading.Thread(target=first_call, args=(i,)) for i in range(4)
+                ]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30)
+                assert not any(th.is_alive() for th in threads)
+                for got in results:
+                    assert got is not None and np.array_equal(got, expected)
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestSwitchedNetwork:

@@ -633,16 +633,21 @@ class TestR014KernelParity:
 
 class TestOnRealTree:
     def test_src_clean_under_all_rules_within_time_budget(self):
-        t0 = time.perf_counter()
-        baseline = lint_paths(
-            [SRC], select=[f"R{i:03d}" for i in range(1, 11)]
-        )
-        t_base = time.perf_counter() - t0
-        assert baseline.ok, [str(f) for f in baseline.findings[:5]]
+        # Two interleaved rounds (per-file, whole-program, per-file,
+        # whole-program) compared by their minima: one timing of each
+        # pass can cross the bound on host noise alone.
+        t_base = t_full = float("inf")
+        for _round in range(2):
+            t0 = time.perf_counter()
+            baseline = lint_paths(
+                [SRC], select=[f"R{i:03d}" for i in range(1, 11)]
+            )
+            t_base = min(t_base, time.perf_counter() - t0)
+            assert baseline.ok, [str(f) for f in baseline.findings[:5]]
 
-        t0 = time.perf_counter()
-        full = lint_paths([SRC])
-        t_full = time.perf_counter() - t0
-        assert full.ok, [str(f) for f in full.findings[:5]]
+            t0 = time.perf_counter()
+            full = lint_paths([SRC])
+            t_full = min(t_full, time.perf_counter() - t0)
+            assert full.ok, [str(f) for f in full.findings[:5]]
         # the whole-program pass must cost < 2x the per-file pass
         assert t_full < 2.0 * max(t_base, 0.2), (t_full, t_base)
