@@ -65,9 +65,8 @@ class ProcessorReallocator:
         self.cost = cost or CostModel.for_machine(machine)
         self.grid = ProcessorGrid(*machine.grid)
         self.simulator = NetworkSimulator(machine.mapping, self.cost)
-        #: live per-link wire load, maintained by message-set deltas at
-        #: every adaptation point (O(churned nests), not O(machine)); it
-        #: routes through ``simulator``, so each plan routes a nest once
+        #: the wire of the nests in flight: each plan retires the deleted
+        #: nests and charges every move here, pricing each nest once
         self.link_state = LinkLoadState(self.simulator)
         self.allocation: Allocation | None = None
         self.nest_sizes: dict[int, tuple[int, int]] = {}
@@ -116,7 +115,6 @@ class ProcessorReallocator:
                         nests,
                         self.machine,
                         self.cost,
-                        self.simulator,
                         link_state=self.link_state,
                         moves=moves,
                     )

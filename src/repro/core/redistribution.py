@@ -10,8 +10,9 @@ quantities the paper reports:
 * **predicted** redistribution time (§IV-C1 analytical model) and
   **measured** time (contention-aware network simulation).
 
-A :class:`NestMove` carries its hop-bytes and its §IV-C1 time, computed
-once where it is built.  Within one adaptation point the
+A :class:`NestMove` carries its messages' hop counts, their hop-bytes
+and its §IV-C1 time, computed once where it is built; every other reader
+of the move's wire takes them from it.  Within one adaptation point the
 dynamic strategy's two candidates and the plan share one
 :data:`MoveMap`, so a move that several of them price is built once.
 """
@@ -50,9 +51,10 @@ class NestMove:
     """One retained nest's data movement, at the ``nx x ny`` size it was
     priced at: the data plane executes exactly this move.
 
-    ``hop_bytes`` is its messages' hop-bytes under the machine's mapping
-    and ``predicted_time`` its §IV-C1 alltoallv time; both come from one
-    hop count per message, taken when :func:`nest_moves` builds the move.
+    ``hops`` are its messages' hop counts under the machine's mapping
+    (empty for a move that sends nothing), ``hop_bytes`` their byte-weighted
+    sum and ``predicted_time`` its §IV-C1 alltoallv time: one hop count per
+    message, taken when :func:`nest_moves` builds the move.
     """
 
     nest_id: int
@@ -60,6 +62,7 @@ class NestMove:
     ny: int
     transfer: TransferMatrix
     messages: MessageSet
+    hops: np.ndarray
     hop_bytes: float
     predicted_time: float
 
@@ -88,20 +91,6 @@ class RedistributionPlan:
     @property
     def retained_nests(self) -> list[int]:
         return [m.nest_id for m in self.moves]
-
-
-def _alltoallv_costs(
-    messages: MessageSet, machine: MachineSpec, cost: CostModel
-) -> tuple[float, float]:
-    """One move's hop-bytes and §IV-C1 time, from one hop count per
-    message (none for a move that sends nothing)."""
-    if len(messages) == 0:
-        return 0.0, 0.0
-    hops = machine.mapping.rank_hops(messages.src, messages.dst)
-    return (
-        float(np.dot(hops, messages.nbytes)),
-        predict_alltoallv_time(messages, machine, cost, hops),
-    )
 
 
 def nest_moves(
@@ -136,8 +125,17 @@ def nest_moves(
                     old.grid.px,
                 )
                 msgs = messages_from_transfer(t, cost.bytes_per_point)
-                hop_total, predicted = _alltoallv_costs(msgs, machine, cost)
-                move = made[key] = NestMove(nid, nx, ny, t, msgs, hop_total, predicted)
+                hops = machine.mapping.rank_hops(msgs.src, msgs.dst)
+                move = made[key] = NestMove(
+                    nid,
+                    nx,
+                    ny,
+                    t,
+                    msgs,
+                    hops,
+                    float(np.dot(hops, msgs.nbytes)),
+                    predict_alltoallv_time(msgs, machine, cost, hops),
+                )
         out.append(move)
     return out
 
@@ -148,7 +146,6 @@ def plan_redistribution(
     nest_sizes: dict[int, tuple[int, int]],
     machine: MachineSpec,
     cost: CostModel,
-    simulator: NetworkSimulator | None = None,
     link_state: LinkLoadState | None = None,
     moves: MoveMap | None = None,
 ) -> RedistributionPlan:
@@ -160,15 +157,14 @@ def plan_redistribution(
     initial data is interpolated from the parent, not redistributed) move
     no data, exactly as in the paper.
 
-    ``link_state`` (optional) is a live
-    :class:`~repro.mpisim.netsim.LinkLoadState` to maintain by deltas:
-    deleted nests' contributions are retired and each retained nest's is
-    replaced by this plan's messages, so after the call the state holds
-    exactly this adaptation point's wire traffic without any full
-    recomputation.  When the state routes through ``simulator``, each
-    nest's charge also times its wire phase, so every nest is routed once.
-    The sanitizer (when armed) cross-checks the incremental state against
-    a from-scratch rebuild.
+    The wire is priced in ``link_state``, a
+    :class:`~repro.mpisim.netsim.LinkLoadState` (a fresh one on the
+    machine when omitted): deleted nests are retired from it and each
+    move is charged into it, replacing the nest's earlier charge, so after
+    the call it holds exactly this point's wire traffic.  Each nest's
+    charge times its wire phase.  The sanitizer (when armed) checks that
+    the state holds exactly this plan's moves and that each charge carries
+    its move's hop-bytes.
 
     ``moves`` (optional) is the point's move map: the plan takes each move
     the candidates' pricing already built from it instead of building it
@@ -177,7 +173,8 @@ def plan_redistribution(
 
     Validation: :func:`nest_moves` raises ``KeyError`` for a retained nest without a size.
     """
-    simulator = simulator or NetworkSimulator(machine.mapping, cost)
+    if link_state is None:
+        link_state = LinkLoadState(NetworkSimulator(machine.mapping, cost))
     recorder = get_recorder()
     priced = nest_moves(old, new, nest_sizes, machine, cost, moves)
     if moves is not None:
@@ -190,26 +187,22 @@ def plan_redistribution(
             network_bytes=move.messages.total_bytes,
             overlap=move.overlap_fraction,
         )
-    per_nest_msgs = [move.messages for move in priced]
-    charges = None  # each nest's link-state charge doubles as its wire load
-    if link_state is not None:
-        with recorder.span("redist.link_state", n_moves=len(priced)):
-            for nid in sorted(set(old.rects) - set(new.rects)):
-                link_state.retire(nid)
-            charges = [link_state.update(m.nest_id, m.messages) for m in priced]
-        if link_state.simulator is not simulator:  # loads of another network
-            charges = None
+    with recorder.span("redist.link_state", n_moves=len(priced)):
+        for nid in sorted(set(old.rects) - set(new.rects)):
+            link_state.retire(nid)
+        charges = [link_state.update(m.nest_id, m.messages) for m in priced]
     with recorder.span("redist.cost", n_moves=len(priced)):
-        all_msgs = MessageSet.concat(per_nest_msgs)
+        all_msgs = MessageSet.concat([move.messages for move in priced])
         # byte counts are integer-valued, so the per-move sums add up exactly
         hb_total = sum((move.hop_bytes for move in priced), 0.0)
         hb_avg = hb_total / all_msgs.total_bytes if len(all_msgs) else 0.0
         predicted = sum(move.predicted_time for move in priced)
         # §IV-C1: each retained nest redistributes with its own
         # MPI_Alltoallv, so the measured time sums the nests' bottlenecks
+        simulator = link_state.simulator
         measured = sum(
-            simulator.bottleneck_time(msgs, link_arrays=charge)
-            for msgs, charge in zip(per_nest_msgs, charges or [None] * len(priced))
+            simulator.bottleneck_time(move.messages, link_arrays=charge)
+            for move, charge in zip(priced, charges)
         )
     total_points = sum(move.transfer.total_points for move in priced)
     local_points = sum(move.transfer.local_points for move in priced)
@@ -226,6 +219,5 @@ def plan_redistribution(
     sanitizer = get_sanitizer()
     if sanitizer.enabled:
         sanitizer.after_plan(plan, nest_sizes)
-        if link_state is not None:
-            sanitizer.after_link_state(link_state)
+        sanitizer.after_link_state(link_state, plan)
     return plan

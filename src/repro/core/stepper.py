@@ -154,12 +154,13 @@ class AdaptationStepper:
         ledger, realloc = self.ledger, self.realloc
         assert ledger is not None
         for move in plan.moves:
-            ledger.add_messages(move.messages, realloc.machine.mapping)
+            ledger.add_messages(move.messages, move.hops)
         if not any(len(m.messages) for m in plan.moves):
             return
-        # The reallocator's step just delta-updated its link state to hold
-        # exactly this plan's message sets, so the busiest-link query is
-        # O(links) + the crossing keys — no concat, no re-route.
+        # The reallocator's step just charged its link state with exactly
+        # this plan's message sets, so the busiest-link query sums the
+        # charges and revisits only the keys that cross the busiest link:
+        # no concat, no re-route.
         link, load, contributions = realloc.link_state.busiest_link_contributions()
         ledger.add_busiest_link(load, contributions)
         sanitizer = get_sanitizer()

@@ -4,9 +4,10 @@ Aggregate redistribution metrics (total bytes, hop-bytes, bottleneck time)
 hide *skew*: a handful of rank pairs usually carries most of the traffic,
 and the busiest link's load decides the §IV-C "measured" time.  The
 :class:`CommLedger` keeps the pre-aggregation view: bytes sent and
-received per rank, hop-bytes attributed to the sender, bytes exchanged
-per (src, dst) rank pair, and — fed by
-:meth:`~repro.mpisim.netsim.NetworkSimulator.busiest_link_contributions`
+received per rank, hop-bytes attributed to the sender (from the hop
+counts each move took where it was built), bytes exchanged per
+(src, dst) rank pair, and — fed by
+:meth:`~repro.mpisim.netsim.LinkLoadState.busiest_link_contributions`
 — how much each pair pushed through the most loaded link.
 
 :func:`gini` and :class:`SkewSummary` condense a per-rank series into the
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mpisim.alltoallv import MessageSet
-from repro.topology.mapping import ProcessMapping
 
 __all__ = ["CommLedger", "PairByteAccumulator", "SkewSummary", "gini", "format_ledger"]
 
@@ -45,10 +45,6 @@ class PairByteAccumulator:
     Exactness: message byte counts are integer-valued float64, so the
     grouped bincount sums equal the old dict's incremental additions
     bit-for-bit, in any accumulation order.
-
-    The read API is mapping-shaped (``items``/``values``/``get``/``[]``/
-    ``==`` against a plain dict) so ledger consumers did not have to
-    change.
     """
 
     def __init__(self, nranks: int, compact_threshold: int = 1024) -> None:
@@ -122,58 +118,19 @@ class PairByteAccumulator:
         self._compact()
         return float(self._vals.sum())
 
-    def get(self, pair: tuple[int, int], default: float = 0.0) -> float:
-        self._compact()
-        key = int(pair[0]) * self.nranks + int(pair[1])
-        idx = int(np.searchsorted(self._keys, key))
-        if idx < self._keys.size and int(self._keys[idx]) == key:
-            return float(self._vals[idx])
-        return default
-
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        sentinel = float("nan")
-        value = self.get(pair, sentinel)
-        if value != value:  # NaN sentinel: pair absent
-            raise KeyError(pair)
-        return value
-
-    def __contains__(self, pair: object) -> bool:
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            return False
-        self._compact()
-        key = int(pair[0]) * self.nranks + int(pair[1])
-        idx = int(np.searchsorted(self._keys, key))
-        return idx < self._keys.size and int(self._keys[idx]) == key
-
-    def values(self) -> np.ndarray:
-        """Byte totals in (src, dst) key order."""
-        self._compact()
-        return self._vals
-
-    def items(self) -> list[tuple[tuple[int, int], float]]:
-        src, dst, vals = self.arrays()
-        return list(zip(zip(src.tolist(), dst.tolist()), vals.tolist()))
-
-    def to_dict(self) -> dict[tuple[int, int], float]:
-        return dict(self.items())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PairByteAccumulator):
-            return self.to_dict() == other.to_dict()
-        if isinstance(other, dict):
-            return self.to_dict() == other
-        return NotImplemented
-
     def top(self, n: int) -> list[tuple[tuple[int, int], float]]:
         """The ``n`` heaviest pairs, bytes descending, ties toward the
-        lexicographically smallest pair (key order == tuple order)."""
-        self._compact()
-        if n <= 0 or self._keys.size == 0:
+        lexicographically smallest pair: every pair at least as heavy as
+        the ``n``-th heaviest, stably sorted in :meth:`arrays` order."""
+        src, dst, vals = self.arrays()
+        if n <= 0 or vals.size == 0:
             return []
-        order = np.lexsort((self._keys, -self._vals))[:n]
+        k = vals.size - min(n, vals.size)
+        heavy = np.flatnonzero(vals >= np.partition(vals, k)[k])
+        order = heavy[np.argsort(-vals[heavy], kind="stable")[:n]]
         return [
-            ((int(k) // self.nranks, int(k) % self.nranks), float(v))
-            for k, v in zip(self._keys[order], self._vals[order])
+            ((int(s), int(d)), float(v))
+            for s, d, v in zip(src[order], dst[order], vals[order])
         ]
 
 
@@ -242,9 +199,10 @@ class CommLedger:
     """Accumulates per-rank traffic across redistributions.
 
     Feed it every :class:`~repro.mpisim.alltoallv.MessageSet` that goes
-    over the wire (:meth:`add_messages`), and the busiest-link breakdown
-    from the simulator (:meth:`add_busiest_link`); read back per-rank
-    arrays, per-pair byte totals, and :class:`SkewSummary` digests.
+    over the wire with its hop counts (:meth:`add_messages`), and the
+    busiest-link breakdown of the link state (:meth:`add_busiest_link`);
+    read back per-rank arrays, per-pair byte totals, and
+    :class:`SkewSummary` digests.
     """
 
     def __init__(self, nranks: int) -> None:
@@ -268,10 +226,9 @@ class CommLedger:
         self.n_collectives = 0
         self.n_retries = 0
 
-    def add_messages(
-        self, messages: MessageSet, mapping: ProcessMapping | None = None
-    ) -> None:
-        """Account one collective's messages (hop-bytes need ``mapping``)."""
+    def add_messages(self, messages: MessageSet, hops: np.ndarray) -> None:
+        """Account one collective's messages, whose hop counts are
+        ``hops`` (counted once, where the move that sends them was built)."""
         self.n_collectives += 1
         n = len(messages)
         if n == 0:
@@ -279,9 +236,7 @@ class CommLedger:
         self.n_messages += n
         np.add.at(self.sent, messages.src, messages.nbytes)
         np.add.at(self.received, messages.dst, messages.nbytes)
-        if mapping is not None:
-            hops = mapping.rank_hops(messages.src, messages.dst).astype(np.float64)
-            np.add.at(self.hop_bytes, messages.src, hops * messages.nbytes)
+        np.add.at(self.hop_bytes, messages.src, hops * messages.nbytes)
         # Raw COO append; the accumulator compacts lazily, so per-collective
         # cost is O(messages) with no per-pair Python work at all.
         self.pair_bytes.add_pairs(messages.src, messages.dst, messages.nbytes)
@@ -303,7 +258,7 @@ class CommLedger:
         self, link_load: float, contributions: dict[tuple[int, int], float]
     ) -> None:
         """Account one collective's busiest-link breakdown (from
-        :meth:`~repro.mpisim.netsim.NetworkSimulator.busiest_link_contributions`).
+        :meth:`~repro.mpisim.netsim.LinkLoadState.busiest_link_contributions`).
         """
         self.busiest_link_load += float(link_load)
         if contributions:

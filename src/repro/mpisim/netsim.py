@@ -27,11 +27,15 @@ link's contributors from interval containment
 materialised.  On other topologies, and for the flow-level simulator,
 routes for a whole :class:`~repro.mpisim.alltoallv.MessageSet` are
 materialised as one flat link-id array plus CSR offsets
-(:meth:`NetworkSimulator.routes_csr`) and reduce via ``np.bincount``.  The
-original per-message loops stay beside them as ``*_reference`` methods —
+(:meth:`NetworkSimulator.routes_csr`; on a torus
+:meth:`~repro.topology.torus.Torus3D.batch_routes` walks the same ring
+intervals hop by hop) and reduce via ``np.bincount``.  The original
+per-message loops stay beside them as ``*_reference`` methods —
 test-only oracles the equivalence suite checks the shipped paths against,
 bit for bit: message byte counts are integer-valued floats, so the sums
 are exact in any order (see ``docs/performance.md``).
+:class:`LinkLoadState` keeps each nest's per-link loads as its charge, so
+a plan prices each nest once and the busiest-link query sums the charges.
 
 Fault hooks (:mod:`repro.faults`): a simulator carries an optional set of
 *degraded links* (per-link bandwidth multipliers in ``(0, 1]``, modelling a
@@ -54,18 +58,6 @@ from repro.topology.mapping import ProcessMapping
 from repro.topology.torus import Torus3D
 
 __all__ = ["NetworkSimulator", "LinkLoadState"]
-
-
-def _take_rows(
-    links: np.ndarray, offsets: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``rows`` of the CSR ``(links, offsets)``, in that order, as a
-    new CSR."""
-    lengths = np.diff(offsets)[rows]
-    out = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out[1:])
-    k = np.arange(out[-1], dtype=np.int64) - np.repeat(out[:-1], lengths)
-    return links[np.repeat(offsets[:-1][rows], lengths) + k], out
 
 
 class NetworkSimulator:
@@ -136,71 +128,42 @@ class NetworkSimulator:
         return self.topology.route(src, dst)
 
     def _nodes(
-        self, messages: MessageSet
+        self, src_ranks: np.ndarray, dst_ranks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Each message's physical ``(src, dst)`` nodes and, under adaptive
-        routing, its hashed index into :attr:`Torus3D.DIM_ORDERS`."""
-        table = self.mapping.table
-        src = table[messages.src].astype(np.int64)
-        dst = table[messages.dst].astype(np.int64)
+        """The physical ``(src, dst)`` nodes of the given rank pairs and,
+        under adaptive routing, each pair's hashed index into
+        :attr:`Torus3D.DIM_ORDERS`."""
+        src = self.mapping.node_of(src_ranks)
+        dst = self.mapping.node_of(dst_ranks)
         order_idx = (src * 2654435761 + dst) % 6 if self.adaptive_routing else None
         return src, dst, order_idx
-
-    def _batch_routes(
-        self, src_ranks: np.ndarray, dst_ranks: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Routes of the given rank pairs as one ``(links, offsets)`` CSR,
-        in input order."""
-        table = self.mapping.table
-        src = table[src_ranks].astype(np.int64)
-        dst = table[dst_ranks].astype(np.int64)
-        if not self.adaptive_routing:
-            return self.topology.batch_routes(src, dst)
-        # Group pairs by their hashed dimension order (six groups) so each
-        # group is one vectorised batch_routes_ordered call, then put the
-        # grouped routes back in input order.
-        order_idx = (src * 2654435761 + dst) % 6
-        sels, links, lengths = [], [], []
-        for o in np.unique(order_idx):
-            sel = np.flatnonzero(order_idx == o)
-            glinks, goffs = self.topology.batch_routes_ordered(
-                src[sel], dst[sel], Torus3D.DIM_ORDERS[int(o)]
-            )
-            sels.append(sel)
-            links.append(glinks)
-            lengths.append(np.diff(goffs))
-        offsets = np.zeros(len(src) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(lengths), out=offsets[1:])
-        return _take_rows(
-            np.concatenate(links), offsets, np.argsort(np.concatenate(sels))
-        )
 
     def routes_csr(self, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
         """Every message's physical route as one flat CSR structure.
 
         Returns ``(links, offsets)``: message ``i`` traverses directed
-        links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  The
-        unique endpoint pairs are routed in one vectorised batch and each
-        message gathers its pair's route; the ``route_cache_*`` counters
-        advance by the unique pairs (misses) and the repeats (hits).  Only
-        the flow-level simulator and topologies without ring intervals
-        route; a torus or mesh prices link loads without calling this.
+        links ``links[offsets[i]:offsets[i + 1]]``, in hop order.  Every
+        message is routed in one vectorised batch; the ``route_cache_*``
+        counters advance by the unique endpoint pairs (misses) and the
+        repeats (hits).  Only the flow-level simulator and topologies
+        without ring intervals route; a torus or mesh prices link loads
+        without calling this.
         """
         n = len(messages)
         if n == 0:
             return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        nranks = self.mapping.nranks
-        keys = messages.src.astype(np.int64) * nranks + messages.dst.astype(np.int64)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        n_pairs = len(uniq)
+        src, dst, order_idx = self._nodes(messages.src, messages.dst)
+        keys = np.sort(src * self.topology.nnodes + dst)
+        n_pairs = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
         self.route_cache_misses += n_pairs
         self.route_cache_hits += n - n_pairs
         rec = get_recorder()
         rec.count("netsim.route_cache_miss", float(n_pairs))
         if n > n_pairs:
             rec.count("netsim.route_cache_hit", float(n - n_pairs))
-        links, offsets = self._batch_routes(uniq // nranks, uniq % nranks)
-        return _take_rows(links, offsets, inv)
+        if order_idx is None:
+            return self.topology.batch_routes(src, dst)
+        return self.topology.batch_routes(src, dst, order_idx)
 
     def _routes_reference(self, messages: MessageSet) -> list[list[int]]:
         """Physical route (link ids) of every message, one at a time."""
@@ -218,7 +181,7 @@ class NetworkSimulator:
         if len(messages) == 0:  # nothing on the wire
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         if self._rings:
-            src, dst, order_idx = self._nodes(messages)
+            src, dst, order_idx = self._nodes(messages.src, messages.dst)
             return self.topology.ring_link_loads(src, dst, messages.nbytes, order_idx)
         links, offsets = self.routes_csr(messages)
         weights = np.repeat(
@@ -239,27 +202,6 @@ class NetworkSimulator:
         links, loads = self._link_load_arrays(messages)
         return dict(zip(links.tolist(), loads.tolist()))
 
-    def busiest_link_contributions(
-        self, messages: MessageSet
-    ) -> tuple[int, float, dict[tuple[int, int], float]]:
-        """The most loaded link and which rank pairs load it.
-
-        Returns ``(link_id, link_load_bytes, {(src, dst): bytes})`` where
-        the dict holds every message routed *through* that link keyed by
-        its endpoint ranks — the per-pair breakdown a
-        :class:`~repro.mpisim.ledger.CommLedger` accumulates to show who
-        is responsible for the wire-phase bottleneck.  Returns
-        ``(-1, 0.0, {})`` for an empty message set.
-        """
-        links, loads = self._link_load_arrays(messages)
-        if links.size == 0:
-            return -1, 0.0, {}
-        # Ties break toward the smallest link id: links is sorted ascending
-        # and argmax returns the first maximum.
-        bi = int(np.argmax(loads))
-        busiest = int(links[bi])
-        return busiest, float(loads[bi]), self._pair_bytes_through(messages, busiest)
-
     def _pair_bytes_through(
         self, messages: MessageSet, link: int
     ) -> dict[tuple[int, int], float]:
@@ -267,7 +209,7 @@ class NetworkSimulator:
         route crosses ``link``: by interval containment on tori and meshes,
         else by routing every message."""
         if self._rings:
-            src, dst, order_idx = self._nodes(messages)
+            src, dst, order_idx = self._nodes(messages.src, messages.dst)
             touching = np.flatnonzero(
                 self.topology.ring_crossings(src, dst, link, order_idx)
             )
@@ -296,6 +238,8 @@ class NetworkSimulator:
     def _busiest_link_contributions_reference(
         self, messages: MessageSet
     ) -> tuple[int, float, dict[tuple[int, int], float]]:
+        """Scalar oracle of :meth:`LinkLoadState.busiest_link_contributions`
+        for a state charged with ``messages`` (per-message route walks)."""
         routes = self._routes_reference(messages)
         loads: dict[int, float] = {}
         for route, nbytes in zip(routes, messages.nbytes):
@@ -603,158 +547,91 @@ class NetworkSimulator:
 
 
 class LinkLoadState:
-    """Live per-link load state maintained by message-set *deltas*.
+    """The wire of the nests in flight, kept as one *charge* per key.
 
-    This class keeps one dense ``loads`` array (float64, one slot per
-    directed link — ~3 MB at 64k ranks) plus the per-key contribution
-    (*charge*) that produced it, and applies each adaptation as a delta:
-    :meth:`retire` subtracts a departed key's charge, :meth:`update` swaps
-    a changed key's old charge for its new one.  A charge is
-    :meth:`NetworkSimulator._link_load_arrays` of the key's messages —
-    on a torus or mesh priced from ring intervals, elsewhere routed — so
-    no plan rebuilds the whole machine's link loads.
+    A key's charge is :meth:`NetworkSimulator._link_load_arrays` of its
+    messages -- its sorted loaded link ids and their byte totals, on a
+    torus or mesh priced from ring intervals, elsewhere routed.
+    :meth:`update` prices and stores a charge, :meth:`retire` drops one
+    and :meth:`clear` empties the state.  Keys are nest ids, and a plan
+    charges every move it makes, so after an adaptation step the state
+    holds exactly the retained nests' redistribution message sets.
 
-    Exactness: message byte counts are integer-valued float64, so every
-    per-link total is an exact integer and add/subtract round-trips to
-    exactly zero — the incremental ``loads`` is *bit-identical* to a
-    from-scratch rebuild, which :meth:`rebuild` provides as the shipped
-    check (the sanitizer compares the two after every plan, and checks
-    that each charge sums to its messages' hop-bytes).
-
-    Keys are nest ids; the state after an adaptation step holds exactly
-    the retained nests' redistribution message sets, so
-    :meth:`busiest_link_contributions` returns the same
-    ``(link, load, {pair: bytes})`` triple as
-    :meth:`NetworkSimulator.busiest_link_contributions` over the
-    concatenation of all active sets — without ever materialising the
-    concatenation.
+    :meth:`loads` sums the charges over the machine's links.  Byte counts
+    are integer-valued float64, so every per-link sum is an exact integer
+    and equals any other summation of the same bytes bit for bit;
+    :meth:`busiest_link_contributions` answers for the concatenation of
+    every charged message set without building it.
     """
 
     def __init__(self, simulator: NetworkSimulator) -> None:
         self.simulator = simulator
-        self.loads = np.zeros(simulator.topology.nlinks, dtype=np.float64)
-        self._links: dict[int, np.ndarray] = {}  # key -> sorted loaded link ids
-        self._vals: dict[int, np.ndarray] = {}  # key -> per-link byte totals
-        self._messages: dict[int, MessageSet] = {}
-
-    # -- bookkeeping -----------------------------------------------------
+        #: key -> (sorted loaded link ids, their byte totals, the messages)
+        self._charges: dict[int, tuple[np.ndarray, np.ndarray, MessageSet]] = {}
 
     @property
     def active_keys(self) -> list[int]:
         """The tracked keys (nest ids), sorted."""
-        return sorted(self._messages)
+        return sorted(self._charges)
 
-    def messages_for(self, key: int) -> MessageSet:
-        """The message set currently charged under ``key``."""
-        return self._messages[key]
-
-    def charge_for(self, key: int) -> tuple[np.ndarray, np.ndarray]:
-        """``key``'s charge: its sorted loaded links and their byte totals."""
-        return self._links[key], self._vals[key]
+    def charge_for(self, key: int) -> tuple[np.ndarray, np.ndarray, MessageSet]:
+        """``key``'s charge -- its sorted loaded links and their byte
+        totals -- and the messages it was priced from."""
+        return self._charges[key]
 
     def clear(self) -> None:
-        """Drop every contribution (back to an idle wire)."""
-        self.loads.fill(0.0)
-        self._links.clear()
-        self._vals.clear()
-        self._messages.clear()
+        """Drop every charge (back to an idle wire)."""
+        self._charges.clear()
 
     def update(self, key: int, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
         """Charge ``key`` with ``messages``, replacing any prior charge;
         returns the charge (sorted loaded links, their byte totals)."""
-        self.retire(key)
-        links, vals = self.simulator._link_load_arrays(messages)
-        self._links[key] = links
-        self._vals[key] = vals
-        self._messages[key] = messages
-        self.loads[links] += vals
-        return links, vals
+        links, loads = self.simulator._link_load_arrays(messages)
+        self._charges[key] = (links, loads, messages)
+        return links, loads
 
     def retire(self, key: int) -> None:
-        """Remove ``key``'s contribution; a no-op for unknown keys."""
-        links = self._links.pop(key, None)
-        if links is None:
-            return
-        self.loads[links] -= self._vals.pop(key)
-        del self._messages[key]
+        """Drop ``key``'s charge; a no-op for unknown keys."""
+        self._charges.pop(key, None)
 
-    # -- queries ---------------------------------------------------------
-
-    def rebuild(self) -> np.ndarray:
-        """From-scratch recomputation of :attr:`loads` (the rebuild twin).
-
-        Prices every active message set again and sums.  The incremental
-        array must equal this bit-for-bit; the sanitizer checks it does.
-        """
-        loads = np.zeros_like(self.loads)
-        for key in sorted(self._messages):
-            links, vals = self.simulator._link_load_arrays(self._messages[key])
-            loads[links] += vals
-        return loads
-
-    def _rebuild_reference(self) -> np.ndarray:
-        """Scalar oracle of :meth:`rebuild` (per-message route walks)."""
-        loads = np.zeros_like(self.loads)
-        for key in sorted(self._messages):
-            ref = self.simulator._link_loads_reference(self._messages[key])
-            for link, nbytes in ref.items():
-                loads[link] += nbytes
-        return loads
+    def loads(self) -> np.ndarray:
+        """Bytes on each of the machine's directed links: the charges
+        summed, keys in order."""
+        charges = [self._charges[key] for key in sorted(self._charges)]
+        return np.bincount(
+            np.concatenate([np.empty(0, dtype=np.int64), *(c[0] for c in charges)]),
+            weights=np.concatenate([np.empty(0), *(c[1] for c in charges)]),
+            minlength=self.simulator.topology.nlinks,
+        )
 
     def busiest_link_contributions(
         self,
     ) -> tuple[int, float, dict[tuple[int, int], float]]:
-        """The most loaded link across every active key, and who loads it.
+        """The most loaded link across every charge, and who loads it.
 
-        Same contract as
-        :meth:`NetworkSimulator.busiest_link_contributions` over the
-        concatenation of all active message sets — ``(-1, 0.0, {})``
-        when nothing is on the wire, ties toward the smallest link id —
-        but the scan is O(links) on the live array and only the keys
-        whose charge holds the busiest link are revisited.
+        Returns ``(link_id, link_load_bytes, {(src, dst): bytes})``: the
+        dict holds every message routed *through* that link keyed by its
+        endpoint ranks -- the per-pair breakdown a
+        :class:`~repro.mpisim.ledger.CommLedger` accumulates to show who
+        is responsible for the wire-phase bottleneck.  ``(-1, 0.0, {})``
+        when nothing is on the wire; ties go to the smallest link id.
+        Only the keys whose charge holds the busiest link are revisited
+        (membership by bisection), and within a key
+        :meth:`NetworkSimulator._pair_bytes_through` finds the messages
+        that cross it.
         """
-        if not self._messages:
-            return -1, 0.0, {}
-        busiest = int(np.argmax(self.loads))
-        load = float(self.loads[busiest])
+        loads = self.loads()
+        busiest = int(np.argmax(loads))
+        load = float(loads[busiest])
         if load <= 0.0:
             return -1, 0.0, {}
-        return busiest, load, self._busiest_contributions_vector(busiest)
-
-    def _busiest_contributions_reference(
-        self, busiest: int
-    ) -> dict[tuple[int, int], float]:
-        """Per-pair bytes through ``busiest``, by walking every route."""
         contributions: dict[tuple[int, int], float] = {}
-        if busiest < 0:
-            return contributions
-        for key in sorted(self._messages):
-            messages = self._messages[key]
-            routes = self.simulator._routes_reference(messages)
-            for route, s, d, nbytes in zip(
-                routes, messages.src, messages.dst, messages.nbytes
-            ):
-                if busiest in route:
-                    pair = (int(s), int(d))
-                    contributions[pair] = contributions.get(pair, 0.0) + float(nbytes)
-        return contributions
-
-    def _busiest_contributions_vector(
-        self, busiest: int
-    ) -> dict[tuple[int, int], float]:
-        """Per-pair bytes through ``busiest``, revisiting only the keys
-        whose sorted link arrays contain it (membership by bisection);
-        within a key, :meth:`NetworkSimulator._pair_bytes_through` finds
-        the messages that cross it."""
-        contributions: dict[tuple[int, int], float] = {}
-        if busiest < 0:
-            return contributions
-        for key in sorted(self._messages):
-            slinks = self._links[key]
-            idx = int(np.searchsorted(slinks, busiest))
-            if idx >= slinks.size or int(slinks[idx]) != busiest:
+        for key in sorted(self._charges):
+            links, _loads, messages = self._charges[key]
+            idx = int(np.searchsorted(links, busiest))
+            if idx >= links.size or int(links[idx]) != busiest:
                 continue
-            through = self.simulator._pair_bytes_through(self._messages[key], busiest)
+            through = self.simulator._pair_bytes_through(messages, busiest)
             for pair, nbytes in through.items():
                 contributions[pair] = contributions.get(pair, 0.0) + nbytes
-        return contributions
+        return busiest, load, contributions

@@ -37,14 +37,14 @@ baseline: the scalar ``*_reference`` oracles are test-only specifications
 
 A second suite, ``scale`` (``repro bench --suite scale``), times the
 large-machine scaling story instead: steady-state adaptation steps —
-incremental link-load deltas included — at a fixed nest count across
-machine presets from 1k to 64k ranks (``scale.ranks_*``, time vs ranks),
-at a fixed 4096-rank preset across nest counts (``scale.nests_*``, time
-vs nests), dynamic-strategy points under one-nest-per-point churn on
-4096 ranks (``scale.dynamic_churn``, one churn period per timed call),
-and sparse pair-byte ledger accounting (``scale.ledger_pairs``, quick:
-4k ranks, full: 64k).  Quick mode stops at 4096 ranks (the CI
-``scale-smoke`` gate).
+the link-state charges of every retained nest included — at a fixed
+nest count across machine presets from 1k to 64k ranks
+(``scale.ranks_*``, time vs ranks), at a fixed 4096-rank preset across
+nest counts (``scale.nests_*``, time vs nests), dynamic-strategy points
+under one-nest-per-point churn on 4096 ranks (``scale.dynamic_churn``,
+one churn period per timed call), and sparse pair-byte ledger
+accounting (``scale.ledger_pairs``, quick: 4k ranks, full: 64k).  Quick
+mode stops at 4096 ranks (the CI ``scale-smoke`` gate).
 
 This module lives in ``repro.obs`` and is therefore allowed to read raw
 clocks (reprolint R007); every other module must report time through
@@ -432,12 +432,7 @@ def _setup_redist_plan(quick: bool) -> Callable[[], object]:
 
     def run() -> object:
         return plan_redistribution(
-            pair.old,
-            pair.new,
-            pair.sizes,
-            pair.machine,
-            pair.cost,
-            pair.simulator,
+            pair.old, pair.new, pair.sizes, pair.machine, pair.cost
         )
 
     return run
@@ -696,8 +691,9 @@ def _scale_nests(n: int) -> Iterator[list[dict[int, tuple[int, int]]]]:
     point per batch.
 
     Every 4th nest id is replaced across phases (a delete + a create per
-    toggle) and the survivors change size, so each timed step retires and
-    re-lands nests through the full plan + link-state delta path.
+    toggle) and the survivors change size, so each timed step retires
+    deleted nests from the link state and charges every retained one again
+    through the full plan.
     """
     for phase in itertools.cycle((0, 1)):
         nests: dict[int, tuple[int, int]] = {}
@@ -750,7 +746,7 @@ def _scale_step_setup(
 
     The schedule yields batches of points: set-up runs the first batch,
     and each timed call runs the next as full adaptation points (weights,
-    the strategy, redistribution plan, incremental link-load deltas).
+    the strategy, redistribution plan, link-state charges).
     """
 
     def setup(quick: bool) -> Callable[[], object]:

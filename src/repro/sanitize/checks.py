@@ -20,17 +20,17 @@ adaptation-point hooks defined by
 * **ledger vs netsim** — sent equals received in aggregate, per-pair
   byte totals match per-rank totals, and the busiest-link per-pair
   split sums to the link load the netsim reported;
-* **link-state conservation** — the incremental per-link loads equal a
-  rebuild, and each key's charge carries exactly its messages'
-  hop-bytes over the links.
+* **link-state conservation** — after a plan the link state holds
+  exactly the plan's moves (its keys and each key's message set), and
+  each charge carries exactly its move's hop-bytes over the links.
 
 Violations are appended to :attr:`Sanitizer.violations` and emitted to
 the ambient flight recorder as ``sanitizer.violation`` events; a run
 reads its verdict from them, and no check raises.
 
-This module deliberately imports only numpy, the flight recorder, the
-hook base and the hop-bytes metric — never ``repro.core`` — so the core
-can import the hook surface without a cycle.
+This module deliberately imports only numpy, the flight recorder and
+the hook base — never ``repro.core`` — so the core can import the hook
+surface without a cycle.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.mpisim.alltoallv import hop_bytes
 from repro.obs.recorder import get_recorder
 from repro.sanitize.hooks import SanitizerHook
 
@@ -299,46 +298,46 @@ class Sanitizer(SanitizerHook):
                 f"reported link load {link_load}",
             )
 
-    def after_link_state(self, link_state: Any) -> None:
-        """Incremental link-load state vs its from-scratch rebuild, and
-        each charge vs its messages' hop-bytes.
+    def after_link_state(self, link_state: Any, plan: Any) -> None:
+        """The link state after ``plan``: exactly the plan's moves, each
+        charge carrying its move's hop-bytes.
 
-        The deltas are exact (integer-valued float64 byte counts), so the
-        live array must match a rebuild *bit-for-bit* and never dip below
-        zero — any drift means a contribution was double-applied or a
-        retired key leaked.  Rebuild and increments price the wire with
-        the same kernel, so a kernel bug would pass that comparison; every
-        byte crosses exactly ``hops`` links, so each key's charge summed
-        over links must also equal the ``hop_bytes`` total of its messages,
+        The state's keys must be the plan's retained nests and each key
+        must hold its move's message set; a key left over means a deleted
+        nest was not retired, another message set a charge that was not
+        replaced.  Every byte crosses exactly ``hops`` links, so each
+        charge summed over its links must equal its move's ``hop_bytes``,
         which counts hops with ``topology.hops`` and shares no code with
         routes or ring intervals.  Both sums are exact integers.
         """
-        self._ran("linkstate.conservation")
-        loads = link_state.loads
-        if bool((loads < 0).any()):
-            worst = float(loads.min())
+        check = "linkstate.conservation"
+        self._ran(check)
+        held = link_state.active_keys
+        moved = sorted(move.nest_id for move in plan.moves)
+        if held != moved:
             self._violate(
-                "linkstate.conservation",
-                f"incremental link loads dipped negative (min {worst})",
+                check, f"link state holds nests {held} but the plan moved {moved}"
             )
-        rebuilt = link_state.rebuild()
-        if not np.array_equal(loads, rebuilt):
-            diff = np.abs(loads - rebuilt)
-            bad = int((diff > 0).sum())
-            self._violate(
-                "linkstate.conservation",
-                f"incremental link loads differ from rebuild on {bad} links "
-                f"(max delta {float(diff.max())})",
-            )
-        mapping = link_state.simulator.mapping
-        for key in link_state.active_keys:
-            charged = float(link_state.charge_for(key)[1].sum())
-            expected, _avg = hop_bytes(link_state.messages_for(key), mapping)
-            if charged != expected:
+        for move in plan.moves:
+            if move.nest_id not in held:
+                continue
+            _links, loads, messages = link_state.charge_for(move.nest_id)
+            if not all(
+                np.array_equal(getattr(messages, name), getattr(move.messages, name))
+                for name in ("src", "dst", "nbytes")
+            ):
                 self._violate(
-                    "linkstate.conservation",
-                    f"key {key}: links carry {charged} byte-hops but its "
-                    f"messages' hop-bytes are {expected}",
+                    check,
+                    f"nest {move.nest_id}: link state holds another message "
+                    "set than the plan's move",
+                )
+                continue
+            charged = float(loads.sum())
+            if charged != move.hop_bytes:
+                self._violate(
+                    check,
+                    f"nest {move.nest_id}: links carry {charged} byte-hops but "
+                    f"its move's hop-bytes are {move.hop_bytes}",
                 )
 
     def audit_store(

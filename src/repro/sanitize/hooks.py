@@ -81,8 +81,8 @@ class SanitizerHook:
     ) -> None:
         """After the netsim reported the busiest link's per-pair split."""
 
-    def after_link_state(self, link_state: Any) -> None:
-        """After incremental link-load deltas were applied for one plan."""
+    def after_link_state(self, link_state: Any, plan: Any) -> None:
+        """After ``plan`` retired and charged its nests in ``link_state``."""
 
     def after_recovery(
         self, store: Any, nest_sizes: dict[int, tuple[int, int]], retained: list[int]

@@ -57,8 +57,21 @@ class ProcessMapping:
         return self.topology.nnodes
 
     def node_of(self, ranks: np.ndarray) -> np.ndarray:
-        """Physical node id(s) for logical ``ranks`` (vectorised)."""
-        return self.table[np.asarray(ranks)]
+        """Physical node id(s) for logical ``ranks`` (vectorised).
+
+        Raises ``ValueError`` naming the first rank outside
+        ``[0, nranks)`` when indexing the table fails.
+        """
+        try:
+            return self.table[np.asarray(ranks)]
+        except IndexError:
+            flat = np.asarray(ranks).ravel()
+            outside = flat[(flat < 0) | (flat >= self.nranks)]
+            if not outside.size:
+                raise
+            raise ValueError(
+                f"rank {int(outside[0])} outside [0, {self.nranks})"
+            ) from None
 
     def rank_hops(self, src_ranks: np.ndarray, dst_ranks: np.ndarray) -> np.ndarray:
         """Hop distance between logical ranks, after mapping (vectorised)."""

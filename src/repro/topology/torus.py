@@ -14,8 +14,8 @@ positions on one ring.  :meth:`Torus3D.ring_link_loads` sums many
 messages' bytes per link from those intervals (one difference array per
 ring direction, one prefix sum) and :meth:`Torus3D.ring_crossings` tests
 which messages cross a given link by interval containment; neither
-materialises a hop.  :meth:`Torus3D.batch_routes_ordered` still lists
-every hop, for the flow-level simulator.
+materialises a hop.  :meth:`Torus3D.batch_routes` walks the same
+intervals hop by hop, for the flow-level simulator.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class Torus3D(Topology):
     leaving ``node`` along axis ``a`` in direction ``sign`` is
     ``node * 6 + 2 * a + (sign < 0)``.
 
-    The vector kernels (:meth:`hops`, :meth:`batch_routes_ordered` and the
-    ring intervals behind :meth:`ring_link_loads` and
+    The vector kernels (:meth:`hops` and the ring intervals behind
+    :meth:`batch_routes`, :meth:`ring_link_loads` and
     :meth:`ring_crossings`) gather coordinates from one ``(3, nnodes)``
     int64 table of :meth:`coords`, built on the first call and never at
     construction (24 bytes per node: 96 KB at 4 096 nodes); the scalar
@@ -185,70 +185,58 @@ class Torus3D(Topology):
         return self.route_ordered(src, dst, (0, 1, 2))
 
     def batch_routes(
-        self, src: np.ndarray, dst: np.ndarray
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        order_idx: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        return self.batch_routes_ordered(src, dst, (0, 1, 2))
+        """CSR routes for many pairs, walked hop by hop along their ring
+        intervals: pair ``i``'s links are :meth:`route_ordered`'s, in its
+        order, correcting axes in ``DIM_ORDERS[order_idx[i]]`` (XYZ when
+        ``order_idx`` is ``None``).  Returns ``(links, offsets)`` as
+        :meth:`Topology.batch_routes` does.
 
-    def batch_routes_ordered(
-        self, src: np.ndarray, dst: np.ndarray, order: tuple[int, int, int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR routes for many pairs, all correcting dims in ``order``.
-
-        Vectorised :meth:`route_ordered`: identical link sequences, computed
-        by array arithmetic instead of per-hop walks.  Returns
-        ``(links, offsets)`` as :meth:`Topology.batch_routes` does.  Callers
-        with per-pair orders (static adaptive routing) group the pairs by
-        order and call once per group — there are only six orders.
+        Along a segment the link id moves by a fixed step per hop (the
+        node stride of its axis, times the six links per node) and jumps
+        back by a ring's worth once if the interval wraps.  Each segment's
+        first and last link, step and wrap are computed once; the hops are
+        one running sum of those steps, each segment's first hop stepping
+        from the hop before it.
         """
-        if sorted(order) != [0, 1, 2]:
-            raise ValueError(f"order must permute (0, 1, 2), got {order!r}")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        n = src.shape[0]
+        ring, lo, cnt, neg = self._ring_intervals(src, dst, order_idx)
+        n = ring.shape[1]
+        # Per (axis, pair) segment, in link ids: the link leaving position
+        # 0 of its ring, the step between positions, and its first and
+        # last link; a wrapping interval jumps at hop ``jump_at``.
+        size = np.asarray(self.dims)[:, None]
+        stride = 6 * np.array([[1], [self.dims[0]], [self.dims[0] * self.dims[1]]])
+        upper, lower = np.divmod(ring, size[_LOWER])
+        link0 = lower * stride[_LOWER] + upper * stride[_UPPER] + 2 * _AXES[:, None] + neg
+        step = np.where(neg, -stride, stride)
+        end = lo + cnt
+        wraps = end > size
+        top = end - 1 - size * wraps  # the interval's last position
+        first = link0 + stride * np.where(neg, top, lo)
+        last = link0 + stride * np.where(neg, lo, top)
+        jump_at = np.where(neg, end - size, size - lo)
+        # The segments pair by pair, each pair's in its correcting order.
+        axes = _AXES if order_idx is None else np.asarray(self.DIM_ORDERS)[order_idx]
+        seg = (axes * n + np.arange(n)[:, None]).ravel()
+        count = cnt.ravel()[seg]
+        ends = np.cumsum(count)
         offsets = np.zeros(n + 1, dtype=np.int64)
-        if n == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        for arr in (src, dst):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.nnodes):
-                raise ValueError(f"node ids outside [0, {self.nnodes})")
-        s_xyz, t_xyz = self._gather_xyz(src, dst)  # (3, n) each
-        strides = (1, self.dims[0], self.dims[0] * self.dims[1])
-        # Per (pair, order position) segment: the hops correcting one axis.
-        cnt = np.empty((n, 3), dtype=np.int64)
-        sign = np.empty((n, 3), dtype=np.int64)
-        start = np.empty((n, 3), dtype=np.int64)  # axis coord at segment start
-        base = np.zeros((n, 3), dtype=np.int64)  # node id minus axis term
-        stride = np.empty(3, dtype=np.int64)
-        size = np.empty(3, dtype=np.int64)
-        for p, axis in enumerate(order):
-            c, g = self._axis_steps_vec(s_xyz[axis], t_xyz[axis], self.dims[axis])
-            cnt[:, p] = c
-            sign[:, p] = g
-            start[:, p] = s_xyz[axis]
-            stride[p] = strides[axis]
-            size[p] = self.dims[axis]
-            # Axes already corrected sit at the target, later ones at the
-            # source; their contribution to the node id is fixed per segment.
-            for q, other in enumerate(order):
-                if q < p:
-                    base[:, p] += strides[other] * t_xyz[other]
-                elif q > p:
-                    base[:, p] += strides[other] * s_xyz[other]
-        np.cumsum(cnt.sum(axis=1), out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        # Expand segments: flat position -> (segment, step-within-segment).
-        seg_counts = cnt.ravel()
-        seg_starts = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
-        flat_seg = np.repeat(np.arange(3 * n, dtype=np.int64), seg_counts)
-        k = np.arange(total, dtype=np.int64) - seg_starts[flat_seg]
-        g = sign.ravel()[flat_seg]
-        coord = (start.ravel()[flat_seg] + g * k) % size[flat_seg % 3]
-        node = base.ravel()[flat_seg] + stride[flat_seg % 3] * coord
-        axis_of = np.asarray(order, dtype=np.int64)[flat_seg % 3]
-        links = node * 6 + axis_of * 2 + (g < 0)
-        return links, offsets
+        offsets[1:] = ends[2::3]
+        starts = ends - count
+        links = np.repeat(step.ravel()[seg], count)
+        # A segment's first hop steps from the last link before it.
+        used = count > 0
+        moving = seg[used]
+        lasts = last.ravel()[moving]
+        links[starts[used]] = first.ravel()[moving] - np.concatenate(([0], lasts[:-1]))
+        wrapped = wraps.ravel()[seg]
+        at = seg[wrapped]
+        links[starts[wrapped] + jump_at.ravel()[at]] -= (step * size).ravel()[at]
+        return np.cumsum(links, out=links), offsets
 
     # -- ring intervals ---------------------------------------------------
 
@@ -262,8 +250,7 @@ class Torus3D(Topology):
         ``lo, lo + 1, ..., lo + cnt - 1`` (mod the ring size) on ring
         ``ring`` -- the index of its two other coordinates, lower axis
         fastest -- in the negative direction where ``neg``.  Axes corrected
-        earlier sit at the target, later ones at the source (the rule
-        behind :meth:`batch_routes_ordered`'s ``base``).  Routing is XYZ
+        earlier sit at the target, later ones at the source.  Routing is XYZ
         (``order_idx`` ``None``), or per pair ``DIM_ORDERS[order_idx[i]]``.
         """
         src = np.asarray(src, dtype=np.int64)

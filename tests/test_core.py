@@ -278,7 +278,7 @@ class TestRouteOnce:
         monkeypatch.setattr(NetworkSimulator, "routes_csr", counting_routes)
         monkeypatch.setattr(Torus3D, "ring_link_loads", counting_loads)
         moved = 0
-        with use_sanitizer(NULL_SANITIZER):  # its rebuild check prices again
+        with use_sanitizer(NULL_SANITIZER):  # count the plan's pricing alone
             for nests in synthetic_workload(seed=3, n_steps=8).steps:
                 old = realloc.allocation
                 weights = predictor.weights(nests, realloc.grid.nprocs)

@@ -160,6 +160,7 @@ def _move(nest_id, transfer, nx, ny):
         ny=ny,
         transfer=transfer,
         messages=empty,
+        hops=np.array([], dtype=np.int64),
         hop_bytes=0.0,
         predicted_time=0.0,
     )

@@ -11,7 +11,7 @@ arithmetic is order-independent (integer-valued byte counts), and to
 1e-12 relative tolerance for the float aggregates whose summation order
 legitimately differs (batched QCLOUD sums).  Whole pipelines (plans, the
 stateful churn run, full PDA) get the oracles swapped in through existing
-seams: :class:`ReferenceSimulator` passed as a simulator, and
+seams: a link state on a :class:`ReferenceSimulator`, and
 ``aggregate_summaries`` patched to its oracle.  See
 ``docs/performance.md``.
 """
@@ -87,7 +87,6 @@ class ReferenceSimulator(NetworkSimulator):
     """A simulator whose every accounting entry point runs the oracles."""
 
     link_loads = NetworkSimulator._link_loads_reference
-    busiest_link_contributions = NetworkSimulator._busiest_link_contributions_reference
     flow_time = NetworkSimulator._flow_time_reference
 
     def bottleneck_time(self, messages, include_floor=True, link_arrays=None):
@@ -106,14 +105,11 @@ class ReferenceSimulator(NetworkSimulator):
         return links, vals
 
 
-class ReferenceLinkState(LinkLoadState):
-    """Live link state whose rebuild and busiest-link walk run the oracles."""
-
-    rebuild = LinkLoadState._rebuild_reference
-
-    def busiest_link_contributions(self):
-        link, load, _ = super().busiest_link_contributions()
-        return link, load, self._busiest_contributions_reference(link)
+def busiest_of(simulator, messages):
+    """The busiest-link answer of a link state charged with ``messages``."""
+    state = LinkLoadState(simulator)
+    state.update(0, messages)
+    return state.busiest_link_contributions()
 
 
 def sim_pair(mapping, adaptive):
@@ -195,9 +191,7 @@ class TestNetsimEquivalence:
             ref.set_rank_slowdown(rank, 2.5)
 
         assert vec.link_loads(msgs) == ref.link_loads(msgs)
-        assert vec.busiest_link_contributions(msgs) == (
-            ref.busiest_link_contributions(msgs)
-        )
+        assert busiest_of(vec, msgs) == ref._busiest_link_contributions_reference(msgs)
         assert vec.bottleneck_time(msgs) == ref.bottleneck_time(msgs)
         assert vec.flow_time(msgs) == ref.flow_time(msgs)
 
@@ -244,9 +238,9 @@ class TestNetsimEquivalence:
             _machine, vec, ref = make_sim_pair(name, adaptive=False)
             msgs = empty_messages()
             assert vec.link_loads(msgs) == ref.link_loads(msgs) == {}
-            assert vec.busiest_link_contributions(msgs) == (
-                ref.busiest_link_contributions(msgs)
-            )
+            assert busiest_of(vec, msgs) == (
+                ref._busiest_link_contributions_reference(msgs)
+            ) == (-1, 0.0, {})
             assert vec.bottleneck_time(msgs) == ref.bottleneck_time(msgs)
 
     @given(data=st.data())
@@ -358,7 +352,7 @@ class TestRedistributionPlanEquivalence:
             sizes,
             machine,
             cost,
-            simulator=ReferenceSimulator(machine.mapping, cost),
+            link_state=LinkLoadState(ReferenceSimulator(machine.mapping, cost)),
         )
 
         assert plan_v.hop_bytes_total == plan_r.hop_bytes_total
@@ -790,14 +784,14 @@ class TestNNCEquivalence:
 class TestStatefulChurnEquivalence:
     """Drive full reallocators through randomized nest churn.
 
-    Two reallocators, one shipped and one whose simulator and link state
-    run the oracles, walk an identical drawn sequence of adaptation points
-    — nest births, deaths, growth/decay (the observable effect of merges
-    and splits) and an optional rank failure — and after every step the
-    incremental ``LinkLoadState`` must equal its from-scratch
-    ``rebuild()`` bit-for-bit, both reallocators must agree bit-for-bit,
-    and the live state's busiest-link answer must match brute-force
-    routing of the concatenated plan messages.
+    Two reallocators, one shipped and one whose simulator charges its link
+    state from the oracles, walk an identical drawn sequence of adaptation
+    points — nest births, deaths, growth/decay (the observable effect of
+    merges and splits) and an optional rank failure — and after every step
+    both must agree bit-for-bit, each link state must hold exactly the
+    plan's nests, both states' summed loads must be equal, and each
+    state's busiest-link answer must match brute-force routing of the
+    concatenated plan messages.
     """
 
     @staticmethod
@@ -815,7 +809,7 @@ class TestStatefulChurnEquivalence:
         }
         ref = reallocs["reference"]
         ref.simulator = ReferenceSimulator(ref.machine.mapping, ref.cost)
-        ref.link_state = ReferenceLinkState(ref.simulator)
+        ref.link_state = LinkLoadState(ref.simulator)
         return reallocs
 
     def _churn(self, data, nests, next_id, step):
@@ -858,7 +852,7 @@ class TestStatefulChurnEquivalence:
                     realloc.handle_rank_failure([dead])
                     # the wire picture is void after a failure
                     assert realloc.link_state.active_keys == []
-                    assert not realloc.link_state.loads.any()
+                    assert not realloc.link_state.loads().any()
                 assert (
                     reallocs["vector"].grid.nprocs
                     == reallocs["reference"].grid.nprocs
@@ -877,21 +871,19 @@ class TestStatefulChurnEquivalence:
                 assert rv.plan.retained_nests == rr.plan.retained_nests
 
             for mode, realloc in reallocs.items():
-                state = realloc.link_state
-                # incremental state vs from-scratch oracle: bit-identical
-                assert np.array_equal(state.loads, state.rebuild())
                 plan = results[mode].plan
                 if plan is None:
                     continue
+                state = realloc.link_state
                 assert state.active_keys == sorted(plan.retained_nests)
                 all_msgs = MessageSet.concat([m.messages for m in plan.moves])
-                if len(all_msgs):
-                    expect = realloc.simulator.busiest_link_contributions(all_msgs)
-                    got = state.busiest_link_contributions()
-                    assert got[0] == expect[0]
-                    assert got[1] == expect[1]
-                    assert got[2] == expect[2]
+                assert state.busiest_link_contributions() == (
+                    NetworkSimulator._busiest_link_contributions_reference(
+                        realloc.simulator, all_msgs
+                    )
+                )
+            # shipped charges and oracle charges sum to the same loads
             assert np.array_equal(
-                reallocs["vector"].link_state.loads,
-                reallocs["reference"].link_state.loads,
+                reallocs["vector"].link_state.loads(),
+                reallocs["reference"].link_state.loads(),
             )

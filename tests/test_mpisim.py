@@ -102,11 +102,17 @@ class TestMessagesFromTransfer:
         assert len(messages_from_transfer(t, 8.0)) == 0
 
 
+def predict(msgs, machine, cost):
+    """§IV-C1 prediction, given the hop counts a move would carry."""
+    hops = machine.mapping.rank_hops(msgs.src, msgs.dst)
+    return predict_alltoallv_time(msgs, machine, cost, hops)
+
+
 class TestPredictAlltoallv:
     def test_empty(self):
         m = blue_gene_l(256)
         cost = CostModel.for_machine(m)
-        assert predict_alltoallv_time(MessageSet.concat([]), m, cost) == 0.0
+        assert predict(MessageSet.concat([]), m, cost) == 0.0
 
     def test_torus_max_pair(self):
         machine = blue_gene_l(256)
@@ -117,14 +123,14 @@ class TestPredictAlltoallv:
         h1 = int(machine.mapping.rank_hops(np.asarray(0), np.asarray(1)))
         h2 = int(machine.mapping.rank_hops(np.asarray(0), np.asarray(2)))
         expected = max(10.0 * max(h1, 1), 3.0 * max(h2, 1))
-        assert predict_alltoallv_time(msgs, machine, cost) == pytest.approx(expected)
+        assert predict(msgs, machine, cost) == pytest.approx(expected)
 
     def test_switched_sums_per_sender(self):
         machine = fist_cluster(256)
         cost = CostModel(alpha=1.0, beta=1.0, soft_beta=0.0, soft_alpha=0.0)
         msgs = msgset([(0, 1, 10.0), (0, 2, 5.0), (3, 4, 12.0)])
         # sender 0: (1+10)+(1+5) = 17; sender 3: 13
-        assert predict_alltoallv_time(msgs, machine, cost) == pytest.approx(17.0)
+        assert predict(msgs, machine, cost) == pytest.approx(17.0)
 
     def test_more_hops_costs_more_on_torus(self):
         machine = blue_gene_l(1024)
@@ -137,9 +143,27 @@ class TestPredictAlltoallv:
             if h > h_far:
                 h_far, far_rank = h, r
         far = msgset([(0, far_rank, 1e6)])
-        assert predict_alltoallv_time(far, machine, cost) > predict_alltoallv_time(
-            near, machine, cost
-        )
+        assert predict(far, machine, cost) > predict(near, machine, cost)
+
+
+class TestRanksOutsideTheMachine:
+    """A rank at or above the machine's rank count is refused with a
+    ``ValueError`` that names it, wherever the messages are priced."""
+
+    @pytest.mark.parametrize("make", [blue_gene_l, fist_cluster])
+    @pytest.mark.parametrize("pair", [(256, 3), (3, 256)], ids=["src", "dst"])
+    def test_every_entry_point_names_the_rank(self, make, pair):
+        machine = make(256)
+        sim = NetworkSimulator(machine.mapping, CostModel.for_machine(machine))
+        msgs = msgset([(1, 2, 64.0), (*pair, 64.0)])
+        for price in (
+            sim.bottleneck_time,
+            sim.routes_csr,
+            sim.flow_time,
+            lambda m: machine.mapping.rank_hops(m.src, m.dst),
+        ):
+            with pytest.raises(ValueError, match=r"rank 256 outside \[0, 256\)"):
+                price(msgs)
 
 
 class TestHopBytes:

@@ -205,9 +205,7 @@ class TestRedistTimes:
         old = diffusion.reallocate(None, {1: 0.2, 2: 0.3, 3: 0.5}, grid)
         new = diffusion.reallocate(old, new_weights, grid)
         state = LinkLoadState(sim) if link_state else None
-        plan = plan_redistribution(
-            old, new, self.SIZES, m, cost, sim, link_state=state
-        )
+        plan = plan_redistribution(old, new, self.SIZES, m, cost, link_state=state)
         return plan, sim
 
     def test_empty(self):
@@ -222,12 +220,14 @@ class TestRedistTimes:
         )
 
     def test_given_link_loads_time_like_routed_ones(self):
-        """A plan that keeps a live link state times each nest from its
-        charge; the time equals the routed one."""
+        """A plan times each nest from its charge in the caller's link
+        state; the time equals pricing every nest's wire again, and a plan
+        on a fresh state of its own."""
         weights = {1: 0.3, 2: 0.4, 3: 0.3}
-        routed, _ = self._plan(weights)
-        charged, _ = self._plan(weights, link_state=True)
-        assert charged.measured_time == routed.measured_time > 0
+        charged, sim = self._plan(weights, link_state=True)
+        fresh, _ = self._plan(weights)
+        routed = sum(sim.bottleneck_time(move.messages) for move in charged.moves)
+        assert charged.measured_time == fresh.measured_time == routed > 0
 
     def test_flow_level_option(self):
         """The max-min-fair flow model (``repro bench``'s ``netsim.flow``

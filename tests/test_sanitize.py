@@ -158,14 +158,20 @@ class TestCheckpoints:
         assert [v.check for v in san.violations] == ["execute.conservation"]
         assert "hold other than the plan sent them" in san.violations[0].message
 
-    def test_link_state_charge_must_carry_the_hop_bytes(self, monkeypatch):
+    @staticmethod
+    def _link_state_plans():
+        """Two bgl-64 allocations of nests 1 and 2, their sizes and the
+        simulator to price the moves between them on."""
         machine = blue_gene_l(64)
         cost = CostModel.for_machine(machine)
         grid = ProcessorGrid(*machine.grid)
         weights = [{1: 0.5, 2: 0.5}, {1: 0.75, 2: 0.25}]
         old, new = (Allocation.from_tree(build_huffman(w), grid, w) for w in weights)
         sizes = {1: (40, 30), 2: (40, 30)}
-        sim = NetworkSimulator(machine.mapping, cost)
+        return machine, cost, old, new, sizes, NetworkSimulator(machine.mapping, cost)
+
+    def test_link_state_charge_must_carry_the_hop_bytes(self, monkeypatch):
+        machine, cost, old, new, sizes, sim = self._link_state_plans()
         ring_link_loads = Torus3D.ring_link_loads
 
         def drop_one_link(self, src, dst, nbytes, order_idx=None):
@@ -178,16 +184,47 @@ class TestCheckpoints:
             san = Sanitizer()
             with use_sanitizer(san):
                 plan_redistribution(
-                    old, new, sizes, machine, cost,
-                    simulator=sim, link_state=LinkLoadState(sim),
+                    old, new, sizes, machine, cost, link_state=LinkLoadState(sim)
                 )
             assert san.ok is not tampered
             assert san.checks_run["linkstate.conservation"] == 1
-        # increments and rebuild both lost the link and still agree; only
-        # the hop-bytes identity sees the missing bytes
+        # the state holds the plan's moves; only the hop-bytes identity
+        # sees the missing bytes
         assert san.violations
         assert all(v.check == "linkstate.conservation" for v in san.violations)
         assert all("hop-bytes" in v.message for v in san.violations)
+
+    def test_link_state_must_drop_what_the_plan_did_not_move(self, monkeypatch):
+        """A nest the plan deleted but the state kept charging."""
+        machine, cost, old, new, sizes, sim = self._link_state_plans()
+        state = LinkLoadState(sim)
+        plan_redistribution(old, new, sizes, machine, cost, link_state=state)
+        monkeypatch.setattr(LinkLoadState, "retire", lambda self, key: None)
+        grid = ProcessorGrid(*machine.grid)
+        only_1 = Allocation.from_tree(build_huffman({1: 1.0}), grid, {1: 1.0})
+        san = Sanitizer()
+        with use_sanitizer(san):
+            plan = plan_redistribution(
+                new, only_1, sizes, machine, cost, link_state=state
+            )
+        assert plan.retained_nests == [1]
+        assert [v.check for v in san.violations] == ["linkstate.conservation"]
+        assert "holds nests [1, 2] but the plan moved [1]" in san.violations[0].message
+
+    def test_link_state_must_hold_the_moves_messages(self):
+        """A key charged with another message set than the plan's move."""
+        machine, cost, old, new, sizes, sim = self._link_state_plans()
+        state = LinkLoadState(sim)
+        plan = plan_redistribution(old, new, sizes, machine, cost, link_state=state)
+        moves = {move.nest_id: move.messages for move in plan.moves}
+        state.update(1, moves[2])  # nest 1 now charged with nest 2's messages
+        san = Sanitizer()
+        san.after_link_state(state, plan)
+        assert san.checks_run == {"linkstate.conservation": 1}
+        assert [v.check for v in san.violations] == ["linkstate.conservation"]
+        assert "nest 1: link state holds another message set" in (
+            san.violations[0].message
+        )
 
     def test_violations_reach_the_flight_recorder(self):
         flight = FlightRecorder()

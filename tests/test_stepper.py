@@ -184,6 +184,30 @@ class TestThePlanIsTheExecutedMoveSet:
         # the resize point moves nest 1 over the network at its new size
         assert moved[2] > 0
 
+    def test_ledger_hop_bytes_are_the_plans(self):
+        """The ledger books the hop counts each move took where it was
+        built: over a 12-point synthetic run its hop-bytes sum to the
+        plans' totals and to an independent recount of their messages."""
+        from repro.experiments import synthetic_workload
+        from repro.mpisim import MessageSet, hop_bytes
+
+        machine = blue_gene_l(256)
+        ledger = CommLedger(machine.ncores)
+        predictor = ExecTimePredictor(ProfileTable(ExecutionOracle(), seed=SEED))
+        stepper = AdaptationStepper(
+            ProcessorReallocator(machine, DiffusionStrategy(), predictor),
+            ledger=ledger,
+        )
+        planned = recount = 0.0
+        for nests in synthetic_workload(seed=SEED, n_steps=12).steps:
+            plan = stepper.step(nests).reallocation.plan
+            if plan is not None:
+                planned += plan.hop_bytes_total
+                messages = MessageSet.concat([move.messages for move in plan.moves])
+                recount += hop_bytes(messages, machine.mapping)[0]
+        assert planned > 0
+        assert float(ledger.hop_bytes.sum()) == planned == recount
+
     def test_each_retained_nest_builds_one_transfer_matrix(self, monkeypatch):
         calls = count_calls(monkeypatch, "repro.grid.overlap", "transfer_matrix")
         stepper = bare_stepper()

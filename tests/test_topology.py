@@ -242,6 +242,52 @@ class TestCoordinateTable:
             sys.setswitchinterval(old)
 
 
+#: the shapes the wire equivalence suite prices (BG/L partitions, odd and
+#: degenerate rings) and a single node
+ROUTE_DIMS = (
+    (4, 4, 4), (8, 8, 4), (8, 8, 16), (16, 16, 16),
+    (3, 5, 7), (2, 1, 3), (4, 3, 5), (8, 1, 1), (1, 1, 1),
+)
+
+
+class TestBatchRoutes:
+    """``batch_routes`` walks the ring intervals hop by hop; the scalar
+    ``route_ordered`` is its specification, pair by pair."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_route_ordered(self, data):
+        cls = data.draw(st.sampled_from((Torus3D, Mesh3D)), label="kind")
+        t = cls(data.draw(st.sampled_from(ROUTE_DIMS), label="dims"))
+        n = data.draw(st.integers(0, 20), label="n")
+        node = st.integers(0, t.nnodes - 1)
+        src = np.asarray(data.draw(st.lists(node, min_size=n, max_size=n)), np.int64)
+        dst = np.asarray(data.draw(st.lists(node, min_size=n, max_size=n)), np.int64)
+        order_idx = None
+        if data.draw(st.booleans(), label="per-pair orders"):
+            order_idx = np.asarray(
+                data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+                np.int64,
+            )
+        links, offsets = t.batch_routes(src, dst, order_idx)
+        assert links.dtype == offsets.dtype == np.int64
+        assert offsets.shape == (n + 1,) and offsets[0] == 0
+        for i in range(n):
+            order = (0, 1, 2) if order_idx is None else t.DIM_ORDERS[order_idx[i]]
+            expected = t.route_ordered(int(src[i]), int(dst[i]), order)
+            assert links[offsets[i] : offsets[i + 1]].tolist() == expected
+        assert offsets[-1] == links.size
+
+    @pytest.mark.parametrize("cls", [Torus3D, Mesh3D])
+    def test_nodes_outside_the_machine_rejected(self, cls):
+        t = cls((2, 1, 3))
+        for bad in (-1, t.nnodes):
+            with pytest.raises(ValueError, match="node ids outside"):
+                t.batch_routes(np.array([0, bad]), np.array([1, 0]))
+            with pytest.raises(ValueError, match="node ids outside"):
+                t.batch_routes(np.array([0]), np.array([bad]), np.array([3]))
+
+
 class TestSwitchedNetwork:
     def test_hop_levels(self):
         n = SwitchedNetwork(64, ports_per_switch=16)
