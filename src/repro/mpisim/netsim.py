@@ -532,9 +532,10 @@ class NetworkSimulator:
             # Freeze every unfrozen flow crossing a bottleneck link.
             tight_links = fair <= bottleneck * (1 + 1e-12)
             hit = live & tight_links[linc]
-            to_freeze = np.unique(finc[hit])
+            # The flows marked by their incidences, ascending.
+            to_freeze = np.flatnonzero(np.bincount(finc[hit], minlength=nflows))
             if to_freeze.size == 0:  # numerical safety
-                to_freeze = np.unique(finc[live])
+                to_freeze = np.flatnonzero(np.bincount(finc[live], minlength=nflows))
                 bottleneck = float(fair[np.isfinite(fair)].min())
             rates[to_freeze] = bottleneck
             frozen[to_freeze] = True

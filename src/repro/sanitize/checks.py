@@ -307,8 +307,11 @@ class Sanitizer(SanitizerHook):
         nest was not retired, another message set a charge that was not
         replaced.  Every byte crosses exactly ``hops`` links, so each
         charge summed over its links must equal its move's ``hop_bytes``,
-        which counts hops with ``topology.hops`` and shares no code with
-        routes or ring intervals.  Both sums are exact integers.
+        which counts hops with ``topology.hops``.  On a torus both sides
+        gather node coordinates from the same table; from there ``hops``
+        takes ring distances (``_ring_dist``) and the charge takes its
+        segments from the per-axis pair table, so a wrong segment length
+        shows here.  Both sums are exact integers.
         """
         check = "linkstate.conservation"
         self._ran(check)

@@ -83,6 +83,18 @@ class TestRect:
         assert i1.area == i2.area
         assert i1.area <= min(a.area, b.area)
 
+    @given(
+        st.tuples(
+            *[st.integers(-10, 20), st.integers(-10, 20)] * 2,
+            *[st.integers(0, 12), st.integers(0, 12)] * 2,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_overlaps_is_a_positive_intersection(self, v):
+        """Empty rectangles and shared edges included."""
+        a, b = Rect(v[0], v[1], v[4], v[5]), Rect(v[2], v[3], v[6], v[7])
+        assert a.overlaps(b) is b.overlaps(a) is (a.intersect(b).area > 0)
+
 
 class TestProcessorGrid:
     def test_table1_rank_convention(self):
