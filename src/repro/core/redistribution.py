@@ -157,14 +157,17 @@ def plan_redistribution(
     initial data is interpolated from the parent, not redistributed) move
     no data, exactly as in the paper.
 
-    The wire is priced in ``link_state``, a
+    The wire is charged in ``link_state``, a
     :class:`~repro.mpisim.netsim.LinkLoadState` (a fresh one on the
     machine when omitted): deleted nests are retired from it and each
-    move is charged into it, replacing the nest's earlier charge, so after
-    the call it holds exactly this point's wire traffic.  Each nest's
-    charge times its wire phase.  The sanitizer (when armed) checks that
-    the state holds exactly this plan's moves and that each charge carries
-    its move's hop-bytes.
+    move's messages are charged into it, replacing the nest's earlier
+    charge, so after the call it holds exactly this point's wire traffic.
+    Each move is then timed once with the state's simulator
+    (:meth:`~repro.mpisim.netsim.NetworkSimulator.bottleneck_time`,
+    whose wire phase reads only the busiest link's load).  The sanitizer
+    (when armed) checks that the state holds exactly this plan's moves,
+    that each move's per-link map carries its hop-bytes, and that the
+    busiest load is that map's maximum.
 
     ``moves`` (optional) is the point's move map: the plan takes each move
     the candidates' pricing already built from it instead of building it
@@ -190,7 +193,8 @@ def plan_redistribution(
     with recorder.span("redist.link_state", n_moves=len(priced)):
         for nid in sorted(set(old.rects) - set(new.rects)):
             link_state.retire(nid)
-        charges = [link_state.update(m.nest_id, m.messages) for m in priced]
+        for move in priced:
+            link_state.update(move.nest_id, move.messages)
     with recorder.span("redist.cost", n_moves=len(priced)):
         all_msgs = MessageSet.concat([move.messages for move in priced])
         # byte counts are integer-valued, so the per-move sums add up exactly
@@ -200,10 +204,7 @@ def plan_redistribution(
         # §IV-C1: each retained nest redistributes with its own
         # MPI_Alltoallv, so the measured time sums the nests' bottlenecks
         simulator = link_state.simulator
-        measured = sum(
-            simulator.bottleneck_time(move.messages, link_arrays=charge)
-            for move, charge in zip(priced, charges)
-        )
+        measured = sum(simulator.bottleneck_time(move.messages) for move in priced)
     total_points = sum(move.transfer.total_points for move in priced)
     local_points = sum(move.transfer.local_points for move in priced)
     overlap = local_points / total_points if total_points else 1.0

@@ -158,9 +158,9 @@ class AdaptationStepper:
         if not any(len(m.messages) for m in plan.moves):
             return
         # The reallocator's step just charged its link state with exactly
-        # this plan's message sets, so the busiest-link query sums the
-        # charges and revisits only the keys that cross the busiest link:
-        # no concat, no re-route.
+        # this plan's message sets, so the busiest-link query prices their
+        # concatenation once: one per-link map finds the link, and one
+        # crossing test over the same messages its contributors.
         link, load, contributions = realloc.link_state.busiest_link_contributions()
         ledger.add_busiest_link(load, contributions)
         sanitizer = get_sanitizer()

@@ -39,12 +39,14 @@ class MessageSet:
 
     Entries with ``src == dst`` (local copies) are excluded by construction;
     use :func:`messages_from_transfer` to build one from a nest's
-    :class:`~repro.grid.overlap.TransferMatrix`.
+    :class:`~repro.grid.overlap.TransferMatrix`.  Byte counts are positive
+    whole numbers, so every sum the network simulator takes over them is
+    exact in any order.
     """
 
     src: np.ndarray  # sender ranks
     dst: np.ndarray  # receiver ranks
-    nbytes: np.ndarray  # message sizes in bytes (float64)
+    nbytes: np.ndarray  # message sizes in whole bytes (float64)
 
     def __post_init__(self) -> None:
         n = len(self.src)
@@ -58,6 +60,9 @@ class MessageSet:
             raise ValueError("MessageSet ranks must be non-negative")
         if n and bool((np.asarray(self.nbytes) <= 0).any()):
             raise ValueError("MessageSet must not contain empty messages")
+        # The wire's sums are exact in any order only over whole bytes.
+        if n and bool((np.floor(self.nbytes) != self.nbytes).any()):
+            raise ValueError("MessageSet byte counts must be integer-valued")
 
     def __len__(self) -> int:
         return len(self.src)

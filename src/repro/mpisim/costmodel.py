@@ -52,6 +52,11 @@ class CostModel:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.bytes_per_point <= 0:
             raise ValueError(f"bytes_per_point must be > 0, got {self.bytes_per_point}")
+        # Messages carry whole points, so this keeps every byte count whole.
+        if not float(self.bytes_per_point).is_integer():
+            raise ValueError(
+                f"bytes_per_point must be integer-valued, got {self.bytes_per_point}"
+            )
         if self.soft_beta < 0 or self.soft_alpha < 0:
             raise ValueError("software cost terms must be >= 0")
 

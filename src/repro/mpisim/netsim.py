@@ -20,9 +20,12 @@ fewer bytes on the wire (overlap) and fewer links per byte (hop locality).
 
 The topology decides how the wire is priced.  On tori and meshes
 (:class:`~repro.topology.torus.Torus3D` and ``Mesh3D``) a route is at most
-three ring intervals: per-link loads come from one prefix sum per ring
-(:meth:`~repro.topology.torus.Torus3D.ring_link_loads`) and the busiest
-link's contributors from interval containment
+three ring intervals, and one prefix sum over only the rings a message
+set touches prices it: the contention bound reads the busiest link's load
+off it (:meth:`~repro.topology.torus.Torus3D.ring_busiest_load`), the
+per-link map is converted from the same sums
+(:meth:`~repro.topology.torus.Torus3D.ring_link_loads`), and the busiest
+link's contributors come from interval containment
 (:meth:`~repro.topology.torus.Torus3D.ring_crossings`), so no hop is
 materialised.  On other topologies, and for the flow-level simulator,
 routes for a whole :class:`~repro.mpisim.alltoallv.MessageSet` are
@@ -32,10 +35,12 @@ materialised as one flat link-id array plus CSR offsets
 intervals hop by hop) and reduce via ``np.bincount``.  The original
 per-message loops stay beside them as ``*_reference`` methods —
 test-only oracles the equivalence suite checks the shipped paths against,
-bit for bit: message byte counts are integer-valued floats, so the sums
-are exact in any order (see ``docs/performance.md``).
-:class:`LinkLoadState` keeps each nest's per-link loads as its charge, so
-a plan prices each nest once and the busiest-link query sums the charges.
+bit for bit: message byte counts are integer-valued floats
+(:class:`~repro.mpisim.alltoallv.MessageSet` refuses others), so the
+sums are exact in any order (see ``docs/performance.md``).
+:class:`LinkLoadState` keeps each nest's message set as its charge; a
+plan prices each nest's wire once, and the busiest-link query prices the
+charges' concatenation once.
 
 Fault hooks (:mod:`repro.faults`): a simulator carries an optional set of
 *degraded links* (per-link bandwidth multipliers in ``(0, 1]``, modelling a
@@ -338,40 +343,43 @@ class NetworkSimulator:
         worst_bytes = float(np.maximum(out_bytes, in_bytes).max())
         return self.cost.alpha * worst_msgs + self.cost.soft_beta * worst_bytes + floor
 
-    def bottleneck_time(
-        self,
-        messages: MessageSet,
-        include_floor: bool = True,
-        link_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> float:
+    def busiest_link_load(self, messages: MessageSet) -> float:
+        """Bytes on the most loaded directed link when ``messages`` are
+        sent, 0.0 for none: on tori and meshes read straight off the
+        touched rings' prefix sums, with no per-link map built; elsewhere
+        the maximum of the routed loads."""
+        if self._rings:
+            src, dst, order_idx = self._nodes(messages.src, messages.dst)
+            return self.topology.ring_busiest_load(src, dst, messages.nbytes, order_idx)
+        _links, loads = self._link_load_arrays(messages)
+        return float(loads.max()) if loads.size else 0.0
+
+    def bottleneck_time(self, messages: MessageSet, include_floor: bool = True) -> float:
         """Contention-aware lower-bound completion time (the default
         "measured" value).
 
         Wire phase: the most loaded link drains its ``max_link_load · β``
-        bytes.  Software phase: the busiest endpoint packs/unpacks its
-        bytes (``soft_β``), pays ``α`` per message, and every rank walks the
-        full communicator's count arrays (``soft_α · P``).
-
-        ``link_arrays``, ``messages``' loads on this simulator's links as
-        :meth:`LinkLoadState.update` returns them, spares routing them again.
+        bytes (:meth:`busiest_link_load`; with degraded links, the largest
+        of each loaded link's bytes over its bandwidth factor).  Software
+        phase: the busiest endpoint packs/unpacks its bytes (``soft_β``),
+        pays ``α`` per message, and every rank walks the full
+        communicator's count arrays (``soft_α · P``).
         """
         if len(messages) == 0:
             return 0.0
         with get_recorder().span("netsim.bottleneck", n_messages=len(messages)):
-            links_arr, loads_arr = link_arrays or self._link_load_arrays(messages)
-            wire = 0.0
-            if loads_arr.size:
-                if self.link_faults:
-                    drain_arr = loads_arr.copy()
-                    # Sorted loaded-link ids let each fault resolve by
-                    # binary search; the fault set is small.
-                    for link, factor in self.link_faults.items():
-                        idx = int(np.searchsorted(links_arr, link))
-                        if idx < links_arr.size and links_arr[idx] == link:
-                            drain_arr[idx] /= factor
-                    wire = float(drain_arr.max()) * self.cost.beta
-                else:
-                    wire = float(loads_arr.max()) * self.cost.beta
+            if not self.link_faults:
+                drain = self.busiest_link_load(messages)
+            else:
+                links_arr, drain_arr = self._link_load_arrays(messages)
+                # Sorted loaded-link ids let each fault resolve by binary
+                # search; the fault set is small.
+                for link, factor in self.link_faults.items():
+                    idx = int(np.searchsorted(links_arr, link))
+                    if idx < links_arr.size and links_arr[idx] == link:
+                        drain_arr[idx] /= factor
+                drain = float(drain_arr.max()) if drain_arr.size else 0.0
+            wire = drain * self.cost.beta
             return wire + self._endpoint_overhead_vector(messages, include_floor)
 
     def _bottleneck_time_reference(
@@ -550,60 +558,58 @@ class NetworkSimulator:
 class LinkLoadState:
     """The wire of the nests in flight, kept as one *charge* per key.
 
-    A key's charge is :meth:`NetworkSimulator._link_load_arrays` of its
-    messages -- its sorted loaded link ids and their byte totals, on a
-    torus or mesh priced from ring intervals, elsewhere routed.
-    :meth:`update` prices and stores a charge, :meth:`retire` drops one
-    and :meth:`clear` empties the state.  Keys are nest ids, and a plan
+    A key's charge is its message set.  :meth:`update` stores one,
+    replacing the key's earlier charge, :meth:`retire` drops one and
+    :meth:`clear` empties the state.  Keys are nest ids, and a plan
     charges every move it makes, so after an adaptation step the state
-    holds exactly the retained nests' redistribution message sets.
+    holds exactly the retained nests' redistribution message sets; the
+    plan prices each of them once with
+    :meth:`NetworkSimulator.bottleneck_time`.
 
-    :meth:`loads` sums the charges over the machine's links.  Byte counts
-    are integer-valued float64, so every per-link sum is an exact integer
-    and equals any other summation of the same bytes bit for bit;
-    :meth:`busiest_link_contributions` answers for the concatenation of
-    every charged message set without building it.
+    :meth:`loads` and :meth:`busiest_link_contributions` price the
+    concatenation of every charge, keys in order, in one pass.  Byte
+    counts are integer-valued float64, so every per-link sum is an exact
+    integer and equals any other summation of the same bytes bit for bit.
     """
 
     def __init__(self, simulator: NetworkSimulator) -> None:
         self.simulator = simulator
-        #: key -> (sorted loaded link ids, their byte totals, the messages)
-        self._charges: dict[int, tuple[np.ndarray, np.ndarray, MessageSet]] = {}
+        #: key -> the messages it is charged with
+        self._charges: dict[int, MessageSet] = {}
 
     @property
     def active_keys(self) -> list[int]:
         """The tracked keys (nest ids), sorted."""
         return sorted(self._charges)
 
-    def charge_for(self, key: int) -> tuple[np.ndarray, np.ndarray, MessageSet]:
-        """``key``'s charge -- its sorted loaded links and their byte
-        totals -- and the messages it was priced from."""
+    def charge_for(self, key: int) -> MessageSet:
+        """``key``'s charge: the messages it is charged with."""
         return self._charges[key]
 
     def clear(self) -> None:
         """Drop every charge (back to an idle wire)."""
         self._charges.clear()
 
-    def update(self, key: int, messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
-        """Charge ``key`` with ``messages``, replacing any prior charge;
-        returns the charge (sorted loaded links, their byte totals)."""
-        links, loads = self.simulator._link_load_arrays(messages)
-        self._charges[key] = (links, loads, messages)
-        return links, loads
+    def update(self, key: int, messages: MessageSet) -> None:
+        """Charge ``key`` with ``messages``, replacing any prior charge."""
+        self._charges[key] = messages
 
     def retire(self, key: int) -> None:
         """Drop ``key``'s charge; a no-op for unknown keys."""
         self._charges.pop(key, None)
 
+    def _charged(self) -> MessageSet:
+        """Every charge's messages, keys in order, as one set."""
+        return MessageSet.concat([self._charges[key] for key in sorted(self._charges)])
+
     def loads(self) -> np.ndarray:
-        """Bytes on each of the machine's directed links: the charges
-        summed, keys in order."""
-        charges = [self._charges[key] for key in sorted(self._charges)]
-        return np.bincount(
-            np.concatenate([np.empty(0, dtype=np.int64), *(c[0] for c in charges)]),
-            weights=np.concatenate([np.empty(0), *(c[1] for c in charges)]),
-            minlength=self.simulator.topology.nlinks,
-        )
+        """Bytes on each of the machine's directed links: the charges'
+        concatenation priced in one pass."""
+        return self._machine_loads(self._charged())
+
+    def _machine_loads(self, messages: MessageSet) -> np.ndarray:
+        links, loads = self.simulator._link_load_arrays(messages)
+        return np.bincount(links, weights=loads, minlength=self.simulator.topology.nlinks)
 
     def busiest_link_contributions(
         self,
@@ -616,23 +622,14 @@ class LinkLoadState:
         :class:`~repro.mpisim.ledger.CommLedger` accumulates to show who
         is responsible for the wire-phase bottleneck.  ``(-1, 0.0, {})``
         when nothing is on the wire; ties go to the smallest link id.
-        Only the keys whose charge holds the busiest link are revisited
-        (membership by bisection), and within a key
-        :meth:`NetworkSimulator._pair_bytes_through` finds the messages
-        that cross it.
+        The charges are concatenated once: one per-link map of them gives
+        the link, and one :meth:`NetworkSimulator._pair_bytes_through`
+        over them its contributors.
         """
-        loads = self.loads()
+        messages = self._charged()
+        loads = self._machine_loads(messages)
         busiest = int(np.argmax(loads))
         load = float(loads[busiest])
         if load <= 0.0:
             return -1, 0.0, {}
-        contributions: dict[tuple[int, int], float] = {}
-        for key in sorted(self._charges):
-            links, _loads, messages = self._charges[key]
-            idx = int(np.searchsorted(links, busiest))
-            if idx >= links.size or int(links[idx]) != busiest:
-                continue
-            through = self.simulator._pair_bytes_through(messages, busiest)
-            for pair, nbytes in through.items():
-                contributions[pair] = contributions.get(pair, 0.0) + nbytes
-        return busiest, load, contributions
+        return busiest, load, self.simulator._pair_bytes_through(messages, busiest)

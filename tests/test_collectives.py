@@ -96,7 +96,7 @@ class TestSchedules:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 255), st.integers(0, 255), st.floats(1e3, 1e6)),
+            st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(1000, 10**6).map(float)),
             min_size=1,
             max_size=30,
         )

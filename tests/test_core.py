@@ -243,8 +243,9 @@ class TestProcessorReallocator:
 
 class TestRouteOnce:
     """Candidate costing prices nothing; the executed plan prices each
-    retained nest with messages exactly once, from ring intervals, and
-    a torus plan routes nothing."""
+    retained nest with messages exactly once, by its busiest load alone:
+    with no ledger and no sanitizer no per-link map is built, and a torus
+    plan routes nothing."""
 
     def test_routes_csr_calls_per_point(self, predictor, monkeypatch):
         from repro.experiments import synthetic_workload
@@ -258,8 +259,10 @@ class TestRouteOnce:
         realloc = ProcessorReallocator(machine, dyn, predictor, cost)
         built: list[NetworkSimulator] = []
         priced: list[int] = []
+        mapped: list[int] = []
         routed: list[int] = []
         init, routes_csr = NetworkSimulator.__init__, NetworkSimulator.routes_csr
+        ring_busiest_load = Torus3D.ring_busiest_load
         ring_link_loads = Torus3D.ring_link_loads
 
         def counting_init(self, *args, **kwargs):
@@ -270,13 +273,18 @@ class TestRouteOnce:
             routed.append(len(messages))
             return routes_csr(self, messages)
 
-        def counting_loads(self, src, dst, nbytes, order_idx=None):
+        def counting_busiest(self, src, dst, nbytes, order_idx=None):
             priced.append(len(src))
+            return ring_busiest_load(self, src, dst, nbytes, order_idx)
+
+        def counting_map(self, src, dst, nbytes, order_idx=None):
+            mapped.append(len(src))
             return ring_link_loads(self, src, dst, nbytes, order_idx)
 
         monkeypatch.setattr(NetworkSimulator, "__init__", counting_init)
         monkeypatch.setattr(NetworkSimulator, "routes_csr", counting_routes)
-        monkeypatch.setattr(Torus3D, "ring_link_loads", counting_loads)
+        monkeypatch.setattr(Torus3D, "ring_busiest_load", counting_busiest)
+        monkeypatch.setattr(Torus3D, "ring_link_loads", counting_map)
         moved = 0
         with use_sanitizer(NULL_SANITIZER):  # count the plan's pricing alone
             for nests in synthetic_workload(seed=3, n_steps=8).steps:
@@ -290,11 +298,11 @@ class TestRouteOnce:
                     if len(m.messages)
                 ]
                 assert built == []
-                assert len(priced) == len(nonempty)
-                assert all(n > 0 for n in priced)
+                assert priced == [len(m.messages) for m in nonempty]
                 moved += len(nonempty)
                 priced.clear()
         assert moved > 0
+        assert mapped == []
         assert routed == []
 
 

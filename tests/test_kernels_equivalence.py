@@ -89,14 +89,17 @@ class ReferenceSimulator(NetworkSimulator):
     link_loads = NetworkSimulator._link_loads_reference
     flow_time = NetworkSimulator._flow_time_reference
 
-    def bottleneck_time(self, messages, include_floor=True, link_arrays=None):
-        """The oracle, which routes ``messages`` itself: the per-link
-        arrays a plan shares with the shipped path are not its input."""
+    def bottleneck_time(self, messages, include_floor=True):
         return self._bottleneck_time_reference(messages, include_floor)
 
+    def busiest_link_load(self, messages):
+        """The busiest link's load (what the sanitizer holds the per-link
+        map's maximum to) from the oracle's dict."""
+        return max(self._link_loads_reference(messages).values(), default=0.0)
+
     def _link_load_arrays(self, messages):
-        """Per-link contributions (what ``LinkLoadState`` charges) from the
-        oracle's dict, as sorted parallel arrays."""
+        """Per-link loads (what ``LinkLoadState`` prices its charges with)
+        from the oracle's dict, as sorted parallel arrays."""
         ref = self._link_loads_reference(messages)
         links = np.fromiter(sorted(ref), dtype=np.int64, count=len(ref))
         vals = np.fromiter(

@@ -40,6 +40,8 @@ class TestCostModel:
             CostModel(0, 0)
         with pytest.raises(ValueError):
             CostModel(0, 1e-9, bytes_per_point=0)
+        with pytest.raises(ValueError, match="integer-valued"):
+            CostModel(0, 1e-9, bytes_per_point=1296.5)
 
     def test_for_machine(self):
         m = blue_gene_l(256)
@@ -83,6 +85,25 @@ class TestMessageSet:
         new = BlockDecomposition(16, 16, Rect(0, 0, 4, 4))
         msgs = messages_from_transfer(transfer_matrix(old, new, g.px), 8.0)
         assert len(msgs) and min(msgs.src.min(), msgs.dst.min()) == 0
+
+    def test_rejects_fractional_byte_counts(self):
+        """Sums of fractional bytes depend on their order, so the wire's
+        loads would part from the oracle's (on bgl-256 they did for
+        almost every such set, one with a load of -8.9e-16 on a link no
+        route crosses); whole byte counts price exactly as the oracle."""
+        machine = blue_gene_l(256)
+        sim = NetworkSimulator(machine.mapping, CostModel.for_machine(machine))
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, 256, 40)
+        dst = (src + rng.integers(1, 256, 40)) % 256
+        tenths = rng.integers(1, 10_000, 40).astype(np.float64)
+        with pytest.raises(ValueError, match="integer-valued"):
+            MessageSet(src, dst, tenths * 0.1)
+        with pytest.raises(ValueError, match="integer-valued"):
+            MessageSet(src[:1], dst[:1], np.array([np.nan]))
+        whole = MessageSet(src, dst, tenths)
+        assert sim.link_loads(whole) == sim._link_loads_reference(whole)
+        assert sim.bottleneck_time(whole) == sim._bottleneck_time_reference(whole)
 
 
 class TestMessagesFromTransfer:
@@ -262,7 +283,7 @@ class TestNetworkSimulator:
         msgs = msgset([(0, 1, 1e6), (2, 3, 2e6), (0, 3, 5e5)])
         assert sim.flow_time(msgs) == sim.flow_time(msgs)
 
-    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63), st.floats(1e3, 1e7)), min_size=1, max_size=25))
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63), st.integers(1000, 10**7).map(float)), min_size=1, max_size=25))
     @settings(max_examples=30, deadline=None)
     def test_flow_time_finite_positive(self, triples):
         t = Torus3D((4, 4, 4))

@@ -194,6 +194,31 @@ class TestCheckpoints:
         assert all(v.check == "linkstate.conservation" for v in san.violations)
         assert all("hop-bytes" in v.message for v in san.violations)
 
+    def test_busiest_load_must_top_the_links_map(self, monkeypatch):
+        """The plan times each nest's wire by its busiest load, read off
+        the touched rings' prefix sums; one byte short of the per-link
+        map's maximum is a violation for every move with messages."""
+        machine, cost, old, new, sizes, sim = self._link_state_plans()
+        ring_busiest_load = Torus3D.ring_busiest_load
+
+        def one_byte_short(self, src, dst, nbytes, order_idx=None):
+            return ring_busiest_load(self, src, dst, nbytes, order_idx) - 1.0
+
+        for tampered in (False, True):
+            if tampered:
+                monkeypatch.setattr(Torus3D, "ring_busiest_load", one_byte_short)
+            san = Sanitizer()
+            with use_sanitizer(san):
+                plan = plan_redistribution(
+                    old, new, sizes, machine, cost, link_state=LinkLoadState(sim)
+                )
+            assert san.ok is not tampered
+            assert san.checks_run["linkstate.conservation"] == 1
+        moved = [move.nest_id for move in plan.moves if len(move.messages)]
+        assert moved
+        assert [v.check for v in san.violations] == ["linkstate.conservation"] * len(moved)
+        assert all("busiest link load" in v.message for v in san.violations)
+
     def test_link_state_must_drop_what_the_plan_did_not_move(self, monkeypatch):
         """A nest the plan deleted but the state kept charging."""
         machine, cost, old, new, sizes, sim = self._link_state_plans()
